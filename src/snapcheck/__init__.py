@@ -34,7 +34,6 @@ from .errors import (
 from .harness import (
     FIG1_SCHEDULE,
     ExplorationReport,
-    Execution,
     MethodRecord,
     Program,
     Trace,

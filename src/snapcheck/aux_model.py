@@ -168,61 +168,59 @@ def _positions(sigma: tuple[Timestamp, ...]) -> dict[Timestamp, int]:
     return {t: i for i, t in enumerate(sigma)}
 
 
-def _positions_of(aux: AuxState) -> dict[Timestamp, int]:
-    cache = _derived(aux)
-    pos = cache.get("pos")
-    if pos is None:
-        pos = cache["pos"] = _positions(aux.sigma)
-    return pos
-
-
 def _require_known(aux: AuxState, *ts: Timestamp) -> None:
     for t in ts:
         if t not in aux.hist:
             raise UnknownTimestampError(f"timestamp {t} not in history")
 
 
-def _leq(t1, t2, pos, kappa, tau) -> bool:
-    # the three clauses of the stable-order definition
-    if t1 == t2:
-        return True
-    end = tau.get(t1)
-    if end is not None and end < t2:
-        return True
-    return kappa[t1] is Color.GREEN and pos[t1] < pos[t2]
-
-
-def _ideals(aux: AuxState) -> dict[Timestamp, frozenset[Timestamp]]:
-    """Stable-order ideal of every timestamp, computed once per state."""
-    cache = _derived(aux)
-    ideals = cache.get("ideals")
-    if ideals is None:
-        pos = _positions_of(aux)
-        kappa, tau, dom = aux.kappa, aux.tau, aux.sigma
-        ideals = {
-            t: frozenset(s for s in dom if _leq(s, t, pos, kappa, tau)) for t in dom
-        }
-        cache["ideals"] = ideals
-    return ideals
-
-
 def _ideal_masks(aux: AuxState) -> dict[Timestamp, int]:
-    """Ideals as integer bitmasks (bit t set iff t is in the ideal)."""
+    """Stable-order ideal of every timestamp as an integer bitmask (bit s
+    set iff s is at or below t), computed once per state.
+
+    This is the one definition of the stable order: s is at or below t iff
+    s = t, or s ended before t began in real time, or s is green and sigma
+    currently orders it before t.
+    """
     cache = _derived(aux)
     masks = cache.get("masks")
     if masks is None:
-        masks = {
-            t: sum(1 << s for s in ideal) for t, ideal in _ideals(aux).items()
-        }
-        cache["masks"] = masks
+        ended = [(end, 1 << s) for s, end in aux.tau.items()]
+        masks = cache["masks"] = {}
+        green_before = 0
+        for t in aux.sigma:
+            m = (1 << t) | green_before
+            for end, bit in ended:
+                if end < t:
+                    m |= bit
+            masks[t] = m
+            if aux.kappa[t] is Color.GREEN:
+                green_before |= 1 << t
     return masks
 
 
+def _members(mask: int, aux: AuxState) -> frozenset[Timestamp]:
+    return frozenset(t for t in aux.sigma if (mask >> t) & 1)
+
+
 def scanned_mask(aux: AuxState) -> int:
+    """Timestamps already observed by some scan, as a bitmask.
+
+    t qualifies when its stable-order ideal equals its sigma-prefix and that
+    prefix is entirely green; such timestamps are linearized for good.
+    """
     cache = _derived(aux)
     m = cache.get("scanned_mask")
     if m is None:
-        m = cache["scanned_mask"] = sum(1 << t for t in scanned(aux))
+        masks = _ideal_masks(aux)
+        m = prefix = 0
+        for t in aux.sigma:
+            if aux.kappa[t] is not Color.GREEN:
+                break
+            prefix |= 1 << t
+            if masks[t] == prefix:
+                m |= 1 << t
+        cache["scanned_mask"] = m
     return m
 
 
@@ -243,57 +241,27 @@ def owner_masks(aux: AuxState) -> tuple[int, dict[Tid, int]]:
 
 
 def omega_leq(t1: Timestamp, t2: Timestamp, aux: AuxState) -> bool:
-    """Stable-order test: t1 is (and will remain) logically at or before t2.
-
-    Holds iff t1 = t2, or t1 ended before t2 began in real time, or t1 is
-    green and sigma currently orders it before t2.
-    """
+    """Stable-order test: t1 is (and will remain) logically at or before t2
+    (see :func:`_ideal_masks`)."""
     _require_known(aux, t1, t2)
-    return _leq(t1, t2, _positions_of(aux), aux.kappa, aux.tau)
-
-
-def omega_pairs(aux: AuxState) -> frozenset[tuple[Timestamp, Timestamp]]:
-    """All related pairs of the stable order, reflexive pairs included."""
-    cache = _derived(aux)
-    pairs = cache.get("pairs")
-    if pairs is None:
-        pairs = frozenset(
-            (s, t) for t, ideal in _ideals(aux).items() for s in ideal
-        )
-        cache["pairs"] = pairs
-    return pairs
+    return bool((_ideal_masks(aux)[t2] >> t1) & 1)
 
 
 def omega_down(t: Timestamp, aux: AuxState, strict: bool = False) -> frozenset[Timestamp]:
     """The stable-order ideal of t: every s with s at-or-below t (strict drops t)."""
     _require_known(aux, t)
-    ideal = _ideals(aux)[t]
+    mask = _ideal_masks(aux)[t]
     if strict:
-        return ideal - {t}
-    return ideal
+        mask &= ~(1 << t)
+    return _members(mask, aux)
 
 
 def scanned(aux: AuxState) -> frozenset[Timestamp]:
-    """Timestamps already observed by some scan.
-
-    t qualifies when its stable-order ideal equals its sigma-prefix and that
-    prefix is entirely green; such timestamps are linearized for good.
-    """
+    """Timestamps already observed by some scan (see :func:`scanned_mask`)."""
     cache = _derived(aux)
     out = cache.get("scanned")
     if out is None:
-        acc = []
-        ideals = _ideals(aux)
-        prefix: set[Timestamp] = set()
-        all_green = True
-        for t in aux.sigma:
-            prefix.add(t)
-            all_green = all_green and aux.kappa[t] is Color.GREEN
-            if not all_green:
-                break
-            if ideals[t] == prefix:
-                acc.append(t)
-        out = cache["scanned"] = frozenset(acc)
+        out = cache["scanned"] = _members(scanned_mask(aux), aux)
     return out
 
 

@@ -66,15 +66,18 @@ def _cmd_replay(args) -> int:
     schedule = parse_schedule(Path(args.schedule).read_text())
     trace = run_schedule(prog, schedule)
     rendered = tracefile.render_trace(trace)
+    summary = sys.stdout
     if args.out:
         Path(args.out).write_text(rendered)
     else:
+        # the trace owns stdout, so that it can be piped into `check`
         sys.stdout.write(rendered)
+        summary = sys.stderr
     for m in trace.methods:
         if m.call.kind == "scan":
-            print(f"scan -> ({m.result[0]},{m.result[1]})")
-    print("sigma: " + " ".join(str(v) for v in trace.final_sigma_values))
-    print(f"violations: {len(trace.violations) if trace.violations else 'none'}")
+            print(f"scan -> ({m.result[0]},{m.result[1]})", file=summary)
+    print("sigma: " + " ".join(str(v) for v in trace.final_sigma_values), file=summary)
+    print(f"violations: {len(trace.violations) if trace.violations else 'none'}", file=summary)
     return EXIT_OK if not trace.violations else EXIT_VIOLATION
 
 

@@ -7,7 +7,8 @@ every return, and the brute-force oracle on one representative execution per
 distinct terminal state.  The exact number of maximal interleavings is
 computed by dynamic programming over the state graph.  ``run_schedule``
 deterministically replays an explicit schedule into a full trace, and
-``run_random`` drives seeded random executions.
+``run_random`` drives seeded random executions; both run one loop whose
+chooser follows the schedule or draws from the seeded RNG.
 """
 
 from __future__ import annotations
@@ -134,6 +135,11 @@ class MethodRecord:
 
 @dataclass(frozen=True)
 class Trace:
+    """The record of one completed run, as trace files carry it and the
+    oracle reads it.  The records ``explore`` keeps have no steps and no
+    violations: explore checks each distinct state once, however many runs
+    pass through it, so its violations live on the report."""
+
     program: str
     threads: tuple[tuple[Tid, tuple[str, ...]], ...]
     init_x: Value
@@ -145,46 +151,32 @@ class Trace:
     final_sigma: tuple[Timestamp, ...]
     final_sigma_values: tuple[Value, ...]
     final_kappa: tuple[tuple[Timestamp, str], ...]
-    violations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Execution:
-    """A completed run: its schedule, completed methods, and final state
-    fingerprints.  Carries what the oracle needs (methods, final order,
-    initial values)."""
-
-    schedule: tuple[Tid, ...]
-    methods: tuple[MethodRecord, ...]
-    final_sigma: tuple[Timestamp, ...]
-    final_sigma_values: tuple[Value, ...]
-    final_aux: AuxState
     phys_digest: str
     aux_digest: str
-    init_x: Value
-    init_y: Value
+    violations: tuple[str, ...]
 
 
 @dataclass
 class ExplorationReport:
+    """Outcome of ``explore`` or ``run_random``.  In random mode ``states``
+    is None (runs are not merged into a state graph) and ``edges`` counts
+    every step taken."""
+
     program: str
     mode: str
-    states: int
+    states: int | None
     edges: int
     schedules: int
     runs: int | None
     seed: int | None
     scan_results: frozenset[tuple[Value, Value]]
     violations: list[Violation]
-    executions: list[Execution]
+    executions: list[Trace]
     executions_checked: int
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def violations_named(self, *prefixes: str) -> list[Violation]:
-        return [v for v in self.violations if v.name.startswith(prefixes)]
 
     def render(self) -> str:
         lines = [
@@ -192,10 +184,10 @@ class ExplorationReport:
             f"mode: {self.mode}",
         ]
         if self.mode == "random":
-            lines += [f"seed: {self.seed}", f"runs: {self.runs}"]
+            lines += [f"seed: {self.seed}", f"runs: {self.runs}", f"steps: {self.edges}"]
+        else:
+            lines += [f"states: {self.states}", f"edges: {self.edges}"]
         lines += [
-            f"states: {self.states}",
-            f"edges: {self.edges}",
             f"schedules: {self.schedules}",
             f"executions checked: {self.executions_checked}",
             "scan results: " + " ".join(f"({x},{y})" for x, y in sorted(self.scan_results)),
@@ -284,23 +276,20 @@ def state_key(state: State) -> bytes:
     return hashlib.blake2b(pickle.dumps(key, protocol=5), digest_size=16).digest()
 
 
-def sigma_values(aux: AuxState) -> tuple[Value, ...]:
-    return tuple(aux.hist[t].rec.val for t in aux.sigma)
-
-
 # ---------------------------------------------------------------------------
 # the per-step / per-return check battery
 
 
 class _Checker:
-    """Accumulates violations, scan results, and per-path method records."""
+    """Accumulates violations, scan results, and per-path method records;
+    with ``record_steps``, also the digests of every state a run passes."""
 
-    def __init__(self, prog: Program, check_oracle: bool = True):
+    def __init__(self, prog: Program, record_steps: bool = False):
         self.prog = prog
-        self.check_oracle = check_oracle
         self.violations: list[Violation] = []
         self.scan_results: set[tuple[Value, Value]] = set()
         self.methods: list[MethodRecord] = []
+        self.steps: list[StepRecord] | None = [] if record_steps else None
         self.pending_inv: dict[tuple[Tid, int], int] = {}
         self.executions_checked = 0
 
@@ -326,9 +315,7 @@ class _Checker:
             self._absorb(
                 invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y), idx
             )
-        returned = False
         if out.returned:
-            returned = True
             inv = self.pending_inv[(out.tid, out.call_idx)]
             rec = self._method_record(out, post, inv, idx)
             self.methods.append(rec)
@@ -345,7 +332,11 @@ class _Checker:
                     invariants.check_scan_post(fr.snapshot, post.aux, fr.result, rec.witness),
                     idx,
                 )
-        return (out.tid, out.call_idx, out.invoked, returned)
+        if self.steps is not None:
+            self.steps.append(
+                StepRecord(idx, out.tid, out.label, phys_digest(post.phys), aux_digest(post.aux))
+            )
+        return (out.tid, out.call_idx, out.invoked, out.returned)
 
     def undo(self, token: tuple) -> None:
         tid, call_idx, invoked, returned = token
@@ -373,60 +364,63 @@ class _Checker:
             witness_y=fr.witness_y,
         )
 
-    def finish_execution(self, state: State, schedule) -> Execution:
-        ex = Execution(
+    def finish(self, state: State, schedule) -> Trace:
+        """Build the record of a completed run and check it with both
+        oracle routes.  Oracle failures join the checker's violations; the
+        record's own violation list is left empty."""
+        prog, aux = self.prog, state.aux
+        trace = Trace(
+            program=prog.name,
+            threads=tuple((tid, tuple(c.render() for c in calls)) for tid, calls in prog.threads),
+            init_x=prog.init_x,
+            init_y=prog.init_y,
+            seed=None,
             schedule=tuple(schedule),
+            steps=tuple(self.steps or ()),
             methods=tuple(self.methods),
-            final_sigma=state.aux.sigma,
-            final_sigma_values=sigma_values(state.aux),
-            final_aux=state.aux,
+            final_sigma=aux.sigma,
+            final_sigma_values=tuple(aux.hist[t].rec.val for t in aux.sigma),
+            final_kappa=tuple(sorted((t, c.value) for t, c in aux.kappa.items())),
             phys_digest=phys_digest(state.phys),
-            aux_digest=aux_digest(state.aux),
-            init_x=self.prog.init_x,
-            init_y=self.prog.init_y,
+            aux_digest=aux_digest(aux),
+            violations=(),
         )
-        if self.check_oracle:
-            self.executions_checked += 1
-            idx = len(schedule)
-            if not oracle.validate_witness(ex):
-                self.violations.append(
-                    Violation("oracle-witness", f"witness order rejected for {ex.schedule}", idx)
+        self.executions_checked += 1
+        idx = len(schedule)
+        if not oracle.validate_witness(trace):
+            self.violations.append(
+                Violation("oracle-witness", f"witness order rejected for {trace.schedule}", idx)
+            )
+        if oracle.linearizable(oracle.ops_from_trace(trace)) is None:
+            self.violations.append(
+                Violation(
+                    "oracle-linearizable",
+                    f"no linearization witness for {trace.schedule}",
+                    idx,
                 )
-            ops = oracle.ops_from_methods(ex.methods, ex.init_x, ex.init_y)
-            if oracle.linearizable(ops) is None:
-                self.violations.append(
-                    Violation(
-                        "oracle-linearizable",
-                        f"no linearization witness for {ex.schedule}",
-                        idx,
-                    )
-                )
-        return ex
+            )
+        return trace
 
 
 # ---------------------------------------------------------------------------
 # schedulers
 
 
-def explore(
-    prog: Program,
-    max_states: int = DEFAULT_MAX_STATES,
-    check_oracle: bool = True,
-    keep_executions: bool = True,
-) -> ExplorationReport:
+def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationReport:
     """Exhaustively explore every reachable state of the program.
 
     Distinct states are visited once; the schedule count is the exact number
-    of maximal interleavings, computed over the state graph.  Raises
+    of maximal interleavings, computed over the state graph.  One run record
+    is kept per distinct terminal state.  Raises
     :class:`BudgetExceededError` when more than ``max_states`` distinct
     states are reached.
     """
-    checker = _Checker(prog, check_oracle)
+    checker = _Checker(prog)
     state0 = initial_state(prog)
     checker.on_state(state0, -1)
     visited: dict[bytes, int] = {}
     sched: list[Tid] = []
-    executions: list[Execution] = []
+    executions: list[Trace] = []
     edges = 0
 
     def dfs(state: State, key: bytes) -> int:
@@ -436,9 +430,7 @@ def explore(
         visited[key] = 0
         enabled = enabled_tids(prog, state)
         if not enabled:
-            ex = checker.finish_execution(state, sched)
-            if keep_executions:
-                executions.append(ex)
+            executions.append(checker.finish(state, sched))
             visited[key] = 1
             return 1
         total = 0
@@ -477,80 +469,75 @@ def explore(
     )
 
 
+def _drive(prog: Program, choose, checker: _Checker | None) -> tuple[State, list[Tid]]:
+    """Run prog from its initial state.  ``choose(idx, enabled)`` names the
+    thread that takes step idx, or None to stop; every state and edge on the
+    way goes through ``checker`` unless it is None.  Returns the last state
+    and the schedule taken."""
+    state = initial_state(prog)
+    if checker is not None:
+        checker.on_state(state, -1)
+    sched: list[Tid] = []
+    while (tid := choose(len(sched), enabled_tids(prog, state))) is not None:
+        idx = len(sched)
+        post, out = step_state(prog, state, tid)
+        if checker is not None:
+            checker.on_state(post, idx)
+            checker.on_edge(state, post, out, idx)
+        sched.append(tid)
+        state = post
+    return state, sched
+
+
+def _follow(schedule: tuple[Tid, ...], complete: bool):
+    """Chooser that follows a fixed schedule; with ``complete``, the program
+    must finish exactly at its end (see :func:`run_schedule`)."""
+
+    def choose(idx: int, enabled: list[Tid]) -> Tid | None:
+        if idx == len(schedule):
+            if complete and enabled:
+                raise ScheduleError("schedule ended before the program completed")
+            return None
+        tid = schedule[idx]
+        if tid not in enabled:
+            raise ScheduleError(f"step {idx}: thread {tid!r} has no enabled step")
+        return tid
+
+    return choose
+
+
 def run_schedule(prog: Program, schedule) -> Trace:
     """Deterministically replay an explicit schedule into a full trace.
 
     Raises :class:`ScheduleError` when the schedule picks a thread with no
     enabled step or stops before the program completes.
     """
-    checker = _Checker(prog, check_oracle=True)
-    state = initial_state(prog)
-    checker.on_state(state, -1)
-    steps: list[StepRecord] = []
-    for idx, tid in enumerate(schedule):
-        if tid not in enabled_tids(prog, state):
-            raise ScheduleError(f"step {idx}: thread {tid!r} has no enabled step")
-        post, out = step_state(prog, state, tid)
-        checker.on_state(post, idx)
-        checker.on_edge(state, post, out, idx)
-        steps.append(
-            StepRecord(idx, tid, out.label, phys_digest(post.phys), aux_digest(post.aux))
-        )
-        state = post
-    if enabled_tids(prog, state):
-        raise ScheduleError("schedule ended before the program completed")
-    checker.finish_execution(state, tuple(schedule))
-    return Trace(
-        program=prog.name,
-        threads=tuple((tid, tuple(c.render() for c in calls)) for tid, calls in prog.threads),
-        init_x=prog.init_x,
-        init_y=prog.init_y,
-        seed=None,
-        schedule=tuple(schedule),
-        steps=tuple(steps),
-        methods=tuple(checker.methods),
-        final_sigma=state.aux.sigma,
-        final_sigma_values=sigma_values(state.aux),
-        final_kappa=tuple(sorted((t, c.value) for t, c in state.aux.kappa.items())),
-        violations=tuple(v.render() for v in checker.violations),
-    )
+    checker = _Checker(prog, record_steps=True)
+    state, sched = _drive(prog, _follow(tuple(schedule), complete=True), checker)
+    trace = checker.finish(state, sched)
+    return replace(trace, violations=tuple(v.render() for v in checker.violations))
 
 
 def run_prefix(prog: Program, schedule) -> State:
     """Drive a schedule prefix with no checking; test/demo helper."""
-    state = initial_state(prog)
-    for idx, tid in enumerate(schedule):
-        if tid not in enabled_tids(prog, state):
-            raise ScheduleError(f"step {idx}: thread {tid!r} has no enabled step")
-        state, _ = step_state(prog, state, tid)
-    return state
+    return _drive(prog, _follow(tuple(schedule), complete=False), None)[0]
 
 
-def run_random(
-    prog: Program, seed: int, runs: int, check_oracle: bool = True
-) -> ExplorationReport:
+def run_random(prog: Program, seed: int, runs: int) -> ExplorationReport:
     """Seeded uniformly-random scheduling; identical seed, identical report."""
     rng = random.Random(seed)
+
+    def choose(idx: int, enabled: list[Tid]) -> Tid | None:
+        return enabled[rng.randrange(len(enabled))] if enabled else None
+
     violations: list[Violation] = []
     results: set[tuple[Value, Value]] = set()
     executions_checked = 0
     total_steps = 0
     for run in range(runs):
-        checker = _Checker(prog, check_oracle)
-        state = initial_state(prog)
-        checker.on_state(state, -1)
-        sched: list[Tid] = []
-        while True:
-            enabled = enabled_tids(prog, state)
-            if not enabled:
-                break
-            tid = enabled[rng.randrange(len(enabled))]
-            post, out = step_state(prog, state, tid)
-            checker.on_state(post, len(sched))
-            checker.on_edge(state, post, out, len(sched))
-            sched.append(tid)
-            state = post
-        checker.finish_execution(state, sched)
+        checker = _Checker(prog)
+        state, sched = _drive(prog, choose, checker)
+        checker.finish(state, sched)
         total_steps += len(sched)
         for v in checker.violations:
             v.detail = f"run {run}: {v.detail}"
@@ -560,7 +547,7 @@ def run_random(
     return ExplorationReport(
         program=prog.name,
         mode="random",
-        states=total_steps,
+        states=None,
         edges=total_steps,
         schedules=runs,
         runs=runs,

@@ -10,7 +10,7 @@ forwarded values, read values) evaluate vacuously true outside their guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .aux_model import (
     AuxState,
@@ -28,7 +28,6 @@ from .aux_model import (
     last_green,
     omega_down,
     omega_leq,
-    omega_pairs,
     owner_masks,
     scanned,
     scanned_mask,
@@ -45,13 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 @dataclass(frozen=True)
 class SpecSnapshot:
     """Pre-state view frozen at a method's invocation: the caller's
-    environment history, the already-linearized set, the global history
-    domain, and the stable order as a pair set."""
+    environment history, the already-linearized set, and the global history
+    domain."""
 
     dom_other: frozenset[Timestamp]
     scanned_set: frozenset[Timestamp]
     dom_global: frozenset[Timestamp]
-    omega: frozenset[tuple[Timestamp, Timestamp]]
 
 
 def capture_spec_snapshot(aux: AuxState, tid: Tid) -> SpecSnapshot:
@@ -59,7 +57,6 @@ def capture_spec_snapshot(aux: AuxState, tid: Tid) -> SpecSnapshot:
         dom_other=dom_other(aux, tid),
         scanned_set=scanned(aux),
         dom_global=frozenset(aux.hist),
-        omega=omega_pairs(aux),
     )
 
 
@@ -473,7 +470,6 @@ def check_omega_properties(aux: AuxState) -> ViolationReport:
     rep = ViolationReport()
     dom = aux.sigma
     masks = _ideal_masks(aux)
-    ideals = {t: omega_down(t, aux) for t in dom}
     for t in dom:
         if not (masks[t] >> t) & 1:
             rep.add("omega-reflexive", f"{t} not related to itself", t)
@@ -483,8 +479,10 @@ def check_omega_properties(aux: AuxState) -> ViolationReport:
                 rep.add("omega-antisymmetric", f"{a} and {b} related both ways", a, b)
     for t in dom:
         below = 0
-        for s in ideals[t]:
-            below |= masks[s]
+        ideal = masks[t]
+        for s in dom:
+            if (ideal >> s) & 1:
+                below |= masks[s]
         if below & ~masks[t]:
             rep.add(
                 "omega-transitive",
@@ -509,7 +507,3 @@ def check_all(phys: "PhysState", aux: AuxState) -> ViolationReport:
     rep.merge(check_omega_properties(aux))
     rep.merge(check_chain_lemma(aux))
     return rep
-
-
-def render_violations(violations: Iterable[Violation]) -> str:
-    return "\n".join(v.render() for v in violations)

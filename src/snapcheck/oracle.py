@@ -43,42 +43,27 @@ def init_ops(init_x: int, init_y: int) -> tuple[OpRecord, OpRecord]:
     )
 
 
-def ops_from_methods(methods, init_x: int, init_y: int) -> tuple[OpRecord, ...]:
-    ops = list(init_ops(init_x, init_y))
-    for m in methods:
-        if m.call.kind == "write":
-            ops.append(
-                OpRecord(
-                    "write",
-                    m.call.p.value,
-                    m.call.v,
-                    None,
-                    m.invocation,
-                    m.response,
-                    timestamp=m.t,
-                    tid=m.tid,
-                )
-            )
-        else:
-            ops.append(
-                OpRecord(
-                    "scan",
-                    None,
-                    None,
-                    tuple(m.result),
-                    m.invocation,
-                    m.response,
-                    timestamp=m.witness,
-                    tid=m.tid,
-                )
-            )
-    return tuple(ops)
-
-
 def ops_from_trace(trace) -> tuple[OpRecord, ...]:
+    """The run record's completed methods as operations, after the two
+    initializing writes; an empty record has none."""
     if not trace.methods and not trace.final_sigma:
         return ()
-    return ops_from_methods(trace.methods, trace.init_x, trace.init_y)
+    ops = list(init_ops(trace.init_x, trace.init_y))
+    for m in trace.methods:
+        scan = m.call.kind == "scan"
+        ops.append(
+            OpRecord(
+                m.call.kind,
+                None if scan else m.call.p.value,
+                m.call.v,
+                tuple(m.result) if scan else None,
+                m.invocation,
+                m.response,
+                timestamp=m.witness if scan else m.t,
+                tid=m.tid,
+            )
+        )
+    return tuple(ops)
 
 
 def replay_sequential(order) -> bool:

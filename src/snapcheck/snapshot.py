@@ -142,13 +142,13 @@ _SCAN_STEPS = (
 )
 
 
-def write_steps(tid: Tid, p: Ptr, v: Value) -> tuple[Step, ...]:
+def write_steps(p: Ptr) -> tuple[Step, ...]:
     """Step list of write(p, v); the forward step is skipped at run time
     when the scanner bit was read as false."""
     return _WRITE_STEPS[p]
 
 
-def scan_steps(tid: Tid) -> tuple[Step, ...]:
+def scan_steps() -> tuple[Step, ...]:
     """Step list of scan(); the local rx/ry selection is folded into the
     relink step since it touches no shared state."""
     return _SCAN_STEPS
@@ -232,9 +232,9 @@ class MethodFrame:
 def make_frame(tid: Tid, call: MethodCall, aux: AuxState) -> MethodFrame:
     """Create the frame at invocation, capturing the pre-state snapshot."""
     if call.kind == "write":
-        steps = write_steps(tid, call.p, call.v)
+        steps = write_steps(call.p)
     else:
-        steps = scan_steps(tid)
+        steps = scan_steps()
     return MethodFrame(tid, call, steps, invariants.capture_spec_snapshot(aux, tid))
 
 

@@ -1,8 +1,8 @@
 """Trace file format: JSON Lines, one kind-tagged record per line.
 
 Header (program, init values, seed/schedule), one record per step, one per
-completed method, and a footer with the final logical order, colors, and
-violation list.  ``parse_trace(render_trace(t)) == t``.
+completed method, and a footer with the final logical order, colors, state
+digests, and violation list.  ``parse_trace(render_trace(t)) == t``.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ def render_trace(trace: Trace) -> str:
                 "sigma": list(trace.final_sigma),
                 "sigma_values": list(trace.final_sigma_values),
                 "kappa": [[t, c] for t, c in trace.final_kappa],
+                "phys": trace.phys_digest,
+                "aux": trace.aux_digest,
                 "violations": list(trace.violations),
             },
             sort_keys=True,
@@ -86,6 +88,7 @@ def parse_trace(text: str) -> Trace:
     final_sigma: tuple = ()
     final_sigma_values: tuple = ()
     final_kappa: tuple = ()
+    phys_digest = aux_digest = ""
     violations: tuple = ()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -123,6 +126,7 @@ def parse_trace(text: str) -> Trace:
                 final_sigma = tuple(rec["sigma"])
                 final_sigma_values = tuple(rec["sigma_values"])
                 final_kappa = tuple((t, c) for t, c in rec["kappa"])
+                phys_digest, aux_digest = rec["phys"], rec["aux"]
                 violations = tuple(rec["violations"])
             else:
                 raise TraceParseError(f"line {lineno}: unknown record kind {kind!r}")
@@ -142,5 +146,7 @@ def parse_trace(text: str) -> Trace:
         final_sigma=final_sigma,
         final_sigma_values=final_sigma_values,
         final_kappa=final_kappa,
+        phys_digest=phys_digest,
+        aux_digest=aux_digest,
         violations=violations,
     )

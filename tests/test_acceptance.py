@@ -27,6 +27,7 @@ from snapcheck.aux_model import (
 )
 from snapcheck.aux_ops import INSPECT_NO, InspectDecision, inspect, push
 from snapcheck.cli import main
+from snapcheck.harness import client_e_prime, run_prefix
 
 PAPER_RESULT_SET = frozenset({(5, 0), (2, 0), (3, 0), (2, 1), (3, 1)})
 
@@ -43,7 +44,13 @@ STATE_INVARIANTS = (
     "read-value",
     "chain",
 )
-TRANSITION_INVARIANTS = ("hist-mono", "omega-mono", "scanned-mono", "scanned-ideal")
+TRANSITION_INVARIANTS = (
+    "hist-mono",
+    "omega-mono",
+    "scanned-mono",
+    "scanned-ideal",
+    "scanned-eval",
+)
 POSTCONDITIONS = ("write-post", "scan-post")
 ORDER_SANITY = (
     "omega-reflexive",
@@ -100,18 +107,22 @@ def test_criterion_2_client_e_result_set(sweep_reports, capsys):
 def test_criterion_3_invariant_sweep(sweep_reports, capsys):
     reports, wall = sweep_reports
     bad = []
+    not_ok = []
     states = edges = 0
     for name, (report, _) in reports.items():
         states += report.states
         edges += report.edges
         bad += _named(report, STATE_INVARIANTS + TRANSITION_INVARIANTS)
+        if not report.ok:
+            not_ok.append(name)
     with capsys.disabled():
-        ok = not bad and wall < 600.0
+        ok = not bad and not not_ok and wall < 600.0
         _report(
             "criterion-3 invariant-sweep",
             ok,
             f"{len(reports)} programs, {states} states, {edges} transitions, "
-            f"{len(bad)} violations, {wall:.0f}s < 600s",
+            f"{len(bad)} violations, programs not ok: {not_ok or 'none'}, "
+            f"{wall:.0f}s < 600s",
         )
 
 
@@ -129,7 +140,8 @@ def test_criterion_4_method_postconditions(sweep_reports, capsys):
         scan = next(m for m in ex.methods if m.call.kind == "scan")
         write = next(m for m in ex.methods if m.call.kind == "write")
         t_s, t_x = scan.witness, write.t
-        if t_s == t_x or not omega_leq(t_s, t_x, ex.final_aux):
+        final_aux = run_prefix(client_e_prime(), ex.schedule).aux
+        if t_s == t_x or not omega_leq(t_s, t_x, final_aux):
             seq_ok = False
     with capsys.disabled():
         ok = not bad and seq_ok and returns > 0

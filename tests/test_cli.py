@@ -61,6 +61,16 @@ def test_replay_deterministic(tmp_path, sched_file, capsys):
     assert "scan -> (2,1)" in out
 
 
+def test_replay_stdout_trace_passes_check(tmp_path, sched_file, capsys):
+    # without --out the trace alone goes to stdout; the summary to stderr
+    assert main(["replay", "--client", "fig1", "--schedule", str(sched_file)]) == 0
+    captured = capsys.readouterr()
+    assert "scan -> (2,1)" in captured.err
+    piped = tmp_path / "stdout.trace"
+    piped.write_text(captured.out)
+    assert main(["check", "--trace", str(piped)]) == 0
+
+
 def test_replay_truncated_schedule(tmp_path, capsys):
     sched = tmp_path / "short.sched"
     sched.write_text("\n".join(FIG1_SCHEDULE[:5]) + "\n")

@@ -114,6 +114,9 @@ def test_run_random_deterministic():
     r2 = run_random(client_e(), seed=42, runs=50)
     assert r1.render() == r2.render()
     assert r1.ok
+    # random runs are not merged into a state graph: steps, not states
+    assert r1.states is None
+    assert f"steps: {r1.edges}" in r1.render() and "states:" not in r1.render()
 
 
 def test_run_random_results_subset_of_exhaustive():

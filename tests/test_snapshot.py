@@ -50,7 +50,7 @@ def test_init_value_domain():
 
 
 def test_step_lists():
-    labels = [s.label for s in write_steps("w", Ptr.X, 2)]
+    labels = [s.label for s in write_steps(Ptr.X)]
     assert labels == [
         "acquire:wx",
         "register:x",
@@ -59,7 +59,7 @@ def test_step_lists():
         "finalize:x",
         "release:wx",
     ]
-    assert len(scan_steps("c")) == 11
+    assert len(scan_steps()) == 11
 
 
 def test_uncontended_write_takes_five_steps():

@@ -3,13 +3,22 @@
 import pytest
 
 from snapcheck.errors import TraceParseError
-from snapcheck.harness import FIG1_SCHEDULE, client_fig1, run_schedule
+from snapcheck.harness import FIG1_SCHEDULE, client_fig1, explore, generated_programs, run_schedule
 from snapcheck.tracefile import parse_trace, render_trace
 
 
 def test_roundtrip_fig1():
     trace = run_schedule(client_fig1(), FIG1_SCHEDULE)
     assert parse_trace(render_trace(trace)) == trace
+
+
+def test_roundtrip_explore_records():
+    prog = next(p for p in generated_programs() if p.name == "gen-x1-y0")
+    report = explore(prog)
+    assert report.executions
+    for ex in report.executions:
+        assert ex.steps == () and ex.violations == ()
+        assert parse_trace(render_trace(ex)) == ex
 
 
 def test_roundtrip_is_stable_text():
@@ -30,6 +39,9 @@ def test_parse_rejects_garbage():
         parse_trace('{"kind":"mystery"}\n')
     with pytest.raises(TraceParseError):
         parse_trace('{"kind":"step","i":0}\n')  # missing fields
+    with pytest.raises(TraceParseError):
+        # a footer without the final state digests
+        parse_trace('{"kind":"footer","sigma":[],"sigma_values":[],"kappa":[],"violations":[]}\n')
 
 
 def test_one_record_per_line():
