@@ -137,16 +137,6 @@ class AuxState:
     def max_ts(self) -> Timestamp:
         return max(self.hist)
 
-    def evolve(self, **kw) -> "AuxState":
-        # fast functional update (dataclasses.replace is hot-path slow);
-        # the derived-data memo must not carry over
-        new = object.__new__(AuxState)
-        d = self.__dict__.copy()
-        d.pop("_derived_cache", None)
-        d.update(kw)
-        new.__dict__.update(d)
-        return new
-
 
 def validate_value(v: Value, value_range: tuple[int, int] = DEFAULT_VALUE_RANGE) -> None:
     lo, hi = value_range
@@ -154,14 +144,35 @@ def validate_value(v: Value, value_range: tuple[int, int] = DEFAULT_VALUE_RANGE)
         raise ValueDomainError(f"value {v!r} outside domain {lo}..{hi}")
 
 
-def _derived(aux: AuxState) -> dict:
-    # per-instance memo for derived data; AuxState values are immutable so
-    # this never goes stale (not a dataclass field: invisible to eq/repr)
-    d = aux.__dict__
-    cache = d.get("_derived_cache")
+def memo(obj) -> dict:
+    """Per-instance memo of data derived from an immutable value.  It is not
+    a dataclass field, so eq and repr never see it, and :func:`evolve` drops
+    it, so it never goes stale."""
+    d = obj.__dict__
+    cache = d.get("_memo")
     if cache is None:
-        cache = d["_derived_cache"] = {}
+        cache = d["_memo"] = {}
     return cache
+
+
+def evolve(obj, **changes):
+    """Functional update of a frozen dataclass: a copy with ``changes``
+    applied and without the memo.  ``dataclasses.replace`` re-runs
+    ``__init__``, which is too slow for the stepping hot path."""
+    new = object.__new__(type(obj))
+    d = new.__dict__
+    d.update(obj.__dict__)
+    d.pop("_memo", None)
+    d.update(changes)
+    return new
+
+
+def bits(mask: int):
+    """The timestamps in a bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _positions(sigma: tuple[Timestamp, ...]) -> dict[Timestamp, int]:
@@ -182,7 +193,7 @@ def _ideal_masks(aux: AuxState) -> dict[Timestamp, int]:
     s = t, or s ended before t began in real time, or s is green and sigma
     currently orders it before t.
     """
-    cache = _derived(aux)
+    cache = memo(aux)
     masks = cache.get("masks")
     if masks is None:
         ended = [(end, 1 << s) for s, end in aux.tau.items()]
@@ -209,7 +220,7 @@ def scanned_mask(aux: AuxState) -> int:
     t qualifies when its stable-order ideal equals its sigma-prefix and that
     prefix is entirely green; such timestamps are linearized for good.
     """
-    cache = _derived(aux)
+    cache = memo(aux)
     m = cache.get("scanned_mask")
     if m is None:
         masks = _ideal_masks(aux)
@@ -224,20 +235,32 @@ def scanned_mask(aux: AuxState) -> int:
     return m
 
 
-def owner_masks(aux: AuxState) -> tuple[int, dict[Tid, int]]:
-    """(init-owned mask, per-thread self-owned masks)."""
-    cache = _derived(aux)
+def owner_masks(aux: AuxState) -> tuple[int, int, dict[Tid, int]]:
+    """(init-owned mask, joint mask, per-thread self-owned masks)."""
+    cache = memo(aux)
     got = cache.get("owner_masks")
     if got is None:
-        init_mask = 0
+        init_mask = joint_mask = 0
         self_masks: dict[Tid, int] = {}
         for t, e in aux.hist.items():
             if e.owner.kind is OwnerKind.INIT:
                 init_mask |= 1 << t
-            elif e.owner.kind is OwnerKind.THREAD:
+            elif e.owner.kind is OwnerKind.JOINT:
+                joint_mask |= 1 << t
+            else:
                 self_masks[e.owner.tid] = self_masks.get(e.owner.tid, 0) | (1 << t)
-        got = cache["owner_masks"] = (init_mask, self_masks)
+        got = cache["owner_masks"] = (init_mask, joint_mask, self_masks)
     return got
+
+
+def other_mask(aux: AuxState, tid: Tid) -> int:
+    """Events finished by the environment of tid: init events plus other
+    threads'."""
+    init_mask, _, self_masks = owner_masks(aux)
+    for owner, mask in self_masks.items():
+        if owner != tid:
+            init_mask |= mask
+    return init_mask
 
 
 def omega_leq(t1: Timestamp, t2: Timestamp, aux: AuxState) -> bool:
@@ -258,11 +281,7 @@ def omega_down(t: Timestamp, aux: AuxState, strict: bool = False) -> frozenset[T
 
 def scanned(aux: AuxState) -> frozenset[Timestamp]:
     """Timestamps already observed by some scan (see :func:`scanned_mask`)."""
-    cache = _derived(aux)
-    out = cache.get("scanned")
-    if out is None:
-        out = cache["scanned"] = _members(scanned_mask(aux), aux)
-    return out
+    return _members(scanned_mask(aux), aux)
 
 
 def eval_at(
@@ -291,7 +310,7 @@ def eval_at(
 
 def hist_p(p: Ptr, aux: AuxState) -> tuple[Timestamp, ...]:
     """The subsequence of sigma writing to p, in sigma order."""
-    cache = _derived(aux)
+    cache = memo(aux)
     key = "hist_" + p.value
     seq = cache.get(key)
     if seq is None:
@@ -301,7 +320,7 @@ def hist_p(p: Ptr, aux: AuxState) -> tuple[Timestamp, ...]:
 
 def last_green(p: Ptr, aux: AuxState) -> Timestamp | None:
     """The sigma-last green timestamp among p's writes, if any."""
-    cache = _derived(aux)
+    cache = memo(aux)
     key = "lastgreen_" + p.value
     if key not in cache:
         out = None
@@ -314,7 +333,7 @@ def last_green(p: Ptr, aux: AuxState) -> Timestamp | None:
 
 def yellow_of(p: Ptr, aux: AuxState) -> Timestamp | None:
     """The (in valid states unique) yellow timestamp among p's writes."""
-    cache = _derived(aux)
+    cache = memo(aux)
     key = "yellow_" + p.value
     if key not in cache:
         out = None
@@ -333,29 +352,6 @@ def last_gy(p: Ptr, t: Timestamp, aux: AuxState) -> bool:
     return aux.kappa[t] is Color.YELLOW and aux.hist[t].rec.ptr is p
 
 
-def dom_joint(aux: AuxState) -> frozenset[Timestamp]:
-    return frozenset(t for t, e in aux.hist.items() if e.owner.kind is OwnerKind.JOINT)
-
-
-def dom_self(aux: AuxState, tid: Tid) -> frozenset[Timestamp]:
-    return frozenset(
-        t
-        for t, e in aux.hist.items()
-        if e.owner.kind is OwnerKind.THREAD and e.owner.tid == tid
-    )
-
-
-def dom_other(aux: AuxState, tid: Tid) -> frozenset[Timestamp]:
-    """Events finished by the environment of tid: init events plus other threads'."""
-    out = set()
-    for t, e in aux.hist.items():
-        if e.owner.kind is OwnerKind.INIT:
-            out.add(t)
-        elif e.owner.kind is OwnerKind.THREAD and e.owner.tid != tid:
-            out.add(t)
-    return frozenset(out)
-
-
 _PTR_NAME = {Ptr.X: "x", Ptr.Y: "y"}
 _COLOR_NAME = {Color.GREEN: "green", Color.YELLOW: "yellow", Color.RED: "red"}
 _OWNER_NAME = {OwnerKind.INIT: "init", OwnerKind.JOINT: "joint", OwnerKind.THREAD: "thread"}
@@ -369,7 +365,7 @@ _PHASE_NAME = {
 
 def aux_key(aux: AuxState) -> tuple:
     """Canonical, primitive-only tuple identifying the auxiliary state."""
-    cache = _derived(aux)
+    cache = memo(aux)
     key = cache.get("key")
     if key is None:
         key = cache["key"] = (

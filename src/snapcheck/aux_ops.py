@@ -9,7 +9,7 @@ the explored program).  All transitions are pure: they return fresh
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .aux_model import (
     AuxState,
@@ -26,6 +26,7 @@ from .aux_model import (
     WriteRecord,
     WriterPhase,
     WriterState,
+    evolve,
     hist_p,
     last_gy,
     last_green,
@@ -57,7 +58,7 @@ def _writer_field(p: Ptr) -> str:
 
 
 def _with_writer(aux: AuxState, p: Ptr, w: WriterState) -> AuxState:
-    return aux.evolve(**{_writer_field(p): w})
+    return evolve(aux, **{_writer_field(p): w})
 
 
 def register(tid: Tid, p: Ptr, v: Value, aux: AuxState) -> tuple[AuxState, Timestamp]:
@@ -77,7 +78,7 @@ def register(tid: Tid, p: Ptr, v: Value, aux: AuxState) -> tuple[AuxState, Times
         kappa[t] = Color.YELLOW
     else:
         kappa[t] = Color.RED
-    aux2 = aux.evolve(hist=hist, sigma=aux.sigma + (t,), kappa=kappa)
+    aux2 = evolve(aux, hist=hist, sigma=aux.sigma + (t,), kappa=kappa)
     return _with_writer(aux2, p, WriterState(WriterPhase.NEW, t, v)), t
 
 
@@ -100,7 +101,7 @@ def forward(tid: Tid, p: Ptr, aux: AuxState) -> AuxState:
     if aux.scanner.on and aux.scanner.bit(p):
         kappa = dict(aux.kappa)
         kappa[w.t] = Color.GREEN
-        aux2 = aux2.evolve(kappa=kappa)
+        aux2 = evolve(aux2, kappa=kappa)
     return aux2
 
 
@@ -121,7 +122,7 @@ def finalize(tid: Tid, p: Ptr, aux: AuxState) -> AuxState:
     hist[w.t] = HistEntry(entry.rec, owner_thread(tid))
     tau = dict(aux.tau)
     tau[w.t] = aux.max_ts()
-    aux2 = aux.evolve(hist=hist, tau=tau)
+    aux2 = evolve(aux, hist=hist, tau=tau)
     return _with_writer(aux2, p, WRITER_OFF)
 
 
@@ -137,7 +138,7 @@ def set_scanner(b: bool, aux: AuxState) -> AuxState:
         if not sc.on or not (sc.sx and sc.sy):
             raise GuardViolationError("set(false): scanner off or bits unset")
         sc2 = ScannerState(on=False, t_off=aux.max_ts(), sx=True, sy=True)
-    return aux.evolve(scanner=sc2)
+    return evolve(aux, scanner=sc2)
 
 
 def clear(p: Ptr, aux: AuxState) -> AuxState:
@@ -150,7 +151,7 @@ def clear(p: Ptr, aux: AuxState) -> AuxState:
     for t in hist_p(p, aux):
         kappa[t] = Color.GREEN
     field = "sx" if p is Ptr.X else "sy"
-    return aux.evolve(kappa=kappa, scanner=replace(sc, **{field: True}))
+    return evolve(aux, kappa=kappa, scanner=evolve(sc, **{field: True}))
 
 
 def _require_relink_pre(t_x: Timestamp, t_y: Timestamp, aux: AuxState) -> None:
@@ -242,7 +243,8 @@ def relink(r_x: Value, r_y: Value, aux: AuxState) -> tuple[AuxState, Timestamp, 
     kappa = dict(aux.kappa)
     kappa[t_x] = Color.GREEN
     kappa[t_y] = Color.GREEN
-    aux2 = aux.evolve(
+    aux2 = evolve(
+        aux,
         sigma=sigma,
         kappa=kappa,
         scanner=ScannerState(on=False, t_off=sc.t_off, sx=False, sy=False),

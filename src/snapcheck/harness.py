@@ -13,10 +13,8 @@ chooser follows the schedule or draws from the seeded RNG.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import invariants, oracle
 from .aux_model import (
@@ -26,6 +24,7 @@ from .aux_model import (
     Timestamp,
     Value,
     aux_key,
+    evolve,
     validate_value,
 )
 from .errors import BudgetExceededError, ScheduleError, TraceParseError
@@ -37,6 +36,7 @@ from .snapshot import (
     PhysState,
     apply_step,
     aux_digest,
+    digest,
     init,
     lock_for,
     make_frame,
@@ -89,7 +89,7 @@ class State:
         raise KeyError(tid)
 
     def with_entry(self, tid: Tid, entry: ThreadEntry) -> "State":
-        return replace(
+        return evolve(
             self,
             threads=tuple((t, entry if t == tid else e) for t, e in self.threads),
         )
@@ -144,7 +144,6 @@ class Trace:
     threads: tuple[tuple[Tid, tuple[str, ...]], ...]
     init_x: Value
     init_y: Value
-    seed: int | None
     schedule: tuple[Tid, ...]
     steps: tuple[StepRecord, ...]
     methods: tuple[MethodRecord, ...]
@@ -273,7 +272,7 @@ def state_key(state: State) -> bytes:
             for tid, e in state.threads
         ),
     )
-    return hashlib.blake2b(pickle.dumps(key, protocol=5), digest_size=16).digest()
+    return digest(key, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +373,6 @@ class _Checker:
             threads=tuple((tid, tuple(c.render() for c in calls)) for tid, calls in prog.threads),
             init_x=prog.init_x,
             init_y=prog.init_y,
-            seed=None,
             schedule=tuple(schedule),
             steps=tuple(self.steps or ()),
             methods=tuple(self.methods),
@@ -515,7 +513,7 @@ def run_schedule(prog: Program, schedule) -> Trace:
     checker = _Checker(prog, record_steps=True)
     state, sched = _drive(prog, _follow(tuple(schedule), complete=True), checker)
     trace = checker.finish(state, sched)
-    return replace(trace, violations=tuple(v.render() for v in checker.violations))
+    return evolve(trace, violations=tuple(v.render() for v in checker.violations))
 
 
 def run_prefix(prog: Program, schedule) -> State:
@@ -576,8 +574,7 @@ def client_fig1() -> Program:
 
 
 def client_e() -> Program:
-    prog = client_fig1()
-    return replace(prog, name="e")
+    return evolve(client_fig1(), name="e")
 
 
 def client_e_prime(v: Value = 2) -> Program:

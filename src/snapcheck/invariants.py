@@ -21,15 +21,12 @@ from .aux_model import (
     Tid,
     Value,
     WriterPhase,
-    dom_joint,
-    dom_other,
+    bits,
     eval_at,
     hist_p,
     last_green,
-    omega_down,
-    omega_leq,
+    other_mask,
     owner_masks,
-    scanned,
     scanned_mask,
     yellow_of,
     _ideal_masks,
@@ -43,20 +40,20 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 @dataclass(frozen=True)
 class SpecSnapshot:
-    """Pre-state view frozen at a method's invocation: the caller's
-    environment history, the already-linearized set, and the global history
-    domain."""
+    """Pre-state view frozen at a method's invocation, as timestamp bitmasks:
+    the caller's environment history, the already-linearized set, and the
+    global history domain."""
 
-    dom_other: frozenset[Timestamp]
-    scanned_set: frozenset[Timestamp]
-    dom_global: frozenset[Timestamp]
+    other_mask: int
+    scanned_mask: int
+    dom_mask: int
 
 
 def capture_spec_snapshot(aux: AuxState, tid: Tid) -> SpecSnapshot:
     return SpecSnapshot(
-        dom_other=dom_other(aux, tid),
-        scanned_set=scanned(aux),
-        dom_global=frozenset(aux.hist),
+        other_mask=other_mask(aux, tid),
+        scanned_mask=scanned_mask(aux),
+        dom_mask=sum(1 << t for t in aux.hist),
     )
 
 
@@ -65,7 +62,6 @@ class Violation:
     name: str
     detail: str
     step: int | None = None
-    offenders: tuple = ()
 
     def render(self) -> str:
         return f"INV {self.name} @step={self.step}: {self.detail}"
@@ -79,8 +75,8 @@ class ViolationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, name: str, detail: str, *offenders) -> None:
-        self.violations.append(Violation(name, detail, offenders=tuple(offenders)))
+    def add(self, name: str, detail: str) -> None:
+        self.violations.append(Violation(name, detail))
 
     def merge(self, other: "ViolationReport") -> None:
         self.violations.extend(other.violations)
@@ -121,8 +117,6 @@ def _check_overlap(aux: AuxState, rep: ViolationReport) -> None:
                 rep.add(
                     "overlap",
                     f"{t1} ended at {end} before {t2} began but follows it in sigma",
-                    t1,
-                    t2,
                 )
 
 
@@ -158,7 +152,6 @@ def _check_last_write(phys: "PhysState", aux: AuxState, rep: ViolationReport) ->
             rep.add(
                 "last-write",
                 f"{p.value} holds {actual} but sigma-last write {seq[-1]} wrote {expect}",
-                seq[-1],
             )
 
 
@@ -179,24 +172,24 @@ def _check_joint_history(aux: AuxState, rep: ViolationReport) -> None:
                     "joint-history",
                     f"active writer for {p.value} ({w.phase.value} t={w.t} v={w.v}) "
                     "has no matching joint event",
-                    w.t,
                 )
-    for t in dom_joint(aux):
+    for t in bits(owner_masks(aux)[1]):
         if t not in active:
-            rep.add("joint-history", f"joint event {t} has no active writer", t)
+            rep.add("joint-history", f"joint event {t} has no active writer")
 
 
 def _check_terminated(aux: AuxState, rep: ViolationReport) -> None:
-    non_joint = frozenset(aux.hist) - dom_joint(aux)
-    if frozenset(aux.tau) != non_joint:
+    init_mask, _, self_masks = owner_masks(aux)
+    finished = init_mask | sum(self_masks.values())
+    if sum(1 << t for t in aux.tau) != finished:
         rep.add(
             "terminated-events",
-            f"dom tau {sorted(aux.tau)} != self+other events {sorted(non_joint)}",
+            f"dom tau {sorted(aux.tau)} != self+other events {list(bits(finished))}",
         )
     top = aux.max_ts()
     for a, end in aux.tau.items():
         if end > top:
-            rep.add("terminated-events", f"tau({a})={end} exceeds max timestamp {top}", a)
+            rep.add("terminated-events", f"tau({a})={end} exceeds max timestamp {top}")
 
 
 def _check_forwarded(phys: "PhysState", aux: AuxState, rep: ViolationReport) -> None:
@@ -206,8 +199,10 @@ def _check_forwarded(phys: "PhysState", aux: AuxState, rep: ViolationReport) -> 
     for p, fwd in ((Ptr.X, phys.fx), (Ptr.Y, phys.fy)):
         if not sc.bit(p) or fwd is None:
             continue
-        allowed = {t for t in (last_green(p, aux), yellow_of(p, aux)) if t is not None}
-        if not any(aux.hist[t].rec.val == fwd for t in allowed):
+        if not any(
+            t is not None and aux.hist[t].rec.val == fwd
+            for t in (last_green(p, aux), yellow_of(p, aux))
+        ):
             rep.add(
                 "forwarded-values",
                 f"forwarded {p.value}-value {fwd} written by neither the last "
@@ -226,17 +221,17 @@ def _check_red_zone(aux: AuxState, rep: ViolationReport) -> None:
         if c is Color.RED:
             seen_red = True
         elif seen_red:
-            rep.add("red-zone", f"{c.value} event {t} after a red one in sigma", t)
+            rep.add("red-zone", f"{c.value} event {t} after a red one in sigma")
     for t in aux.hist:
         c = aux.kappa[t]
         if c is Color.GREEN and not t <= t_off:
-            rep.add("red-zone", f"green {t} > t_off {t_off}", t)
+            rep.add("red-zone", f"green {t} > t_off {t_off}")
         elif c is Color.YELLOW:
             end = aux.tau.get(t)
             if not t <= t_off or (end is not None and not t_off <= end):
-                rep.add("red-zone", f"yellow {t} violates t <= t_off <= tau(t)", t)
+                rep.add("red-zone", f"yellow {t} violates t <= t_off <= tau(t)")
         elif c is Color.RED and not t_off < t:
-            rep.add("red-zone", f"red {t} <= t_off {t_off}", t)
+            rep.add("red-zone", f"red {t} <= t_off {t_off}")
 
 
 def _check_first_forwarding(aux: AuxState, rep: ViolationReport) -> None:
@@ -250,7 +245,6 @@ def _check_first_forwarding(aux: AuxState, rep: ViolationReport) -> None:
                 "first-forwarding",
                 f"{t} terminated at {end} before t_off {sc.t_off} but is "
                 f"{aux.kappa[t].value}",
-                t,
             )
 
 
@@ -292,44 +286,34 @@ def check_transition(pre: AuxState, post: AuxState) -> ViolationReport:
     for t, e in pre.hist.items():
         e2 = post.hist.get(t)
         if e2 is None or e2.rec != e.rec:
-            rep.add("hist-mono", f"event {t} lost or rewritten", t)
+            rep.add("hist-mono", f"event {t} lost or rewritten")
             return rep
-    pre_init, pre_self = owner_masks(pre)
-    post_init, post_self = owner_masks(post)
-    pre_all = sum(pre_self.values())
-    post_all = sum(post_self.values())
+    pre_self = owner_masks(pre)[2]
+    post_self = owner_masks(post)[2]
     for tid, mask in pre_self.items():
         if mask & ~post_self.get(tid, 0):
             rep.add("hist-mono", f"self history of {tid} shrank")
     for tid in set(pre_self) | set(post_self):
-        # other(tid) = init events plus events finished by any other thread
-        pre_other = pre_init | (pre_all & ~pre_self.get(tid, 0))
-        post_other = post_init | (post_all & ~post_self.get(tid, 0))
-        if pre_other & ~post_other:
+        if other_mask(pre, tid) & ~other_mask(post, tid):
             rep.add("hist-mono", f"other history of {tid} shrank")
     pre_masks = _ideal_masks(pre)
     post_masks = _ideal_masks(post)
     for t, mask in pre_masks.items():
         if mask & ~post_masks[t]:
-            rep.add("omega-mono", f"stable-order pairs below {t} lost", t)
+            rep.add("omega-mono", f"stable-order pairs below {t} lost")
     pre_sc = scanned_mask(pre)
     if pre_sc & ~scanned_mask(post):
         rep.add("scanned-mono", "scanned shrank")
     else:
-        for s in scanned(pre):
+        for s in bits(pre_sc):
             if pre_masks[s] != post_masks[s]:
-                rep.add(
-                    "scanned-ideal",
-                    f"ideal of scanned {s} changed across the transition",
-                    s,
-                )
+                rep.add("scanned-ideal", f"ideal of scanned {s} changed across the transition")
             elif _eval_or_none(s, pre) != _eval_or_none(s, post):
                 # snapshot preservation: an already-observed snapshot stays
                 # valid under every later transition
                 rep.add(
                     "scanned-eval",
                     f"snapshot at scanned {s} changed across the transition",
-                    s,
                 )
     return rep
 
@@ -359,20 +343,15 @@ def check_write_post(
     rep = ViolationReport()
     entry = ret.hist.get(t)
     if entry is None or entry.rec.ptr is not p or entry.rec.val != v:
-        rep.add("write-post", f"no event {t} -> ({p.value},{v}) in the return state", t)
+        rep.add("write-post", f"no event {t} -> ({p.value},{v}) in the return state")
         return rep
     if entry.owner.kind is not OwnerKind.THREAD or entry.owner.tid != tid:
-        rep.add("write-post", f"event {t} not owned by {tid} at return", t)
-    if t in snap.dom_global:
-        rep.add("write-post", f"timestamp {t} is not fresh wrt the invocation state", t)
-    for s in sorted(snap.dom_other | snap.scanned_set):
-        if s == t or not omega_leq(s, t, ret):
-            rep.add(
-                "write-post",
-                f"pre-invocation event {s} is not strictly below the write {t}",
-                s,
-                t,
-            )
+        rep.add("write-post", f"event {t} not owned by {tid} at return")
+    if (snap.dom_mask >> t) & 1:
+        rep.add("write-post", f"timestamp {t} is not fresh wrt the invocation state")
+    strictly_below = _ideal_masks(ret)[t] & ~(1 << t)
+    for s in bits((snap.other_mask | snap.scanned_mask) & ~strictly_below):
+        rep.add("write-post", f"pre-invocation event {s} is not strictly below the write {t}")
     return rep
 
 
@@ -386,12 +365,13 @@ def check_scan_post(
     dominates the whole invocation-time history, and is scanned.  The
     constructive witness, when given, must itself qualify."""
     rep = ViolationReport()
-    ret_scanned = scanned(ret)
+    ret_scanned = scanned_mask(ret)
+    masks = _ideal_masks(ret)
 
     def qualifies(t: Timestamp) -> bool:
-        if t not in ret_scanned:
+        if not (ret_scanned >> t) & 1:
             return False
-        if not snap.dom_global <= omega_down(t, ret):
+        if snap.dom_mask & ~masks[t]:
             return False
         try:
             return eval_at(t, ret.sigma, ret.hist) == r
@@ -402,7 +382,7 @@ def check_scan_post(
     if not good:
         rep.add("scan-post", f"no witness timestamp validates the snapshot {r}")
     if witness is not None and witness not in good:
-        rep.add("scan-post", f"constructive witness {witness} does not qualify", witness)
+        rep.add("scan-post", f"constructive witness {witness} does not qualify")
     return rep
 
 
@@ -421,11 +401,7 @@ def check_chain_lemma(aux: AuxState) -> ViolationReport:
             break
         prefix_mask |= 1 << t
         if masks[t] != prefix_mask:
-            rep.add(
-                "chain",
-                f"all-green prefix through {t} differs from its stable ideal",
-                t,
-            )
+            rep.add("chain", f"all-green prefix through {t} differs from its stable ideal")
     return rep
 
 
@@ -454,12 +430,12 @@ def check_relink_post(
     rep = ViolationReport()
     for p, t in ((Ptr.X, t_x), (Ptr.Y, t_y)):
         if last_green(p, aux) != t:
-            rep.add("relink-post", f"{t} is not the last green of {p.value} after relink", t)
+            rep.add("relink-post", f"{t} is not the last green of {p.value} after relink")
     pos = _positions(aux.sigma)
     top = t_x if pos[t_x] >= pos[t_y] else t_y
     for s in aux.sigma[: pos[top] + 1]:
         if aux.kappa[s] is not Color.GREEN:
-            rep.add("relink-post", f"{s} below {top} is {aux.kappa[s].value}, not green", s)
+            rep.add("relink-post", f"{s} below {top} is {aux.kappa[s].value}, not green")
     return rep
 
 
@@ -472,11 +448,11 @@ def check_omega_properties(aux: AuxState) -> ViolationReport:
     masks = _ideal_masks(aux)
     for t in dom:
         if not (masks[t] >> t) & 1:
-            rep.add("omega-reflexive", f"{t} not related to itself", t)
+            rep.add("omega-reflexive", f"{t} not related to itself")
     for i, a in enumerate(dom):
         for b in dom[i + 1 :]:
             if (masks[b] >> a) & 1 and (masks[a] >> b) & 1:
-                rep.add("omega-antisymmetric", f"{a} and {b} related both ways", a, b)
+                rep.add("omega-antisymmetric", f"{a} and {b} related both ways")
     for t in dom:
         below = 0
         ideal = masks[t]
@@ -487,17 +463,16 @@ def check_omega_properties(aux: AuxState) -> ViolationReport:
             rep.add(
                 "omega-transitive",
                 f"elements below {t}'s predecessors are not all below {t}",
-                t,
             )
-    sc = scanned(aux)
     sc_mask = scanned_mask(aux)
+    sc = list(bits(sc_mask))
     for a in sc:
         for b in sc:
             if not ((masks[b] >> a) & 1 or (masks[a] >> b) & 1):
-                rep.add("scanned-linear", f"scanned {a}, {b} are incomparable", a, b)
+                rep.add("scanned-linear", f"scanned {a}, {b} are incomparable")
     for b in sc:
         if masks[b] & ~sc_mask:
-            rep.add("scanned-downward", f"non-scanned events below scanned {b}", b)
+            rep.add("scanned-downward", f"non-scanned events below scanned {b}")
     return rep
 
 

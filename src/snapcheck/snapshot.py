@@ -12,6 +12,7 @@ explicit schedulable steps of their own.
 from __future__ import annotations
 
 import hashlib
+import pickle
 from dataclasses import dataclass
 
 from . import aux_ops, invariants
@@ -29,6 +30,8 @@ from .aux_model import (
     WRITER_OFF,
     WriteRecord,
     aux_key,
+    evolve,
+    memo,
     validate_value,
 )
 from .errors import DisabledStepError, GuardViolationError
@@ -56,14 +59,8 @@ class PhysState:
     def holder(self, lock: str) -> Tid | None:
         return getattr(self, "lock_" + lock)
 
-    def evolve(self, **kw) -> "PhysState":
-        new = object.__new__(PhysState)
-        new.__dict__.update(self.__dict__)
-        new.__dict__.update(kw)
-        return new
-
     def with_holder(self, lock: str, tid: Tid | None) -> "PhysState":
-        return self.evolve(**{"lock_" + lock: tid})
+        return evolve(self, **{"lock_" + lock: tid})
 
 
 @dataclass(frozen=True)
@@ -185,14 +182,6 @@ class MethodFrame:
     def current_step(self) -> Step:
         return self.steps[self.pc]
 
-    def evolve(self, **kw) -> "MethodFrame":
-        new = object.__new__(MethodFrame)
-        d = self.__dict__.copy()
-        d.pop("_key_cache", None)
-        d.update(kw)
-        new.__dict__.update(d)
-        return new
-
     def key(self) -> tuple:
         """Canonical identity, restricted to data some future step or check
         will still read.
@@ -205,16 +194,17 @@ class MethodFrame:
         global domain; freshness cannot depend on the rest).  Once a pointer
         read has been superseded by a forwarded value the read is dead too.
         """
-        cached = getattr(self, "_key_cache", None)
-        if cached is not None:
-            return cached
+        cache = memo(self)
+        key = cache.get("key")
+        if key is not None:
+            return key
         call = self.call
         base = (self.tid, call.kind, call.p.value if call.p else None, call.v, self.pc)
         if self.returned:
             key = base
         elif call.kind == "write":
             snap = self.snapshot
-            key = base + (tuple(sorted(snap.dom_other | snap.scanned_set)),)
+            key = base + (snap.other_mask | snap.scanned_mask,)
         else:
             rx = self.ox if self.ox is not None else (("v", self.vx) if self.pc > 7 else None)
             ry = self.oy if self.oy is not None else (("v", self.vy) if self.pc > 8 else None)
@@ -223,9 +213,9 @@ class MethodFrame:
                 ry,
                 self.vx if self.pc <= 7 else None,
                 self.vy if self.pc <= 8 else None,
-                tuple(sorted(self.snapshot.dom_global)),
+                self.snapshot.dom_mask,
             )
-        object.__setattr__(self, "_key_cache", key)
+        cache["key"] = key
         return key
 
 
@@ -257,59 +247,60 @@ def apply_step(
     if kind == "acquire":
         if phys.holder(step.lock) is not None:
             raise DisabledStepError(f"{tid}: lock {step.lock} held by {phys.holder(step.lock)}")
-        return phys.with_holder(step.lock, tid), aux, frame.evolve(pc=nxt)
+        return phys.with_holder(step.lock, tid), aux, evolve(frame, pc=nxt)
 
     if kind == "release":
         if phys.holder(step.lock) != tid:
             raise GuardViolationError(f"{tid}: releasing lock {step.lock} it does not hold")
-        return phys.with_holder(step.lock, None), aux, frame.evolve(pc=nxt)
+        return phys.with_holder(step.lock, None), aux, evolve(frame, pc=nxt)
 
     if kind == "register":
         v = frame.call.v
-        phys2 = phys.evolve(**{p.value: v})
+        phys2 = evolve(phys, **{p.value: v})
         aux2, t = aux_ops.register(tid, p, v, aux)
-        return phys2, aux2, frame.evolve(pc=nxt, t=t)
+        return phys2, aux2, evolve(frame, pc=nxt, t=t)
 
     if kind == "check":
         b = phys.s_bit
         aux2 = aux_ops.check(tid, p, b, aux)
         # skip the forward step entirely when no scan was in progress
-        return phys, aux2, frame.evolve(pc=nxt if b else nxt + 1, b=b)
+        return phys, aux2, evolve(frame, pc=nxt if b else nxt + 1, b=b)
 
     if kind == "forward":
         v = frame.call.v
-        phys2 = phys.evolve(**{"fx" if p is Ptr.X else "fy": v})
-        return phys2, aux_ops.forward(tid, p, aux), frame.evolve(pc=nxt)
+        phys2 = evolve(phys, **{"fx" if p is Ptr.X else "fy": v})
+        return phys2, aux_ops.forward(tid, p, aux), evolve(frame, pc=nxt)
 
     if kind == "finalize":
         aux2 = aux_ops.finalize(tid, p, aux)
-        return phys, aux2, frame.evolve(pc=nxt, returned=True)
+        return phys, aux2, evolve(frame, pc=nxt, returned=True)
 
     if kind == "set-on":
-        return phys.evolve(s_bit=True), aux_ops.set_scanner(True, aux), frame.evolve(pc=nxt)
+        return evolve(phys, s_bit=True), aux_ops.set_scanner(True, aux), evolve(frame, pc=nxt)
 
     if kind == "set-off":
-        return phys.evolve(s_bit=False), aux_ops.set_scanner(False, aux), frame.evolve(pc=nxt)
+        return evolve(phys, s_bit=False), aux_ops.set_scanner(False, aux), evolve(frame, pc=nxt)
 
     if kind == "clear":
-        phys2 = phys.evolve(**{"fx" if p is Ptr.X else "fy": None})
-        return phys2, aux_ops.clear(p, aux), frame.evolve(pc=nxt)
+        phys2 = evolve(phys, **{"fx" if p is Ptr.X else "fy": None})
+        return phys2, aux_ops.clear(p, aux), evolve(frame, pc=nxt)
 
     if kind == "read":
         field = "vx" if p is Ptr.X else "vy"
         value = phys.x if p is Ptr.X else phys.y
-        return phys, aux, frame.evolve(pc=nxt, **{field: value})
+        return phys, aux, evolve(frame, pc=nxt, **{field: value})
 
     if kind == "read-fwd":
         field = "ox" if p is Ptr.X else "oy"
         value = phys.fx if p is Ptr.X else phys.fy
-        return phys, aux, frame.evolve(pc=nxt, **{field: value})
+        return phys, aux, evolve(frame, pc=nxt, **{field: value})
 
     if kind == "relink":
         rx = frame.ox if frame.ox is not None else frame.vx
         ry = frame.oy if frame.oy is not None else frame.vy
         aux2, t_x, t_y = aux_ops.relink(rx, ry, aux)
-        frame2 = frame.evolve(
+        frame2 = evolve(
+            frame,
             pc=nxt,
             rx=rx,
             ry=ry,
@@ -359,20 +350,21 @@ def phys_key(phys: PhysState) -> tuple:
     )
 
 
-def digest64(key: tuple) -> str:
-    """Stable 64-bit hex digest of a canonical key tuple."""
-    return hashlib.blake2b(repr(key).encode(), digest_size=8).hexdigest()
+def digest(key: tuple, size: int) -> bytes:
+    """blake2b of a pickled canonical key tuple, ``size`` bytes long.
+
+    Pickle shares repeated objects within one dump, so two equal keys hash
+    alike only when they are built alike: keys are built from primitives by
+    the same code in the same order.
+    """
+    return hashlib.blake2b(pickle.dumps(key, protocol=5), digest_size=size).digest()
 
 
 def phys_digest(phys: PhysState) -> str:
-    return digest64(phys_key(phys))
+    """64-bit hex digest of the physical state, for trace files."""
+    return digest(phys_key(phys), 8).hex()
 
 
 def aux_digest(aux: AuxState) -> str:
-    from .aux_model import _derived
-
-    cache = _derived(aux)
-    d = cache.get("digest")
-    if d is None:
-        d = cache["digest"] = digest64(aux_key(aux))
-    return d
+    """64-bit hex digest of the auxiliary state, for trace files."""
+    return digest(aux_key(aux), 8).hex()

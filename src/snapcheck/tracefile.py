@@ -1,6 +1,6 @@
 """Trace file format: JSON Lines, one kind-tagged record per line.
 
-Header (program, init values, seed/schedule), one record per step, one per
+Header (program, init values, schedule), one record per step, one per
 completed method, and a footer with the final logical order, colors, state
 digests, and violation list.  ``parse_trace(render_trace(t)) == t``.
 """
@@ -22,7 +22,6 @@ def render_trace(trace: Trace) -> str:
                 "program": trace.program,
                 "threads": [[tid, list(calls)] for tid, calls in trace.threads],
                 "init": [trace.init_x, trace.init_y],
-                "seed": trace.seed,
                 "schedule": list(trace.schedule),
             },
             sort_keys=True,
@@ -81,7 +80,6 @@ def parse_trace(text: str) -> Trace:
     program = ""
     threads: tuple = ()
     init_x, init_y = 5, 0
-    seed = None
     schedule: tuple = ()
     steps: list[StepRecord] = []
     methods: list[MethodRecord] = []
@@ -101,7 +99,6 @@ def parse_trace(text: str) -> Trace:
                 program = rec["program"]
                 threads = tuple((tid, tuple(calls)) for tid, calls in rec["threads"])
                 init_x, init_y = rec["init"]
-                seed = rec["seed"]
                 schedule = tuple(rec["schedule"])
             elif kind == "step":
                 steps.append(
@@ -139,7 +136,6 @@ def parse_trace(text: str) -> Trace:
         threads=threads,
         init_x=init_x,
         init_y=init_y,
-        seed=seed,
         schedule=schedule,
         steps=tuple(steps),
         methods=tuple(methods),

@@ -3,8 +3,9 @@ pass/fail line each.  Run with:
 
     pytest tests/test_acceptance.py -v -s
 
-The exhaustive sweep (shared session fixture) explores the three bundled
-clients plus all nine generated programs and is reused by criteria 2-7.
+The exhaustive sweep (shared session fixture) explores the bundled clients
+e and e-prime plus all nine generated programs and is reused by criteria
+2-7 and by the golden-count check.
 """
 
 import random
@@ -61,6 +62,42 @@ ORDER_SANITY = (
 )
 ORACLE_CHECKS = ("oracle-witness", "oracle-linearizable")
 
+# Every swept program's (states, edges, schedules, executions checked, scan
+# results).  Schedules and results are facts about the program; states,
+# edges and executions checked count the distinct states the state key
+# tells apart, so a key change that splits or merges states shows here.
+SWEEP_GOLDEN = {
+    "gen-x2-y2": (
+        1_488_962,
+        3_871_106,
+        219_344_977_766_012,
+        1_551,
+        {(2, 0), (2, 1), (2, 4), (3, 0), (3, 1), (3, 4), (5, 0), (5, 1), (5, 4)},
+    ),
+    "e": (53_872, 132_390, 11_745_301_774, 120, PAPER_RESULT_SET),
+    "gen-x1-y2": (
+        149_434,
+        377_324,
+        238_893_901_531,
+        261,
+        {(2, 0), (2, 1), (2, 4), (5, 0), (5, 1), (5, 4)},
+    ),
+    "gen-x2-y1": (
+        153_270,
+        389_426,
+        238_893_901_531,
+        257,
+        {(2, 0), (2, 1), (3, 0), (3, 1), (5, 0), (5, 1)},
+    ),
+    "gen-x1-y1": (20_647, 50_455, 761_913_936, 66, {(2, 0), (2, 1), (5, 0), (5, 1)}),
+    "gen-x0-y2": (1_162, 2_084, 771_525, 10, {(5, 0), (5, 1), (5, 4)}),
+    "gen-x2-y0": (1_217, 2_189, 771_525, 10, {(2, 0), (3, 0), (5, 0)}),
+    "gen-x0-y1": (290, 492, 9_974, 5, {(5, 0), (5, 1)}),
+    "gen-x1-y0": (303, 515, 9_974, 5, {(2, 0), (5, 0)}),
+    "e-prime": (17, 16, 1, 1, {(5, 0)}),
+    "gen-x0-y0": (12, 11, 1, 1, {(5, 0)}),
+}
+
 
 def _report(criterion, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} {criterion}: {detail}")
@@ -101,6 +138,29 @@ def test_criterion_2_client_e_result_set(sweep_reports, capsys):
             ok,
             f"results={sorted(report.scan_results)} over {report.schedules} "
             f"schedules, {elapsed:.1f}s < 60s",
+        )
+
+
+def test_sweep_golden_counts(sweep_reports, capsys):
+    reports, _ = sweep_reports
+    wrong = {}
+    for name, golden in SWEEP_GOLDEN.items():
+        report = reports[name][0]
+        got = (
+            report.states,
+            report.edges,
+            report.schedules,
+            report.executions_checked,
+            report.scan_results,
+        )
+        if got != golden:
+            wrong[name] = got
+    with capsys.disabled():
+        ok = not wrong and set(reports) == set(SWEEP_GOLDEN)
+        _report(
+            "sweep golden-counts",
+            ok,
+            f"{len(SWEEP_GOLDEN)} programs; swept {sorted(reports)}; mismatches: {wrong or 'none'}",
         )
 
 

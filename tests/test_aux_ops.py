@@ -10,8 +10,7 @@ from snapcheck.aux_model import (
     OwnerKind,
     Ptr,
     WriterPhase,
-    dom_joint,
-    dom_self,
+    owner_masks,
     hist_p,
     last_green,
     scanned,
@@ -133,8 +132,9 @@ def test_finalize_records_current_max_as_end_time():
 
 def test_finalize_moves_ownership():
     aux, t = write_through("a", Ptr.X, 2, fresh())
-    assert t in dom_self(aux, "a")
-    assert t not in dom_joint(aux)
+    _, joint_mask, self_masks = owner_masks(aux)
+    assert (self_masks["a"] >> t) & 1
+    assert not (joint_mask >> t) & 1
     assert aux.wx.phase is WriterPhase.OFF
 
 

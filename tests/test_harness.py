@@ -1,5 +1,7 @@
 """Schedulers: exhaustive exploration, replay, random scheduling, clients."""
 
+from dataclasses import fields
+
 import pytest
 
 from snapcheck.aux_model import Ptr
@@ -17,7 +19,7 @@ from snapcheck.harness import (
     run_random,
     run_schedule,
 )
-from snapcheck.snapshot import MethodCall
+from snapcheck.snapshot import MethodCall, MethodFrame
 from snapcheck.tracefile import render_trace
 
 
@@ -150,3 +152,23 @@ def test_parse_program_errors():
         parse_program("init 5")
     with pytest.raises(TraceParseError):
         parse_program("l: scan\nl: scan")  # duplicate tid
+
+
+def _full_frame_key(frame):
+    """Every field of the frame but its step list: no dead local is merged."""
+    return tuple(getattr(frame, f.name) for f in fields(frame) if f.name != "steps")
+
+
+@pytest.mark.parametrize("name", ["gen-x0-y2", "gen-x2-y0", "gen-x1-y1"])
+def test_dead_local_merge_matches_full_keys(name, monkeypatch):
+    """Dropping dead locals from the frame key merges states without
+    changing what exploration finds: the same schedules and scan results,
+    and no violation either way."""
+    prog = next(p for p in generated_programs() if p.name == name)
+    merged = explore(prog)
+    monkeypatch.setattr(MethodFrame, "key", _full_frame_key)
+    full = explore(prog)
+    assert full.schedules == merged.schedules
+    assert full.scan_results == merged.scan_results
+    assert merged.ok and full.ok
+    assert full.states > merged.states

@@ -142,7 +142,7 @@ def test_write_post_uncontended():
     rep = check_write_post(snap, aux2, t, "a", Ptr.X, 3)
     assert rep.ok
     # both init events are strictly below the write
-    assert {1, 2} <= snap.dom_other | snap.scanned_set
+    assert (snap.other_mask | snap.scanned_mask) & 0b110 == 0b110
 
 
 def test_write_post_fault_injection():
@@ -175,9 +175,9 @@ def test_scan_post_fig1_result():
     snap_aux = state.aux
     post, t_x, t_y = relink(2, 1, snap_aux)
     snap = SpecSnapshot(
-        dom_other=frozenset(),
-        scanned_set=frozenset(),
-        dom_global=frozenset({1, 2}),  # what existed when the scan started
+        other_mask=0,
+        scanned_mask=0,
+        dom_mask=0b110,  # timestamps 1 and 2: what existed when the scan started
     )
     pos = {t: i for i, t in enumerate(post.sigma)}
     witness = t_x if pos[t_x] >= pos[t_y] else t_y
