@@ -6,8 +6,6 @@ brute-force linearizability oracle."""
 from .aux_model import (
     AuxState,
     Color,
-    Owner,
-    OwnerKind,
     Ptr,
     ScannerState,
     WriterPhase,

@@ -2,8 +2,9 @@
 
 Every write is a timestamped event ``t -> (pointer, value)`` carrying an
 ownership tag: an initializing event, an in-progress *joint* event, or an
-event finished by a particular thread.  On top of the event history the model
-keeps
+event finished by a particular thread.  Per-event data are tuples indexed by
+timestamp and ownership is bitmasks (see :class:`AuxState`).  On top of the
+event history the model keeps
 
 * ``sigma``   -- the mutable logical order, a permutation of all timestamps;
 * ``kappa``   -- a color per event: green (logical position fixed forever),
@@ -21,8 +22,6 @@ atomic transitions that evolve the state live in ``aux_ops``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Mapping
 
 from .errors import UninitializedPointerError, UnknownTimestampError, ValueDomainError
 
@@ -33,53 +32,22 @@ Tid = str
 DEFAULT_VALUE_RANGE: tuple[int, int] = (0, 7)
 
 
-class Ptr(Enum):
+class Ptr:
+    """Pointer names.  State, frames and keys hold these very objects:
+    pickle writes a repeated object once, so an equal string built
+    elsewhere would change a digest."""
+
     X = "x"
     Y = "y"
 
-    def other(self) -> "Ptr":
-        return Ptr.Y if self is Ptr.X else Ptr.X
 
-
-class Color(Enum):
+class Color:
     GREEN = "green"
     YELLOW = "yellow"
     RED = "red"
 
 
-class OwnerKind(Enum):
-    INIT = "init"
-    JOINT = "joint"
-    THREAD = "thread"
-
-
-@dataclass(frozen=True)
-class Owner:
-    kind: OwnerKind
-    tid: Tid | None = None
-
-
-OWNER_INIT = Owner(OwnerKind.INIT)
-OWNER_JOINT = Owner(OwnerKind.JOINT)
-
-
-def owner_thread(tid: Tid) -> Owner:
-    return Owner(OwnerKind.THREAD, tid)
-
-
-@dataclass(frozen=True)
-class WriteRecord:
-    ptr: Ptr
-    val: Value
-
-
-@dataclass(frozen=True)
-class HistEntry:
-    rec: WriteRecord
-    owner: Owner
-
-
-class WriterPhase(Enum):
+class WriterPhase:
     OFF = "off"
     NEW = "new"
     FWD = "fwd"
@@ -94,7 +62,7 @@ class WriterState:
     progress; the corresponding event is always in the joint history.
     """
 
-    phase: WriterPhase
+    phase: str
     t: Timestamp | None = None
     v: Value | None = None
 
@@ -117,25 +85,36 @@ class ScannerState:
     sx: bool
     sy: bool
 
-    def bit(self, p: Ptr) -> bool:
-        return self.sx if p is Ptr.X else self.sy
+    def bit(self, p: str) -> bool:
+        return self.sx if p == Ptr.X else self.sy
 
 
 @dataclass(frozen=True)
 class AuxState:
-    hist: Mapping[Timestamp, HistEntry]
+    """Timestamps are dense, ``1..n``: event t is at index t - 1 of the
+    per-event tuples (``tau[t - 1]`` is None while t is unfinished).
+    Ownership is three disjoint bitmasks over ``1..n`` (bit t = event t):
+    init events, joint (in-progress) events, and one mask per thread that
+    finished events, as ``(tid, mask)`` pairs sorted by tid.  Every field
+    holds only primitives, so the state is its own canonical key."""
+
+    ptr: tuple[str, ...]
+    val: tuple[Value, ...]
+    kappa: tuple[str, ...]
+    tau: tuple[Timestamp | None, ...]
+    init_mask: int
+    joint_mask: int
+    self_masks: tuple[tuple[Tid, int], ...]
     sigma: tuple[Timestamp, ...]
-    kappa: Mapping[Timestamp, Color]
-    tau: Mapping[Timestamp, Timestamp]
     wx: WriterState
     wy: WriterState
     scanner: ScannerState
 
-    def writer(self, p: Ptr) -> WriterState:
-        return self.wx if p is Ptr.X else self.wy
+    def writer(self, p: str) -> WriterState:
+        return self.wx if p == Ptr.X else self.wy
 
     def max_ts(self) -> Timestamp:
-        return max(self.hist)
+        return len(self.ptr)
 
 
 def validate_value(v: Value, value_range: tuple[int, int] = DEFAULT_VALUE_RANGE) -> None:
@@ -181,7 +160,7 @@ def _positions(sigma: tuple[Timestamp, ...]) -> dict[Timestamp, int]:
 
 def _require_known(aux: AuxState, *ts: Timestamp) -> None:
     for t in ts:
-        if t not in aux.hist:
+        if not 1 <= t <= len(aux.ptr):
             raise UnknownTimestampError(f"timestamp {t} not in history")
 
 
@@ -196,7 +175,7 @@ def _ideal_masks(aux: AuxState) -> dict[Timestamp, int]:
     cache = memo(aux)
     masks = cache.get("masks")
     if masks is None:
-        ended = [(end, 1 << s) for s, end in aux.tau.items()]
+        ended = [(end, 1 << s) for s, end in enumerate(aux.tau, 1) if end is not None]
         masks = cache["masks"] = {}
         green_before = 0
         for t in aux.sigma:
@@ -205,7 +184,7 @@ def _ideal_masks(aux: AuxState) -> dict[Timestamp, int]:
                 if end < t:
                     m |= bit
             masks[t] = m
-            if aux.kappa[t] is Color.GREEN:
+            if aux.kappa[t - 1] == Color.GREEN:
                 green_before |= 1 << t
     return masks
 
@@ -226,7 +205,7 @@ def scanned_mask(aux: AuxState) -> int:
         masks = _ideal_masks(aux)
         m = prefix = 0
         for t in aux.sigma:
-            if aux.kappa[t] is not Color.GREEN:
+            if aux.kappa[t - 1] != Color.GREEN:
                 break
             prefix |= 1 << t
             if masks[t] == prefix:
@@ -235,32 +214,22 @@ def scanned_mask(aux: AuxState) -> int:
     return m
 
 
-def owner_masks(aux: AuxState) -> tuple[int, int, dict[Tid, int]]:
-    """(init-owned mask, joint mask, per-thread self-owned masks)."""
-    cache = memo(aux)
-    got = cache.get("owner_masks")
-    if got is None:
-        init_mask = joint_mask = 0
-        self_masks: dict[Tid, int] = {}
-        for t, e in aux.hist.items():
-            if e.owner.kind is OwnerKind.INIT:
-                init_mask |= 1 << t
-            elif e.owner.kind is OwnerKind.JOINT:
-                joint_mask |= 1 << t
-            else:
-                self_masks[e.owner.tid] = self_masks.get(e.owner.tid, 0) | (1 << t)
-        got = cache["owner_masks"] = (init_mask, joint_mask, self_masks)
-    return got
+def self_mask(aux: AuxState, tid: Tid) -> int:
+    """Events finished by tid."""
+    for owner, mask in aux.self_masks:
+        if owner == tid:
+            return mask
+    return 0
 
 
-def other_mask(aux: AuxState, tid: Tid) -> int:
+def other_mask(aux: AuxState, tid: Tid | None) -> int:
     """Events finished by the environment of tid: init events plus other
-    threads'."""
-    init_mask, _, self_masks = owner_masks(aux)
-    for owner, mask in self_masks.items():
+    threads'.  With tid None, every finished event."""
+    out = aux.init_mask
+    for owner, mask in aux.self_masks:
         if owner != tid:
-            init_mask |= mask
-    return init_mask
+            out |= mask
+    return out
 
 
 def omega_leq(t1: Timestamp, t2: Timestamp, aux: AuxState) -> bool:
@@ -284,22 +253,16 @@ def scanned(aux: AuxState) -> frozenset[Timestamp]:
     return _members(scanned_mask(aux), aux)
 
 
-def eval_at(
-    t: Timestamp,
-    sigma: tuple[Timestamp, ...],
-    hist: Mapping[Timestamp, HistEntry],
-) -> tuple[Value, Value]:
-    """Replay writes in sigma order up to and including t; return (x, y)."""
-    if t not in hist:
-        raise UnknownTimestampError(f"timestamp {t} not in history")
+def eval_at(t: Timestamp, sigma: tuple[Timestamp, ...], aux: AuxState) -> tuple[Value, Value]:
+    """Replay aux's writes in sigma order up to and including t; return (x, y)."""
+    _require_known(aux, t)
     x: Value | None = None
     y: Value | None = None
     for s in sigma:
-        rec = hist[s].rec
-        if rec.ptr is Ptr.X:
-            x = rec.val
+        if aux.ptr[s - 1] == Ptr.X:
+            x = aux.val[s - 1]
         else:
-            y = rec.val
+            y = aux.val[s - 1]
         if s == t:
             break
     if x is None or y is None:
@@ -308,78 +271,72 @@ def eval_at(
     return (x, y)
 
 
-def hist_p(p: Ptr, aux: AuxState) -> tuple[Timestamp, ...]:
+def hist_p(p: str, aux: AuxState) -> tuple[Timestamp, ...]:
     """The subsequence of sigma writing to p, in sigma order."""
     cache = memo(aux)
-    key = "hist_" + p.value
+    key = "hist_" + p
     seq = cache.get(key)
     if seq is None:
-        seq = cache[key] = tuple(t for t in aux.sigma if aux.hist[t].rec.ptr is p)
+        ptr = aux.ptr
+        seq = cache[key] = tuple(t for t in aux.sigma if ptr[t - 1] == p)
     return seq
 
 
-def last_green(p: Ptr, aux: AuxState) -> Timestamp | None:
+def last_green(p: str, aux: AuxState) -> Timestamp | None:
     """The sigma-last green timestamp among p's writes, if any."""
     cache = memo(aux)
-    key = "lastgreen_" + p.value
+    key = "lastgreen_" + p
     if key not in cache:
         out = None
         for t in hist_p(p, aux):
-            if aux.kappa[t] is Color.GREEN:
+            if aux.kappa[t - 1] == Color.GREEN:
                 out = t
         cache[key] = out
     return cache[key]
 
 
-def yellow_of(p: Ptr, aux: AuxState) -> Timestamp | None:
+def yellow_of(p: str, aux: AuxState) -> Timestamp | None:
     """The (in valid states unique) yellow timestamp among p's writes."""
     cache = memo(aux)
-    key = "yellow_" + p.value
+    key = "yellow_" + p
     if key not in cache:
         out = None
         for t in hist_p(p, aux):
-            if aux.kappa[t] is Color.YELLOW:
+            if aux.kappa[t - 1] == Color.YELLOW:
                 out = t
         cache[key] = out
     return cache[key]
 
 
-def last_gy(p: Ptr, t: Timestamp, aux: AuxState) -> bool:
+def last_gy(p: str, t: Timestamp, aux: AuxState) -> bool:
     """True iff t is p's sigma-last green write, or p's yellow write."""
     _require_known(aux, t)
     if t == last_green(p, aux):
         return True
-    return aux.kappa[t] is Color.YELLOW and aux.hist[t].rec.ptr is p
-
-
-_PTR_NAME = {Ptr.X: "x", Ptr.Y: "y"}
-_COLOR_NAME = {Color.GREEN: "green", Color.YELLOW: "yellow", Color.RED: "red"}
-_OWNER_NAME = {OwnerKind.INIT: "init", OwnerKind.JOINT: "joint", OwnerKind.THREAD: "thread"}
-_PHASE_NAME = {
-    WriterPhase.OFF: "off",
-    WriterPhase.NEW: "new",
-    WriterPhase.FWD: "fwd",
-    WriterPhase.DONE: "done",
-}
+    return aux.kappa[t - 1] == Color.YELLOW and aux.ptr[t - 1] == p
 
 
 def aux_key(aux: AuxState) -> tuple:
-    """Canonical, primitive-only tuple identifying the auxiliary state."""
-    cache = memo(aux)
-    key = cache.get("key")
-    if key is None:
-        key = cache["key"] = (
-            tuple(
-                sorted(
-                    (t, _PTR_NAME[e.rec.ptr], e.rec.val, _OWNER_NAME[e.owner.kind], e.owner.tid)
-                    for t, e in aux.hist.items()
-                )
-            ),
-            aux.sigma,
-            tuple(sorted((t, _COLOR_NAME[c]) for t, c in aux.kappa.items())),
-            tuple(sorted(aux.tau.items())),
-            (_PHASE_NAME[aux.wx.phase], aux.wx.t, aux.wx.v),
-            (_PHASE_NAME[aux.wy.phase], aux.wy.t, aux.wy.v),
-            (aux.scanner.on, aux.scanner.t_off, aux.scanner.sx, aux.scanner.sy),
-        )
-    return key
+    """Canonical, primitive-only tuple identifying the auxiliary state: its
+    fields as they are, the writer and scanner records flattened."""
+    wx, wy, sc = aux.wx, aux.wy, aux.scanner
+    return (
+        aux.ptr,
+        aux.val,
+        aux.kappa,
+        aux.tau,
+        aux.init_mask,
+        aux.joint_mask,
+        aux.self_masks,
+        aux.sigma,
+        wx.phase,
+        wx.t,
+        wx.v,
+        wy.phase,
+        wy.t,
+        wy.v,
+        sc.on,
+        sc.t_off,
+        sc.sx,
+        sc.sy,
+    )

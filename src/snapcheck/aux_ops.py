@@ -14,25 +14,22 @@ from dataclasses import dataclass
 from .aux_model import (
     AuxState,
     Color,
-    HistEntry,
-    OWNER_JOINT,
-    OwnerKind,
     Ptr,
     ScannerState,
     Timestamp,
     Tid,
     Value,
     WRITER_OFF,
-    WriteRecord,
     WriterPhase,
     WriterState,
     evolve,
     hist_p,
     last_gy,
     last_green,
-    owner_thread,
+    self_mask,
     yellow_of,
     _positions,
+    _require_known,
 )
 from .errors import GuardViolationError, SnapshotModelError
 
@@ -42,7 +39,7 @@ class InspectDecision:
     """Outcome of inspect: No, or Yes(ptr, target) naming the yellow write
     of ``ptr`` that must be pushed past the other pointer's chosen event."""
 
-    ptr: Ptr | None = None
+    ptr: str | None = None
     target: Timestamp | None = None
 
     @property
@@ -53,76 +50,88 @@ class InspectDecision:
 INSPECT_NO = InspectDecision()
 
 
-def _writer_field(p: Ptr) -> str:
-    return "wx" if p is Ptr.X else "wy"
+def _writer_field(p: str) -> str:
+    return "wx" if p == Ptr.X else "wy"
 
 
-def _with_writer(aux: AuxState, p: Ptr, w: WriterState) -> AuxState:
+def _with_writer(aux: AuxState, p: str, w: WriterState) -> AuxState:
     return evolve(aux, **{_writer_field(p): w})
 
 
-def register(tid: Tid, p: Ptr, v: Value, aux: AuxState) -> tuple[AuxState, Timestamp]:
+def _set(values: tuple, ts, value) -> tuple:
+    """A per-event tuple with the entries of events ts replaced by value."""
+    out = list(values)
+    for t in ts:
+        out[t - 1] = value
+    return tuple(out)
+
+
+def register(tid: Tid, p: str, v: Value, aux: AuxState) -> tuple[AuxState, Timestamp]:
     """Create the write event: fresh timestamp, appended to sigma, joint-owned.
 
     The event is colored yellow when an active scan has already cleared p's
     forwarding cell (it may still observe this write), red otherwise.
     """
     w = aux.writer(p)
-    if w.phase is not WriterPhase.OFF:
-        raise GuardViolationError(f"register: writer for {p.value} is {w.phase.value}")
+    if w.phase != WriterPhase.OFF:
+        raise GuardViolationError(f"register: writer for {p} is {w.phase}")
     t = aux.max_ts() + 1
-    hist = dict(aux.hist)
-    hist[t] = HistEntry(WriteRecord(p, v), OWNER_JOINT)
-    kappa = dict(aux.kappa)
-    if aux.scanner.on and aux.scanner.bit(p):
-        kappa[t] = Color.YELLOW
-    else:
-        kappa[t] = Color.RED
-    aux2 = evolve(aux, hist=hist, sigma=aux.sigma + (t,), kappa=kappa)
+    color = Color.YELLOW if aux.scanner.on and aux.scanner.bit(p) else Color.RED
+    aux2 = evolve(
+        aux,
+        ptr=aux.ptr + (p,),
+        val=aux.val + (v,),
+        kappa=aux.kappa + (color,),
+        tau=aux.tau + (None,),
+        joint_mask=aux.joint_mask | (1 << t),
+        sigma=aux.sigma + (t,),
+    )
     return _with_writer(aux2, p, WriterState(WriterPhase.NEW, t, v)), t
 
 
-def check(tid: Tid, p: Ptr, b: bool, aux: AuxState) -> AuxState:
+def check(tid: Tid, p: str, b: bool, aux: AuxState) -> AuxState:
     """Record the scanner-bit read: forwarding required iff b."""
     w = aux.writer(p)
-    if w.phase is not WriterPhase.NEW:
-        raise GuardViolationError(f"check: writer for {p.value} is {w.phase.value}")
+    if w.phase != WriterPhase.NEW:
+        raise GuardViolationError(f"check: writer for {p} is {w.phase}")
     phase = WriterPhase.FWD if b else WriterPhase.DONE
     return _with_writer(aux, p, WriterState(phase, w.t, w.v))
 
 
-def forward(tid: Tid, p: Ptr, aux: AuxState) -> AuxState:
+def forward(tid: Tid, p: str, aux: AuxState) -> AuxState:
     """Hand the value to the in-progress scan; greens the event while the
     scan is still guaranteed to observe it (scanner on, p's bit set)."""
     w = aux.writer(p)
-    if w.phase is not WriterPhase.FWD:
-        raise GuardViolationError(f"forward: writer for {p.value} is {w.phase.value}")
+    if w.phase != WriterPhase.FWD:
+        raise GuardViolationError(f"forward: writer for {p} is {w.phase}")
     aux2 = _with_writer(aux, p, WriterState(WriterPhase.DONE, w.t, w.v))
     if aux.scanner.on and aux.scanner.bit(p):
-        kappa = dict(aux.kappa)
-        kappa[w.t] = Color.GREEN
-        aux2 = evolve(aux2, kappa=kappa)
+        aux2 = evolve(aux2, kappa=_set(aux.kappa, (w.t,), Color.GREEN))
     return aux2
 
 
-def finalize(tid: Tid, p: Ptr, aux: AuxState) -> AuxState:
+def finalize(tid: Tid, p: str, aux: AuxState) -> AuxState:
     """Terminate the write: move its event from joint to tid's self history
     and record the current largest timestamp as its end time."""
     w = aux.writer(p)
-    if w.phase is not WriterPhase.DONE:
-        raise GuardViolationError(f"finalize: writer for {p.value} is {w.phase.value}")
-    entry = aux.hist.get(w.t)
-    if (
-        entry is None
-        or entry.owner.kind is not OwnerKind.JOINT
-        or entry.rec != WriteRecord(p, w.v)
+    if w.phase != WriterPhase.DONE:
+        raise GuardViolationError(f"finalize: writer for {p} is {w.phase}")
+    t = w.t
+    if not (
+        (aux.joint_mask >> t) & 1
+        and t <= aux.max_ts()
+        and aux.ptr[t - 1] == p
+        and aux.val[t - 1] == w.v
     ):
-        raise GuardViolationError(f"finalize: event {w.t} not joint-owned {p.value}={w.v}")
-    hist = dict(aux.hist)
-    hist[w.t] = HistEntry(entry.rec, owner_thread(tid))
-    tau = dict(aux.tau)
-    tau[w.t] = aux.max_ts()
-    aux2 = evolve(aux, hist=hist, tau=tau)
+        raise GuardViolationError(f"finalize: event {t} not joint-owned {p}={w.v}")
+    bit = 1 << t
+    others = [(owner, mask) for owner, mask in aux.self_masks if owner != tid]
+    aux2 = evolve(
+        aux,
+        tau=_set(aux.tau, (t,), aux.max_ts()),
+        joint_mask=aux.joint_mask & ~bit,
+        self_masks=tuple(sorted(others + [(tid, self_mask(aux, tid) | bit)])),
+    )
     return _with_writer(aux2, p, WRITER_OFF)
 
 
@@ -141,16 +150,14 @@ def set_scanner(b: bool, aux: AuxState) -> AuxState:
     return evolve(aux, scanner=sc2)
 
 
-def clear(p: Ptr, aux: AuxState) -> AuxState:
+def clear(p: str, aux: AuxState) -> AuxState:
     """Mark the scan active for p and green p's whole subhistory: all its
     current writes are now observed (hence linearized) by this scan."""
     sc = aux.scanner
     if not sc.on or sc.bit(p):
-        raise GuardViolationError(f"clear({p.value}): scanner off or bit already set")
-    kappa = dict(aux.kappa)
-    for t in hist_p(p, aux):
-        kappa[t] = Color.GREEN
-    field = "sx" if p is Ptr.X else "sy"
+        raise GuardViolationError(f"clear({p}): scanner off or bit already set")
+    kappa = _set(aux.kappa, hist_p(p, aux), Color.GREEN)
+    field = "sx" if p == Ptr.X else "sy"
     return evolve(aux, kappa=kappa, scanner=evolve(sc, **{field: True}))
 
 
@@ -158,11 +165,12 @@ def _require_relink_pre(t_x: Timestamp, t_y: Timestamp, aux: AuxState) -> None:
     sc = aux.scanner
     if sc.on or not (sc.sx and sc.sy):
         raise GuardViolationError("relink/inspect: scanner must be off with both bits set")
-    if aux.hist[t_x].rec.ptr is not Ptr.X or aux.hist[t_y].rec.ptr is not Ptr.Y:
+    _require_known(aux, t_x, t_y)
+    if aux.ptr[t_x - 1] != Ptr.X or aux.ptr[t_y - 1] != Ptr.Y:
         raise GuardViolationError("relink/inspect: arguments write the wrong pointers")
     for p, t in ((Ptr.X, t_x), (Ptr.Y, t_y)):
         if not last_gy(p, t, aux):
-            raise GuardViolationError(f"relink/inspect: {t} is not last-green-or-yellow of {p.value}")
+            raise GuardViolationError(f"relink/inspect: {t} is not last-green-or-yellow of {p}")
 
 
 def inspect(t_x: Timestamp, t_y: Timestamp, aux: AuxState) -> InspectDecision:
@@ -175,7 +183,7 @@ def inspect(t_x: Timestamp, t_y: Timestamp, aux: AuxState) -> InspectDecision:
     _require_relink_pre(t_x, t_y, aux)
     pos = _positions(aux.sigma)
 
-    def offending(p: Ptr, tp: Timestamp, tq: Timestamp) -> Timestamp | None:
+    def offending(p: str, tp: Timestamp, tq: Timestamp) -> Timestamp | None:
         if not pos[tp] < pos[tq]:
             return None
         if tp != last_green(p, aux):
@@ -221,32 +229,25 @@ def relink(r_x: Value, r_y: Value, aux: AuxState) -> tuple[AuxState, Timestamp, 
     if sc.on or not (sc.sx and sc.sy):
         raise GuardViolationError("relink: scanner must be off with both bits set")
 
-    def chosen(p: Ptr, value: Value) -> Timestamp:
-        cands = [
-            t
-            for t in hist_p(p, aux)
-            if aux.hist[t].rec.val == value and last_gy(p, t, aux)
-        ]
+    def chosen(p: str, value: Value) -> Timestamp:
+        cands = [t for t in hist_p(p, aux) if aux.val[t - 1] == value and last_gy(p, t, aux)]
         if not cands:
-            raise GuardViolationError(f"relink: no last-green-or-yellow {p.value}-event with value {value}")
+            raise GuardViolationError(f"relink: no last-green-or-yellow {p}-event with value {value}")
         return cands[-1]
 
     t_x = chosen(Ptr.X, r_x)
     t_y = chosen(Ptr.Y, r_y)
     d = inspect(t_x, t_y, aux)
-    if d.ptr is Ptr.X:
+    if d.ptr == Ptr.X:
         sigma = push(d.target, t_y, aux.sigma)
-    elif d.ptr is Ptr.Y:
+    elif d.ptr == Ptr.Y:
         sigma = push(d.target, t_x, aux.sigma)
     else:
         sigma = aux.sigma
-    kappa = dict(aux.kappa)
-    kappa[t_x] = Color.GREEN
-    kappa[t_y] = Color.GREEN
     aux2 = evolve(
         aux,
         sigma=sigma,
-        kappa=kappa,
+        kappa=_set(aux.kappa, (t_x, t_y), Color.GREEN),
         scanner=ScannerState(on=False, t_off=sc.t_off, sx=False, sy=False),
     )
     return aux2, t_x, t_y

@@ -101,7 +101,7 @@ class StepOutcome:
     call_idx: int
     label: str
     kind: str
-    ptr: Ptr | None
+    ptr: str | None
     invoked: bool
     returned: bool
     frame: MethodFrame
@@ -308,7 +308,7 @@ class _Checker:
         if out.kind == "read":
             sc = post.aux.scanner
             if sc.on and sc.bit(out.ptr):
-                value = fr.vx if out.ptr is Ptr.X else fr.vy
+                value = fr.vx if out.ptr == Ptr.X else fr.vy
                 self._absorb(invariants.check_read_lemma(out.ptr, value, post.aux), idx)
         if out.kind == "relink":
             self._absorb(
@@ -377,8 +377,8 @@ class _Checker:
             steps=tuple(self.steps or ()),
             methods=tuple(self.methods),
             final_sigma=aux.sigma,
-            final_sigma_values=tuple(aux.hist[t].rec.val for t in aux.sigma),
-            final_kappa=tuple(sorted((t, c.value) for t, c in aux.kappa.items())),
+            final_sigma_values=tuple(aux.val[t - 1] for t in aux.sigma),
+            final_kappa=tuple(enumerate(aux.kappa, 1)),
             phys_digest=phys_digest(state.phys),
             aux_digest=aux_digest(aux),
             violations=(),
@@ -604,7 +604,7 @@ FIG1_SCHEDULE: tuple[Tid, ...] = (
 )
 
 
-def _pointer_variants(p: Ptr, vals: tuple[Value, Value], tid: Tid):
+def _pointer_variants(p: str, vals: tuple[Value, Value], tid: Tid):
     w = MethodCall.write
     return (
         (0, ()),

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 from .aux_model import (
     AuxState,
     Color,
-    OwnerKind,
     Ptr,
     Timestamp,
     Tid,
@@ -26,8 +25,8 @@ from .aux_model import (
     hist_p,
     last_green,
     other_mask,
-    owner_masks,
     scanned_mask,
+    self_mask,
     yellow_of,
     _ideal_masks,
     _positions,
@@ -53,7 +52,7 @@ def capture_spec_snapshot(aux: AuxState, tid: Tid) -> SpecSnapshot:
     return SpecSnapshot(
         other_mask=other_mask(aux, tid),
         scanned_mask=scanned_mask(aux),
-        dom_mask=sum(1 << t for t in aux.hist),
+        dom_mask=(1 << (aux.max_ts() + 1)) - 2,
     )
 
 
@@ -96,23 +95,30 @@ class ViolationReport:
 
 
 def _check_wellformed(aux: AuxState, rep: ViolationReport) -> None:
-    if sorted(aux.sigma) != sorted(aux.hist):
+    n = aux.max_ts()
+    dom = range(1, n + 1)
+    if sorted(aux.sigma) != list(dom):
         rep.add("wellformed", f"sigma {aux.sigma} is not a permutation of dom hist")
-    if set(aux.kappa) != set(aux.hist):
-        rep.add("wellformed", "kappa is not total on dom hist")
-    if not set(aux.tau) <= set(aux.hist):
-        rep.add("wellformed", "tau mentions unknown timestamps")
+    if not len(aux.val) == len(aux.kappa) == len(aux.tau) == n:
+        rep.add("wellformed", "values, colors and end times do not cover dom hist")
+    # disjoint masks covering dom exactly: their sum and their union are dom
+    full = (1 << (n + 1)) - 2
+    total = aux.init_mask + aux.joint_mask + sum(mask for _, mask in aux.self_masks)
+    if total != full or other_mask(aux, None) | aux.joint_mask != full:
+        rep.add("wellformed", "ownership masks do not partition dom hist")
     for p in (Ptr.X, Ptr.Y):
         w = aux.writer(p)
-        if w.phase is not WriterPhase.OFF and w.t not in aux.hist:
-            rep.add("wellformed", f"writer for {p.value} holds unknown timestamp {w.t}")
+        if w.phase != WriterPhase.OFF and w.t not in dom:
+            rep.add("wellformed", f"writer for {p} holds unknown timestamp {w.t}")
 
 
 def _check_overlap(aux: AuxState, rep: ViolationReport) -> None:
     # non-overlapping events are never logically reordered
     pos = _positions(aux.sigma)
-    for t1, end in aux.tau.items():
-        for t2 in aux.hist:
+    for t1, end in enumerate(aux.tau, 1):
+        if end is None:
+            continue
+        for t2 in range(1, aux.max_ts() + 1):
             if end < t2 and not pos[t1] < pos[t2]:
                 rep.add(
                     "overlap",
@@ -124,20 +130,19 @@ def _check_colors(aux: AuxState, rep: ViolationReport) -> None:
     # per pointer: non-empty green prefix, at most one yellow, then reds
     for p in (Ptr.X, Ptr.Y):
         seq = hist_p(p, aux)
-        colors = [aux.kappa[t] for t in seq]
+        colors = [aux.kappa[t - 1] for t in seq]
         i = 0
-        while i < len(colors) and colors[i] is Color.GREEN:
+        while i < len(colors) and colors[i] == Color.GREEN:
             i += 1
         if i == 0:
-            rep.add("colors", f"{p.value}-history has no green prefix: {seq}")
+            rep.add("colors", f"{p}-history has no green prefix: {seq}")
             continue
-        if i < len(colors) and colors[i] is Color.YELLOW:
+        if i < len(colors) and colors[i] == Color.YELLOW:
             i += 1
-        if any(c is not Color.RED for c in colors[i:]):
+        if any(c != Color.RED for c in colors[i:]):
             rep.add(
                 "colors",
-                f"{p.value}-history breaks the green+/yellow?/red* pattern: "
-                f"{[c.value for c in colors]}",
+                f"{p}-history breaks the green+/yellow?/red* pattern: {colors}",
             )
 
 
@@ -145,13 +150,13 @@ def _check_last_write(phys: "PhysState", aux: AuxState, rep: ViolationReport) ->
     for p, actual in ((Ptr.X, phys.x), (Ptr.Y, phys.y)):
         seq = hist_p(p, aux)
         if not seq:
-            rep.add("last-write", f"{p.value} has no writes at all")
+            rep.add("last-write", f"{p} has no writes at all")
             continue
-        expect = aux.hist[seq[-1]].rec.val
+        expect = aux.val[seq[-1] - 1]
         if actual != expect:
             rep.add(
                 "last-write",
-                f"{p.value} holds {actual} but sigma-last write {seq[-1]} wrote {expect}",
+                f"{p} holds {actual} but sigma-last write {seq[-1]} wrote {expect}",
             )
 
 
@@ -159,36 +164,35 @@ def _check_joint_history(aux: AuxState, rep: ViolationReport) -> None:
     active = {}
     for p in (Ptr.X, Ptr.Y):
         w = aux.writer(p)
-        if w.phase is not WriterPhase.OFF:
+        if w.phase != WriterPhase.OFF:
             active[w.t] = (p, w.v)
-            entry = aux.hist.get(w.t)
-            if (
-                entry is None
-                or entry.owner.kind is not OwnerKind.JOINT
-                or entry.rec.ptr is not p
-                or entry.rec.val != w.v
+            t = w.t
+            if not (
+                (aux.joint_mask >> t) & 1
+                and aux.ptr[t - 1] == p
+                and aux.val[t - 1] == w.v
             ):
                 rep.add(
                     "joint-history",
-                    f"active writer for {p.value} ({w.phase.value} t={w.t} v={w.v}) "
+                    f"active writer for {p} ({w.phase} t={w.t} v={w.v}) "
                     "has no matching joint event",
                 )
-    for t in bits(owner_masks(aux)[1]):
+    for t in bits(aux.joint_mask):
         if t not in active:
             rep.add("joint-history", f"joint event {t} has no active writer")
 
 
 def _check_terminated(aux: AuxState, rep: ViolationReport) -> None:
-    init_mask, _, self_masks = owner_masks(aux)
-    finished = init_mask | sum(self_masks.values())
-    if sum(1 << t for t in aux.tau) != finished:
+    ended = [t for t, end in enumerate(aux.tau, 1) if end is not None]
+    finished = other_mask(aux, None)
+    if sum(1 << t for t in ended) != finished:
         rep.add(
             "terminated-events",
-            f"dom tau {sorted(aux.tau)} != self+other events {list(bits(finished))}",
+            f"dom tau {ended} != self+other events {list(bits(finished))}",
         )
     top = aux.max_ts()
-    for a, end in aux.tau.items():
-        if end > top:
+    for a, end in enumerate(aux.tau, 1):
+        if end is not None and end > top:
             rep.add("terminated-events", f"tau({a})={end} exceeds max timestamp {top}")
 
 
@@ -200,13 +204,13 @@ def _check_forwarded(phys: "PhysState", aux: AuxState, rep: ViolationReport) -> 
         if not sc.bit(p) or fwd is None:
             continue
         if not any(
-            t is not None and aux.hist[t].rec.val == fwd
+            t is not None and aux.val[t - 1] == fwd
             for t in (last_green(p, aux), yellow_of(p, aux))
         ):
             rep.add(
                 "forwarded-values",
-                f"forwarded {p.value}-value {fwd} written by neither the last "
-                f"green nor the yellow of {p.value}-history",
+                f"forwarded {p}-value {fwd} written by neither the last "
+                f"green nor the yellow of {p}-history",
             )
 
 
@@ -217,20 +221,19 @@ def _check_red_zone(aux: AuxState, rep: ViolationReport) -> None:
     t_off = sc.t_off
     seen_red = False
     for t in aux.sigma:
-        c = aux.kappa[t]
-        if c is Color.RED:
+        c = aux.kappa[t - 1]
+        if c == Color.RED:
             seen_red = True
         elif seen_red:
-            rep.add("red-zone", f"{c.value} event {t} after a red one in sigma")
-    for t in aux.hist:
-        c = aux.kappa[t]
-        if c is Color.GREEN and not t <= t_off:
+            rep.add("red-zone", f"{c} event {t} after a red one in sigma")
+    for t, c in enumerate(aux.kappa, 1):
+        if c == Color.GREEN and not t <= t_off:
             rep.add("red-zone", f"green {t} > t_off {t_off}")
-        elif c is Color.YELLOW:
-            end = aux.tau.get(t)
+        elif c == Color.YELLOW:
+            end = aux.tau[t - 1]
             if not t <= t_off or (end is not None and not t_off <= end):
                 rep.add("red-zone", f"yellow {t} violates t <= t_off <= tau(t)")
-        elif c is Color.RED and not t_off < t:
+        elif c == Color.RED and not t_off < t:
             rep.add("red-zone", f"red {t} <= t_off {t_off}")
 
 
@@ -239,12 +242,12 @@ def _check_first_forwarding(aux: AuxState, rep: ViolationReport) -> None:
     sc = aux.scanner
     if sc.on or not (sc.sx and sc.sy):
         return
-    for t, end in aux.tau.items():
-        if end < sc.t_off and aux.kappa[t] is not Color.GREEN:
+    for t, end in enumerate(aux.tau, 1):
+        if end is not None and end < sc.t_off and aux.kappa[t - 1] != Color.GREEN:
             rep.add(
                 "first-forwarding",
                 f"{t} terminated at {end} before t_off {sc.t_off} but is "
-                f"{aux.kappa[t].value}",
+                f"{aux.kappa[t - 1]}",
             )
 
 
@@ -274,28 +277,34 @@ def check_transition(pre: AuxState, post: AuxState) -> ViolationReport:
     the scanned set only grow, and scanned ideals never change."""
     rep = ViolationReport()
     if (
-        pre.hist is post.hist
+        pre.ptr is post.ptr
+        and pre.val is post.val
         and pre.kappa is post.kappa
         and pre.tau is post.tau
         and pre.sigma is post.sigma
+        and pre.init_mask == post.init_mask
+        and pre.joint_mask == post.joint_mask
+        and pre.self_masks is post.self_masks
     ):
         # only writer/scanner phases changed: events, ownership, the stable
-        # order and scanned are literally the same objects, so every
-        # monotonicity requirement holds by reflexivity
+        # order and scanned are the same, so every monotonicity requirement
+        # holds by reflexivity
         return rep
-    for t, e in pre.hist.items():
-        e2 = post.hist.get(t)
-        if e2 is None or e2.rec != e.rec:
+    n, m = pre.max_ts(), post.max_ts()
+    for t in range(1, n + 1):
+        if t > m or post.ptr[t - 1] != pre.ptr[t - 1] or post.val[t - 1] != pre.val[t - 1]:
             rep.add("hist-mono", f"event {t} lost or rewritten")
             return rep
-    pre_self = owner_masks(pre)[2]
-    post_self = owner_masks(post)[2]
-    for tid, mask in pre_self.items():
-        if mask & ~post_self.get(tid, 0):
+    for tid, mask in pre.self_masks:
+        if mask & ~self_mask(post, tid):
             rep.add("hist-mono", f"self history of {tid} shrank")
-    for tid in set(pre_self) | set(post_self):
+    tids = {tid for tid, _ in pre.self_masks} | {tid for tid, _ in post.self_masks}
+    for tid in tids:
         if other_mask(pre, tid) & ~other_mask(post, tid):
             rep.add("hist-mono", f"other history of {tid} shrank")
+    # the environment of a thread with no finished events: every finished event
+    if other_mask(pre, None) & ~other_mask(post, None):
+        rep.add("hist-mono", "other history of a thread without finished events shrank")
     pre_masks = _ideal_masks(pre)
     post_masks = _ideal_masks(post)
     for t, mask in pre_masks.items():
@@ -320,7 +329,7 @@ def check_transition(pre: AuxState, post: AuxState) -> ViolationReport:
 
 def _eval_or_none(t: Timestamp, aux: AuxState):
     try:
-        return eval_at(t, aux.sigma, aux.hist)
+        return eval_at(t, aux.sigma, aux)
     except SnapshotModelError:
         return None
 
@@ -334,18 +343,17 @@ def check_write_post(
     ret: AuxState,
     t: Timestamp,
     tid: Tid,
-    p: Ptr,
+    p: str,
     v: Value,
 ) -> ViolationReport:
     """write's postcondition: the event t -> (p, v) is fresh, now owned by
     tid, and every prior-terminated or already-scanned event is strictly
     below t in the stable order."""
     rep = ViolationReport()
-    entry = ret.hist.get(t)
-    if entry is None or entry.rec.ptr is not p or entry.rec.val != v:
-        rep.add("write-post", f"no event {t} -> ({p.value},{v}) in the return state")
+    if not 1 <= t <= ret.max_ts() or ret.ptr[t - 1] != p or ret.val[t - 1] != v:
+        rep.add("write-post", f"no event {t} -> ({p},{v}) in the return state")
         return rep
-    if entry.owner.kind is not OwnerKind.THREAD or entry.owner.tid != tid:
+    if not (self_mask(ret, tid) >> t) & 1:
         rep.add("write-post", f"event {t} not owned by {tid} at return")
     if (snap.dom_mask >> t) & 1:
         rep.add("write-post", f"timestamp {t} is not fresh wrt the invocation state")
@@ -374,7 +382,7 @@ def check_scan_post(
         if snap.dom_mask & ~masks[t]:
             return False
         try:
-            return eval_at(t, ret.sigma, ret.hist) == r
+            return eval_at(t, ret.sigma, ret) == r
         except SnapshotModelError:
             return False
 
@@ -397,7 +405,7 @@ def check_chain_lemma(aux: AuxState) -> ViolationReport:
     masks = _ideal_masks(aux)
     prefix_mask = 0
     for t in aux.sigma:
-        if aux.kappa[t] is not Color.GREEN:
+        if aux.kappa[t - 1] != Color.GREEN:
             break
         prefix_mask |= 1 << t
         if masks[t] != prefix_mask:
@@ -405,19 +413,15 @@ def check_chain_lemma(aux: AuxState) -> ViolationReport:
     return rep
 
 
-def check_read_lemma(p: Ptr, value: Value, aux: AuxState) -> ViolationReport:
+def check_read_lemma(p: str, value: Value, aux: AuxState) -> ViolationReport:
     """While the scanner is on with p's bit set, a read of p returns the
     value of p's last green or yellow event."""
     rep = ViolationReport()
-    allowed = {
-        aux.hist[t].rec.val
-        for t in (last_green(p, aux), yellow_of(p, aux))
-        if t is not None
-    }
+    allowed = {aux.val[t - 1] for t in (last_green(p, aux), yellow_of(p, aux)) if t is not None}
     if value not in allowed:
         rep.add(
             "read-value",
-            f"scan read {p.value}={value}, not a last-green/yellow value {sorted(allowed)}",
+            f"scan read {p}={value}, not a last-green/yellow value {sorted(allowed)}",
         )
     return rep
 
@@ -430,12 +434,12 @@ def check_relink_post(
     rep = ViolationReport()
     for p, t in ((Ptr.X, t_x), (Ptr.Y, t_y)):
         if last_green(p, aux) != t:
-            rep.add("relink-post", f"{t} is not the last green of {p.value} after relink")
+            rep.add("relink-post", f"{t} is not the last green of {p} after relink")
     pos = _positions(aux.sigma)
     top = t_x if pos[t_x] >= pos[t_y] else t_y
     for s in aux.sigma[: pos[top] + 1]:
-        if aux.kappa[s] is not Color.GREEN:
-            rep.add("relink-post", f"{s} below {top} is {aux.kappa[s].value}, not green")
+        if aux.kappa[s - 1] != Color.GREEN:
+            rep.add("relink-post", f"{s} below {top} is {aux.kappa[s - 1]}, not green")
     return rep
 
 

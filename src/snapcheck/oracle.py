@@ -54,7 +54,7 @@ def ops_from_trace(trace) -> tuple[OpRecord, ...]:
         ops.append(
             OpRecord(
                 m.call.kind,
-                None if scan else m.call.p.value,
+                None if scan else m.call.p,
                 m.call.v,
                 tuple(m.result) if scan else None,
                 m.invocation,

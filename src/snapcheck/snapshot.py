@@ -20,15 +20,12 @@ from .aux_model import (
     AuxState,
     Color,
     DEFAULT_VALUE_RANGE,
-    HistEntry,
-    OWNER_INIT,
     Ptr,
     ScannerState,
     Tid,
     Timestamp,
     Value,
     WRITER_OFF,
-    WriteRecord,
     aux_key,
     evolve,
     memo,
@@ -41,8 +38,8 @@ LOCK_WY = "wy"
 LOCK_SCAN = "scan"
 
 
-def lock_for(p: Ptr) -> str:
-    return LOCK_WX if p is Ptr.X else LOCK_WY
+def lock_for(p: str) -> str:
+    return LOCK_WX if p == Ptr.X else LOCK_WY
 
 
 @dataclass(frozen=True)
@@ -66,16 +63,16 @@ class PhysState:
 @dataclass(frozen=True)
 class MethodCall:
     kind: str  # "write" | "scan"
-    p: Ptr | None = None
+    p: str | None = None
     v: Value | None = None
 
     def render(self) -> str:
         if self.kind == "scan":
             return "scan"
-        return f"write {self.p.value} {self.v}"
+        return f"write {self.p} {self.v}"
 
     @staticmethod
-    def write(p: Ptr, v: Value) -> "MethodCall":
+    def write(p: str, v: Value) -> "MethodCall":
         return MethodCall("write", p, v)
 
     @staticmethod
@@ -87,8 +84,10 @@ class MethodCall:
         parts = text.split()
         if parts == ["scan"]:
             return MethodCall.scan()
-        if len(parts) == 3 and parts[0] == "write" and parts[1] in ("x", "y"):
-            return MethodCall.write(Ptr(parts[1]), int(parts[2]))
+        if len(parts) == 3 and parts[0] == "write" and parts[1] in (Ptr.X, Ptr.Y):
+            # the canonical object, not the parsed copy (see Ptr)
+            p = Ptr.X if parts[1] == Ptr.X else Ptr.Y
+            return MethodCall.write(p, int(parts[2]))
         raise ValueError(f"bad method call: {text!r}")
 
 
@@ -96,21 +95,21 @@ class MethodCall:
 class Step:
     kind: str
     label: str
-    ptr: Ptr | None = None
+    ptr: str | None = None
     lock: str | None = None
 
 
-def _step(kind: str, ptr: Ptr | None = None, lock: str | None = None) -> Step:
+def _step(kind: str, ptr: str | None = None, lock: str | None = None) -> Step:
     if lock is not None:
         label = f"{kind}:{lock}"
     elif ptr is not None:
-        label = f"{kind}:{ptr.value}"
+        label = f"{kind}:{ptr}"
     else:
         label = kind
     return Step(kind, label, ptr, lock)
 
 
-def _write_step_list(p: Ptr) -> tuple[Step, ...]:
+def _write_step_list(p: str) -> tuple[Step, ...]:
     lock = lock_for(p)
     return (
         _step("acquire", lock=lock),
@@ -139,7 +138,7 @@ _SCAN_STEPS = (
 )
 
 
-def write_steps(p: Ptr) -> tuple[Step, ...]:
+def write_steps(p: str) -> tuple[Step, ...]:
     """Step list of write(p, v); the forward step is skipped at run time
     when the scanner bit was read as false."""
     return _WRITE_STEPS[p]
@@ -162,14 +161,11 @@ class MethodFrame:
     steps: tuple[Step, ...]
     snapshot: invariants.SpecSnapshot
     pc: int = 0
-    b: bool | None = None
     t: Timestamp | None = None
     vx: Value | None = None
     vy: Value | None = None
     ox: Value | None = None
     oy: Value | None = None
-    rx: Value | None = None
-    ry: Value | None = None
     witness_x: Timestamp | None = None
     witness_y: Timestamp | None = None
     result: tuple[Value, Value] | None = None
@@ -187,8 +183,8 @@ class MethodFrame:
         will still read.
 
         Dead locals are excluded so that states differing only in consumed
-        registers merge during exploration: a write's b and t mirror the
-        writer phase / die at its return, scan locals die at relink, and of
+        registers merge during exploration: a write's t mirrors the
+        writer phase / dies at its return, scan locals die at relink, and of
         the pre-state snapshot only what the return check consumes is kept
         (the write check reads the other+scanned union, the scan check the
         global domain; freshness cannot depend on the rest).  Once a pointer
@@ -199,7 +195,7 @@ class MethodFrame:
         if key is not None:
             return key
         call = self.call
-        base = (self.tid, call.kind, call.p.value if call.p else None, call.v, self.pc)
+        base = (self.tid, call.kind, call.p, call.v, self.pc)
         if self.returned:
             key = base
         elif call.kind == "write":
@@ -256,7 +252,7 @@ def apply_step(
 
     if kind == "register":
         v = frame.call.v
-        phys2 = evolve(phys, **{p.value: v})
+        phys2 = evolve(phys, **{p: v})
         aux2, t = aux_ops.register(tid, p, v, aux)
         return phys2, aux2, evolve(frame, pc=nxt, t=t)
 
@@ -264,11 +260,11 @@ def apply_step(
         b = phys.s_bit
         aux2 = aux_ops.check(tid, p, b, aux)
         # skip the forward step entirely when no scan was in progress
-        return phys, aux2, evolve(frame, pc=nxt if b else nxt + 1, b=b)
+        return phys, aux2, evolve(frame, pc=nxt if b else nxt + 1)
 
     if kind == "forward":
         v = frame.call.v
-        phys2 = evolve(phys, **{"fx" if p is Ptr.X else "fy": v})
+        phys2 = evolve(phys, **{"fx" if p == Ptr.X else "fy": v})
         return phys2, aux_ops.forward(tid, p, aux), evolve(frame, pc=nxt)
 
     if kind == "finalize":
@@ -282,17 +278,17 @@ def apply_step(
         return evolve(phys, s_bit=False), aux_ops.set_scanner(False, aux), evolve(frame, pc=nxt)
 
     if kind == "clear":
-        phys2 = evolve(phys, **{"fx" if p is Ptr.X else "fy": None})
+        phys2 = evolve(phys, **{"fx" if p == Ptr.X else "fy": None})
         return phys2, aux_ops.clear(p, aux), evolve(frame, pc=nxt)
 
     if kind == "read":
-        field = "vx" if p is Ptr.X else "vy"
-        value = phys.x if p is Ptr.X else phys.y
+        field = "vx" if p == Ptr.X else "vy"
+        value = phys.x if p == Ptr.X else phys.y
         return phys, aux, evolve(frame, pc=nxt, **{field: value})
 
     if kind == "read-fwd":
-        field = "ox" if p is Ptr.X else "oy"
-        value = phys.fx if p is Ptr.X else phys.fy
+        field = "ox" if p == Ptr.X else "oy"
+        value = phys.fx if p == Ptr.X else phys.fy
         return phys, aux, evolve(frame, pc=nxt, **{field: value})
 
     if kind == "relink":
@@ -302,8 +298,6 @@ def apply_step(
         frame2 = evolve(
             frame,
             pc=nxt,
-            rx=rx,
-            ry=ry,
             witness_x=t_x,
             witness_y=t_y,
             result=(rx, ry),
@@ -323,13 +317,14 @@ def init(
     validate_value(v_y, value_range)
     phys = PhysState(x=v_x, y=v_y, fx=None, fy=None, s_bit=False)
     aux = AuxState(
-        hist={
-            1: HistEntry(WriteRecord(Ptr.X, v_x), OWNER_INIT),
-            2: HistEntry(WriteRecord(Ptr.Y, v_y), OWNER_INIT),
-        },
+        ptr=(Ptr.X, Ptr.Y),
+        val=(v_x, v_y),
+        kappa=(Color.GREEN, Color.GREEN),
+        tau=(2, 2),
+        init_mask=0b110,
+        joint_mask=0,
+        self_masks=(),
         sigma=(1, 2),
-        kappa={1: Color.GREEN, 2: Color.GREEN},
-        tau={1: 2, 2: 2},
         wx=WRITER_OFF,
         wy=WRITER_OFF,
         scanner=ScannerState(on=False, t_off=2, sx=False, sy=False),

@@ -4,17 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from snapcheck.aux_model import (
-    AuxState,
-    Color,
-    HistEntry,
-    OWNER_INIT,
-    Ptr,
-    ScannerState,
-    WRITER_OFF,
-    WriteRecord,
-    owner_thread,
-)
+from snapcheck.aux_model import AuxState, Color, Ptr, ScannerState, WRITER_OFF
 from snapcheck.harness import (
     FIG1_SCHEDULE,
     client_e,
@@ -46,23 +36,17 @@ def fig2a(fig2a_state):
 
 def hand_built_fig2a() -> AuxState:
     """The same pre-relink state, constructed literally."""
+    g, y = Color.GREEN, Color.YELLOW
     return AuxState(
-        hist={
-            TS_X5: HistEntry(WriteRecord(Ptr.X, 5), OWNER_INIT),
-            TS_Y0: HistEntry(WriteRecord(Ptr.Y, 0), OWNER_INIT),
-            TS_X2: HistEntry(WriteRecord(Ptr.X, 2), owner_thread("l")),
-            TS_X3: HistEntry(WriteRecord(Ptr.X, 3), owner_thread("r")),
-            TS_Y1: HistEntry(WriteRecord(Ptr.Y, 1), owner_thread("l")),
-        },
+        # events TS_X5, TS_Y0, TS_X2, TS_X3, TS_Y1 in timestamp order
+        ptr=(Ptr.X, Ptr.Y, Ptr.X, Ptr.X, Ptr.Y),
+        val=(5, 0, 2, 3, 1),
+        kappa=(g, g, g, y, g),
+        tau=(2, 2, 3, 5, 5),
+        init_mask=(1 << TS_X5) | (1 << TS_Y0),
+        joint_mask=0,
+        self_masks=(("l", (1 << TS_X2) | (1 << TS_Y1)), ("r", 1 << TS_X3)),
         sigma=(TS_X5, TS_Y0, TS_X2, TS_X3, TS_Y1),
-        kappa={
-            TS_X5: Color.GREEN,
-            TS_Y0: Color.GREEN,
-            TS_X2: Color.GREEN,
-            TS_X3: Color.YELLOW,
-            TS_Y1: Color.GREEN,
-        },
-        tau={TS_X5: 2, TS_Y0: 2, TS_X2: 3, TS_X3: 5, TS_Y1: 5},
         wx=WRITER_OFF,
         wy=WRITER_OFF,
         scanner=ScannerState(on=False, t_off=5, sx=True, sy=True),

@@ -14,12 +14,9 @@ import time
 from snapcheck.aux_model import (
     AuxState,
     Color,
-    HistEntry,
-    OWNER_INIT,
     Ptr,
     ScannerState,
     WRITER_OFF,
-    WriteRecord,
     hist_p,
     last_green,
     last_gy,
@@ -271,23 +268,22 @@ def _random_relink_precondition_state(rng):
         pre = list(range(1, n + 1 - red_suffix))
         if {ptrs[t - 1] for t in pre} != {Ptr.X, Ptr.Y}:
             continue  # every pointer needs a pre-suffix (non-red) write
-        hist = {}
-        kappa = {}
-        for t, p in enumerate(ptrs, start=1):
-            hist[t] = HistEntry(WriteRecord(p, t % 8), OWNER_INIT)
-            kappa[t] = Color.RED
+        kappa = [Color.RED] * n
         for p in (Ptr.X, Ptr.Y):
-            mine = [t in pre and ptrs[t - 1] is p for t in range(1, n + 1)]
-            pre_mine = [t for t in pre if ptrs[t - 1] is p]
+            pre_mine = [t for t in pre if ptrs[t - 1] == p]
             for t in pre_mine:
-                kappa[t] = Color.GREEN
+                kappa[t - 1] = Color.GREEN
             if len(pre_mine) >= 2 and rng.random() < 0.6:
-                kappa[pre_mine[-1]] = Color.YELLOW
+                kappa[pre_mine[-1] - 1] = Color.YELLOW
         aux = AuxState(
-            hist=hist,
+            ptr=tuple(ptrs),
+            val=tuple(t % 8 for t in range(1, n + 1)),
+            kappa=tuple(kappa),
+            tau=(n,) * n,
+            init_mask=(1 << (n + 1)) - 2,
+            joint_mask=0,
+            self_masks=(),
             sigma=tuple(range(1, n + 1)),
-            kappa=kappa,
-            tau={t: n for t in hist},
             wx=WRITER_OFF,
             wy=WRITER_OFF,
             scanner=ScannerState(on=False, t_off=n, sx=True, sy=True),
@@ -304,7 +300,7 @@ def _expected_by_case_analysis(t_x, t_y, aux):
         p, lo, hi = Ptr.X, t_x, t_y
     else:
         p, lo, hi = Ptr.Y, t_y, t_x
-    if aux.kappa[lo] is Color.YELLOW:
+    if aux.kappa[lo - 1] == Color.YELLOW:
         return INSPECT_NO  # case 1
     between = [s for s in hist_p(p, aux) if pos[lo] < pos[s] < pos[hi]]
     if not between:
@@ -323,7 +319,7 @@ def _inspect_cases(n_cases):
         want = _expected_by_case_analysis(t_x, t_y, aux)
         if got != want:
             failures += 1
-        elif got.is_yes and aux.kappa[got.target] is not Color.YELLOW:
+        elif got.is_yes and aux.kappa[got.target - 1] != Color.YELLOW:
             failures += 1
     return failures
 

@@ -2,14 +2,18 @@
 replay evaluation, per-pointer histories."""
 
 import random
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from conftest import TS_X2, TS_X3, TS_X5, TS_Y0, TS_Y1, hand_built_fig2a
 from snapcheck.aux_model import (
+    AuxState,
     Color,
     Ptr,
+    aux_key,
     eval_at,
+    evolve,
     hist_p,
     last_gy,
     omega_down,
@@ -18,17 +22,25 @@ from snapcheck.aux_model import (
 )
 from snapcheck.aux_ops import register
 from snapcheck.errors import UninitializedPointerError, UnknownTimestampError
-from snapcheck.harness import FIG1_SCHEDULE, client_fig1, run_prefix
+from snapcheck.harness import (
+    FIG1_SCHEDULE,
+    client_fig1,
+    enabled_tids,
+    initial_state,
+    parse_program,
+    run_prefix,
+    step_state,
+)
 from snapcheck.snapshot import init
 
 
-def naive_eval(t, order, hist):
+def naive_eval(t, order, aux):
     """Independent replay oracle: sort entries by an explicit total-order
     list, fold writes left to right up to t."""
-    ranked = sorted(hist, key=order.index)
+    ranked = sorted(range(1, len(aux.ptr) + 1), key=order.index)
     state = {}
     for s in ranked:
-        state[hist[s].rec.ptr] = hist[s].rec.val
+        state[aux.ptr[s - 1]] = aux.val[s - 1]
         if s == t:
             break
     return (state[Ptr.X], state[Ptr.Y])
@@ -57,10 +69,11 @@ def test_omega_unrelated_overlapping_writes(fig2a):
 
 def test_omega_unknown_timestamp():
     _, aux = init(5, 0)
-    with pytest.raises(UnknownTimestampError):
-        omega_leq(1, 99, aux)
-    with pytest.raises(UnknownTimestampError):
-        omega_down(99, aux)
+    for t in (99, 0, -1):
+        with pytest.raises(UnknownTimestampError):
+            omega_leq(1, t, aux)
+        with pytest.raises(UnknownTimestampError):
+            omega_down(t, aux)
 
 
 def test_omega_down_initial():
@@ -95,7 +108,7 @@ def test_scanned_fig2a(fig2a):
 def test_red_event_never_scanned():
     _, aux = init(5, 0)
     aux, t = register("w", Ptr.X, 3, aux)  # no scan active: colored red
-    assert aux.kappa[t] is Color.RED
+    assert aux.kappa[t - 1] == Color.RED
     assert t not in scanned(aux)
 
 
@@ -105,36 +118,33 @@ def test_red_event_never_scanned():
 
 def test_eval_initial():
     _, aux = init(5, 0)
-    assert eval_at(2, aux.sigma, aux.hist) == (5, 0)
+    assert eval_at(2, aux.sigma, aux) == (5, 0)
 
 
 def test_eval_relinked_order():
     state = run_prefix(client_fig1(), FIG1_SCHEDULE)
     aux = state.aux
-    assert eval_at(TS_Y1, aux.sigma, aux.hist) == (2, 1)
+    assert eval_at(TS_Y1, aux.sigma, aux) == (2, 1)
 
 
 def test_eval_fig2a_missed_write(fig2a):
-    assert eval_at(TS_X3, fig2a.sigma, fig2a.hist) == (3, 0)
-    assert eval_at(TS_X3, fig2a.sigma, fig2a.hist) == naive_eval(
-        TS_X3, list(fig2a.sigma), fig2a.hist
-    )
+    assert eval_at(TS_X3, fig2a.sigma, fig2a) == (3, 0)
+    assert eval_at(TS_X3, fig2a.sigma, fig2a) == naive_eval(TS_X3, list(fig2a.sigma), fig2a)
 
 
 def test_eval_agrees_with_naive_replay(fig2a):
     # from the second event on, both pointers have a write
     for t in fig2a.sigma[1:]:
-        assert eval_at(t, fig2a.sigma, fig2a.hist) == naive_eval(
-            t, list(fig2a.sigma), fig2a.hist
-        )
+        assert eval_at(t, fig2a.sigma, fig2a) == naive_eval(t, list(fig2a.sigma), fig2a)
 
 
 def test_eval_errors():
     _, aux = init(5, 0)
-    with pytest.raises(UnknownTimestampError):
-        eval_at(7, aux.sigma, aux.hist)
+    for t in (7, 0, -1):
+        with pytest.raises(UnknownTimestampError):
+            eval_at(t, aux.sigma, aux)
     with pytest.raises(UninitializedPointerError):
-        eval_at(1, (1,), {1: aux.hist[1]})
+        eval_at(1, (1,), aux)  # replays event 1 (x) alone
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +158,7 @@ def test_hist_p_initial():
 
 
 def test_hist_p_fig2a_values(fig2a):
-    xs = [fig2a.hist[t].rec.val for t in hist_p(Ptr.X, fig2a)]
+    xs = [fig2a.val[t - 1] for t in hist_p(Ptr.X, fig2a)]
     assert xs == [5, 2, 3]
 
 
@@ -184,8 +194,9 @@ def test_last_gy_red_is_false():
 
 def test_last_gy_unknown():
     _, aux = init(5, 0)
-    with pytest.raises(UnknownTimestampError):
-        last_gy(Ptr.X, 42, aux)
+    for t in (42, 0, -1):
+        with pytest.raises(UnknownTimestampError):
+            last_gy(Ptr.X, t, aux)
 
 
 def test_hand_built_state_matches_driven(fig2a):
@@ -204,4 +215,51 @@ def test_random_orders_eval_oracle():
         if order.index(1) > 2 or order.index(2) > 2:
             continue
         for t in order[2:]:
-            assert eval_at(t, tuple(order), aux.hist) == naive_eval(t, order, aux.hist)
+            assert eval_at(t, tuple(order), aux) == naive_eval(t, order, aux)
+
+
+# ---------------------------------------------------------------------------
+# the canonical key
+
+
+def _primitive(x):
+    if type(x) is tuple:
+        return all(_primitive(e) for e in x)
+    return x is None or type(x) in (int, str, bool)
+
+
+def _one_field_changed(aux):
+    """aux with one field (of the state or of a writer/scanner record)
+    replaced by a value equal to nothing, for every field."""
+    for f in fields(AuxState):
+        value = getattr(aux, f.name)
+        if is_dataclass(value):
+            for g in fields(value):
+                yield evolve(aux, **{f.name: evolve(value, **{g.name: object()})})
+        else:
+            yield evolve(aux, **{f.name: object()})
+
+
+def test_aux_key_is_primitive_and_complete():
+    # An enum or a dataclass back in the state makes every key several times
+    # slower and fails no other test; a field left out of the key merges
+    # distinct states.
+    prog = parse_program("a: write x 2\nd: write y 1\ns: scan; scan\n")
+    rng = random.Random(5)
+    auxes = []
+    for _ in range(40):
+        state = initial_state(prog)
+        auxes.append(state.aux)
+        while enabled := enabled_tids(prog, state):
+            state = step_state(prog, state, rng.choice(enabled))[0]
+            auxes.append(state.aux)
+    groups = {}
+    for aux in auxes:
+        key = aux_key(aux)
+        assert _primitive(key)
+        groups.setdefault(key, set()).add(aux)
+    # equal keys only for equal states, and as many keys as distinct states
+    assert all(len(group) == 1 for group in groups.values())
+    assert len(groups) == len(set(auxes))
+    for variant in _one_field_changed(auxes[-1]):
+        assert aux_key(variant) != aux_key(auxes[-1])

@@ -6,14 +6,16 @@ import pytest
 
 from conftest import TS_X2, TS_X3, TS_X5, TS_Y1, hand_built_fig2a
 from snapcheck.aux_model import (
+    AuxState,
     Color,
-    OwnerKind,
     Ptr,
+    ScannerState,
+    WRITER_OFF,
     WriterPhase,
-    owner_masks,
     hist_p,
     last_green,
     scanned,
+    self_mask,
 )
 from snapcheck.aux_ops import (
     INSPECT_NO,
@@ -27,7 +29,7 @@ from snapcheck.aux_ops import (
     relink,
     set_scanner,
 )
-from snapcheck.errors import GuardViolationError
+from snapcheck.errors import GuardViolationError, UnknownTimestampError
 from snapcheck.snapshot import init
 
 
@@ -63,15 +65,15 @@ def test_register_allocates_max_plus_one():
     aux, t5 = register("a", Ptr.X, 6, aux)
     assert t5 == 5
     assert aux.sigma[-1] == 5
-    assert aux.hist[5].owner.kind is OwnerKind.JOINT
+    assert (aux.joint_mask >> 5) & 1
 
 
 def test_register_color_depends_on_scan_phase():
     aux = scanning(fresh())
     aux2, t = register("a", Ptr.X, 3, aux)
-    assert aux2.kappa[t] is Color.YELLOW
+    assert aux2.kappa[t - 1] == Color.YELLOW
     off, t2 = register("a", Ptr.X, 3, fresh())
-    assert off.kappa[t2] is Color.RED
+    assert off.kappa[t2 - 1] == Color.RED
 
 
 def test_register_guard():
@@ -87,9 +89,9 @@ def test_register_guard():
 def test_check_branches():
     aux, t = register("a", Ptr.X, 2, fresh())
     fwd = check("a", Ptr.X, True, aux)
-    assert fwd.wx.phase is WriterPhase.FWD and (fwd.wx.t, fwd.wx.v) == (t, 2)
+    assert fwd.wx.phase == WriterPhase.FWD and (fwd.wx.t, fwd.wx.v) == (t, 2)
     done = check("a", Ptr.X, False, aux)
-    assert done.wx.phase is WriterPhase.DONE
+    assert done.wx.phase == WriterPhase.DONE
     with pytest.raises(GuardViolationError):
         check("a", Ptr.X, True, fresh())
 
@@ -99,8 +101,8 @@ def test_forward_greens_under_active_scan():
     aux, t = register("a", Ptr.X, 3, aux)
     aux = check("a", Ptr.X, True, aux)
     aux = forward("a", Ptr.X, aux)
-    assert aux.kappa[t] is Color.GREEN
-    assert aux.wx.phase is WriterPhase.DONE
+    assert aux.kappa[t - 1] == Color.GREEN
+    assert aux.wx.phase == WriterPhase.DONE
 
 
 def test_forward_keeps_color_when_scan_gone():
@@ -109,7 +111,7 @@ def test_forward_keeps_color_when_scan_gone():
     aux = check("a", Ptr.X, True, aux)
     aux = set_scanner(False, aux)  # scan toggles off before the forward
     aux = forward("a", Ptr.X, aux)
-    assert aux.kappa[t] is Color.YELLOW
+    assert aux.kappa[t - 1] == Color.YELLOW
 
 
 def test_forward_guard():
@@ -125,17 +127,16 @@ def test_finalize_records_current_max_as_end_time():
     aux = check("a", Ptr.X, False, aux)
     aux, _ = write_through("b", Ptr.Y, 1, aux)  # t=4
     aux, _ = register("b", Ptr.Y, 4, aux)  # t=5
-    assert sorted(aux.hist) == [1, 2, 3, 4, 5]
+    assert aux.max_ts() == 5
     aux = finalize("a", Ptr.X, aux)
-    assert aux.tau[3] == 5
+    assert aux.tau[3 - 1] == 5
 
 
 def test_finalize_moves_ownership():
     aux, t = write_through("a", Ptr.X, 2, fresh())
-    _, joint_mask, self_masks = owner_masks(aux)
-    assert (self_masks["a"] >> t) & 1
-    assert not (joint_mask >> t) & 1
-    assert aux.wx.phase is WriterPhase.OFF
+    assert (self_mask(aux, "a") >> t) & 1
+    assert not (aux.joint_mask >> t) & 1
+    assert aux.wx.phase == WriterPhase.OFF
 
 
 def test_finalize_guard():
@@ -180,10 +181,10 @@ def test_clear_greens_subhistory(fig2a):
     aux = relink(2, 1, aux)[0]
     aux = set_scanner(True, aux)
     aux2 = clear(Ptr.X, aux)
-    assert all(aux2.kappa[t] is Color.GREEN for t in hist_p(Ptr.X, aux2))
+    assert all(aux2.kappa[t - 1] == Color.GREEN for t in hist_p(Ptr.X, aux2))
     # y untouched
-    assert [aux2.kappa[t] for t in hist_p(Ptr.Y, aux2)] == [
-        aux.kappa[t] for t in hist_p(Ptr.Y, aux)
+    assert [aux2.kappa[t - 1] for t in hist_p(Ptr.Y, aux2)] == [
+        aux.kappa[t - 1] for t in hist_p(Ptr.Y, aux)
     ]
     with pytest.raises(GuardViolationError):
         clear(Ptr.X, aux2)
@@ -195,8 +196,8 @@ def test_clear_greens_subhistory(fig2a):
 
 def test_inspect_detects_missed_write(fig2a):
     d = inspect(TS_X2, TS_Y1, fig2a)
-    assert d.is_yes and d.ptr is Ptr.X and d.target == TS_X3
-    assert fig2a.kappa[d.target] is Color.YELLOW
+    assert d.is_yes and d.ptr == Ptr.X and d.target == TS_X3
+    assert fig2a.kappa[d.target - 1] == Color.YELLOW
 
 
 def test_inspect_no_when_earlier_is_yellow(fig2a):
@@ -206,27 +207,33 @@ def test_inspect_no_when_earlier_is_yellow(fig2a):
 
 
 def test_inspect_no_without_event_between():
-    aux = hand_built_fig2a()
-    # drop the yellow write of 3: last green of x is then 3=TS_X2 and no
-    # x-event sits strictly between it and t_y
-    hist = dict(aux.hist)
-    del hist[TS_X3]
-    kappa = dict(aux.kappa)
-    del kappa[TS_X3]
-    tau = dict(aux.tau)
-    del tau[TS_X3]
-    from dataclasses import replace
-
-    aux = replace(
-        aux, hist=hist, kappa=kappa, tau=tau, sigma=(1, 2, 3, 5)
+    # fig2a without the yellow write of 3 (so the write of 1 is event 4):
+    # last green of x is 3=TS_X2 and no x-event sits strictly between it
+    # and t_y
+    g = Color.GREEN
+    aux = AuxState(
+        ptr=(Ptr.X, Ptr.Y, Ptr.X, Ptr.Y),
+        val=(5, 0, 2, 1),
+        kappa=(g, g, g, g),
+        tau=(2, 2, 3, 4),
+        init_mask=0b110,
+        joint_mask=0,
+        self_masks=(("l", 0b11000),),
+        sigma=(1, 2, 3, 4),
+        wx=WRITER_OFF,
+        wy=WRITER_OFF,
+        scanner=ScannerState(on=False, t_off=4, sx=True, sy=True),
     )
-    assert inspect(TS_X2, TS_Y1, aux) == INSPECT_NO
+    assert inspect(TS_X2, 4, aux) == INSPECT_NO
 
 
-def test_inspect_precondition():
+def test_inspect_precondition(fig2a):
     aux = fresh()  # scanner bits unset
     with pytest.raises(GuardViolationError):
         inspect(1, 2, aux)
+    for t in (0, -1, 6):
+        with pytest.raises(UnknownTimestampError):
+            inspect(t, TS_Y1, fig2a)
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +296,8 @@ def test_push_mono_clauses():
 def test_relink_reorders_missed_write(fig2a):
     aux, t_x, t_y = relink(2, 1, fig2a)
     assert (t_x, t_y) == (TS_X2, TS_Y1)
-    assert [aux.hist[t].rec.val for t in aux.sigma] == [5, 0, 2, 1, 3]
-    assert aux.kappa[t_x] is Color.GREEN and aux.kappa[t_y] is Color.GREEN
+    assert [aux.val[t - 1] for t in aux.sigma] == [5, 0, 2, 1, 3]
+    assert aux.kappa[t_x - 1] == Color.GREEN and aux.kappa[t_y - 1] == Color.GREEN
     assert not aux.scanner.sx and not aux.scanner.sy
     assert t_x == last_green(Ptr.X, aux) and t_y == last_green(Ptr.Y, aux)
     assert {TS_X5, 2, TS_X2, TS_Y1} <= scanned(aux)
@@ -301,7 +308,7 @@ def test_relink_keeps_order_when_snapshot_valid(fig2a):
     aux, t_x, t_y = relink(3, 1, fig2a)
     assert t_x == TS_X3
     assert aux.sigma == fig2a.sigma
-    assert aux.kappa[TS_X3] is Color.GREEN
+    assert aux.kappa[TS_X3 - 1] == Color.GREEN
 
 
 def test_relink_guard(fig2a):

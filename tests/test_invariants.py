@@ -26,6 +26,11 @@ def fig2a_phys():
     return PhysState(x=3, y=1, fx=2, fy=1, s_bit=False, lock_scan="c")
 
 
+def at(values, t, value):
+    """A per-event tuple with event t's entry replaced."""
+    return values[: t - 1] + (value,) + values[t:]
+
+
 def test_init_state_clean():
     phys, aux = init(5, 0)
     assert check_state(phys, aux).ok
@@ -39,9 +44,7 @@ def test_fig2a_state_clean():
 def test_color_pattern_violation():
     # green, red, yellow on the x-history breaks green+/yellow?/red*
     aux = hand_built_fig2a()
-    kappa = dict(aux.kappa)
-    kappa[TS_X2] = Color.RED
-    bad = replace(aux, kappa=kappa)
+    bad = replace(aux, kappa=at(aux.kappa, TS_X2, Color.RED))
     rep = check_state(fig2a_phys(), bad)
     assert any(v.name == "colors" for v in rep.violations)
 
@@ -65,9 +68,7 @@ def test_red_zone_violation():
     # a red event squeezed before a green one while the scan is reading
     # forwarding cells
     aux = hand_built_fig2a()
-    kappa = dict(aux.kappa)
-    kappa[TS_X2] = Color.RED
-    kappa[TS_X3] = Color.GREEN
+    kappa = at(at(aux.kappa, TS_X2, Color.RED), TS_X3, Color.GREEN)
     bad = replace(aux, kappa=kappa)
     rep = check_state(fig2a_phys(), bad)
     assert any(v.name == "red-zone" for v in rep.violations)
@@ -81,9 +82,7 @@ def test_forwarded_values_violation():
 
 def test_terminated_events_violation():
     aux = hand_built_fig2a()
-    tau = dict(aux.tau)
-    del tau[TS_Y1]
-    rep = check_state(fig2a_phys(), replace(aux, tau=tau))
+    rep = check_state(fig2a_phys(), replace(aux, tau=at(aux.tau, TS_Y1, None)))
     assert any(v.name == "terminated-events" for v in rep.violations)
 
 
@@ -94,7 +93,7 @@ def test_terminated_events_violation():
 def test_register_grows_history_by_one():
     _, aux = init(5, 0)
     aux2, _ = register("a", Ptr.X, 3, aux)
-    assert len(aux2.hist) == len(aux.hist) + 1
+    assert aux2.max_ts() == aux.max_ts() + 1
     assert check_transition(aux, aux2).ok
 
 
@@ -107,13 +106,16 @@ def test_relink_preserves_stable_order():
 
 def test_transition_catches_lost_event():
     aux = hand_built_fig2a()
-    hist = dict(aux.hist)
-    del hist[TS_Y1]
-    kappa = dict(aux.kappa)
-    del kappa[TS_Y1]
-    tau = dict(aux.tau)
-    del tau[TS_Y1]
-    shrunk = replace(aux, hist=hist, kappa=kappa, tau=tau, sigma=aux.sigma[:-1])
+    # TS_Y1 is the last event: drop it from every field
+    shrunk = replace(
+        aux,
+        ptr=aux.ptr[:-1],
+        val=aux.val[:-1],
+        kappa=aux.kappa[:-1],
+        tau=aux.tau[:-1],
+        self_masks=(("l", 1 << TS_X2), ("r", 1 << TS_X3)),
+        sigma=aux.sigma[:-1],
+    )
     rep = check_transition(aux, shrunk)
     assert any(v.name == "hist-mono" for v in rep.violations)
 
@@ -121,9 +123,7 @@ def test_transition_catches_lost_event():
 def test_transition_catches_scanned_ideal_change():
     aux = hand_built_fig2a()
     # recolor an already-scanned event red: scanned shrinks
-    kappa = dict(aux.kappa)
-    kappa[1] = Color.RED
-    rep = check_transition(aux, replace(aux, kappa=kappa))
+    rep = check_transition(aux, replace(aux, kappa=at(aux.kappa, 1, Color.RED)))
     assert any(v.name.startswith(("scanned", "omega")) for v in rep.violations)
 
 
@@ -228,10 +228,7 @@ def test_omega_properties_clean():
 def test_omega_antisymmetry_catches_corruption():
     aux = hand_built_fig2a()
     # forge end times that order two events both ways
-    tau = dict(aux.tau)
-    tau[TS_X2] = 1
-    tau[1] = 1
-    bad = replace(aux, tau=tau, sigma=aux.sigma)
+    bad = replace(aux, tau=at(at(aux.tau, TS_X2, 1), 1, 1))
     rep = check_omega_properties(bad)
     assert not rep.ok
 
@@ -248,8 +245,17 @@ def test_transition_catches_rewritten_value():
     # rewriting a scanned event's value is caught before it can silently
     # change an already-observed snapshot
     aux = hand_built_fig2a()
-    hist = dict(aux.hist)
-    hist[3] = replace(hist[3], rec=replace(hist[3].rec, val=7))
-    forged = replace(aux, hist=hist)
+    forged = replace(aux, val=at(aux.val, 3, 7))
     rep = check_transition(aux, forged)
     assert not rep.ok
+
+
+def test_transition_catches_init_event_made_joint():
+    # every thread's environment holds the init events, also a thread that
+    # has finished nothing yet
+    _, aux = init(5, 0)
+    post = replace(aux, init_mask=0b100, joint_mask=0b010)
+    rep = check_transition(aux, post)
+    assert [(v.name, v.detail) for v in rep.violations] == [
+        ("hist-mono", "other history of a thread without finished events shrank")
+    ]

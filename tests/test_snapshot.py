@@ -29,8 +29,8 @@ def test_init_state():
     phys, aux = init(5, 0)
     assert (phys.x, phys.y, phys.fx, phys.fy, phys.s_bit) == (5, 0, None, None, False)
     assert aux.sigma == (1, 2)
-    assert aux.kappa == {1: Color.GREEN, 2: Color.GREEN}
-    assert aux.tau == {1: 2, 2: 2}
+    assert aux.kappa == (Color.GREEN, Color.GREEN)
+    assert aux.tau == (2, 2)
 
 
 def test_init_passes_invariant_suite():
