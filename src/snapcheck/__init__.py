@@ -32,7 +32,6 @@ from .errors import (
 from .harness import (
     FIG1_SCHEDULE,
     ExplorationReport,
-    MethodRecord,
     Program,
     Trace,
     client_e,
@@ -45,7 +44,7 @@ from .harness import (
     run_schedule,
 )
 from .invariants import SpecSnapshot, Violation, ViolationReport
-from .oracle import OpRecord, linearizable, replay_sequential, validate_witness
+from .oracle import MethodRecord, linearizable, replay_sequential, validate_witness
 from .snapshot import MethodCall, PhysState, init
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes are a stable contract: 0 ok, 1 violation found, 2 state budget
-exceeded, 3 invalid schedule, 4 parse error.
+Exit codes are a stable contract: 0 ok, 1 violation found, 2 state or
+oracle budget exceeded, 3 invalid schedule, 4 parse error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from pathlib import Path
 from . import oracle, tracefile
 from .errors import (
     BudgetExceededError,
+    OracleSizeError,
     ScheduleError,
     SnapshotModelError,
     TraceParseError,
@@ -95,8 +96,8 @@ def _cmd_demo_fig1(args) -> int:
     if trace.final_sigma_values != (5, 0, 2, 1, 3):
         problems.append(f"final sigma values {trace.final_sigma_values}, expected (5, 0, 2, 1, 3)")
     witness = oracle.linearizable(oracle.ops_from_trace(trace))
-    core = [(op.kind, op.p, op.v) for op in (witness or ()) if op.tid != "init"]
-    expected = [("write", "x", 2), ("write", "y", 1), ("scan", None, None), ("write", "x", 3)]
+    core = [op.call.render() for op in (witness or ()) if op.tid != "init"]
+    expected = ["write x 2", "write y 1", "scan", "write x 3"]
     if core != expected:
         problems.append(f"oracle witness {core} does not match the expected sequentialization")
     else:
@@ -153,7 +154,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, OracleSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ScheduleError as exc:
@@ -169,3 +170,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

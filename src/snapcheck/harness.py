@@ -29,6 +29,7 @@ from .aux_model import (
 )
 from .errors import BudgetExceededError, ScheduleError, TraceParseError
 from .invariants import Violation
+from .oracle import MethodRecord
 from .snapshot import (
     LOCK_SCAN,
     MethodCall,
@@ -72,15 +73,25 @@ class Program:
 
 @dataclass(frozen=True)
 class ThreadEntry:
+    """A thread's next call, its frame while that call is in flight, and the
+    step index at which it was invoked (path bookkeeping, left out of the
+    frame so that it stays out of the frame's key)."""
+
     call_idx: int
     frame: MethodFrame | None
+    invocation: int | None = None
 
 
 @dataclass(frozen=True)
 class State:
+    """Machine state plus two path fields, which ``state_key`` leaves out:
+    the methods completed on the path that reached it, and its length."""
+
     phys: PhysState
     aux: AuxState
     threads: tuple[tuple[Tid, ThreadEntry], ...]  # sorted by tid
+    methods: tuple[MethodRecord, ...] = ()
+    clock: int = 0
 
     def entry(self, tid: Tid) -> ThreadEntry:
         for t, e in self.threads:
@@ -97,12 +108,13 @@ class State:
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """What a step did; on a return, the method's record is the last of the
+    post-state's ``methods``."""
+
     tid: Tid
-    call_idx: int
     label: str
     kind: str
     ptr: str | None
-    invoked: bool
     returned: bool
     frame: MethodFrame
 
@@ -114,23 +126,6 @@ class StepRecord:
     label: str
     phys_digest: str
     aux_digest: str
-
-
-@dataclass(frozen=True)
-class MethodRecord:
-    """One completed method: arguments, result, real-time interval, and the
-    timestamps tying it to the logical order (the write's event, or the
-    scan's witness and chosen per-pointer events)."""
-
-    tid: Tid
-    call: MethodCall
-    result: tuple[Value, Value] | None
-    invocation: int
-    response: int
-    t: Timestamp | None = None
-    witness: Timestamp | None = None
-    witness_x: Timestamp | None = None
-    witness_y: Timestamp | None = None
 
 
 @dataclass(frozen=True)
@@ -158,15 +153,14 @@ class Trace:
 @dataclass
 class ExplorationReport:
     """Outcome of ``explore`` or ``run_random``.  In random mode ``states``
-    is None (runs are not merged into a state graph) and ``edges`` counts
-    every step taken."""
+    is None (runs are not merged into a state graph), ``edges`` counts every
+    step taken and ``schedules`` the runs."""
 
     program: str
     mode: str
     states: int | None
     edges: int
     schedules: int
-    runs: int | None
     seed: int | None
     scan_results: frozenset[tuple[Value, Value]]
     violations: list[Violation]
@@ -183,7 +177,7 @@ class ExplorationReport:
             f"mode: {self.mode}",
         ]
         if self.mode == "random":
-            lines += [f"seed: {self.seed}", f"runs: {self.runs}", f"steps: {self.edges}"]
+            lines += [f"seed: {self.seed}", f"runs: {self.schedules}", f"steps: {self.edges}"]
         else:
             lines += [f"states: {self.states}", f"edges: {self.edges}"]
         lines += [
@@ -234,36 +228,49 @@ def enabled_tids(prog: Program, state: State) -> list[Tid]:
 
 def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, StepOutcome]:
     """Apply tid's next atomic step.  A thread starting a new call gets its
-    frame (and pre-state snapshot) created here, just before its acquire."""
+    frame (and pre-state snapshot) created here, just before its acquire; a
+    returning call adds its record to the post-state's methods."""
     entry = state.entry(tid)
-    frame = entry.frame
-    invoked = False
+    frame, invocation = entry.frame, entry.invocation
     if frame is None:
-        call = prog.calls_of(tid)[entry.call_idx]
-        frame = make_frame(tid, call, state.aux)
-        invoked = True
+        frame = make_frame(tid, prog.calls_of(tid)[entry.call_idx], state.aux)
+        invocation = state.clock
     step = frame.current_step()
     phys2, aux2, frame2 = apply_step(step, state.phys, state.aux, frame)
-    outcome = StepOutcome(
-        tid=tid,
-        call_idx=entry.call_idx,
-        label=step.label,
-        kind=step.kind,
-        ptr=step.ptr,
-        invoked=invoked,
-        returned=frame2.returned and not frame.returned,
-        frame=frame2,
-    )
+    returned = frame2.returned and not frame.returned
+    methods = state.methods
+    if returned:
+        methods += (_method_record(frame2, aux2, invocation, state.clock),)
     if frame2.done:
         entry2 = ThreadEntry(entry.call_idx + 1, None)
     else:
-        entry2 = ThreadEntry(entry.call_idx, frame2)
-    return State(phys2, aux2, state.threads).with_entry(tid, entry2), outcome
+        entry2 = ThreadEntry(entry.call_idx, frame2, invocation)
+    post = State(phys2, aux2, state.threads, methods, state.clock + 1)
+    outcome = StepOutcome(tid, step.label, step.kind, step.ptr, returned, frame2)
+    return post.with_entry(tid, entry2), outcome
+
+
+def _method_record(fr: MethodFrame, aux: AuxState, invocation: int, response: int) -> MethodRecord:
+    if fr.call.kind == "write":
+        return MethodRecord(fr.tid, fr.call, None, invocation, response, t=fr.t)
+    wx, wy = fr.witness_x, fr.witness_y
+    witness = wx if aux.sigma.index(wx) >= aux.sigma.index(wy) else wy
+    return MethodRecord(
+        fr.tid,
+        fr.call,
+        fr.result,
+        invocation,
+        response,
+        witness=witness,
+        witness_x=wx,
+        witness_y=wy,
+    )
 
 
 def state_key(state: State) -> bytes:
-    """128-bit fingerprint of the combined state (method records excluded:
-    they are path bookkeeping, not machine state)."""
+    """128-bit fingerprint of the combined state (the path fields and
+    invocation indices excluded: they are path bookkeeping, not machine
+    state)."""
     key = (
         phys_key(state.phys),
         aux_key(state.aux),
@@ -280,16 +287,14 @@ def state_key(state: State) -> bytes:
 
 
 class _Checker:
-    """Accumulates violations, scan results, and per-path method records;
-    with ``record_steps``, also the digests of every state a run passes."""
+    """Accumulates the verdicts of every state and edge it is shown:
+    violations, scan results and the number of runs the oracle checked.
+    Everything about the path lives on the states themselves."""
 
-    def __init__(self, prog: Program, record_steps: bool = False):
+    def __init__(self, prog: Program):
         self.prog = prog
         self.violations: list[Violation] = []
         self.scan_results: set[tuple[Value, Value]] = set()
-        self.methods: list[MethodRecord] = []
-        self.steps: list[StepRecord] | None = [] if record_steps else None
-        self.pending_inv: dict[tuple[Tid, int], int] = {}
         self.executions_checked = 0
 
     def _absorb(self, rep: invariants.ViolationReport, idx: int) -> None:
@@ -297,14 +302,13 @@ class _Checker:
             rep.stamp(idx)
             self.violations.extend(rep.violations)
 
-    def on_state(self, state: State, idx: int) -> None:
-        self._absorb(invariants.check_all(state.phys, state.aux), idx)
+    def on_state(self, state: State) -> None:
+        self._absorb(invariants.check_all(state.phys, state.aux), state.clock - 1)
 
-    def on_edge(self, pre: State, post: State, out: StepOutcome, idx: int) -> tuple:
+    def on_edge(self, pre: State, post: State, out: StepOutcome) -> None:
+        idx = pre.clock
         self._absorb(invariants.check_transition(pre.aux, post.aux), idx)
         fr = out.frame
-        if out.invoked:
-            self.pending_inv[(out.tid, out.call_idx)] = idx
         if out.kind == "read":
             sc = post.aux.scanner
             if sc.on and sc.bit(out.ptr):
@@ -315,9 +319,6 @@ class _Checker:
                 invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y), idx
             )
         if out.returned:
-            inv = self.pending_inv[(out.tid, out.call_idx)]
-            rec = self._method_record(out, post, inv, idx)
-            self.methods.append(rec)
             if fr.call.kind == "write":
                 self._absorb(
                     invariants.check_write_post(
@@ -327,43 +328,13 @@ class _Checker:
                 )
             else:
                 self.scan_results.add(fr.result)
+                witness = post.methods[-1].witness
                 self._absorb(
-                    invariants.check_scan_post(fr.snapshot, post.aux, fr.result, rec.witness),
+                    invariants.check_scan_post(fr.snapshot, post.aux, fr.result, witness),
                     idx,
                 )
-        if self.steps is not None:
-            self.steps.append(
-                StepRecord(idx, out.tid, out.label, phys_digest(post.phys), aux_digest(post.aux))
-            )
-        return (out.tid, out.call_idx, out.invoked, out.returned)
 
-    def undo(self, token: tuple) -> None:
-        tid, call_idx, invoked, returned = token
-        if returned:
-            self.methods.pop()
-        if invoked:
-            del self.pending_inv[(tid, call_idx)]
-
-    def _method_record(
-        self, out: StepOutcome, post: State, inv: int, idx: int
-    ) -> MethodRecord:
-        fr = out.frame
-        if fr.call.kind == "write":
-            return MethodRecord(out.tid, fr.call, None, inv, idx, t=fr.t)
-        pos = {t: i for i, t in enumerate(post.aux.sigma)}
-        w = fr.witness_x if pos[fr.witness_x] >= pos[fr.witness_y] else fr.witness_y
-        return MethodRecord(
-            out.tid,
-            fr.call,
-            fr.result,
-            inv,
-            idx,
-            witness=w,
-            witness_x=fr.witness_x,
-            witness_y=fr.witness_y,
-        )
-
-    def finish(self, state: State, schedule) -> Trace:
+    def finish(self, state: State, schedule, steps=()) -> Trace:
         """Build the record of a completed run and check it with both
         oracle routes.  Oracle failures join the checker's violations; the
         record's own violation list is left empty."""
@@ -374,8 +345,8 @@ class _Checker:
             init_x=prog.init_x,
             init_y=prog.init_y,
             schedule=tuple(schedule),
-            steps=tuple(self.steps or ()),
-            methods=tuple(self.methods),
+            steps=tuple(steps),
+            methods=state.methods,
             final_sigma=aux.sigma,
             final_sigma_values=tuple(aux.val[t - 1] for t in aux.sigma),
             final_kappa=tuple(enumerate(aux.kappa, 1)),
@@ -384,7 +355,7 @@ class _Checker:
             violations=(),
         )
         self.executions_checked += 1
-        idx = len(schedule)
+        idx = state.clock
         if not oracle.validate_witness(trace):
             self.violations.append(
                 Violation("oracle-witness", f"witness order rejected for {trace.schedule}", idx)
@@ -398,6 +369,21 @@ class _Checker:
                 )
             )
         return trace
+
+    def report(self, mode: str, states, edges, schedules, seed=None, executions=()):
+        """The report of every run this checker was shown."""
+        return ExplorationReport(
+            program=self.prog.name,
+            mode=mode,
+            states=states,
+            edges=edges,
+            schedules=schedules,
+            seed=seed,
+            scan_results=frozenset(self.scan_results),
+            violations=self.violations,
+            executions=list(executions),
+            executions_checked=self.executions_checked,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +401,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     """
     checker = _Checker(prog)
     state0 = initial_state(prog)
-    checker.on_state(state0, -1)
+    checker.on_state(state0)
     visited: dict[bytes, int] = {}
     sched: list[Tid] = []
     executions: list[Trace] = []
@@ -432,56 +418,48 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             visited[key] = 1
             return 1
         total = 0
-        idx = len(sched)
         for tid in enabled:
             post, out = step_state(prog, state, tid)
             edges += 1
             pkey = state_key(post)
             known = visited.get(pkey)
             if known is None:
-                checker.on_state(post, idx)
-            token = checker.on_edge(state, post, out, idx)
+                checker.on_state(post)
+            checker.on_edge(state, post, out)
             if known is None:
                 sched.append(tid)
                 total += dfs(post, pkey)
                 sched.pop()
             else:
                 total += known
-            checker.undo(token)
         visited[key] = total
         return total
 
     schedules = dfs(state0, state_key(state0))
-    return ExplorationReport(
-        program=prog.name,
-        mode="exhaustive",
-        states=len(visited),
-        edges=edges,
-        schedules=schedules,
-        runs=None,
-        seed=None,
-        scan_results=frozenset(checker.scan_results),
-        violations=checker.violations,
-        executions=executions,
-        executions_checked=checker.executions_checked,
-    )
+    return checker.report("exhaustive", len(visited), edges, schedules, executions=executions)
 
 
-def _drive(prog: Program, choose, checker: _Checker | None) -> tuple[State, list[Tid]]:
+def _drive(
+    prog: Program, choose, checker: _Checker | None, steps: list[StepRecord] | None = None
+) -> tuple[State, list[Tid]]:
     """Run prog from its initial state.  ``choose(idx, enabled)`` names the
     thread that takes step idx, or None to stop; every state and edge on the
-    way goes through ``checker`` unless it is None.  Returns the last state
-    and the schedule taken."""
+    way goes through ``checker`` unless it is None, and the digests of every
+    state reached are appended to ``steps`` unless it is None.  Returns the
+    last state and the schedule taken."""
     state = initial_state(prog)
     if checker is not None:
-        checker.on_state(state, -1)
+        checker.on_state(state)
     sched: list[Tid] = []
-    while (tid := choose(len(sched), enabled_tids(prog, state))) is not None:
-        idx = len(sched)
+    while (tid := choose(state.clock, enabled_tids(prog, state))) is not None:
         post, out = step_state(prog, state, tid)
         if checker is not None:
-            checker.on_state(post, idx)
-            checker.on_edge(state, post, out, idx)
+            checker.on_state(post)
+            checker.on_edge(state, post, out)
+        if steps is not None:
+            steps.append(
+                StepRecord(state.clock, tid, out.label, phys_digest(post.phys), aux_digest(post.aux))
+            )
         sched.append(tid)
         state = post
     return state, sched
@@ -510,9 +488,10 @@ def run_schedule(prog: Program, schedule) -> Trace:
     Raises :class:`ScheduleError` when the schedule picks a thread with no
     enabled step or stops before the program completes.
     """
-    checker = _Checker(prog, record_steps=True)
-    state, sched = _drive(prog, _follow(tuple(schedule), complete=True), checker)
-    trace = checker.finish(state, sched)
+    checker = _Checker(prog)
+    steps: list[StepRecord] = []
+    state, sched = _drive(prog, _follow(tuple(schedule), complete=True), checker, steps)
+    trace = checker.finish(state, sched, steps)
     return evolve(trace, violations=tuple(v.render() for v in checker.violations))
 
 
@@ -528,33 +507,16 @@ def run_random(prog: Program, seed: int, runs: int) -> ExplorationReport:
     def choose(idx: int, enabled: list[Tid]) -> Tid | None:
         return enabled[rng.randrange(len(enabled))] if enabled else None
 
-    violations: list[Violation] = []
-    results: set[tuple[Value, Value]] = set()
-    executions_checked = 0
+    checker = _Checker(prog)
     total_steps = 0
     for run in range(runs):
-        checker = _Checker(prog)
+        before = len(checker.violations)
         state, sched = _drive(prog, choose, checker)
         checker.finish(state, sched)
         total_steps += len(sched)
-        for v in checker.violations:
+        for v in checker.violations[before:]:
             v.detail = f"run {run}: {v.detail}"
-        violations.extend(checker.violations)
-        results |= checker.scan_results
-        executions_checked += checker.executions_checked
-    return ExplorationReport(
-        program=prog.name,
-        mode="random",
-        states=None,
-        edges=total_steps,
-        schedules=runs,
-        runs=runs,
-        seed=seed,
-        scan_results=frozenset(results),
-        violations=violations,
-        executions=[],
-        executions_checked=executions_checked,
-    )
+    return checker.report("random", None, total_steps, runs, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -12,58 +12,45 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .aux_model import Ptr, Tid, Timestamp, Value
 from .errors import OracleSizeError
+from .snapshot import MethodCall
 
 LINEARIZE_LIMIT = 8
 
 
 @dataclass(frozen=True)
-class OpRecord:
-    """One completed operation with its real-time interval.
+class MethodRecord:
+    """One completed method: arguments, result, real-time interval, and the
+    timestamps tying it to the logical order (the write's event, or the
+    scan's witness and chosen per-pointer events)."""
 
-    ``timestamp`` ties the operation to the logical order: the write's own
-    event, or the scan's witness event.  Initializing writes are modelled as
-    operations with negative indices so they precede everything.
-    """
-
-    kind: str  # "write" | "scan"
-    p: str | None
-    v: int | None
-    result: tuple[int, int] | None
+    tid: Tid
+    call: MethodCall
+    result: tuple[Value, Value] | None
     invocation: int
     response: int
-    timestamp: int | None = None
-    tid: str = ""
+    t: Timestamp | None = None
+    witness: Timestamp | None = None
+    witness_x: Timestamp | None = None
+    witness_y: Timestamp | None = None
 
 
-def init_ops(init_x: int, init_y: int) -> tuple[OpRecord, OpRecord]:
+def init_ops(init_x: Value, init_y: Value) -> tuple[MethodRecord, MethodRecord]:
+    """The initializing writes, as methods of thread ``init`` with negative
+    indices so that they precede everything."""
     return (
-        OpRecord("write", "x", init_x, None, -4, -3, timestamp=1, tid="init"),
-        OpRecord("write", "y", init_y, None, -2, -1, timestamp=2, tid="init"),
+        MethodRecord("init", MethodCall.write(Ptr.X, init_x), None, -4, -3, t=1),
+        MethodRecord("init", MethodCall.write(Ptr.Y, init_y), None, -2, -1, t=2),
     )
 
 
-def ops_from_trace(trace) -> tuple[OpRecord, ...]:
-    """The run record's completed methods as operations, after the two
-    initializing writes; an empty record has none."""
+def ops_from_trace(trace) -> tuple[MethodRecord, ...]:
+    """The run record's completed methods, after the two initializing
+    writes; an empty record has none."""
     if not trace.methods and not trace.final_sigma:
         return ()
-    ops = list(init_ops(trace.init_x, trace.init_y))
-    for m in trace.methods:
-        scan = m.call.kind == "scan"
-        ops.append(
-            OpRecord(
-                m.call.kind,
-                None if scan else m.call.p,
-                m.call.v,
-                tuple(m.result) if scan else None,
-                m.invocation,
-                m.response,
-                timestamp=m.witness if scan else m.t,
-                tid=m.tid,
-            )
-        )
-    return tuple(ops)
+    return init_ops(trace.init_x, trace.init_y) + trace.methods
 
 
 def replay_sequential(order) -> bool:
@@ -71,14 +58,14 @@ def replay_sequential(order) -> bool:
     update it, every scan must return exactly the current pair."""
     x = y = None
     for op in order:
-        if op.kind == "write":
-            if op.p == "x":
-                x = op.v
+        call = op.call
+        if call.kind == "write":
+            if call.p == Ptr.X:
+                x = call.v
             else:
-                y = op.v
-        else:
-            if (x, y) != tuple(op.result):
-                return False
+                y = call.v
+        elif (x, y) != tuple(op.result):
+            return False
     return True
 
 
@@ -120,15 +107,15 @@ def witness_order(trace):
     writes, with every scan inserted right after its witness timestamp.
     Returns None when the trace's methods and sigma do not line up."""
     ops = ops_from_trace(trace)
-    writes = {op.timestamp: op for op in ops if op.kind == "write"}
-    scans = [op for op in ops if op.kind == "scan"]
+    writes = {op.t: op for op in ops if op.call.kind == "write"}
+    scans = [op for op in ops if op.call.kind == "scan"]
     seq = []
     for ts in trace.final_sigma:
         w = writes.get(ts)
         if w is not None:
             seq.append(w)
         for s in scans:
-            if s.timestamp == ts:
+            if s.witness == ts:
                 seq.append(s)
     if len(seq) != len(ops):
         return None
@@ -144,9 +131,8 @@ def validate_witness(trace) -> bool:
     seq = witness_order(trace)
     if seq is None:
         return False
-    pos = {op: i for i, op in enumerate(seq)}
-    for a in seq:
-        for b in seq:
-            if a.response < b.invocation and pos[a] > pos[b]:
+    for i, b in enumerate(seq):
+        for a in seq[i + 1 :]:
+            if a.response < b.invocation:
                 return False
     return replay_sequential(seq)

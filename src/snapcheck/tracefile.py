@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 
 from .errors import TraceParseError
-from .harness import MethodRecord, StepRecord, Trace
+from .harness import StepRecord, Trace
+from .oracle import MethodRecord
 from .snapshot import MethodCall
 
 
@@ -77,6 +78,9 @@ def render_trace(trace: Trace) -> str:
 
 
 def parse_trace(text: str) -> Trace:
+    """The run record a trace file holds.  A file with no record at all is
+    the empty record; any other file needs a header and ends with its
+    footer."""
     program = ""
     threads: tuple = ()
     init_x, init_y = 5, 0
@@ -88,14 +92,18 @@ def parse_trace(text: str) -> Trace:
     final_kappa: tuple = ()
     phys_digest = aux_digest = ""
     violations: tuple = ()
+    header = footer = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        if footer:
+            raise TraceParseError(f"line {lineno}: record after the footer")
         try:
             rec = json.loads(line)
             kind = rec["kind"]
             if kind == "header":
+                header = True
                 program = rec["program"]
                 threads = tuple((tid, tuple(calls)) for tid, calls in rec["threads"])
                 init_x, init_y = rec["init"]
@@ -125,12 +133,15 @@ def parse_trace(text: str) -> Trace:
                 final_kappa = tuple((t, c) for t, c in rec["kappa"])
                 phys_digest, aux_digest = rec["phys"], rec["aux"]
                 violations = tuple(rec["violations"])
+                footer = True
             else:
                 raise TraceParseError(f"line {lineno}: unknown record kind {kind!r}")
         except TraceParseError:
             raise
         except (KeyError, ValueError, TypeError) as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
+    if text.strip() and not (header and footer):
+        raise TraceParseError(f"no {'footer' if header else 'header'} record")
     return Trace(
         program=program,
         threads=threads,

@@ -1,10 +1,15 @@
-"""CLI wiring and the exit-code contract (0 ok, 1 violation, 2 budget,
-3 schedule, 4 parse)."""
+"""CLI wiring and the exit-code contract (0 ok, 1 violation, 2 state or
+oracle budget, 3 schedule, 4 parse)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import snapcheck
 from snapcheck.cli import main
 from snapcheck.harness import FIG1_SCHEDULE
 
@@ -43,6 +48,14 @@ def test_explore_program_file(tmp_path, capsys):
 
 def test_explore_budget_exit(capsys):
     assert main(["explore", "--client", "e", "--max-states", "10"]) == 2
+
+
+def test_explore_oracle_size_exit(tmp_path, capsys):
+    # seven writes and the two initializing ones: more than the oracle's 8
+    prog = tmp_path / "long.prog"
+    prog.write_text("a: " + "; ".join(f"write x {v}" for v in range(1, 8)) + "\n")
+    assert main(["explore", "--program", str(prog)]) == 2
+    assert "enumeration limit" in capsys.readouterr().err
 
 
 def test_explore_bad_program_file(tmp_path, capsys):
@@ -110,6 +123,16 @@ def test_check_parse_error(tmp_path, capsys):
     assert main(["check", "--trace", str(bad)]) == 4
 
 
+def test_check_truncated_trace(tmp_path, capsys):
+    out_file = tmp_path / "demo.trace"
+    main(["demo-fig1", "--out", str(out_file)])
+    capsys.readouterr()
+    lines = out_file.read_text().splitlines(keepends=True)
+    out_file.write_text("".join(lines[:-1]))  # drop the footer
+    assert main(["check", "--trace", str(out_file)]) == 4
+    assert "witness:" not in capsys.readouterr().out
+
+
 def test_check_missing_file(tmp_path, capsys):
     assert main(["check", "--trace", str(tmp_path / "nope.trace")]) == 4
 
@@ -118,3 +141,22 @@ def test_explore_value_out_of_domain(tmp_path, capsys):
     prog = tmp_path / "big.prog"
     prog.write_text("a: write x 99\n")
     assert main(["explore", "--program", str(prog)]) == 4
+
+
+def _run_module(*args):
+    env = dict(os.environ, PYTHONPATH=str(Path(snapcheck.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "snapcheck.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def test_module_entry_point(tmp_path):
+    missing = _run_module("check", "--trace", str(tmp_path / "nope.trace"))
+    assert missing.returncode == 4
+    explored = _run_module("explore", "--client", "e-prime")
+    assert explored.returncode == 0
+    assert "program: e-prime" in explored.stdout.splitlines()

@@ -1,9 +1,11 @@
 """Schedulers: exhaustive exploration, replay, random scheduling, clients."""
 
+import re
 from dataclasses import fields
 
 import pytest
 
+from snapcheck import invariants
 from snapcheck.aux_model import Ptr
 from snapcheck.errors import BudgetExceededError, ScheduleError, TraceParseError
 from snapcheck.harness import (
@@ -71,22 +73,33 @@ def test_explore_budget():
         explore(client_e(), max_states=50)
 
 
-def test_exploration_soundness_replay():
-    # every execution produced by explore replays to the identical state
-    prog = Program(
-        "wxy-scan",
-        (
-            ("a", (MethodCall.write(Ptr.X, 2),)),
-            ("s", (MethodCall.scan(),)),
-        ),
-    )
+WXY_SCAN = Program(
+    "wxy-scan",
+    (
+        ("a", (MethodCall.write(Ptr.X, 2),)),
+        ("s", (MethodCall.scan(),)),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "prog",
+    [WXY_SCAN, next(p for p in generated_programs() if p.name == "gen-x1-y1")],
+    ids=lambda p: p.name,
+)
+def test_exploration_soundness_replay(prog):
+    """Every run record explore keeps, method records included, is the one a
+    fresh replay of its schedule builds: the records carried on the states
+    survive merging and backtracking."""
     report = explore(prog)
     assert report.executions
+    assert len(report.executions) == report.executions_checked
     for ex in report.executions:
         trace = run_schedule(prog, ex.schedule)
+        assert trace.methods == ex.methods
+        assert (trace.phys_digest, trace.aux_digest) == (ex.phys_digest, ex.aux_digest)
         assert trace.steps[-1].phys_digest == ex.phys_digest
         assert trace.steps[-1].aux_digest == ex.aux_digest
-        assert trace.methods == ex.methods
 
 
 def test_run_schedule_determinism():
@@ -119,6 +132,26 @@ def test_run_random_deterministic():
     # random runs are not merged into a state graph: steps, not states
     assert r1.states is None
     assert f"steps: {r1.edges}" in r1.render() and "states:" not in r1.render()
+
+
+def test_run_random_labels_each_violation_with_its_run(monkeypatch):
+    relink_post = invariants.check_relink_post
+
+    def one_more(*args):
+        rep = relink_post(*args)
+        rep.add("forced", "one per relink")
+        return rep
+
+    monkeypatch.setattr(invariants, "check_relink_post", one_more)
+    prog = parse_program("a: write x 2\nd: write y 1\ns: scan; scan\n", name="two-scan")
+    report = run_random(prog, seed=4, runs=3)
+    runs = []
+    for v in report.violations:
+        match = re.match(r"run (\d+): ", v.detail)
+        assert match and "run " not in v.detail[match.end() :]
+        runs.append(int(match.group(1)))
+    assert runs == sorted(runs)
+    assert set(runs) == {0, 1, 2}
 
 
 def test_run_random_results_subset_of_exhaustive():

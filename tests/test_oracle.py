@@ -6,8 +6,9 @@ import pytest
 
 from snapcheck.errors import OracleSizeError
 from snapcheck.harness import FIG1_SCHEDULE, client_fig1, run_schedule
+from snapcheck.snapshot import MethodCall
 from snapcheck.oracle import (
-    OpRecord,
+    MethodRecord,
     init_ops,
     linearizable,
     ops_from_trace,
@@ -18,11 +19,11 @@ from snapcheck.oracle import (
 
 
 def w(p, v, inv, resp):
-    return OpRecord("write", p, v, None, inv, resp, timestamp=None)
+    return MethodRecord("", MethodCall.write(p, v), None, inv, resp)
 
 
 def s(result, inv, resp):
-    return OpRecord("scan", None, None, result, inv, resp, timestamp=None)
+    return MethodRecord("", MethodCall.scan(), result, inv, resp)
 
 
 EQ1 = list(init_ops(5, 0)) + [
@@ -56,7 +57,7 @@ def test_linearizable_fig1_trace_matches_eq1():
     trace = run_schedule(client_fig1(), FIG1_SCHEDULE)
     witness = linearizable(ops_from_trace(trace))
     assert witness is not None
-    core = [(op.kind, op.p, op.v) for op in witness if op.tid != "init"]
+    core = [(op.call.kind, op.call.p, op.call.v) for op in witness if op.tid != "init"]
     assert core == [
         ("write", "x", 2),
         ("write", "y", 1),
@@ -78,7 +79,7 @@ def test_naive_scanner_counterexample_not_linearizable():
 def test_single_write_linearizable():
     ops = list(init_ops(5, 0)) + [w("x", 2, 0, 1)]
     order = linearizable(ops)
-    assert order is not None and order[-1].v == 2
+    assert order is not None and order[-1].call.v == 2
 
 
 def test_linearizable_size_limit():
@@ -91,7 +92,9 @@ def test_validate_witness_fig1():
     trace = run_schedule(client_fig1(), FIG1_SCHEDULE)
     assert validate_witness(trace)
     core = [
-        (op.kind, op.p, op.v) for op in witness_order(trace) if op.tid != "init"
+        (op.call.kind, op.call.p, op.call.v)
+        for op in witness_order(trace)
+        if op.tid != "init"
     ]
     assert core == [
         ("write", "x", 2),

@@ -42,6 +42,14 @@ def test_parse_rejects_garbage():
     with pytest.raises(TraceParseError):
         # a footer without the final state digests
         parse_trace('{"kind":"footer","sigma":[],"sigma_values":[],"kappa":[],"violations":[]}\n')
+    text = render_trace(run_schedule(client_fig1(), FIG1_SCHEDULE))
+    lines = text.splitlines(keepends=True)
+    with pytest.raises(TraceParseError, match="no footer"):
+        parse_trace("".join(lines[:-1]))  # truncated: the footer is lost
+    with pytest.raises(TraceParseError, match="no header"):
+        parse_trace("".join(lines[1:]))
+    with pytest.raises(TraceParseError, match="after the footer"):
+        parse_trace(text + lines[1])
 
 
 def test_one_record_per_line():
