@@ -4,8 +4,12 @@
 distinct states, so commuting interleavings are explored once), running the
 full invariant battery after every atomic step, the method postconditions at
 every return, and the brute-force oracle on one representative execution per
-distinct terminal state.  The exact number of maximal interleavings is
-computed by dynamic programming over the state graph.  ``run_schedule``
+distinct terminal state.  The state invariants read only the physical and
+auxiliary parts of a state and the transition invariants only the two
+auxiliary parts of an edge, so each distinct pair is evaluated once per run
+and its verdict replayed wherever the pair recurs (see ``_Checker``).  The
+exact number of maximal interleavings is computed by dynamic programming
+over the state graph.  ``run_schedule``
 deterministically replays an explicit schedule into a full trace, and
 ``run_random`` drives seeded random executions; both run one loop whose
 chooser follows the schedule or draws from the seeded RNG.
@@ -25,6 +29,7 @@ from .aux_model import (
     Value,
     aux_key,
     evolve,
+    memo,
     validate_value,
 )
 from .errors import BudgetExceededError, ScheduleError, TraceParseError
@@ -98,12 +103,6 @@ class State:
             if t == tid:
                 return e
         raise KeyError(tid)
-
-    def with_entry(self, tid: Tid, entry: ThreadEntry) -> "State":
-        return evolve(
-            self,
-            threads=tuple((t, entry if t == tid else e) for t, e in self.threads),
-        )
 
 
 @dataclass(frozen=True)
@@ -245,9 +244,16 @@ def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, StepOutcom
         entry2 = ThreadEntry(entry.call_idx + 1, None)
     else:
         entry2 = ThreadEntry(entry.call_idx, frame2, invocation)
-    post = State(phys2, aux2, state.threads, methods, state.clock + 1)
+    post = evolve(
+        state,
+        phys=phys2,
+        aux=aux2,
+        threads=tuple((t, entry2 if t == tid else e) for t, e in state.threads),
+        methods=methods,
+        clock=state.clock + 1,
+    )
     outcome = StepOutcome(tid, step.label, step.kind, step.ptr, returned, frame2)
-    return post.with_entry(tid, entry2), outcome
+    return post, outcome
 
 
 def _method_record(fr: MethodFrame, aux: AuxState, invocation: int, response: int) -> MethodRecord:
@@ -270,16 +276,22 @@ def _method_record(fr: MethodFrame, aux: AuxState, invocation: int, response: in
 def state_key(state: State) -> bytes:
     """128-bit fingerprint of the combined state (the path fields and
     invocation indices excluded: they are path bookkeeping, not machine
-    state)."""
+    state).  A physical or auxiliary part interned by a checker enters as
+    its id, any other as its full key."""
     key = (
-        phys_key(state.phys),
-        aux_key(state.aux),
+        _part_key(state.phys, phys_key),
+        _part_key(state.aux, aux_key),
         tuple(
             (tid, e.call_idx, e.frame.key() if e.frame is not None else None)
             for tid, e in state.threads
         ),
     )
     return digest(key, 16)
+
+
+def _part_key(part, full_key):
+    ident = memo(part).get("id")
+    return full_key(part) if ident is None else ident
 
 
 # ---------------------------------------------------------------------------
@@ -289,48 +301,105 @@ def state_key(state: State) -> bytes:
 class _Checker:
     """Accumulates the verdicts of every state and edge it is shown:
     violations, scan results and the number of runs the oracle checked.
-    Everything about the path lives on the states themselves."""
+    Everything about the path lives on the states themselves.
+
+    The checker hash-conses the states it is shown (:meth:`intern`): equal
+    physical and equal auxiliary parts become one canonical object each,
+    whose memo holds its id.  ``check_all`` reads only (phys, aux) and
+    ``check_transition`` only the two aux states, so their verdicts are
+    cached on the canonical aux objects, keyed by the other part's id, and
+    each distinct pair is checked once."""
 
     def __init__(self, prog: Program):
         self.prog = prog
         self.violations: list[Violation] = []
         self.scan_results: set[tuple[Value, Value]] = set()
         self.executions_checked = 0
+        # phys keys and aux keys are tuples of different lengths, so the
+        # two kinds of part share one table and one id sequence
+        self._canonical: dict[tuple, object] = {}
 
-    def _absorb(self, rep: invariants.ViolationReport, idx: int) -> None:
-        if rep.violations:
-            rep.stamp(idx)
-            self.violations.extend(rep.violations)
+    def intern(self, state: State) -> State:
+        """The state with its physical and auxiliary parts replaced by this
+        checker's canonical objects for their values."""
+        phys = self._canon(state.phys, phys_key)
+        aux = self._canon(state.aux, aux_key)
+        if phys is state.phys and aux is state.aux:
+            return state
+        return evolve(state, phys=phys, aux=aux)
+
+    def _canon(self, part, key):
+        # Every state a checker is shown descends from a fresh initial
+        # state, and evolve drops the memo, so an id found in a memo was
+        # given by this checker.
+        m = memo(part)
+        if "id" in m:
+            return part
+        k = key(part)
+        canon = self._canonical.get(k)
+        if canon is None:
+            canon = self._canonical[k] = part
+            m["id"] = len(self._canonical)
+        return canon
+
+    @staticmethod
+    def _verdict(owner, slot: str, other, check, *args) -> tuple[Violation, ...]:
+        """The violations of ``check(*args)``, computed once per canonical
+        ``other`` and kept in ``owner``'s memo; no violations is the shared
+        empty tuple."""
+        m = memo(owner)
+        cache = m.get(slot)
+        if cache is None:
+            cache = m[slot] = {}
+        other_id = memo(other)["id"]
+        found = cache.get(other_id)
+        if found is None:
+            found = cache[other_id] = tuple(check(*args).violations)
+        return found
+
+    def _absorb(self, violations, idx: int) -> None:
+        """Record copies of ``violations``, stamped with step ``idx`` unless
+        they carry a step already, so that no cached verdict is handed out."""
+        for v in violations:
+            self.violations.append(Violation(v.name, v.detail, idx if v.step is None else v.step))
 
     def on_state(self, state: State) -> None:
-        self._absorb(invariants.check_all(state.phys, state.aux), state.clock - 1)
+        phys, aux = state.phys, state.aux
+        found = self._verdict(aux, "state_checks", phys, invariants.check_all, phys, aux)
+        self._absorb(found, state.clock - 1)
 
     def on_edge(self, pre: State, post: State, out: StepOutcome) -> None:
         idx = pre.clock
-        self._absorb(invariants.check_transition(pre.aux, post.aux), idx)
+        found = self._verdict(
+            pre.aux, "edge_checks", post.aux, invariants.check_transition, pre.aux, post.aux
+        )
+        self._absorb(found, idx)
         fr = out.frame
         if out.kind == "read":
             sc = post.aux.scanner
             if sc.on and sc.bit(out.ptr):
                 value = fr.vx if out.ptr == Ptr.X else fr.vy
-                self._absorb(invariants.check_read_lemma(out.ptr, value, post.aux), idx)
+                self._absorb(invariants.check_read_lemma(out.ptr, value, post.aux).violations, idx)
         if out.kind == "relink":
             self._absorb(
-                invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y), idx
+                invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y).violations,
+                idx,
             )
         if out.returned:
             if fr.call.kind == "write":
                 self._absorb(
                     invariants.check_write_post(
                         fr.snapshot, post.aux, fr.t, out.tid, fr.call.p, fr.call.v
-                    ),
+                    ).violations,
                     idx,
                 )
             else:
                 self.scan_results.add(fr.result)
                 witness = post.methods[-1].witness
                 self._absorb(
-                    invariants.check_scan_post(fr.snapshot, post.aux, fr.result, witness),
+                    invariants.check_scan_post(
+                        fr.snapshot, post.aux, fr.result, witness
+                    ).violations,
                     idx,
                 )
 
@@ -400,7 +469,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     states are reached.
     """
     checker = _Checker(prog)
-    state0 = initial_state(prog)
+    state0 = checker.intern(initial_state(prog))
     checker.on_state(state0)
     visited: dict[bytes, int] = {}
     sched: list[Tid] = []
@@ -420,6 +489,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         total = 0
         for tid in enabled:
             post, out = step_state(prog, state, tid)
+            post = checker.intern(post)
             edges += 1
             pkey = state_key(post)
             known = visited.get(pkey)
@@ -449,11 +519,13 @@ def _drive(
     last state and the schedule taken."""
     state = initial_state(prog)
     if checker is not None:
+        state = checker.intern(state)
         checker.on_state(state)
     sched: list[Tid] = []
     while (tid := choose(state.clock, enabled_tids(prog, state))) is not None:
         post, out = step_state(prog, state, tid)
         if checker is not None:
+            post = checker.intern(post)
             checker.on_state(post)
             checker.on_edge(state, post, out)
         if steps is not None:

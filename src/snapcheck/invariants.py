@@ -80,12 +80,6 @@ class ViolationReport:
     def merge(self, other: "ViolationReport") -> None:
         self.violations.extend(other.violations)
 
-    def stamp(self, step: int | None) -> "ViolationReport":
-        for v in self.violations:
-            if v.step is None:
-                v.step = step
-        return self
-
     def render(self) -> str:
         return "\n".join(v.render() for v in self.violations)
 

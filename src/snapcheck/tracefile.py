@@ -77,10 +77,54 @@ def render_trace(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(value, what: str) -> int:
+    if type(value) is not int:  # JSON true/false would pass isinstance(int)
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _ints(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, not {value!r}")
+    return tuple(_int(v, what) for v in value)
+
+
+def _timestamp(value, n: int, what: str) -> None:
+    """Optional timestamps must name one of the footer's ``n`` events."""
+    if value is not None and not (type(value) is int and 1 <= value <= n):
+        raise ValueError(f"{what} {value!r} is not in 1..{n}")
+
+
+def _method(rec: dict) -> MethodRecord:
+    op = rec["op"]
+    if not isinstance(op, str):
+        raise ValueError(f"op must be a method call, not {op!r}")
+    call = MethodCall.parse(op)
+    result = rec["result"]
+    if call.kind == "scan":
+        result = _ints(result, "scan result")
+        if len(result) != 2:
+            raise ValueError(f"scan result must be a pair, not {list(result)}")
+    elif result is not None:
+        raise ValueError(f"a write has no result, not {result!r}")
+    return MethodRecord(
+        tid=rec["tid"],
+        call=call,
+        result=result,
+        invocation=_int(rec["inv"], "inv"),
+        response=_int(rec["resp"], "resp"),
+        t=rec["t"],
+        witness=rec["witness"],
+        witness_x=rec["wx"],
+        witness_y=rec["wy"],
+    )
+
+
 def parse_trace(text: str) -> Trace:
     """The run record a trace file holds.  A file with no record at all is
     the empty record; any other file needs a header and ends with its
-    footer."""
+    footer.  Values, indices and timestamps must be integers, a scan's
+    result a pair of them, and every timestamp one of the footer's events."""
     program = ""
     threads: tuple = ()
     init_x, init_y = 5, 0
@@ -106,31 +150,28 @@ def parse_trace(text: str) -> Trace:
                 header = True
                 program = rec["program"]
                 threads = tuple((tid, tuple(calls)) for tid, calls in rec["threads"])
-                init_x, init_y = rec["init"]
+                init_x, init_y = _ints(rec["init"], "init")
                 schedule = tuple(rec["schedule"])
             elif kind == "step":
                 steps.append(
-                    StepRecord(rec["i"], rec["tid"], rec["label"], rec["phys"], rec["aux"])
-                )
-            elif kind == "method":
-                result = rec["result"]
-                methods.append(
-                    MethodRecord(
-                        tid=rec["tid"],
-                        call=MethodCall.parse(rec["op"]),
-                        result=tuple(result) if result is not None else None,
-                        invocation=rec["inv"],
-                        response=rec["resp"],
-                        t=rec["t"],
-                        witness=rec["witness"],
-                        witness_x=rec["wx"],
-                        witness_y=rec["wy"],
+                    StepRecord(
+                        _int(rec["i"], "i"), rec["tid"], rec["label"], rec["phys"], rec["aux"]
                     )
                 )
+            elif kind == "method":
+                methods.append(_method(rec))
             elif kind == "footer":
-                final_sigma = tuple(rec["sigma"])
-                final_sigma_values = tuple(rec["sigma_values"])
+                final_sigma = _ints(rec["sigma"], "sigma")
+                final_sigma_values = _ints(rec["sigma_values"], "sigma_values")
                 final_kappa = tuple((t, c) for t, c in rec["kappa"])
+                n = len(final_sigma)
+                for t in final_sigma:
+                    _timestamp(t, n, "sigma entry")
+                for t, _ in final_kappa:
+                    _timestamp(_int(t, "kappa timestamp"), n, "kappa timestamp")
+                for m in methods:  # the footer is the last record
+                    for t in (m.t, m.witness, m.witness_x, m.witness_y):
+                        _timestamp(t, n, "a method's timestamp")
                 phys_digest, aux_digest = rec["phys"], rec["aux"]
                 violations = tuple(rec["violations"])
                 footer = True

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -65,12 +66,17 @@ def sweep_reports():
     program; shared across the whole run (acceptance reuses it).  Client
     fig1 is client e under another name, so it is explored once, as e.
     Programs run in a small process pool, biggest first, so the wall time
-    is bounded by the largest state graph."""
+    is bounded by the largest state graph.  The workers are spawned, not
+    forked: a worker forked from the pytest process took about 10 million
+    page faults and 79 s of system time on gen-x2-y2, against 77 thousand
+    and 0.3 s in a spawned one."""
     programs = [client_e(), client_e_prime()] + generated_programs()
     programs.sort(key=lambda p: -sum(len(calls) for _, calls in p.threads))
     t0 = time.perf_counter()
     out = {}
-    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1)) as pool:
+    workers = min(2, os.cpu_count() or 1)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
         for name, report, dt in pool.map(_explore_one, programs):
             out[name] = (report, dt)
     wall = time.perf_counter() - t0

@@ -111,6 +111,29 @@ def test_check_fault_injected_trace(tmp_path, capsys):
     assert main(["check", "--trace", str(out_file)]) == 1
 
 
+@pytest.mark.parametrize("mutant", [None, "junk", 99], ids=["null", "string", "int"])
+def test_check_mutated_fields(tmp_path, capsys, mutant):
+    """Every field of every record set to null, to a string and to an int
+    beyond every index, timestamp and value in the file: check gives a
+    verdict or a parse error, never a crash."""
+    out_file = tmp_path / "demo.trace"
+    main(["demo-fig1", "--out", str(out_file)])
+    lines = out_file.read_text().splitlines()
+    codes = {}
+    for i, line in enumerate(lines):
+        rec = json.loads(line)
+        for key in rec:
+            bent = dict(rec, **{key: mutant})
+            mutated = lines[:i] + [json.dumps(bent)] + lines[i + 1 :]
+            out_file.write_text("\n".join(mutated) + "\n")
+            code = main(["check", "--trace", str(out_file)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 4) and "Traceback" not in err, (i, key, code, err)
+            if rec["kind"] == "method" and rec["op"] == "scan":
+                codes[key] = code
+    assert codes["result"] == 4
+
+
 def test_check_empty_trace(tmp_path, capsys):
     empty = tmp_path / "empty.trace"
     empty.write_text("")

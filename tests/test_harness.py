@@ -5,8 +5,8 @@ from dataclasses import fields
 
 import pytest
 
-from snapcheck import invariants
-from snapcheck.aux_model import Ptr
+from snapcheck import harness, invariants
+from snapcheck.aux_model import Ptr, aux_key
 from snapcheck.errors import BudgetExceededError, ScheduleError, TraceParseError
 from snapcheck.harness import (
     FIG1_SCHEDULE,
@@ -14,14 +14,18 @@ from snapcheck.harness import (
     client_e,
     client_e_prime,
     client_fig1,
+    enabled_tids,
     explore,
     generated_programs,
+    initial_state,
     parse_program,
     render_program,
     run_random,
     run_schedule,
+    state_key,
+    step_state,
 )
-from snapcheck.snapshot import MethodCall, MethodFrame
+from snapcheck.snapshot import MethodCall, MethodFrame, aux_digest, phys_digest, phys_key
 from snapcheck.tracefile import render_trace
 
 
@@ -205,3 +209,95 @@ def test_dead_local_merge_matches_full_keys(name, monkeypatch):
     assert full.scan_results == merged.scan_results
     assert merged.ok and full.ok
     assert full.states > merged.states
+
+
+def _force_violations(monkeypatch):
+    """Add a violation naming the state on every state whose scanner is on,
+    and one naming both aux states on every edge that changes the aux
+    state, so that a verdict replayed for the wrong state or edge shows."""
+    check_state, check_transition = invariants.check_state, invariants.check_transition
+
+    def forced_state(phys, aux):
+        rep = check_state(phys, aux)
+        if aux.scanner.on:
+            rep.add("forced-state", f"{phys_digest(phys)} {aux_digest(aux)}")
+        return rep
+
+    def forced_transition(pre, post):
+        rep = check_transition(pre, post)
+        if pre != post:
+            rep.add("forced-edge", f"{aux_digest(pre)} -> {aux_digest(post)}")
+        return rep
+
+    monkeypatch.setattr(invariants, "check_state", forced_state)
+    monkeypatch.setattr(invariants, "check_transition", forced_transition)
+
+
+def _reference_violations(prog):
+    """explore's depth-first walk, with no interning and no memo: every
+    state it reaches first is checked, and every edge, by calling the
+    checks directly."""
+    found = []
+
+    def absorb(rep, idx):
+        found.extend((v.name, v.detail, idx) for v in rep.violations)
+
+    def dfs(state):
+        for tid in enabled_tids(prog, state):
+            post, _ = step_state(prog, state, tid)
+            key = state_key(post)
+            new = key not in visited
+            if new:
+                visited.add(key)
+                absorb(invariants.check_all(post.phys, post.aux), post.clock - 1)
+            absorb(invariants.check_transition(state.aux, post.aux), state.clock)
+            if new:
+                dfs(post)
+
+    state0 = initial_state(prog)
+    visited = {state_key(state0)}
+    absorb(invariants.check_all(state0.phys, state0.aux), -1)
+    dfs(state0)
+    return found
+
+
+def test_memoised_checks_match_unmemoised_reference(monkeypatch):
+    """explore checks each distinct (phys, aux) pair and aux transition
+    once and replays the verdict elsewhere; with a forced violation on
+    every state whose scanner is on and every edge that changes the aux
+    state, its violation list is the one a walk that checks everything
+    gives, step stamps included."""
+    _force_violations(monkeypatch)
+    prog = client_e()
+    report = explore(prog)
+    got = [(v.name, v.detail, v.step) for v in report.violations]
+    names = {name for name, _, _ in got}
+    assert names == {"forced-state", "forced-edge"}
+    assert got == _reference_violations(prog)
+
+
+def test_check_memo_is_scoped_to_one_run(monkeypatch):
+    """A second explore checks afresh (no verdict leaks from the first),
+    and within one explore equal parts reached on different paths are one
+    object."""
+    prog = next(p for p in generated_programs() if p.name == "gen-x1-y1")
+    assert explore(prog).ok
+    keyed = harness.state_key
+    canonical = {}
+    same = []
+
+    def watch(state):
+        for key, part in ((phys_key(state.phys), state.phys), (aux_key(state.aux), state.aux)):
+            same.append(canonical.setdefault(key, part) is part)
+        return keyed(state)
+
+    def forced_all(phys, aux):
+        rep = invariants.ViolationReport()
+        rep.add("forced", "every state")
+        return rep
+
+    monkeypatch.setattr(harness, "state_key", watch)
+    monkeypatch.setattr(invariants, "check_all", forced_all)
+    report = explore(prog)
+    assert [v.name for v in report.violations] == ["forced"] * report.states
+    assert all(same) and len(same) > 2 * len(canonical)

@@ -236,7 +236,7 @@ def test_omega_antisymmetry_catches_corruption():
 def test_violation_rendering():
     _, aux = init(5, 0)
     rep = check_write_post(capture_spec_snapshot(aux, "a"), aux, 1, "a", Ptr.X, 5)
-    rep.stamp(7)
+    rep.violations[0].step = 7
     line = rep.render().splitlines()[0]
     assert line.startswith("INV write-post @step=7: ")
 
