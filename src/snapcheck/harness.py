@@ -17,6 +17,7 @@ chooser follows the schedule or draws from the seeded RNG.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -79,8 +80,8 @@ class Program:
 @dataclass(frozen=True)
 class ThreadEntry:
     """A thread's next call, its frame while that call is in flight, and the
-    step index at which it was invoked (path bookkeeping, left out of the
-    frame so that it stays out of the frame's key)."""
+    step index at which it was invoked (path bookkeeping, kept off the frame
+    because the frame's fields are its key)."""
 
     call_idx: int
     frame: MethodFrame | None
@@ -90,7 +91,9 @@ class ThreadEntry:
 @dataclass(frozen=True)
 class State:
     """Machine state plus two path fields, which ``state_key`` leaves out:
-    the methods completed on the path that reached it, and its length."""
+    the methods completed on the path that reached it, and its length.  The
+    machine state is records of primitives all the way down, and each
+    record's fields are its key (``phys_key``, ``aux_key``, ``frame_key``)."""
 
     phys: PhysState
     aux: AuxState
@@ -107,14 +110,16 @@ class State:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """What a step did; on a return, the method's record is the last of the
-    post-state's ``methods``."""
+    """What a step did: the frame that took it (``before``, whose invocation
+    mask the return checks read) and the frame it left (``frame``).  On a
+    return, the method's record is the last of the post-state's ``methods``."""
 
     tid: Tid
     label: str
     kind: str
     ptr: str | None
     returned: bool
+    before: MethodFrame
     frame: MethodFrame
 
 
@@ -227,20 +232,22 @@ def enabled_tids(prog: Program, state: State) -> list[Tid]:
 
 def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, StepOutcome]:
     """Apply tid's next atomic step.  A thread starting a new call gets its
-    frame (and pre-state snapshot) created here, just before its acquire; a
+    frame (and invocation mask) created here, just before its acquire; a
     returning call adds its record to the post-state's methods."""
     entry = state.entry(tid)
     frame, invocation = entry.frame, entry.invocation
     if frame is None:
         frame = make_frame(tid, prog.calls_of(tid)[entry.call_idx], state.aux)
         invocation = state.clock
-    step = frame.current_step()
+    steps = frame.steps
+    step = steps[frame.pc]
     phys2, aux2, frame2 = apply_step(step, state.phys, state.aux, frame)
-    returned = frame2.returned and not frame.returned
+    # a method returns on the step before its lock release
+    returned = frame2.pc == len(steps) - 1
     methods = state.methods
     if returned:
         methods += (_method_record(frame2, aux2, invocation, state.clock),)
-    if frame2.done:
+    if frame2.pc == len(steps):
         entry2 = ThreadEntry(entry.call_idx + 1, None)
     else:
         entry2 = ThreadEntry(entry.call_idx, frame2, invocation)
@@ -252,7 +259,7 @@ def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, StepOutcom
         methods=methods,
         clock=state.clock + 1,
     )
-    outcome = StepOutcome(tid, step.label, step.kind, step.ptr, returned, frame2)
+    outcome = StepOutcome(tid, step.label, step.kind, step.ptr, returned, frame, frame2)
     return post, outcome
 
 
@@ -273,6 +280,13 @@ def _method_record(fr: MethodFrame, aux: AuxState, invocation: int, response: in
     )
 
 
+# A frame's key: its fields as they are, the call flattened; primitives only.
+frame_key = operator.attrgetter(
+    "tid", "call.kind", "call.p", "call.v", "pc", "t", "vx", "vy", "ox", "oy",
+    "witness_x", "witness_y", "result", "mask",
+)
+
+
 def state_key(state: State) -> bytes:
     """128-bit fingerprint of the combined state (the path fields and
     invocation indices excluded: they are path bookkeeping, not machine
@@ -282,7 +296,7 @@ def state_key(state: State) -> bytes:
         _part_key(state.phys, phys_key),
         _part_key(state.aux, aux_key),
         tuple(
-            (tid, e.call_idx, e.frame.key() if e.frame is not None else None)
+            (tid, e.call_idx, frame_key(e.frame) if e.frame is not None else None)
             for tid, e in state.threads
         ),
     )
@@ -375,6 +389,8 @@ class _Checker:
         )
         self._absorb(found, idx)
         fr = out.frame
+        if out.kind == "register":
+            self._absorb(invariants.check_write_fresh(pre.aux, fr.t).violations, idx)
         if out.kind == "read":
             sc = post.aux.scanner
             if sc.on and sc.bit(out.ptr):
@@ -386,22 +402,13 @@ class _Checker:
                 idx,
             )
         if out.returned:
-            if fr.call.kind == "write":
-                self._absorb(
-                    invariants.check_write_post(
-                        fr.snapshot, post.aux, fr.t, out.tid, fr.call.p, fr.call.v
-                    ).violations,
-                    idx,
-                )
+            rec, call, mask = post.methods[-1], out.before.call, out.before.mask
+            if call.kind == "write":
+                found = invariants.check_write_post(mask, post.aux, rec.t, rec.tid, call.p, call.v)
             else:
-                self.scan_results.add(fr.result)
-                witness = post.methods[-1].witness
-                self._absorb(
-                    invariants.check_scan_post(
-                        fr.snapshot, post.aux, fr.result, witness
-                    ).violations,
-                    idx,
-                )
+                self.scan_results.add(rec.result)
+                found = invariants.check_scan_post(mask, post.aux, rec.result, rec.witness)
+            self._absorb(found.violations, idx)
 
     def finish(self, state: State, schedule, steps=()) -> Trace:
         """Build the record of a completed run and check it with both

@@ -28,7 +28,6 @@ from .aux_model import (
     WRITER_OFF,
     aux_key,
     evolve,
-    memo,
     validate_value,
 )
 from .errors import DisabledStepError, GuardViolationError
@@ -152,14 +151,18 @@ def scan_steps() -> tuple[Step, ...]:
 
 @dataclass(frozen=True)
 class MethodFrame:
-    """One in-flight method call: program counter over its step list, local
-    registers, and the pre-state snapshot its postcondition is checked
-    against."""
+    """One in-flight method call: program counter over its call's step list,
+    local registers, and the invocation mask its postcondition reads (see
+    :func:`invariants.capture_spec_snapshot`).
+
+    The step after which nothing reads a local sets it to None (see
+    :func:`clear_dead`), so the fields as they are identify the frame.
+    ``t``, ``result`` and the witnesses stay until release drops the frame;
+    by then the auxiliary state determines them."""
 
     tid: Tid
     call: MethodCall
-    steps: tuple[Step, ...]
-    snapshot: invariants.SpecSnapshot
+    mask: int | None
     pc: int = 0
     t: Timestamp | None = None
     vx: Value | None = None
@@ -169,59 +172,25 @@ class MethodFrame:
     witness_x: Timestamp | None = None
     witness_y: Timestamp | None = None
     result: tuple[Value, Value] | None = None
-    returned: bool = False
 
     @property
-    def done(self) -> bool:
-        return self.pc >= len(self.steps)
+    def steps(self) -> tuple[Step, ...]:
+        call = self.call
+        return write_steps(call.p) if call.kind == "write" else scan_steps()
 
     def current_step(self) -> Step:
         return self.steps[self.pc]
 
-    def key(self) -> tuple:
-        """Canonical identity, restricted to data some future step or check
-        will still read.
-
-        Dead locals are excluded so that states differing only in consumed
-        registers merge during exploration: a write's t mirrors the
-        writer phase / dies at its return, scan locals die at relink, and of
-        the pre-state snapshot only what the return check consumes is kept
-        (the write check reads the other+scanned union, the scan check the
-        global domain; freshness cannot depend on the rest).  Once a pointer
-        read has been superseded by a forwarded value the read is dead too.
-        """
-        cache = memo(self)
-        key = cache.get("key")
-        if key is not None:
-            return key
-        call = self.call
-        base = (self.tid, call.kind, call.p, call.v, self.pc)
-        if self.returned:
-            key = base
-        elif call.kind == "write":
-            snap = self.snapshot
-            key = base + (snap.other_mask | snap.scanned_mask,)
-        else:
-            rx = self.ox if self.ox is not None else (("v", self.vx) if self.pc > 7 else None)
-            ry = self.oy if self.oy is not None else (("v", self.vy) if self.pc > 8 else None)
-            key = base + (
-                rx,
-                ry,
-                self.vx if self.pc <= 7 else None,
-                self.vy if self.pc <= 8 else None,
-                self.snapshot.dom_mask,
-            )
-        cache["key"] = key
-        return key
-
 
 def make_frame(tid: Tid, call: MethodCall, aux: AuxState) -> MethodFrame:
-    """Create the frame at invocation, capturing the pre-state snapshot."""
-    if call.kind == "write":
-        steps = write_steps(call.p)
-    else:
-        steps = scan_steps()
-    return MethodFrame(tid, call, steps, invariants.capture_spec_snapshot(aux, tid))
+    """Create the frame at invocation, capturing the pre-state mask."""
+    return MethodFrame(tid, call, invariants.capture_spec_snapshot(aux, tid, call.kind))
+
+
+def clear_dead(frame: MethodFrame, *names: str) -> MethodFrame:
+    """``frame`` with the locals ``names`` set to None, at the step after
+    which no step or check reads them, so that they split no states."""
+    return evolve(frame, **dict.fromkeys(names))
 
 
 def step_enabled(step: Step, phys: PhysState) -> bool:
@@ -269,7 +238,7 @@ def apply_step(
 
     if kind == "finalize":
         aux2 = aux_ops.finalize(tid, p, aux)
-        return phys, aux2, evolve(frame, pc=nxt, returned=True)
+        return phys, aux2, clear_dead(evolve(frame, pc=nxt), "mask")
 
     if kind == "set-on":
         return evolve(phys, s_bit=True), aux_ops.set_scanner(True, aux), evolve(frame, pc=nxt)
@@ -287,23 +256,19 @@ def apply_step(
         return phys, aux, evolve(frame, pc=nxt, **{field: value})
 
     if kind == "read-fwd":
-        field = "ox" if p == Ptr.X else "oy"
         value = phys.fx if p == Ptr.X else phys.fy
-        return phys, aux, evolve(frame, pc=nxt, **{field: value})
+        if value is None:
+            return phys, aux, evolve(frame, pc=nxt)
+        # a forwarded value supersedes the pointer read
+        frame2 = evolve(frame, pc=nxt, **{"ox" if p == Ptr.X else "oy": value})
+        return phys, aux, clear_dead(frame2, "vx" if p == Ptr.X else "vy")
 
     if kind == "relink":
         rx = frame.ox if frame.ox is not None else frame.vx
         ry = frame.oy if frame.oy is not None else frame.vy
         aux2, t_x, t_y = aux_ops.relink(rx, ry, aux)
-        frame2 = evolve(
-            frame,
-            pc=nxt,
-            witness_x=t_x,
-            witness_y=t_y,
-            result=(rx, ry),
-            returned=True,
-        )
-        return phys, aux2, frame2
+        frame2 = evolve(frame, pc=nxt, witness_x=t_x, witness_y=t_y, result=(rx, ry))
+        return phys, aux2, clear_dead(frame2, "vx", "vy", "ox", "oy", "mask")
 
     raise GuardViolationError(f"unknown step kind {kind!r}")
 

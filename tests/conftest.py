@@ -2,10 +2,11 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields, is_dataclass
 
 import pytest
 
-from snapcheck.aux_model import AuxState, Color, Ptr, ScannerState, WRITER_OFF
+from snapcheck.aux_model import AuxState, Color, Ptr, ScannerState, WRITER_OFF, evolve
 from snapcheck.harness import (
     FIG1_SCHEDULE,
     client_e,
@@ -13,6 +14,7 @@ from snapcheck.harness import (
     client_fig1,
     explore,
     generated_programs,
+    parse_program,
     run_prefix,
 )
 
@@ -54,6 +56,37 @@ def hand_built_fig2a() -> AuxState:
     )
 
 
+def primitive(x):
+    """Whether x is an int, str, bool or None, or a tuple of such values."""
+    if type(x) is tuple:
+        return all(primitive(e) for e in x)
+    return x is None or type(x) in (int, str, bool)
+
+
+def one_field_changed(obj):
+    """obj with one field (of obj or of a record it holds) replaced by a
+    value equal to nothing, for every field."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            for g in fields(value):
+                yield evolve(obj, **{f.name: evolve(value, **{g.name: object()})})
+        else:
+            yield evolve(obj, **{f.name: object()})
+
+
+def two_scan_programs():
+    """The clients whose scanning thread scans twice: the first programs in
+    which a thread starts a new frame after its scan's frame was cleared,
+    and which reach a red event deferred to a future scan."""
+    return [
+        parse_program("a: write x 2\nd: write y 1\ns: scan; scan\n", name="two-scan"),
+        parse_program(
+            "l: write x 2; write y 1\nc: scan; scan\nr: write x 3\n", name="fig1-two-scan"
+        ),
+    ]
+
+
 def _explore_one(prog):
     t0 = time.perf_counter()
     report = explore(prog, max_states=4_000_000)
@@ -62,15 +95,16 @@ def _explore_one(prog):
 
 @pytest.fixture(scope="session")
 def sweep_reports():
-    """Exhaustive exploration of the bundled clients and every generated
-    program; shared across the whole run (acceptance reuses it).  Client
-    fig1 is client e under another name, so it is explored once, as e.
-    Programs run in a small process pool, biggest first, so the wall time
-    is bounded by the largest state graph.  The workers are spawned, not
-    forked: a worker forked from the pytest process took about 10 million
-    page faults and 79 s of system time on gen-x2-y2, against 77 thousand
-    and 0.3 s in a spawned one."""
-    programs = [client_e(), client_e_prime()] + generated_programs()
+    """Exhaustive exploration of the bundled clients, every generated
+    program and the two-scan clients; shared across the whole run
+    (acceptance reuses it).  Client fig1 is client e under another name, so
+    it is explored once, as e.  Programs run in a small process pool,
+    biggest first (gen-x2-y2 ahead of fig1-two-scan, which ties it on
+    calls), so the wall time is bounded by the largest state graph.  The
+    workers are spawned, not forked: a worker forked from the pytest
+    process took about 10 million page faults and 79 s of system time on
+    gen-x2-y2, against 77 thousand and 0.3 s in a spawned one."""
+    programs = [client_e(), client_e_prime()] + generated_programs() + two_scan_programs()
     programs.sort(key=lambda p: -sum(len(calls) for _, calls in p.threads))
     t0 = time.perf_counter()
     out = {}

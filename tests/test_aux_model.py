@@ -2,11 +2,19 @@
 replay evaluation, per-pointer histories."""
 
 import random
-from dataclasses import fields, is_dataclass
 
 import pytest
 
-from conftest import TS_X2, TS_X3, TS_X5, TS_Y0, TS_Y1, hand_built_fig2a
+from conftest import (
+    TS_X2,
+    TS_X3,
+    TS_X5,
+    TS_Y0,
+    TS_Y1,
+    hand_built_fig2a,
+    one_field_changed,
+    primitive,
+)
 from snapcheck.aux_model import (
     AuxState,
     Color,
@@ -222,24 +230,6 @@ def test_random_orders_eval_oracle():
 # the canonical key
 
 
-def _primitive(x):
-    if type(x) is tuple:
-        return all(_primitive(e) for e in x)
-    return x is None or type(x) in (int, str, bool)
-
-
-def _one_field_changed(aux):
-    """aux with one field (of the state or of a writer/scanner record)
-    replaced by a value equal to nothing, for every field."""
-    for f in fields(AuxState):
-        value = getattr(aux, f.name)
-        if is_dataclass(value):
-            for g in fields(value):
-                yield evolve(aux, **{f.name: evolve(value, **{g.name: object()})})
-        else:
-            yield evolve(aux, **{f.name: object()})
-
-
 def test_aux_key_is_primitive_and_complete():
     # An enum or a dataclass back in the state makes every key several times
     # slower and fails no other test; a field left out of the key merges
@@ -256,10 +246,10 @@ def test_aux_key_is_primitive_and_complete():
     groups = {}
     for aux in auxes:
         key = aux_key(aux)
-        assert _primitive(key)
+        assert primitive(key)
         groups.setdefault(key, set()).add(aux)
     # equal keys only for equal states, and as many keys as distinct states
     assert all(len(group) == 1 for group in groups.values())
     assert len(groups) == len(set(auxes))
-    for variant in _one_field_changed(auxes[-1]):
+    for variant in one_field_changed(auxes[-1]):
         assert aux_key(variant) != aux_key(auxes[-1])

@@ -1,11 +1,12 @@
 """Schedulers: exhaustive exploration, replay, random scheduling, clients."""
 
+import random
 import re
-from dataclasses import fields
 
 import pytest
 
-from snapcheck import harness, invariants
+from conftest import one_field_changed, primitive, two_scan_programs
+from snapcheck import harness, invariants, snapshot
 from snapcheck.aux_model import Ptr, aux_key
 from snapcheck.errors import BudgetExceededError, ScheduleError, TraceParseError
 from snapcheck.harness import (
@@ -16,6 +17,7 @@ from snapcheck.harness import (
     client_fig1,
     enabled_tids,
     explore,
+    frame_key,
     generated_programs,
     initial_state,
     parse_program,
@@ -25,7 +27,7 @@ from snapcheck.harness import (
     state_key,
     step_state,
 )
-from snapcheck.snapshot import MethodCall, MethodFrame, aux_digest, phys_digest, phys_key
+from snapcheck.snapshot import MethodCall, aux_digest, phys_digest, phys_key
 from snapcheck.tracefile import render_trace
 
 
@@ -191,24 +193,45 @@ def test_parse_program_errors():
         parse_program("l: scan\nl: scan")  # duplicate tid
 
 
-def _full_frame_key(frame):
-    """Every field of the frame but its step list: no dead local is merged."""
-    return tuple(getattr(frame, f.name) for f in fields(frame) if f.name != "steps")
-
-
 @pytest.mark.parametrize("name", ["gen-x0-y2", "gen-x2-y0", "gen-x1-y1"])
 def test_dead_local_merge_matches_full_keys(name, monkeypatch):
-    """Dropping dead locals from the frame key merges states without
-    changing what exploration finds: the same schedules and scan results,
-    and no violation either way."""
+    """Clearing dead locals merges states without changing what exploration
+    finds: the same schedules and scan results, and no violation either
+    way.  The full side never clears a local, so every register a frame
+    ever held stays in its key."""
     prog = next(p for p in generated_programs() if p.name == name)
     merged = explore(prog)
-    monkeypatch.setattr(MethodFrame, "key", _full_frame_key)
+    monkeypatch.setattr(snapshot, "clear_dead", lambda frame, *names: frame)
     full = explore(prog)
     assert full.schedules == merged.schedules
     assert full.scan_results == merged.scan_results
     assert merged.ok and full.ok
     assert full.states > merged.states
+
+
+def test_frame_key_is_primitive_and_complete():
+    # A dataclass back in the frame key makes every state key several times
+    # slower and fails no other test; a field left out of it merges
+    # distinct states.
+    rng = random.Random(5)
+    frames = []
+    for prog in two_scan_programs():
+        for _ in range(40):
+            state = initial_state(prog)
+            while enabled := enabled_tids(prog, state):
+                state = step_state(prog, state, rng.choice(enabled))[0]
+                frames += [e.frame for _, e in state.threads if e.frame is not None]
+    groups = {}
+    for frame in frames:
+        key = frame_key(frame)
+        assert primitive(key)
+        groups.setdefault(key, set()).add(frame)
+    # equal keys only for equal frames, and as many keys as distinct frames
+    assert all(len(group) == 1 for group in groups.values())
+    assert len(groups) == len(set(frames))
+    for frame in set(frames):
+        for variant in one_field_changed(frame):
+            assert frame_key(variant) != frame_key(frame)
 
 
 def _force_violations(monkeypatch):

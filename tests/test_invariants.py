@@ -1,13 +1,15 @@
 """Checker behavior: clean states pass, hand-broken states are reported."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 from conftest import TS_X2, TS_X3, TS_Y1, hand_built_fig2a
-from snapcheck.aux_model import Color, Ptr, omega_down
+from snapcheck.aux_model import Color, Ptr, omega_down, other_mask
 from snapcheck.aux_ops import register, relink
-from snapcheck.harness import FIG1_SCHEDULE, client_fig1, run_prefix
+from snapcheck.harness import FIG1_SCHEDULE, client_fig1, parse_program, run_prefix
 from snapcheck.invariants import (
-    SpecSnapshot,
+    CHECKS,
     capture_spec_snapshot,
     check_all,
     check_chain_lemma,
@@ -17,6 +19,7 @@ from snapcheck.invariants import (
     check_scan_post,
     check_state,
     check_transition,
+    check_write_fresh,
     check_write_post,
 )
 from snapcheck.snapshot import PhysState, init
@@ -133,40 +136,67 @@ def test_transition_catches_scanned_ideal_change():
 
 def test_write_post_uncontended():
     _, aux = init(5, 0)
-    snap = capture_spec_snapshot(aux, "a")
+    mask = capture_spec_snapshot(aux, "a", "write")
     from snapcheck.aux_ops import check as check_op, finalize
 
     aux2, t = register("a", Ptr.X, 3, aux)
     aux2 = check_op("a", Ptr.X, False, aux2)
     aux2 = finalize("a", Ptr.X, aux2)
-    rep = check_write_post(snap, aux2, t, "a", Ptr.X, 3)
+    rep = check_write_post(mask, aux2, t, "a", Ptr.X, 3)
     assert rep.ok
     # both init events are strictly below the write
-    assert (snap.other_mask | snap.scanned_mask) & 0b110 == 0b110
+    assert mask & 0b110 == 0b110
+
+
+def test_write_mask_holds_own_scanned_events():
+    # a thread's own finished write is outside its environment history, but
+    # once its scan has seen it, a later write must still be ordered after it
+    prog = parse_program("a: write x 2; scan; write x 3\n")
+    state = run_prefix(prog, ("a",) * 16)
+    assert state.entry("a").call_idx == 2
+    own = 1 << TS_X2
+    assert not other_mask(state.aux, "a") & own
+    assert capture_spec_snapshot(state.aux, "a", "write") & own
 
 
 def test_write_post_fault_injection():
     _, aux = init(5, 0)
-    snap = capture_spec_snapshot(aux, "a")
-    # claim the write used an existing timestamp: freshness must trip
-    rep = check_write_post(snap, aux, 1, "a", Ptr.X, 5)
+    mask = capture_spec_snapshot(aux, "a", "write")
+    # claim the write used an existing timestamp, which a does not own
+    rep = check_write_post(mask, aux, 1, "a", Ptr.X, 5)
     assert not rep.ok
-    assert any("fresh" in v.detail or "owned" in v.detail for v in rep.violations)
+    assert any("owned" in v.detail for v in rep.violations)
+
+
+def test_write_fresh_on_register_edge():
+    # the freshness clause runs on the register edge, against the pre-state
+    _, aux = init(5, 0)
+    for t in range(1, aux.max_ts() + 1):
+        rep = check_write_fresh(aux, t)
+        assert [v.name for v in rep.violations] == ["write-post"]
+        assert "not fresh" in rep.violations[0].detail
+    post, t = register("a", Ptr.X, 3, aux)
+    assert t == aux.max_ts() + 1
+    assert check_write_fresh(aux, t).ok
+    # once registered, t is in the domain: reusing it trips the check
+    assert not check_write_fresh(post, t).ok
+    # the moved clause is still counted with the postconditions
+    assert CHECKS["write-post"] == 4
 
 
 def test_scan_post_uncontended():
     phys, aux = init(5, 0)
-    snap = capture_spec_snapshot(aux, "c")
-    rep = check_scan_post(snap, aux, (5, 0), witness=2)
+    mask = capture_spec_snapshot(aux, "c", "scan")
+    rep = check_scan_post(mask, aux, (5, 0), witness=2)
     assert rep.ok
 
 
 def test_scan_post_rejects_stale_snapshot():
     aux = hand_built_fig2a()
     post, _, _ = relink(2, 1, aux)
-    snap = capture_spec_snapshot(post, "c")
+    mask = capture_spec_snapshot(post, "c", "scan")
     # (5, 0) is outdated once the later writes exist
-    rep = check_scan_post(snap, post, (5, 0))
+    rep = check_scan_post(mask, post, (5, 0))
     assert not rep.ok
 
 
@@ -174,15 +204,11 @@ def test_scan_post_fig1_result():
     state = run_prefix(client_fig1(), FIG1_SCHEDULE[:26])
     snap_aux = state.aux
     post, t_x, t_y = relink(2, 1, snap_aux)
-    snap = SpecSnapshot(
-        other_mask=0,
-        scanned_mask=0,
-        dom_mask=0b110,  # timestamps 1 and 2: what existed when the scan started
-    )
+    mask = 0b110  # timestamps 1 and 2: what existed when the scan started
     pos = {t: i for i, t in enumerate(post.sigma)}
     witness = t_x if pos[t_x] >= pos[t_y] else t_y
     assert witness == TS_Y1
-    assert check_scan_post(snap, post, (2, 1), witness=witness).ok
+    assert check_scan_post(mask, post, (2, 1), witness=witness).ok
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +261,7 @@ def test_omega_antisymmetry_catches_corruption():
 
 def test_violation_rendering():
     _, aux = init(5, 0)
-    rep = check_write_post(capture_spec_snapshot(aux, "a"), aux, 1, "a", Ptr.X, 5)
+    rep = check_write_post(capture_spec_snapshot(aux, "a", "write"), aux, 1, "a", Ptr.X, 5)
     rep.violations[0].step = 7
     line = rep.render().splitlines()[0]
     assert line.startswith("INV write-post @step=7: ")
@@ -259,3 +285,29 @@ def test_transition_catches_init_event_made_joint():
     assert [(v.name, v.detail) for v in rep.violations] == [
         ("hist-mono", "other history of a thread without finished events shrank")
     ]
+
+
+def _emitted_names():
+    """The first argument of every ``.add(...)`` and ``Violation(...)`` call
+    under the package source that passes a string literal."""
+    src = Path(__file__).resolve().parent.parent / "src" / "snapcheck"
+    names = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            first = node.args[0]
+            if callee in ("add", "Violation") and isinstance(first, ast.Constant):
+                names.add(first.value)
+    return names
+
+
+def test_every_emitted_name_is_registered():
+    # a name missing from CHECKS is counted by no acceptance criterion; a
+    # registered name nothing emits is a stale entry
+    names = _emitted_names()
+    assert "write-post" in names and "oracle-linearizable" in names
+    assert names == set(CHECKS)
+    assert set(CHECKS.values()) == {3, 4, 5, 6, 7}
