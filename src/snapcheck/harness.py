@@ -4,22 +4,28 @@
 distinct states, so commuting interleavings are explored once), running the
 full invariant battery after every atomic step, the method postconditions at
 every return, and the brute-force oracle on one representative execution per
-distinct terminal state.  The state invariants read only the physical and
-auxiliary parts of a state and the transition invariants only the two
-auxiliary parts of an edge, so each distinct pair is evaluated once per run
-and its verdict replayed wherever the pair recurs (see ``_Checker``).  The
-exact number of maximal interleavings is computed by dynamic programming
-over the state graph.  ``run_schedule``
+distinct terminal state.  A step's physical half reads only the physical
+state and the thread's entry, its auxiliary half only the auxiliary state,
+the entry and the one value the step read from memory, and the checks of an
+edge only what its auxiliary half reads and yields; the state invariants
+read only the physical and auxiliary parts of a state.  So each distinct
+(physical, auxiliary) pair is checked once per run, and in ``explore`` each
+distinct half step is computed and checked once, and replayed wherever it
+recurs (see ``_Checker``).  The exact number of maximal interleavings is
+computed by dynamic programming over the state graph.  ``run_schedule``
 deterministically replays an explicit schedule into a full trace, and
 ``run_random`` drives seeded random executions; both run one loop whose
-chooser follows the schedule or draws from the seeded RNG.
+chooser follows the schedule or draws from the seeded RNG, and take every
+step afresh: one path repeats few half steps.
 """
 
 from __future__ import annotations
 
 import operator
 import random
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 
 from . import invariants, oracle
 from .aux_model import (
@@ -37,16 +43,17 @@ from .errors import BudgetExceededError, ScheduleError, TraceParseError
 from .invariants import Violation
 from .oracle import MethodRecord
 from .snapshot import (
-    LOCK_SCAN,
     MethodCall,
     MethodFrame,
     PhysState,
+    Step,
     apply_step,
     aux_digest,
+    call_steps,
     digest,
     init,
-    lock_for,
     make_frame,
+    observed,
     phys_digest,
     phys_key,
     step_enabled,
@@ -79,45 +86,49 @@ class Program:
 
 @dataclass(frozen=True)
 class ThreadEntry:
-    """A thread's next call, its frame while that call is in flight, and the
-    step index at which it was invoked (path bookkeeping, kept off the frame
-    because the frame's fields are its key)."""
+    """A thread's next call, its frame while that call is in flight, and
+    whether the step that left the entry returned the call (a function of
+    the frame, kept so that a replayed step reads it without the frame's
+    step list)."""
 
     call_idx: int
     frame: MethodFrame | None
-    invocation: int | None = None
+    returned: bool = False
 
 
 @dataclass(frozen=True)
 class State:
-    """Machine state plus two path fields, which ``state_key`` leaves out:
-    the methods completed on the path that reached it, and its length.  The
-    machine state is records of primitives all the way down, and each
-    record's fields are its key (``phys_key``, ``aux_key``, ``frame_key``)."""
+    """Machine state plus three path fields, which ``state_key`` leaves out:
+    the step index at which each thread's call in flight was invoked (in
+    ``threads``' order), the methods completed on the path that reached it,
+    and its length.  The machine state is records of primitives all the way
+    down, and each record's fields are its key (``phys_key``, ``aux_key``,
+    ``entry_key``)."""
 
     phys: PhysState
     aux: AuxState
     threads: tuple[tuple[Tid, ThreadEntry], ...]  # sorted by tid
+    invocations: tuple[int | None, ...]
     methods: tuple[MethodRecord, ...] = ()
     clock: int = 0
 
-    def entry(self, tid: Tid) -> ThreadEntry:
-        for t, e in self.threads:
+    def index(self, tid: Tid) -> int:
+        for i, (t, _) in enumerate(self.threads):
             if t == tid:
-                return e
+                return i
         raise KeyError(tid)
+
+    def entry(self, tid: Tid) -> ThreadEntry:
+        return self.threads[self.index(tid)][1]
 
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """What a step did: the frame that took it (``before``, whose invocation
-    mask the return checks read) and the frame it left (``frame``).  On a
-    return, the method's record is the last of the post-state's ``methods``."""
+    """What a step did: the frame that took it (``before``: its thread, its
+    step and the invocation mask the return checks read) and the frame it
+    left (``frame``).  On a return, the method's record is the last of the
+    post-state's ``methods``."""
 
-    tid: Tid
-    label: str
-    kind: str
-    ptr: str | None
     returned: bool
     before: MethodFrame
     frame: MethodFrame
@@ -208,25 +219,25 @@ def initial_state(prog: Program) -> State:
                 validate_value(call.v, prog.value_range)
     phys, aux = init(prog.init_x, prog.init_y, prog.value_range)
     threads = tuple((tid, ThreadEntry(0, None)) for tid in sorted(tids))
-    return State(phys, aux, threads)
+    return State(phys, aux, threads, (None,) * len(threads))
 
 
-def _next_lock(call: MethodCall) -> str:
-    return LOCK_SCAN if call.kind == "scan" else lock_for(call.p)
+def _next_step(prog: Program, tid: Tid, entry: ThreadEntry) -> Step | None:
+    """The step ``tid`` takes next from ``entry``; None once its calls are
+    done."""
+    if entry.frame is not None:
+        return entry.frame.current_step()
+    calls = prog.calls_of(tid)
+    return call_steps(calls[entry.call_idx])[0] if entry.call_idx < len(calls) else None
 
 
 def enabled_tids(prog: Program, state: State) -> list[Tid]:
     """Threads with an enabled next step, in canonical (sorted) order."""
     out = []
     for tid, entry in state.threads:
-        if entry.frame is not None:
-            if step_enabled(entry.frame.current_step(), state.phys):
-                out.append(tid)
-        else:
-            calls = prog.calls_of(tid)
-            if entry.call_idx < len(calls):
-                if state.phys.holder(_next_lock(calls[entry.call_idx])) is None:
-                    out.append(tid)
+        step = _next_step(prog, tid, entry)
+        if step is not None and step_enabled(step, state.phys):
+            out.append(tid)
     return out
 
 
@@ -234,33 +245,42 @@ def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, StepOutcom
     """Apply tid's next atomic step.  A thread starting a new call gets its
     frame (and invocation mask) created here, just before its acquire; a
     returning call adds its record to the post-state's methods."""
-    entry = state.entry(tid)
-    frame, invocation = entry.frame, entry.invocation
+    i = state.index(tid)
+    entry = state.threads[i][1]
+    frame = entry.frame
     if frame is None:
         frame = make_frame(tid, prog.calls_of(tid)[entry.call_idx], state.aux)
-        invocation = state.clock
     steps = frame.steps
-    step = steps[frame.pc]
-    phys2, aux2, frame2 = apply_step(step, state.phys, state.aux, frame)
-    # a method returns on the step before its lock release
-    returned = frame2.pc == len(steps) - 1
-    methods = state.methods
-    if returned:
-        methods += (_method_record(frame2, aux2, invocation, state.clock),)
+    phys2, aux2, frame2 = apply_step(steps[frame.pc], state.phys, state.aux, frame)
     if frame2.pc == len(steps):
         entry2 = ThreadEntry(entry.call_idx + 1, None)
     else:
-        entry2 = ThreadEntry(entry.call_idx, frame2, invocation)
-    post = evolve(
+        # a method returns on the step before its lock release
+        entry2 = ThreadEntry(entry.call_idx, frame2, frame2.pc == len(steps) - 1)
+    post = _advance(state, i, phys2, aux2, entry2)
+    return post, StepOutcome(entry2.returned, frame, frame2)
+
+
+def _advance(state: State, i: int, phys: PhysState, aux: AuxState, entry: ThreadEntry) -> State:
+    """``state`` after thread ``i`` stepped to ``(phys, aux, entry)``, with
+    the path fields advanced along: a call's invocation index is set on its
+    first step, and a returning call's record is added to ``methods``."""
+    threads, clock = state.threads, state.clock
+    invocations = state.invocations
+    if threads[i][1].frame is None:
+        invocations = invocations[:i] + (clock,) + invocations[i + 1 :]
+    methods = state.methods
+    if entry.returned:
+        methods += (_method_record(entry.frame, aux, invocations[i], clock),)
+    return evolve(
         state,
-        phys=phys2,
-        aux=aux2,
-        threads=tuple((t, entry2 if t == tid else e) for t, e in state.threads),
+        phys=phys,
+        aux=aux,
+        threads=threads[:i] + ((threads[i][0], entry),) + threads[i + 1 :],
+        invocations=invocations,
         methods=methods,
-        clock=state.clock + 1,
+        clock=clock + 1,
     )
-    outcome = StepOutcome(tid, step.label, step.kind, step.ptr, returned, frame, frame2)
-    return post, outcome
 
 
 def _method_record(fr: MethodFrame, aux: AuxState, invocation: int, response: int) -> MethodRecord:
@@ -287,25 +307,47 @@ frame_key = operator.attrgetter(
 )
 
 
-def state_key(state: State) -> bytes:
-    """128-bit fingerprint of the combined state (the path fields and
-    invocation indices excluded: they are path bookkeeping, not machine
-    state).  A physical or auxiliary part interned by a checker enters as
-    its id, any other as its full key."""
+def entry_key(tid: Tid, entry: ThreadEntry) -> tuple:
+    """An entry's key, with its thread: a thread between calls has no frame
+    to name it, and the step it takes next is its own."""
+    frame = entry.frame
+    return (tid, entry.call_idx, None if frame is None else frame_key(frame))
+
+
+# Bits of each id below the first in a packed key (see _pack).
+_ID_BITS = 10
+
+
+def _pack(*ids: int):
+    """``ids`` as one int: the first id unbounded on top, each later one a
+    ``_ID_BITS``-bit digit below it.  Where a later id overflows its digit,
+    the tuple of ids stands in, so that the key is injective at any size
+    (no int equals a tuple).  An int of up to 60 bits takes 32 bytes,
+    against 49 for a 16-byte digest, and the visited set holds one key per
+    state."""
+    key = ids[0]
+    for i in ids[1:]:
+        if i >> _ID_BITS:
+            return ids
+        key = key << _ID_BITS | i
+    return key
+
+
+def state_key(state: State):
+    """The key of the machine state (the path fields excluded).  A state
+    whose parts a checker interned is keyed by their ids, packed; any other
+    by a 128-bit digest of its parts' full keys."""
+    try:
+        ids = [e._memo["id"] for _, e in state.threads]
+        return _pack(state.aux._memo["id"], state.phys._memo["id"], *ids)
+    except (AttributeError, KeyError):  # no memo, or no id in it
+        pass
     key = (
-        _part_key(state.phys, phys_key),
-        _part_key(state.aux, aux_key),
-        tuple(
-            (tid, e.call_idx, frame_key(e.frame) if e.frame is not None else None)
-            for tid, e in state.threads
-        ),
+        phys_key(state.phys),
+        aux_key(state.aux),
+        tuple(entry_key(tid, e) for tid, e in state.threads),
     )
     return digest(key, 16)
-
-
-def _part_key(part, full_key):
-    ident = memo(part).get("id")
-    return full_key(part) if ident is None else ident
 
 
 # ---------------------------------------------------------------------------
@@ -313,102 +355,149 @@ def _part_key(part, full_key):
 
 
 class _Checker:
-    """Accumulates the verdicts of every state and edge it is shown:
-    violations, scan results and the number of runs the oracle checked.
-    Everything about the path lives on the states themselves.
+    """Steps and checks the states of one run, and accumulates the verdicts
+    of every state and edge it is shown: violations, scan results and the
+    number of runs the oracle checked.  Everything about the path lives on
+    the states themselves.
 
     The checker hash-conses the states it is shown (:meth:`intern`): equal
-    physical and equal auxiliary parts become one canonical object each,
-    whose memo holds its id.  ``check_all`` reads only (phys, aux) and
-    ``check_transition`` only the two aux states, so their verdicts are
-    cached on the canonical aux objects, keyed by the other part's id, and
-    each distinct pair is checked once."""
+    physical parts, equal auxiliary parts and equal thread entries become
+    one canonical object each, numbered per kind in order of first sight
+    (the id, kept in the object's memo).  Its tables are keyed by these
+    ids, so they live and die with the checker:
+
+    * state checks, by phys id and aux id: ``check_all``'s violations;
+    * the physical half of a step, by entry id and phys id: the post
+      physical part, and the table of the auxiliary halves of the steps
+      that read the same value from memory (``observed``) under the entry;
+    * such a table of auxiliary halves, by aux id: the post auxiliary part,
+      the post entry and the violations of the edge's checks.
+
+    ``explore`` steps through the tables (:meth:`step`).  A single run
+    repeats few half steps, so ``_drive`` takes each step afresh
+    (:meth:`take`, which :meth:`step` calls on a miss).
+    """
 
     def __init__(self, prog: Program):
         self.prog = prog
         self.violations: list[Violation] = []
         self.scan_results: set[tuple[Value, Value]] = set()
         self.executions_checked = 0
-        # phys keys and aux keys are tuples of different lengths, so the
-        # two kinds of part share one table and one id sequence
+        # the three kinds' keys are tuples of different lengths, so they
+        # share one table; each kind numbers its own parts
         self._canonical: dict[tuple, object] = {}
+        self._phys_ids, self._aux_ids, self._entry_ids = count(), count(), count()
+        self._state_checks: defaultdict[int, dict] = defaultdict(dict)
+        self._phys_steps: defaultdict[int, dict] = defaultdict(dict)
+        # by (entry id, value read); an entry fixes its step, and so the
+        # type of what it reads, so the check step's bool never meets an
+        # equal int here
+        self._aux_steps: defaultdict[tuple, dict] = defaultdict(dict)
 
     def intern(self, state: State) -> State:
-        """The state with its physical and auxiliary parts replaced by this
-        checker's canonical objects for their values."""
-        phys = self._canon(state.phys, phys_key)
-        aux = self._canon(state.aux, aux_key)
-        if phys is state.phys and aux is state.aux:
-            return state
-        return evolve(state, phys=phys, aux=aux)
+        """The state with its physical and auxiliary parts and its thread
+        entries replaced by this checker's canonical objects for their
+        values."""
+        return evolve(
+            state,
+            phys=self._canon(state.phys, self._phys_ids, phys_key),
+            aux=self._canon(state.aux, self._aux_ids, aux_key),
+            threads=tuple(
+                (tid, self._canon(e, self._entry_ids, entry_key, tid)) for tid, e in state.threads
+            ),
+        )
 
-    def _canon(self, part, key):
+    def _canon(self, part, ids, key, *args):
         # Every state a checker is shown descends from a fresh initial
         # state, and evolve drops the memo, so an id found in a memo was
         # given by this checker.
         m = memo(part)
         if "id" in m:
             return part
-        k = key(part)
+        k = key(*args, part)
         canon = self._canonical.get(k)
         if canon is None:
             canon = self._canonical[k] = part
-            m["id"] = len(self._canonical)
+            m["id"] = next(ids)
         return canon
 
-    @staticmethod
-    def _verdict(owner, slot: str, other, check, *args) -> tuple[Violation, ...]:
-        """The violations of ``check(*args)``, computed once per canonical
-        ``other`` and kept in ``owner``'s memo; no violations is the shared
-        empty tuple."""
-        m = memo(owner)
-        cache = m.get(slot)
-        if cache is None:
-            cache = m[slot] = {}
-        other_id = memo(other)["id"]
-        found = cache.get(other_id)
-        if found is None:
-            found = cache[other_id] = tuple(check(*args).violations)
-        return found
+    def step(self, state: State, tid: Tid) -> tuple[State, tuple[Violation, ...]]:
+        """:meth:`take`, memoised: ``tid``'s next step from the interned
+        ``state``, with the post-state interned.  Both halves of a step are
+        looked up by the ids of what they read; where either is new, the
+        step is taken and both halves are filed."""
+        i = state.index(tid)
+        eid = state.threads[i][1]._memo["id"]
+        pid, aid = state.phys._memo["id"], state.aux._memo["id"]
+        phys_steps = self._phys_steps[eid]
+        phys_half = phys_steps.get(pid)
+        if phys_half is not None:
+            phys, aux_steps = phys_half
+            aux_half = aux_steps.get(aid)
+            if aux_half is not None:
+                aux, entry, found = aux_half
+                return _advance(state, i, phys, aux, entry), found
+        post, out, found = self.take(state, tid)
+        # the other threads' entries are the pre-state's, interned already
+        made = post.threads[i][1]
+        entry = self._canon(made, self._entry_ids, entry_key, tid)
+        if entry is not made:
+            post = evolve(post, threads=post.threads[:i] + ((tid, entry),) + post.threads[i + 1 :])
+        aux_steps = self._aux_steps[eid, observed(out.before.current_step(), state.phys)]
+        phys_steps[pid] = (post.phys, aux_steps)
+        aux_steps[aid] = (post.aux, entry, found)
+        return post, found
 
-    def _absorb(self, violations, idx: int) -> None:
+    def take(self, state: State, tid: Tid) -> tuple[State, StepOutcome, tuple[Violation, ...]]:
+        """``tid``'s next step from ``state``, taken by ``step_state``, the
+        one implementation of the semantics: the post-state with its
+        physical and auxiliary parts interned, the outcome, and the
+        violations of the edge's checks, unstamped."""
+        post, out = step_state(self.prog, state, tid)
+        phys = self._canon(post.phys, self._phys_ids, phys_key)
+        aux = self._canon(post.aux, self._aux_ids, aux_key)
+        if phys is not post.phys or aux is not post.aux:
+            post = evolve(post, phys=phys, aux=aux)
+        return post, out, self._check_edge(state, post, out)
+
+    def _check_edge(self, pre: State, post: State, out: StepOutcome) -> tuple[Violation, ...]:
+        """The violations of every check of one edge, in order; a returning
+        scan also adds its result to the scan results."""
+        before, fr = out.before, out.frame
+        step = before.current_step()
+        found = list(invariants.check_transition(pre.aux, post.aux).violations)
+        if step.kind == "register":
+            found += invariants.check_write_fresh(pre.aux, fr.t).violations
+        if step.kind == "read":
+            sc = post.aux.scanner
+            if sc.on and sc.bit(step.ptr):
+                value = fr.vx if step.ptr == Ptr.X else fr.vy
+                found += invariants.check_read_lemma(step.ptr, value, post.aux).violations
+        if step.kind == "relink":
+            found += invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y).violations
+        if out.returned:
+            rec, call, mask = post.methods[-1], before.call, before.mask
+            if call.kind == "write":
+                rep = invariants.check_write_post(mask, post.aux, rec.t, rec.tid, call.p, call.v)
+            else:
+                self.scan_results.add(rec.result)
+                rep = invariants.check_scan_post(mask, post.aux, rec.result, rec.witness)
+            found += rep.violations
+        return tuple(found)
+
+    def absorb(self, violations, idx: int) -> None:
         """Record copies of ``violations``, stamped with step ``idx`` unless
         they carry a step already, so that no cached verdict is handed out."""
         for v in violations:
             self.violations.append(Violation(v.name, v.detail, idx if v.step is None else v.step))
 
     def on_state(self, state: State) -> None:
-        phys, aux = state.phys, state.aux
-        found = self._verdict(aux, "state_checks", phys, invariants.check_all, phys, aux)
-        self._absorb(found, state.clock - 1)
-
-    def on_edge(self, pre: State, post: State, out: StepOutcome) -> None:
-        idx = pre.clock
-        found = self._verdict(
-            pre.aux, "edge_checks", post.aux, invariants.check_transition, pre.aux, post.aux
-        )
-        self._absorb(found, idx)
-        fr = out.frame
-        if out.kind == "register":
-            self._absorb(invariants.check_write_fresh(pre.aux, fr.t).violations, idx)
-        if out.kind == "read":
-            sc = post.aux.scanner
-            if sc.on and sc.bit(out.ptr):
-                value = fr.vx if out.ptr == Ptr.X else fr.vy
-                self._absorb(invariants.check_read_lemma(out.ptr, value, post.aux).violations, idx)
-        if out.kind == "relink":
-            self._absorb(
-                invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y).violations,
-                idx,
-            )
-        if out.returned:
-            rec, call, mask = post.methods[-1], out.before.call, out.before.mask
-            if call.kind == "write":
-                found = invariants.check_write_post(mask, post.aux, rec.t, rec.tid, call.p, call.v)
-            else:
-                self.scan_results.add(rec.result)
-                found = invariants.check_scan_post(mask, post.aux, rec.result, rec.witness)
-            self._absorb(found.violations, idx)
+        checks = self._state_checks[state.phys._memo["id"]]
+        aid = state.aux._memo["id"]
+        found = checks.get(aid)
+        if found is None:
+            found = checks[aid] = tuple(invariants.check_all(state.phys, state.aux).violations)
+        self.absorb(found, state.clock - 1)
 
     def finish(self, state: State, schedule, steps=()) -> Trace:
         """Build the record of a completed run and check it with both
@@ -495,14 +584,14 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             return 1
         total = 0
         for tid in enabled:
-            post, out = step_state(prog, state, tid)
-            post = checker.intern(post)
+            post, found = checker.step(state, tid)
             edges += 1
             pkey = state_key(post)
             known = visited.get(pkey)
             if known is None:
                 checker.on_state(post)
-            checker.on_edge(state, post, out)
+            if found:
+                checker.absorb(found, state.clock)
             if known is None:
                 sched.append(tid)
                 total += dfs(post, pkey)
@@ -517,27 +606,24 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
 
 
 def _drive(
-    prog: Program, choose, checker: _Checker | None, steps: list[StepRecord] | None = None
+    prog: Program, choose, checker: _Checker, steps: list[StepRecord] | None = None
 ) -> tuple[State, list[Tid]]:
     """Run prog from its initial state.  ``choose(idx, enabled)`` names the
     thread that takes step idx, or None to stop; every state and edge on the
-    way goes through ``checker`` unless it is None, and the digests of every
-    state reached are appended to ``steps`` unless it is None.  Returns the
-    last state and the schedule taken."""
-    state = initial_state(prog)
-    if checker is not None:
-        state = checker.intern(state)
-        checker.on_state(state)
+    way goes through ``checker``, and the digests of every state reached are
+    appended to ``steps`` unless it is None.  Returns the last state and the
+    schedule taken."""
+    state = checker.intern(initial_state(prog))
+    checker.on_state(state)
     sched: list[Tid] = []
     while (tid := choose(state.clock, enabled_tids(prog, state))) is not None:
-        post, out = step_state(prog, state, tid)
-        if checker is not None:
-            post = checker.intern(post)
-            checker.on_state(post)
-            checker.on_edge(state, post, out)
+        post, _, found = checker.take(state, tid)
+        checker.on_state(post)
+        checker.absorb(found, state.clock)
         if steps is not None:
+            label = _next_step(prog, tid, state.entry(tid)).label
             steps.append(
-                StepRecord(state.clock, tid, out.label, phys_digest(post.phys), aux_digest(post.aux))
+                StepRecord(state.clock, tid, label, phys_digest(post.phys), aux_digest(post.aux))
             )
         sched.append(tid)
         state = post
@@ -575,8 +661,8 @@ def run_schedule(prog: Program, schedule) -> Trace:
 
 
 def run_prefix(prog: Program, schedule) -> State:
-    """Drive a schedule prefix with no checking; test/demo helper."""
-    return _drive(prog, _follow(tuple(schedule), complete=False), None)[0]
+    """Drive a schedule prefix, discarding its verdicts; test/demo helper."""
+    return _drive(prog, _follow(tuple(schedule), complete=False), _Checker(prog))[0]
 
 
 def run_random(prog: Program, seed: int, runs: int) -> ExplorationReport:

@@ -149,6 +149,10 @@ def scan_steps() -> tuple[Step, ...]:
     return _SCAN_STEPS
 
 
+def call_steps(call: MethodCall) -> tuple[Step, ...]:
+    return write_steps(call.p) if call.kind == "write" else scan_steps()
+
+
 @dataclass(frozen=True)
 class MethodFrame:
     """One in-flight method call: program counter over its call's step list,
@@ -175,8 +179,7 @@ class MethodFrame:
 
     @property
     def steps(self) -> tuple[Step, ...]:
-        call = self.call
-        return write_steps(call.p) if call.kind == "write" else scan_steps()
+        return call_steps(self.call)
 
     def current_step(self) -> Step:
         return self.steps[self.pc]
@@ -271,6 +274,23 @@ def apply_step(
         return phys, aux2, clear_dead(frame2, "vx", "vy", "ox", "oy", "mask")
 
     raise GuardViolationError(f"unknown step kind {kind!r}")
+
+
+def observed(step: Step, phys: PhysState):
+    """The one value of physical memory that ``step`` reads into its
+    thread (the scanner bit, a pointer or a forwarding cell), None for a
+    step that reads none.  In :func:`apply_step`, the physical action
+    depends only on the physical state and the frame, and the auxiliary
+    transition and the frame's next state only on the auxiliary state,
+    the frame and this value."""
+    p = step.ptr
+    if step.kind == "check":
+        return phys.s_bit
+    if step.kind == "read":
+        return phys.x if p == Ptr.X else phys.y
+    if step.kind == "read-fwd":
+        return phys.fx if p == Ptr.X else phys.fy
+    return None
 
 
 def init(

@@ -236,8 +236,9 @@ def test_frame_key_is_primitive_and_complete():
 
 def _force_violations(monkeypatch):
     """Add a violation naming the state on every state whose scanner is on,
-    and one naming both aux states on every edge that changes the aux
-    state, so that a verdict replayed for the wrong state or edge shows."""
+    one naming both aux states on every edge that changes the aux state,
+    and one naming its inputs on every call of each other edge check, so
+    that a verdict replayed for the wrong state or edge shows."""
     check_state, check_transition = invariants.check_state, invariants.check_transition
 
     def forced_state(phys, aux):
@@ -252,8 +253,53 @@ def _force_violations(monkeypatch):
             rep.add("forced-edge", f"{aux_digest(pre)} -> {aux_digest(post)}")
         return rep
 
+    def forced(name, describe):
+        check = getattr(invariants, name)
+
+        def forced_check(*args):
+            rep = check(*args)
+            rep.add("forced-edge", f"{name} " + describe(*args))
+            return rep
+
+        monkeypatch.setattr(invariants, name, forced_check)
+
     monkeypatch.setattr(invariants, "check_state", forced_state)
     monkeypatch.setattr(invariants, "check_transition", forced_transition)
+    forced("check_write_fresh", lambda pre, t: f"{aux_digest(pre)} t={t}")
+    forced("check_read_lemma", lambda p, value, aux: f"{p}={value} {aux_digest(aux)}")
+    forced("check_relink_post", lambda aux, t_x, t_y: f"{aux_digest(aux)} {t_x} {t_y}")
+    forced(
+        "check_write_post",
+        lambda mask, ret, t, tid, p, v: f"{mask} {aux_digest(ret)} {t} {tid} {p}={v}",
+    )
+    forced(
+        "check_scan_post",
+        lambda mask, ret, r, witness: f"{mask} {aux_digest(ret)} {r} {witness}",
+    )
+
+
+def _reference_edge_checks(pre, post, out):
+    """Every check of one edge, called directly, in the checker's order."""
+    before, fr = out.before, out.frame
+    step = before.current_step()
+    reps = [invariants.check_transition(pre.aux, post.aux)]
+    if step.kind == "register":
+        reps.append(invariants.check_write_fresh(pre.aux, fr.t))
+    sc = post.aux.scanner
+    if step.kind == "read" and sc.on and sc.bit(step.ptr):
+        value = fr.vx if step.ptr == Ptr.X else fr.vy
+        reps.append(invariants.check_read_lemma(step.ptr, value, post.aux))
+    if step.kind == "relink":
+        reps.append(invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y))
+    if out.returned:
+        rec, call = post.methods[-1], before.call
+        if call.kind == "write":
+            reps.append(
+                invariants.check_write_post(before.mask, post.aux, rec.t, rec.tid, call.p, call.v)
+            )
+        else:
+            reps.append(invariants.check_scan_post(before.mask, post.aux, rec.result, rec.witness))
+    return reps
 
 
 def _reference_violations(prog):
@@ -267,13 +313,14 @@ def _reference_violations(prog):
 
     def dfs(state):
         for tid in enabled_tids(prog, state):
-            post, _ = step_state(prog, state, tid)
+            post, out = step_state(prog, state, tid)
             key = state_key(post)
             new = key not in visited
             if new:
                 visited.add(key)
                 absorb(invariants.check_all(post.phys, post.aux), post.clock - 1)
-            absorb(invariants.check_transition(state.aux, post.aux), state.clock)
+            for rep in _reference_edge_checks(state, post, out):
+                absorb(rep, state.clock)
             if new:
                 dfs(post)
 
@@ -324,3 +371,45 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
     report = explore(prog)
     assert [v.name for v in report.violations] == ["forced"] * report.states
     assert all(same) and len(same) > 2 * len(canonical)
+
+
+def _full_key(state):
+    return (
+        phys_key(state.phys),
+        aux_key(state.aux),
+        tuple(
+            (tid, e.call_idx, None if e.frame is None else frame_key(e.frame))
+            for tid, e in state.threads
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "prog, id_bits",
+    [
+        (next(p for p in generated_programs() if p.name == "gen-x1-y1"), None),
+        (two_scan_programs()[0], None),
+        # 2-bit digits: ids past 3 overflow, and keys fall back to tuples
+        (next(p for p in generated_programs() if p.name == "gen-x1-y1"), 2),
+    ],
+    ids=["gen-x1-y1", "two-scan", "gen-x1-y1-overflow"],
+)
+def test_state_key_is_injective(prog, id_bits, monkeypatch):
+    """The keys explore files its states under are equal exactly when the
+    states' full keys are."""
+    if id_bits is not None:
+        monkeypatch.setattr(harness, "_ID_BITS", id_bits)
+    keyed = harness.state_key
+    full_keys = {}
+
+    def watch(state):
+        key = keyed(state)
+        full_keys.setdefault(key, set()).add(_full_key(state))
+        return key
+
+    monkeypatch.setattr(harness, "state_key", watch)
+    report = explore(prog)
+    assert all(len(group) == 1 for group in full_keys.values())
+    assert len(set().union(*full_keys.values())) == len(full_keys) == report.states
+    kinds = {type(key) for key in full_keys}
+    assert kinds == ({int} if id_bits is None else {int, tuple})

@@ -68,7 +68,7 @@ def test_uncontended_write_takes_five_steps():
     labels = []
     while enabled_tids(prog, state):
         state, out = step_state(prog, state, "a")
-        labels.append(out.label)
+        labels.append(out.before.current_step().label)
     # scanner off throughout: the forward step is skipped
     assert labels == ["acquire:wx", "register:x", "check:x", "finalize:x", "release:wx"]
 
@@ -109,7 +109,7 @@ def test_read_steps_leave_aux_unchanged():
         state, _ = step_state(prog, state, "c")
     before = aux_digest(state.aux)
     state, out = step_state(prog, state, "c")
-    assert out.label == "read:x"
+    assert out.before.current_step().label == "read:x"
     assert aux_digest(state.aux) == before
     assert state.entry("c").frame.vx == 5
 
