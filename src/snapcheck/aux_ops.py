@@ -42,10 +42,6 @@ class InspectDecision:
     ptr: str | None = None
     target: Timestamp | None = None
 
-    @property
-    def is_yes(self) -> bool:
-        return self.ptr is not None
-
 
 INSPECT_NO = InspectDecision()
 

@@ -87,13 +87,18 @@ class Program:
 @dataclass(frozen=True)
 class ThreadEntry:
     """A thread's next call, its frame while that call is in flight, and
-    whether the step that left the entry returned the call (a function of
-    the frame, kept so that a replayed step reads it without the frame's
-    step list)."""
+    the step it takes next (None once its calls are done), which follows
+    from the other two."""
 
     call_idx: int
     frame: MethodFrame | None
-    returned: bool = False
+    step: Step | None
+
+    @property
+    def returned(self) -> bool:
+        """Whether the step that left the entry returned its call: a method
+        returns on the step before its lock release."""
+        return self.frame is not None and self.step.kind == "release"
 
 
 @dataclass(frozen=True)
@@ -101,16 +106,20 @@ class State:
     """Machine state plus three path fields, which ``state_key`` leaves out:
     the step index at which each thread's call in flight was invoked (in
     ``threads``' order), the methods completed on the path that reached it,
-    and its length.  The machine state is records of primitives all the way
-    down, and each record's fields are its key (``phys_key``, ``aux_key``,
-    ``entry_key``)."""
+    and the schedule of that path.  The machine state is records of
+    primitives all the way down, and each record's fields are its key
+    (``phys_key``, ``aux_key``, ``entry_key``)."""
 
     phys: PhysState
     aux: AuxState
     threads: tuple[tuple[Tid, ThreadEntry], ...]  # sorted by tid
     invocations: tuple[int | None, ...]
     methods: tuple[MethodRecord, ...] = ()
-    clock: int = 0
+    schedule: tuple[Tid, ...] = ()
+
+    @property
+    def clock(self) -> int:
+        return len(self.schedule)
 
     def index(self, tid: Tid) -> int:
         for i, (t, _) in enumerate(self.threads):
@@ -120,18 +129,6 @@ class State:
 
     def entry(self, tid: Tid) -> ThreadEntry:
         return self.threads[self.index(tid)][1]
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """What a step did: the frame that took it (``before``: its thread, its
-    step and the invocation mask the return checks read) and the frame it
-    left (``frame``).  On a return, the method's record is the last of the
-    post-state's ``methods``."""
-
-    returned: bool
-    before: MethodFrame
-    frame: MethodFrame
 
 
 @dataclass(frozen=True)
@@ -218,54 +215,49 @@ def initial_state(prog: Program) -> State:
             if call.kind == "write":
                 validate_value(call.v, prog.value_range)
     phys, aux = init(prog.init_x, prog.init_y, prog.value_range)
-    threads = tuple((tid, ThreadEntry(0, None)) for tid in sorted(tids))
+    threads = tuple((tid, _between_calls(prog, tid, 0)) for tid in sorted(tids))
     return State(phys, aux, threads, (None,) * len(threads))
 
 
-def _next_step(prog: Program, tid: Tid, entry: ThreadEntry) -> Step | None:
-    """The step ``tid`` takes next from ``entry``; None once its calls are
+def _between_calls(prog: Program, tid: Tid, call_idx: int) -> ThreadEntry:
+    """``tid``'s entry before its call ``call_idx``, or once its calls are
     done."""
-    if entry.frame is not None:
-        return entry.frame.current_step()
     calls = prog.calls_of(tid)
-    return call_steps(calls[entry.call_idx])[0] if entry.call_idx < len(calls) else None
+    step = call_steps(calls[call_idx])[0] if call_idx < len(calls) else None
+    return ThreadEntry(call_idx, None, step)
 
 
 def enabled_tids(prog: Program, state: State) -> list[Tid]:
     """Threads with an enabled next step, in canonical (sorted) order."""
-    out = []
-    for tid, entry in state.threads:
-        step = _next_step(prog, tid, entry)
-        if step is not None and step_enabled(step, state.phys):
-            out.append(tid)
-    return out
+    phys = state.phys
+    return [tid for tid, e in state.threads if e.step is not None and step_enabled(e.step, phys)]
 
 
-def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, StepOutcome]:
-    """Apply tid's next atomic step.  A thread starting a new call gets its
-    frame (and invocation mask) created here, just before its acquire; a
-    returning call adds its record to the post-state's methods."""
+def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, MethodFrame]:
+    """Apply tid's next atomic step: the post-state and the frame that took
+    the step.  A thread starting a new call gets its frame (and invocation
+    mask) created here, just before its acquire; a returning call adds its
+    record to the post-state's methods."""
     i = state.index(tid)
     entry = state.threads[i][1]
     frame = entry.frame
     if frame is None:
         frame = make_frame(tid, prog.calls_of(tid)[entry.call_idx], state.aux)
+    phys2, aux2, frame2 = apply_step(entry.step, state.phys, state.aux, frame)
     steps = frame.steps
-    phys2, aux2, frame2 = apply_step(steps[frame.pc], state.phys, state.aux, frame)
     if frame2.pc == len(steps):
-        entry2 = ThreadEntry(entry.call_idx + 1, None)
+        entry2 = _between_calls(prog, tid, entry.call_idx + 1)
     else:
-        # a method returns on the step before its lock release
-        entry2 = ThreadEntry(entry.call_idx, frame2, frame2.pc == len(steps) - 1)
-    post = _advance(state, i, phys2, aux2, entry2)
-    return post, StepOutcome(entry2.returned, frame, frame2)
+        entry2 = ThreadEntry(entry.call_idx, frame2, steps[frame2.pc])
+    return _advance(state, i, phys2, aux2, entry2), frame
 
 
 def _advance(state: State, i: int, phys: PhysState, aux: AuxState, entry: ThreadEntry) -> State:
     """``state`` after thread ``i`` stepped to ``(phys, aux, entry)``, with
     the path fields advanced along: a call's invocation index is set on its
     first step, and a returning call's record is added to ``methods``."""
-    threads, clock = state.threads, state.clock
+    threads, schedule = state.threads, state.schedule
+    tid, clock = threads[i][0], len(schedule)
     invocations = state.invocations
     if threads[i][1].frame is None:
         invocations = invocations[:i] + (clock,) + invocations[i + 1 :]
@@ -276,10 +268,10 @@ def _advance(state: State, i: int, phys: PhysState, aux: AuxState, entry: Thread
         state,
         phys=phys,
         aux=aux,
-        threads=threads[:i] + ((threads[i][0], entry),) + threads[i + 1 :],
+        threads=threads[:i] + ((tid, entry),) + threads[i + 1 :],
         invocations=invocations,
         methods=methods,
-        clock=clock + 1,
+        schedule=schedule + (tid,),
     )
 
 
@@ -309,7 +301,8 @@ frame_key = operator.attrgetter(
 
 def entry_key(tid: Tid, entry: ThreadEntry) -> tuple:
     """An entry's key, with its thread: a thread between calls has no frame
-    to name it, and the step it takes next is its own."""
+    to name it.  The entry's step follows from the three, so the key leaves
+    it out."""
     frame = entry.frame
     return (tid, entry.call_idx, None if frame is None else frame_key(frame))
 
@@ -367,6 +360,8 @@ class _Checker:
     ids, so they live and die with the checker:
 
     * state checks, by phys id and aux id: ``check_all``'s violations;
+    * transition checks, by aux id and post aux id: ``check_transition``'s
+      violations;
     * the physical half of a step, by entry id and phys id: the post
       physical part, and the table of the auxiliary halves of the steps
       that read the same value from memory (``observed``) under the entry;
@@ -388,6 +383,7 @@ class _Checker:
         self._canonical: dict[tuple, object] = {}
         self._phys_ids, self._aux_ids, self._entry_ids = count(), count(), count()
         self._state_checks: defaultdict[int, dict] = defaultdict(dict)
+        self._transition_checks: defaultdict[int, dict] = defaultdict(dict)
         self._phys_steps: defaultdict[int, dict] = defaultdict(dict)
         # by (entry id, value read); an entry fixes its step, and so the
         # type of what it reads, so the check step's bool never meets an
@@ -437,35 +433,44 @@ class _Checker:
             if aux_half is not None:
                 aux, entry, found = aux_half
                 return _advance(state, i, phys, aux, entry), found
-        post, out, found = self.take(state, tid)
+        aux_steps = self._aux_steps[eid, observed(state.threads[i][1].step, state.phys)]
+        post, found = self.take(state, tid)
         # the other threads' entries are the pre-state's, interned already
         made = post.threads[i][1]
         entry = self._canon(made, self._entry_ids, entry_key, tid)
         if entry is not made:
             post = evolve(post, threads=post.threads[:i] + ((tid, entry),) + post.threads[i + 1 :])
-        aux_steps = self._aux_steps[eid, observed(out.before.current_step(), state.phys)]
         phys_steps[pid] = (post.phys, aux_steps)
         aux_steps[aid] = (post.aux, entry, found)
         return post, found
 
-    def take(self, state: State, tid: Tid) -> tuple[State, StepOutcome, tuple[Violation, ...]]:
+    def take(self, state: State, tid: Tid) -> tuple[State, tuple[Violation, ...]]:
         """``tid``'s next step from ``state``, taken by ``step_state``, the
         one implementation of the semantics: the post-state with its
-        physical and auxiliary parts interned, the outcome, and the
-        violations of the edge's checks, unstamped."""
-        post, out = step_state(self.prog, state, tid)
+        physical and auxiliary parts interned, and the violations of the
+        edge's checks, unstamped."""
+        post, before = step_state(self.prog, state, tid)
         phys = self._canon(post.phys, self._phys_ids, phys_key)
         aux = self._canon(post.aux, self._aux_ids, aux_key)
         if phys is not post.phys or aux is not post.aux:
             post = evolve(post, phys=phys, aux=aux)
-        return post, out, self._check_edge(state, post, out)
+        return post, self._check_edge(state, post, before)
 
-    def _check_edge(self, pre: State, post: State, out: StepOutcome) -> tuple[Violation, ...]:
-        """The violations of every check of one edge, in order; a returning
-        scan also adds its result to the scan results."""
-        before, fr = out.before, out.frame
+    def _check_edge(self, pre: State, post: State, before: MethodFrame) -> tuple[Violation, ...]:
+        """The violations of every check of the edge on which the frame
+        ``before`` took its step, in order; a returning scan also adds its
+        result to the scan results.  The frame the step left, and whether
+        it returned the call, are the post-state's entry's."""
         step = before.current_step()
-        found = list(invariants.check_transition(pre.aux, post.aux).violations)
+        after = post.entry(before.tid)
+        fr = after.frame
+        transitions = self._transition_checks[pre.aux._memo["id"]]
+        post_aid = post.aux._memo["id"]
+        found = transitions.get(post_aid)
+        if found is None:
+            rep = invariants.check_transition(pre.aux, post.aux)
+            found = transitions[post_aid] = tuple(rep.violations)
+        found = list(found)
         if step.kind == "register":
             found += invariants.check_write_fresh(pre.aux, fr.t).violations
         if step.kind == "read":
@@ -475,7 +480,7 @@ class _Checker:
                 found += invariants.check_read_lemma(step.ptr, value, post.aux).violations
         if step.kind == "relink":
             found += invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y).violations
-        if out.returned:
+        if after.returned:
             rec, call, mask = post.methods[-1], before.call, before.mask
             if call.kind == "write":
                 rep = invariants.check_write_post(mask, post.aux, rec.t, rec.tid, call.p, call.v)
@@ -499,7 +504,7 @@ class _Checker:
             found = checks[aid] = tuple(invariants.check_all(state.phys, state.aux).violations)
         self.absorb(found, state.clock - 1)
 
-    def finish(self, state: State, schedule, steps=()) -> Trace:
+    def finish(self, state: State, steps=()) -> Trace:
         """Build the record of a completed run and check it with both
         oracle routes.  Oracle failures join the checker's violations; the
         record's own violation list is left empty."""
@@ -509,7 +514,7 @@ class _Checker:
             threads=tuple((tid, tuple(c.render() for c in calls)) for tid, calls in prog.threads),
             init_x=prog.init_x,
             init_y=prog.init_y,
-            schedule=tuple(schedule),
+            schedule=state.schedule,
             steps=tuple(steps),
             methods=state.methods,
             final_sigma=aux.sigma,
@@ -568,7 +573,6 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     state0 = checker.intern(initial_state(prog))
     checker.on_state(state0)
     visited: dict[bytes, int] = {}
-    sched: list[Tid] = []
     executions: list[Trace] = []
     edges = 0
 
@@ -579,7 +583,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         visited[key] = 0
         enabled = enabled_tids(prog, state)
         if not enabled:
-            executions.append(checker.finish(state, sched))
+            executions.append(checker.finish(state))
             visited[key] = 1
             return 1
         total = 0
@@ -593,9 +597,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             if found:
                 checker.absorb(found, state.clock)
             if known is None:
-                sched.append(tid)
                 total += dfs(post, pkey)
-                sched.pop()
             else:
                 total += known
         visited[key] = total
@@ -607,27 +609,24 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
 
 def _drive(
     prog: Program, choose, checker: _Checker, steps: list[StepRecord] | None = None
-) -> tuple[State, list[Tid]]:
+) -> State:
     """Run prog from its initial state.  ``choose(idx, enabled)`` names the
     thread that takes step idx, or None to stop; every state and edge on the
     way goes through ``checker``, and the digests of every state reached are
-    appended to ``steps`` unless it is None.  Returns the last state and the
-    schedule taken."""
+    appended to ``steps`` unless it is None.  Returns the last state."""
     state = checker.intern(initial_state(prog))
     checker.on_state(state)
-    sched: list[Tid] = []
     while (tid := choose(state.clock, enabled_tids(prog, state))) is not None:
-        post, _, found = checker.take(state, tid)
+        post, found = checker.take(state, tid)
         checker.on_state(post)
         checker.absorb(found, state.clock)
         if steps is not None:
-            label = _next_step(prog, tid, state.entry(tid)).label
+            label = state.entry(tid).step.label
             steps.append(
                 StepRecord(state.clock, tid, label, phys_digest(post.phys), aux_digest(post.aux))
             )
-        sched.append(tid)
         state = post
-    return state, sched
+    return state
 
 
 def _follow(schedule: tuple[Tid, ...], complete: bool):
@@ -655,14 +654,14 @@ def run_schedule(prog: Program, schedule) -> Trace:
     """
     checker = _Checker(prog)
     steps: list[StepRecord] = []
-    state, sched = _drive(prog, _follow(tuple(schedule), complete=True), checker, steps)
-    trace = checker.finish(state, sched, steps)
+    state = _drive(prog, _follow(tuple(schedule), complete=True), checker, steps)
+    trace = checker.finish(state, steps)
     return evolve(trace, violations=tuple(v.render() for v in checker.violations))
 
 
 def run_prefix(prog: Program, schedule) -> State:
     """Drive a schedule prefix, discarding its verdicts; test/demo helper."""
-    return _drive(prog, _follow(tuple(schedule), complete=False), _Checker(prog))[0]
+    return _drive(prog, _follow(tuple(schedule), complete=False), _Checker(prog))
 
 
 def run_random(prog: Program, seed: int, runs: int) -> ExplorationReport:
@@ -676,9 +675,9 @@ def run_random(prog: Program, seed: int, runs: int) -> ExplorationReport:
     total_steps = 0
     for run in range(runs):
         before = len(checker.violations)
-        state, sched = _drive(prog, choose, checker)
-        checker.finish(state, sched)
-        total_steps += len(sched)
+        state = _drive(prog, choose, checker)
+        checker.finish(state)
+        total_steps += state.clock
         for v in checker.violations[before:]:
             v.detail = f"run {run}: {v.detail}"
     return checker.report("random", None, total_steps, runs, seed=seed)

@@ -206,7 +206,8 @@ def apply_step(
     step: Step, phys: PhysState, aux: AuxState, frame: MethodFrame
 ) -> tuple[PhysState, AuxState, MethodFrame]:
     """Execute one atomic step: physical action and auxiliary transition
-    commit together; the frame's program counter advances."""
+    commit together; the frame's program counter advances.  What the step
+    reads from memory is :func:`observed`'s."""
     tid = frame.tid
     kind = step.kind
     p = step.ptr
@@ -229,7 +230,7 @@ def apply_step(
         return phys2, aux2, evolve(frame, pc=nxt, t=t)
 
     if kind == "check":
-        b = phys.s_bit
+        b = observed(step, phys)
         aux2 = aux_ops.check(tid, p, b, aux)
         # skip the forward step entirely when no scan was in progress
         return phys, aux2, evolve(frame, pc=nxt if b else nxt + 1)
@@ -255,11 +256,10 @@ def apply_step(
 
     if kind == "read":
         field = "vx" if p == Ptr.X else "vy"
-        value = phys.x if p == Ptr.X else phys.y
-        return phys, aux, evolve(frame, pc=nxt, **{field: value})
+        return phys, aux, evolve(frame, pc=nxt, **{field: observed(step, phys)})
 
     if kind == "read-fwd":
-        value = phys.fx if p == Ptr.X else phys.fy
+        value = observed(step, phys)
         if value is None:
             return phys, aux, evolve(frame, pc=nxt)
         # a forwarded value supersedes the pointer read

@@ -179,7 +179,7 @@ def parse_trace(text: str) -> Trace:
                 raise TraceParseError(f"line {lineno}: unknown record kind {kind!r}")
         except TraceParseError:
             raise
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
     if text.strip() and not (header and footer):
         raise TraceParseError(f"no {'footer' if header else 'header'} record")

@@ -305,7 +305,7 @@ def _inspect_cases(n_cases):
         want = _expected_by_case_analysis(t_x, t_y, aux)
         if got != want:
             failures += 1
-        elif got.is_yes and aux.kappa[got.target - 1] != Color.YELLOW:
+        elif got.ptr is not None and aux.kappa[got.target - 1] != Color.YELLOW:
             failures += 1
     return failures
 

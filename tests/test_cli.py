@@ -146,6 +146,12 @@ def test_check_parse_error(tmp_path, capsys):
     assert main(["check", "--trace", str(bad)]) == 4
 
 
+def test_check_deeply_nested_line(tmp_path, capsys):
+    deep = tmp_path / "deep.trace"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    assert main(["check", "--trace", str(deep)]) == 4
+
+
 def test_check_truncated_trace(tmp_path, capsys):
     out_file = tmp_path / "demo.trace"
     main(["demo-fig1", "--out", str(out_file)])

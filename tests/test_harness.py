@@ -27,7 +27,7 @@ from snapcheck.harness import (
     state_key,
     step_state,
 )
-from snapcheck.snapshot import MethodCall, aux_digest, phys_digest, phys_key
+from snapcheck.snapshot import MethodCall, aux_digest, call_steps, phys_digest, phys_key
 from snapcheck.tracefile import render_trace
 
 
@@ -209,18 +209,25 @@ def test_dead_local_merge_matches_full_keys(name, monkeypatch):
     assert full.states > merged.states
 
 
+def _walk_states():
+    """Every state of 40 seeded random walks over each two-scan client,
+    with its program."""
+    rng = random.Random(5)
+    for prog in two_scan_programs():
+        for _ in range(40):
+            state = initial_state(prog)
+            yield prog, state
+            while enabled := enabled_tids(prog, state):
+                state = step_state(prog, state, rng.choice(enabled))[0]
+                yield prog, state
+
+
 def test_frame_key_is_primitive_and_complete():
     # A dataclass back in the frame key makes every state key several times
     # slower and fails no other test; a field left out of it merges
     # distinct states.
-    rng = random.Random(5)
-    frames = []
-    for prog in two_scan_programs():
-        for _ in range(40):
-            state = initial_state(prog)
-            while enabled := enabled_tids(prog, state):
-                state = step_state(prog, state, rng.choice(enabled))[0]
-                frames += [e.frame for _, e in state.threads if e.frame is not None]
+    frames = [e.frame for _, state in _walk_states() for _, e in state.threads]
+    frames = [frame for frame in frames if frame is not None]
     groups = {}
     for frame in frames:
         key = frame_key(frame)
@@ -232,6 +239,26 @@ def test_frame_key_is_primitive_and_complete():
     for frame in set(frames):
         for variant in one_field_changed(frame):
             assert frame_key(variant) != frame_key(frame)
+
+
+def test_derived_fields_follow_from_the_state():
+    """An entry's next step is its frame's, or between calls the first step
+    of the thread's next call; it returned its call exactly on the step
+    before the release; the clock is the schedule's length."""
+    for prog, state in _walk_states():
+        assert state.clock == len(state.schedule)
+        for tid, entry in state.threads:
+            frame = entry.frame
+            if frame is not None:
+                assert entry.step == frame.current_step()
+                assert entry.returned == (frame.pc == len(frame.steps) - 1)
+                continue
+            calls = prog.calls_of(tid)
+            if entry.call_idx < len(calls):
+                assert entry.step == call_steps(calls[entry.call_idx])[0]
+            else:
+                assert entry.step is None
+            assert not entry.returned
 
 
 def _force_violations(monkeypatch):
@@ -278,9 +305,11 @@ def _force_violations(monkeypatch):
     )
 
 
-def _reference_edge_checks(pre, post, out):
-    """Every check of one edge, called directly, in the checker's order."""
-    before, fr = out.before, out.frame
+def _reference_edge_checks(pre, post, before):
+    """Every check of the edge on which the frame ``before`` took its step,
+    called directly, in the checker's order."""
+    after = post.entry(before.tid)
+    fr = after.frame
     step = before.current_step()
     reps = [invariants.check_transition(pre.aux, post.aux)]
     if step.kind == "register":
@@ -291,7 +320,7 @@ def _reference_edge_checks(pre, post, out):
         reps.append(invariants.check_read_lemma(step.ptr, value, post.aux))
     if step.kind == "relink":
         reps.append(invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y))
-    if out.returned:
+    if after.returned:
         rec, call = post.methods[-1], before.call
         if call.kind == "write":
             reps.append(
@@ -313,13 +342,13 @@ def _reference_violations(prog):
 
     def dfs(state):
         for tid in enabled_tids(prog, state):
-            post, out = step_state(prog, state, tid)
+            post, before = step_state(prog, state, tid)
             key = state_key(post)
             new = key not in visited
             if new:
                 visited.add(key)
                 absorb(invariants.check_all(post.phys, post.aux), post.clock - 1)
-            for rep in _reference_edge_checks(state, post, out):
+            for rep in _reference_edge_checks(state, post, before):
                 absorb(rep, state.clock)
             if new:
                 dfs(post)

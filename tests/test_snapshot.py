@@ -67,8 +67,8 @@ def test_uncontended_write_takes_five_steps():
     state = initial_state(prog)
     labels = []
     while enabled_tids(prog, state):
-        state, out = step_state(prog, state, "a")
-        labels.append(out.before.current_step().label)
+        state, before = step_state(prog, state, "a")
+        labels.append(before.current_step().label)
     # scanner off throughout: the forward step is skipped
     assert labels == ["acquire:wx", "register:x", "check:x", "finalize:x", "release:wx"]
 
@@ -108,8 +108,8 @@ def test_read_steps_leave_aux_unchanged():
     for _ in range(4):  # acquire, set-on, clear x, clear y
         state, _ = step_state(prog, state, "c")
     before = aux_digest(state.aux)
-    state, out = step_state(prog, state, "c")
-    assert out.before.current_step().label == "read:x"
+    state, frame = step_state(prog, state, "c")
+    assert frame.current_step().label == "read:x"
     assert aux_digest(state.aux) == before
     assert state.entry("c").frame.vx == 5
 
