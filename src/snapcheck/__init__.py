@@ -43,7 +43,7 @@ from .harness import (
     run_random,
     run_schedule,
 )
-from .invariants import Violation, ViolationReport
+from .invariants import Violation
 from .oracle import MethodRecord, linearizable, replay_sequential, validate_witness
 from .snapshot import MethodCall, PhysState, init
 

@@ -29,7 +29,7 @@ Timestamp = int
 Value = int
 Tid = str
 
-DEFAULT_VALUE_RANGE: tuple[int, int] = (0, 7)
+VALUE_RANGE: tuple[int, int] = (0, 7)
 
 
 class Ptr:
@@ -117,8 +117,8 @@ class AuxState:
         return len(self.ptr)
 
 
-def validate_value(v: Value, value_range: tuple[int, int] = DEFAULT_VALUE_RANGE) -> None:
-    lo, hi = value_range
+def validate_value(v: Value) -> None:
+    lo, hi = VALUE_RANGE
     if not (isinstance(v, int) and lo <= v <= hi):
         raise ValueDomainError(f"value {v!r} outside domain {lo}..{hi}")
 

@@ -50,7 +50,6 @@ from .snapshot import (
     apply_step,
     aux_digest,
     call_steps,
-    digest,
     init,
     make_frame,
     observed,
@@ -59,7 +58,7 @@ from .snapshot import (
     step_enabled,
 )
 
-DEFAULT_MAX_STATES = 1_000_000
+DEFAULT_MAX_STATES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class Program:
     threads: tuple[tuple[Tid, tuple[MethodCall, ...]], ...]
     init_x: Value = 5
     init_y: Value = 0
-    value_range: tuple[int, int] = (0, 7)
 
     def calls_of(self, tid: Tid) -> tuple[MethodCall, ...]:
         for t, calls in self.threads:
@@ -213,8 +211,8 @@ def initial_state(prog: Program) -> State:
     for _, calls in prog.threads:
         for call in calls:
             if call.kind == "write":
-                validate_value(call.v, prog.value_range)
-    phys, aux = init(prog.init_x, prog.init_y, prog.value_range)
+                validate_value(call.v)
+    phys, aux = init(prog.init_x, prog.init_y)
     threads = tuple((tid, _between_calls(prog, tid, 0)) for tid in sorted(tids))
     return State(phys, aux, threads, (None,) * len(threads))
 
@@ -316,8 +314,8 @@ def _pack(*ids: int):
     ``_ID_BITS``-bit digit below it.  Where a later id overflows its digit,
     the tuple of ids stands in, so that the key is injective at any size
     (no int equals a tuple).  An int of up to 60 bits takes 32 bytes,
-    against 49 for a 16-byte digest, and the visited set holds one key per
-    state."""
+    against 80 for a tuple of five small ints, and the visited set holds one
+    key per state."""
     key = ids[0]
     for i in ids[1:]:
         if i >> _ID_BITS:
@@ -327,20 +325,10 @@ def _pack(*ids: int):
 
 
 def state_key(state: State):
-    """The key of the machine state (the path fields excluded).  A state
-    whose parts a checker interned is keyed by their ids, packed; any other
-    by a 128-bit digest of its parts' full keys."""
-    try:
-        ids = [e._memo["id"] for _, e in state.threads]
-        return _pack(state.aux._memo["id"], state.phys._memo["id"], *ids)
-    except (AttributeError, KeyError):  # no memo, or no id in it
-        pass
-    key = (
-        phys_key(state.phys),
-        aux_key(state.aux),
-        tuple(entry_key(tid, e) for tid, e in state.threads),
-    )
-    return digest(key, 16)
+    """The key of a machine state whose parts a checker interned (the path
+    fields excluded): the ids of its parts, packed."""
+    ids = [e._memo["id"] for _, e in state.threads]
+    return _pack(state.aux._memo["id"], state.phys._memo["id"], *ids)
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +456,17 @@ class _Checker:
         post_aid = post.aux._memo["id"]
         found = transitions.get(post_aid)
         if found is None:
-            rep = invariants.check_transition(pre.aux, post.aux)
-            found = transitions[post_aid] = tuple(rep.violations)
+            found = transitions[post_aid] = tuple(invariants.check_transition(pre.aux, post.aux))
         found = list(found)
         if step.kind == "register":
-            found += invariants.check_write_fresh(pre.aux, fr.t).violations
+            found += invariants.check_write_fresh(pre.aux, fr.t)
         if step.kind == "read":
             sc = post.aux.scanner
             if sc.on and sc.bit(step.ptr):
                 value = fr.vx if step.ptr == Ptr.X else fr.vy
-                found += invariants.check_read_lemma(step.ptr, value, post.aux).violations
+                found += invariants.check_read_lemma(step.ptr, value, post.aux)
         if step.kind == "relink":
-            found += invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y).violations
+            found += invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y)
         if after.returned:
             rec, call, mask = post.methods[-1], before.call, before.mask
             if call.kind == "write":
@@ -487,21 +474,22 @@ class _Checker:
             else:
                 self.scan_results.add(rec.result)
                 rep = invariants.check_scan_post(mask, post.aux, rec.result, rec.witness)
-            found += rep.violations
+            found += rep
+        # the tables keep verdicts as tuples: an empty one takes no memory
         return tuple(found)
 
     def absorb(self, violations, idx: int) -> None:
-        """Record copies of ``violations``, stamped with step ``idx`` unless
-        they carry a step already, so that no cached verdict is handed out."""
+        """Record copies of ``violations`` stamped with step ``idx``, so
+        that no cached verdict is handed out."""
         for v in violations:
-            self.violations.append(Violation(v.name, v.detail, idx if v.step is None else v.step))
+            self.violations.append(Violation(v.name, v.detail, idx))
 
     def on_state(self, state: State) -> None:
         checks = self._state_checks[state.phys._memo["id"]]
         aid = state.aux._memo["id"]
         found = checks.get(aid)
         if found is None:
-            found = checks[aid] = tuple(invariants.check_all(state.phys, state.aux).violations)
+            found = checks[aid] = tuple(invariants.check_all(state.phys, state.aux))
         self.absorb(found, state.clock - 1)
 
     def finish(self, state: State, steps=()) -> Trace:
@@ -567,16 +555,20 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     of maximal interleavings, computed over the state graph.  One run record
     is kept per distinct terminal state.  Raises
     :class:`BudgetExceededError` when more than ``max_states`` distinct
-    states are reached.
+    states are reached, and :class:`OracleSizeError` before the first step
+    when the program has too many calls for the oracle: every terminal
+    state completes every call.
     """
+    # the oracle reads the two initializing writes too
+    oracle.check_size(2 + sum(len(calls) for _, calls in prog.threads))
     checker = _Checker(prog)
     state0 = checker.intern(initial_state(prog))
     checker.on_state(state0)
-    visited: dict[bytes, int] = {}
+    visited: dict[int | tuple, int] = {}
     executions: list[Trace] = []
     edges = 0
 
-    def dfs(state: State, key: bytes) -> int:
+    def dfs(state: State, key: int | tuple) -> int:
         nonlocal edges
         if len(visited) >= max_states:
             raise BudgetExceededError(f"state budget {max_states} exceeded")
@@ -703,9 +695,9 @@ def client_e() -> Program:
     return evolve(client_fig1(), name="e")
 
 
-def client_e_prime(v: Value = 2) -> Program:
+def client_e_prime() -> Program:
     """One thread: scan, then write x; exercises sequential composition."""
-    return Program("e-prime", (("t", (MethodCall.scan(), MethodCall.write(Ptr.X, v))),))
+    return Program("e-prime", (("t", (MethodCall.scan(), MethodCall.write(Ptr.X, 2))),))
 
 
 # The bundled scanner-miss interleaving: the scan reads x=5, y=0, both writes
@@ -789,10 +781,3 @@ def parse_program(text: str, name: str = "custom") -> Program:
     if len(set(tids)) != len(tids):
         raise TraceParseError("duplicate thread ids")
     return Program(name, tuple(threads), init_x, init_y)
-
-
-def render_program(prog: Program) -> str:
-    lines = [f"init {prog.init_x} {prog.init_y}"]
-    for tid, calls in prog.threads:
-        lines.append(f"{tid}: " + "; ".join(c.render() for c in calls))
-    return "\n".join(lines) + "\n"

@@ -1,15 +1,16 @@
 """Executable checkers for every state invariant, transition invariant,
 lemma-level property, and method postcondition of the snapshot model.
 
-Checks never raise on a bad state: they return a :class:`ViolationReport`
-(empty report == all checks passed), so the harness can keep exploring and
-collect everything that went wrong.  Phase-guarded invariants (red zone,
-forwarded values, read values) evaluate vacuously true outside their guard.
+Checks never raise on a bad state: they return the list of violations
+found (empty when every check passed), so the harness can keep exploring
+and collect everything that went wrong.  Phase-guarded invariants (red
+zone, forwarded values, read values) evaluate vacuously true outside their
+guard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .aux_model import (
@@ -78,47 +79,29 @@ class Violation:
         return f"INV {self.name} @step={self.step}: {self.detail}"
 
 
-@dataclass
-class ViolationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, name: str, detail: str) -> None:
-        self.violations.append(Violation(name, detail))
-
-    def merge(self, other: "ViolationReport") -> None:
-        self.violations.extend(other.violations)
-
-    def render(self) -> str:
-        return "\n".join(v.render() for v in self.violations)
-
-
 # ---------------------------------------------------------------------------
 # state-space invariants
 
 
-def _check_wellformed(aux: AuxState, rep: ViolationReport) -> None:
+def _check_wellformed(aux: AuxState, rep: list[Violation]) -> None:
     n = aux.max_ts()
     dom = range(1, n + 1)
     if sorted(aux.sigma) != list(dom):
-        rep.add("wellformed", f"sigma {aux.sigma} is not a permutation of dom hist")
+        rep.append(Violation("wellformed", f"sigma {aux.sigma} is not a permutation of dom hist"))
     if not len(aux.val) == len(aux.kappa) == len(aux.tau) == n:
-        rep.add("wellformed", "values, colors and end times do not cover dom hist")
+        rep.append(Violation("wellformed", "values, colors and end times do not cover dom hist"))
     # disjoint masks covering dom exactly: their sum and their union are dom
     full = (1 << (n + 1)) - 2
     total = aux.init_mask + aux.joint_mask + sum(mask for _, mask in aux.self_masks)
     if total != full or other_mask(aux, None) | aux.joint_mask != full:
-        rep.add("wellformed", "ownership masks do not partition dom hist")
+        rep.append(Violation("wellformed", "ownership masks do not partition dom hist"))
     for p in (Ptr.X, Ptr.Y):
         w = aux.writer(p)
         if w.phase != WriterPhase.OFF and w.t not in dom:
-            rep.add("wellformed", f"writer for {p} holds unknown timestamp {w.t}")
+            rep.append(Violation("wellformed", f"writer for {p} holds unknown timestamp {w.t}"))
 
 
-def _check_overlap(aux: AuxState, rep: ViolationReport) -> None:
+def _check_overlap(aux: AuxState, rep: list[Violation]) -> None:
     # non-overlapping events are never logically reordered
     pos = _positions(aux.sigma)
     for t1, end in enumerate(aux.tau, 1):
@@ -126,13 +109,13 @@ def _check_overlap(aux: AuxState, rep: ViolationReport) -> None:
             continue
         for t2 in range(1, aux.max_ts() + 1):
             if end < t2 and not pos[t1] < pos[t2]:
-                rep.add(
+                rep.append(Violation(
                     "overlap",
                     f"{t1} ended at {end} before {t2} began but follows it in sigma",
-                )
+                ))
 
 
-def _check_colors(aux: AuxState, rep: ViolationReport) -> None:
+def _check_colors(aux: AuxState, rep: list[Violation]) -> None:
     # per pointer: non-empty green prefix, at most one yellow, then reds
     for p in (Ptr.X, Ptr.Y):
         seq = hist_p(p, aux)
@@ -141,32 +124,32 @@ def _check_colors(aux: AuxState, rep: ViolationReport) -> None:
         while i < len(colors) and colors[i] == Color.GREEN:
             i += 1
         if i == 0:
-            rep.add("colors", f"{p}-history has no green prefix: {seq}")
+            rep.append(Violation("colors", f"{p}-history has no green prefix: {seq}"))
             continue
         if i < len(colors) and colors[i] == Color.YELLOW:
             i += 1
         if any(c != Color.RED for c in colors[i:]):
-            rep.add(
+            rep.append(Violation(
                 "colors",
                 f"{p}-history breaks the green+/yellow?/red* pattern: {colors}",
-            )
+            ))
 
 
-def _check_last_write(phys: "PhysState", aux: AuxState, rep: ViolationReport) -> None:
+def _check_last_write(phys: "PhysState", aux: AuxState, rep: list[Violation]) -> None:
     for p, actual in ((Ptr.X, phys.x), (Ptr.Y, phys.y)):
         seq = hist_p(p, aux)
         if not seq:
-            rep.add("last-write", f"{p} has no writes at all")
+            rep.append(Violation("last-write", f"{p} has no writes at all"))
             continue
         expect = aux.val[seq[-1] - 1]
         if actual != expect:
-            rep.add(
+            rep.append(Violation(
                 "last-write",
                 f"{p} holds {actual} but sigma-last write {seq[-1]} wrote {expect}",
-            )
+            ))
 
 
-def _check_joint_history(aux: AuxState, rep: ViolationReport) -> None:
+def _check_joint_history(aux: AuxState, rep: list[Violation]) -> None:
     active = {}
     for p in (Ptr.X, Ptr.Y):
         w = aux.writer(p)
@@ -178,31 +161,34 @@ def _check_joint_history(aux: AuxState, rep: ViolationReport) -> None:
                 and aux.ptr[t - 1] == p
                 and aux.val[t - 1] == w.v
             ):
-                rep.add(
+                rep.append(Violation(
                     "joint-history",
                     f"active writer for {p} ({w.phase} t={w.t} v={w.v}) "
                     "has no matching joint event",
-                )
+                ))
     for t in bits(aux.joint_mask):
         if t not in active:
-            rep.add("joint-history", f"joint event {t} has no active writer")
+            rep.append(Violation("joint-history", f"joint event {t} has no active writer"))
 
 
-def _check_terminated(aux: AuxState, rep: ViolationReport) -> None:
+def _check_terminated(aux: AuxState, rep: list[Violation]) -> None:
     ended = [t for t, end in enumerate(aux.tau, 1) if end is not None]
     finished = other_mask(aux, None)
     if sum(1 << t for t in ended) != finished:
-        rep.add(
+        rep.append(Violation(
             "terminated-events",
             f"dom tau {ended} != self+other events {list(bits(finished))}",
-        )
+        ))
     top = aux.max_ts()
     for a, end in enumerate(aux.tau, 1):
         if end is not None and end > top:
-            rep.add("terminated-events", f"tau({a})={end} exceeds max timestamp {top}")
+            rep.append(Violation(
+                "terminated-events",
+                f"tau({a})={end} exceeds max timestamp {top}",
+            ))
 
 
-def _check_forwarded(phys: "PhysState", aux: AuxState, rep: ViolationReport) -> None:
+def _check_forwarded(phys: "PhysState", aux: AuxState, rep: list[Violation]) -> None:
     sc = aux.scanner
     if sc.on:
         return
@@ -213,14 +199,14 @@ def _check_forwarded(phys: "PhysState", aux: AuxState, rep: ViolationReport) -> 
             t is not None and aux.val[t - 1] == fwd
             for t in (last_green(p, aux), yellow_of(p, aux))
         ):
-            rep.add(
+            rep.append(Violation(
                 "forwarded-values",
                 f"forwarded {p}-value {fwd} written by neither the last "
                 f"green nor the yellow of {p}-history",
-            )
+            ))
 
 
-def _check_red_zone(aux: AuxState, rep: ViolationReport) -> None:
+def _check_red_zone(aux: AuxState, rep: list[Violation]) -> None:
     sc = aux.scanner
     if sc.on or not (sc.sx and sc.sy):
         return
@@ -231,37 +217,37 @@ def _check_red_zone(aux: AuxState, rep: ViolationReport) -> None:
         if c == Color.RED:
             seen_red = True
         elif seen_red:
-            rep.add("red-zone", f"{c} event {t} after a red one in sigma")
+            rep.append(Violation("red-zone", f"{c} event {t} after a red one in sigma"))
     for t, c in enumerate(aux.kappa, 1):
         if c == Color.GREEN and not t <= t_off:
-            rep.add("red-zone", f"green {t} > t_off {t_off}")
+            rep.append(Violation("red-zone", f"green {t} > t_off {t_off}"))
         elif c == Color.YELLOW:
             end = aux.tau[t - 1]
             if not t <= t_off or (end is not None and not t_off <= end):
-                rep.add("red-zone", f"yellow {t} violates t <= t_off <= tau(t)")
+                rep.append(Violation("red-zone", f"yellow {t} violates t <= t_off <= tau(t)"))
         elif c == Color.RED and not t_off < t:
-            rep.add("red-zone", f"red {t} <= t_off {t_off}")
+            rep.append(Violation("red-zone", f"red {t} <= t_off {t_off}"))
 
 
-def _check_first_forwarding(aux: AuxState, rep: ViolationReport) -> None:
+def _check_first_forwarding(aux: AuxState, rep: list[Violation]) -> None:
     # events that terminated before the scan toggled off must be green
     sc = aux.scanner
     if sc.on or not (sc.sx and sc.sy):
         return
     for t, end in enumerate(aux.tau, 1):
         if end is not None and end < sc.t_off and aux.kappa[t - 1] != Color.GREEN:
-            rep.add(
+            rep.append(Violation(
                 "first-forwarding",
                 f"{t} terminated at {end} before t_off {sc.t_off} but is "
                 f"{aux.kappa[t - 1]}",
-            )
+            ))
 
 
-def check_state(phys: "PhysState", aux: AuxState) -> ViolationReport:
+def check_state(phys: "PhysState", aux: AuxState) -> list[Violation]:
     """Evaluate every state-space invariant on one state."""
-    rep = ViolationReport()
+    rep = []
     _check_wellformed(aux, rep)
-    if not rep.ok:
+    if rep:
         return rep
     _check_overlap(aux, rep)
     _check_colors(aux, rep)
@@ -278,10 +264,10 @@ def check_state(phys: "PhysState", aux: AuxState) -> ViolationReport:
 # two-state transition invariants
 
 
-def check_transition(pre: AuxState, post: AuxState) -> ViolationReport:
+def check_transition(pre: AuxState, post: AuxState) -> list[Violation]:
     """Monotonicity across one transition: histories, the stable order and
     the scanned set only grow, and scanned ideals never change."""
-    rep = ViolationReport()
+    rep = []
     if (
         pre.ptr is post.ptr
         and pre.val is post.val
@@ -299,37 +285,43 @@ def check_transition(pre: AuxState, post: AuxState) -> ViolationReport:
     n, m = pre.max_ts(), post.max_ts()
     for t in range(1, n + 1):
         if t > m or post.ptr[t - 1] != pre.ptr[t - 1] or post.val[t - 1] != pre.val[t - 1]:
-            rep.add("hist-mono", f"event {t} lost or rewritten")
+            rep.append(Violation("hist-mono", f"event {t} lost or rewritten"))
             return rep
     for tid, mask in pre.self_masks:
         if mask & ~self_mask(post, tid):
-            rep.add("hist-mono", f"self history of {tid} shrank")
+            rep.append(Violation("hist-mono", f"self history of {tid} shrank"))
     tids = {tid for tid, _ in pre.self_masks} | {tid for tid, _ in post.self_masks}
     for tid in tids:
         if other_mask(pre, tid) & ~other_mask(post, tid):
-            rep.add("hist-mono", f"other history of {tid} shrank")
+            rep.append(Violation("hist-mono", f"other history of {tid} shrank"))
     # the environment of a thread with no finished events: every finished event
     if other_mask(pre, None) & ~other_mask(post, None):
-        rep.add("hist-mono", "other history of a thread without finished events shrank")
+        rep.append(Violation(
+            "hist-mono",
+            "other history of a thread without finished events shrank",
+        ))
     pre_masks = _ideal_masks(pre)
     post_masks = _ideal_masks(post)
     for t, mask in pre_masks.items():
         if mask & ~post_masks[t]:
-            rep.add("omega-mono", f"stable-order pairs below {t} lost")
+            rep.append(Violation("omega-mono", f"stable-order pairs below {t} lost"))
     pre_sc = scanned_mask(pre)
     if pre_sc & ~scanned_mask(post):
-        rep.add("scanned-mono", "scanned shrank")
+        rep.append(Violation("scanned-mono", "scanned shrank"))
     else:
         for s in bits(pre_sc):
             if pre_masks[s] != post_masks[s]:
-                rep.add("scanned-ideal", f"ideal of scanned {s} changed across the transition")
+                rep.append(Violation(
+                    "scanned-ideal",
+                    f"ideal of scanned {s} changed across the transition",
+                ))
             elif _eval_or_none(s, pre) != _eval_or_none(s, post):
                 # snapshot preservation: an already-observed snapshot stays
                 # valid under every later transition
-                rep.add(
+                rep.append(Violation(
                     "scanned-eval",
                     f"snapshot at scanned {s} changed across the transition",
-                )
+                ))
     return rep
 
 
@@ -344,13 +336,13 @@ def _eval_or_none(t: Timestamp, aux: AuxState):
 # method postconditions (checked at return against the invocation mask)
 
 
-def check_write_fresh(pre: AuxState, t: Timestamp) -> ViolationReport:
+def check_write_fresh(pre: AuxState, t: Timestamp) -> list[Violation]:
     """write's freshness clause, checked on the step that allocates t: t
     lies outside the pre-state's history domain, which contains the
     invocation-time domain because histories only grow (``hist-mono``)."""
-    rep = ViolationReport()
+    rep = []
     if 1 <= t <= pre.max_ts():
-        rep.add("write-post", f"timestamp {t} is not fresh wrt the invocation state")
+        rep.append(Violation("write-post", f"timestamp {t} is not fresh wrt the invocation state"))
     return rep
 
 
@@ -361,19 +353,22 @@ def check_write_post(
     tid: Tid,
     p: str,
     v: Value,
-) -> ViolationReport:
+) -> list[Violation]:
     """write's postcondition: the event t -> (p, v) exists, is now owned by
     tid, and every event of the invocation mask (prior-terminated or
     already scanned) is strictly below t in the stable order."""
-    rep = ViolationReport()
+    rep = []
     if not 1 <= t <= ret.max_ts() or ret.ptr[t - 1] != p or ret.val[t - 1] != v:
-        rep.add("write-post", f"no event {t} -> ({p},{v}) in the return state")
+        rep.append(Violation("write-post", f"no event {t} -> ({p},{v}) in the return state"))
         return rep
     if not (self_mask(ret, tid) >> t) & 1:
-        rep.add("write-post", f"event {t} not owned by {tid} at return")
+        rep.append(Violation("write-post", f"event {t} not owned by {tid} at return"))
     strictly_below = _ideal_masks(ret)[t] & ~(1 << t)
     for s in bits(mask & ~strictly_below):
-        rep.add("write-post", f"pre-invocation event {s} is not strictly below the write {t}")
+        rep.append(Violation(
+            "write-post",
+            f"pre-invocation event {s} is not strictly below the write {t}",
+        ))
     return rep
 
 
@@ -382,12 +377,12 @@ def check_scan_post(
     ret: AuxState,
     r: tuple[Value, Value],
     witness: Timestamp | None = None,
-) -> ViolationReport:
+) -> list[Violation]:
     """scan's postcondition: some timestamp t replays to the returned pair,
     dominates the whole invocation-time history (the invocation mask), and
     is scanned.  The constructive witness, when given, must itself
     qualify."""
-    rep = ViolationReport()
+    rep = []
     ret_scanned = scanned_mask(ret)
     masks = _ideal_masks(ret)
 
@@ -403,9 +398,9 @@ def check_scan_post(
 
     good = [t for t in ret.sigma if qualifies(t)]
     if not good:
-        rep.add("scan-post", f"no witness timestamp validates the snapshot {r}")
+        rep.append(Violation("scan-post", f"no witness timestamp validates the snapshot {r}"))
     if witness is not None and witness not in good:
-        rep.add("scan-post", f"constructive witness {witness} does not qualify")
+        rep.append(Violation("scan-post", f"constructive witness {witness} does not qualify"))
     return rep
 
 
@@ -413,10 +408,10 @@ def check_scan_post(
 # lemma-level checks
 
 
-def check_chain_lemma(aux: AuxState) -> ViolationReport:
+def check_chain_lemma(aux: AuxState) -> list[Violation]:
     """Every all-green sigma-prefix is exactly the stable-order ideal of its
     last element."""
-    rep = ViolationReport()
+    rep = []
     masks = _ideal_masks(aux)
     prefix_mask = 0
     for t in aux.sigma:
@@ -424,54 +419,60 @@ def check_chain_lemma(aux: AuxState) -> ViolationReport:
             break
         prefix_mask |= 1 << t
         if masks[t] != prefix_mask:
-            rep.add("chain", f"all-green prefix through {t} differs from its stable ideal")
+            rep.append(Violation(
+                "chain",
+                f"all-green prefix through {t} differs from its stable ideal",
+            ))
     return rep
 
 
-def check_read_lemma(p: str, value: Value, aux: AuxState) -> ViolationReport:
+def check_read_lemma(p: str, value: Value, aux: AuxState) -> list[Violation]:
     """While the scanner is on with p's bit set, a read of p returns the
     value of p's last green or yellow event."""
-    rep = ViolationReport()
+    rep = []
     allowed = {aux.val[t - 1] for t in (last_green(p, aux), yellow_of(p, aux)) if t is not None}
     if value not in allowed:
-        rep.add(
+        rep.append(Violation(
             "read-value",
             f"scan read {p}={value}, not a last-green/yellow value {sorted(allowed)}",
-        )
+        ))
     return rep
 
 
 def check_relink_post(
     aux: AuxState, t_x: Timestamp, t_y: Timestamp
-) -> ViolationReport:
+) -> list[Violation]:
     """relink's guarantee: each chosen event is now the sigma-last green of
     its pointer, and everything up to the later of the two is green."""
-    rep = ViolationReport()
+    rep = []
     for p, t in ((Ptr.X, t_x), (Ptr.Y, t_y)):
         if last_green(p, aux) != t:
-            rep.add("relink-post", f"{t} is not the last green of {p} after relink")
+            rep.append(Violation("relink-post", f"{t} is not the last green of {p} after relink"))
     pos = _positions(aux.sigma)
     top = t_x if pos[t_x] >= pos[t_y] else t_y
     for s in aux.sigma[: pos[top] + 1]:
         if aux.kappa[s - 1] != Color.GREEN:
-            rep.add("relink-post", f"{s} below {top} is {aux.kappa[s - 1]}, not green")
+            rep.append(Violation(
+                "relink-post",
+                f"{s} below {top} is {aux.kappa[s - 1]}, not green",
+            ))
     return rep
 
 
-def check_omega_properties(aux: AuxState) -> ViolationReport:
+def check_omega_properties(aux: AuxState) -> list[Violation]:
     """Order sanity on one state: the stable order is reflexive,
     antisymmetric and transitive, and scanned is linear and downward
     closed under it."""
-    rep = ViolationReport()
+    rep = []
     dom = aux.sigma
     masks = _ideal_masks(aux)
     for t in dom:
         if not (masks[t] >> t) & 1:
-            rep.add("omega-reflexive", f"{t} not related to itself")
+            rep.append(Violation("omega-reflexive", f"{t} not related to itself"))
     for i, a in enumerate(dom):
         for b in dom[i + 1 :]:
             if (masks[b] >> a) & 1 and (masks[a] >> b) & 1:
-                rep.add("omega-antisymmetric", f"{a} and {b} related both ways")
+                rep.append(Violation("omega-antisymmetric", f"{a} and {b} related both ways"))
     for t in dom:
         below = 0
         ideal = masks[t]
@@ -479,25 +480,22 @@ def check_omega_properties(aux: AuxState) -> ViolationReport:
             if (ideal >> s) & 1:
                 below |= masks[s]
         if below & ~masks[t]:
-            rep.add(
+            rep.append(Violation(
                 "omega-transitive",
                 f"elements below {t}'s predecessors are not all below {t}",
-            )
+            ))
     sc_mask = scanned_mask(aux)
     sc = list(bits(sc_mask))
     for a in sc:
         for b in sc:
             if not ((masks[b] >> a) & 1 or (masks[a] >> b) & 1):
-                rep.add("scanned-linear", f"scanned {a}, {b} are incomparable")
+                rep.append(Violation("scanned-linear", f"scanned {a}, {b} are incomparable"))
     for b in sc:
         if masks[b] & ~sc_mask:
-            rep.add("scanned-downward", f"non-scanned events below scanned {b}")
+            rep.append(Violation("scanned-downward", f"non-scanned events below scanned {b}"))
     return rep
 
 
-def check_all(phys: "PhysState", aux: AuxState) -> ViolationReport:
+def check_all(phys: "PhysState", aux: AuxState) -> list[Violation]:
     """State invariants plus order sanity plus the chain lemma."""
-    rep = check_state(phys, aux)
-    rep.merge(check_omega_properties(aux))
-    rep.merge(check_chain_lemma(aux))
-    return rep
+    return check_state(phys, aux) + check_omega_properties(aux) + check_chain_lemma(aux)

@@ -69,14 +69,20 @@ def replay_sequential(order) -> bool:
     return True
 
 
-def linearizable(ops, limit: int = LINEARIZE_LIMIT):
+def check_size(n: int) -> None:
+    """Raise :class:`OracleSizeError` when ``n`` operations are more than
+    :func:`linearizable` enumerates: enumeration is factorial."""
+    if n > LINEARIZE_LIMIT:
+        raise OracleSizeError(f"{n} operations exceed the enumeration limit {LINEARIZE_LIMIT}")
+
+
+def linearizable(ops):
     """Search for a total order consistent with real-time precedence that
-    replays correctly; returns it, or None.  Enumeration is factorial, so
-    the operation count is capped."""
+    replays correctly; returns it, or None.  The operation count is capped
+    (see :func:`check_size`)."""
     ops = tuple(ops)
     n = len(ops)
-    if n > limit:
-        raise OracleSizeError(f"{n} operations exceed the enumeration limit {limit}")
+    check_size(n)
     preds = [
         [j for j in range(n) if ops[j].response < ops[i].invocation] for i in range(n)
     ]

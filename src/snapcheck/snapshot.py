@@ -19,7 +19,6 @@ from . import aux_ops, invariants
 from .aux_model import (
     AuxState,
     Color,
-    DEFAULT_VALUE_RANGE,
     Ptr,
     ScannerState,
     Tid,
@@ -293,13 +292,11 @@ def observed(step: Step, phys: PhysState):
     return None
 
 
-def init(
-    v_x: Value, v_y: Value, value_range: tuple[int, int] = DEFAULT_VALUE_RANGE
-) -> tuple[PhysState, AuxState]:
+def init(v_x: Value, v_y: Value) -> tuple[PhysState, AuxState]:
     """Fresh object: both pointers initialized by green, already-terminated
     events 1 and 2, forwarding cells empty, all locks free."""
-    validate_value(v_x, value_range)
-    validate_value(v_y, value_range)
+    validate_value(v_x)
+    validate_value(v_y)
     phys = PhysState(x=v_x, y=v_y, fx=None, fy=None, s_bit=False)
     aux = AuxState(
         ptr=(Ptr.X, Ptr.Y),
@@ -330,21 +327,22 @@ def phys_key(phys: PhysState) -> tuple:
     )
 
 
-def digest(key: tuple, size: int) -> bytes:
-    """blake2b of a pickled canonical key tuple, ``size`` bytes long.
+def digest(key: tuple) -> str:
+    """64-bit hex blake2b digest of a pickled canonical key tuple, as trace
+    files carry it.
 
     Pickle shares repeated objects within one dump, so two equal keys hash
     alike only when they are built alike: keys are built from primitives by
     the same code in the same order.
     """
-    return hashlib.blake2b(pickle.dumps(key, protocol=5), digest_size=size).digest()
+    return hashlib.blake2b(pickle.dumps(key, protocol=5), digest_size=8).hexdigest()
 
 
 def phys_digest(phys: PhysState) -> str:
-    """64-bit hex digest of the physical state, for trace files."""
-    return digest(phys_key(phys), 8).hex()
+    """Digest of the physical state, for trace files."""
+    return digest(phys_key(phys))
 
 
 def aux_digest(aux: AuxState) -> str:
-    """64-bit hex digest of the auxiliary state, for trace files."""
-    return digest(aux_key(aux), 8).hex()
+    """Digest of the auxiliary state, for trace files."""
+    return digest(aux_key(aux))

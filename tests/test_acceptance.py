@@ -27,7 +27,7 @@ from snapcheck.aux_model import (
 )
 from snapcheck.aux_ops import INSPECT_NO, InspectDecision, inspect, push
 from snapcheck.cli import main
-from snapcheck.harness import client_e_prime, run_prefix
+from snapcheck.harness import DEFAULT_MAX_STATES, client_e_prime, run_prefix
 from snapcheck.invariants import CHECKS
 
 PAPER_RESULT_SET = frozenset({(5, 0), (2, 0), (3, 0), (2, 1), (3, 1)})
@@ -145,6 +145,11 @@ def test_sweep_golden_counts(sweep_reports, capsys):
             ok,
             f"{len(SWEEP_GOLDEN)} programs; swept {sorted(reports)}; mismatches: {wrong or 'none'}",
         )
+
+
+def test_default_budget_covers_the_sweep():
+    # the sweep explores every program with explore's default state budget
+    assert max(golden[0] for golden in SWEEP_GOLDEN.values()) <= DEFAULT_MAX_STATES
 
 
 def test_criterion_3_invariant_sweep(sweep_reports, capsys):

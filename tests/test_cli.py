@@ -58,6 +58,16 @@ def test_explore_oracle_size_exit(tmp_path, capsys):
     assert "enumeration limit" in capsys.readouterr().err
 
 
+def test_explore_deep_program_exit(tmp_path, capsys):
+    # every terminal state completes every call, so explore refuses the
+    # program before its first step, where it used to recurse 1,200 steps
+    # deep and die of a RecursionError
+    prog = tmp_path / "deep.prog"
+    prog.write_text("a: " + "; ".join(["write x 2"] * 200) + "\n")
+    assert main(["explore", "--program", str(prog)]) == 2
+    assert "202 operations exceed the enumeration limit" in capsys.readouterr().err
+
+
 def test_explore_bad_program_file(tmp_path, capsys):
     prog = tmp_path / "bad.prog"
     prog.write_text("nonsense without colon\n")

@@ -21,12 +21,11 @@ from snapcheck.harness import (
     generated_programs,
     initial_state,
     parse_program,
-    render_program,
     run_random,
     run_schedule,
-    state_key,
     step_state,
 )
+from snapcheck.invariants import Violation
 from snapcheck.snapshot import MethodCall, aux_digest, call_steps, phys_digest, phys_key
 from snapcheck.tracefile import render_trace
 
@@ -144,9 +143,7 @@ def test_run_random_labels_each_violation_with_its_run(monkeypatch):
     relink_post = invariants.check_relink_post
 
     def one_more(*args):
-        rep = relink_post(*args)
-        rep.add("forced", "one per relink")
-        return rep
+        return relink_post(*args) + [Violation("forced", "one per relink")]
 
     monkeypatch.setattr(invariants, "check_relink_post", one_more)
     prog = parse_program("a: write x 2\nd: write y 1\ns: scan; scan\n", name="two-scan")
@@ -179,7 +176,6 @@ def test_parse_program_roundtrip():
     text = "init 5 0\nl: write x 2; write y 1\nc: scan\nr: write x 3\n"
     prog = parse_program(text, name="fig1")
     assert prog.threads == client_fig1().threads
-    assert parse_program(render_program(prog), name="fig1") == prog
 
 
 def test_parse_program_errors():
@@ -271,22 +267,20 @@ def _force_violations(monkeypatch):
     def forced_state(phys, aux):
         rep = check_state(phys, aux)
         if aux.scanner.on:
-            rep.add("forced-state", f"{phys_digest(phys)} {aux_digest(aux)}")
+            rep.append(Violation("forced-state", f"{phys_digest(phys)} {aux_digest(aux)}"))
         return rep
 
     def forced_transition(pre, post):
         rep = check_transition(pre, post)
         if pre != post:
-            rep.add("forced-edge", f"{aux_digest(pre)} -> {aux_digest(post)}")
+            rep.append(Violation("forced-edge", f"{aux_digest(pre)} -> {aux_digest(post)}"))
         return rep
 
     def forced(name, describe):
         check = getattr(invariants, name)
 
         def forced_check(*args):
-            rep = check(*args)
-            rep.add("forced-edge", f"{name} " + describe(*args))
-            return rep
+            return check(*args) + [Violation("forced-edge", f"{name} " + describe(*args))]
 
         monkeypatch.setattr(invariants, name, forced_check)
 
@@ -333,17 +327,17 @@ def _reference_edge_checks(pre, post, before):
 
 def _reference_violations(prog):
     """explore's depth-first walk, with no interning and no memo: every
-    state it reaches first is checked, and every edge, by calling the
-    checks directly."""
+    state it reaches first (by its full key) is checked, and every edge, by
+    calling the checks directly."""
     found = []
 
     def absorb(rep, idx):
-        found.extend((v.name, v.detail, idx) for v in rep.violations)
+        found.extend((v.name, v.detail, idx) for v in rep)
 
     def dfs(state):
         for tid in enabled_tids(prog, state):
             post, before = step_state(prog, state, tid)
-            key = state_key(post)
+            key = _full_key(post)
             new = key not in visited
             if new:
                 visited.add(key)
@@ -354,7 +348,7 @@ def _reference_violations(prog):
                 dfs(post)
 
     state0 = initial_state(prog)
-    visited = {state_key(state0)}
+    visited = {_full_key(state0)}
     absorb(invariants.check_all(state0.phys, state0.aux), -1)
     dfs(state0)
     return found
@@ -391,9 +385,7 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
         return keyed(state)
 
     def forced_all(phys, aux):
-        rep = invariants.ViolationReport()
-        rep.add("forced", "every state")
-        return rep
+        return [Violation("forced", "every state")]
 
     monkeypatch.setattr(harness, "state_key", watch)
     monkeypatch.setattr(invariants, "check_all", forced_all)

@@ -35,18 +35,17 @@ def test_init_state():
 
 def test_init_passes_invariant_suite():
     phys, aux = init(5, 0)
-    assert check_all(phys, aux).ok
+    assert not check_all(phys, aux)
 
 
 def test_init_equal_values_allowed():
     phys, aux = init(3, 3)
-    assert check_all(phys, aux).ok
+    assert not check_all(phys, aux)
 
 
 def test_init_value_domain():
     with pytest.raises(ValueDomainError):
         init(9, 0)
-    init(9, 0, value_range=(0, 15))
 
 
 def test_step_lists():
