@@ -62,7 +62,7 @@ def _set(values: tuple, ts, value) -> tuple:
     return tuple(out)
 
 
-def register(tid: Tid, p: str, v: Value, aux: AuxState) -> tuple[AuxState, Timestamp]:
+def register(p: str, v: Value, aux: AuxState) -> tuple[AuxState, Timestamp]:
     """Create the write event: fresh timestamp, appended to sigma, joint-owned.
 
     The event is colored yellow when an active scan has already cleared p's
@@ -85,7 +85,7 @@ def register(tid: Tid, p: str, v: Value, aux: AuxState) -> tuple[AuxState, Times
     return _with_writer(aux2, p, WriterState(WriterPhase.NEW, t, v)), t
 
 
-def check(tid: Tid, p: str, b: bool, aux: AuxState) -> AuxState:
+def check(p: str, b: bool, aux: AuxState) -> AuxState:
     """Record the scanner-bit read: forwarding required iff b."""
     w = aux.writer(p)
     if w.phase != WriterPhase.NEW:
@@ -94,7 +94,7 @@ def check(tid: Tid, p: str, b: bool, aux: AuxState) -> AuxState:
     return _with_writer(aux, p, WriterState(phase, w.t, w.v))
 
 
-def forward(tid: Tid, p: str, aux: AuxState) -> AuxState:
+def forward(p: str, aux: AuxState) -> AuxState:
     """Hand the value to the in-progress scan; greens the event while the
     scan is still guaranteed to observe it (scanner on, p's bit set)."""
     w = aux.writer(p)

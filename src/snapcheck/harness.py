@@ -17,6 +17,10 @@ deterministically replays an explicit schedule into a full trace, and
 ``run_random`` drives seeded random executions; both run one loop whose
 chooser follows the schedule or draws from the seeded RNG, and take every
 step afresh: one path repeats few half steps.
+
+A :class:`State` is the machine state only; the run that reached it is a
+:class:`Path` that the schedulers carry beside it, which ``explore`` extends
+only when it descends into a new state.
 """
 
 from __future__ import annotations
@@ -101,23 +105,14 @@ class ThreadEntry:
 
 @dataclass(frozen=True)
 class State:
-    """Machine state plus three path fields, which ``state_key`` leaves out:
-    the step index at which each thread's call in flight was invoked (in
-    ``threads``' order), the methods completed on the path that reached it,
-    and the schedule of that path.  The machine state is records of
-    primitives all the way down, and each record's fields are its key
-    (``phys_key``, ``aux_key``, ``entry_key``)."""
+    """A machine state: the physical part, the auxiliary part and each
+    thread's entry.  It is records of primitives all the way down, and each
+    record's fields are its key (``phys_key``, ``aux_key``, ``entry_key``),
+    so two states are equal exactly when their keys are."""
 
     phys: PhysState
     aux: AuxState
     threads: tuple[tuple[Tid, ThreadEntry], ...]  # sorted by tid
-    invocations: tuple[int | None, ...]
-    methods: tuple[MethodRecord, ...] = ()
-    schedule: tuple[Tid, ...] = ()
-
-    @property
-    def clock(self) -> int:
-        return len(self.schedule)
 
     def index(self, tid: Tid) -> int:
         for i, (t, _) in enumerate(self.threads):
@@ -127,6 +122,29 @@ class State:
 
     def entry(self, tid: Tid) -> ThreadEntry:
         return self.threads[self.index(tid)][1]
+
+
+@dataclass(frozen=True)
+class Path:
+    """The run that reached a state: its schedule, the step index at which
+    each thread's call in flight was invoked (in the state's ``threads``
+    order), and the methods it completed."""
+
+    schedule: tuple[Tid, ...]
+    invocations: tuple[int | None, ...]
+    methods: tuple[MethodRecord, ...] = ()
+
+    def extend(self, state: State, tid: Tid, post: State) -> Path:
+        """The path on to ``post``, where ``tid`` stepped from ``state``: a
+        call's invocation is set on its first step, its record on its return."""
+        i = state.index(tid)
+        clock, invocations, methods = len(self.schedule), self.invocations, self.methods
+        if state.threads[i][1].frame is None:
+            invocations = invocations[:i] + (clock,) + invocations[i + 1 :]
+        entry = post.threads[i][1]
+        if entry.returned:
+            methods += (_method_record(entry.frame, post.aux, invocations[i], clock),)
+        return Path(self.schedule + (tid,), invocations, methods)
 
 
 @dataclass(frozen=True)
@@ -213,8 +231,7 @@ def initial_state(prog: Program) -> State:
             if call.kind == "write":
                 validate_value(call.v)
     phys, aux = init(prog.init_x, prog.init_y)
-    threads = tuple((tid, _between_calls(prog, tid, 0)) for tid in sorted(tids))
-    return State(phys, aux, threads, (None,) * len(threads))
+    return State(phys, aux, tuple((tid, _between_calls(prog, tid, 0)) for tid in sorted(tids)))
 
 
 def _between_calls(prog: Program, tid: Tid, call_idx: int) -> ThreadEntry:
@@ -234,8 +251,7 @@ def enabled_tids(prog: Program, state: State) -> list[Tid]:
 def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, MethodFrame]:
     """Apply tid's next atomic step: the post-state and the frame that took
     the step.  A thread starting a new call gets its frame (and invocation
-    mask) created here, just before its acquire; a returning call adds its
-    record to the post-state's methods."""
+    mask) created here, just before its acquire."""
     i = state.index(tid)
     entry = state.threads[i][1]
     frame = entry.frame
@@ -247,46 +263,35 @@ def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, MethodFram
         entry2 = _between_calls(prog, tid, entry.call_idx + 1)
     else:
         entry2 = ThreadEntry(entry.call_idx, frame2, steps[frame2.pc])
-    return _advance(state, i, phys2, aux2, entry2), frame
+    return _with_entry(state, i, phys2, aux2, entry2), frame
 
 
-def _advance(state: State, i: int, phys: PhysState, aux: AuxState, entry: ThreadEntry) -> State:
-    """``state`` after thread ``i`` stepped to ``(phys, aux, entry)``, with
-    the path fields advanced along: a call's invocation index is set on its
-    first step, and a returning call's record is added to ``methods``."""
-    threads, schedule = state.threads, state.schedule
-    tid, clock = threads[i][0], len(schedule)
-    invocations = state.invocations
-    if threads[i][1].frame is None:
-        invocations = invocations[:i] + (clock,) + invocations[i + 1 :]
-    methods = state.methods
-    if entry.returned:
-        methods += (_method_record(entry.frame, aux, invocations[i], clock),)
-    return evolve(
-        state,
-        phys=phys,
-        aux=aux,
-        threads=threads[:i] + ((tid, entry),) + threads[i + 1 :],
-        invocations=invocations,
-        methods=methods,
-        schedule=schedule + (tid,),
-    )
+def _with_entry(state: State, i: int, phys: PhysState, aux: AuxState, entry: ThreadEntry) -> State:
+    """``state`` with parts ``phys`` and ``aux``, and thread ``i`` at ``entry``."""
+    threads = state.threads
+    threads = threads[:i] + ((threads[i][0], entry),) + threads[i + 1 :]
+    return evolve(state, phys=phys, aux=aux, threads=threads)
+
+
+def _witness(fr: MethodFrame, aux: AuxState) -> Timestamp:
+    """A returning scan's witness: the later in sigma of its two
+    per-pointer events."""
+    wx, wy = fr.witness_x, fr.witness_y
+    return wx if aux.sigma.index(wx) >= aux.sigma.index(wy) else wy
 
 
 def _method_record(fr: MethodFrame, aux: AuxState, invocation: int, response: int) -> MethodRecord:
     if fr.call.kind == "write":
         return MethodRecord(fr.tid, fr.call, None, invocation, response, t=fr.t)
-    wx, wy = fr.witness_x, fr.witness_y
-    witness = wx if aux.sigma.index(wx) >= aux.sigma.index(wy) else wy
     return MethodRecord(
         fr.tid,
         fr.call,
         fr.result,
         invocation,
         response,
-        witness=witness,
-        witness_x=wx,
-        witness_y=wy,
+        witness=_witness(fr, aux),
+        witness_x=fr.witness_x,
+        witness_y=fr.witness_y,
     )
 
 
@@ -325,8 +330,8 @@ def _pack(*ids: int):
 
 
 def state_key(state: State):
-    """The key of a machine state whose parts a checker interned (the path
-    fields excluded): the ids of its parts, packed."""
+    """The key of a state whose parts a checker interned: the ids of its
+    parts, packed."""
     ids = [e._memo["id"] for _, e in state.threads]
     return _pack(state.aux._memo["id"], state.phys._memo["id"], *ids)
 
@@ -338,8 +343,8 @@ def state_key(state: State):
 class _Checker:
     """Steps and checks the states of one run, and accumulates the verdicts
     of every state and edge it is shown: violations, scan results and the
-    number of runs the oracle checked.  Everything about the path lives on
-    the states themselves.
+    number of runs the oracle checked.  The schedulers carry each run's
+    :class:`Path` and hand the checker its step indices.
 
     The checker hash-conses the states it is shown (:meth:`intern`): equal
     physical parts, equal auxiliary parts and equal thread entries become
@@ -362,6 +367,9 @@ class _Checker:
     """
 
     def __init__(self, prog: Program):
+        # every scheduler makes one checker before its first step, and the
+        # oracle reads the two initializing writes too
+        oracle.check_size(2 + sum(len(calls) for _, calls in prog.threads))
         self.prog = prog
         self.violations: list[Violation] = []
         self.scan_results: set[tuple[Value, Value]] = set()
@@ -420,14 +428,14 @@ class _Checker:
             aux_half = aux_steps.get(aid)
             if aux_half is not None:
                 aux, entry, found = aux_half
-                return _advance(state, i, phys, aux, entry), found
+                return _with_entry(state, i, phys, aux, entry), found
         aux_steps = self._aux_steps[eid, observed(state.threads[i][1].step, state.phys)]
         post, found = self.take(state, tid)
         # the other threads' entries are the pre-state's, interned already
         made = post.threads[i][1]
         entry = self._canon(made, self._entry_ids, entry_key, tid)
         if entry is not made:
-            post = evolve(post, threads=post.threads[:i] + ((tid, entry),) + post.threads[i + 1 :])
+            post = _with_entry(post, i, post.phys, post.aux, entry)
         phys_steps[pid] = (post.phys, aux_steps)
         aux_steps[aid] = (post.aux, entry, found)
         return post, found
@@ -468,12 +476,12 @@ class _Checker:
         if step.kind == "relink":
             found += invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y)
         if after.returned:
-            rec, call, mask = post.methods[-1], before.call, before.mask
+            call, mask = before.call, before.mask
             if call.kind == "write":
-                rep = invariants.check_write_post(mask, post.aux, rec.t, rec.tid, call.p, call.v)
+                rep = invariants.check_write_post(mask, post.aux, fr.t, fr.tid, call.p, call.v)
             else:
-                self.scan_results.add(rec.result)
-                rep = invariants.check_scan_post(mask, post.aux, rec.result, rec.witness)
+                self.scan_results.add(fr.result)
+                rep = invariants.check_scan_post(mask, post.aux, fr.result, _witness(fr, post.aux))
             found += rep
         # the tables keep verdicts as tuples: an empty one takes no memory
         return tuple(found)
@@ -484,27 +492,29 @@ class _Checker:
         for v in violations:
             self.violations.append(Violation(v.name, v.detail, idx))
 
-    def on_state(self, state: State) -> None:
+    def on_state(self, state: State, idx: int) -> None:
+        """Record ``state``'s violations, stamped ``idx`` (-1 initially)."""
         checks = self._state_checks[state.phys._memo["id"]]
         aid = state.aux._memo["id"]
         found = checks.get(aid)
         if found is None:
             found = checks[aid] = tuple(invariants.check_all(state.phys, state.aux))
-        self.absorb(found, state.clock - 1)
+        self.absorb(found, idx)
 
-    def finish(self, state: State, steps=()) -> Trace:
-        """Build the record of a completed run and check it with both
-        oracle routes.  Oracle failures join the checker's violations; the
-        record's own violation list is left empty."""
+    def finish(self, state: State, path: Path, steps=()) -> Trace:
+        """Build the record of the completed run ``path``, which ended in
+        ``state``, and check it with both oracle routes.  Oracle failures
+        join the checker's violations; the record's own violation list is
+        left empty."""
         prog, aux = self.prog, state.aux
         trace = Trace(
             program=prog.name,
             threads=tuple((tid, tuple(c.render() for c in calls)) for tid, calls in prog.threads),
             init_x=prog.init_x,
             init_y=prog.init_y,
-            schedule=state.schedule,
+            schedule=path.schedule,
             steps=tuple(steps),
-            methods=state.methods,
+            methods=path.methods,
             final_sigma=aux.sigma,
             final_sigma_values=tuple(aux.val[t - 1] for t in aux.sigma),
             final_kappa=tuple(enumerate(aux.kappa, 1)),
@@ -513,7 +523,7 @@ class _Checker:
             violations=(),
         )
         self.executions_checked += 1
-        idx = state.clock
+        idx = len(path.schedule)
         if not oracle.validate_witness(trace):
             self.violations.append(
                 Violation("oracle-witness", f"witness order rejected for {trace.schedule}", idx)
@@ -553,81 +563,83 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
 
     Distinct states are visited once; the schedule count is the exact number
     of maximal interleavings, computed over the state graph.  One run record
-    is kept per distinct terminal state.  Raises
+    is kept per distinct terminal state, for the path that first reached
+    it.  Raises
     :class:`BudgetExceededError` when more than ``max_states`` distinct
     states are reached, and :class:`OracleSizeError` before the first step
-    when the program has too many calls for the oracle: every terminal
-    state completes every call.
+    when the program has too many calls for the oracle.
     """
-    # the oracle reads the two initializing writes too
-    oracle.check_size(2 + sum(len(calls) for _, calls in prog.threads))
     checker = _Checker(prog)
     state0 = checker.intern(initial_state(prog))
-    checker.on_state(state0)
+    checker.on_state(state0, -1)
     visited: dict[int | tuple, int] = {}
     executions: list[Trace] = []
     edges = 0
 
-    def dfs(state: State, key: int | tuple) -> int:
+    def dfs(state: State, key: int | tuple, path: Path) -> int:
         nonlocal edges
         if len(visited) >= max_states:
             raise BudgetExceededError(f"state budget {max_states} exceeded")
         visited[key] = 0
         enabled = enabled_tids(prog, state)
         if not enabled:
-            executions.append(checker.finish(state))
+            executions.append(checker.finish(state, path))
             visited[key] = 1
             return 1
         total = 0
+        idx = len(path.schedule)
         for tid in enabled:
             post, found = checker.step(state, tid)
             edges += 1
             pkey = state_key(post)
             known = visited.get(pkey)
             if known is None:
-                checker.on_state(post)
+                checker.on_state(post, idx)
             if found:
-                checker.absorb(found, state.clock)
+                checker.absorb(found, idx)
             if known is None:
-                total += dfs(post, pkey)
+                total += dfs(post, pkey, path.extend(state, tid, post))
             else:
                 total += known
         visited[key] = total
         return total
 
-    schedules = dfs(state0, state_key(state0))
+    schedules = dfs(state0, state_key(state0), Path((), (None,) * len(state0.threads)))
     return checker.report("exhaustive", len(visited), edges, schedules, executions=executions)
 
 
 def _drive(
     prog: Program, choose, checker: _Checker, steps: list[StepRecord] | None = None
-) -> State:
+) -> Trace:
     """Run prog from its initial state.  ``choose(idx, enabled)`` names the
     thread that takes step idx, or None to stop; every state and edge on the
     way goes through ``checker``, and the digests of every state reached are
-    appended to ``steps`` unless it is None.  Returns the last state."""
+    appended to ``steps`` unless it is None.  Returns the run's record, as
+    :meth:`_Checker.finish` checks it."""
     state = checker.intern(initial_state(prog))
-    checker.on_state(state)
-    while (tid := choose(state.clock, enabled_tids(prog, state))) is not None:
+    path = Path((), (None,) * len(state.threads))
+    checker.on_state(state, -1)
+    for idx in count():
+        tid = choose(idx, enabled_tids(prog, state))
+        if tid is None:
+            return checker.finish(state, path, steps or ())
         post, found = checker.take(state, tid)
-        checker.on_state(post)
-        checker.absorb(found, state.clock)
+        checker.on_state(post, idx)
+        checker.absorb(found, idx)
         if steps is not None:
             label = state.entry(tid).step.label
-            steps.append(
-                StepRecord(state.clock, tid, label, phys_digest(post.phys), aux_digest(post.aux))
-            )
+            steps.append(StepRecord(idx, tid, label, phys_digest(post.phys), aux_digest(post.aux)))
+        path = path.extend(state, tid, post)
         state = post
-    return state
 
 
-def _follow(schedule: tuple[Tid, ...], complete: bool):
-    """Chooser that follows a fixed schedule; with ``complete``, the program
-    must finish exactly at its end (see :func:`run_schedule`)."""
+def _follow(schedule: tuple[Tid, ...]):
+    """Chooser that follows a fixed schedule, at whose end the program must
+    finish."""
 
     def choose(idx: int, enabled: list[Tid]) -> Tid | None:
         if idx == len(schedule):
-            if complete and enabled:
+            if enabled:
                 raise ScheduleError("schedule ended before the program completed")
             return None
         tid = schedule[idx]
@@ -642,18 +654,13 @@ def run_schedule(prog: Program, schedule) -> Trace:
     """Deterministically replay an explicit schedule into a full trace.
 
     Raises :class:`ScheduleError` when the schedule picks a thread with no
-    enabled step or stops before the program completes.
+    enabled step or stops before the program completes, and
+    :class:`OracleSizeError` before the first step when the program has
+    too many calls for the oracle.
     """
     checker = _Checker(prog)
-    steps: list[StepRecord] = []
-    state = _drive(prog, _follow(tuple(schedule), complete=True), checker, steps)
-    trace = checker.finish(state, steps)
+    trace = _drive(prog, _follow(tuple(schedule)), checker, [])
     return evolve(trace, violations=tuple(v.render() for v in checker.violations))
-
-
-def run_prefix(prog: Program, schedule) -> State:
-    """Drive a schedule prefix, discarding its verdicts; test/demo helper."""
-    return _drive(prog, _follow(tuple(schedule), complete=False), _Checker(prog))
 
 
 def run_random(prog: Program, seed: int, runs: int) -> ExplorationReport:
@@ -667,9 +674,7 @@ def run_random(prog: Program, seed: int, runs: int) -> ExplorationReport:
     total_steps = 0
     for run in range(runs):
         before = len(checker.violations)
-        state = _drive(prog, choose, checker)
-        checker.finish(state)
-        total_steps += state.clock
+        total_steps += len(_drive(prog, choose, checker).schedule)
         for v in checker.violations[before:]:
             v.detail = f"run {run}: {v.detail}"
     return checker.report("random", None, total_steps, runs, seed=seed)

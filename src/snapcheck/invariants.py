@@ -47,28 +47,6 @@ def capture_spec_snapshot(aux: AuxState, tid: Tid, kind: str) -> int:
     return (1 << (aux.max_ts() + 1)) - 2
 
 
-# Every violation name the package emits, mapped to the acceptance criterion
-# that counts it: 3 state and transition invariants with the read and chain
-# lemmas, 4 method postconditions, 5 the oracle (emitted by the harness),
-# 6 relink's guarantee, 7 order sanity.
-CHECKS: dict[str, int] = {
-    name: criterion
-    for criterion, names in (
-        (
-            3,
-            "wellformed overlap colors last-write joint-history terminated-events"
-            " forwarded-values red-zone first-forwarding read-value chain"
-            " hist-mono omega-mono scanned-mono scanned-ideal scanned-eval",
-        ),
-        (4, "write-post scan-post"),
-        (5, "oracle-witness oracle-linearizable"),
-        (6, "relink-post"),
-        (7, "omega-reflexive omega-antisymmetric omega-transitive scanned-linear scanned-downward"),
-    )
-    for name in names.split()
-}
-
-
 @dataclass
 class Violation:
     name: str

@@ -225,19 +225,19 @@ def apply_step(
     if kind == "register":
         v = frame.call.v
         phys2 = evolve(phys, **{p: v})
-        aux2, t = aux_ops.register(tid, p, v, aux)
+        aux2, t = aux_ops.register(p, v, aux)
         return phys2, aux2, evolve(frame, pc=nxt, t=t)
 
     if kind == "check":
         b = observed(step, phys)
-        aux2 = aux_ops.check(tid, p, b, aux)
+        aux2 = aux_ops.check(p, b, aux)
         # skip the forward step entirely when no scan was in progress
         return phys, aux2, evolve(frame, pc=nxt if b else nxt + 1)
 
     if kind == "forward":
         v = frame.call.v
         phys2 = evolve(phys, **{"fx" if p == Ptr.X else "fy": v})
-        return phys2, aux_ops.forward(tid, p, aux), evolve(frame, pc=nxt)
+        return phys2, aux_ops.forward(p, aux), evolve(frame, pc=nxt)
 
     if kind == "finalize":
         aux2 = aux_ops.finalize(tid, p, aux)

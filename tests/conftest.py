@@ -14,14 +14,45 @@ from snapcheck.harness import (
     client_fig1,
     explore,
     generated_programs,
+    initial_state,
     parse_program,
-    run_prefix,
+    step_state,
 )
 
 # Timestamps of the scanner-miss scenario, by the value each event writes:
 # 1 -> x=5 (init), 2 -> y=0 (init), 3 -> x=2, 4 -> x=3 (the missed write),
 # 5 -> y=1.
 TS_X5, TS_Y0, TS_X2, TS_X3, TS_Y1 = 1, 2, 3, 4, 5
+
+# Every violation name the package emits, mapped to the acceptance criterion
+# that counts it: 3 state and transition invariants with the read and chain
+# lemmas, 4 method postconditions, 5 the oracle (emitted by the harness),
+# 6 relink's guarantee, 7 order sanity.  An ``ast`` walk of the package keeps
+# it complete (test_invariants.py).
+CHECKS: dict[str, int] = {
+    name: criterion
+    for criterion, names in (
+        (
+            3,
+            "wellformed overlap colors last-write joint-history terminated-events"
+            " forwarded-values red-zone first-forwarding read-value chain"
+            " hist-mono omega-mono scanned-mono scanned-ideal scanned-eval",
+        ),
+        (4, "write-post scan-post"),
+        (5, "oracle-witness oracle-linearizable"),
+        (6, "relink-post"),
+        (7, "omega-reflexive omega-antisymmetric omega-transitive scanned-linear scanned-downward"),
+    )
+    for name in names.split()
+}
+
+
+def run_prefix(prog, schedule):
+    """The state that a schedule prefix reaches, stepped with no checks."""
+    state = initial_state(prog)
+    for tid in schedule:
+        state = step_state(prog, state, tid)[0]
+    return state
 
 
 @pytest.fixture(scope="session")

@@ -7,12 +7,13 @@ The exhaustive sweep (shared session fixture) explores 13 programs: the
 bundled clients e and e-prime, all nine generated programs, and the two
 clients whose scanning thread scans twice.  It is reused by criteria 2-7
 and by the golden-count check.  Each criterion counts the violation names
-that ``invariants.CHECKS`` maps to it.
+that ``conftest.CHECKS`` maps to it.
 """
 
 import random
 import time
 
+from conftest import CHECKS, run_prefix
 from snapcheck.aux_model import (
     AuxState,
     Color,
@@ -27,8 +28,7 @@ from snapcheck.aux_model import (
 )
 from snapcheck.aux_ops import INSPECT_NO, InspectDecision, inspect, push
 from snapcheck.cli import main
-from snapcheck.harness import DEFAULT_MAX_STATES, client_e_prime, run_prefix
-from snapcheck.invariants import CHECKS
+from snapcheck.harness import DEFAULT_MAX_STATES, client_e_prime
 
 PAPER_RESULT_SET = frozenset({(5, 0), (2, 0), (3, 0), (2, 1), (3, 1)})
 

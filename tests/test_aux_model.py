@@ -14,6 +14,7 @@ from conftest import (
     hand_built_fig2a,
     one_field_changed,
     primitive,
+    run_prefix,
 )
 from snapcheck.aux_model import (
     AuxState,
@@ -36,7 +37,6 @@ from snapcheck.harness import (
     enabled_tids,
     initial_state,
     parse_program,
-    run_prefix,
     step_state,
 )
 from snapcheck.snapshot import init
@@ -115,7 +115,7 @@ def test_scanned_fig2a(fig2a):
 
 def test_red_event_never_scanned():
     _, aux = init(5, 0)
-    aux, t = register("w", Ptr.X, 3, aux)  # no scan active: colored red
+    aux, t = register(Ptr.X, 3, aux)  # no scan active: colored red
     assert aux.kappa[t - 1] == Color.RED
     assert t not in scanned(aux)
 
@@ -196,7 +196,7 @@ def test_last_gy_fig2a(fig2a):
 
 def test_last_gy_red_is_false():
     _, aux = init(5, 0)
-    aux, t = register("w", Ptr.X, 3, aux)
+    aux, t = register(Ptr.X, 3, aux)
     assert not last_gy(Ptr.X, t, aux)
 
 

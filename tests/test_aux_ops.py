@@ -46,10 +46,10 @@ def scanning(aux):
 
 def write_through(tid, p, v, aux, b=False):
     """register; check(b); [forward;] finalize."""
-    aux, t = register(tid, p, v, aux)
-    aux = check(tid, p, b, aux)
+    aux, t = register(p, v, aux)
+    aux = check(p, b, aux)
     if b:
-        aux = forward(tid, p, aux)
+        aux = forward(p, aux)
     return finalize(tid, p, aux), t
 
 
@@ -62,7 +62,7 @@ def test_register_allocates_max_plus_one():
     aux, t3 = write_through("a", Ptr.X, 1, aux)
     aux, t4 = write_through("a", Ptr.X, 2, aux)
     assert (t3, t4) == (3, 4)
-    aux, t5 = register("a", Ptr.X, 6, aux)
+    aux, t5 = register(Ptr.X, 6, aux)
     assert t5 == 5
     assert aux.sigma[-1] == 5
     assert (aux.joint_mask >> 5) & 1
@@ -70,16 +70,16 @@ def test_register_allocates_max_plus_one():
 
 def test_register_color_depends_on_scan_phase():
     aux = scanning(fresh())
-    aux2, t = register("a", Ptr.X, 3, aux)
+    aux2, t = register(Ptr.X, 3, aux)
     assert aux2.kappa[t - 1] == Color.YELLOW
-    off, t2 = register("a", Ptr.X, 3, fresh())
+    off, t2 = register(Ptr.X, 3, fresh())
     assert off.kappa[t2 - 1] == Color.RED
 
 
 def test_register_guard():
-    aux, _ = register("a", Ptr.X, 3, fresh())
+    aux, _ = register(Ptr.X, 3, fresh())
     with pytest.raises(GuardViolationError):
-        register("a", Ptr.X, 4, aux)
+        register(Ptr.X, 4, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -87,46 +87,46 @@ def test_register_guard():
 
 
 def test_check_branches():
-    aux, t = register("a", Ptr.X, 2, fresh())
-    fwd = check("a", Ptr.X, True, aux)
+    aux, t = register(Ptr.X, 2, fresh())
+    fwd = check(Ptr.X, True, aux)
     assert fwd.wx.phase == WriterPhase.FWD and (fwd.wx.t, fwd.wx.v) == (t, 2)
-    done = check("a", Ptr.X, False, aux)
+    done = check(Ptr.X, False, aux)
     assert done.wx.phase == WriterPhase.DONE
     with pytest.raises(GuardViolationError):
-        check("a", Ptr.X, True, fresh())
+        check(Ptr.X, True, fresh())
 
 
 def test_forward_greens_under_active_scan():
     aux = scanning(fresh())
-    aux, t = register("a", Ptr.X, 3, aux)
-    aux = check("a", Ptr.X, True, aux)
-    aux = forward("a", Ptr.X, aux)
+    aux, t = register(Ptr.X, 3, aux)
+    aux = check(Ptr.X, True, aux)
+    aux = forward(Ptr.X, aux)
     assert aux.kappa[t - 1] == Color.GREEN
     assert aux.wx.phase == WriterPhase.DONE
 
 
 def test_forward_keeps_color_when_scan_gone():
     aux = scanning(fresh())
-    aux, t = register("a", Ptr.X, 3, aux)
-    aux = check("a", Ptr.X, True, aux)
+    aux, t = register(Ptr.X, 3, aux)
+    aux = check(Ptr.X, True, aux)
     aux = set_scanner(False, aux)  # scan toggles off before the forward
-    aux = forward("a", Ptr.X, aux)
+    aux = forward(Ptr.X, aux)
     assert aux.kappa[t - 1] == Color.YELLOW
 
 
 def test_forward_guard():
-    aux, _ = register("a", Ptr.X, 3, fresh())
-    aux = check("a", Ptr.X, False, aux)
+    aux, _ = register(Ptr.X, 3, fresh())
+    aux = check(Ptr.X, False, aux)
     with pytest.raises(GuardViolationError):
-        forward("a", Ptr.X, aux)
+        forward(Ptr.X, aux)
 
 
 def test_finalize_records_current_max_as_end_time():
     aux = fresh()
-    aux, _ = register("a", Ptr.X, 2, aux)  # t=3, stays in flight
-    aux = check("a", Ptr.X, False, aux)
+    aux, _ = register(Ptr.X, 2, aux)  # t=3, stays in flight
+    aux = check(Ptr.X, False, aux)
     aux, _ = write_through("b", Ptr.Y, 1, aux)  # t=4
-    aux, _ = register("b", Ptr.Y, 4, aux)  # t=5
+    aux, _ = register(Ptr.Y, 4, aux)  # t=5
     assert aux.max_ts() == 5
     aux = finalize("a", Ptr.X, aux)
     assert aux.tau[3 - 1] == 5
@@ -140,8 +140,8 @@ def test_finalize_moves_ownership():
 
 
 def test_finalize_guard():
-    aux, _ = register("a", Ptr.X, 2, fresh())
-    aux = check("a", Ptr.X, True, aux)
+    aux, _ = register(Ptr.X, 2, fresh())
+    aux = check(Ptr.X, True, aux)
     with pytest.raises(GuardViolationError):
         finalize("a", Ptr.X, aux)
 

@@ -8,7 +8,8 @@ import pytest
 from conftest import one_field_changed, primitive, two_scan_programs
 from snapcheck import harness, invariants, snapshot
 from snapcheck.aux_model import Ptr, aux_key
-from snapcheck.errors import BudgetExceededError, ScheduleError, TraceParseError
+from snapcheck.cli import main
+from snapcheck.errors import BudgetExceededError, OracleSizeError, ScheduleError, TraceParseError
 from snapcheck.harness import (
     FIG1_SCHEDULE,
     Program,
@@ -105,6 +106,28 @@ def test_exploration_soundness_replay(prog):
         assert (trace.phys_digest, trace.aux_digest) == (ex.phys_digest, ex.aux_digest)
         assert trace.steps[-1].phys_digest == ex.phys_digest
         assert trace.steps[-1].aux_digest == ex.aux_digest
+
+
+def test_oracle_size_is_checked_before_the_first_step(monkeypatch, tmp_path, capsys):
+    """A program with more calls than the oracle takes is refused before
+    any step, by every scheduler and by ``snapcheck replay`` (exit 2)."""
+    text = "a: " + "; ".join(["write x 2"] * 9) + "\n"
+    prog = parse_program(text, name="nine-writes")
+    taken, step = [], harness.step_state
+    monkeypatch.setattr(harness, "step_state", lambda *args: taken.append(args) or step(*args))
+    with pytest.raises(OracleSizeError):
+        run_random(prog, seed=1, runs=1)
+    with pytest.raises(OracleSizeError):
+        run_schedule(prog, ("a",) * 45)
+    with pytest.raises(OracleSizeError):
+        explore(prog)
+    assert taken == []
+    program, schedule = tmp_path / "nine.prog", tmp_path / "nine.sched"
+    program.write_text(text)
+    schedule.write_text("a\n" * 45)
+    assert main(["replay", "--program", str(program), "--schedule", str(schedule)]) == 2
+    assert taken == []
+    assert "exceed" in capsys.readouterr().err
 
 
 def test_run_schedule_determinism():
@@ -237,12 +260,27 @@ def test_frame_key_is_primitive_and_complete():
             assert frame_key(variant) != frame_key(frame)
 
 
+def test_states_are_equal_exactly_when_their_keys_are():
+    """A state is the machine state only: of the states one checker
+    interned, two are equal exactly when their keys are, whatever paths
+    reached them."""
+    checkers = {prog.name: harness._Checker(prog) for prog in two_scan_programs()}
+    groups = {}
+    for prog, state in _walk_states():
+        state = checkers[prog.name].intern(state)
+        groups.setdefault((prog.name, harness.state_key(state)), []).append(state)
+    assert all(state == group[0] for group in groups.values() for state in group)
+    distinct = {(name, state) for (name, _), group in groups.items() for state in group}
+    assert len(distinct) == len(groups)
+    # the walks meet states again, so the test compares something
+    assert sum(map(len, groups.values())) > len(groups)
+
+
 def test_derived_fields_follow_from_the_state():
     """An entry's next step is its frame's, or between calls the first step
     of the thread's next call; it returned its call exactly on the step
-    before the release; the clock is the schedule's length."""
+    before the release."""
     for prog, state in _walk_states():
-        assert state.clock == len(state.schedule)
         for tid, entry in state.threads:
             frame = entry.frame
             if frame is not None:
@@ -315,13 +353,15 @@ def _reference_edge_checks(pre, post, before):
     if step.kind == "relink":
         reps.append(invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y))
     if after.returned:
-        rec, call = post.methods[-1], before.call
+        call = before.call
         if call.kind == "write":
             reps.append(
-                invariants.check_write_post(before.mask, post.aux, rec.t, rec.tid, call.p, call.v)
+                invariants.check_write_post(before.mask, post.aux, fr.t, fr.tid, call.p, call.v)
             )
         else:
-            reps.append(invariants.check_scan_post(before.mask, post.aux, rec.result, rec.witness))
+            # the witness is the later in sigma of the two per-pointer events
+            witness = max(fr.witness_x, fr.witness_y, key=post.aux.sigma.index)
+            reps.append(invariants.check_scan_post(before.mask, post.aux, fr.result, witness))
     return reps
 
 
@@ -334,23 +374,23 @@ def _reference_violations(prog):
     def absorb(rep, idx):
         found.extend((v.name, v.detail, idx) for v in rep)
 
-    def dfs(state):
+    def dfs(state, depth):
         for tid in enabled_tids(prog, state):
             post, before = step_state(prog, state, tid)
             key = _full_key(post)
             new = key not in visited
             if new:
                 visited.add(key)
-                absorb(invariants.check_all(post.phys, post.aux), post.clock - 1)
+                absorb(invariants.check_all(post.phys, post.aux), depth)
             for rep in _reference_edge_checks(state, post, before):
-                absorb(rep, state.clock)
+                absorb(rep, depth)
             if new:
-                dfs(post)
+                dfs(post, depth + 1)
 
     state0 = initial_state(prog)
     visited = {_full_key(state0)}
     absorb(invariants.check_all(state0.phys, state0.aux), -1)
-    dfs(state0)
+    dfs(state0, 0)
     return found
 
 

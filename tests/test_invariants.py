@@ -4,12 +4,11 @@ import ast
 from dataclasses import replace
 from pathlib import Path
 
-from conftest import TS_X2, TS_X3, TS_Y1, hand_built_fig2a
+from conftest import CHECKS, TS_X2, TS_X3, TS_Y1, hand_built_fig2a, run_prefix
 from snapcheck.aux_model import Color, Ptr, omega_down, other_mask
 from snapcheck.aux_ops import register, relink
-from snapcheck.harness import FIG1_SCHEDULE, client_fig1, parse_program, run_prefix
+from snapcheck.harness import FIG1_SCHEDULE, client_fig1, parse_program
 from snapcheck.invariants import (
-    CHECKS,
     capture_spec_snapshot,
     check_all,
     check_chain_lemma,
@@ -95,7 +94,7 @@ def test_terminated_events_violation():
 
 def test_register_grows_history_by_one():
     _, aux = init(5, 0)
-    aux2, _ = register("a", Ptr.X, 3, aux)
+    aux2, _ = register(Ptr.X, 3, aux)
     assert aux2.max_ts() == aux.max_ts() + 1
     assert not check_transition(aux, aux2)
 
@@ -139,8 +138,8 @@ def test_write_post_uncontended():
     mask = capture_spec_snapshot(aux, "a", "write")
     from snapcheck.aux_ops import check as check_op, finalize
 
-    aux2, t = register("a", Ptr.X, 3, aux)
-    aux2 = check_op("a", Ptr.X, False, aux2)
+    aux2, t = register(Ptr.X, 3, aux)
+    aux2 = check_op(Ptr.X, False, aux2)
     aux2 = finalize("a", Ptr.X, aux2)
     rep = check_write_post(mask, aux2, t, "a", Ptr.X, 3)
     assert not rep
@@ -175,7 +174,7 @@ def test_write_fresh_on_register_edge():
         rep = check_write_fresh(aux, t)
         assert [v.name for v in rep] == ["write-post"]
         assert "not fresh" in rep[0].detail
-    post, t = register("a", Ptr.X, 3, aux)
+    post, t = register(Ptr.X, 3, aux)
     assert t == aux.max_ts() + 1
     assert not check_write_fresh(aux, t)
     # once registered, t is in the domain: reusing it trips the check
@@ -227,7 +226,7 @@ def test_chain_lemma_after_relink():
 
 def test_chain_lemma_red_is_exempt():
     _, aux = init(5, 0)
-    aux, _ = register("a", Ptr.X, 3, aux)  # red event at the end
+    aux, _ = register(Ptr.X, 3, aux)  # red event at the end
     assert not check_chain_lemma(aux)
 
 

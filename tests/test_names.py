@@ -1,0 +1,67 @@
+"""Every module-level name under ``src/`` has a production use."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "snapcheck"
+# names that a package carries by convention, with no caller of its own
+CONVENTIONAL = {"__version__"}
+
+
+def _defined(tree):
+    """The module-level names a module defines, with their definitions."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _mentions(node, strings):
+    """The names a node mentions: as a name, an attribute, an imported
+    name, or, with ``strings``, a string (``perfbench/tracing.py`` names
+    the layers it wraps by string)."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name]
+    if strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def test_every_module_level_name_has_a_production_use():
+    """Each name a module under ``src/snapcheck`` defines at module level
+    is mentioned in ``src/`` or ``perfbench/`` outside its own definition,
+    or exported by the package: a name that only tests reach belongs in
+    the tests."""
+    trees = {
+        path: ast.parse(path.read_text())
+        for folder in (ROOT / "src", ROOT / "perfbench")
+        for path in sorted(folder.rglob("*.py"))
+    }
+    init = PACKAGE / "__init__.py"
+    exported = {n for node in ast.walk(trees[init]) for n in _mentions(node, False)}
+    mentions = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            for name in _mentions(node, path.parent.name == "perfbench"):
+                mentions.setdefault(name, []).append(node)
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE or path == init:
+            continue
+        for name, definition in _defined(tree):
+            if name in exported or name in CONVENTIONAL:
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(id(node) in inside for node in mentions.get(name, ())):
+                unused.append(f"{path.name}: {name}")
+    assert not unused, "names without a production use: " + ", ".join(unused)
