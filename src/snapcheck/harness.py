@@ -11,7 +11,10 @@ edge only what its auxiliary half reads and yields; the state invariants
 read only the physical and auxiliary parts of a state.  So each distinct
 (physical, auxiliary) pair is checked once per run, and in ``explore`` each
 distinct half step is computed and checked once, and replayed wherever it
-recurs (see ``_Checker``).  The exact number of maximal interleavings is
+recurs (see ``_Checker``).  ``explore`` walks the ids of a state's parts:
+it builds a :class:`State` only where a step's table misses, and at each
+distinct terminal state, where it replays the schedule that reached it to
+build the run's record.  The exact number of maximal interleavings is
 computed by dynamic programming over the state graph.  ``run_schedule``
 deterministically replays an explicit schedule into a full trace, and
 ``run_random`` drives seeded random executions; both run one loop whose
@@ -19,8 +22,7 @@ chooser follows the schedule or draws from the seeded RNG, and take every
 step afresh: one path repeats few half steps.
 
 A :class:`State` is the machine state only; the run that reached it is a
-:class:`Path` that the schedulers carry beside it, which ``explore`` extends
-only when it descends into a new state.
+:class:`Path` that ``run_schedule`` and ``run_random`` carry beside it.
 """
 
 from __future__ import annotations
@@ -263,14 +265,9 @@ def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, MethodFram
         entry2 = _between_calls(prog, tid, entry.call_idx + 1)
     else:
         entry2 = ThreadEntry(entry.call_idx, frame2, steps[frame2.pc])
-    return _with_entry(state, i, phys2, aux2, entry2), frame
-
-
-def _with_entry(state: State, i: int, phys: PhysState, aux: AuxState, entry: ThreadEntry) -> State:
-    """``state`` with parts ``phys`` and ``aux``, and thread ``i`` at ``entry``."""
     threads = state.threads
-    threads = threads[:i] + ((threads[i][0], entry),) + threads[i + 1 :]
-    return evolve(state, phys=phys, aux=aux, threads=threads)
+    threads = threads[:i] + ((tid, entry2),) + threads[i + 1 :]
+    return evolve(state, phys=phys2, aux=aux2, threads=threads), frame
 
 
 def _witness(fr: MethodFrame, aux: AuxState) -> Timestamp:
@@ -310,30 +307,30 @@ def entry_key(tid: Tid, entry: ThreadEntry) -> tuple:
     return (tid, entry.call_idx, None if frame is None else frame_key(frame))
 
 
-# Bits of each id below the first in a packed key (see _pack).
+# Bits of each id below the aux id in a packed key (see state_key).
 _ID_BITS = 10
 
 
-def _pack(*ids: int):
-    """``ids`` as one int: the first id unbounded on top, each later one a
-    ``_ID_BITS``-bit digit below it.  Where a later id overflows its digit,
-    the tuple of ids stands in, so that the key is injective at any size
-    (no int equals a tuple).  An int of up to 60 bits takes 32 bytes,
-    against 80 for a tuple of five small ints, and the visited set holds one
-    key per state."""
-    key = ids[0]
-    for i in ids[1:]:
+def state_key(pid: int, aid: int, eids: tuple[int, ...]):
+    """The key of the state whose parts have the ids ``pid``, ``aid`` and
+    ``eids`` in one checker, as one int: the aux id unbounded on top (the
+    auxiliary parts are the most numerous), the phys id and each entry id a
+    ``_ID_BITS``-bit digit below it.  Where an id overflows its digit, the
+    tuple of ids stands in, so that the key is injective at any size (no
+    int equals a tuple).  An int of up to 60 bits takes 32 bytes, against
+    80 for a tuple of five small ints, and the visited set holds one key
+    per state."""
+    key = aid
+    for i in (pid, *eids):
         if i >> _ID_BITS:
-            return ids
+            return (aid, pid, *eids)
         key = key << _ID_BITS | i
     return key
 
 
-def state_key(state: State):
-    """The key of a state whose parts a checker interned: the ids of its
-    parts, packed."""
-    ids = [e._memo["id"] for _, e in state.threads]
-    return _pack(state.aux._memo["id"], state.phys._memo["id"], *ids)
+def _id(part) -> int:
+    """The id that a checker gave the canonical ``part``."""
+    return part._memo["id"]
 
 
 # ---------------------------------------------------------------------------
@@ -343,27 +340,29 @@ def state_key(state: State):
 class _Checker:
     """Steps and checks the states of one run, and accumulates the verdicts
     of every state and edge it is shown: violations, scan results and the
-    number of runs the oracle checked.  The schedulers carry each run's
-    :class:`Path` and hand the checker its step indices.
+    number of runs the oracle checked.  The schedulers hand the checker
+    their step indices.
 
-    The checker hash-conses the states it is shown (:meth:`intern`): equal
+    The checker hash-conses the parts of the states it is shown: equal
     physical parts, equal auxiliary parts and equal thread entries become
     one canonical object each, numbered per kind in order of first sight
-    (the id, kept in the object's memo).  Its tables are keyed by these
-    ids, so they live and die with the checker:
+    (the id, kept in the object's memo; the kind's list maps it back).  Its
+    tables map ids to ids, so they live and die with the checker:
 
     * state checks, by phys id and aux id: ``check_all``'s violations;
     * transition checks, by aux id and post aux id: ``check_transition``'s
       violations;
-    * the physical half of a step, by entry id and phys id: the post
-      physical part, and the table of the auxiliary halves of the steps
-      that read the same value from memory (``observed``) under the entry;
-    * such a table of auxiliary halves, by aux id: the post auxiliary part,
-      the post entry and the violations of the edge's checks.
+    * the physical half of a step, by entry id and phys id: the post phys
+      id, and the table of the auxiliary halves of the steps that read the
+      same value from memory (``observed``) under the entry; or False, where
+      the entry's next step is disabled (or it has none);
+    * such a table of auxiliary halves, by aux id: the post aux id, the
+      post entry id and the violations of the edge's checks.
 
-    ``explore`` steps through the tables (:meth:`step`).  A single run
-    repeats few half steps, so ``_drive`` takes each step afresh
-    (:meth:`take`, which :meth:`step` calls on a miss).
+    ``explore`` steps through the tables, and only where one misses builds
+    a :class:`State` from the canonical parts and fills both halves
+    (:meth:`fill`).  A single run repeats few half steps, so ``_drive``
+    takes each step afresh (:meth:`take`, which :meth:`fill` calls).
     """
 
     def __init__(self, prog: Program):
@@ -371,16 +370,19 @@ class _Checker:
         # oracle reads the two initializing writes too
         oracle.check_size(2 + sum(len(calls) for _, calls in prog.threads))
         self.prog = prog
+        self.tids = tuple(sorted(tid for tid, _ in prog.threads))
         self.violations: list[Violation] = []
         self.scan_results: set[tuple[Value, Value]] = set()
         self.executions_checked = 0
         # the three kinds' keys are tuples of different lengths, so they
         # share one table; each kind numbers its own parts
         self._canonical: dict[tuple, object] = {}
-        self._phys_ids, self._aux_ids, self._entry_ids = count(), count(), count()
+        self.phys: list[PhysState] = []
+        self.aux: list[AuxState] = []
+        self.entries: list[ThreadEntry] = []
         self._state_checks: defaultdict[int, dict] = defaultdict(dict)
         self._transition_checks: defaultdict[int, dict] = defaultdict(dict)
-        self._phys_steps: defaultdict[int, dict] = defaultdict(dict)
+        self.phys_steps: defaultdict[int, dict] = defaultdict(dict)
         # by (entry id, value read); an entry fixes its step, and so the
         # type of what it reads, so the check step's bool never meets an
         # equal int here
@@ -392,14 +394,14 @@ class _Checker:
         values."""
         return evolve(
             state,
-            phys=self._canon(state.phys, self._phys_ids, phys_key),
-            aux=self._canon(state.aux, self._aux_ids, aux_key),
+            phys=self._canon(state.phys, self.phys, phys_key),
+            aux=self._canon(state.aux, self.aux, aux_key),
             threads=tuple(
-                (tid, self._canon(e, self._entry_ids, entry_key, tid)) for tid, e in state.threads
+                (tid, self._canon(e, self.entries, entry_key, tid)) for tid, e in state.threads
             ),
         )
 
-    def _canon(self, part, ids, key, *args):
+    def _canon(self, part, parts: list, key, *args):
         # Every state a checker is shown descends from a fresh initial
         # state, and evolve drops the memo, so an id found in a memo was
         # given by this checker.
@@ -410,35 +412,30 @@ class _Checker:
         canon = self._canonical.get(k)
         if canon is None:
             canon = self._canonical[k] = part
-            m["id"] = next(ids)
+            m["id"] = len(parts)
+            parts.append(part)
         return canon
 
-    def step(self, state: State, tid: Tid) -> tuple[State, tuple[Violation, ...]]:
-        """:meth:`take`, memoised: ``tid``'s next step from the interned
-        ``state``, with the post-state interned.  Both halves of a step are
-        looked up by the ids of what they read; where either is new, the
-        step is taken and both halves are filed."""
-        i = state.index(tid)
-        eid = state.threads[i][1]._memo["id"]
-        pid, aid = state.phys._memo["id"], state.aux._memo["id"]
-        phys_steps = self._phys_steps[eid]
-        phys_half = phys_steps.get(pid)
-        if phys_half is not None:
-            phys, aux_steps = phys_half
-            aux_half = aux_steps.get(aid)
-            if aux_half is not None:
-                aux, entry, found = aux_half
-                return _with_entry(state, i, phys, aux, entry), found
-        aux_steps = self._aux_steps[eid, observed(state.threads[i][1].step, state.phys)]
+    def fill(self, pid: int, aid: int, eids: tuple[int, ...], i: int):
+        """File the step of thread ``i`` from the state with the part ids
+        ``pid``, ``aid`` and ``eids``, where a table missed it, and return
+        its two halves, or None where the step is disabled.  The step is
+        taken by :meth:`take` from the state built of the canonical
+        parts."""
+        eid, entries = eids[i], self.entries
+        phys = self.phys[pid]
+        step = entries[eid].step
+        if step is None or not step_enabled(step, phys):
+            self.phys_steps[eid][pid] = False
+            return None
+        state = State(phys, self.aux[aid], tuple(zip(self.tids, [entries[e] for e in eids])))
+        tid = self.tids[i]
         post, found = self.take(state, tid)
-        # the other threads' entries are the pre-state's, interned already
-        made = post.threads[i][1]
-        entry = self._canon(made, self._entry_ids, entry_key, tid)
-        if entry is not made:
-            post = _with_entry(post, i, post.phys, post.aux, entry)
-        phys_steps[pid] = (post.phys, aux_steps)
-        aux_steps[aid] = (post.aux, entry, found)
-        return post, found
+        entry = self._canon(post.threads[i][1], entries, entry_key, tid)
+        aux_steps = self._aux_steps[eid, observed(step, phys)]
+        phys_half = self.phys_steps[eid][pid] = (_id(post.phys), aux_steps)
+        aux_half = aux_steps[aid] = (_id(post.aux), _id(entry), found)
+        return phys_half, aux_half
 
     def take(self, state: State, tid: Tid) -> tuple[State, tuple[Violation, ...]]:
         """``tid``'s next step from ``state``, taken by ``step_state``, the
@@ -446,8 +443,8 @@ class _Checker:
         physical and auxiliary parts interned, and the violations of the
         edge's checks, unstamped."""
         post, before = step_state(self.prog, state, tid)
-        phys = self._canon(post.phys, self._phys_ids, phys_key)
-        aux = self._canon(post.aux, self._aux_ids, aux_key)
+        phys = self._canon(post.phys, self.phys, phys_key)
+        aux = self._canon(post.aux, self.aux, aux_key)
         if phys is not post.phys or aux is not post.aux:
             post = evolve(post, phys=phys, aux=aux)
         return post, self._check_edge(state, post, before)
@@ -460,8 +457,8 @@ class _Checker:
         step = before.current_step()
         after = post.entry(before.tid)
         fr = after.frame
-        transitions = self._transition_checks[pre.aux._memo["id"]]
-        post_aid = post.aux._memo["id"]
+        transitions = self._transition_checks[_id(pre.aux)]
+        post_aid = _id(post.aux)
         found = transitions.get(post_aid)
         if found is None:
             found = transitions[post_aid] = tuple(invariants.check_transition(pre.aux, post.aux))
@@ -492,13 +489,14 @@ class _Checker:
         for v in violations:
             self.violations.append(Violation(v.name, v.detail, idx))
 
-    def on_state(self, state: State, idx: int) -> None:
-        """Record ``state``'s violations, stamped ``idx`` (-1 initially)."""
-        checks = self._state_checks[state.phys._memo["id"]]
-        aid = state.aux._memo["id"]
+    def on_state(self, pid: int, aid: int, idx: int) -> None:
+        """Record the violations of the state whose physical and auxiliary
+        parts have the ids ``pid`` and ``aid``, stamped ``idx`` (-1
+        initially)."""
+        checks = self._state_checks[pid]
         found = checks.get(aid)
         if found is None:
-            found = checks[aid] = tuple(invariants.check_all(state.phys, state.aux))
+            found = checks[aid] = tuple(invariants.check_all(self.phys[pid], self.aux[aid]))
         self.absorb(found, idx)
 
     def finish(self, state: State, path: Path, steps=()) -> Trace:
@@ -571,41 +569,69 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     """
     checker = _Checker(prog)
     state0 = checker.intern(initial_state(prog))
-    checker.on_state(state0, -1)
+    pid0, aid0 = _id(state0.phys), _id(state0.aux)
+    eids0 = tuple(_id(e) for _, e in state0.threads)
+    checker.on_state(pid0, aid0, -1)
+    phys_steps, tids = checker.phys_steps, checker.tids
     visited: dict[int | tuple, int] = {}
+    schedule: list[Tid] = []
     executions: list[Trace] = []
     edges = 0
 
-    def dfs(state: State, key: int | tuple, path: Path) -> int:
+    def dfs(pid: int, aid: int, eids: tuple[int, ...], key: int | tuple) -> int:
         nonlocal edges
         if len(visited) >= max_states:
             raise BudgetExceededError(f"state budget {max_states} exceeded")
         visited[key] = 0
-        enabled = enabled_tids(prog, state)
-        if not enabled:
-            executions.append(checker.finish(state, path))
-            visited[key] = 1
-            return 1
         total = 0
-        idx = len(path.schedule)
-        for tid in enabled:
-            post, found = checker.step(state, tid)
+        idx = len(schedule)
+        first = edges
+        for i, eid in enumerate(eids):
+            phys_half = phys_steps[eid].get(pid)
+            if phys_half is False:
+                continue
+            aux_half = phys_half[1].get(aid) if phys_half else None
+            if aux_half is None:
+                halves = checker.fill(pid, aid, eids, i)
+                if halves is None:
+                    continue
+                phys_half, aux_half = halves
+            post_pid = phys_half[0]
+            post_aid, post_eid, found = aux_half
+            post_eids = eids[:i] + (post_eid,) + eids[i + 1 :]
             edges += 1
-            pkey = state_key(post)
+            pkey = state_key(post_pid, post_aid, post_eids)
             known = visited.get(pkey)
             if known is None:
-                checker.on_state(post, idx)
+                checker.on_state(post_pid, post_aid, idx)
             if found:
                 checker.absorb(found, idx)
             if known is None:
-                total += dfs(post, pkey, path.extend(state, tid, post))
+                schedule.append(tids[i])
+                total += dfs(post_pid, post_aid, post_eids, pkey)
+                schedule.pop()
             else:
                 total += known
+        if edges == first:  # no thread can step: the run is complete
+            executions.append(checker.finish(*_replay(prog, schedule)))
+            total = 1
         visited[key] = total
         return total
 
-    schedules = dfs(state0, state_key(state0), Path((), (None,) * len(state0.threads)))
+    schedules = dfs(pid0, aid0, eids0, state_key(pid0, aid0, eids0))
     return checker.report("exhaustive", len(visited), edges, schedules, executions=executions)
+
+
+def _replay(prog: Program, schedule) -> tuple[State, Path]:
+    """The state that ``schedule`` reaches from prog's initial state, and
+    the run's path, stepped with no checks."""
+    state = initial_state(prog)
+    path = Path((), (None,) * len(state.threads))
+    for tid in schedule:
+        post = step_state(prog, state, tid)[0]
+        path = path.extend(state, tid, post)
+        state = post
+    return state, path
 
 
 def _drive(
@@ -618,13 +644,13 @@ def _drive(
     :meth:`_Checker.finish` checks it."""
     state = checker.intern(initial_state(prog))
     path = Path((), (None,) * len(state.threads))
-    checker.on_state(state, -1)
+    checker.on_state(_id(state.phys), _id(state.aux), -1)
     for idx in count():
         tid = choose(idx, enabled_tids(prog, state))
         if tid is None:
             return checker.finish(state, path, steps or ())
         post, found = checker.take(state, tid)
-        checker.on_state(post, idx)
+        checker.on_state(_id(post.phys), _id(post.aux), idx)
         checker.absorb(found, idx)
         if steps is not None:
             label = state.entry(tid).step.label

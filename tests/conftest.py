@@ -14,9 +14,8 @@ from snapcheck.harness import (
     client_fig1,
     explore,
     generated_programs,
-    initial_state,
     parse_program,
-    step_state,
+    _replay,
 )
 
 # Timestamps of the scanner-miss scenario, by the value each event writes:
@@ -49,10 +48,7 @@ CHECKS: dict[str, int] = {
 
 def run_prefix(prog, schedule):
     """The state that a schedule prefix reaches, stepped with no checks."""
-    state = initial_state(prog)
-    for tid in schedule:
-        state = step_state(prog, state, tid)[0]
-    return state
+    return _replay(prog, schedule)[0]
 
 
 @pytest.fixture(scope="session")

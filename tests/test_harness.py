@@ -7,7 +7,7 @@ import pytest
 
 from conftest import one_field_changed, primitive, two_scan_programs
 from snapcheck import harness, invariants, snapshot
-from snapcheck.aux_model import Ptr, aux_key
+from snapcheck.aux_model import Ptr, aux_key, memo
 from snapcheck.cli import main
 from snapcheck.errors import BudgetExceededError, OracleSizeError, ScheduleError, TraceParseError
 from snapcheck.harness import (
@@ -17,6 +17,7 @@ from snapcheck.harness import (
     client_e_prime,
     client_fig1,
     enabled_tids,
+    entry_key,
     explore,
     frame_key,
     generated_programs,
@@ -90,13 +91,16 @@ WXY_SCAN = Program(
 
 @pytest.mark.parametrize(
     "prog",
-    [WXY_SCAN, next(p for p in generated_programs() if p.name == "gen-x1-y1")],
+    [WXY_SCAN, next(p for p in generated_programs() if p.name == "gen-x1-y1")]
+    + two_scan_programs(),
     ids=lambda p: p.name,
 )
 def test_exploration_soundness_replay(prog):
     """Every run record explore keeps, method records included, is the one a
-    fresh replay of its schedule builds: the records carried on the states
-    survive merging and backtracking."""
+    fresh replay of its schedule builds: the records explore rebuilds from
+    the schedule stack at its terminal states survive merging and
+    backtracking, also where a thread's second call sets its invocation
+    index again (the two-scan clients)."""
     report = explore(prog)
     assert report.executions
     assert len(report.executions) == report.executions_checked
@@ -268,7 +272,7 @@ def test_states_are_equal_exactly_when_their_keys_are():
     groups = {}
     for prog, state in _walk_states():
         state = checkers[prog.name].intern(state)
-        groups.setdefault((prog.name, harness.state_key(state)), []).append(state)
+        groups.setdefault((prog.name, harness.state_key(*_ids(state))), []).append(state)
     assert all(state == group[0] for group in groups.values() for state in group)
     distinct = {(name, state) for (name, _), group in groups.items() for state in group}
     assert len(distinct) == len(groups)
@@ -411,27 +415,72 @@ def test_memoised_checks_match_unmemoised_reference(monkeypatch):
 
 def test_check_memo_is_scoped_to_one_run(monkeypatch):
     """A second explore checks afresh (no verdict leaks from the first),
-    and within one explore equal parts reached on different paths are one
-    object."""
+    and within one explore equal parts reached on different paths share
+    one id."""
     prog = next(p for p in generated_programs() if p.name == "gen-x1-y1")
     assert explore(prog).ok
-    keyed = harness.state_key
-    canonical = {}
-    same = []
-
-    def watch(state):
-        for key, part in ((phys_key(state.phys), state.phys), (aux_key(state.aux), state.aux)):
-            same.append(canonical.setdefault(key, part) is part)
-        return keyed(state)
+    calls = _watch_state_key(monkeypatch)
+    checkers = _record_checkers(monkeypatch)
 
     def forced_all(phys, aux):
         return [Violation("forced", "every state")]
 
-    monkeypatch.setattr(harness, "state_key", watch)
     monkeypatch.setattr(invariants, "check_all", forced_all)
     report = explore(prog)
     assert [v.name for v in report.violations] == ["forced"] * report.states
-    assert all(same) and len(same) > 2 * len(canonical)
+    [checker] = checkers
+    ids, seen = {}, 0
+    for _, (pid, aid, eids) in calls:
+        state = _state_of(checker, pid, aid, eids)
+        parts = [(phys_key(state.phys), pid), (aux_key(state.aux), aid)]
+        parts += [(entry_key(tid, e), eid) for (tid, e), eid in zip(state.threads, eids)]
+        for key, i in parts:
+            ids.setdefault(key, set()).add(i)
+        seen += len(parts)
+    assert all(len(group) == 1 for group in ids.values())
+    assert seen > 2 * len(ids)
+
+
+def _ids(state):
+    """The ids that the checker which interned ``state`` gave its parts."""
+    return (
+        memo(state.phys)["id"],
+        memo(state.aux)["id"],
+        tuple(memo(e)["id"] for _, e in state.threads),
+    )
+
+
+def _record_checkers(monkeypatch):
+    """The checkers the schedulers make from now on, in order."""
+    made = []
+
+    class Recorded(harness._Checker):
+        def __init__(self, prog):
+            super().__init__(prog)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "_Checker", Recorded)
+    return made
+
+
+def _watch_state_key(monkeypatch):
+    """Every key ``harness.state_key`` gives from now on, with its ids."""
+    keyed, calls = harness.state_key, []
+
+    def watch(*ids):
+        key = keyed(*ids)
+        calls.append((key, ids))
+        return key
+
+    monkeypatch.setattr(harness, "state_key", watch)
+    return calls
+
+
+def _state_of(checker, pid, aid, eids):
+    """The state whose parts have the ids ``pid``, ``aid`` and ``eids`` in
+    ``checker``."""
+    entries = tuple(zip(checker.tids, (checker.entries[e] for e in eids)))
+    return harness.State(checker.phys[pid], checker.aux[aid], entries)
 
 
 def _full_key(state):
@@ -460,17 +509,26 @@ def test_state_key_is_injective(prog, id_bits, monkeypatch):
     states' full keys are."""
     if id_bits is not None:
         monkeypatch.setattr(harness, "_ID_BITS", id_bits)
-    keyed = harness.state_key
-    full_keys = {}
-
-    def watch(state):
-        key = keyed(state)
-        full_keys.setdefault(key, set()).add(_full_key(state))
-        return key
-
-    monkeypatch.setattr(harness, "state_key", watch)
+    calls = _watch_state_key(monkeypatch)
+    checkers = _record_checkers(monkeypatch)
     report = explore(prog)
+    [checker] = checkers
+    full_keys = {}
+    for key, ids in calls:
+        full_keys.setdefault(key, set()).add(_full_key(_state_of(checker, *ids)))
     assert all(len(group) == 1 for group in full_keys.values())
     assert len(set().union(*full_keys.values())) == len(full_keys) == report.states
     kinds = {type(key) for key in full_keys}
     assert kinds == ({int} if id_bits is None else {int, tuple})
+
+
+def test_explore_steps_only_where_a_table_misses(monkeypatch):
+    """explore takes a step (``step_state``) once per distinct half step of
+    e, and again on the replays that rebuild its kept runs: 18,600 and
+    3,312 of them.  Stepping every edge would take at least 132,390."""
+    taken, step = [], harness.step_state
+    monkeypatch.setattr(harness, "step_state", lambda *args: taken.append(args) or step(*args))
+    report = explore(client_e())
+    assert (report.edges, report.executions_checked) == (132_390, 120)
+    assert sum(len(ex.schedule) for ex in report.executions) == 3_312
+    assert len(taken) == 18_600 + 3_312
