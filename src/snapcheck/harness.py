@@ -12,17 +12,17 @@ read only the physical and auxiliary parts of a state.  So each distinct
 (physical, auxiliary) pair is checked once per run, and in ``explore`` each
 distinct half step is computed and checked once, and replayed wherever it
 recurs (see ``_Checker``).  ``explore`` walks the ids of a state's parts:
-it builds a :class:`State` only where a step's table misses, and at each
-distinct terminal state, where it replays the schedule that reached it to
-build the run's record.  The exact number of maximal interleavings is
-computed by dynamic programming over the state graph.  ``run_schedule``
-deterministically replays an explicit schedule into a full trace, and
-``run_random`` drives seeded random executions; both run one loop whose
-chooser follows the schedule or draws from the seeded RNG, and take every
-step afresh: one path repeats few half steps.
+it builds a :class:`State` only where a step's table misses.  The exact
+number of maximal interleavings is computed by dynamic programming over the
+state graph.  ``run_schedule`` deterministically replays an explicit
+schedule into a full trace, and ``run_random`` drives seeded random
+executions; both run one loop whose chooser follows the schedule or draws
+from the seeded RNG, and take every step afresh: one path repeats few half
+steps.
 
-A :class:`State` is the machine state only; the run that reached it is a
-:class:`Path` that ``run_schedule`` and ``run_random`` carry beside it.
+A :class:`State` is the machine state only.  Every scheduler keeps the run
+that reached it as a trail, one item per step taken (``explore`` pops it
+on return), from which :meth:`_Checker.finish` folds the run's record.
 """
 
 from __future__ import annotations
@@ -127,29 +127,6 @@ class State:
 
 
 @dataclass(frozen=True)
-class Path:
-    """The run that reached a state: its schedule, the step index at which
-    each thread's call in flight was invoked (in the state's ``threads``
-    order), and the methods it completed."""
-
-    schedule: tuple[Tid, ...]
-    invocations: tuple[int | None, ...]
-    methods: tuple[MethodRecord, ...] = ()
-
-    def extend(self, state: State, tid: Tid, post: State) -> Path:
-        """The path on to ``post``, where ``tid`` stepped from ``state``: a
-        call's invocation is set on its first step, its record on its return."""
-        i = state.index(tid)
-        clock, invocations, methods = len(self.schedule), self.invocations, self.methods
-        if state.threads[i][1].frame is None:
-            invocations = invocations[:i] + (clock,) + invocations[i + 1 :]
-        entry = post.threads[i][1]
-        if entry.returned:
-            methods += (_method_record(entry.frame, post.aux, invocations[i], clock),)
-        return Path(self.schedule + (tid,), invocations, methods)
-
-
-@dataclass(frozen=True)
 class StepRecord:
     index: int
     tid: Tid
@@ -161,9 +138,10 @@ class StepRecord:
 @dataclass(frozen=True)
 class Trace:
     """The record of one completed run, as trace files carry it and the
-    oracle reads it.  The records ``explore`` keeps have no steps and no
-    violations: explore checks each distinct state once, however many runs
-    pass through it, so its violations live on the report."""
+    oracle reads it, folded from the run's trail by
+    :meth:`_Checker.finish`.  The records ``explore`` keeps have no steps
+    and no violations: explore checks each distinct state once, however
+    many runs pass through it, so its violations live on the report."""
 
     program: str
     threads: tuple[tuple[Tid, tuple[str, ...]], ...]
@@ -341,7 +319,8 @@ class _Checker:
     """Steps and checks the states of one run, and accumulates the verdicts
     of every state and edge it is shown: violations, scan results and the
     number of runs the oracle checked.  The schedulers hand the checker
-    their step indices.
+    their step indices, and at the end of each run its trail, from which
+    :meth:`finish` folds the run's record; no other code derives one.
 
     The checker hash-conses the parts of the states it is shown: equal
     physical parts, equal auxiliary parts and equal thread entries become
@@ -499,29 +478,40 @@ class _Checker:
             found = checks[aid] = tuple(invariants.check_all(self.phys[pid], self.aux[aid]))
         self.absorb(found, idx)
 
-    def finish(self, state: State, path: Path, steps=()) -> Trace:
-        """Build the record of the completed run ``path``, which ended in
-        ``state``, and check it with both oracle routes.  Oracle failures
-        join the checker's violations; the record's own violation list is
-        left empty."""
-        prog, aux = self.prog, state.aux
+    def finish(self, phys: PhysState, aux: AuxState, trail, steps=()) -> Trace:
+        """Build the record of the completed run that ended in the parts
+        ``phys`` and ``aux``, and check it with both oracle routes.  The
+        run is its ``trail``, one ``(thread index, entry before, entry
+        after, auxiliary part after)`` per step, and the record is folded
+        from it: a call is invoked on the step whose entry before has no
+        frame, and returns on the step whose entry after has ``returned``.
+        Oracle failures join the checker's violations; the record's own
+        violation list is left empty."""
+        prog, tids = self.prog, self.tids
+        invocations: list[int | None] = [None] * len(tids)
+        methods = []
+        for idx, (i, before, after, aux_after) in enumerate(trail):
+            if before.frame is None:
+                invocations[i] = idx
+            if after.returned:
+                methods.append(_method_record(after.frame, aux_after, invocations[i], idx))
         trace = Trace(
             program=prog.name,
             threads=tuple((tid, tuple(c.render() for c in calls)) for tid, calls in prog.threads),
             init_x=prog.init_x,
             init_y=prog.init_y,
-            schedule=path.schedule,
+            schedule=tuple(tids[i] for i, *_ in trail),
             steps=tuple(steps),
-            methods=path.methods,
+            methods=tuple(methods),
             final_sigma=aux.sigma,
             final_sigma_values=tuple(aux.val[t - 1] for t in aux.sigma),
             final_kappa=tuple(enumerate(aux.kappa, 1)),
-            phys_digest=phys_digest(state.phys),
+            phys_digest=phys_digest(phys),
             aux_digest=aux_digest(aux),
             violations=(),
         )
         self.executions_checked += 1
-        idx = len(path.schedule)
+        idx = len(trail)
         if not oracle.validate_witness(trace):
             self.violations.append(
                 Violation("oracle-witness", f"witness order rejected for {trace.schedule}", idx)
@@ -572,9 +562,9 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     pid0, aid0 = _id(state0.phys), _id(state0.aux)
     eids0 = tuple(_id(e) for _, e in state0.threads)
     checker.on_state(pid0, aid0, -1)
-    phys_steps, tids = checker.phys_steps, checker.tids
+    phys_steps, entries, aux = checker.phys_steps, checker.entries, checker.aux
     visited: dict[int | tuple, int] = {}
-    schedule: list[Tid] = []
+    trail: list[tuple] = []
     executions: list[Trace] = []
     edges = 0
 
@@ -584,7 +574,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             raise BudgetExceededError(f"state budget {max_states} exceeded")
         visited[key] = 0
         total = 0
-        idx = len(schedule)
+        idx = len(trail)
         first = edges
         for i, eid in enumerate(eids):
             phys_half = phys_steps[eid].get(pid)
@@ -607,31 +597,19 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             if found:
                 checker.absorb(found, idx)
             if known is None:
-                schedule.append(tids[i])
+                trail.append((i, entries[eid], entries[post_eid], aux[post_aid]))
                 total += dfs(post_pid, post_aid, post_eids, pkey)
-                schedule.pop()
+                trail.pop()
             else:
                 total += known
         if edges == first:  # no thread can step: the run is complete
-            executions.append(checker.finish(*_replay(prog, schedule)))
+            executions.append(checker.finish(checker.phys[pid], aux[aid], trail))
             total = 1
         visited[key] = total
         return total
 
     schedules = dfs(pid0, aid0, eids0, state_key(pid0, aid0, eids0))
     return checker.report("exhaustive", len(visited), edges, schedules, executions=executions)
-
-
-def _replay(prog: Program, schedule) -> tuple[State, Path]:
-    """The state that ``schedule`` reaches from prog's initial state, and
-    the run's path, stepped with no checks."""
-    state = initial_state(prog)
-    path = Path((), (None,) * len(state.threads))
-    for tid in schedule:
-        post = step_state(prog, state, tid)[0]
-        path = path.extend(state, tid, post)
-        state = post
-    return state, path
 
 
 def _drive(
@@ -643,19 +621,21 @@ def _drive(
     appended to ``steps`` unless it is None.  Returns the run's record, as
     :meth:`_Checker.finish` checks it."""
     state = checker.intern(initial_state(prog))
-    path = Path((), (None,) * len(state.threads))
+    trail = []
     checker.on_state(_id(state.phys), _id(state.aux), -1)
     for idx in count():
         tid = choose(idx, enabled_tids(prog, state))
         if tid is None:
-            return checker.finish(state, path, steps or ())
+            return checker.finish(state.phys, state.aux, trail, steps or ())
         post, found = checker.take(state, tid)
         checker.on_state(_id(post.phys), _id(post.aux), idx)
         checker.absorb(found, idx)
+        i = state.index(tid)
+        entry = state.threads[i][1]
         if steps is not None:
-            label = state.entry(tid).step.label
+            label = entry.step.label
             steps.append(StepRecord(idx, tid, label, phys_digest(post.phys), aux_digest(post.aux)))
-        path = path.extend(state, tid, post)
+        trail.append((i, entry, post.threads[i][1], post.aux))
         state = post
 
 

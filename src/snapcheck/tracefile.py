@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 
-from .errors import TraceParseError
+from .aux_model import validate_value
+from .errors import TraceParseError, ValueDomainError
 from .harness import StepRecord, Trace
 from .oracle import MethodRecord
 from .snapshot import MethodCall
@@ -89,6 +90,18 @@ def _ints(value, what: str) -> tuple[int, ...]:
     return tuple(_int(v, what) for v in value)
 
 
+def _str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, not {value!r}")
+    return value
+
+
+def _strs(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list):  # a string would split into characters
+        raise ValueError(f"{what} must be a list of strings, not {value!r}")
+    return tuple(_str(v, what) for v in value)
+
+
 def _timestamp(value, n: int, what: str) -> None:
     """Optional timestamps must name one of the footer's ``n`` events."""
     if value is not None and not (type(value) is int and 1 <= value <= n):
@@ -100,6 +113,8 @@ def _method(rec: dict) -> MethodRecord:
     if not isinstance(op, str):
         raise ValueError(f"op must be a method call, not {op!r}")
     call = MethodCall.parse(op)
+    if call.kind == "write":
+        validate_value(call.v)
     result = rec["result"]
     if call.kind == "scan":
         result = _ints(result, "scan result")
@@ -108,7 +123,7 @@ def _method(rec: dict) -> MethodRecord:
     elif result is not None:
         raise ValueError(f"a write has no result, not {result!r}")
     return MethodRecord(
-        tid=rec["tid"],
+        tid=_str(rec["tid"], "tid"),
         call=call,
         result=result,
         invocation=_int(rec["inv"], "inv"),
@@ -124,7 +139,9 @@ def parse_trace(text: str) -> Trace:
     """The run record a trace file holds.  A file with no record at all is
     the empty record; any other file needs a header and ends with its
     footer.  Values, indices and timestamps must be integers, a scan's
-    result a pair of them, and every timestamp one of the footer's events."""
+    result a pair of them, every timestamp one of the footer's events and
+    every written value in the value range; names, labels and digests must
+    be strings, and a schedule and a violation list lists of them."""
     program = ""
     threads: tuple = ()
     init_x, init_y = 5, 0
@@ -148,22 +165,19 @@ def parse_trace(text: str) -> Trace:
             kind = rec["kind"]
             if kind == "header":
                 header = True
-                program = rec["program"]
-                threads = tuple((tid, tuple(calls)) for tid, calls in rec["threads"])
+                program = _str(rec["program"], "program")
+                threads = tuple((_str(t, "tid"), _strs(c, "calls")) for t, c in rec["threads"])
                 init_x, init_y = _ints(rec["init"], "init")
-                schedule = tuple(rec["schedule"])
+                schedule = _strs(rec["schedule"], "schedule")
             elif kind == "step":
-                steps.append(
-                    StepRecord(
-                        _int(rec["i"], "i"), rec["tid"], rec["label"], rec["phys"], rec["aux"]
-                    )
-                )
+                strs = (_str(rec[k], k) for k in ("tid", "label", "phys", "aux"))
+                steps.append(StepRecord(_int(rec["i"], "i"), *strs))
             elif kind == "method":
                 methods.append(_method(rec))
             elif kind == "footer":
                 final_sigma = _ints(rec["sigma"], "sigma")
                 final_sigma_values = _ints(rec["sigma_values"], "sigma_values")
-                final_kappa = tuple((t, c) for t, c in rec["kappa"])
+                final_kappa = tuple((t, _str(c, "color")) for t, c in rec["kappa"])
                 n = len(final_sigma)
                 for t in final_sigma:
                     _timestamp(t, n, "sigma entry")
@@ -172,14 +186,14 @@ def parse_trace(text: str) -> Trace:
                 for m in methods:  # the footer is the last record
                     for t in (m.t, m.witness, m.witness_x, m.witness_y):
                         _timestamp(t, n, "a method's timestamp")
-                phys_digest, aux_digest = rec["phys"], rec["aux"]
-                violations = tuple(rec["violations"])
+                phys_digest, aux_digest = (_str(rec[k], k) for k in ("phys", "aux"))
+                violations = _strs(rec["violations"], "violations")
                 footer = True
             else:
                 raise TraceParseError(f"line {lineno}: unknown record kind {kind!r}")
         except TraceParseError:
             raise
-        except (KeyError, ValueError, TypeError, RecursionError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError, ValueDomainError) as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
     if text.strip() and not (header and footer):
         raise TraceParseError(f"no {'footer' if header else 'header'} record")

@@ -14,8 +14,9 @@ from snapcheck.harness import (
     client_fig1,
     explore,
     generated_programs,
+    initial_state,
     parse_program,
-    _replay,
+    step_state,
 )
 
 # Timestamps of the scanner-miss scenario, by the value each event writes:
@@ -48,7 +49,10 @@ CHECKS: dict[str, int] = {
 
 def run_prefix(prog, schedule):
     """The state that a schedule prefix reaches, stepped with no checks."""
-    return _replay(prog, schedule)[0]
+    state = initial_state(prog)
+    for tid in schedule:
+        state = step_state(prog, state, tid)[0]
+    return state
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ and by the golden-count check.  Each criterion counts the violation names
 that ``conftest.CHECKS`` maps to it.
 """
 
+import hashlib
 import random
 import time
 
@@ -29,6 +30,7 @@ from snapcheck.aux_model import (
 from snapcheck.aux_ops import INSPECT_NO, InspectDecision, inspect, push
 from snapcheck.cli import main
 from snapcheck.harness import DEFAULT_MAX_STATES, client_e_prime
+from snapcheck.tracefile import render_trace
 
 PAPER_RESULT_SET = frozenset({(5, 0), (2, 0), (3, 0), (2, 1), (3, 1)})
 
@@ -80,6 +82,34 @@ SWEEP_GOLDEN = {
     "two-scan": (46_930, 116_262, 170_607_959_160, 72, {(2, 0), (2, 1), (5, 0), (5, 1)}),
     "fig1-two-scan": (124_676, 310_869, 34_002_525_175_854, 126, PAPER_RESULT_SET),
 }
+
+# Every swept program's kept run records: a blake2b digest (16 bytes) of
+# ``render_trace`` of each execution explore keeps, in order, 2,485 records
+# in all.  The records are schedules, invocation and response indices,
+# witnesses and final states, so a change to how a run's record is built
+# shows here.
+SWEEP_RECORDS = {
+    "gen-x2-y2": "dc3511fd9b76792b171122b028fcd200",
+    "e": "d0b3cf8e1324ae143ae5603107f0ab4b",
+    "gen-x1-y2": "73dc45665ccd1a7cf0ec5af990b3f029",
+    "gen-x2-y1": "d31b318feb24f20e894af4089ee542b1",
+    "gen-x1-y1": "78e7a954553809d20ddfc6531bdd1f95",
+    "gen-x0-y2": "c576ebf9c74d506b2fde9e15ad726755",
+    "gen-x2-y0": "fd2129af974d9003d6640d2be1634e10",
+    "gen-x0-y1": "60e8e04a6ab1f497dbd45c8473bdac06",
+    "gen-x1-y0": "cb25d3bae2ce4ae99e7af330e1d7a9f0",
+    "e-prime": "647443aebfbe773505d744ce18484e13",
+    "gen-x0-y0": "e73c6528932aa8bb1dad57b54b916543",
+    "two-scan": "e9d4fe979b2929e7c4cedc9e6bc0f8d4",
+    "fig1-two-scan": "1bb937312659b41a4f1010c914d2f91f",
+}
+
+
+def _records_digest(report):
+    h = hashlib.blake2b(digest_size=16)
+    for ex in report.executions:
+        h.update(render_trace(ex).encode())
+    return h.hexdigest()
 
 
 def _report(criterion, ok, detail):
@@ -144,6 +174,21 @@ def test_sweep_golden_counts(sweep_reports, capsys):
             "sweep golden-counts",
             ok,
             f"{len(SWEEP_GOLDEN)} programs; swept {sorted(reports)}; mismatches: {wrong or 'none'}",
+        )
+
+
+def test_sweep_run_records(sweep_reports, capsys):
+    reports, _ = sweep_reports
+    got = {name: _records_digest(report) for name, (report, _) in reports.items()}
+    wrong = {name: digest for name, digest in got.items() if SWEEP_RECORDS.get(name) != digest}
+    records = sum(len(report.executions) for report, _ in reports.values())
+    with capsys.disabled():
+        ok = not wrong and set(got) == set(SWEEP_RECORDS) and records == 2_485
+        _report(
+            "sweep run-records",
+            ok,
+            f"{records} kept records over {len(SWEEP_RECORDS)} programs; "
+            f"mismatches: {wrong or 'none'}",
         )
 
 

@@ -28,6 +28,7 @@ from snapcheck.harness import (
     step_state,
 )
 from snapcheck.invariants import Violation
+from snapcheck.oracle import MethodRecord
 from snapcheck.snapshot import MethodCall, aux_digest, call_steps, phys_digest, phys_key
 from snapcheck.tracefile import render_trace
 
@@ -96,20 +97,54 @@ WXY_SCAN = Program(
     ids=lambda p: p.name,
 )
 def test_exploration_soundness_replay(prog):
-    """Every run record explore keeps, method records included, is the one a
-    fresh replay of its schedule builds: the records explore rebuilds from
-    the schedule stack at its terminal states survive merging and
-    backtracking, also where a thread's second call sets its invocation
-    index again (the two-scan clients)."""
+    """Every run record explore keeps, method records included, is the one
+    a fresh replay of its schedule builds, and the one built straight from
+    the frames of the steps: the records explore folds from its trail at
+    its terminal states survive merging and backtracking, also where a
+    thread's second call sets its invocation index again (the two-scan
+    clients)."""
     report = explore(prog)
     assert report.executions
     assert len(report.executions) == report.executions_checked
     for ex in report.executions:
         trace = run_schedule(prog, ex.schedule)
-        assert trace.methods == ex.methods
+        assert trace.methods == ex.methods == _reference_methods(prog, ex.schedule)
         assert (trace.phys_digest, trace.aux_digest) == (ex.phys_digest, ex.aux_digest)
         assert trace.steps[-1].phys_digest == ex.phys_digest
         assert trace.steps[-1].aux_digest == ex.aux_digest
+
+
+def _reference_methods(prog, schedule):
+    """The method records of the run ``schedule``, built from the frames of
+    its steps: a call is invoked at the index of its frame's first step and
+    responds at the step after which only its release is left, and a scan's
+    witness is the later of its two per-pointer events in sigma."""
+    state = initial_state(prog)
+    invoked, records = {}, []
+    for idx, tid in enumerate(schedule):
+        state, before = step_state(prog, state, tid)
+        if before.pc == 0:
+            invoked[tid] = idx
+        fr = state.entry(tid).frame
+        if fr is None or fr.pc != len(fr.steps) - 1:
+            continue
+        if fr.call.kind == "write":
+            records.append(MethodRecord(tid, fr.call, None, invoked[tid], idx, t=fr.t))
+            continue
+        witness = max(fr.witness_x, fr.witness_y, key=state.aux.sigma.index)
+        records.append(
+            MethodRecord(
+                tid,
+                fr.call,
+                fr.result,
+                invoked[tid],
+                idx,
+                witness=witness,
+                witness_x=fr.witness_x,
+                witness_y=fr.witness_y,
+            )
+        )
+    return tuple(records)
 
 
 def test_oracle_size_is_checked_before_the_first_step(monkeypatch, tmp_path, capsys):
@@ -117,8 +152,7 @@ def test_oracle_size_is_checked_before_the_first_step(monkeypatch, tmp_path, cap
     any step, by every scheduler and by ``snapcheck replay`` (exit 2)."""
     text = "a: " + "; ".join(["write x 2"] * 9) + "\n"
     prog = parse_program(text, name="nine-writes")
-    taken, step = [], harness.step_state
-    monkeypatch.setattr(harness, "step_state", lambda *args: taken.append(args) or step(*args))
+    taken = _count_steps(monkeypatch)
     with pytest.raises(OracleSizeError):
         run_random(prog, seed=1, runs=1)
     with pytest.raises(OracleSizeError):
@@ -522,13 +556,27 @@ def test_state_key_is_injective(prog, id_bits, monkeypatch):
     assert kinds == ({int} if id_bits is None else {int, tuple})
 
 
-def test_explore_steps_only_where_a_table_misses(monkeypatch):
-    """explore takes a step (``step_state``) once per distinct half step of
-    e, and again on the replays that rebuild its kept runs: 18,600 and
-    3,312 of them.  Stepping every edge would take at least 132,390."""
+def _count_steps(monkeypatch):
+    """Every call of ``harness.step_state`` from now on, with its
+    arguments."""
     taken, step = [], harness.step_state
     monkeypatch.setattr(harness, "step_state", lambda *args: taken.append(args) or step(*args))
+    return taken
+
+
+def test_explore_steps_only_where_a_table_misses(monkeypatch):
+    """explore takes a step (``step_state``) once per distinct half step of
+    e, 18,600 of them, and folds its kept runs from the trail with no step
+    of their own.  Stepping every edge would take at least 132,390."""
+    taken = _count_steps(monkeypatch)
     report = explore(client_e())
     assert (report.edges, report.executions_checked) == (132_390, 120)
-    assert sum(len(ex.schedule) for ex in report.executions) == 3_312
-    assert len(taken) == 18_600 + 3_312
+    assert len(taken) == 18_600
+
+
+def test_replay_steps_once_per_scheduled_step(monkeypatch):
+    """run_schedule takes each step of its schedule once, and folds the
+    record from the trail with no step of its own."""
+    taken = _count_steps(monkeypatch)
+    run_schedule(client_fig1(), FIG1_SCHEDULE)
+    assert len(taken) == len(FIG1_SCHEDULE) == 28

@@ -1,4 +1,5 @@
-"""Every module-level name under ``src/`` has a production use."""
+"""Every module-level name, method and property under ``src/`` has a
+production use."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,18 @@ def _defined(tree):
                         yield name.id, node
 
 
+def _methods(tree):
+    """The methods and properties of a module's classes, with their
+    definitions; dunder methods are the language's to call."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item.name, item
+
+
 def _mentions(node, strings):
     """The names a node mentions: as a name, an attribute, an imported
     name, or, with ``strings``, a string (``perfbench/tracing.py`` names
@@ -38,10 +51,10 @@ def _mentions(node, strings):
 
 
 def test_every_module_level_name_has_a_production_use():
-    """Each name a module under ``src/snapcheck`` defines at module level
-    is mentioned in ``src/`` or ``perfbench/`` outside its own definition,
-    or exported by the package: a name that only tests reach belongs in
-    the tests."""
+    """Each name a module under ``src/snapcheck`` defines at module level,
+    and each method and property of its classes, is mentioned in ``src/``
+    or ``perfbench/`` outside its own definition, or exported by the
+    package: a name that only tests reach belongs in the tests."""
     trees = {
         path: ast.parse(path.read_text())
         for folder in (ROOT / "src", ROOT / "perfbench")
@@ -58,7 +71,7 @@ def test_every_module_level_name_has_a_production_use():
     for path, tree in trees.items():
         if path.parent != PACKAGE or path == init:
             continue
-        for name, definition in _defined(tree):
+        for name, definition in [*_defined(tree), *_methods(tree)]:
             if name in exported or name in CONVENTIONAL:
                 continue
             inside = {id(node) for node in ast.walk(definition)}

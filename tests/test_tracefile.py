@@ -1,7 +1,10 @@
 """Trace file round-tripping."""
 
+import json
+
 import pytest
 
+from snapcheck.cli import main
 from snapcheck.errors import TraceParseError
 from snapcheck.harness import FIG1_SCHEDULE, client_fig1, explore, generated_programs, run_schedule
 from snapcheck.tracefile import parse_trace, render_trace
@@ -57,7 +60,37 @@ def test_one_record_per_line():
     lines = render_trace(trace).strip().split("\n")
     # header + one per step + one per method + footer
     assert len(lines) == 1 + len(trace.steps) + len(trace.methods) + 1
-    import json
-
     kinds = [json.loads(line)["kind"] for line in lines]
     assert kinds[0] == "header" and kinds[-1] == "footer"
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("header", "schedule", "lcr"),  # would split into ('l', 'c', 'r')
+        ("header", "program", 7),
+        ("step", "tid", 7),
+        ("step", "label", 7),
+        ("step", "phys", 7),
+        ("step", "aux", 7),
+        ("method", "tid", 7),
+        ("method", "op", "write x 99"),  # outside the value range
+        ("footer", "violations", "abc"),  # would be three violations
+        ("footer", "phys", 7),
+        ("footer", "aux", 7),
+    ],
+)
+def test_parse_rejects_wrongly_typed_fields(tmp_path, capsys, kind, key, value):
+    """A string where a list of strings belongs, a non-string name, label
+    or digest, and a written value outside the value range are parse
+    errors, and ``snapcheck check`` exits 4 on them."""
+    lines = render_trace(run_schedule(client_fig1(), FIG1_SCHEDULE)).splitlines()
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+    lines[i] = json.dumps(dict(json.loads(lines[i]), **{key: value}))
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(TraceParseError):
+        parse_trace(text)
+    bent = tmp_path / "bent.trace"
+    bent.write_text(text)
+    assert main(["check", "--trace", str(bent)]) == 4
+    assert "error:" in capsys.readouterr().err
