@@ -7,18 +7,18 @@ every return, and the brute-force oracle on one representative execution per
 distinct terminal state.  A step's physical half reads only the physical
 state and the thread's entry, its auxiliary half only the auxiliary state,
 the entry and the one value the step read from memory, and the checks of an
-edge only what its auxiliary half reads and yields; the state invariants
-read only the physical and auxiliary parts of a state.  So each distinct
-(physical, auxiliary) pair is checked once per run, and in ``explore`` each
-distinct half step is computed and checked once, and replayed wherever it
-recurs (see ``_Checker``).  ``explore`` walks the ids of a state's parts:
-it builds a :class:`State` only where a step's table misses.  The exact
-number of maximal interleavings is computed by dynamic programming over the
-state graph.  ``run_schedule`` deterministically replays an explicit
-schedule into a full trace, and ``run_random`` drives seeded random
-executions; both run one loop whose chooser follows the schedule or draws
-from the seeded RNG, and take every step afresh: one path repeats few half
-steps.
+edge only the two auxiliary parts and the thread's frames; the state
+invariants read only the physical and auxiliary parts of a state.  So each
+distinct (physical, auxiliary) pair is checked once per run, and in
+``explore`` each distinct half step is computed and checked once, and
+replayed from explore's own tables wherever it recurs: it walks the ids of
+a state's parts, and builds a :class:`State` only where a table misses.
+``run_schedule`` deterministically replays an explicit schedule into a full
+trace, and ``run_random`` drives seeded random executions; both run one
+loop whose chooser follows the schedule or draws from the seeded RNG, and
+take every step afresh: one path repeats few half steps.  Every scheduler
+reaches its :class:`_Checker` only through ``start``, ``take``,
+``on_state``, ``absorb``, ``finish`` and ``report``.
 
 A :class:`State` is the machine state only.  Every scheduler keeps the run
 that reached it as a trail, one item per step taken (``explore`` pops it
@@ -121,9 +121,6 @@ class State:
             if t == tid:
                 return i
         raise KeyError(tid)
-
-    def entry(self, tid: Tid) -> ThreadEntry:
-        return self.threads[self.index(tid)][1]
 
 
 @dataclass(frozen=True)
@@ -291,7 +288,7 @@ _ID_BITS = 10
 
 def state_key(pid: int, aid: int, eids: tuple[int, ...]):
     """The key of the state whose parts have the ids ``pid``, ``aid`` and
-    ``eids`` in one checker, as one int: the aux id unbounded on top (the
+    ``eids`` in one explore, as one int: the aux id unbounded on top (the
     auxiliary parts are the most numerous), the phys id and each entry id a
     ``_ID_BITS``-bit digit below it.  Where an id overflows its digit, the
     tuple of ids stands in, so that the key is injective at any size (no
@@ -316,32 +313,20 @@ def _id(part) -> int:
 
 
 class _Checker:
-    """Steps and checks the states of one run, and accumulates the verdicts
-    of every state and edge it is shown: violations, scan results and the
-    number of runs the oracle checked.  The schedulers hand the checker
-    their step indices, and at the end of each run its trail, from which
-    :meth:`finish` folds the run's record; no other code derives one.
+    """What the schedulers share, and only that: it starts each run
+    (:meth:`start`), takes its steps (:meth:`take`), checks its states and
+    edges and accumulates their verdicts (violations, scan results, runs
+    the oracle checked).  At the end of each run it folds the run's record
+    from the scheduler's trail (:meth:`finish`); no other code derives one.
 
-    The checker hash-conses the parts of the states it is shown: equal
-    physical parts, equal auxiliary parts and equal thread entries become
-    one canonical object each, numbered per kind in order of first sight
-    (the id, kept in the object's memo; the kind's list maps it back).  Its
-    tables map ids to ids, so they live and die with the checker:
-
-    * state checks, by phys id and aux id: ``check_all``'s violations;
-    * transition checks, by aux id and post aux id: ``check_transition``'s
-      violations;
-    * the physical half of a step, by entry id and phys id: the post phys
-      id, and the table of the auxiliary halves of the steps that read the
-      same value from memory (``observed``) under the entry; or False, where
-      the entry's next step is disabled (or it has none);
-    * such a table of auxiliary halves, by aux id: the post aux id, the
-      post entry id and the violations of the edge's checks.
-
-    ``explore`` steps through the tables, and only where one misses builds
-    a :class:`State` from the canonical parts and fills both halves
-    (:meth:`fill`).  A single run repeats few half steps, so ``_drive``
-    takes each step afresh (:meth:`take`, which :meth:`fill` calls).
+    The checker hash-conses the parts its check tables key on: equal
+    physical parts and equal auxiliary parts of its runs' states become one
+    canonical object each, numbered per kind in order of first sight (the
+    id, kept in the object's memo; the kind's list maps it back).  Only
+    :meth:`start` and :meth:`take` intern, so every part descends from the
+    checker's own initial state.  The tables map ids to verdicts:
+    ``check_all``'s by phys id and aux id, ``check_transition``'s by aux id
+    and post aux id.
     """
 
     def __init__(self, prog: Program):
@@ -353,41 +338,27 @@ class _Checker:
         self.violations: list[Violation] = []
         self.scan_results: set[tuple[Value, Value]] = set()
         self.executions_checked = 0
-        # the three kinds' keys are tuples of different lengths, so they
+        # the two kinds' keys are tuples of different lengths, so they
         # share one table; each kind numbers its own parts
         self._canonical: dict[tuple, object] = {}
         self.phys: list[PhysState] = []
         self.aux: list[AuxState] = []
-        self.entries: list[ThreadEntry] = []
         self._state_checks: defaultdict[int, dict] = defaultdict(dict)
         self._transition_checks: defaultdict[int, dict] = defaultdict(dict)
-        self.phys_steps: defaultdict[int, dict] = defaultdict(dict)
-        # by (entry id, value read); an entry fixes its step, and so the
-        # type of what it reads, so the check step's bool never meets an
-        # equal int here
-        self._aux_steps: defaultdict[tuple, dict] = defaultdict(dict)
 
-    def intern(self, state: State) -> State:
-        """The state with its physical and auxiliary parts and its thread
-        entries replaced by this checker's canonical objects for their
-        values."""
-        return evolve(
-            state,
-            phys=self._canon(state.phys, self.phys, phys_key),
-            aux=self._canon(state.aux, self.aux, aux_key),
-            threads=tuple(
-                (tid, self._canon(e, self.entries, entry_key, tid)) for tid, e in state.threads
-            ),
-        )
+    def start(self) -> State:
+        """The program's initial state, its parts interned."""
+        state = initial_state(self.prog)
+        phys = self._canon(state.phys, self.phys, phys_key)
+        return evolve(state, phys=phys, aux=self._canon(state.aux, self.aux, aux_key))
 
-    def _canon(self, part, parts: list, key, *args):
-        # Every state a checker is shown descends from a fresh initial
-        # state, and evolve drops the memo, so an id found in a memo was
-        # given by this checker.
+    def _canon(self, part, parts: list, key):
+        # Every part interned here descends from this checker's initial
+        # state, and evolve drops the memo, so an id in a memo is its own.
         m = memo(part)
         if "id" in m:
             return part
-        k = key(*args, part)
+        k = key(part)
         canon = self._canonical.get(k)
         if canon is None:
             canon = self._canonical[k] = part
@@ -395,70 +366,49 @@ class _Checker:
             parts.append(part)
         return canon
 
-    def fill(self, pid: int, aid: int, eids: tuple[int, ...], i: int):
-        """File the step of thread ``i`` from the state with the part ids
-        ``pid``, ``aid`` and ``eids``, where a table missed it, and return
-        its two halves, or None where the step is disabled.  The step is
-        taken by :meth:`take` from the state built of the canonical
-        parts."""
-        eid, entries = eids[i], self.entries
-        phys = self.phys[pid]
-        step = entries[eid].step
-        if step is None or not step_enabled(step, phys):
-            self.phys_steps[eid][pid] = False
-            return None
-        state = State(phys, self.aux[aid], tuple(zip(self.tids, [entries[e] for e in eids])))
-        tid = self.tids[i]
-        post, found = self.take(state, tid)
-        entry = self._canon(post.threads[i][1], entries, entry_key, tid)
-        aux_steps = self._aux_steps[eid, observed(step, phys)]
-        phys_half = self.phys_steps[eid][pid] = (_id(post.phys), aux_steps)
-        aux_half = aux_steps[aid] = (_id(post.aux), _id(entry), found)
-        return phys_half, aux_half
-
-    def take(self, state: State, tid: Tid) -> tuple[State, tuple[Violation, ...]]:
-        """``tid``'s next step from ``state``, taken by ``step_state``, the
-        one implementation of the semantics: the post-state with its
-        physical and auxiliary parts interned, and the violations of the
-        edge's checks, unstamped."""
-        post, before = step_state(self.prog, state, tid)
+    def take(self, state: State, i: int) -> tuple[State, tuple[Violation, ...]]:
+        """The next step of thread ``i`` from ``state``, a state of this
+        checker's runs, taken by ``step_state``, the one implementation of
+        the semantics: the post-state with its physical and auxiliary
+        parts interned, and the violations of the edge's checks, unstamped."""
+        post, before = step_state(self.prog, state, self.tids[i])
         phys = self._canon(post.phys, self.phys, phys_key)
         aux = self._canon(post.aux, self.aux, aux_key)
         if phys is not post.phys or aux is not post.aux:
             post = evolve(post, phys=phys, aux=aux)
-        return post, self._check_edge(state, post, before)
+        return post, self._check_edge(state.aux, aux, before, post.threads[i][1])
 
-    def _check_edge(self, pre: State, post: State, before: MethodFrame) -> tuple[Violation, ...]:
-        """The violations of every check of the edge on which the frame
-        ``before`` took its step, in order; a returning scan also adds its
-        result to the scan results.  The frame the step left, and whether
-        it returned the call, are the post-state's entry's."""
+    def _check_edge(
+        self, pre: AuxState, post: AuxState, before: MethodFrame, after: ThreadEntry
+    ) -> tuple[Violation, ...]:
+        """The violations, in order, of every check of the edge from the
+        auxiliary part ``pre`` to ``post`` on which the frame ``before``
+        stepped and left the entry ``after``; no check reads a physical
+        part.  A returning scan also adds its result to the scan results."""
         step = before.current_step()
-        after = post.entry(before.tid)
         fr = after.frame
-        transitions = self._transition_checks[_id(pre.aux)]
-        post_aid = _id(post.aux)
+        transitions = self._transition_checks[_id(pre)]
+        post_aid = _id(post)
         found = transitions.get(post_aid)
         if found is None:
-            found = transitions[post_aid] = tuple(invariants.check_transition(pre.aux, post.aux))
+            found = transitions[post_aid] = tuple(invariants.check_transition(pre, post))
         found = list(found)
         if step.kind == "register":
-            found += invariants.check_write_fresh(pre.aux, fr.t)
+            found += invariants.check_write_fresh(pre, fr.t)
         if step.kind == "read":
-            sc = post.aux.scanner
+            sc = post.scanner
             if sc.on and sc.bit(step.ptr):
                 value = fr.vx if step.ptr == Ptr.X else fr.vy
-                found += invariants.check_read_lemma(step.ptr, value, post.aux)
+                found += invariants.check_read_lemma(step.ptr, value, post)
         if step.kind == "relink":
-            found += invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y)
+            found += invariants.check_relink_post(post, fr.witness_x, fr.witness_y)
         if after.returned:
             call, mask = before.call, before.mask
             if call.kind == "write":
-                rep = invariants.check_write_post(mask, post.aux, fr.t, fr.tid, call.p, call.v)
+                found += invariants.check_write_post(mask, post, fr.t, fr.tid, call.p, call.v)
             else:
                 self.scan_results.add(fr.result)
-                rep = invariants.check_scan_post(mask, post.aux, fr.result, _witness(fr, post.aux))
-            found += rep
+                found += invariants.check_scan_post(mask, post, fr.result, _witness(fr, post))
         # the tables keep verdicts as tuples: an empty one takes no memory
         return tuple(found)
 
@@ -552,21 +502,57 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     Distinct states are visited once; the schedule count is the exact number
     of maximal interleavings, computed over the state graph.  One run record
     is kept per distinct terminal state, for the path that first reached
-    it.  Raises
-    :class:`BudgetExceededError` when more than ``max_states`` distinct
-    states are reached, and :class:`OracleSizeError` before the first step
-    when the program has too many calls for the oracle.
+    it.  Raises :class:`BudgetExceededError` when more than ``max_states``
+    distinct states are reached, and :class:`OracleSizeError` before the
+    first step when the program has too many calls for the oracle.
+
+    The walk steps through its own tables of half steps, by the ids of a
+    state's parts: the checker's for the physical and auxiliary parts, and
+    its own for the thread entries, which key nothing else.  Where a table
+    misses, ``fill`` takes the step through the checker from a
+    :class:`State` built of the canonical parts.
     """
     checker = _Checker(prog)
-    state0 = checker.intern(initial_state(prog))
+    state0 = checker.start()
     pid0, aid0 = _id(state0.phys), _id(state0.aux)
-    eids0 = tuple(_id(e) for _, e in state0.threads)
     checker.on_state(pid0, aid0, -1)
-    phys_steps, entries, aux = checker.phys_steps, checker.entries, checker.aux
+    phys, aux, tids = checker.phys, checker.aux, checker.tids
+    # one entry per id, numbered by ``entry_key`` in order of first sight
+    entries: list[ThreadEntry] = []
+    entry_ids: dict[tuple, int] = {}
+    # The physical half of a step, by entry id and phys id: the post phys id
+    # and the table of the auxiliary halves of the steps that read the same
+    # value (``observed``) under the entry; False where it has no step enabled.
+    phys_steps: defaultdict[int, dict] = defaultdict(dict)
+    # Those tables, by (entry id, value read), each by aux id: the post aux
+    # id, the post entry id and the edge's violations.  An entry fixes the
+    # type of what it reads, so the check step's bool never meets an int.
+    aux_steps: defaultdict[tuple, dict] = defaultdict(dict)
     visited: dict[int | tuple, int] = {}
     trail: list[tuple] = []
     executions: list[Trace] = []
     edges = 0
+
+    def number(tid: Tid, entry: ThreadEntry) -> int:
+        eid = entry_ids.setdefault(entry_key(tid, entry), len(entries))
+        if eid == len(entries):
+            entries.append(entry)
+        return eid
+
+    def fill(pid: int, aid: int, eids: tuple[int, ...], i: int):
+        """File the step of thread ``i`` from the state of ids ``pid``,
+        ``aid``, ``eids``: its two halves, or None where it is disabled."""
+        eid, pre = eids[i], phys[pid]
+        step = entries[eid].step
+        if step is None or not step_enabled(step, pre):
+            phys_steps[eid][pid] = False
+            return None
+        state = State(pre, aux[aid], tuple(zip(tids, [entries[e] for e in eids])))
+        post, found = checker.take(state, i)
+        halves = aux_steps[eid, observed(step, pre)]
+        phys_half = phys_steps[eid][pid] = (_id(post.phys), halves)
+        aux_half = halves[aid] = (_id(post.aux), number(tids[i], post.threads[i][1]), found)
+        return phys_half, aux_half
 
     def dfs(pid: int, aid: int, eids: tuple[int, ...], key: int | tuple) -> int:
         nonlocal edges
@@ -582,7 +568,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
                 continue
             aux_half = phys_half[1].get(aid) if phys_half else None
             if aux_half is None:
-                halves = checker.fill(pid, aid, eids, i)
+                halves = fill(pid, aid, eids, i)
                 if halves is None:
                     continue
                 phys_half, aux_half = halves
@@ -603,11 +589,12 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             else:
                 total += known
         if edges == first:  # no thread can step: the run is complete
-            executions.append(checker.finish(checker.phys[pid], aux[aid], trail))
+            executions.append(checker.finish(phys[pid], aux[aid], trail))
             total = 1
         visited[key] = total
         return total
 
+    eids0 = tuple(number(tid, e) for tid, e in state0.threads)
     schedules = dfs(pid0, aid0, eids0, state_key(pid0, aid0, eids0))
     return checker.report("exhaustive", len(visited), edges, schedules, executions=executions)
 
@@ -615,27 +602,26 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
 def _drive(
     prog: Program, choose, checker: _Checker, steps: list[StepRecord] | None = None
 ) -> Trace:
-    """Run prog from its initial state.  ``choose(idx, enabled)`` names the
-    thread that takes step idx, or None to stop; every state and edge on the
-    way goes through ``checker``, and the digests of every state reached are
-    appended to ``steps`` unless it is None.  Returns the run's record, as
-    :meth:`_Checker.finish` checks it."""
-    state = checker.intern(initial_state(prog))
+    """Run prog from the checker's initial state.  ``choose(idx,
+    enabled)`` names the thread that takes step idx, or None to stop; every
+    state and edge on the way goes through ``checker``, and the digests of
+    every state reached are appended to ``steps`` unless it is None.
+    Returns the run's record, as :meth:`_Checker.finish` checks it."""
+    state = checker.start()
     trail = []
     checker.on_state(_id(state.phys), _id(state.aux), -1)
     for idx in count():
         tid = choose(idx, enabled_tids(prog, state))
         if tid is None:
             return checker.finish(state.phys, state.aux, trail, steps or ())
-        post, found = checker.take(state, tid)
+        i = state.index(tid)
+        post, found = checker.take(state, i)
         checker.on_state(_id(post.phys), _id(post.aux), idx)
         checker.absorb(found, idx)
-        i = state.index(tid)
-        entry = state.threads[i][1]
         if steps is not None:
-            label = entry.step.label
+            label = state.threads[i][1].step.label
             steps.append(StepRecord(idx, tid, label, phys_digest(post.phys), aux_digest(post.aux)))
-        trail.append((i, entry, post.threads[i][1], post.aux))
+        trail.append((i, state.threads[i][1], post.threads[i][1], post.aux))
         state = post
 
 

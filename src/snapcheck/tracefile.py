@@ -108,13 +108,16 @@ def _timestamp(value, n: int, what: str) -> None:
         raise ValueError(f"{what} {value!r} is not in 1..{n}")
 
 
-def _method(rec: dict) -> MethodRecord:
-    op = rec["op"]
-    if not isinstance(op, str):
-        raise ValueError(f"op must be a method call, not {op!r}")
-    call = MethodCall.parse(op)
+def _call(value, what: str) -> MethodCall:
+    """A method call, whose written value, if any, is in the value range."""
+    call = MethodCall.parse(_str(value, what))
     if call.kind == "write":
         validate_value(call.v)
+    return call
+
+
+def _method(rec: dict) -> MethodRecord:
+    call = _call(rec["op"], "op")
     result = rec["result"]
     if call.kind == "scan":
         result = _ints(result, "scan result")
@@ -140,8 +143,10 @@ def parse_trace(text: str) -> Trace:
     the empty record; any other file needs a header and ends with its
     footer.  Values, indices and timestamps must be integers, a scan's
     result a pair of them, every timestamp one of the footer's events and
-    every written value in the value range; names, labels and digests must
-    be strings, and a schedule and a violation list lists of them."""
+    every initial and written value in the value range; names, labels and
+    digests must be strings, a schedule and a violation list lists of them,
+    each call in the header a method call, and each thread a schedule, step
+    or method names one the header declares."""
     program = ""
     threads: tuple = ()
     init_x, init_y = 5, 0
@@ -167,7 +172,12 @@ def parse_trace(text: str) -> Trace:
                 header = True
                 program = _str(rec["program"], "program")
                 threads = tuple((_str(t, "tid"), _strs(c, "calls")) for t, c in rec["threads"])
+                for _, calls in threads:
+                    for c in calls:
+                        _call(c, "call")
                 init_x, init_y = _ints(rec["init"], "init")
+                validate_value(init_x)
+                validate_value(init_y)
                 schedule = _strs(rec["schedule"], "schedule")
             elif kind == "step":
                 strs = (_str(rec[k], k) for k in ("tid", "label", "phys", "aux"))
@@ -197,6 +207,9 @@ def parse_trace(text: str) -> Trace:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
     if text.strip() and not (header and footer):
         raise TraceParseError(f"no {'footer' if header else 'header'} record")
+    named = {*schedule, *(s.tid for s in steps), *(m.tid for m in methods)}
+    if undeclared := named - {t for t, _ in threads}:
+        raise TraceParseError(f"threads the header does not declare: {sorted(undeclared)}")
     return Trace(
         program=program,
         threads=threads,

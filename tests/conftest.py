@@ -47,6 +47,11 @@ CHECKS: dict[str, int] = {
 }
 
 
+def entry(state, tid):
+    """The entry of thread ``tid`` in ``state``."""
+    return state.threads[state.index(tid)][1]
+
+
 def run_prefix(prog, schedule):
     """The state that a schedule prefix reaches, stepped with no checks."""
     state = initial_state(prog)

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import one_field_changed, primitive, two_scan_programs
+from conftest import entry, one_field_changed, primitive, two_scan_programs
 from snapcheck import harness, invariants, snapshot
 from snapcheck.aux_model import Ptr, aux_key, memo
 from snapcheck.cli import main
@@ -125,7 +125,7 @@ def _reference_methods(prog, schedule):
         state, before = step_state(prog, state, tid)
         if before.pc == 0:
             invoked[tid] = idx
-        fr = state.entry(tid).frame
+        fr = entry(state, tid).frame
         if fr is None or fr.pc != len(fr.steps) - 1:
             continue
         if fr.call.kind == "write":
@@ -268,14 +268,16 @@ def test_dead_local_merge_matches_full_keys(name, monkeypatch):
 
 def _walk_states():
     """Every state of 40 seeded random walks over each two-scan client,
-    with its program."""
+    with its program, walked as the schedulers walk: from the start of one
+    checker per program, stepping through its ``take``."""
     rng = random.Random(5)
     for prog in two_scan_programs():
+        checker = harness._Checker(prog)
         for _ in range(40):
-            state = initial_state(prog)
+            state = checker.start()
             yield prog, state
             while enabled := enabled_tids(prog, state):
-                state = step_state(prog, state, rng.choice(enabled))[0]
+                state = checker.take(state, state.index(rng.choice(enabled)))[0]
                 yield prog, state
 
 
@@ -299,14 +301,16 @@ def test_frame_key_is_primitive_and_complete():
 
 
 def test_states_are_equal_exactly_when_their_keys_are():
-    """A state is the machine state only: of the states one checker
-    interned, two are equal exactly when their keys are, whatever paths
-    reached them."""
-    checkers = {prog.name: harness._Checker(prog) for prog in two_scan_programs()}
-    groups = {}
+    """A state is the machine state only: of the states of one checker's
+    runs, two are equal exactly when their keys are, whatever paths
+    reached them.  A key packs the ids the checker gave the physical and
+    auxiliary parts with ids of the entries numbered as explore numbers
+    them, by ``entry_key`` in order of first sight."""
+    groups, numbers = {}, {}
     for prog, state in _walk_states():
-        state = checkers[prog.name].intern(state)
-        groups.setdefault((prog.name, harness.state_key(*_ids(state))), []).append(state)
+        eids = tuple(numbers.setdefault(entry_key(*e), len(numbers)) for e in state.threads)
+        key = harness.state_key(memo(state.phys)["id"], memo(state.aux)["id"], eids)
+        groups.setdefault((prog.name, key), []).append(state)
     assert all(state == group[0] for group in groups.values() for state in group)
     distinct = {(name, state) for (name, _), group in groups.items() for state in group}
     assert len(distinct) == len(groups)
@@ -378,7 +382,7 @@ def _force_violations(monkeypatch):
 def _reference_edge_checks(pre, post, before):
     """Every check of the edge on which the frame ``before`` took its step,
     called directly, in the checker's order."""
-    after = post.entry(before.tid)
+    after = entry(post, before.tid)
     fr = after.frame
     step = before.current_step()
     reps = [invariants.check_transition(pre.aux, post.aux)]
@@ -455,6 +459,7 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
     assert explore(prog).ok
     calls = _watch_state_key(monkeypatch)
     checkers = _record_checkers(monkeypatch)
+    entries = _watch_entries(monkeypatch)
 
     def forced_all(phys, aux):
         return [Violation("forced", "every state")]
@@ -465,7 +470,7 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
     [checker] = checkers
     ids, seen = {}, 0
     for _, (pid, aid, eids) in calls:
-        state = _state_of(checker, pid, aid, eids)
+        state = _state_of(checker, entries, pid, aid, eids)
         parts = [(phys_key(state.phys), pid), (aux_key(state.aux), aid)]
         parts += [(entry_key(tid, e), eid) for (tid, e), eid in zip(state.threads, eids)]
         for key, i in parts:
@@ -473,15 +478,6 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
         seen += len(parts)
     assert all(len(group) == 1 for group in ids.values())
     assert seen > 2 * len(ids)
-
-
-def _ids(state):
-    """The ids that the checker which interned ``state`` gave its parts."""
-    return (
-        memo(state.phys)["id"],
-        memo(state.aux)["id"],
-        tuple(memo(e)["id"] for _, e in state.threads),
-    )
 
 
 def _record_checkers(monkeypatch):
@@ -510,11 +506,27 @@ def _watch_state_key(monkeypatch):
     return calls
 
 
-def _state_of(checker, pid, aid, eids):
-    """The state whose parts have the ids ``pid``, ``aid`` and ``eids`` in
-    ``checker``."""
-    entries = tuple(zip(checker.tids, (checker.entries[e] for e in eids)))
-    return harness.State(checker.phys[pid], checker.aux[aid], entries)
+def _watch_entries(monkeypatch):
+    """The entries, with their threads, that explore numbers from now on,
+    by id: it numbers them by ``harness.entry_key``, in order of first
+    sight."""
+    keyed, ids, entries = harness.entry_key, {}, []
+
+    def watch(tid, entry):
+        key = keyed(tid, entry)
+        if ids.setdefault(key, len(entries)) == len(entries):
+            entries.append((tid, entry))
+        return key
+
+    monkeypatch.setattr(harness, "entry_key", watch)
+    return entries
+
+
+def _state_of(checker, entries, pid, aid, eids):
+    """The state whose parts have the ids ``pid`` and ``aid`` in
+    ``checker`` and the ids ``eids`` in ``entries``."""
+    threads = tuple(entries[e] for e in eids)
+    return harness.State(checker.phys[pid], checker.aux[aid], threads)
 
 
 def _full_key(state):
@@ -545,11 +557,12 @@ def test_state_key_is_injective(prog, id_bits, monkeypatch):
         monkeypatch.setattr(harness, "_ID_BITS", id_bits)
     calls = _watch_state_key(monkeypatch)
     checkers = _record_checkers(monkeypatch)
+    entries = _watch_entries(monkeypatch)
     report = explore(prog)
     [checker] = checkers
     full_keys = {}
     for key, ids in calls:
-        full_keys.setdefault(key, set()).add(_full_key(_state_of(checker, *ids)))
+        full_keys.setdefault(key, set()).add(_full_key(_state_of(checker, entries, *ids)))
     assert all(len(group) == 1 for group in full_keys.values())
     assert len(set().union(*full_keys.values())) == len(full_keys) == report.states
     kinds = {type(key) for key in full_keys}
@@ -572,6 +585,14 @@ def test_explore_steps_only_where_a_table_misses(monkeypatch):
     report = explore(client_e())
     assert (report.edges, report.executions_checked) == (132_390, 120)
     assert len(taken) == 18_600
+
+
+def test_random_runs_step_once_per_step(monkeypatch):
+    """run_random takes every step of every run afresh: random runs share
+    no half steps, so it calls ``step_state`` once per step it reports."""
+    taken = _count_steps(monkeypatch)
+    report = run_random(client_e(), seed=42, runs=50)
+    assert len(taken) == report.edges
 
 
 def test_replay_steps_once_per_scheduled_step(monkeypatch):

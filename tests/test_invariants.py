@@ -4,7 +4,7 @@ import ast
 from dataclasses import replace
 from pathlib import Path
 
-from conftest import CHECKS, TS_X2, TS_X3, TS_Y1, hand_built_fig2a, run_prefix
+from conftest import CHECKS, TS_X2, TS_X3, TS_Y1, entry, hand_built_fig2a, run_prefix
 from snapcheck.aux_model import Color, Ptr, omega_down, other_mask
 from snapcheck.aux_ops import register, relink
 from snapcheck.harness import FIG1_SCHEDULE, client_fig1, parse_program
@@ -152,7 +152,7 @@ def test_write_mask_holds_own_scanned_events():
     # once its scan has seen it, a later write must still be ordered after it
     prog = parse_program("a: write x 2; scan; write x 3\n")
     state = run_prefix(prog, ("a",) * 16)
-    assert state.entry("a").call_idx == 2
+    assert entry(state, "a").call_idx == 2
     own = 1 << TS_X2
     assert not other_mask(state.aux, "a") & own
     assert capture_spec_snapshot(state.aux, "a", "write") & own

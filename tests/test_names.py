@@ -1,5 +1,5 @@
 """Every module-level name, method and property under ``src/`` has a
-production use."""
+production use, and every field and attribute of its classes a reader."""
 
 import ast
 from pathlib import Path
@@ -50,18 +50,24 @@ def _mentions(node, strings):
     return []
 
 
-def test_every_module_level_name_has_a_production_use():
-    """Each name a module under ``src/snapcheck`` defines at module level,
-    and each method and property of its classes, is mentioned in ``src/``
-    or ``perfbench/`` outside its own definition, or exported by the
-    package: a name that only tests reach belongs in the tests."""
+def _sources():
+    """The parsed modules of ``src/`` and ``perfbench/``, and the names the
+    package exports."""
     trees = {
         path: ast.parse(path.read_text())
         for folder in (ROOT / "src", ROOT / "perfbench")
         for path in sorted(folder.rglob("*.py"))
     }
-    init = PACKAGE / "__init__.py"
-    exported = {n for node in ast.walk(trees[init]) for n in _mentions(node, False)}
+    init = trees[PACKAGE / "__init__.py"]
+    return trees, {n for node in ast.walk(init) for n in _mentions(node, False)}
+
+
+def test_every_module_level_name_has_a_production_use():
+    """Each name a module under ``src/snapcheck`` defines at module level,
+    and each method and property of its classes, is mentioned in ``src/``
+    or ``perfbench/`` outside its own definition, or exported by the
+    package: a name that only tests reach belongs in the tests."""
+    trees, exported = _sources()
     mentions = {}
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -69,7 +75,7 @@ def test_every_module_level_name_has_a_production_use():
                 mentions.setdefault(name, []).append(node)
     unused = []
     for path, tree in trees.items():
-        if path.parent != PACKAGE or path == init:
+        if path.parent != PACKAGE or path.name == "__init__.py":
             continue
         for name, definition in [*_defined(tree), *_methods(tree)]:
             if name in exported or name in CONVENTIONAL:
@@ -78,3 +84,55 @@ def test_every_module_level_name_has_a_production_use():
             if all(id(node) in inside for node in mentions.get(name, ())):
                 unused.append(f"{path.name}: {name}")
     assert not unused, "names without a production use: " + ", ".join(unused)
+
+
+def _is_dataclass(node):
+    """Whether a class definition is decorated with ``dataclass``."""
+    return any(
+        "dataclass" in {n for sub in ast.walk(d) for n in _mentions(sub, False)}
+        for d in node.decorator_list
+    )
+
+
+def _attributes(tree):
+    """The attributes a module's classes keep, with their classes: each
+    dataclass field, and each attribute a method assigns on ``self``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+        for sub in ast.walk(node):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            ):
+                yield node.name, sub.attr
+
+
+def test_every_field_and_attribute_is_read():
+    """Each dataclass field, and each attribute assigned on ``self``, of a
+    class under ``src/snapcheck`` is read: loaded as an attribute in
+    ``src/`` or ``perfbench/``, or named by a string in ``perfbench/``.
+    State that is computed but never read costs its upkeep for nothing.
+    The fields of the classes the package exports are the API's."""
+    trees, exported = _sources()
+    read = set()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif path.parent.name == "perfbench" and isinstance(node, ast.Constant):
+                read.add(node.value)
+    unread = {
+        f"{path.name}: {cls}.{name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for cls, name in _attributes(tree)
+        if cls not in exported and name not in read
+    }
+    assert not unread, "state that nothing reads: " + ", ".join(sorted(unread))

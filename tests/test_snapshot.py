@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import entry
 from snapcheck.aux_model import Color, Ptr
 from snapcheck.errors import DisabledStepError, ValueDomainError
 from snapcheck.harness import (
@@ -110,7 +111,7 @@ def test_read_steps_leave_aux_unchanged():
     state, frame = step_state(prog, state, "c")
     assert frame.current_step().label == "read:x"
     assert aux_digest(state.aux) == before
-    assert state.entry("c").frame.vx == 5
+    assert entry(state, "c").frame.vx == 5
 
 
 def test_blocked_acquire_is_disabled():

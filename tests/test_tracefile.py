@@ -64,6 +64,9 @@ def test_one_record_per_line():
     assert kinds[0] == "header" and kinds[-1] == "footer"
 
 
+FIG1_THREADS = [["l", ["write x 2", "write y 1"]], ["c", ["scan"]], ["r", ["write x 3"]]]
+
+
 @pytest.mark.parametrize(
     "kind, key, value",
     [
@@ -78,12 +81,20 @@ def test_one_record_per_line():
         ("footer", "violations", "abc"),  # would be three violations
         ("footer", "phys", 7),
         ("footer", "aux", 7),
+        ("header", "init", [99, -3]),  # outside the value range
+        ("header", "threads", [["l", ["not a call"]], *FIG1_THREADS[1:]]),
+        ("header", "threads", [["l", ["write x 99", "write y 1"]], *FIG1_THREADS[1:]]),
+        ("header", "schedule", ["q"] * len(FIG1_SCHEDULE)),  # q is no thread
+        ("method", "tid", "q"),
+        ("step", "tid", "q"),
     ],
 )
 def test_parse_rejects_wrongly_typed_fields(tmp_path, capsys, kind, key, value):
     """A string where a list of strings belongs, a non-string name, label
-    or digest, and a written value outside the value range are parse
-    errors, and ``snapcheck check`` exits 4 on them."""
+    or digest, an initial or written value outside the value range, a
+    header call that is no method call, and a schedule, step or method
+    naming a thread the header does not declare are parse errors, and
+    ``snapcheck check`` exits 4 on them."""
     lines = render_trace(run_schedule(client_fig1(), FIG1_SCHEDULE)).splitlines()
     i = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
     lines[i] = json.dumps(dict(json.loads(lines[i]), **{key: value}))
