@@ -316,10 +316,11 @@ def last_gy(p: str, t: Timestamp, aux: AuxState) -> bool:
     return aux.kappa[t - 1] == Color.YELLOW and aux.ptr[t - 1] == p
 
 
-def aux_key(aux: AuxState) -> tuple:
-    """Canonical, primitive-only tuple identifying the auxiliary state: its
-    fields as they are, the writer and scanner records flattened."""
-    wx, wy, sc = aux.wx, aux.wy, aux.scanner
+def history_key(aux: AuxState) -> tuple:
+    """Canonical, primitive-only tuple identifying the auxiliary history:
+    the events, their colors and end times, ownership and the logical
+    order.  Only registering, greening, finalizing or relinking an event
+    changes it; the writer and scanner phases lie outside it."""
     return (
         aux.ptr,
         aux.val,
@@ -329,6 +330,14 @@ def aux_key(aux: AuxState) -> tuple:
         aux.joint_mask,
         aux.self_masks,
         aux.sigma,
+    )
+
+
+def aux_key(aux: AuxState) -> tuple:
+    """Canonical, primitive-only tuple identifying the auxiliary state: its
+    history's key, then the writer and scanner records flattened."""
+    wx, wy, sc = aux.wx, aux.wy, aux.scanner
+    return history_key(aux) + (
         wx.phase,
         wx.t,
         wx.v,

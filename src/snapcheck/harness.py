@@ -7,9 +7,13 @@ every return, and the brute-force oracle on one representative execution per
 distinct terminal state.  A step's physical half reads only the physical
 state and the thread's entry, its auxiliary half only the auxiliary state,
 the entry and the one value the step read from memory, and the checks of an
-edge only the two auxiliary parts and the thread's frames; the state
-invariants read only the physical and auxiliary parts of a state.  So each
-distinct (physical, auxiliary) pair is checked once per run, and in
+edge only the two auxiliary parts and the thread's frames.  The state
+checks come in three parts, by what they read: the history part only the
+auxiliary history (events, colors, end times, ownership and the logical
+order, which the writer and scanner phase toggles leave as it is), the
+phase part the auxiliary part, and the memory part the physical and
+auxiliary parts.  So each part runs once per run on each distinct thing it
+reads: history, auxiliary part or (physical, auxiliary) pair.  In
 ``explore`` each distinct half step is computed and checked once, and
 replayed from explore's own tables wherever it recurs: it walks the ids of
 a state's parts, and builds a :class:`State` only where a table misses.
@@ -42,6 +46,7 @@ from .aux_model import (
     Value,
     aux_key,
     evolve,
+    history_key,
     memo,
     validate_value,
 )
@@ -308,6 +313,16 @@ def _id(part) -> int:
     return part._memo["id"]
 
 
+def _digest(part, digest) -> str:
+    """``digest(part)`` of a canonical part, kept in its memo: each
+    distinct part is digested once per checker."""
+    m = part._memo
+    found = m.get("digest")
+    if found is None:
+        found = m["digest"] = digest(part)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # the per-step / per-return check battery
 
@@ -324,9 +339,13 @@ class _Checker:
     canonical object each, numbered per kind in order of first sight (the
     id, kept in the object's memo; the kind's list maps it back).  Only
     :meth:`start` and :meth:`take` intern, so every part descends from the
-    checker's own initial state.  The tables map ids to verdicts:
-    ``check_all``'s by phys id and aux id, ``check_transition``'s by aux id
-    and post aux id.
+    checker's own initial state.  The tables map keys to verdicts, each
+    check's by what it reads: ``check_history``'s by the history's key
+    (``history_key``), ``check_phases``'s by aux id, ``check_memory``'s,
+    with the two others', by phys id and aux id, and
+    ``check_transition``'s by aux id and post aux id.  An edge that leaves
+    the auxiliary part as it was passes ``check_transition`` by
+    reflexivity and is not looked up.
     """
 
     def __init__(self, prog: Program):
@@ -343,6 +362,8 @@ class _Checker:
         self._canonical: dict[tuple, object] = {}
         self.phys: list[PhysState] = []
         self.aux: list[AuxState] = []
+        self._history_checks: dict[tuple, tuple] = {}
+        self._phase_checks: dict[int, tuple | bool] = {}
         self._state_checks: defaultdict[int, dict] = defaultdict(dict)
         self._transition_checks: defaultdict[int, dict] = defaultdict(dict)
 
@@ -387,12 +408,14 @@ class _Checker:
         part.  A returning scan also adds its result to the scan results."""
         step = before.current_step()
         fr = after.frame
-        transitions = self._transition_checks[_id(pre)]
-        post_aid = _id(post)
-        found = transitions.get(post_aid)
-        if found is None:
-            found = transitions[post_aid] = tuple(invariants.check_transition(pre, post))
-        found = list(found)
+        found = []
+        if pre is not post:  # an unchanged part passes by reflexivity
+            transitions = self._transition_checks[_id(pre)]
+            post_aid = _id(post)
+            verdict = transitions.get(post_aid)
+            if verdict is None:
+                verdict = transitions[post_aid] = tuple(invariants.check_transition(pre, post))
+            found += verdict
         if step.kind == "register":
             found += invariants.check_write_fresh(pre, fr.t)
         if step.kind == "read":
@@ -425,8 +448,34 @@ class _Checker:
         checks = self._state_checks[pid]
         found = checks.get(aid)
         if found is None:
-            found = checks[aid] = tuple(invariants.check_all(self.phys[pid], self.aux[aid]))
+            found = checks[aid] = self._check_state(self.phys[pid], aid)
         self.absorb(found, idx)
+
+    def _check_state(self, phys: PhysState, aid: int) -> tuple[Violation, ...]:
+        """``check_all``'s verdict on ``phys`` and the auxiliary part of id
+        ``aid``, composed of its parts' verdicts: the history part's once
+        per history, the phase part's once per auxiliary part and the
+        memory part's, here, once per pair.  Where a ``wellformed`` clause
+        fails, ``check_all`` itself decides which checks run."""
+        aux = self.aux[aid]
+        found = self._phase_checks.get(aid)
+        if found is None:
+            found = self._phase_checks[aid] = self._check_aux(aux)
+        if found is False:
+            return tuple(invariants.check_all(phys, aux))
+        return found + tuple(invariants.check_memory(phys, aux))
+
+    def _check_aux(self, aux: AuxState) -> tuple[Violation, ...] | bool:
+        """The history and phase parts' verdicts on ``aux``, or False where
+        either reports a malformed state."""
+        key = history_key(aux)
+        history = self._history_checks.get(key)
+        if history is None:
+            history = self._history_checks[key] = tuple(invariants.check_history(aux))
+        if invariants.malformed(history):
+            return False
+        phases = tuple(invariants.check_phases(aux))
+        return False if invariants.malformed(phases) else history + phases
 
     def finish(self, phys: PhysState, aux: AuxState, trail, steps=()) -> Trace:
         """Build the record of the completed run that ended in the parts
@@ -456,8 +505,8 @@ class _Checker:
             final_sigma=aux.sigma,
             final_sigma_values=tuple(aux.val[t - 1] for t in aux.sigma),
             final_kappa=tuple(enumerate(aux.kappa, 1)),
-            phys_digest=phys_digest(phys),
-            aux_digest=aux_digest(aux),
+            phys_digest=_digest(phys, phys_digest),
+            aux_digest=_digest(aux, aux_digest),
             violations=(),
         )
         self.executions_checked += 1
@@ -620,7 +669,8 @@ def _drive(
         checker.absorb(found, idx)
         if steps is not None:
             label = state.threads[i][1].step.label
-            steps.append(StepRecord(idx, tid, label, phys_digest(post.phys), aux_digest(post.aux)))
+            phys, aux = _digest(post.phys, phys_digest), _digest(post.aux, aux_digest)
+            steps.append(StepRecord(idx, tid, label, phys, aux))
         trail.append((i, state.threads[i][1], post.threads[i][1], post.aux))
         state = post
 

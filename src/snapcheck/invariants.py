@@ -62,9 +62,9 @@ class Violation:
 
 
 def _check_wellformed(aux: AuxState, rep: list[Violation]) -> None:
+    # the history clauses of well-formedness
     n = aux.max_ts()
-    dom = range(1, n + 1)
-    if sorted(aux.sigma) != list(dom):
+    if sorted(aux.sigma) != list(range(1, n + 1)):
         rep.append(Violation("wellformed", f"sigma {aux.sigma} is not a permutation of dom hist"))
     if not len(aux.val) == len(aux.kappa) == len(aux.tau) == n:
         rep.append(Violation("wellformed", "values, colors and end times do not cover dom hist"))
@@ -73,6 +73,11 @@ def _check_wellformed(aux: AuxState, rep: list[Violation]) -> None:
     total = aux.init_mask + aux.joint_mask + sum(mask for _, mask in aux.self_masks)
     if total != full or other_mask(aux, None) | aux.joint_mask != full:
         rep.append(Violation("wellformed", "ownership masks do not partition dom hist"))
+
+
+def _check_writers(aux: AuxState, rep: list[Violation]) -> None:
+    # the writer clause of well-formedness
+    dom = range(1, aux.max_ts() + 1)
     for p in (Ptr.X, Ptr.Y):
         w = aux.writer(p)
         if w.phase != WriterPhase.OFF and w.t not in dom:
@@ -221,21 +226,60 @@ def _check_first_forwarding(aux: AuxState, rep: list[Violation]) -> None:
             ))
 
 
-def check_state(phys: "PhysState", aux: AuxState) -> list[Violation]:
-    """Evaluate every state-space invariant on one state."""
+def malformed(verdict) -> bool:
+    """Whether a part's verdict reports a ``wellformed`` violation, which
+    each part puts first: it skips every other state invariant."""
+    return bool(verdict) and verdict[0].name == "wellformed"
+
+
+def check_history(aux: AuxState) -> list[Violation]:
+    """The history part of the state checks: the history clauses of
+    well-formedness, and where they hold overlap, colors and terminated
+    events; then order sanity and the chain lemma.  It reads only the
+    fields of :func:`history_key`, so it has one verdict per history."""
     rep = []
     _check_wellformed(aux, rep)
+    if not rep:
+        _check_overlap(aux, rep)
+        _check_colors(aux, rep)
+        _check_terminated(aux, rep)
+    return rep + check_omega_properties(aux) + check_chain_lemma(aux)
+
+
+def check_phases(aux: AuxState) -> list[Violation]:
+    """The phase part, on an auxiliary part with a well-formed history: the
+    writer clause of well-formedness, and where it holds joint history,
+    red zone and first forwarding."""
+    rep = []
+    _check_writers(aux, rep)
+    if not rep:
+        _check_joint_history(aux, rep)
+        _check_red_zone(aux, rep)
+        _check_first_forwarding(aux, rep)
+    return rep
+
+
+def check_memory(phys: "PhysState", aux: AuxState) -> list[Violation]:
+    """The memory part, on a well-formed state: last write and forwarded
+    values, the invariants that read physical memory."""
+    rep = []
+    _check_last_write(phys, aux, rep)
+    _check_forwarded(phys, aux, rep)
+    return rep
+
+
+def check_state(phys: "PhysState", aux: AuxState) -> list[Violation]:
+    """Every state-space invariant on one state: :func:`check_all` without
+    order sanity and the chain lemma."""
+    rep = []
+    _check_wellformed(aux, rep)
+    _check_writers(aux, rep)
     if rep:
         return rep
     _check_overlap(aux, rep)
     _check_colors(aux, rep)
-    _check_last_write(phys, aux, rep)
-    _check_joint_history(aux, rep)
     _check_terminated(aux, rep)
-    _check_forwarded(phys, aux, rep)
-    _check_red_zone(aux, rep)
-    _check_first_forwarding(aux, rep)
-    return rep
+    return rep + check_phases(aux) + check_memory(phys, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +331,14 @@ def check_transition(pre: AuxState, post: AuxState) -> list[Violation]:
     if pre_sc & ~scanned_mask(post):
         rep.append(Violation("scanned-mono", "scanned shrank"))
     else:
+        pre_evals, post_evals = _evals(pre), _evals(post)
         for s in bits(pre_sc):
             if pre_masks[s] != post_masks[s]:
                 rep.append(Violation(
                     "scanned-ideal",
                     f"ideal of scanned {s} changed across the transition",
                 ))
-            elif _eval_or_none(s, pre) != _eval_or_none(s, post):
+            elif pre_evals[s] != post_evals[s]:
                 # snapshot preservation: an already-observed snapshot stays
                 # valid under every later transition
                 rep.append(Violation(
@@ -303,11 +348,20 @@ def check_transition(pre: AuxState, post: AuxState) -> list[Violation]:
     return rep
 
 
-def _eval_or_none(t: Timestamp, aux: AuxState):
-    try:
-        return eval_at(t, aux.sigma, aux)
-    except SnapshotModelError:
-        return None
+def _evals(aux: AuxState) -> dict:
+    """``eval_at(t, aux.sigma, aux)`` of every t in sigma, None where a
+    pointer has no write yet, from one pass over sigma."""
+    evals = {}
+    ptr, val = aux.ptr, aux.val
+    x = y = None
+    for s in aux.sigma:
+        if ptr[s - 1] == Ptr.X:
+            x = val[s - 1]
+        else:
+            y = val[s - 1]
+        # eval_at stops at the first occurrence of its timestamp
+        evals.setdefault(s, None if x is None or y is None else (x, y))
+    return evals
 
 
 # ---------------------------------------------------------------------------
@@ -475,5 +529,16 @@ def check_omega_properties(aux: AuxState) -> list[Violation]:
 
 
 def check_all(phys: "PhysState", aux: AuxState) -> list[Violation]:
-    """State invariants plus order sanity plus the chain lemma."""
-    return check_state(phys, aux) + check_omega_properties(aux) + check_chain_lemma(aux)
+    """Every state check on one state: the history part, then the phase
+    part, then the memory part.  A ``wellformed`` violation skips every
+    other state invariant (:func:`check_state`); order sanity and the chain
+    lemma run on every state."""
+    history = check_history(aux)
+    if malformed(history):
+        writers = []
+        _check_writers(aux, writers)
+        return history + writers
+    phases = check_phases(aux)
+    if malformed(phases):
+        return check_omega_properties(aux) + check_chain_lemma(aux) + phases
+    return history + phases + check_memory(phys, aux)

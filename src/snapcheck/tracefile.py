@@ -146,7 +146,9 @@ def parse_trace(text: str) -> Trace:
     every initial and written value in the value range; names, labels and
     digests must be strings, a schedule and a violation list lists of them,
     each call in the header a method call, and each thread a schedule, step
-    or method names one the header declares."""
+    or method names one the header declares, once.  A file with step
+    records has one per scheduled step, in schedule order: record ``i``
+    is the ``i``-th and names the thread the schedule gives it."""
     program = ""
     threads: tuple = ()
     init_x, init_y = 5, 0
@@ -207,9 +209,17 @@ def parse_trace(text: str) -> Trace:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
     if text.strip() and not (header and footer):
         raise TraceParseError(f"no {'footer' if header else 'header'} record")
+    declared = [t for t, _ in threads]
+    if len(set(declared)) != len(declared):
+        raise TraceParseError(f"the header declares a thread twice: {declared}")
     named = {*schedule, *(s.tid for s in steps), *(m.tid for m in methods)}
-    if undeclared := named - {t for t, _ in threads}:
+    if undeclared := named - set(declared):
         raise TraceParseError(f"threads the header does not declare: {sorted(undeclared)}")
+    if steps and len(steps) != len(schedule):
+        raise TraceParseError(f"{len(steps)} step records for {len(schedule)} scheduled steps")
+    for i, (s, tid) in enumerate(zip(steps, schedule)):
+        if (s.index, s.tid) != (i, tid):
+            raise TraceParseError(f"step record {s.index} of {s.tid!r} is step {i} of {tid!r}")
     return Trace(
         program=program,
         threads=threads,

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import entry, one_field_changed, primitive, two_scan_programs
 from snapcheck import harness, invariants, snapshot
-from snapcheck.aux_model import Ptr, aux_key, memo
+from snapcheck.aux_model import Color, Ptr, WriterPhase, aux_key, evolve, history_key, memo
 from snapcheck.cli import main
 from snapcheck.errors import BudgetExceededError, OracleSizeError, ScheduleError, TraceParseError
 from snapcheck.harness import (
@@ -166,6 +166,24 @@ def test_oracle_size_is_checked_before_the_first_step(monkeypatch, tmp_path, cap
     assert main(["replay", "--program", str(program), "--schedule", str(schedule)]) == 2
     assert taken == []
     assert "exceed" in capsys.readouterr().err
+
+
+def test_step_records_digest_the_state_each_step_reached():
+    """Each step record of a replay carries the digests of the state its
+    step reached, though the replay digests each distinct part once."""
+    prog = two_scan_programs()[1]
+    rng = random.Random(5)
+    state, schedule = initial_state(prog), []
+    while enabled := enabled_tids(prog, state):
+        schedule.append(rng.choice(enabled))
+        state = step_state(prog, state, schedule[-1])[0]
+    state = initial_state(prog)
+    steps = run_schedule(prog, schedule).steps
+    assert len(steps) == len(schedule) > 30
+    for record, tid in zip(steps, schedule):
+        state = step_state(prog, state, tid)[0]
+        assert record.phys_digest == snapshot.phys_digest(state.phys)
+        assert record.aux_digest == snapshot.aux_digest(state.aux)
 
 
 def test_run_schedule_determinism():
@@ -338,15 +356,31 @@ def test_derived_fields_follow_from_the_state():
 
 
 def _force_violations(monkeypatch):
-    """Add a violation naming the state on every state whose scanner is on,
-    one naming both aux states on every edge that changes the aux state,
-    and one naming its inputs on every call of each other edge check, so
-    that a verdict replayed for the wrong state or edge shows."""
-    check_state, check_transition = invariants.check_state, invariants.check_transition
+    """Add a violation at each keyed level of the state checks, naming
+    exactly what that level reads: the history on every history with a
+    write in flight, the auxiliary part on every one whose scanner is on,
+    and both parts on every state whose scanner bit is set.  Add one naming
+    both aux states on every edge that changes the aux state, and one
+    naming its inputs on every call of each other edge check.  A verdict
+    replayed for the wrong history, auxiliary part, pair or edge shows."""
+    check_history, check_phases = invariants.check_history, invariants.check_phases
+    check_memory, check_transition = invariants.check_memory, invariants.check_transition
 
-    def forced_state(phys, aux):
-        rep = check_state(phys, aux)
+    def forced_history(aux):
+        rep = check_history(aux)
+        if aux.joint_mask:
+            rep.append(Violation("forced-state", snapshot.digest(history_key(aux))))
+        return rep
+
+    def forced_phases(aux):
+        rep = check_phases(aux)
         if aux.scanner.on:
+            rep.append(Violation("forced-state", aux_digest(aux)))
+        return rep
+
+    def forced_memory(phys, aux):
+        rep = check_memory(phys, aux)
+        if phys.s_bit:
             rep.append(Violation("forced-state", f"{phys_digest(phys)} {aux_digest(aux)}"))
         return rep
 
@@ -364,7 +398,9 @@ def _force_violations(monkeypatch):
 
         monkeypatch.setattr(invariants, name, forced_check)
 
-    monkeypatch.setattr(invariants, "check_state", forced_state)
+    monkeypatch.setattr(invariants, "check_history", forced_history)
+    monkeypatch.setattr(invariants, "check_phases", forced_phases)
+    monkeypatch.setattr(invariants, "check_memory", forced_memory)
     monkeypatch.setattr(invariants, "check_transition", forced_transition)
     forced("check_write_fresh", lambda pre, t: f"{aux_digest(pre)} t={t}")
     forced("check_read_lemma", lambda p, value, aux: f"{p}={value} {aux_digest(aux)}")
@@ -451,6 +487,89 @@ def test_memoised_checks_match_unmemoised_reference(monkeypatch):
     assert got == _reference_violations(prog)
 
 
+def test_malformed_states_get_check_alls_verdict(monkeypatch):
+    """Where the history or phase part reports a ``wellformed`` violation,
+    explore records check_all's verdict on the state, which skips every
+    other state invariant but order sanity and the chain lemma."""
+    _force_violations(monkeypatch)
+    check_history, check_phases = invariants.check_history, invariants.check_phases
+
+    def history(aux):
+        rep = check_history(aux)
+        if aux.joint_mask and aux.kappa[-1] == Color.RED:
+            rep.insert(0, Violation("wellformed", "bent history"))
+        return rep
+
+    def phases(aux):
+        rep = check_phases(aux)
+        if aux.scanner.on and aux.wx.phase != WriterPhase.OFF:
+            rep.insert(0, Violation("wellformed", "bent phase"))
+        return rep
+
+    monkeypatch.setattr(invariants, "check_history", history)
+    monkeypatch.setattr(invariants, "check_phases", phases)
+    prog = client_e()
+    got = [(v.name, v.detail, v.step) for v in explore(prog).violations]
+    assert {"bent history", "bent phase"} <= {detail for _, detail, _ in got}
+    assert got == _reference_violations(prog)
+
+
+def _count_state_checks(monkeypatch):
+    """The arguments of every call of each part of the state checks from
+    now on, by part."""
+    calls = {}
+    for name in ("check_history", "check_phases", "check_memory"):
+        check, calls[name] = getattr(invariants, name), []
+
+        def counted(*args, check=check, seen=calls[name]):
+            seen.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(invariants, name, counted)
+    return calls
+
+
+def test_state_checks_run_once_per_part_they_read(monkeypatch):
+    """On e, explore runs the history part once per distinct history, the
+    phase part once per auxiliary part and the memory part once per
+    (phys, aux) pair: 174, 1,003 and 6,205 calls, against 6,205 runs of
+    the whole battery when every part was keyed by the pair."""
+    calls = _count_state_checks(monkeypatch)
+    checkers = _record_checkers(monkeypatch)
+    assert explore(client_e()).ok
+    [checker] = checkers
+    histories = [history_key(aux) for (aux,) in calls["check_history"]]
+    phases = [id(aux) for (aux,) in calls["check_phases"]]
+    pairs = [(id(phys), id(aux)) for phys, aux in calls["check_memory"]]
+    assert (len(histories), len(phases), len(pairs)) == (174, 1_003, 6_205)
+    assert len(set(histories)) == len(histories)
+    assert set(histories) == {history_key(aux) for aux in checker.aux}
+    assert len(set(phases)) == len(phases) == len(checker.aux)
+    assert len(set(pairs)) == len(pairs)
+
+
+class _Unread:
+    """A value that fails on any attribute read."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"read .{name}")
+
+
+def test_history_part_reads_only_the_history(monkeypatch):
+    """The history part's verdict on every aux part of a two-scan explore
+    is the same with the writer and scanner records made unreadable: it
+    reads only the history, so one verdict per history serves every aux
+    part that shares it."""
+    checkers = _record_checkers(monkeypatch)
+    explore(two_scan_programs()[0])
+    [checker] = checkers
+    blind = _Unread()
+    assert len(checker.aux) > 1_000
+    for aux in checker.aux:
+        hidden = evolve(aux, wx=blind, wy=blind, scanner=blind)
+        assert invariants.check_history(hidden) == invariants.check_history(aux)
+
+
 def test_check_memo_is_scoped_to_one_run(monkeypatch):
     """A second explore checks afresh (no verdict leaks from the first),
     and within one explore equal parts reached on different paths share
@@ -460,13 +579,13 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
     calls = _watch_state_key(monkeypatch)
     checkers = _record_checkers(monkeypatch)
     entries = _watch_entries(monkeypatch)
-
-    def forced_all(phys, aux):
-        return [Violation("forced", "every state")]
-
-    monkeypatch.setattr(invariants, "check_all", forced_all)
+    levels = {"check_history": "history", "check_phases": "phase", "check_memory": "memory"}
+    for name, level in levels.items():
+        forced = [Violation(f"forced-{level}", "every state")]
+        monkeypatch.setattr(invariants, name, lambda *parts, forced=forced: list(forced))
     report = explore(prog)
-    assert [v.name for v in report.violations] == ["forced"] * report.states
+    names = ["forced-history", "forced-phase", "forced-memory"]
+    assert [v.name for v in report.violations] == names * report.states
     [checker] = checkers
     ids, seen = {}, 0
     for _, (pid, aid, eids) in calls:

@@ -1,14 +1,25 @@
 """Checker behavior: clean states pass, hand-broken states are reported."""
 
 import ast
-from dataclasses import replace
+from collections import Counter
+from dataclasses import astuple, replace
 from pathlib import Path
 
-from conftest import CHECKS, TS_X2, TS_X3, TS_Y1, entry, hand_built_fig2a, run_prefix
-from snapcheck.aux_model import Color, Ptr, omega_down, other_mask
+from conftest import CHECKS, TS_X2, TS_X3, TS_X5, TS_Y0, TS_Y1, entry, hand_built_fig2a, run_prefix
+from snapcheck.aux_model import (
+    Color,
+    Ptr,
+    WriterPhase,
+    WriterState,
+    eval_at,
+    omega_down,
+    other_mask,
+)
+from snapcheck.errors import UninitializedPointerError
 from snapcheck.aux_ops import register, relink
 from snapcheck.harness import FIG1_SCHEDULE, client_fig1, parse_program
 from snapcheck.invariants import (
+    _evals,
     capture_spec_snapshot,
     check_all,
     check_chain_lemma,
@@ -88,6 +99,35 @@ def test_terminated_events_violation():
     assert any(v.name == "terminated-events" for v in rep)
 
 
+def _bent_states():
+    """fig2a broken in the history, a writer or memory, alone and mixed."""
+    aux = hand_built_fig2a()
+    red = replace(aux, kappa=at(aux.kappa, TS_X2, Color.RED))  # colors
+    lost = replace(aux, sigma=aux.sigma[:-1])  # sigma misses an event
+    stray = WriterState(WriterPhase.NEW, t=99, v=2)  # a writer of no event
+    phys, moved = fig2a_phys(), replace(fig2a_phys(), x=7)  # last-write
+    for bent in (aux, red, lost):
+        for wx in (aux.wx, stray):
+            for p in (phys, moved):
+                yield p, replace(bent, wx=wx)
+
+
+def test_check_all_runs_what_check_state_runs():
+    """check_all runs the history, phase and memory parts, and skips what
+    check_state skips: where any clause of wellformed fails, every other
+    state invariant, but not order sanity or the chain lemma."""
+    seen = set()
+    for phys, aux in _bent_states():
+        got = check_all(phys, aux)
+        want = check_state(phys, aux) + check_omega_properties(aux) + check_chain_lemma(aux)
+        assert Counter(map(astuple, got)) == Counter(map(astuple, want))
+        names = {v.name for v in got}
+        if "wellformed" in names:
+            assert not names & {"colors", "last-write"}
+        seen |= names
+    assert {"wellformed", "colors", "last-write"} <= seen
+
+
 # ---------------------------------------------------------------------------
 # transition invariants
 
@@ -104,6 +144,29 @@ def test_relink_preserves_stable_order():
     post, _, _ = relink(2, 1, pre)
     assert all(omega_down(t, pre) <= omega_down(t, post) for t in pre.sigma)
     assert not check_transition(pre, post)
+
+
+def test_prefix_evaluations_are_eval_at():
+    """scanned-eval compares prefix evaluations made in one pass over
+    sigma: each is ``eval_at``'s, and None where ``eval_at`` finds a
+    pointer not yet written."""
+    prog, aux = client_fig1(), hand_built_fig2a()
+    states = [run_prefix(prog, FIG1_SCHEDULE[:k]).aux for k in range(len(FIG1_SCHEDULE) + 1)]
+    # x's writes ahead of every y write: no y value before event TS_Y0
+    states.append(replace(aux, sigma=(TS_X5, TS_X2, TS_X3, TS_Y0, TS_Y1)))
+    unwritten = 0
+    for aux in states:
+        evals = _evals(aux)
+        assert list(evals) == list(aux.sigma)
+        for t in aux.sigma:
+            try:
+                want = eval_at(t, aux.sigma, aux)
+            except UninitializedPointerError:
+                want, unwritten = None, unwritten + 1
+            assert evals[t] == want
+    # y is unwritten at each state's first event, x's init, and in the
+    # reordered state at its first three
+    assert unwritten == len(states) + 2
 
 
 def test_transition_catches_lost_event():

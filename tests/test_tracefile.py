@@ -87,14 +87,19 @@ FIG1_THREADS = [["l", ["write x 2", "write y 1"]], ["c", ["scan"]], ["r", ["writ
         ("header", "schedule", ["q"] * len(FIG1_SCHEDULE)),  # q is no thread
         ("method", "tid", "q"),
         ("step", "tid", "q"),
+        ("header", "threads", [*FIG1_THREADS, FIG1_THREADS[0]]),  # l declared twice
+        ("header", "schedule", ["c"]),  # one scheduled step, 28 step records
+        ("step", "i", 99),  # the first step record is step 0
+        ("step", "tid", "l"),  # the schedule's first step is c's
     ],
 )
 def test_parse_rejects_wrongly_typed_fields(tmp_path, capsys, kind, key, value):
     """A string where a list of strings belongs, a non-string name, label
     or digest, an initial or written value outside the value range, a
-    header call that is no method call, and a schedule, step or method
-    naming a thread the header does not declare are parse errors, and
-    ``snapcheck check`` exits 4 on them."""
+    header call that is no method call, a schedule, step or method naming
+    a thread the header does not declare, a thread declared twice, and
+    step records that disagree with the schedule in number, position or
+    thread are parse errors, and ``snapcheck check`` exits 4 on them."""
     lines = render_trace(run_schedule(client_fig1(), FIG1_SCHEDULE)).splitlines()
     i = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
     lines[i] = json.dumps(dict(json.loads(lines[i]), **{key: value}))
