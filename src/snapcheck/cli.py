@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import oracle, tracefile
@@ -30,6 +31,7 @@ from .harness import (
     parse_program,
     run_schedule,
 )
+from .snapshot import MethodCall
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -110,12 +112,25 @@ def _cmd_demo_fig1(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    trace = tracefile.parse_trace(Path(args.trace).read_text())
+    text = Path(args.trace).read_text()
+    trace = tracefile.parse_trace(text)
     witness_ok = oracle.validate_witness(trace)
     lin = oracle.linearizable(oracle.ops_from_trace(trace))
     print(f"witness: {'ok' if witness_ok else 'FAIL'}")
     print(f"linearizable: {'ok' if lin is not None else 'FAIL'}")
-    return EXIT_OK if witness_ok and lin is not None else EXIT_VIOLATION
+    ok = witness_ok and lin is not None
+    if not ok or not text.strip():  # the empty file has nothing to replay
+        return EXIT_OK if ok else EXIT_VIOLATION
+    calls = tuple((tid, tuple(map(MethodCall.parse, cs))) for tid, cs in trace.threads)
+    prog = Program(trace.program, calls, trace.init_x, trace.init_y)
+    try:
+        want = run_schedule(prog, trace.schedule)
+    except ScheduleError as exc:
+        raise TraceParseError(f"the header's schedule does not replay: {exc}") from exc
+    want = replace(want, steps=want.steps if trace.steps else ())  # explore's records have none
+    if differ := [f.name for f in fields(trace) if getattr(trace, f.name) != getattr(want, f.name)]:
+        raise TraceParseError(f"the file's {', '.join(differ)} differ from its replay")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the trace file here")
     p.set_defaults(func=_cmd_demo_fig1)
 
-    p = sub.add_parser("check", help="run the brute-force oracle on a trace file")
+    p = sub.add_parser("check", help="both oracle routes on a trace file, then the replay")
     p.add_argument("--trace", required=True)
     p.set_defaults(func=_cmd_check)
     return parser

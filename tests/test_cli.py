@@ -3,6 +3,7 @@ oracle budget, 3 schedule, 4 parse)."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,19 @@ from pathlib import Path
 import pytest
 
 import snapcheck
+from conftest import two_scan_programs
 from snapcheck.cli import main
-from snapcheck.harness import FIG1_SCHEDULE
+from snapcheck.harness import (
+    FIG1_SCHEDULE,
+    client_e,
+    client_e_prime,
+    enabled_tids,
+    generated_programs,
+    initial_state,
+    run_schedule,
+    step_state,
+)
+from snapcheck.tracefile import render_trace
 
 
 @pytest.fixture
@@ -84,6 +96,14 @@ def test_replay_deterministic(tmp_path, sched_file, capsys):
     assert "scan -> (2,1)" in out
 
 
+def _random_schedule(prog, rng):
+    state, schedule = initial_state(prog), []
+    while enabled := enabled_tids(prog, state):
+        schedule.append(rng.choice(enabled))
+        state = step_state(prog, state, schedule[-1])[0]
+    return schedule
+
+
 def test_replay_stdout_trace_passes_check(tmp_path, sched_file, capsys):
     # without --out the trace alone goes to stdout; the summary to stderr
     assert main(["replay", "--client", "fig1", "--schedule", str(sched_file)]) == 0
@@ -92,6 +112,13 @@ def test_replay_stdout_trace_passes_check(tmp_path, sched_file, capsys):
     piped = tmp_path / "stdout.trace"
     piped.write_text(captured.out)
     assert main(["check", "--trace", str(piped)]) == 0
+    # the replay in check judges no honest trace wrong: seeded random
+    # complete schedules of every swept program pass it too
+    rng = random.Random(16)
+    for prog in [client_e(), client_e_prime(), *generated_programs(), *two_scan_programs()]:
+        for _ in range(5):
+            piped.write_text(render_trace(run_schedule(prog, _random_schedule(prog, rng))))
+            assert main(["check", "--trace", str(piped)]) == 0, prog.name
 
 
 def test_replay_truncated_schedule(tmp_path, capsys):
@@ -125,7 +152,8 @@ def test_check_fault_injected_trace(tmp_path, capsys):
 def test_check_mutated_fields(tmp_path, capsys, mutant):
     """Every field of every record set to null, to a string and to an int
     beyond every index, timestamp and value in the file: check gives a
-    verdict or a parse error, never a crash."""
+    verdict or a parse error, never a crash, and rejects every edit that
+    changes a value, except of the program's name."""
     out_file = tmp_path / "demo.trace"
     main(["demo-fig1", "--out", str(out_file)])
     lines = out_file.read_text().splitlines()
@@ -139,6 +167,9 @@ def test_check_mutated_fields(tmp_path, capsys, mutant):
             code = main(["check", "--trace", str(out_file)])
             err = capsys.readouterr().err
             assert code in (0, 1, 4) and "Traceback" not in err, (i, key, code, err)
+            # a program name is the one value the replay takes as given
+            if bent != rec and (rec["kind"], key) != ("header", "program"):
+                assert code != 0, (i, key)
             if rec["kind"] == "method" and rec["op"] == "scan":
                 codes[key] = code
     assert codes["result"] == 4
@@ -193,9 +224,17 @@ def _run_module(*args):
     )
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, sched_file):
     missing = _run_module("check", "--trace", str(tmp_path / "nope.trace"))
     assert missing.returncode == 4
+    trace = tmp_path / "fig1.trace"
+    replayed = _run_module(
+        "replay", "--client", "fig1", "--schedule", str(sched_file), "--out", str(trace)
+    )
+    assert replayed.returncode == 0, replayed.stderr
+    checked = _run_module("check", "--trace", str(trace))
+    assert checked.returncode == 0, checked.stderr
+    assert "witness: ok" in checked.stdout.splitlines()
     explored = _run_module("explore", "--client", "e-prime")
     assert explored.returncode == 0
     assert "program: e-prime" in explored.stdout.splitlines()
