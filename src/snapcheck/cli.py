@@ -18,7 +18,6 @@ from .errors import (
     ScheduleError,
     SnapshotModelError,
     TraceParseError,
-    ValueDomainError,
 )
 from .harness import (
     DEFAULT_MAX_STATES,
@@ -31,7 +30,6 @@ from .harness import (
     parse_program,
     run_schedule,
 )
-from .snapshot import MethodCall
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -121,10 +119,8 @@ def _cmd_check(args) -> int:
     ok = witness_ok and lin is not None
     if not ok or not text.strip():  # the empty file has nothing to replay
         return EXIT_OK if ok else EXIT_VIOLATION
-    calls = tuple((tid, tuple(map(MethodCall.parse, cs))) for tid, cs in trace.threads)
-    prog = Program(trace.program, calls, trace.init_x, trace.init_y)
     try:
-        want = run_schedule(prog, trace.schedule)
+        want = run_schedule(trace.program, trace.schedule)
     except ScheduleError as exc:
         raise TraceParseError(f"the header's schedule does not replay: {exc}") from exc
     want = replace(want, steps=want.steps if trace.steps else ())  # explore's records have none
@@ -175,7 +171,7 @@ def main(argv=None) -> int:
     except ScheduleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEDULE
-    except (TraceParseError, ValueDomainError, OSError) as exc:
+    except (TraceParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SnapshotModelError as exc:

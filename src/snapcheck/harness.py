@@ -50,7 +50,7 @@ from .aux_model import (
     memo,
     validate_value,
 )
-from .errors import BudgetExceededError, ScheduleError, TraceParseError
+from .errors import BudgetExceededError, ScheduleError, TraceParseError, ValueDomainError
 from .invariants import Violation
 from .oracle import MethodRecord
 from .snapshot import (
@@ -74,7 +74,8 @@ DEFAULT_MAX_STATES = 4_000_000
 
 @dataclass(frozen=True)
 class Program:
-    """A finite client: per-thread call lists plus the initial values.
+    """A finite client: each thread, declared once, with its call list, and
+    the initial values, which are in the value range.
 
     Two threads may target the same pointer; the per-pointer writer locks
     serialize them at run time (the single-writer discipline is dynamic,
@@ -85,6 +86,13 @@ class Program:
     threads: tuple[tuple[Tid, tuple[MethodCall, ...]], ...]
     init_x: Value = 5
     init_y: Value = 0
+
+    def __post_init__(self):
+        tids = [tid for tid, _ in self.threads]
+        if len(set(tids)) != len(tids):
+            raise ValueError(f"program {self.name} declares a thread twice: {tids}")
+        validate_value(self.init_x)
+        validate_value(self.init_y)
 
     def calls_of(self, tid: Tid) -> tuple[MethodCall, ...]:
         for t, calls in self.threads:
@@ -139,16 +147,13 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trace:
-    """The record of one completed run, as trace files carry it and the
-    oracle reads it, folded from the run's trail by
+    """The record of one completed run of ``program``, as trace files carry
+    it and the oracle reads it, folded from the run's trail by
     :meth:`_Checker.finish`.  The records ``explore`` keeps have no steps
     and no violations: explore checks each distinct state once, however
     many runs pass through it, so its violations live on the report."""
 
-    program: str
-    threads: tuple[tuple[Tid, tuple[str, ...]], ...]
-    init_x: Value
-    init_y: Value
+    program: Program
     schedule: tuple[Tid, ...]
     steps: tuple[StepRecord, ...]
     methods: tuple[MethodRecord, ...]
@@ -205,15 +210,10 @@ class ExplorationReport:
 
 
 def initial_state(prog: Program) -> State:
-    tids = [tid for tid, _ in prog.threads]
-    if len(set(tids)) != len(tids):
-        raise ValueError(f"duplicate thread ids in program {prog.name}")
-    for _, calls in prog.threads:
-        for call in calls:
-            if call.kind == "write":
-                validate_value(call.v)
+    """The state before ``prog``'s first step; ``Program`` checks ``prog``."""
     phys, aux = init(prog.init_x, prog.init_y)
-    return State(phys, aux, tuple((tid, _between_calls(prog, tid, 0)) for tid in sorted(tids)))
+    tids = sorted(tid for tid, _ in prog.threads)
+    return State(phys, aux, tuple((tid, _between_calls(prog, tid, 0)) for tid in tids))
 
 
 def _between_calls(prog: Program, tid: Tid, call_idx: int) -> ThreadEntry:
@@ -495,10 +495,7 @@ class _Checker:
             if after.returned:
                 methods.append(_method_record(after.frame, aux_after, invocations[i], idx))
         trace = Trace(
-            program=prog.name,
-            threads=tuple((tid, tuple(c.render() for c in calls)) for tid, calls in prog.threads),
-            init_x=prog.init_x,
-            init_y=prog.init_y,
+            program=prog,
             schedule=tuple(tids[i] for i, *_ in trail),
             steps=tuple(steps),
             methods=tuple(methods),
@@ -648,10 +645,8 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     return checker.report("exhaustive", len(visited), edges, schedules, executions=executions)
 
 
-def _drive(
-    prog: Program, choose, checker: _Checker, steps: list[StepRecord] | None = None
-) -> Trace:
-    """Run prog from the checker's initial state.  ``choose(idx,
+def _drive(choose, checker: _Checker, steps: list[StepRecord] | None = None) -> Trace:
+    """Run the checker's program from its initial state.  ``choose(idx,
     enabled)`` names the thread that takes step idx, or None to stop; every
     state and edge on the way goes through ``checker``, and the digests of
     every state reached are appended to ``steps`` unless it is None.
@@ -660,7 +655,7 @@ def _drive(
     trail = []
     checker.on_state(_id(state.phys), _id(state.aux), -1)
     for idx in count():
-        tid = choose(idx, enabled_tids(prog, state))
+        tid = choose(idx, enabled_tids(checker.prog, state))
         if tid is None:
             return checker.finish(state.phys, state.aux, trail, steps or ())
         i = state.index(tid)
@@ -701,7 +696,7 @@ def run_schedule(prog: Program, schedule) -> Trace:
     too many calls for the oracle.
     """
     checker = _Checker(prog)
-    trace = _drive(prog, _follow(tuple(schedule)), checker, [])
+    trace = _drive(_follow(tuple(schedule)), checker, [])
     return evolve(trace, violations=tuple(v.render() for v in checker.violations))
 
 
@@ -716,7 +711,7 @@ def run_random(prog: Program, seed: int, runs: int) -> ExplorationReport:
     total_steps = 0
     for run in range(runs):
         before = len(checker.violations)
-        total_steps += len(_drive(prog, choose, checker).schedule)
+        total_steps += len(_drive(choose, checker).schedule)
         for v in checker.violations[before:]:
             v.detail = f"run {run}: {v.detail}"
     return checker.report("random", None, total_steps, runs, seed=seed)
@@ -796,8 +791,9 @@ def generated_programs() -> list[Program]:
 
 def parse_program(text: str, name: str = "custom") -> Program:
     """Parse a program file: one thread per line (``tid: write x 2; scan``),
-    optional leading ``init <vx> <vy>`` line, ``#`` comments."""
-    init_x, init_y = 5, 0
+    optional leading ``init <vx> <vy>`` line, ``#`` comments.  A file that
+    is no valid :class:`Program` raises :class:`TraceParseError`."""
+    init = Program(name, ())  # its initial values, checked on their line
     threads: list[tuple[Tid, tuple[MethodCall, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -808,8 +804,8 @@ def parse_program(text: str, name: str = "custom") -> Program:
             if len(parts) != 3:
                 raise TraceParseError(f"line {lineno}: expected 'init <vx> <vy>'")
             try:
-                init_x, init_y = int(parts[1]), int(parts[2])
-            except ValueError as exc:
+                init = Program(name, (), int(parts[1]), int(parts[2]))
+            except (ValueError, ValueDomainError) as exc:
                 raise TraceParseError(f"line {lineno}: {exc}") from exc
             continue
         tid, sep, rest = line.partition(":")
@@ -821,10 +817,10 @@ def parse_program(text: str, name: str = "custom") -> Program:
                 for part in rest.split(";")
                 if part.strip()
             )
-        except ValueError as exc:
+        except (ValueError, ValueDomainError) as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
         threads.append((tid.strip(), calls))
-    tids = [t for t, _ in threads]
-    if len(set(tids)) != len(tids):
-        raise TraceParseError("duplicate thread ids")
-    return Program(name, tuple(threads), init_x, init_y)
+    try:
+        return Program(name, tuple(threads), init.init_x, init.init_y)
+    except ValueError as exc:  # a thread declared twice
+        raise TraceParseError(str(exc)) from exc

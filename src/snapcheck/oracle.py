@@ -50,7 +50,7 @@ def ops_from_trace(trace) -> tuple[MethodRecord, ...]:
     writes; an empty record has none."""
     if not trace.methods and not trace.final_sigma:
         return ()
-    return init_ops(trace.init_x, trace.init_y) + trace.methods
+    return init_ops(trace.program.init_x, trace.program.init_y) + trace.methods
 
 
 def replay_sequential(order) -> bool:
@@ -132,8 +132,6 @@ def validate_witness(trace) -> bool:
     """Check the constructed witness order of a completed trace: real-time
     precedence of non-overlapping operations is respected, and the order
     replays correctly."""
-    if not trace.methods and not trace.final_sigma:
-        return True
     seq = witness_order(trace)
     if seq is None:
         return False

@@ -60,9 +60,15 @@ class PhysState:
 
 @dataclass(frozen=True)
 class MethodCall:
+    """A client's call; a write's value is in the value range."""
+
     kind: str  # "write" | "scan"
     p: str | None = None
     v: Value | None = None
+
+    def __post_init__(self):
+        if self.kind == "write":
+            validate_value(self.v)
 
     def render(self) -> str:
         if self.kind == "scan":

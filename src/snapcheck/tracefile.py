@@ -9,21 +9,21 @@ from __future__ import annotations
 
 import json
 
-from .aux_model import validate_value
 from .errors import TraceParseError, ValueDomainError
-from .harness import StepRecord, Trace
+from .harness import Program, StepRecord, Trace
 from .oracle import MethodRecord
 from .snapshot import MethodCall
 
 
 def render_trace(trace: Trace) -> str:
+    prog = trace.program
     lines = [
         json.dumps(
             {
                 "kind": "header",
-                "program": trace.program,
-                "threads": [[tid, list(calls)] for tid, calls in trace.threads],
-                "init": [trace.init_x, trace.init_y],
+                "program": prog.name,
+                "threads": [[tid, [c.render() for c in calls]] for tid, calls in prog.threads],
+                "init": [prog.init_x, prog.init_y],
                 "schedule": list(trace.schedule),
             },
             sort_keys=True,
@@ -108,16 +108,8 @@ def _timestamp(value, n: int, what: str) -> None:
         raise ValueError(f"{what} {value!r} is not in 1..{n}")
 
 
-def _call(value, what: str) -> MethodCall:
-    """A method call, whose written value, if any, is in the value range."""
-    call = MethodCall.parse(_str(value, what))
-    if call.kind == "write":
-        validate_value(call.v)
-    return call
-
-
 def _method(rec: dict) -> MethodRecord:
-    call = _call(rec["op"], "op")
+    call = MethodCall.parse(_str(rec["op"], "op"))
     result = rec["result"]
     if call.kind == "scan":
         result = _ints(result, "scan result")
@@ -138,16 +130,16 @@ def _method(rec: dict) -> MethodRecord:
 
 def parse_trace(text: str) -> Trace:
     """The run record a trace file holds.  A file with no record at all is
-    the empty record; any other file starts with its header and ends with
-    its footer.  Values, indices and timestamps must be integers, a scan's
-    result a pair of them, every timestamp one of the footer's events and
-    every initial and written value in the value range; names, labels and
-    digests must be strings, a schedule and a violation list lists of them,
-    each call in the header a method call, and each thread declared once.
-    ``snapcheck check`` replays the header to judge the other records."""
-    program = ""
-    threads: tuple = ()
-    init_x, init_y = 5, 0
+    the empty record; any other file starts with its header, whose name,
+    threads and initial values make the record's :class:`Program`, and
+    ends with its footer.  Values, indices and timestamps must be integers,
+    a scan's result a pair of them and every timestamp one of the footer's
+    events; names, labels and digests must be strings, a schedule and a
+    violation list lists of them, and every call a method call.  What makes
+    a program or a call valid, :class:`Program` and :class:`MethodCall`
+    check as they are made.  ``snapcheck check`` replays the header's
+    program to judge the other records."""
+    program = Program("", ())
     schedule: tuple = ()
     steps: list[StepRecord] = []
     methods: list[MethodRecord] = []
@@ -170,14 +162,10 @@ def parse_trace(text: str) -> Trace:
                 raise TraceParseError(f"line {lineno}: {'a second' if header else 'no'} header")
             if kind == "header":
                 header = True
-                program = _str(rec["program"], "program")
-                threads = tuple((_str(t, "tid"), _strs(c, "calls")) for t, c in rec["threads"])
-                for _, calls in threads:
-                    for c in calls:
-                        _call(c, "call")
+                declared = ((_str(t, "tid"), _strs(c, "calls")) for t, c in rec["threads"])
+                threads = tuple((t, tuple(map(MethodCall.parse, c))) for t, c in declared)
                 init_x, init_y = _ints(rec["init"], "init")
-                validate_value(init_x)
-                validate_value(init_y)
+                program = Program(_str(rec["program"], "program"), threads, init_x, init_y)
                 schedule = _strs(rec["schedule"], "schedule")
             elif kind == "step":
                 strs = (_str(rec[k], k) for k in ("tid", "label", "phys", "aux"))
@@ -203,18 +191,14 @@ def parse_trace(text: str) -> Trace:
                 raise TraceParseError(f"line {lineno}: unknown record kind {kind!r}")
         except TraceParseError:
             raise
-        except (KeyError, ValueError, TypeError, RecursionError, ValueDomainError) as exc:
+        except KeyError as exc:
+            raise TraceParseError(f"line {lineno}: missing field {exc}") from exc
+        except (ValueError, TypeError, RecursionError, ValueDomainError) as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
     if header and not footer:
         raise TraceParseError("no footer record")
-    declared = [t for t, _ in threads]
-    if len(set(declared)) != len(declared):
-        raise TraceParseError(f"the header declares a thread twice: {declared}")
     return Trace(
         program=program,
-        threads=threads,
-        init_x=init_x,
-        init_y=init_y,
         schedule=schedule,
         steps=tuple(steps),
         methods=tuple(methods),

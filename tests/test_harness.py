@@ -9,7 +9,13 @@ from conftest import entry, one_field_changed, primitive, two_scan_programs
 from snapcheck import harness, invariants, snapshot
 from snapcheck.aux_model import Color, Ptr, WriterPhase, aux_key, evolve, history_key, memo
 from snapcheck.cli import main
-from snapcheck.errors import BudgetExceededError, OracleSizeError, ScheduleError, TraceParseError
+from snapcheck.errors import (
+    BudgetExceededError,
+    OracleSizeError,
+    ScheduleError,
+    TraceParseError,
+    ValueDomainError,
+)
 from snapcheck.harness import (
     FIG1_SCHEDULE,
     Program,
@@ -266,6 +272,21 @@ def test_parse_program_errors():
         parse_program("init 5")
     with pytest.raises(TraceParseError):
         parse_program("l: scan\nl: scan")  # duplicate tid
+    with pytest.raises(TraceParseError, match="line 2: value 99"):
+        parse_program("c: scan\na: write x 99")
+    with pytest.raises(TraceParseError, match="line 1: value 9"):
+        parse_program("init 9 0\nc: scan")
+
+
+def test_a_program_is_checked_where_it_is_made():
+    with pytest.raises(ValueError, match="declares a thread twice"):
+        Program("twice", (("l", (MethodCall.scan(),)), ("l", ())))
+    with pytest.raises(ValueDomainError):
+        MethodCall.write(Ptr.X, 99)
+    with pytest.raises(ValueDomainError):
+        MethodCall.parse("write x 99")
+    with pytest.raises(ValueDomainError):
+        Program("big", (("c", (MethodCall.scan(),)),), init_x=99)
 
 
 @pytest.mark.parametrize("name", ["gen-x0-y2", "gen-x2-y0", "gen-x1-y1"])

@@ -14,6 +14,7 @@ from snapcheck.harness import (
     generated_programs,
     run_schedule,
 )
+from snapcheck.oracle import validate_witness
 from snapcheck.tracefile import parse_trace, render_trace
 
 
@@ -51,6 +52,7 @@ def test_roundtrip_is_stable_text():
 def test_parse_empty():
     trace = parse_trace("")
     assert trace.methods == () and trace.steps == () and trace.final_sigma == ()
+    assert validate_witness(trace)
 
 
 def test_parse_rejects_garbage():
@@ -61,9 +63,9 @@ def test_parse_rejects_garbage():
         parse_trace("not json\n")
     with pytest.raises(TraceParseError, match="unknown record kind"):
         parse_trace(header + '{"kind":"mystery"}\n')
-    with pytest.raises(TraceParseError, match="line 2: 'tid'"):
+    with pytest.raises(TraceParseError, match="line 2: missing field 'tid'"):
         parse_trace(header + '{"kind":"step","i":0}\n')  # missing fields
-    with pytest.raises(TraceParseError, match="line 2: 'phys'"):
+    with pytest.raises(TraceParseError, match="line 2: missing field 'phys'"):
         # a footer without the final state digests
         footer = '{"kind":"footer","sigma":[],"sigma_values":[],"kappa":[],"violations":[]}\n'
         parse_trace(header + footer)
@@ -176,3 +178,13 @@ def test_check_rejects_what_the_replay_contradicts(tmp_path, capsys, kind, key, 
     assert _check_exit(tmp_path, text) == 4
     err = capsys.readouterr().err
     assert "error:" in err and "replay" in err
+
+
+def test_check_judges_the_header_as_the_program_it_parses_to(tmp_path, capsys):
+    """The record's program is the header's calls parsed, so a call spelled
+    with extra spaces is the same call, and the replay agrees with it."""
+    threads = [["l", ["write  x 2", "write y 1"]], *FIG1_THREADS[1:]]
+    text = _bend("header", "threads", threads)
+    assert parse_trace(text).program == client_fig1()
+    assert _check_exit(tmp_path, text) == 0
+    assert "error:" not in capsys.readouterr().err
