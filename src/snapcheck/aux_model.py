@@ -119,7 +119,7 @@ class AuxState:
 
 def validate_value(v: Value) -> None:
     lo, hi = VALUE_RANGE
-    if not (isinstance(v, int) and lo <= v <= hi):
+    if not (type(v) is int and lo <= v <= hi):  # a bool passes isinstance(int)
         raise ValueDomainError(f"value {v!r} outside domain {lo}..{hi}")
 
 

@@ -419,10 +419,8 @@ class _Checker:
         if step.kind == "register":
             found += invariants.check_write_fresh(pre, fr.t)
         if step.kind == "read":
-            sc = post.scanner
-            if sc.on and sc.bit(step.ptr):
-                value = fr.vx if step.ptr == Ptr.X else fr.vy
-                found += invariants.check_read_lemma(step.ptr, value, post)
+            value = fr.vx if step.ptr == Ptr.X else fr.vy
+            found += invariants.check_read_lemma(step.ptr, value, post)
         if step.kind == "relink":
             found += invariants.check_relink_post(post, fr.witness_x, fr.witness_y)
         if after.returned:

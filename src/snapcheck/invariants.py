@@ -22,8 +22,8 @@ from .aux_model import (
     Value,
     WriterPhase,
     bits,
-    eval_at,
     hist_p,
+    history_key,
     last_green,
     other_mask,
     scanned_mask,
@@ -32,7 +32,6 @@ from .aux_model import (
     _ideal_masks,
     _positions,
 )
-from .errors import SnapshotModelError
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .snapshot import PhysState
@@ -288,21 +287,11 @@ def check_state(phys: "PhysState", aux: AuxState) -> list[Violation]:
 
 def check_transition(pre: AuxState, post: AuxState) -> list[Violation]:
     """Monotonicity across one transition: histories, the stable order and
-    the scanned set only grow, and scanned ideals never change."""
+    the scanned set only grow, and scanned ideals never change.  A
+    transition that leaves the history as it was (:func:`history_key`),
+    changing only writer or scanner phases, passes by reflexivity."""
     rep = []
-    if (
-        pre.ptr is post.ptr
-        and pre.val is post.val
-        and pre.kappa is post.kappa
-        and pre.tau is post.tau
-        and pre.sigma is post.sigma
-        and pre.init_mask == post.init_mask
-        and pre.joint_mask == post.joint_mask
-        and pre.self_masks is post.self_masks
-    ):
-        # only writer/scanner phases changed: events, ownership, the stable
-        # order and scanned are the same, so every monotonicity requirement
-        # holds by reflexivity
+    if history_key(pre) == history_key(post):
         return rep
     n, m = pre.max_ts(), post.max_ts()
     for t in range(1, n + 1):
@@ -408,30 +397,23 @@ def check_scan_post(
     mask: int,
     ret: AuxState,
     r: tuple[Value, Value],
-    witness: Timestamp | None = None,
+    witness: Timestamp,
 ) -> list[Violation]:
     """scan's postcondition: some timestamp t replays to the returned pair,
     dominates the whole invocation-time history (the invocation mask), and
-    is scanned.  The constructive witness, when given, must itself
-    qualify."""
+    is scanned.  The constructive witness must itself qualify."""
     rep = []
     ret_scanned = scanned_mask(ret)
     masks = _ideal_masks(ret)
-
-    def qualifies(t: Timestamp) -> bool:
-        if not (ret_scanned >> t) & 1:
-            return False
-        if mask & ~masks[t]:
-            return False
-        try:
-            return eval_at(t, ret.sigma, ret) == r
-        except SnapshotModelError:
-            return False
-
-    good = [t for t in ret.sigma if qualifies(t)]
+    evals = _evals(ret)
+    good = [
+        t
+        for t in ret.sigma
+        if (ret_scanned >> t) & 1 and not mask & ~masks[t] and evals[t] == r
+    ]
     if not good:
         rep.append(Violation("scan-post", f"no witness timestamp validates the snapshot {r}"))
-    if witness is not None and witness not in good:
+    if witness not in good:
         rep.append(Violation("scan-post", f"constructive witness {witness} does not qualify"))
     return rep
 
@@ -460,8 +442,12 @@ def check_chain_lemma(aux: AuxState) -> list[Violation]:
 
 def check_read_lemma(p: str, value: Value, aux: AuxState) -> list[Violation]:
     """While the scanner is on with p's bit set, a read of p returns the
-    value of p's last green or yellow event."""
+    value of p's last green or yellow event; outside that guard the lemma
+    holds vacuously."""
     rep = []
+    sc = aux.scanner
+    if not (sc.on and sc.bit(p)):
+        return rep
     allowed = {aux.val[t - 1] for t in (last_green(p, aux), yellow_of(p, aux)) if t is not None}
     if value not in allowed:
         rep.append(Violation(

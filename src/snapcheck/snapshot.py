@@ -113,49 +113,40 @@ def _step(kind: str, ptr: str | None = None, lock: str | None = None) -> Step:
     return Step(kind, label, ptr, lock)
 
 
-def _write_step_list(p: str) -> tuple[Step, ...]:
-    lock = lock_for(p)
-    return (
-        _step("acquire", lock=lock),
-        _step("register", ptr=p),
-        _step("check", ptr=p),
-        _step("forward", ptr=p),
-        _step("finalize", ptr=p),
-        _step("release", lock=lock),
-    )
-
-
-_WRITE_STEPS = {Ptr.X: _write_step_list(Ptr.X), Ptr.Y: _write_step_list(Ptr.Y)}
-
-_SCAN_STEPS = (
-    _step("acquire", lock=LOCK_SCAN),
-    _step("set-on"),
-    _step("clear", ptr=Ptr.X),
-    _step("clear", ptr=Ptr.Y),
-    _step("read", ptr=Ptr.X),
-    _step("read", ptr=Ptr.Y),
-    _step("set-off"),
-    _step("read-fwd", ptr=Ptr.X),
-    _step("read-fwd", ptr=Ptr.Y),
-    _step("relink"),
-    _step("release", lock=LOCK_SCAN),
-)
-
-
-def write_steps(p: str) -> tuple[Step, ...]:
-    """Step list of write(p, v); the forward step is skipped at run time
-    when the scanner bit was read as false."""
-    return _WRITE_STEPS[p]
-
-
-def scan_steps() -> tuple[Step, ...]:
-    """Step list of scan(); the local rx/ry selection is folded into the
-    relink step since it touches no shared state."""
-    return _SCAN_STEPS
+# The step list of each call, keyed by the pointer the call writes (None
+# for a scan).  A write's forward step is skipped at run time when the
+# scanner bit was read as false; a scan's local rx/ry selection is folded
+# into its relink step since it touches no shared state.
+_STEPS = {
+    **{
+        p: (
+            _step("acquire", lock=lock_for(p)),
+            _step("register", ptr=p),
+            _step("check", ptr=p),
+            _step("forward", ptr=p),
+            _step("finalize", ptr=p),
+            _step("release", lock=lock_for(p)),
+        )
+        for p in (Ptr.X, Ptr.Y)
+    },
+    None: (
+        _step("acquire", lock=LOCK_SCAN),
+        _step("set-on"),
+        _step("clear", ptr=Ptr.X),
+        _step("clear", ptr=Ptr.Y),
+        _step("read", ptr=Ptr.X),
+        _step("read", ptr=Ptr.Y),
+        _step("set-off"),
+        _step("read-fwd", ptr=Ptr.X),
+        _step("read-fwd", ptr=Ptr.Y),
+        _step("relink"),
+        _step("release", lock=LOCK_SCAN),
+    ),
+}
 
 
 def call_steps(call: MethodCall) -> tuple[Step, ...]:
-    return write_steps(call.p) if call.kind == "write" else scan_steps()
+    return _STEPS[call.p]
 
 
 @dataclass(frozen=True)
@@ -300,7 +291,9 @@ def observed(step: Step, phys: PhysState):
 
 def init(v_x: Value, v_y: Value) -> tuple[PhysState, AuxState]:
     """Fresh object: both pointers initialized by green, already-terminated
-    events 1 and 2, forwarding cells empty, all locks free."""
+    events 1 and 2, forwarding cells empty, all locks free.  The package
+    exports it, so it checks its values itself: a caller need not come
+    through a :class:`~snapcheck.harness.Program`, which checks its own."""
     validate_value(v_x)
     validate_value(v_y)
     phys = PhysState(x=v_x, y=v_y, fx=None, fy=None, s_bit=False)

@@ -17,65 +17,50 @@ from .snapshot import MethodCall
 
 def render_trace(trace: Trace) -> str:
     prog = trace.program
-    lines = [
-        json.dumps(
-            {
-                "kind": "header",
-                "program": prog.name,
-                "threads": [[tid, [c.render() for c in calls]] for tid, calls in prog.threads],
-                "init": [prog.init_x, prog.init_y],
-                "schedule": list(trace.schedule),
-            },
-            sort_keys=True,
-        )
-    ]
-    for s in trace.steps:
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "step",
-                    "i": s.index,
-                    "tid": s.tid,
-                    "label": s.label,
-                    "phys": s.phys_digest,
-                    "aux": s.aux_digest,
-                },
-                sort_keys=True,
-            )
-        )
-    for m in trace.methods:
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "method",
-                    "tid": m.tid,
-                    "op": m.call.render(),
-                    "result": list(m.result) if m.result is not None else None,
-                    "inv": m.invocation,
-                    "resp": m.response,
-                    "t": m.t,
-                    "witness": m.witness,
-                    "wx": m.witness_x,
-                    "wy": m.witness_y,
-                },
-                sort_keys=True,
-            )
-        )
-    lines.append(
-        json.dumps(
-            {
-                "kind": "footer",
-                "sigma": list(trace.final_sigma),
-                "sigma_values": list(trace.final_sigma_values),
-                "kappa": [[t, c] for t, c in trace.final_kappa],
-                "phys": trace.phys_digest,
-                "aux": trace.aux_digest,
-                "violations": list(trace.violations),
-            },
-            sort_keys=True,
-        )
+    header = {
+        "kind": "header",
+        "program": prog.name,
+        "threads": [[tid, [c.render() for c in calls]] for tid, calls in prog.threads],
+        "init": [prog.init_x, prog.init_y],
+        "schedule": list(trace.schedule),
+    }
+    steps = (
+        {
+            "kind": "step",
+            "i": s.index,
+            "tid": s.tid,
+            "label": s.label,
+            "phys": s.phys_digest,
+            "aux": s.aux_digest,
+        }
+        for s in trace.steps
     )
-    return "\n".join(lines) + "\n"
+    methods = (
+        {
+            "kind": "method",
+            "tid": m.tid,
+            "op": m.call.render(),
+            "result": list(m.result) if m.result is not None else None,
+            "inv": m.invocation,
+            "resp": m.response,
+            "t": m.t,
+            "witness": m.witness,
+            "wx": m.witness_x,
+            "wy": m.witness_y,
+        }
+        for m in trace.methods
+    )
+    footer = {
+        "kind": "footer",
+        "sigma": list(trace.final_sigma),
+        "sigma_values": list(trace.final_sigma_values),
+        "kappa": [[t, c] for t, c in trace.final_kappa],
+        "phys": trace.phys_digest,
+        "aux": trace.aux_digest,
+        "violations": list(trace.violations),
+    }
+    records = (header, *steps, *methods, footer)
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
 def _int(value, what: str) -> int:

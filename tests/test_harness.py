@@ -7,12 +7,24 @@ import pytest
 
 from conftest import entry, one_field_changed, primitive, two_scan_programs
 from snapcheck import harness, invariants, snapshot
-from snapcheck.aux_model import Color, Ptr, WriterPhase, aux_key, evolve, history_key, memo
+from snapcheck.aux_model import (
+    Color,
+    Ptr,
+    WriterPhase,
+    aux_key,
+    eval_at,
+    evolve,
+    history_key,
+    memo,
+    scanned_mask,
+    _ideal_masks,
+)
 from snapcheck.cli import main
 from snapcheck.errors import (
     BudgetExceededError,
     OracleSizeError,
     ScheduleError,
+    SnapshotModelError,
     TraceParseError,
     ValueDomainError,
 )
@@ -287,6 +299,15 @@ def test_a_program_is_checked_where_it_is_made():
         MethodCall.parse("write x 99")
     with pytest.raises(ValueDomainError):
         Program("big", (("c", (MethodCall.scan(),)),), init_x=99)
+
+
+def test_a_bool_is_no_value():
+    """``isinstance(True, int)`` holds, yet a bool renders as ``True`` in a
+    trace file's header, which no parser reads back as a value."""
+    with pytest.raises(ValueDomainError):
+        MethodCall.write(Ptr.X, True)
+    with pytest.raises(ValueDomainError):
+        Program("bool", (("c", (MethodCall.scan(),)),), init_x=False)
 
 
 @pytest.mark.parametrize("name", ["gen-x0-y2", "gen-x2-y0", "gen-x1-y1"])
@@ -589,6 +610,74 @@ def test_history_part_reads_only_the_history(monkeypatch):
     for aux in checker.aux:
         hidden = evolve(aux, wx=blind, wy=blind, scanner=blind)
         assert invariants.check_history(hidden) == invariants.check_history(aux)
+
+
+def _explored_edge_checks(monkeypatch, progs):
+    """The arguments of every ``check_transition`` call whose two histories
+    are equal, and of every ``check_scan_post`` call, that explore makes on
+    ``progs``, each distinct call once."""
+    check_transition, check_scan_post = invariants.check_transition, invariants.check_scan_post
+    equal, scans = {}, {}
+
+    def transition(pre, post):
+        if history_key(pre) == history_key(post):
+            equal[id(pre), id(post)] = pre, post
+        return check_transition(pre, post)
+
+    def scan_post(mask, ret, r, witness):
+        scans[mask, id(ret), r, witness] = mask, ret, r, witness
+        return check_scan_post(mask, ret, r, witness)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(invariants, "check_transition", transition)
+        patched.setattr(invariants, "check_scan_post", scan_post)
+        for prog in progs:
+            assert explore(prog).ok
+    return list(equal.values()), list(scans.values())
+
+
+def _scan_post_by_replay(mask, ret, r, witness):
+    """``check_scan_post`` with each candidate replayed by ``eval_at``, a
+    timestamp before which a pointer has no write disqualified."""
+    scanned, masks = scanned_mask(ret), _ideal_masks(ret)
+
+    def qualifies(t):
+        if not (scanned >> t) & 1 or mask & ~masks[t]:
+            return False
+        try:
+            return eval_at(t, ret.sigma, ret) == r
+        except SnapshotModelError:
+            return False
+
+    good = [t for t in ret.sigma if qualifies(t)]
+    rep = []
+    if not good:
+        rep.append(Violation("scan-post", f"no witness timestamp validates the snapshot {r}"))
+    if witness not in good:
+        rep.append(Violation("scan-post", f"constructive witness {witness} does not qualify"))
+    return rep
+
+
+def test_the_edge_checks_shortcuts_skip_nothing(monkeypatch):
+    """On e and the two-scan clients, every ``check_transition`` call that
+    returns early on equal histories finds nothing when the whole check
+    runs, and ``check_scan_post``, reading one pass of prefix evaluations,
+    gives on every returning scan, its result as returned and bent, the
+    verdict of replaying each candidate with ``eval_at``."""
+    equal, scans = _explored_edge_checks(monkeypatch, [client_e(), *two_scan_programs()])
+    assert len(equal) > 1_000
+    assert len(scans) > 1_000
+    # a fresh object equals no other, so no history passes as unchanged
+    monkeypatch.setattr(invariants, "history_key", lambda aux: object())
+    for pre, post in equal:
+        assert invariants.check_transition(pre, post) == []
+    bent = 0
+    for mask, ret, (x, y), witness in scans:
+        for r in {(x, y), (x + 1, y), (x, y + 1), (y, x)}:
+            got = invariants.check_scan_post(mask, ret, r, witness)
+            assert got == _scan_post_by_replay(mask, ret, r, witness)
+            bent += bool(got)
+    assert bent > 0
 
 
 def test_check_memo_is_scoped_to_one_run(monkeypatch):

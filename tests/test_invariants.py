@@ -258,8 +258,11 @@ def test_scan_post_rejects_stale_snapshot():
     post, _, _ = relink(2, 1, aux)
     mask = capture_spec_snapshot(post, "c", "scan")
     # (5, 0) is outdated once the later writes exist
-    rep = check_scan_post(mask, post, (5, 0))
-    assert rep
+    rep = check_scan_post(mask, post, (5, 0), witness=TS_Y0)
+    assert [v.detail for v in rep] == [
+        "no witness timestamp validates the snapshot (5, 0)",
+        f"constructive witness {TS_Y0} does not qualify",
+    ]
 
 
 def test_scan_post_fig1_result():
@@ -294,10 +297,14 @@ def test_chain_lemma_red_is_exempt():
 
 
 def test_read_lemma():
-    aux = hand_built_fig2a()
+    off = hand_built_fig2a()  # the scanner is off, both bits set
+    aux = replace(off, scanner=replace(off.scanner, on=True))
     assert not check_read_lemma(Ptr.X, 2, aux)  # last green's value
     assert not check_read_lemma(Ptr.X, 3, aux)  # the yellow's value
     assert check_read_lemma(Ptr.X, 5, aux)  # an old green's value
+    # outside its guard the lemma holds vacuously
+    assert not check_read_lemma(Ptr.X, 5, off)
+    assert not check_read_lemma(Ptr.X, 5, replace(aux, scanner=replace(aux.scanner, sx=False)))
 
 
 def test_relink_post_property():

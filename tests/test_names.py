@@ -136,3 +136,63 @@ def test_every_field_and_attribute_is_read():
         if cls not in exported and name not in read
     }
     assert not unread, "state that nothing reads: " + ", ".join(sorted(unread))
+
+
+def _defaulted(tree):
+    """The functions and methods a module defines, each with the parameters
+    it gives a default: a parameter's name and, for one that may be passed
+    by position, the position it takes in a call (a method's ``self`` or
+    ``cls`` is not passed there)."""
+    functions = [(node, False) for node in tree.body]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            functions += [(item, True) for item in node.body]
+    for fn, method in functions:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        decorators = {n for d in fn.decorator_list for n in _mentions(d, False)}
+        skip = 1 if method and "staticmethod" not in decorators else 0
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        params = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+        params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        if params:
+            yield fn, params
+
+
+def _omits(call, name, position):
+    """Whether ``call`` leaves the parameter ``name`` to its default; a call
+    that passes ``*args`` or ``**kwargs`` may."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None for k in call.keywords):
+        return True
+    if position is not None and len(call.args) > position:
+        return False
+    return all(k.arg != name for k in call.keywords)
+
+
+def test_every_parameter_default_is_used():
+    """Each default a function or method under ``src/snapcheck`` gives a
+    parameter is taken by some call in ``src/`` or ``perfbench/``, matched
+    by the callee's name: a default that every caller overrides is an
+    option nothing sets.  The functions the package exports are the
+    API's."""
+    trees, exported = _sources()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                for name in _mentions(node.func, False):
+                    calls.setdefault(name, []).append(node)
+    unused = [
+        f"{path.name}: {fn.name}({name}=...)"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for fn, params in _defaulted(tree)
+        if fn.name not in exported
+        for name, position in params
+        if not any(_omits(call, name, position) for call in calls.get(fn.name, ()))
+    ]
+    assert not unused, "defaults that no call takes: " + ", ".join(unused)

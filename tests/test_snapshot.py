@@ -20,9 +20,8 @@ from snapcheck.snapshot import (
     apply_step,
     aux_digest,
     init,
+    call_steps,
     make_frame,
-    scan_steps,
-    write_steps,
 )
 
 
@@ -50,7 +49,7 @@ def test_init_value_domain():
 
 
 def test_step_lists():
-    labels = [s.label for s in write_steps(Ptr.X)]
+    labels = [s.label for s in call_steps(MethodCall.write(Ptr.X, 2))]
     assert labels == [
         "acquire:wx",
         "register:x",
@@ -59,7 +58,7 @@ def test_step_lists():
         "finalize:x",
         "release:wx",
     ]
-    assert len(scan_steps()) == 11
+    assert len(call_steps(MethodCall.scan())) == 11
 
 
 def test_uncontended_write_takes_five_steps():
