@@ -16,7 +16,11 @@ auxiliary parts.  So each part runs once per run on each distinct thing it
 reads: history, auxiliary part or (physical, auxiliary) pair.  In
 ``explore`` each distinct half step is computed and checked once, and
 replayed from explore's own tables wherever it recurs: it walks the ids of
-a state's parts, and builds a :class:`State` only where a table misses.
+a state's parts, and builds a :class:`State` only where a table misses.  A
+step that neither reads nor writes the auxiliary part (a kind in
+``snapshot.AUX_BLIND``) is filed whole by its entry and physical part, and
+carries the auxiliary part through; and each successor's key is derived
+from its parent's, where the ids fit their digits.
 ``run_schedule`` deterministically replays an explicit schedule into a full
 trace, and ``run_random`` drives seeded random executions; both run one
 loop whose chooser follows the schedule or draws from the seeded RNG, and
@@ -37,7 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
 
-from . import invariants, oracle
+from . import invariants, oracle, snapshot
 from .aux_model import (
     AuxState,
     Ptr,
@@ -50,7 +54,13 @@ from .aux_model import (
     memo,
     validate_value,
 )
-from .errors import BudgetExceededError, ScheduleError, TraceParseError, ValueDomainError
+from .errors import (
+    BudgetExceededError,
+    GuardViolationError,
+    ScheduleError,
+    TraceParseError,
+    ValueDomainError,
+)
 from .invariants import Violation
 from .oracle import MethodRecord
 from .snapshot import (
@@ -299,7 +309,8 @@ def state_key(pid: int, aid: int, eids: tuple[int, ...]):
     tuple of ids stands in, so that the key is injective at any size (no
     int equals a tuple).  An int of up to 60 bits takes 32 bytes, against
     80 for a tuple of five small ints, and the visited set holds one key
-    per state."""
+    per state.  ``explore`` derives an int key from its parent's where it
+    can, equal to this one bit for bit."""
     key = aid
     for i in (pid, *eids):
         if i >> _ID_BITS:
@@ -554,7 +565,15 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     state's parts: the checker's for the physical and auxiliary parts, and
     its own for the thread entries, which key nothing else.  Where a table
     misses, ``fill`` takes the step through the checker from a
-    :class:`State` built of the canonical parts.
+    :class:`State` built of the canonical parts.  A step of a kind in
+    ``snapshot.AUX_BLIND`` has one outcome under every auxiliary part, so
+    it is filed whole by (entry id, phys id), taken once per pair and
+    checked there to leave the auxiliary part as it was with an empty
+    verdict (:class:`GuardViolationError` otherwise).  A successor's key is
+    ``state_key`` of its ids, derived from its parent's key by swapping in
+    the ids that a step can change (aux, phys and the stepping thread's
+    entry); ``state_key`` itself makes only the first key and those where
+    an id outgrows its digit.
     """
     checker = _Checker(prog)
     state0 = checker.start()
@@ -566,7 +585,10 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     entry_ids: dict[tuple, int] = {}
     # The physical half of a step, by entry id and phys id: the post phys id
     # and the table of the auxiliary halves of the steps that read the same
-    # value (``observed``) under the entry; False where it has no step enabled.
+    # value (``observed``) under the entry; False where it has no step
+    # enabled.  An aux-blind step (``snapshot.AUX_BLIND``) is whole here:
+    # the post phys id and the post entry id, an int where the others have
+    # their table.
     phys_steps: defaultdict[int, dict] = defaultdict(dict)
     # Those tables, by (entry id, value read), each by aux id: the post aux
     # id, the post entry id and the edge's violations.  An entry fixes the
@@ -576,6 +598,14 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     trail: list[tuple] = []
     executions: list[Trace] = []
     edges = 0
+    # state_key's digits: a successor of a parent keyed by an int, whose new
+    # ids fit their digits, has the parent's key with three digits swapped.
+    # Swapped by XOR: CPython sizes a sum for a carry and keeps that size, so
+    # a key made by addition would take 8 bytes more in the visited set.
+    limit = 1 << _ID_BITS
+    n = len(tids)
+    aux_shift, phys_shift = (n + 1) * _ID_BITS, n * _ID_BITS
+    entry_shifts = [(n - 1 - i) * _ID_BITS for i in range(n)]
 
     def number(tid: Tid, entry: ThreadEntry) -> int:
         eid = entry_ids.setdefault(entry_key(tid, entry), len(entries))
@@ -585,18 +615,27 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
 
     def fill(pid: int, aid: int, eids: tuple[int, ...], i: int):
         """File the step of thread ``i`` from the state of ids ``pid``,
-        ``aid``, ``eids``: its two halves, or None where it is disabled."""
+        ``aid``, ``eids`` and return its physical half, False where it is
+        disabled."""
         eid, pre = eids[i], phys[pid]
         step = entries[eid].step
         if step is None or not step_enabled(step, pre):
             phys_steps[eid][pid] = False
-            return None
+            return False
         state = State(pre, aux[aid], tuple(zip(tids, [entries[e] for e in eids])))
         post, found = checker.take(state, i)
+        post_eid = number(tids[i], post.threads[i][1])
+        if step.kind in snapshot.AUX_BLIND:
+            if post.aux is not state.aux or found:
+                raise GuardViolationError(
+                    f"a {step.kind} step changed the auxiliary part or failed an edge check"
+                )
+            phys_steps[eid][pid] = phys_half = (_id(post.phys), post_eid)
+            return phys_half
         halves = aux_steps[eid, observed(step, pre)]
-        phys_half = phys_steps[eid][pid] = (_id(post.phys), halves)
-        aux_half = halves[aid] = (_id(post.aux), number(tids[i], post.threads[i][1]), found)
-        return phys_half, aux_half
+        halves[aid] = (_id(post.aux), post_eid, found)
+        phys_steps[eid][pid] = phys_half = (_id(post.phys), halves)
+        return phys_half
 
     def dfs(pid: int, aid: int, eids: tuple[int, ...], key: int | tuple) -> int:
         nonlocal edges
@@ -608,19 +647,29 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         first = edges
         for i, eid in enumerate(eids):
             phys_half = phys_steps[eid].get(pid)
+            if phys_half is None:
+                phys_half = fill(pid, aid, eids, i)
             if phys_half is False:
                 continue
-            aux_half = phys_half[1].get(aid) if phys_half else None
-            if aux_half is None:
-                halves = fill(pid, aid, eids, i)
-                if halves is None:
-                    continue
-                phys_half, aux_half = halves
-            post_pid = phys_half[0]
-            post_aid, post_eid, found = aux_half
-            post_eids = eids[:i] + (post_eid,) + eids[i + 1 :]
+            post_pid, halves = phys_half
+            if halves.__class__ is int:  # aux-blind: the aux id carries through
+                post_aid, post_eid, found = aid, halves, ()
+            else:
+                aux_half = halves.get(aid)
+                if aux_half is None:
+                    fill(pid, aid, eids, i)
+                    aux_half = halves[aid]
+                post_aid, post_eid, found = aux_half
             edges += 1
-            pkey = state_key(post_pid, post_aid, post_eids)
+            if key.__class__ is int and post_pid < limit and post_eid < limit:
+                pkey = (
+                    key
+                    ^ ((post_aid ^ aid) << aux_shift)
+                    ^ ((post_pid ^ pid) << phys_shift)
+                    ^ ((post_eid ^ eid) << entry_shifts[i])
+                )
+            else:
+                pkey = state_key(post_pid, post_aid, eids[:i] + (post_eid,) + eids[i + 1 :])
             known = visited.get(pkey)
             if known is None:
                 checker.on_state(post_pid, post_aid, idx)
@@ -628,7 +677,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
                 checker.absorb(found, idx)
             if known is None:
                 trail.append((i, entries[eid], entries[post_eid], aux[post_aid]))
-                total += dfs(post_pid, post_aid, post_eids, pkey)
+                total += dfs(post_pid, post_aid, eids[:i] + (post_eid,) + eids[i + 1 :], pkey)
                 trail.pop()
             else:
                 total += known

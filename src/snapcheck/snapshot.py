@@ -145,6 +145,13 @@ _STEPS = {
 }
 
 
+# The kinds of step that neither read nor write the auxiliary part: for
+# these, apply_step returns it unchanged, no edge check reads it, and the
+# thread already has a frame (neither starts a call).  So a step of one of
+# these kinds has the same outcome under every auxiliary part.
+AUX_BLIND = frozenset({"read-fwd", "release"})
+
+
 def call_steps(call: MethodCall) -> tuple[Step, ...]:
     return _STEPS[call.p]
 

@@ -22,6 +22,7 @@ from snapcheck.aux_model import (
 from snapcheck.cli import main
 from snapcheck.errors import (
     BudgetExceededError,
+    GuardViolationError,
     OracleSizeError,
     ScheduleError,
     SnapshotModelError,
@@ -612,6 +613,73 @@ def test_history_part_reads_only_the_history(monkeypatch):
         assert invariants.check_history(hidden) == invariants.check_history(aux)
 
 
+def test_aux_blind_steps_read_no_aux_part(monkeypatch):
+    """Every read-fwd and release half step of the two-scan explores, taken
+    once per auxiliary part, gives with the auxiliary part made unreadable
+    the same post physical part, entries and frame and the same (empty)
+    edge verdict, and hands the part back as it was: so one outcome per
+    (entry, physical part) serves every auxiliary part."""
+    kinds = snapshot.AUX_BLIND
+    assert kinds == {"read-fwd", "release"}
+    monkeypatch.setattr(snapshot, "AUX_BLIND", frozenset())
+    taken = _count_steps(monkeypatch)
+    for prog in two_scan_programs():
+        explore(prog)
+    blind, seen = _Unread(), []
+    for prog, state, tid in taken:
+        i = state.index(tid)
+        kind = state.threads[i][1].step.kind
+        if kind not in kinds:
+            continue
+        seen.append(kind)
+        post, before = step_state(prog, state, tid)
+        hidden, hidden_before = step_state(prog, evolve(state, aux=blind), tid)
+        assert post.aux is state.aux and hidden.aux is blind
+        assert (hidden.phys, hidden.threads, hidden_before) == (post.phys, post.threads, before)
+        checker = harness._Checker(prog)
+        verdict = checker._check_edge(state.aux, post.aux, before, post.threads[i][1])
+        assert checker._check_edge(blind, blind, before, hidden.threads[i][1]) == verdict == ()
+    assert set(seen) == kinds
+    assert len(seen) > 10_000
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced"])
+def test_aux_blind_steps_change_no_verdict(forced, monkeypatch):
+    """Filing read-fwd and release steps by (entry, phys) and carrying the
+    aux id through gives what taking them once per aux part gives: the same
+    reports, kept records and violation lists, plain and with a violation
+    forced at every level of the state and edge checks."""
+    if forced:
+        _force_violations(monkeypatch)
+    progs = [client_e(), *two_scan_programs()]
+
+    def runs():
+        reports = [explore(prog) for prog in progs]
+        return [
+            (r.render(), r.executions, [(v.name, v.detail, v.step) for v in r.violations])
+            for r in reports
+        ]
+
+    blind = runs()
+    assert all(violations for *_, violations in blind) == forced
+    monkeypatch.setattr(snapshot, "AUX_BLIND", frozenset())
+    assert runs() == blind
+
+
+def test_a_step_filed_aux_blind_must_be_blind(monkeypatch):
+    """A step filed by (entry, phys) alone must leave the auxiliary part as
+    it was and fail no edge check; explore refuses one that does, naming
+    its kind, rather than carry a wrong aux id or drop a violation."""
+    blind = snapshot.AUX_BLIND
+    monkeypatch.setattr(snapshot, "AUX_BLIND", blind | {"register"})
+    with pytest.raises(GuardViolationError, match="a register step changed the auxiliary part"):
+        explore(client_e())
+    _force_violations(monkeypatch)
+    monkeypatch.setattr(snapshot, "AUX_BLIND", blind | {"read"})
+    with pytest.raises(GuardViolationError, match="a read step"):
+        explore(client_e())
+
+
 def _explored_edge_checks(monkeypatch, progs):
     """The arguments of every ``check_transition`` call whose two histories
     are equal, and of every ``check_scan_post`` call, that explore makes on
@@ -683,9 +751,11 @@ def test_the_edge_checks_shortcuts_skip_nothing(monkeypatch):
 def test_check_memo_is_scoped_to_one_run(monkeypatch):
     """A second explore checks afresh (no verdict leaks from the first),
     and within one explore equal parts reached on different paths share
-    one id."""
+    one id.  With 0-bit digits no id but 0 fits one, so explore derives no
+    key from its parent's and ``state_key`` sees every edge's ids."""
     prog = next(p for p in generated_programs() if p.name == "gen-x1-y1")
     assert explore(prog).ok
+    monkeypatch.setattr(harness, "_ID_BITS", 0)
     calls = _watch_state_key(monkeypatch)
     checkers = _record_checkers(monkeypatch)
     entries = _watch_entries(monkeypatch)
@@ -780,22 +850,72 @@ def _full_key(state):
     ids=["gen-x1-y1", "two-scan", "gen-x1-y1-overflow"],
 )
 def test_state_key_is_injective(prog, id_bits, monkeypatch):
-    """The keys explore files its states under are equal exactly when the
-    states' full keys are."""
-    if id_bits is not None:
-        monkeypatch.setattr(harness, "_ID_BITS", id_bits)
+    """The keys explore files its states under, ``state_key`` of their
+    ids, are equal exactly when the states' full keys are.  With 0-bit
+    digits explore derives no key from its parent's, so ``state_key`` sees
+    the ids of every edge's successor; each is keyed again at the width
+    under test (explore's keys at each width are those of
+    ``test_derived_keys_are_state_keys``)."""
+    key_of, width = harness.state_key, (harness._ID_BITS if id_bits is None else id_bits)
+    monkeypatch.setattr(harness, "_ID_BITS", 0)
     calls = _watch_state_key(monkeypatch)
     checkers = _record_checkers(monkeypatch)
     entries = _watch_entries(monkeypatch)
     report = explore(prog)
     [checker] = checkers
+    monkeypatch.setattr(harness, "_ID_BITS", width)
     full_keys = {}
-    for key, ids in calls:
-        full_keys.setdefault(key, set()).add(_full_key(_state_of(checker, entries, *ids)))
+    for _, ids in calls:
+        full_key = _full_key(_state_of(checker, entries, *ids))
+        full_keys.setdefault(key_of(*ids), set()).add(full_key)
     assert all(len(group) == 1 for group in full_keys.values())
     assert len(set().union(*full_keys.values())) == len(full_keys) == report.states
     kinds = {type(key) for key in full_keys}
     assert kinds == ({int} if id_bits is None else {int, tuple})
+
+
+def _record_states(monkeypatch):
+    """The ids and stamp, ``(pid, aid, idx)``, of every ``on_state`` call
+    the checkers make from now on, in order."""
+    seen, on_state = [], harness._Checker.on_state
+
+    def record(self, pid, aid, idx):
+        seen.append((pid, aid, idx))
+        on_state(self, pid, aid, idx)
+
+    monkeypatch.setattr(harness._Checker, "on_state", record)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "prog",
+    [next(p for p in generated_programs() if p.name == "gen-x1-y1"), two_scan_programs()[0]],
+    ids=lambda p: p.name,
+)
+def test_derived_keys_are_state_keys(prog, monkeypatch):
+    """explore derives a successor's key from its parent's where the ids
+    fit their digits, and calls ``state_key`` elsewhere: at 0-bit digits
+    for every key, at 2-bit digits for some (int and tuple keys mix), at
+    the default for the first alone.  A derived key other than
+    ``state_key``'s would file a state twice or two states as one, yet the
+    walk is the same at every width: the same states checked in the same
+    order, and the same report and kept records."""
+    states = _record_states(monkeypatch)
+    calls = _watch_state_key(monkeypatch)
+    runs, made, kinds = [], [], []
+    for bits in (0, 2, harness._ID_BITS):
+        monkeypatch.setattr(harness, "_ID_BITS", bits)
+        report = explore(prog)
+        violations = [(v.name, v.detail, v.step) for v in report.violations]
+        runs.append((states[:], report.render(), report.executions, violations))
+        made.append(len(calls))
+        kinds.append({type(key) for key, _ in calls})
+        states.clear()
+        calls.clear()
+    assert runs[0] == runs[1] == runs[2]
+    assert len(runs[0][0]) == report.states
+    assert made[0] == report.edges + 1 > made[1] > made[2] == 1
+    assert kinds == [{tuple}, {int, tuple}, {int}]
 
 
 def _count_steps(monkeypatch):
@@ -808,12 +928,14 @@ def _count_steps(monkeypatch):
 
 def test_explore_steps_only_where_a_table_misses(monkeypatch):
     """explore takes a step (``step_state``) once per distinct half step of
-    e, 18,600 of them, and folds its kept runs from the trail with no step
-    of their own.  Stepping every edge would take at least 132,390."""
+    e, and a read-fwd or release step once per (entry, physical part), as
+    it reads no auxiliary part: 11,505 steps.  It folds its kept runs from
+    the trail with no step of their own.  Stepping every edge would take at
+    least 132,390."""
     taken = _count_steps(monkeypatch)
     report = explore(client_e())
     assert (report.edges, report.executions_checked) == (132_390, 120)
-    assert len(taken) == 18_600
+    assert len(taken) == 11_505
 
 
 def test_random_runs_step_once_per_step(monkeypatch):
