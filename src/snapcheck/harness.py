@@ -14,13 +14,19 @@ order, which the writer and scanner phase toggles leave as it is), the
 phase part the auxiliary part, and the memory part the physical and
 auxiliary parts.  So each part runs once per run on each distinct thing it
 reads: history, auxiliary part or (physical, auxiliary) pair.  In
-``explore`` each distinct half step is computed and checked once, and
-replayed from explore's own tables wherever it recurs: it walks the ids of
-a state's parts, and builds a :class:`State` only where a table misses.  A
-step that neither reads nor writes the auxiliary part (a kind in
+``explore`` each distinct half step is composed once, and replayed from
+explore's own tables wherever it recurs: it walks the ids of a state's
+parts.  A step that neither reads nor writes the auxiliary part (a kind in
 ``snapshot.AUX_BLIND``) is filed whole by its entry and physical part, and
 carries the auxiliary part through; and each successor's key is derived
-from its parent's, where the ids fit their digits.
+from its parent's, where the ids fit their digits.  A half step splits
+further, as the paper's linking-in-time splits each step into a physical
+change, an auxiliary transition, a frame update and the edge's checks:
+each of these reads less than the whole entry, and ``explore`` keeps a
+part table for each, keyed by what it reads, from which it composes a
+half step that its tables miss.  It builds a :class:`State` and takes the
+step through the checker only where a part table misses, so each distinct
+part is computed once and each distinct edge verdict checked once.
 ``run_schedule`` deterministically replays an explicit schedule into a full
 trace, and ``run_random`` drives seeded random executions; both run one
 loop whose chooser follows the schedule or draws from the seeded RNG, and
@@ -76,6 +82,7 @@ from .snapshot import (
     observed,
     phys_digest,
     phys_key,
+    scan_result,
     step_enabled,
 )
 
@@ -295,6 +302,66 @@ def entry_key(tid: Tid, entry: ThreadEntry) -> tuple:
     it out."""
     frame = entry.frame
     return (tid, entry.call_idx, None if frame is None else frame_key(frame))
+
+
+# What each part of a step reads, for explore's part tables.  A step's
+# physical half, its auxiliary transition, its frame update and its edge
+# checks each read less than the whole (entry, value read, auxiliary part)
+# triple: ``explore`` keys each part by what it reads, so that steps from
+# different entries share it.
+
+
+def _phys_args(tid: Tid, entry: ThreadEntry) -> tuple:
+    """What a step's physical half reads besides the physical part: its
+    label, its thread (a lock's holder) and the value its call writes."""
+    frame = entry.frame
+    return (entry.step.label, tid, None if frame is None else frame.call.v)
+
+
+def _aux_args(tid: Tid, entry: ThreadEntry, value) -> tuple:
+    """What a step's auxiliary transition reads besides the auxiliary part,
+    ``value`` being what it read from memory: the label, and an acquire's
+    thread and call (whose invocation mask ``make_frame`` takes from the
+    auxiliary part), a register's value, a check's bit, a finalize's thread
+    or the pair a relink returns."""
+    step = entry.step
+    kind = step.kind
+    if kind == "acquire":
+        return (step.label, tid, entry.call_idx)
+    if kind == "register":
+        return (step.label, entry.frame.call.v)
+    if kind == "check":
+        return (step.label, value)
+    if kind == "finalize":
+        return (step.label, tid)
+    if kind == "relink":
+        return (step.label, *scan_result(entry.frame))
+    return (step.label,)
+
+
+def _outputs(kind: str, frame: MethodFrame | None) -> tuple:
+    """What a step of ``kind`` takes from the auxiliary part into the frame
+    it leaves: an acquire's mask, a register's timestamp or a relink's two
+    chosen events."""
+    if kind == "acquire":
+        return (frame.mask,)
+    if kind == "register":
+        return (frame.t,)
+    if kind == "relink":
+        return (frame.witness_x, frame.witness_y)
+    return ()
+
+
+def _verdict_args(tid: Tid, entry: ThreadEntry, value, outputs: tuple, after: ThreadEntry) -> tuple:
+    """What the checks of a step's edge read besides the two auxiliary
+    parts, with the step's auxiliary arguments, which with the pre aux id
+    fix the post aux id: the value read and the outputs, and for a
+    returning call the mask, timestamp, thread, value and result."""
+    args = (*_aux_args(tid, entry, value), value, outputs)
+    if not after.returned:
+        return args
+    before, fr = entry.frame, after.frame
+    return (*args, before.mask, fr.t, fr.tid, before.call.v, fr.result)
 
 
 # Bits of each id below the aux id in a packed key (see state_key).
@@ -564,12 +631,21 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     The walk steps through its own tables of half steps, by the ids of a
     state's parts: the checker's for the physical and auxiliary parts, and
     its own for the thread entries, which key nothing else.  Where a table
-    misses, ``fill`` takes the step through the checker from a
-    :class:`State` built of the canonical parts.  A step of a kind in
-    ``snapshot.AUX_BLIND`` has one outcome under every auxiliary part, so
-    it is filed whole by (entry id, phys id), taken once per pair and
-    checked there to leave the auxiliary part as it was with an empty
-    verdict (:class:`GuardViolationError` otherwise).  A successor's key is
+    misses, ``fill`` composes the half step from four part tables, each
+    keyed by what its part reads and then by the id of the part it steps
+    from: the physical change by ``_phys_args`` and phys id, the auxiliary
+    transition by ``_aux_args`` and aux id (with the ``_outputs`` the
+    frame takes from it), the frame update by value read, outputs and
+    entry id, and the edge's verdict by ``_verdict_args`` and aux id.
+    Only where one of them misses does ``take`` step through the checker,
+    from a :class:`State` built of the canonical parts, and file all four.
+    A composed returning scan adds no scan result: its result is in the
+    verdict's key, so the check that filed the verdict added it.  A step
+    of a kind in ``snapshot.AUX_BLIND`` has one outcome under every
+    auxiliary part, so it is filed whole by (entry id, phys id), composed
+    of its physical change and frame update alone, and checked where it
+    is taken to leave the auxiliary part as it was with an empty verdict
+    (:class:`GuardViolationError` otherwise).  A successor's key is
     ``state_key`` of its ids, derived from its parent's key by swapping in
     the ids that a step can change (aux, phys and the stepping thread's
     entry); ``state_key`` itself makes only the first key and those where
@@ -594,6 +670,17 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     # id, the post entry id and the edge's violations.  An entry fixes the
     # type of what it reads, so the check step's bool never meets an int.
     aux_steps: defaultdict[tuple, dict] = defaultdict(dict)
+    # The part tables, where a miss above is composed: each maps what one
+    # part of a step reads (see _phys_args, _aux_args, _verdict_args) to
+    # a table by the id of the part it steps from.  By _phys_args, then
+    # phys id: the post phys id.  By _aux_args, then aux id: the post aux
+    # id and the outputs the frame takes (_outputs).  By (value read,
+    # outputs), then entry id: the post entry id.  By _verdict_args, then
+    # aux id: the edge's violations.
+    phys_parts: defaultdict[tuple, dict] = defaultdict(dict)
+    aux_parts: defaultdict[tuple, dict] = defaultdict(dict)
+    frame_parts: defaultdict[tuple, dict] = defaultdict(dict)
+    verdicts: defaultdict[tuple, dict] = defaultdict(dict)
     visited: dict[int | tuple, int] = {}
     trail: list[tuple] = []
     executions: list[Trace] = []
@@ -622,20 +709,59 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         if step is None or not step_enabled(step, pre):
             phys_steps[eid][pid] = False
             return False
-        state = State(pre, aux[aid], tuple(zip(tids, [entries[e] for e in eids])))
-        post, found = checker.take(state, i)
-        post_eid = number(tids[i], post.threads[i][1])
+        value = observed(step, pre)
+        post_pid, post_aid, post_eid, found = compose(pid, aid, eid, i, value) or take(
+            pid, aid, eids, i, value
+        )
         if step.kind in snapshot.AUX_BLIND:
-            if post.aux is not state.aux or found:
-                raise GuardViolationError(
-                    f"a {step.kind} step changed the auxiliary part or failed an edge check"
-                )
-            phys_steps[eid][pid] = phys_half = (_id(post.phys), post_eid)
+            phys_steps[eid][pid] = phys_half = (post_pid, post_eid)
             return phys_half
-        halves = aux_steps[eid, observed(step, pre)]
-        halves[aid] = (_id(post.aux), post_eid, found)
-        phys_steps[eid][pid] = phys_half = (_id(post.phys), halves)
+        halves = aux_steps[eid, value]
+        halves[aid] = (post_aid, post_eid, found)
+        phys_steps[eid][pid] = phys_half = (post_pid, halves)
         return phys_half
+
+    def compose(pid: int, aid: int, eid: int, i: int, value):
+        """The step's (post phys id, post aux id, post entry id, verdict)
+        from the part tables, or None where one of them misses."""
+        tid, entry = tids[i], entries[eid]
+        post_pid = phys_parts[_phys_args(tid, entry)].get(pid)
+        blind = entry.step.kind in snapshot.AUX_BLIND
+        transition = (aid, ()) if blind else aux_parts[_aux_args(tid, entry, value)].get(aid)
+        if post_pid is None or transition is None:
+            return None
+        post_aid, outputs = transition
+        post_eid = frame_parts[value, outputs].get(eid)
+        if post_eid is None:
+            return None
+        if blind:
+            return post_pid, aid, post_eid, ()
+        found = verdicts[_verdict_args(tid, entry, value, outputs, entries[post_eid])].get(aid)
+        return None if found is None else (post_pid, post_aid, post_eid, found)
+
+    def take(pid: int, aid: int, eids: tuple[int, ...], i: int, value):
+        """Take the step through the checker from a :class:`State` built
+        of the canonical parts, file each of its parts, and return what
+        ``compose`` returns."""
+        tid, eid = tids[i], eids[i]
+        entry = entries[eid]
+        kind = entry.step.kind
+        state = State(phys[pid], aux[aid], tuple(zip(tids, [entries[e] for e in eids])))
+        post, found = checker.take(state, i)
+        after = post.threads[i][1]
+        post_pid, post_aid, post_eid = _id(post.phys), _id(post.aux), number(tid, after)
+        outputs = _outputs(kind, after.frame)
+        phys_parts[_phys_args(tid, entry)][pid] = post_pid
+        frame_parts[value, outputs][eid] = post_eid
+        if kind in snapshot.AUX_BLIND:
+            if post_aid != aid or found:
+                raise GuardViolationError(
+                    f"a {kind} step changed the auxiliary part or failed an edge check"
+                )
+        else:
+            aux_parts[_aux_args(tid, entry, value)][aid] = (post_aid, outputs)
+            verdicts[_verdict_args(tid, entry, value, outputs, after)][aid] = found
+        return post_pid, post_aid, post_eid, found
 
     def dfs(pid: int, aid: int, eids: tuple[int, ...], key: int | tuple) -> int:
         nonlocal edges

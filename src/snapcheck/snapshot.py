@@ -270,13 +270,21 @@ def apply_step(
         return phys, aux, clear_dead(frame2, "vx" if p == Ptr.X else "vy")
 
     if kind == "relink":
-        rx = frame.ox if frame.ox is not None else frame.vx
-        ry = frame.oy if frame.oy is not None else frame.vy
+        rx, ry = scan_result(frame)
         aux2, t_x, t_y = aux_ops.relink(rx, ry, aux)
         frame2 = evolve(frame, pc=nxt, witness_x=t_x, witness_y=t_y, result=(rx, ry))
         return phys, aux2, clear_dead(frame2, "vx", "vy", "ox", "oy", "mask")
 
     raise GuardViolationError(f"unknown step kind {kind!r}")
+
+
+def scan_result(frame: MethodFrame) -> tuple[Value, Value]:
+    """The pair a scan's relink step returns: per pointer, the forwarded
+    value where the scan read one, else the value it read from the
+    pointer."""
+    rx = frame.ox if frame.ox is not None else frame.vx
+    ry = frame.oy if frame.oy is not None else frame.vy
+    return rx, ry
 
 
 def observed(step: Step, phys: PhysState):

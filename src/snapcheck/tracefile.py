@@ -15,6 +15,11 @@ from .oracle import MethodRecord
 from .snapshot import MethodCall
 
 
+# One encoder for every record: ``json.dumps`` with an argument builds a
+# fresh encoder on each call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def render_trace(trace: Trace) -> str:
     prog = trace.program
     header = {
@@ -60,7 +65,7 @@ def render_trace(trace: Trace) -> str:
         "violations": list(trace.violations),
     }
     records = (header, *steps, *methods, footer)
-    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    return "".join(_ENCODER.encode(record) + "\n" for record in records)
 
 
 def _int(value, what: str) -> int:

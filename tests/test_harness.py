@@ -614,16 +614,18 @@ def test_history_part_reads_only_the_history(monkeypatch):
 
 
 def test_aux_blind_steps_read_no_aux_part(monkeypatch):
-    """Every read-fwd and release half step of the two-scan explores, taken
-    once per auxiliary part, gives with the auxiliary part made unreadable
-    the same post physical part, entries and frame and the same (empty)
-    edge verdict, and hands the part back as it was: so one outcome per
-    (entry, physical part) serves every auxiliary part."""
+    """Every read-fwd and release half step of the explores of e and the
+    two-scan clients, taken once per entry and auxiliary part (the part
+    tables keyed by the whole entry), gives with the auxiliary part made
+    unreadable the same post physical part, entries and frame and the same
+    (empty) edge verdict, and hands the part back as it was: so one
+    outcome per (entry, physical part) serves every auxiliary part."""
     kinds = snapshot.AUX_BLIND
     assert kinds == {"read-fwd", "release"}
     monkeypatch.setattr(snapshot, "AUX_BLIND", frozenset())
+    _widen_part_keys(monkeypatch)
     taken = _count_steps(monkeypatch)
-    for prog in two_scan_programs():
+    for prog in [client_e(), *two_scan_programs()]:
         explore(prog)
     blind, seen = _Unread(), []
     for prog, state, tid in taken:
@@ -643,15 +645,17 @@ def test_aux_blind_steps_read_no_aux_part(monkeypatch):
     assert len(seen) > 10_000
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced"])
-def test_aux_blind_steps_change_no_verdict(forced, monkeypatch):
-    """Filing read-fwd and release steps by (entry, phys) and carrying the
-    aux id through gives what taking them once per aux part gives: the same
-    reports, kept records and violation lists, plain and with a violation
-    forced at every level of the state and edge checks."""
+def _widening_changes_nothing(monkeypatch, forced, widen):
+    """Check that explore gives the same reports, kept records and
+    violation lists on e, the two-scan clients and a thread that first
+    writes the value its pointer holds, before and after ``widen`` keys
+    some of its tables by more; with a violation forced at every level of
+    the state and edge checks where ``forced``."""
     if forced:
         _force_violations(monkeypatch)
-    progs = [client_e(), *two_scan_programs()]
+    # a's two registers of x start from equal physical parts
+    rewrite = parse_program("init 2 0\na: write x 2; write x 3\ns: scan\n", name="rewrite")
+    progs = [client_e(), *two_scan_programs(), rewrite]
 
     def runs():
         reports = [explore(prog) for prog in progs]
@@ -660,10 +664,40 @@ def test_aux_blind_steps_change_no_verdict(forced, monkeypatch):
             for r in reports
         ]
 
-    blind = runs()
-    assert all(violations for *_, violations in blind) == forced
-    monkeypatch.setattr(snapshot, "AUX_BLIND", frozenset())
-    assert runs() == blind
+    narrow = runs()
+    assert all(violations for *_, violations in narrow) == forced
+    widen(monkeypatch)
+    assert runs() == narrow
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced"])
+def test_aux_blind_steps_change_no_verdict(forced, monkeypatch):
+    """Filing read-fwd and release steps by (entry, phys) and carrying the
+    aux id through gives what taking them once per aux part gives."""
+    _widening_changes_nothing(
+        monkeypatch, forced, lambda patch: patch.setattr(snapshot, "AUX_BLIND", frozenset())
+    )
+
+
+def _widen_part_keys(monkeypatch):
+    """Key explore's part tables by the whole entry: each part of a step
+    is then shared only by the steps of one entry, as a half step is."""
+    monkeypatch.setattr(harness, "_phys_args", lambda tid, e: entry_key(tid, e))
+    monkeypatch.setattr(harness, "_aux_args", lambda tid, e, value: (entry_key(tid, e), value))
+    monkeypatch.setattr(
+        harness,
+        "_verdict_args",
+        lambda tid, e, value, outputs, after: (entry_key(tid, e), value, outputs),
+    )
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced"])
+def test_part_tables_change_no_verdict(forced, monkeypatch):
+    """Keying each part of a step by what it reads (``_phys_args``,
+    ``_aux_args``, ``_verdict_args``) gives what keying it by the whole
+    entry gives.  A projection that drops a field its part reads would
+    hand one entry's part to another."""
+    _widening_changes_nothing(monkeypatch, forced, _widen_part_keys)
 
 
 def test_a_step_filed_aux_blind_must_be_blind(monkeypatch):
@@ -927,14 +961,20 @@ def _count_steps(monkeypatch):
 
 
 def test_explore_steps_only_where_a_table_misses(monkeypatch):
-    """explore takes a step (``step_state``) once per distinct half step of
-    e, and a read-fwd or release step once per (entry, physical part), as
-    it reads no auxiliary part: 11,505 steps.  It folds its kept runs from
-    the trail with no step of their own.  Stepping every edge would take at
-    least 132,390."""
+    """explore takes a step (``step_state``) on e only where one of its
+    part tables misses: a half step whose physical change, auxiliary
+    transition, frame update and edge verdict were each seen on another
+    entry is composed from them, 4,813 steps in all.  Keyed by the whole
+    entry, as half steps are, the parts take 11,505.  It folds its kept
+    runs from the trail with no step of their own.  Stepping every edge
+    would take at least 132,390."""
     taken = _count_steps(monkeypatch)
     report = explore(client_e())
     assert (report.edges, report.executions_checked) == (132_390, 120)
+    assert len(taken) == 4_813
+    taken.clear()
+    _widen_part_keys(monkeypatch)
+    explore(client_e())
     assert len(taken) == 11_505
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from snapcheck import tracefile
 from snapcheck.cli import main
 from snapcheck.errors import TraceParseError
 from snapcheck.harness import (
@@ -47,6 +48,21 @@ def test_roundtrip_is_stable_text():
     trace = run_schedule(client_fig1(), FIG1_SCHEDULE)
     text = render_trace(trace)
     assert render_trace(parse_trace(text)) == text
+
+
+def test_records_encode_as_json_dumps_does(monkeypatch):
+    """render_trace encodes every record with one shared encoder, and
+    writes the demo trace byte for byte as ``json.dumps(record,
+    sort_keys=True)`` on each record does."""
+    trace = run_schedule(client_fig1(), FIG1_SCHEDULE)
+    text = render_trace(trace)
+
+    class Dumps:
+        def encode(self, record):
+            return json.dumps(record, sort_keys=True)
+
+    monkeypatch.setattr(tracefile, "_ENCODER", Dumps())
+    assert render_trace(trace) == text
 
 
 def test_parse_empty():
