@@ -4,35 +4,28 @@
 distinct states, so commuting interleavings are explored once), running the
 full invariant battery after every atomic step, the method postconditions at
 every return, and the brute-force oracle on one representative execution per
-distinct terminal state.  A step's physical half reads only the physical
-state and the thread's entry, its auxiliary half only the auxiliary state,
-the entry and the one value the step read from memory, and the checks of an
-edge only the two auxiliary parts and the thread's frames.  The state
+distinct terminal state.  A step is three effects, each on one part and
+reading only its own arguments (``snapshot.phys_effect``, ``aux_effect``
+and ``frame_effect``), and the checks of its edge read only the two
+auxiliary parts and what ``_Checker._check_edge`` is handed.  The state
 checks come in three parts, by what they read: the history part only the
 auxiliary history (events, colors, end times, ownership and the logical
 order, which the writer and scanner phase toggles leave as it is), the
 phase part the auxiliary part, and the memory part the physical and
 auxiliary parts.  So each part runs once per run on each distinct thing it
-reads: history, auxiliary part or (physical, auxiliary) pair.  In
-``explore`` each distinct half step is composed once, and replayed from
-explore's own tables wherever it recurs: it walks the ids of a state's
-parts.  A step that neither reads nor writes the auxiliary part (a kind in
-``snapshot.AUX_BLIND``) is filed whole by its entry and physical part, and
-carries the auxiliary part through; and each successor's key is derived
-from its parent's, where the ids fit their digits.  A half step splits
-further, as the paper's linking-in-time splits each step into a physical
-change, an auxiliary transition, a frame update and the edge's checks:
-each of these reads less than the whole entry, and ``explore`` keeps a
-part table for each, keyed by what it reads, from which it composes a
-half step that its tables miss.  It builds a :class:`State` and takes the
-step through the checker only where a part table misses, so each distinct
-part is computed once and each distinct edge verdict checked once.
-``run_schedule`` deterministically replays an explicit schedule into a full
-trace, and ``run_random`` drives seeded random executions; both run one
-loop whose chooser follows the schedule or draws from the seeded RNG, and
-take every step afresh: one path repeats few half steps.  Every scheduler
-reaches its :class:`_Checker` only through ``start``, ``take``,
-``on_state``, ``absorb``, ``finish`` and ``report``.
+reads: history, auxiliary part or (physical, auxiliary) pair.  ``explore``
+replays each distinct half step from its own tables wherever it recurs,
+walking the ids of a state's parts, and composes one that they miss from
+a table per function, keyed by that function's arguments, calling only
+the functions whose tables miss.  ``run_schedule`` deterministically
+replays an explicit schedule into a full trace, and ``run_random`` drives
+seeded random executions; both run one loop whose chooser follows the
+schedule or draws from the seeded RNG, and take every step afresh through
+``apply_step``, the composition of the effects: one path repeats few half
+steps.  Every scheduler reaches its :class:`_Checker` through ``start``,
+``on_state``, ``absorb``, ``finish`` and ``report``; the loop steps with
+``take``, and ``explore`` interns the parts it makes with ``_canon`` and
+checks the edges it composes with ``_check_edge``.
 
 A :class:`State` is the machine state only.  Every scheduler keeps the run
 that reached it as a trail, one item per step taken (``explore`` pops it
@@ -76,13 +69,16 @@ from .snapshot import (
     Step,
     apply_step,
     aux_digest,
+    aux_effect,
     call_steps,
+    effect_args,
+    frame_effect,
     init,
     make_frame,
     observed,
     phys_digest,
+    phys_effect,
     phys_key,
-    scan_result,
     step_enabled,
 )
 
@@ -247,24 +243,37 @@ def enabled_tids(prog: Program, state: State) -> list[Tid]:
     return [tid for tid, e in state.threads if e.step is not None and step_enabled(e.step, phys)]
 
 
+def _stepping_frame(prog: Program, tid: Tid, entry: ThreadEntry) -> MethodFrame:
+    """The frame that takes ``tid``'s next step from ``entry``: the entry's
+    own, or at the start of a call a new one (see ``make_frame``)."""
+    frame = entry.frame
+    return make_frame(tid, prog.calls_of(tid)[entry.call_idx]) if frame is None else frame
+
+
+def _entry_after(prog: Program, tid: Tid, call_idx: int, frame: MethodFrame) -> ThreadEntry:
+    """``tid``'s entry once a step of its call ``call_idx`` left ``frame``."""
+    steps = frame.steps
+    if frame.pc == len(steps):
+        return _between_calls(prog, tid, call_idx + 1)
+    return ThreadEntry(call_idx, frame, steps[frame.pc])
+
+
+def _step(prog: Program, state: State, i: int) -> tuple[State, MethodFrame, object, tuple]:
+    """Thread ``i``'s next atomic step from ``state``, by ``apply_step``:
+    the post-state, the frame that took the step, the value the step read
+    from memory and the outputs of its auxiliary effect."""
+    tid, entry = state.threads[i]
+    before = _stepping_frame(prog, tid, entry)
+    phys, aux, frame, value, outputs = apply_step(entry.step, state.phys, state.aux, before)
+    after = (tid, _entry_after(prog, tid, entry.call_idx, frame))
+    threads = state.threads[:i] + (after,) + state.threads[i + 1 :]
+    return State(phys, aux, threads), before, value, outputs
+
+
 def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, MethodFrame]:
     """Apply tid's next atomic step: the post-state and the frame that took
-    the step.  A thread starting a new call gets its frame (and invocation
-    mask) created here, just before its acquire."""
-    i = state.index(tid)
-    entry = state.threads[i][1]
-    frame = entry.frame
-    if frame is None:
-        frame = make_frame(tid, prog.calls_of(tid)[entry.call_idx], state.aux)
-    phys2, aux2, frame2 = apply_step(entry.step, state.phys, state.aux, frame)
-    steps = frame.steps
-    if frame2.pc == len(steps):
-        entry2 = _between_calls(prog, tid, entry.call_idx + 1)
-    else:
-        entry2 = ThreadEntry(entry.call_idx, frame2, steps[frame2.pc])
-    threads = state.threads
-    threads = threads[:i] + ((tid, entry2),) + threads[i + 1 :]
-    return evolve(state, phys=phys2, aux=aux2, threads=threads), frame
+    the step."""
+    return _step(prog, state, state.index(tid))[:2]
 
 
 def _witness(fr: MethodFrame, aux: AuxState) -> Timestamp:
@@ -304,64 +313,28 @@ def entry_key(tid: Tid, entry: ThreadEntry) -> tuple:
     return (tid, entry.call_idx, None if frame is None else frame_key(frame))
 
 
-# What each part of a step reads, for explore's part tables.  A step's
-# physical half, its auxiliary transition, its frame update and its edge
-# checks each read less than the whole (entry, value read, auxiliary part)
-# triple: ``explore`` keys each part by what it reads, so that steps from
-# different entries share it.
+def _returned(before: MethodFrame, after: ThreadEntry):
+    """What the postcondition of the call that the step of ``before`` to
+    ``after`` returned reads besides the auxiliary part (None where it
+    returned none): the invocation mask and the frame the call returns
+    with, which holds no local that the postcondition does not read."""
+    return (before.mask, after.frame) if after.returned else None
 
 
-def _phys_args(tid: Tid, entry: ThreadEntry) -> tuple:
-    """What a step's physical half reads besides the physical part: its
-    label, its thread (a lock's holder) and the value its call writes."""
-    frame = entry.frame
-    return (entry.step.label, tid, None if frame is None else frame.call.v)
+# The check of its own that the edge of a step of each kind adds, beside
+# the transition check and a returning call's postcondition, from the
+# step, the two auxiliary parts, the value read and the auxiliary outputs.
+_EDGE_CHECKS = {
+    "register": lambda step, pre, post, value, out: invariants.check_write_fresh(pre, *out),
+    "read": lambda step, pre, post, value, out: invariants.check_read_lemma(step.ptr, value, post),
+    "relink": lambda step, pre, post, value, out: invariants.check_relink_post(post, *out),
+}
 
-
-def _aux_args(tid: Tid, entry: ThreadEntry, value) -> tuple:
-    """What a step's auxiliary transition reads besides the auxiliary part,
-    ``value`` being what it read from memory: the label, and an acquire's
-    thread and call (whose invocation mask ``make_frame`` takes from the
-    auxiliary part), a register's value, a check's bit, a finalize's thread
-    or the pair a relink returns."""
-    step = entry.step
-    kind = step.kind
-    if kind == "acquire":
-        return (step.label, tid, entry.call_idx)
-    if kind == "register":
-        return (step.label, entry.frame.call.v)
-    if kind == "check":
-        return (step.label, value)
-    if kind == "finalize":
-        return (step.label, tid)
-    if kind == "relink":
-        return (step.label, *scan_result(entry.frame))
-    return (step.label,)
-
-
-def _outputs(kind: str, frame: MethodFrame | None) -> tuple:
-    """What a step of ``kind`` takes from the auxiliary part into the frame
-    it leaves: an acquire's mask, a register's timestamp or a relink's two
-    chosen events."""
-    if kind == "acquire":
-        return (frame.mask,)
-    if kind == "register":
-        return (frame.t,)
-    if kind == "relink":
-        return (frame.witness_x, frame.witness_y)
-    return ()
-
-
-def _verdict_args(tid: Tid, entry: ThreadEntry, value, outputs: tuple, after: ThreadEntry) -> tuple:
-    """What the checks of a step's edge read besides the two auxiliary
-    parts, with the step's auxiliary arguments, which with the pre aux id
-    fix the post aux id: the value read and the outputs, and for a
-    returning call the mask, timestamp, thread, value and result."""
-    args = (*_aux_args(tid, entry, value), value, outputs)
-    if not after.returned:
-        return args
-    before, fr = entry.frame, after.frame
-    return (*args, before.mask, fr.t, fr.tid, before.call.v, fr.result)
+# The kinds of step whose half step is the same under every auxiliary
+# part: they have no auxiliary effect (``snapshot.AUX_BLIND``) and no
+# edge check of their own (a read's lemma reads the part).  ``explore``
+# files their half steps by entry and physical part alone.
+_FILED_WHOLE = snapshot.AUX_BLIND - _EDGE_CHECKS.keys()
 
 
 # Bits of each id below the aux id in a packed key (see state_key).
@@ -407,21 +380,24 @@ def _digest(part, digest) -> str:
 
 class _Checker:
     """What the schedulers share, and only that: it starts each run
-    (:meth:`start`), takes its steps (:meth:`take`), checks its states and
-    edges and accumulates their verdicts (violations, scan results, runs
-    the oracle checked).  At the end of each run it folds the run's record
-    from the scheduler's trail (:meth:`finish`); no other code derives one.
+    (:meth:`start`), takes whole steps (:meth:`take`), interns the parts
+    that ``explore`` makes by an effect (:meth:`_canon`), checks states
+    (:meth:`on_state`) and edges (:meth:`_check_edge`, which :meth:`take`
+    calls and ``explore`` calls where its verdict table misses), and
+    accumulates their verdicts (violations, scan results, runs the oracle
+    checked).  At the end of each run it folds the run's record from the
+    scheduler's trail (:meth:`finish`); no other code derives one.
 
     The checker hash-conses the parts its check tables key on: equal
     physical parts and equal auxiliary parts of its runs' states become one
     canonical object each, numbered per kind in order of first sight (the
-    id, kept in the object's memo; the kind's list maps it back).  Only
-    :meth:`start` and :meth:`take` intern, so every part descends from the
-    checker's own initial state.  The tables map keys to verdicts, each
-    check's by what it reads: ``check_history``'s by the history's key
-    (``history_key``), ``check_phases``'s by aux id, ``check_memory``'s,
-    with the two others', by phys id and aux id, and
-    ``check_transition``'s by aux id and post aux id.  An edge that leaves
+    id, kept in the object's memo; the kind's list maps it back).  Every
+    part it interns is made by stepping from its own initial state.  The
+    tables map keys to verdicts, each check's by what it reads:
+    ``check_history``'s by the history's key (``history_key``),
+    ``check_phases``'s by aux id, ``check_memory``'s, with the two others',
+    by phys id and aux id, and ``check_transition``'s by aux id and post
+    aux id.  An edge that leaves
     the auxiliary part as it was passes ``check_transition`` by
     reflexivity and is not looked up.
     """
@@ -467,25 +443,26 @@ class _Checker:
 
     def take(self, state: State, i: int) -> tuple[State, tuple[Violation, ...]]:
         """The next step of thread ``i`` from ``state``, a state of this
-        checker's runs, taken by ``step_state``, the one implementation of
-        the semantics: the post-state with its physical and auxiliary
+        checker's runs, taken by ``apply_step``, the composition of the
+        step's effects: the post-state with its physical and auxiliary
         parts interned, and the violations of the edge's checks, unstamped."""
-        post, before = step_state(self.prog, state, self.tids[i])
+        post, before, value, outputs = _step(self.prog, state, i)
         phys = self._canon(post.phys, self.phys, phys_key)
         aux = self._canon(post.aux, self.aux, aux_key)
         if phys is not post.phys or aux is not post.aux:
             post = evolve(post, phys=phys, aux=aux)
-        return post, self._check_edge(state.aux, aux, before, post.threads[i][1])
+        step, returned = state.threads[i][1].step, _returned(before, post.threads[i][1])
+        return post, self._check_edge(state.aux, aux, step, value, outputs, returned)
 
     def _check_edge(
-        self, pre: AuxState, post: AuxState, before: MethodFrame, after: ThreadEntry
+        self, pre: AuxState, post: AuxState, step: Step, value, outputs: tuple, returned
     ) -> tuple[Violation, ...]:
-        """The violations, in order, of every check of the edge from the
-        auxiliary part ``pre`` to ``post`` on which the frame ``before``
-        stepped and left the entry ``after``; no check reads a physical
-        part.  A returning scan also adds its result to the scan results."""
-        step = before.current_step()
-        fr = after.frame
+        """The violations, in order, of every check of the edge of ``step``
+        from the auxiliary part ``pre`` to ``post``, on which the step read
+        ``value`` and its auxiliary effect gave ``outputs``, and which
+        returned the call ``returned`` names (see ``_returned``); no check
+        reads a physical part.  A returning scan also adds its result to
+        the scan results."""
         found = []
         if pre is not post:  # an unchanged part passes by reflexivity
             transitions = self._transition_checks[_id(pre)]
@@ -494,15 +471,12 @@ class _Checker:
             if verdict is None:
                 verdict = transitions[post_aid] = tuple(invariants.check_transition(pre, post))
             found += verdict
-        if step.kind == "register":
-            found += invariants.check_write_fresh(pre, fr.t)
-        if step.kind == "read":
-            value = fr.vx if step.ptr == Ptr.X else fr.vy
-            found += invariants.check_read_lemma(step.ptr, value, post)
-        if step.kind == "relink":
-            found += invariants.check_relink_post(post, fr.witness_x, fr.witness_y)
-        if after.returned:
-            call, mask = before.call, before.mask
+        own = _EDGE_CHECKS.get(step.kind)
+        if own is not None:
+            found += own(step, pre, post, value, outputs)
+        if returned is not None:
+            mask, fr = returned
+            call = fr.call
             if call.kind == "write":
                 found += invariants.check_write_post(mask, post, fr.t, fr.tid, call.p, call.v)
             else:
@@ -631,21 +605,15 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     The walk steps through its own tables of half steps, by the ids of a
     state's parts: the checker's for the physical and auxiliary parts, and
     its own for the thread entries, which key nothing else.  Where a table
-    misses, ``fill`` composes the half step from four part tables, each
-    keyed by what its part reads and then by the id of the part it steps
-    from: the physical change by ``_phys_args`` and phys id, the auxiliary
-    transition by ``_aux_args`` and aux id (with the ``_outputs`` the
-    frame takes from it), the frame update by value read, outputs and
-    entry id, and the edge's verdict by ``_verdict_args`` and aux id.
-    Only where one of them misses does ``take`` step through the checker,
-    from a :class:`State` built of the canonical parts, and file all four.
-    A composed returning scan adds no scan result: its result is in the
-    verdict's key, so the check that filed the verdict added it.  A step
-    of a kind in ``snapshot.AUX_BLIND`` has one outcome under every
-    auxiliary part, so it is filed whole by (entry id, phys id), composed
-    of its physical change and frame update alone, and checked where it
-    is taken to leave the auxiliary part as it was with an empty verdict
-    (:class:`GuardViolationError` otherwise).  A successor's key is
+    misses, ``fill`` composes the half step from a part table per function
+    (the step's three effects and ``_Checker._check_edge``), each keyed by
+    exactly the arguments its function takes, parts by id, and calls a
+    function only where its own table misses.  A composed returning scan
+    adds no scan result: its result is in the verdict's key, so the check
+    that filed the verdict added it.  A step of a kind in ``_FILED_WHOLE``
+    has one outcome under every auxiliary part, so it is filed whole by
+    (entry id, phys id), and checked where it is filed to fail no edge
+    check (:class:`GuardViolationError` otherwise).  A successor's key is
     ``state_key`` of its ids, derived from its parent's key by swapping in
     the ids that a step can change (aux, phys and the stepping thread's
     entry); ``state_key`` itself makes only the first key and those where
@@ -662,25 +630,24 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     # The physical half of a step, by entry id and phys id: the post phys id
     # and the table of the auxiliary halves of the steps that read the same
     # value (``observed``) under the entry; False where it has no step
-    # enabled.  An aux-blind step (``snapshot.AUX_BLIND``) is whole here:
-    # the post phys id and the post entry id, an int where the others have
+    # enabled.  A step filed whole (``_FILED_WHOLE``) is whole here: the
+    # post phys id and the post entry id, an int where the others have
     # their table.
     phys_steps: defaultdict[int, dict] = defaultdict(dict)
     # Those tables, by (entry id, value read), each by aux id: the post aux
     # id, the post entry id and the edge's violations.  An entry fixes the
     # type of what it reads, so the check step's bool never meets an int.
     aux_steps: defaultdict[tuple, dict] = defaultdict(dict)
-    # The part tables, where a miss above is composed: each maps what one
-    # part of a step reads (see _phys_args, _aux_args, _verdict_args) to
-    # a table by the id of the part it steps from.  By _phys_args, then
-    # phys id: the post phys id.  By _aux_args, then aux id: the post aux
-    # id and the outputs the frame takes (_outputs).  By (value read,
-    # outputs), then entry id: the post entry id.  By _verdict_args, then
-    # aux id: the edge's violations.
-    phys_parts: defaultdict[tuple, dict] = defaultdict(dict)
-    aux_parts: defaultdict[tuple, dict] = defaultdict(dict)
-    frame_parts: defaultdict[tuple, dict] = defaultdict(dict)
-    verdicts: defaultdict[tuple, dict] = defaultdict(dict)
+    # The part tables, where a miss above is composed, each keyed by its
+    # function's arguments: (label, argument, phys id) gives the post phys
+    # id, (label, argument, aux id) the post aux id and the outputs,
+    # (entry id, value, outputs) the post entry id, and (label, value,
+    # outputs, returned, aux id, post aux id) the edge's violations.  A
+    # label names its step and fixes the types of the rest.
+    phys_parts: dict[tuple, int] = {}
+    aux_parts: dict[tuple, tuple] = {}
+    frame_parts: dict[tuple, int] = {}
+    verdicts: dict[tuple, tuple] = {}
     visited: dict[int | tuple, int] = {}
     trail: list[tuple] = []
     executions: list[Trace] = []
@@ -705,63 +672,50 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         ``aid``, ``eids`` and return its physical half, False where it is
         disabled."""
         eid, pre = eids[i], phys[pid]
-        step = entries[eid].step
+        entry = entries[eid]
+        step = entry.step
         if step is None or not step_enabled(step, pre):
             phys_steps[eid][pid] = False
             return False
+        tid, label = tids[i], step.label
+        frame = _stepping_frame(prog, tid, entry)
         value = observed(step, pre)
-        post_pid, post_aid, post_eid, found = compose(pid, aid, eid, i, value) or take(
-            pid, aid, eids, i, value
-        )
-        if step.kind in snapshot.AUX_BLIND:
+        phys_arg, aux_args = effect_args(step, frame, value)
+        key = (label, phys_arg, pid)
+        post_pid = phys_parts.get(key)
+        if post_pid is None:
+            post = checker._canon(phys_effect(step, phys_arg, pre), phys, phys_key)
+            post_pid = phys_parts[key] = _id(post)
+        whole = step.kind in _FILED_WHOLE
+        if whole:
+            post_aid, outputs = aid, ()
+        else:
+            key = (label, aux_args, aid)
+            transition = aux_parts.get(key)
+            if transition is None:
+                post, outputs = aux_effect(step, aux_args, aux[aid])
+                transition = aux_parts[key] = (_id(checker._canon(post, aux, aux_key)), outputs)
+            post_aid, outputs = transition
+        key = (eid, value, outputs)
+        post_eid = frame_parts.get(key)
+        if post_eid is None:
+            after = _entry_after(prog, tid, entry.call_idx, frame_effect(frame, value, outputs))
+            post_eid = frame_parts[key] = number(tid, after)
+        returned = _returned(frame, entries[post_eid])
+        key = (label, value, outputs, returned, aid, post_aid)
+        found = verdicts.get(key)
+        if found is None:
+            found = checker._check_edge(aux[aid], aux[post_aid], step, value, outputs, returned)
+            verdicts[key] = found
+        if whole:
+            if found:
+                raise GuardViolationError(f"a {step.kind} step filed whole failed an edge check")
             phys_steps[eid][pid] = phys_half = (post_pid, post_eid)
             return phys_half
         halves = aux_steps[eid, value]
         halves[aid] = (post_aid, post_eid, found)
         phys_steps[eid][pid] = phys_half = (post_pid, halves)
         return phys_half
-
-    def compose(pid: int, aid: int, eid: int, i: int, value):
-        """The step's (post phys id, post aux id, post entry id, verdict)
-        from the part tables, or None where one of them misses."""
-        tid, entry = tids[i], entries[eid]
-        post_pid = phys_parts[_phys_args(tid, entry)].get(pid)
-        blind = entry.step.kind in snapshot.AUX_BLIND
-        transition = (aid, ()) if blind else aux_parts[_aux_args(tid, entry, value)].get(aid)
-        if post_pid is None or transition is None:
-            return None
-        post_aid, outputs = transition
-        post_eid = frame_parts[value, outputs].get(eid)
-        if post_eid is None:
-            return None
-        if blind:
-            return post_pid, aid, post_eid, ()
-        found = verdicts[_verdict_args(tid, entry, value, outputs, entries[post_eid])].get(aid)
-        return None if found is None else (post_pid, post_aid, post_eid, found)
-
-    def take(pid: int, aid: int, eids: tuple[int, ...], i: int, value):
-        """Take the step through the checker from a :class:`State` built
-        of the canonical parts, file each of its parts, and return what
-        ``compose`` returns."""
-        tid, eid = tids[i], eids[i]
-        entry = entries[eid]
-        kind = entry.step.kind
-        state = State(phys[pid], aux[aid], tuple(zip(tids, [entries[e] for e in eids])))
-        post, found = checker.take(state, i)
-        after = post.threads[i][1]
-        post_pid, post_aid, post_eid = _id(post.phys), _id(post.aux), number(tid, after)
-        outputs = _outputs(kind, after.frame)
-        phys_parts[_phys_args(tid, entry)][pid] = post_pid
-        frame_parts[value, outputs][eid] = post_eid
-        if kind in snapshot.AUX_BLIND:
-            if post_aid != aid or found:
-                raise GuardViolationError(
-                    f"a {kind} step changed the auxiliary part or failed an edge check"
-                )
-        else:
-            aux_parts[_aux_args(tid, entry, value)][aid] = (post_aid, outputs)
-            verdicts[_verdict_args(tid, entry, value, outputs, after)][aid] = found
-        return post_pid, post_aid, post_eid, found
 
     def dfs(pid: int, aid: int, eids: tuple[int, ...], key: int | tuple) -> int:
         nonlocal edges

@@ -4,9 +4,13 @@ A write stores into its pointer and, if it saw the scanner bit set, also into
 the pointer's forwarding cell; a scan sets the bit, clears both forwarding
 cells, reads both pointers, unsets the bit, then reads the forwarding cells
 and prefers forwarded values.  Each angle-bracket command of the algorithm is
-one :class:`Step` that performs its physical action and its auxiliary
-transition as a single indivisible state change; lock acquire/release are
-explicit schedulable steps of their own.
+one :class:`Step`, a single indivisible state change; lock acquire/release
+are explicit schedulable steps of their own.  A step is three effects, each
+on one part and reading only its own arguments (:func:`effect_args`): the
+physical effect, the auxiliary effect, and the frame effect, which reads
+what the step read from memory and the outputs of the auxiliary effect.  So
+the physical half of a step is blind to the auxiliary part by its
+signature.  :func:`apply_step` is their composition.
 """
 
 from __future__ import annotations
@@ -145,13 +149,6 @@ _STEPS = {
 }
 
 
-# The kinds of step that neither read nor write the auxiliary part: for
-# these, apply_step returns it unchanged, no edge check reads it, and the
-# thread already has a frame (neither starts a call).  So a step of one of
-# these kinds has the same outcome under every auxiliary part.
-AUX_BLIND = frozenset({"read-fwd", "release"})
-
-
 def call_steps(call: MethodCall) -> tuple[Step, ...]:
     return _STEPS[call.p]
 
@@ -160,7 +157,7 @@ def call_steps(call: MethodCall) -> tuple[Step, ...]:
 class MethodFrame:
     """One in-flight method call: program counter over its call's step list,
     local registers, and the invocation mask its postcondition reads (see
-    :func:`invariants.capture_spec_snapshot`).
+    :func:`invariants.capture_spec_snapshot`), which its acquire takes.
 
     The step after which nothing reads a local sets it to None (see
     :func:`clear_dead`), so the fields as they are identify the frame.
@@ -182,15 +179,16 @@ class MethodFrame:
 
     @property
     def steps(self) -> tuple[Step, ...]:
-        return call_steps(self.call)
+        return _STEPS[self.call.p]
 
     def current_step(self) -> Step:
-        return self.steps[self.pc]
+        return _STEPS[self.call.p][self.pc]
 
 
-def make_frame(tid: Tid, call: MethodCall, aux: AuxState) -> MethodFrame:
-    """Create the frame at invocation, capturing the pre-state mask."""
-    return MethodFrame(tid, call, invariants.capture_spec_snapshot(aux, tid, call.kind))
+def make_frame(tid: Tid, call: MethodCall) -> MethodFrame:
+    """The frame of ``tid``'s call ``call`` before its first step: its
+    acquire takes the invocation mask from the auxiliary part."""
+    return MethodFrame(tid, call, None)
 
 
 def clear_dead(frame: MethodFrame, *names: str) -> MethodFrame:
@@ -205,77 +203,125 @@ def step_enabled(step: Step, phys: PhysState) -> bool:
     return True
 
 
-def apply_step(
-    step: Step, phys: PhysState, aux: AuxState, frame: MethodFrame
-) -> tuple[PhysState, AuxState, MethodFrame]:
-    """Execute one atomic step: physical action and auxiliary transition
-    commit together; the frame's program counter advances.  What the step
-    reads from memory is :func:`observed`'s."""
-    tid = frame.tid
+def effect_args(step: Step, frame: MethodFrame, value) -> tuple:
+    """The arguments of the physical and the auxiliary effect of ``step``,
+    ``frame``'s next, which read ``value`` from memory (:func:`observed`):
+    what each reads besides its part, per kind."""
     kind = step.kind
-    p = step.ptr
-    nxt = frame.pc + 1
+    if kind == "acquire":
+        return frame.tid, (frame.tid, frame.call.kind)
+    if kind == "release":
+        return frame.tid, None
+    if kind == "register":
+        return frame.call.v, frame.call.v
+    if kind == "forward":
+        return frame.call.v, None
+    if kind == "check":
+        return None, value
+    if kind == "finalize":
+        return None, frame.tid
+    if kind == "relink":
+        return None, scan_result(frame)
+    return None, None
 
+
+def phys_effect(step: Step, arg, phys: PhysState) -> PhysState:
+    """The physical action of ``step`` on ``phys``, ``arg`` being its
+    physical argument (:func:`effect_args`)."""
+    kind = step.kind
     if kind == "acquire":
         if phys.holder(step.lock) is not None:
-            raise DisabledStepError(f"{tid}: lock {step.lock} held by {phys.holder(step.lock)}")
-        return phys.with_holder(step.lock, tid), aux, evolve(frame, pc=nxt)
-
+            raise DisabledStepError(f"{arg}: lock {step.lock} held by {phys.holder(step.lock)}")
+        return phys.with_holder(step.lock, arg)
     if kind == "release":
-        if phys.holder(step.lock) != tid:
-            raise GuardViolationError(f"{tid}: releasing lock {step.lock} it does not hold")
-        return phys.with_holder(step.lock, None), aux, evolve(frame, pc=nxt)
-
+        if phys.holder(step.lock) != arg:
+            raise GuardViolationError(f"{arg}: releasing lock {step.lock} it does not hold")
+        return phys.with_holder(step.lock, None)
     if kind == "register":
-        v = frame.call.v
-        phys2 = evolve(phys, **{p: v})
-        aux2, t = aux_ops.register(p, v, aux)
-        return phys2, aux2, evolve(frame, pc=nxt, t=t)
+        return evolve(phys, **{step.ptr: arg})
+    if kind in ("forward", "clear"):  # a clear's argument is None
+        return evolve(phys, **{"fx" if step.ptr == Ptr.X else "fy": arg})
+    if kind in ("set-on", "set-off"):
+        return evolve(phys, s_bit=kind == "set-on")
+    return phys
 
+
+# The auxiliary effect of each kind of step that has one, by kind: from
+# the step's pointer, its auxiliary argument (effect_args) and the
+# auxiliary part, the post auxiliary part followed by the outputs that
+# the frame takes.
+_AUX_EFFECTS = {
+    "acquire": lambda p, args, aux: (aux, invariants.capture_spec_snapshot(aux, *args)),
+    "register": lambda p, v, aux: aux_ops.register(p, v, aux),
+    "check": lambda p, b, aux: (aux_ops.check(p, b, aux),),
+    "forward": lambda p, _, aux: (aux_ops.forward(p, aux),),
+    "finalize": lambda p, tid, aux: (aux_ops.finalize(tid, p, aux),),
+    "set-on": lambda p, _, aux: (aux_ops.set_scanner(True, aux),),
+    "set-off": lambda p, _, aux: (aux_ops.set_scanner(False, aux),),
+    "clear": lambda p, _, aux: (aux_ops.clear(p, aux),),
+    "relink": lambda p, result, aux: aux_ops.relink(*result, aux),
+}
+
+# The kinds of step that have no auxiliary effect: they neither read nor
+# write the auxiliary part, and hand the frame nothing from it.
+AUX_BLIND = frozenset(s.kind for steps in _STEPS.values() for s in steps) - _AUX_EFFECTS.keys()
+
+
+def aux_effect(step: Step, args, aux: AuxState) -> tuple[AuxState, tuple]:
+    """The auxiliary transition of ``step`` on ``aux``, ``args`` being its
+    auxiliary argument (:func:`effect_args`): the post auxiliary part and
+    the outputs the frame takes from it, an acquire's invocation mask, a
+    register's timestamp or a relink's two chosen events (``()`` for the
+    other kinds)."""
+    effect = _AUX_EFFECTS.get(step.kind)
+    if effect is None:
+        return aux, ()
+    post = effect(step.ptr, args, aux)
+    return post[0], post[1:]
+
+
+def frame_effect(frame: MethodFrame, value, outputs: tuple) -> MethodFrame:
+    """``frame`` after its next step, which read ``value`` from memory and
+    took ``outputs`` from its auxiliary effect: the program counter
+    advances (past the forward step where a check read no scan), the
+    locals take what the step read or returned, and those that nothing
+    reads any more are cleared (:func:`clear_dead`)."""
+    step = frame.current_step()
+    kind = step.kind
+    nxt = frame.pc + 1
+    if kind == "acquire":
+        return evolve(frame, pc=nxt, mask=outputs[0])
+    if kind == "register":
+        return evolve(frame, pc=nxt, t=outputs[0])
     if kind == "check":
-        b = observed(step, phys)
-        aux2 = aux_ops.check(p, b, aux)
         # skip the forward step entirely when no scan was in progress
-        return phys, aux2, evolve(frame, pc=nxt if b else nxt + 1)
-
-    if kind == "forward":
-        v = frame.call.v
-        phys2 = evolve(phys, **{"fx" if p == Ptr.X else "fy": v})
-        return phys2, aux_ops.forward(p, aux), evolve(frame, pc=nxt)
-
+        return evolve(frame, pc=nxt if value else nxt + 1)
     if kind == "finalize":
-        aux2 = aux_ops.finalize(tid, p, aux)
-        return phys, aux2, clear_dead(evolve(frame, pc=nxt), "mask")
-
-    if kind == "set-on":
-        return evolve(phys, s_bit=True), aux_ops.set_scanner(True, aux), evolve(frame, pc=nxt)
-
-    if kind == "set-off":
-        return evolve(phys, s_bit=False), aux_ops.set_scanner(False, aux), evolve(frame, pc=nxt)
-
-    if kind == "clear":
-        phys2 = evolve(phys, **{"fx" if p == Ptr.X else "fy": None})
-        return phys2, aux_ops.clear(p, aux), evolve(frame, pc=nxt)
-
+        return clear_dead(evolve(frame, pc=nxt), "mask")
     if kind == "read":
-        field = "vx" if p == Ptr.X else "vy"
-        return phys, aux, evolve(frame, pc=nxt, **{field: observed(step, phys)})
-
-    if kind == "read-fwd":
-        value = observed(step, phys)
-        if value is None:
-            return phys, aux, evolve(frame, pc=nxt)
+        return evolve(frame, pc=nxt, **{"vx" if step.ptr == Ptr.X else "vy": value})
+    if kind == "read-fwd" and value is not None:
         # a forwarded value supersedes the pointer read
-        frame2 = evolve(frame, pc=nxt, **{"ox" if p == Ptr.X else "oy": value})
-        return phys, aux, clear_dead(frame2, "vx" if p == Ptr.X else "vy")
-
+        x = step.ptr == Ptr.X
+        frame2 = evolve(frame, pc=nxt, **{"ox" if x else "oy": value})
+        return clear_dead(frame2, "vx" if x else "vy")
     if kind == "relink":
-        rx, ry = scan_result(frame)
-        aux2, t_x, t_y = aux_ops.relink(rx, ry, aux)
-        frame2 = evolve(frame, pc=nxt, witness_x=t_x, witness_y=t_y, result=(rx, ry))
-        return phys, aux2, clear_dead(frame2, "vx", "vy", "ox", "oy", "mask")
+        t_x, t_y = outputs
+        frame2 = evolve(frame, pc=nxt, witness_x=t_x, witness_y=t_y, result=scan_result(frame))
+        return clear_dead(frame2, "vx", "vy", "ox", "oy", "mask")
+    return evolve(frame, pc=nxt)
 
-    raise GuardViolationError(f"unknown step kind {kind!r}")
+
+def apply_step(step: Step, phys: PhysState, aux: AuxState, frame: MethodFrame) -> tuple:
+    """Execute one atomic step, ``frame``'s next, as the composition of its
+    three effects: the post physical part, auxiliary part and frame, with
+    the value the step read from memory and the outputs of its auxiliary
+    effect, which its edge's checks read."""
+    value = observed(step, phys)
+    phys_arg, aux_args = effect_args(step, frame, value)
+    phys2 = phys_effect(step, phys_arg, phys)
+    aux2, outputs = aux_effect(step, aux_args, aux)
+    return phys2, aux2, frame_effect(frame, value, outputs), value, outputs
 
 
 def scan_result(frame: MethodFrame) -> tuple[Value, Value]:
@@ -290,10 +336,9 @@ def scan_result(frame: MethodFrame) -> tuple[Value, Value]:
 def observed(step: Step, phys: PhysState):
     """The one value of physical memory that ``step`` reads into its
     thread (the scanner bit, a pointer or a forwarding cell), None for a
-    step that reads none.  In :func:`apply_step`, the physical action
-    depends only on the physical state and the frame, and the auxiliary
-    transition and the frame's next state only on the auxiliary state,
-    the frame and this value."""
+    step that reads none.  Of a step's three effects, the auxiliary
+    effect (through :func:`effect_args`) and the frame effect read this
+    value, and neither reads the physical part."""
     p = step.ptr
     if step.kind == "check":
         return phys.s_bit

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from conftest import entry, one_field_changed, primitive, two_scan_programs
-from snapcheck import harness, invariants, snapshot
+from snapcheck import aux_ops, harness, invariants, snapshot
 from snapcheck.aux_model import (
     Color,
     Ptr,
@@ -22,6 +22,7 @@ from snapcheck.aux_model import (
 from snapcheck.cli import main
 from snapcheck.errors import (
     BudgetExceededError,
+    DisabledStepError,
     GuardViolationError,
     OracleSizeError,
     ScheduleError,
@@ -613,103 +614,114 @@ def test_history_part_reads_only_the_history(monkeypatch):
         assert invariants.check_history(hidden) == invariants.check_history(aux)
 
 
-def test_aux_blind_steps_read_no_aux_part(monkeypatch):
-    """Every read-fwd and release half step of the explores of e and the
-    two-scan clients, taken once per entry and auxiliary part (the part
-    tables keyed by the whole entry), gives with the auxiliary part made
-    unreadable the same post physical part, entries and frame and the same
-    (empty) edge verdict, and hands the part back as it was: so one
-    outcome per (entry, physical part) serves every auxiliary part."""
-    kinds = snapshot.AUX_BLIND
+def test_aux_blind_steps_read_no_aux_part(explored_steps):
+    """The kinds of step with no auxiliary effect are those the effect
+    table leaves out, and explore files whole those of them with no edge
+    check of their own.  Every step of such a kind from the explores of e
+    and the two-scan clients, once per distinct (entry, phys, aux), gives
+    with the auxiliary part made unreadable the same post physical part,
+    frame, value and outputs as with the part, hands the part back as it
+    was, and fails no edge check: so one outcome per (entry, physical
+    part) serves every auxiliary part."""
+    assert snapshot.AUX_BLIND == {"read", "read-fwd", "release"}
+    kinds = harness._FILED_WHOLE
     assert kinds == {"read-fwd", "release"}
-    monkeypatch.setattr(snapshot, "AUX_BLIND", frozenset())
-    _widen_part_keys(monkeypatch)
-    taken = _count_steps(monkeypatch)
-    for prog in [client_e(), *two_scan_programs()]:
-        explore(prog)
-    blind, seen = _Unread(), []
-    for prog, state, tid in taken:
-        i = state.index(tid)
-        kind = state.threads[i][1].step.kind
-        if kind not in kinds:
+    blind, seen, checkers = _Unread(), [], {}
+    for prog, tid, e, phys, aux in explored_steps:
+        if e.step.kind not in kinds:
             continue
-        seen.append(kind)
-        post, before = step_state(prog, state, tid)
-        hidden, hidden_before = step_state(prog, evolve(state, aux=blind), tid)
-        assert post.aux is state.aux and hidden.aux is blind
-        assert (hidden.phys, hidden.threads, hidden_before) == (post.phys, post.threads, before)
-        checker = harness._Checker(prog)
-        verdict = checker._check_edge(state.aux, post.aux, before, post.threads[i][1])
-        assert checker._check_edge(blind, blind, before, hidden.threads[i][1]) == verdict == ()
+        seen.append(e.step.kind)
+        frame = harness._stepping_frame(prog, tid, e)
+        post, aux2, *rest = snapshot.apply_step(e.step, phys, aux, frame)
+        hidden = snapshot.apply_step(e.step, phys, blind, frame)
+        assert aux2 is aux and hidden[1] is blind
+        assert (hidden[0], *hidden[2:]) == (post, *rest)
+        post_frame, value, outputs = rest
+        returned = harness._returned(frame, harness._entry_after(prog, tid, e.call_idx, post_frame))
+        checker = checkers.get(prog.name)
+        if checker is None:
+            checker = checkers[prog.name] = harness._Checker(prog)
+        assert checker._check_edge(blind, blind, e.step, value, outputs, returned) == ()
     assert set(seen) == kinds
     assert len(seen) > 10_000
 
 
-def _widening_changes_nothing(monkeypatch, forced, widen):
-    """Check that explore gives the same reports, kept records and
-    violation lists on e, the two-scan clients and a thread that first
-    writes the value its pointer holds, before and after ``widen`` keys
-    some of its tables by more; with a violation forced at every level of
-    the state and edge checks where ``forced``."""
-    if forced:
-        _force_violations(monkeypatch)
+@pytest.fixture(scope="session")
+def default_runs():
+    """explore's reports, kept records and violation lists on e, the
+    two-scan clients and a thread that first writes the value its pointer
+    holds, on the default path: plain, and with a violation forced at
+    every level of the state and edge checks.  Tests that explore these
+    programs another way compare against them."""
+    with pytest.MonkeyPatch.context() as patch:
+        plain = _runs()
+        _force_violations(patch)
+        return {"plain": plain, "forced": _runs()}
+
+
+def _runs():
     # a's two registers of x start from equal physical parts
     rewrite = parse_program("init 2 0\na: write x 2; write x 3\ns: scan\n", name="rewrite")
-    progs = [client_e(), *two_scan_programs(), rewrite]
-
-    def runs():
-        reports = [explore(prog) for prog in progs]
-        return [
-            (r.render(), r.executions, [(v.name, v.detail, v.step) for v in r.violations])
-            for r in reports
-        ]
-
-    narrow = runs()
-    assert all(violations for *_, violations in narrow) == forced
-    widen(monkeypatch)
-    assert runs() == narrow
-
-
-@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced"])
-def test_aux_blind_steps_change_no_verdict(forced, monkeypatch):
-    """Filing read-fwd and release steps by (entry, phys) and carrying the
-    aux id through gives what taking them once per aux part gives."""
-    _widening_changes_nothing(
-        monkeypatch, forced, lambda patch: patch.setattr(snapshot, "AUX_BLIND", frozenset())
-    )
+    reports = [explore(prog) for prog in [client_e(), *two_scan_programs(), rewrite]]
+    return [
+        (r.render(), r.executions, [(v.name, v.detail, v.step) for v in r.violations])
+        for r in reports
+    ]
 
 
 def _widen_part_keys(monkeypatch):
-    """Key explore's part tables by the whole entry: each part of a step
-    is then shared only by the steps of one entry, as a half step is."""
-    monkeypatch.setattr(harness, "_phys_args", lambda tid, e: entry_key(tid, e))
-    monkeypatch.setattr(harness, "_aux_args", lambda tid, e, value: (entry_key(tid, e), value))
-    monkeypatch.setattr(
-        harness,
-        "_verdict_args",
-        lambda tid, e, value, outputs, after: (entry_key(tid, e), value, outputs),
-    )
+    """Key explore's part tables by the frame that steps as well as by
+    their own arguments, and file no step whole: each part of a step is
+    then shared only by the steps of one entry, as a half step is, and a
+    read-fwd or release step is taken once per auxiliary part.  The
+    frame's key rides along in each effect's argument, in the outputs and
+    in the returned call, so that a key that dropped one of them would
+    still name the frame; the functions see their arguments as before."""
+    effect_args, returned = harness.effect_args, harness._returned
+    aux_effect, frame_effect = harness.aux_effect, harness.frame_effect
+    phys_effect, check_edge = harness.phys_effect, harness._Checker._check_edge
+
+    def widened_args(step, frame, value):
+        return tuple((frame_key(frame), args) for args in effect_args(step, frame, value))
+
+    def widened_aux_effect(step, args, aux):
+        post, outputs = aux_effect(step, args[1], aux)
+        return post, (args[0], outputs)
+
+    def unwrapped_check_edge(self, pre, post, step, value, outputs, ret):
+        return check_edge(self, pre, post, step, value, outputs[1], ret[1])
+
+    monkeypatch.setattr(harness, "_FILED_WHOLE", frozenset())
+    monkeypatch.setattr(harness, "effect_args", widened_args)
+    monkeypatch.setattr(harness, "phys_effect", lambda s, arg, phys: phys_effect(s, arg[1], phys))
+    monkeypatch.setattr(harness, "aux_effect", widened_aux_effect)
+    monkeypatch.setattr(harness, "frame_effect", lambda fr, v, out: frame_effect(fr, v, out[1]))
+    monkeypatch.setattr(harness, "_returned", lambda fr, after: (frame_key(fr), returned(fr, after)))
+    monkeypatch.setattr(harness._Checker, "_check_edge", unwrapped_check_edge)
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced"])
-def test_part_tables_change_no_verdict(forced, monkeypatch):
-    """Keying each part of a step by what it reads (``_phys_args``,
-    ``_aux_args``, ``_verdict_args``) gives what keying it by the whole
-    entry gives.  A projection that drops a field its part reads would
-    hand one entry's part to another."""
-    _widening_changes_nothing(monkeypatch, forced, _widen_part_keys)
+def test_part_tables_change_no_verdict(forced, default_runs, monkeypatch):
+    """Keying each part of a step by its function's own arguments, and
+    filing read-fwd and release steps whole by (entry, phys), gives what
+    keying each part by the entry as well and taking every step once per
+    auxiliary part gives: the same reports, kept records and violation
+    lists, step stamps included.  An argument list that left out what its
+    function reads would hand one entry's part to another."""
+    if forced:
+        _force_violations(monkeypatch)
+    narrow = default_runs["forced" if forced else "plain"]
+    assert all(violations for *_, violations in narrow) == forced
+    _widen_part_keys(monkeypatch)
+    assert _runs() == narrow
 
 
 def test_a_step_filed_aux_blind_must_be_blind(monkeypatch):
-    """A step filed by (entry, phys) alone must leave the auxiliary part as
-    it was and fail no edge check; explore refuses one that does, naming
-    its kind, rather than carry a wrong aux id or drop a violation."""
-    blind = snapshot.AUX_BLIND
-    monkeypatch.setattr(snapshot, "AUX_BLIND", blind | {"register"})
-    with pytest.raises(GuardViolationError, match="a register step changed the auxiliary part"):
-        explore(client_e())
+    """A step filed by (entry, phys) alone must fail no edge check;
+    explore refuses one that does, naming its kind, rather than drop a
+    violation."""
     _force_violations(monkeypatch)
-    monkeypatch.setattr(snapshot, "AUX_BLIND", blind | {"read"})
+    monkeypatch.setattr(harness, "_FILED_WHOLE", harness._FILED_WHOLE | {"read"})
     with pytest.raises(GuardViolationError, match="a read step"):
         explore(client_e())
 
@@ -908,6 +920,134 @@ def test_state_key_is_injective(prog, id_bits, monkeypatch):
     assert kinds == ({int} if id_bits is None else {int, tuple})
 
 
+def _reference_apply_step(step, phys, aux, frame):
+    """``apply_step`` as one dispatch that returns the three parts
+    together, as it was before it was split into its effects, for a frame
+    that holds its invocation mask from the start (``_reference_frame``)."""
+    tid = frame.tid
+    kind = step.kind
+    p = step.ptr
+    nxt = frame.pc + 1
+
+    if kind == "acquire":
+        if phys.holder(step.lock) is not None:
+            raise DisabledStepError(f"{tid}: lock {step.lock} held by {phys.holder(step.lock)}")
+        return phys.with_holder(step.lock, tid), aux, evolve(frame, pc=nxt)
+
+    if kind == "release":
+        if phys.holder(step.lock) != tid:
+            raise GuardViolationError(f"{tid}: releasing lock {step.lock} it does not hold")
+        return phys.with_holder(step.lock, None), aux, evolve(frame, pc=nxt)
+
+    if kind == "register":
+        v = frame.call.v
+        phys2 = evolve(phys, **{p: v})
+        aux2, t = aux_ops.register(p, v, aux)
+        return phys2, aux2, evolve(frame, pc=nxt, t=t)
+
+    if kind == "check":
+        b = snapshot.observed(step, phys)
+        aux2 = aux_ops.check(p, b, aux)
+        return phys, aux2, evolve(frame, pc=nxt if b else nxt + 1)
+
+    if kind == "forward":
+        v = frame.call.v
+        phys2 = evolve(phys, **{"fx" if p == Ptr.X else "fy": v})
+        return phys2, aux_ops.forward(p, aux), evolve(frame, pc=nxt)
+
+    if kind == "finalize":
+        aux2 = aux_ops.finalize(tid, p, aux)
+        return phys, aux2, snapshot.clear_dead(evolve(frame, pc=nxt), "mask")
+
+    if kind == "set-on":
+        return evolve(phys, s_bit=True), aux_ops.set_scanner(True, aux), evolve(frame, pc=nxt)
+
+    if kind == "set-off":
+        return evolve(phys, s_bit=False), aux_ops.set_scanner(False, aux), evolve(frame, pc=nxt)
+
+    if kind == "clear":
+        phys2 = evolve(phys, **{"fx" if p == Ptr.X else "fy": None})
+        return phys2, aux_ops.clear(p, aux), evolve(frame, pc=nxt)
+
+    if kind == "read":
+        field = "vx" if p == Ptr.X else "vy"
+        return phys, aux, evolve(frame, pc=nxt, **{field: snapshot.observed(step, phys)})
+
+    if kind == "read-fwd":
+        value = snapshot.observed(step, phys)
+        if value is None:
+            return phys, aux, evolve(frame, pc=nxt)
+        frame2 = evolve(frame, pc=nxt, **{"ox" if p == Ptr.X else "oy": value})
+        return phys, aux, snapshot.clear_dead(frame2, "vx" if p == Ptr.X else "vy")
+
+    if kind == "relink":
+        rx, ry = snapshot.scan_result(frame)
+        aux2, t_x, t_y = aux_ops.relink(rx, ry, aux)
+        frame2 = evolve(frame, pc=nxt, witness_x=t_x, witness_y=t_y, result=(rx, ry))
+        return phys, aux2, snapshot.clear_dead(frame2, "vx", "vy", "ox", "oy", "mask")
+
+    raise GuardViolationError(f"unknown step kind {kind!r}")
+
+
+def _reference_frame(frame, aux):
+    """``frame`` as the reference takes it: a call's frame before its
+    first step already holds the invocation mask taken from ``aux``."""
+    if frame.pc:
+        return frame
+    return evolve(frame, mask=invariants.capture_spec_snapshot(aux, frame.tid, frame.call.kind))
+
+
+def _explored_steps(prog):
+    """Every distinct (thread, entry, phys, aux) from which explore of
+    ``prog`` steps: with 0-bit digits ``state_key`` sees the ids of every
+    state reached, and each thread's entry with the state's two parts
+    names a step, taken once per distinct triple of ids."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_ID_BITS", 0)
+        calls = _watch_state_key(patch)
+        checkers = _record_checkers(patch)
+        entries = _watch_entries(patch)
+        explore(prog)
+    [checker] = checkers
+    seen = set()
+    for _, (pid, aid, eids) in calls:
+        for eid in eids:
+            if (eid, pid, aid) not in seen:
+                seen.add((eid, pid, aid))
+                tid, e = entries[eid]
+                phys = checker.phys[pid]
+                if e.step is not None and snapshot.step_enabled(e.step, phys):
+                    yield tid, e, phys, checker.aux[aid]
+
+
+@pytest.fixture(scope="session")
+def explored_steps():
+    """Every distinct step of the explores of e and the two-scan clients,
+    as (program, thread, entry, phys, aux)."""
+    progs = [client_e(), *two_scan_programs()]
+    return [(prog, *step) for prog in progs for step in _explored_steps(prog)]
+
+
+def test_apply_step_composes_the_reference(explored_steps, monkeypatch):
+    """``apply_step``, the composition of a step's physical, auxiliary and
+    frame effects, gives the post physical part, auxiliary part and frame
+    that the one dispatch it replaced gave, on every step from every
+    distinct (entry, phys, aux) of the explores of e and the two-scan
+    clients, and on every step of 50 random runs of e."""
+    for prog, tid, e, phys, aux in explored_steps:
+        frame = harness._stepping_frame(prog, tid, e)
+        got = snapshot.apply_step(e.step, phys, aux, frame)[:3]
+        assert got == _reference_apply_step(e.step, phys, aux, _reference_frame(frame, aux))
+    assert len(explored_steps) > 100_000
+    log = _record_calls(monkeypatch, "apply_step")
+    report = run_random(client_e(), seed=42, runs=50)
+    steps = [args for name, args in log if name == "apply_step"]
+    assert len(steps) == report.edges
+    for step, phys, aux, frame in steps:
+        got = snapshot.apply_step(step, phys, aux, frame)[:3]
+        assert got == _reference_apply_step(step, phys, aux, _reference_frame(frame, aux))
+
+
 def _record_states(monkeypatch):
     """The ids and stamp, ``(pid, aid, idx)``, of every ``on_state`` call
     the checkers make from now on, in order."""
@@ -952,38 +1092,93 @@ def test_derived_keys_are_state_keys(prog, monkeypatch):
     assert kinds == [{tuple}, {int, tuple}, {int}]
 
 
+def _record_calls(monkeypatch, *names):
+    """Every call from now on of each function ``names`` that ``harness``
+    calls by that name, and of ``_Checker._check_edge``, as (name,
+    arguments), in order."""
+    log = []
+    for name in names:
+        fn = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda *args, fn=fn, name=name: log.append((name, args)) or fn(*args)
+        )
+    check_edge = harness._Checker._check_edge
+
+    def checked(self, *args):
+        log.append(("_check_edge", args))
+        return check_edge(self, *args)
+
+    monkeypatch.setattr(harness._Checker, "_check_edge", checked)
+    return log
+
+
 def _count_steps(monkeypatch):
-    """Every call of ``harness.step_state`` from now on, with its
-    arguments."""
-    taken, step = [], harness.step_state
-    monkeypatch.setattr(harness, "step_state", lambda *args: taken.append(args) or step(*args))
-    return taken
+    """Every step a scheduler takes from now on, as ``_record_calls``
+    records it: each call of ``apply_step`` (a whole step), of an effect
+    that explore calls alone, and of the edge checks."""
+    return _record_calls(monkeypatch, "apply_step", "phys_effect", "aux_effect", "frame_effect")
+
+
+def _whole_steps(log):
+    return [args for name, args in log if name == "apply_step"]
 
 
 def test_explore_steps_only_where_a_table_misses(monkeypatch):
-    """explore takes a step (``step_state``) on e only where one of its
-    part tables misses: a half step whose physical change, auxiliary
-    transition, frame update and edge verdict were each seen on another
-    entry is composed from them, 4,813 steps in all.  Keyed by the whole
-    entry, as half steps are, the parts take 11,505.  It folds its kept
-    runs from the trail with no step of their own.  Stepping every edge
-    would take at least 132,390."""
-    taken = _count_steps(monkeypatch)
+    """On e, explore composes each of the 11,505 half steps its first
+    tables miss (one ``observed`` call each) from part tables, and calls
+    a function only where its own table misses: 1,168 physical effects,
+    2,669 auxiliary effects and 327 frame effects, each once per distinct
+    argument list, and 4,088 edge checks, 485 of them for steps it files
+    whole.  Of the half steps, 901 (returning relinks and finalizes) miss
+    the verdict table alone and call no effect.  It takes no whole step
+    (``apply_step`` or ``step_state``; 4,813 ``step_state`` calls when a
+    miss took the step whole), folds its kept runs from the trail, and
+    would take at least 132,390 steps if it stepped every edge."""
+    effects = ("phys_effect", "aux_effect", "frame_effect")
+    log = _record_calls(monkeypatch, "observed", "apply_step", "step_state", *effects)
     report = explore(client_e())
     assert (report.edges, report.executions_checked) == (132_390, 120)
-    assert len(taken) == 4_813
-    taken.clear()
-    _widen_part_keys(monkeypatch)
-    explore(client_e())
-    assert len(taken) == 11_505
+    calls = {}
+    for name, args in log:
+        calls.setdefault(name, []).append(args)
+    assert {name: len(args) for name, args in calls.items()} == {
+        "observed": 11_505,
+        "phys_effect": 1_168,
+        "aux_effect": 2_669,
+        "frame_effect": 327,
+        "_check_edge": 4_088,
+    }
+    # each effect runs once per distinct argument list, parts by identity
+    distinct = {
+        "phys_effect": {(step.label, arg, id(part)) for step, arg, part in calls["phys_effect"]},
+        "aux_effect": {(step.label, args, id(part)) for step, args, part in calls["aux_effect"]},
+        "frame_effect": set(calls["frame_effect"]),
+    }
+    assert all(len(distinct[name]) == len(calls[name]) for name in effects)
+    whole = [step for _, _, step, *_ in calls["_check_edge"] if step.kind in harness._FILED_WHOLE]
+    assert len(whole) == 485
+    # the calls of each half step follow its ``observed`` call
+    fills = []
+    for name, args in log:
+        if name == "observed":
+            fills.append([])
+        else:
+            fills[-1].append((name, args))
+    verdict_only = [
+        fill[0][1][2].kind
+        for fill in fills
+        if [name for name, _ in fill] == ["_check_edge"]
+        and fill[0][1][2].kind not in harness._FILED_WHOLE
+    ]
+    assert len(verdict_only) == 901 and set(verdict_only) == {"finalize", "relink"}
 
 
 def test_random_runs_step_once_per_step(monkeypatch):
     """run_random takes every step of every run afresh: random runs share
-    no half steps, so it calls ``step_state`` once per step it reports."""
+    no half steps, so it calls ``apply_step`` once per step it reports."""
     taken = _count_steps(monkeypatch)
     report = run_random(client_e(), seed=42, runs=50)
-    assert len(taken) == report.edges
+    assert len(_whole_steps(taken)) == report.edges
 
 
 def test_replay_steps_once_per_scheduled_step(monkeypatch):
@@ -991,4 +1186,4 @@ def test_replay_steps_once_per_scheduled_step(monkeypatch):
     record from the trail with no step of its own."""
     taken = _count_steps(monkeypatch)
     run_schedule(client_fig1(), FIG1_SCHEDULE)
-    assert len(taken) == len(FIG1_SCHEDULE) == 28
+    assert len(_whole_steps(taken)) == len(FIG1_SCHEDULE) == 28

@@ -124,7 +124,7 @@ def test_blocked_acquire_is_disabled():
     state = initial_state(prog)
     state, _ = step_state(prog, state, "a")  # a holds wx
     assert enabled_tids(prog, state) == ["a"]
-    frame = make_frame("b", MethodCall.write(Ptr.X, 3), state.aux)
+    frame = make_frame("b", MethodCall.write(Ptr.X, 3))
     with pytest.raises(DisabledStepError):
         apply_step(frame.current_step(), state.phys, state.aux, frame)
 
