@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes are a stable contract: 0 ok, 1 violation found, 2 state or
-oracle budget exceeded, 3 invalid schedule, 4 parse error.
+oracle budget exceeded, 3 invalid schedule, 4 parse error, 5 bad arguments.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ EXIT_VIOLATION = 1
 EXIT_BUDGET = 2
 EXIT_SCHEDULE = 3
 EXIT_PARSE = 4
+EXIT_USAGE = 5
 
 CLIENTS = {"e": client_e, "e-prime": client_e_prime, "fig1": client_fig1}
 
@@ -129,6 +130,12 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snapcheck",
@@ -140,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--client", choices=sorted(CLIENTS))
     src.add_argument("--program", help="program file (tid: write x 2; scan)")
-    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
+    p.add_argument("--max-states", type=positive_int, default=DEFAULT_MAX_STATES)
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("replay", help="replay an explicit schedule")
@@ -162,7 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return exc.code and EXIT_USAGE
     try:
         return args.func(args)
     except (BudgetExceededError, OracleSizeError) as exc:

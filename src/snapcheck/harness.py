@@ -21,11 +21,11 @@ the functions whose tables miss.  ``run_schedule`` deterministically
 replays an explicit schedule into a full trace, and ``run_random`` drives
 seeded random executions; both run one loop whose chooser follows the
 schedule or draws from the seeded RNG, and take every step afresh through
-``apply_step``, the composition of the effects: one path repeats few half
-steps.  Every scheduler reaches its :class:`_Checker` through ``start``,
-``on_state``, ``absorb``, ``finish`` and ``report``; the loop steps with
-``take``, and ``explore`` interns the parts it makes with ``_canon`` and
-checks the edges it composes with ``_check_edge``.
+``apply_step``, the composition of the effects (one path repeats few half
+steps), carrying the run as its parts and entries, with no state object.
+Every scheduler reaches its :class:`_Checker` through ``start``,
+``on_state``, ``absorb``, ``finish`` and ``report``, interns the parts it
+makes with ``_canon`` and checks its edges with ``_check_edge``.
 
 A :class:`State` is the machine state only.  Every scheduler keeps the run
 that reached it as a trail, one item per step taken (``explore`` pops it
@@ -240,7 +240,7 @@ def _between_calls(prog: Program, tid: Tid, call_idx: int) -> ThreadEntry:
 def enabled_tids(prog: Program, state: State) -> list[Tid]:
     """Threads with an enabled next step, in canonical (sorted) order."""
     phys = state.phys
-    return [tid for tid, e in state.threads if e.step is not None and step_enabled(e.step, phys)]
+    return [tid for tid, e in state.threads if step_enabled(e.step, phys)]
 
 
 def _stepping_frame(prog: Program, tid: Tid, entry: ThreadEntry) -> MethodFrame:
@@ -258,22 +258,15 @@ def _entry_after(prog: Program, tid: Tid, call_idx: int, frame: MethodFrame) -> 
     return ThreadEntry(call_idx, frame, steps[frame.pc])
 
 
-def _step(prog: Program, state: State, i: int) -> tuple[State, MethodFrame, object, tuple]:
-    """Thread ``i``'s next atomic step from ``state``, by ``apply_step``:
-    the post-state, the frame that took the step, the value the step read
-    from memory and the outputs of its auxiliary effect."""
-    tid, entry = state.threads[i]
-    before = _stepping_frame(prog, tid, entry)
-    phys, aux, frame, value, outputs = apply_step(entry.step, state.phys, state.aux, before)
-    after = (tid, _entry_after(prog, tid, entry.call_idx, frame))
-    threads = state.threads[:i] + (after,) + state.threads[i + 1 :]
-    return State(phys, aux, threads), before, value, outputs
-
-
 def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, MethodFrame]:
-    """Apply tid's next atomic step: the post-state and the frame that took
-    the step."""
-    return _step(prog, state, state.index(tid))[:2]
+    """Apply tid's next atomic step, by ``apply_step``: the post-state and
+    the frame that took the step."""
+    i = state.index(tid)
+    entry = state.threads[i][1]
+    before = _stepping_frame(prog, tid, entry)
+    phys, aux, frame, _, _ = apply_step(entry.step, state.phys, state.aux, before)
+    after = (tid, _entry_after(prog, tid, entry.call_idx, frame))
+    return State(phys, aux, state.threads[:i] + (after,) + state.threads[i + 1 :]), before
 
 
 def _witness(fr: MethodFrame, aux: AuxState) -> Timestamp:
@@ -380,13 +373,12 @@ def _digest(part, digest) -> str:
 
 class _Checker:
     """What the schedulers share, and only that: it starts each run
-    (:meth:`start`), takes whole steps (:meth:`take`), interns the parts
-    that ``explore`` makes by an effect (:meth:`_canon`), checks states
-    (:meth:`on_state`) and edges (:meth:`_check_edge`, which :meth:`take`
-    calls and ``explore`` calls where its verdict table misses), and
-    accumulates their verdicts (violations, scan results, runs the oracle
-    checked).  At the end of each run it folds the run's record from the
-    scheduler's trail (:meth:`finish`); no other code derives one.
+    (:meth:`start`), interns the parts that a step makes (:meth:`_canon`),
+    checks states (:meth:`on_state`) and edges (:meth:`_check_edge`, on
+    every step of the drive loop and where ``explore``'s verdict table
+    misses), and accumulates their verdicts (violations, scan results, runs
+    the oracle checked).  At the end of each run it folds the run's record
+    from the scheduler's trail (:meth:`finish`); no other code derives one.
 
     The checker hash-conses the parts its check tables key on: equal
     physical parts and equal auxiliary parts of its runs' states become one
@@ -397,9 +389,8 @@ class _Checker:
     ``check_history``'s by the history's key (``history_key``),
     ``check_phases``'s by aux id, ``check_memory``'s, with the two others',
     by phys id and aux id, and ``check_transition``'s by aux id and post
-    aux id.  An edge that leaves
-    the auxiliary part as it was passes ``check_transition`` by
-    reflexivity and is not looked up.
+    aux id.  An edge that leaves the auxiliary part as it was passes
+    ``check_transition`` by reflexivity and is not looked up.
     """
 
     def __init__(self, prog: Program):
@@ -421,11 +412,12 @@ class _Checker:
         self._state_checks: defaultdict[int, dict] = defaultdict(dict)
         self._transition_checks: defaultdict[int, dict] = defaultdict(dict)
 
-    def start(self) -> State:
-        """The program's initial state, its parts interned."""
+    def start(self) -> tuple[PhysState, AuxState, list[ThreadEntry]]:
+        """The parts of the program's initial state, the physical and
+        auxiliary part interned, and each thread's entry in tid order."""
         state = initial_state(self.prog)
         phys = self._canon(state.phys, self.phys, phys_key)
-        return evolve(state, phys=phys, aux=self._canon(state.aux, self.aux, aux_key))
+        return phys, self._canon(state.aux, self.aux, aux_key), [e for _, e in state.threads]
 
     def _canon(self, part, parts: list, key):
         # Every part interned here descends from this checker's initial
@@ -440,19 +432,6 @@ class _Checker:
             m["id"] = len(parts)
             parts.append(part)
         return canon
-
-    def take(self, state: State, i: int) -> tuple[State, tuple[Violation, ...]]:
-        """The next step of thread ``i`` from ``state``, a state of this
-        checker's runs, taken by ``apply_step``, the composition of the
-        step's effects: the post-state with its physical and auxiliary
-        parts interned, and the violations of the edge's checks, unstamped."""
-        post, before, value, outputs = _step(self.prog, state, i)
-        phys = self._canon(post.phys, self.phys, phys_key)
-        aux = self._canon(post.aux, self.aux, aux_key)
-        if phys is not post.phys or aux is not post.aux:
-            post = evolve(post, phys=phys, aux=aux)
-        step, returned = state.threads[i][1].step, _returned(before, post.threads[i][1])
-        return post, self._check_edge(state.aux, aux, step, value, outputs, returned)
 
     def _check_edge(
         self, pre: AuxState, post: AuxState, step: Step, value, outputs: tuple, returned
@@ -620,8 +599,8 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     an id outgrows its digit.
     """
     checker = _Checker(prog)
-    state0 = checker.start()
-    pid0, aid0 = _id(state0.phys), _id(state0.aux)
+    phys0, aux0, entries0 = checker.start()
+    pid0, aid0 = _id(phys0), _id(aux0)
     checker.on_state(pid0, aid0, -1)
     phys, aux, tids = checker.phys, checker.aux, checker.tids
     # one entry per id, numbered by ``entry_key`` in order of first sight
@@ -674,7 +653,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         eid, pre = eids[i], phys[pid]
         entry = entries[eid]
         step = entry.step
-        if step is None or not step_enabled(step, pre):
+        if not step_enabled(step, pre):
             phys_steps[eid][pid] = False
             return False
         tid, label = tids[i], step.label
@@ -767,7 +746,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         visited[key] = total
         return total
 
-    eids0 = tuple(number(tid, e) for tid, e in state0.threads)
+    eids0 = tuple(map(number, tids, entries0))
     schedules = dfs(pid0, aid0, eids0, state_key(pid0, aid0, eids0))
     return checker.report("exhaustive", len(visited), edges, schedules, executions=executions)
 
@@ -778,23 +757,33 @@ def _drive(choose, checker: _Checker, steps: list[StepRecord] | None = None) -> 
     state and edge on the way goes through ``checker``, and the digests of
     every state reached are appended to ``steps`` unless it is None.
     Returns the run's record, as :meth:`_Checker.finish` checks it."""
-    state = checker.start()
+    prog, tids = checker.prog, checker.tids
+    phys, aux, entries = checker.start()
     trail = []
-    checker.on_state(_id(state.phys), _id(state.aux), -1)
+    checker.on_state(_id(phys), _id(aux), -1)
     for idx in count():
-        tid = choose(idx, enabled_tids(checker.prog, state))
+        tid = choose(idx, [t for t, e in zip(tids, entries) if step_enabled(e.step, phys)])
         if tid is None:
-            return checker.finish(state.phys, state.aux, trail, steps or ())
-        i = state.index(tid)
-        post, found = checker.take(state, i)
-        checker.on_state(_id(post.phys), _id(post.aux), idx)
-        checker.absorb(found, idx)
+            return checker.finish(phys, aux, trail, steps or ())
+        i = tids.index(tid)
+        entry = entries[i]
+        step = entry.step
+        before = _stepping_frame(prog, tid, entry)
+        post_phys, post_aux, frame, value, outputs = apply_step(step, phys, aux, before)
+        after = entries[i] = _entry_after(prog, tid, entry.call_idx, frame)
+        if post_phys is not phys:
+            post_phys = checker._canon(post_phys, checker.phys, phys_key)
+        if post_aux is not aux:
+            post_aux = checker._canon(post_aux, checker.aux, aux_key)
+        checker.on_state(_id(post_phys), _id(post_aux), idx)
+        found = checker._check_edge(aux, post_aux, step, value, outputs, _returned(before, after))
+        if found:
+            checker.absorb(found, idx)
         if steps is not None:
-            label = state.threads[i][1].step.label
-            phys, aux = _digest(post.phys, phys_digest), _digest(post.aux, aux_digest)
-            steps.append(StepRecord(idx, tid, label, phys, aux))
-        trail.append((i, state.threads[i][1], post.threads[i][1], post.aux))
-        state = post
+            digests = _digest(post_phys, phys_digest), _digest(post_aux, aux_digest)
+            steps.append(StepRecord(idx, tid, step.label, *digests))
+        trail.append((i, entry, after, post_aux))
+        phys, aux = post_phys, post_aux
 
 
 def _follow(schedule: tuple[Tid, ...]):
@@ -832,7 +821,7 @@ def run_random(prog: Program, seed: int, runs: int) -> ExplorationReport:
     rng = random.Random(seed)
 
     def choose(idx: int, enabled: list[Tid]) -> Tid | None:
-        return enabled[rng.randrange(len(enabled))] if enabled else None
+        return rng.choice(enabled) if enabled else None
 
     checker = _Checker(prog)
     total_steps = 0

@@ -197,10 +197,10 @@ def clear_dead(frame: MethodFrame, *names: str) -> MethodFrame:
     return evolve(frame, **dict.fromkeys(names))
 
 
-def step_enabled(step: Step, phys: PhysState) -> bool:
-    if step.kind == "acquire":
-        return phys.holder(step.lock) is None
-    return True
+def step_enabled(step: Step | None, phys: PhysState) -> bool:
+    """Whether ``step`` can be taken from ``phys``: an acquire needs its
+    lock free, and a thread whose calls are done (no step) takes none."""
+    return step is not None and (step.kind != "acquire" or phys.holder(step.lock) is None)
 
 
 def effect_args(step: Step, frame: MethodFrame, value) -> tuple:

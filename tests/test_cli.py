@@ -1,5 +1,5 @@
 """CLI wiring and the exit-code contract (0 ok, 1 violation, 2 state or
-oracle budget, 3 schedule, 4 parse)."""
+oracle budget, 3 schedule, 4 parse, 5 usage)."""
 
 import json
 import os
@@ -60,6 +60,40 @@ def test_explore_program_file(tmp_path, capsys):
 
 def test_explore_budget_exit(capsys):
     assert main(["explore", "--client", "e", "--max-states", "10"]) == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_explore_rejects_a_budget_that_is_not_positive(budget, capsys):
+    """A budget below one is a bad argument, refused before any state is
+    reached, and not a budget exceeded (exit 2)."""
+    assert main(["explore", "--client", "e", "--max-states", budget]) == 5
+    err = capsys.readouterr().err
+    assert "--max-states: must be positive" in err and "exceeded" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["explore"],
+        ["explore", "--client", "e", "--program", "p.prog"],
+        ["explore", "--client", "nope"],
+        ["explore", "--client", "e", "--max-states", "many"],
+        ["replay", "--client", "fig1"],
+        ["check"],
+        ["frobnicate"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_exit_5(argv, capsys):
+    assert main(argv) == 5
+    assert "usage: snapcheck" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["explore", "--help"], ["check", "-h"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage: snapcheck" in capsys.readouterr().out
 
 
 def test_explore_oracle_size_exit(tmp_path, capsys):
@@ -238,3 +272,6 @@ def test_module_entry_point(tmp_path, sched_file):
     explored = _run_module("explore", "--client", "e-prime")
     assert explored.returncode == 0
     assert "program: e-prime" in explored.stdout.splitlines()
+    assert _run_module("explore").returncode == 5
+    assert _run_module("explore", "--client", "e", "--max-states", "-3").returncode == 5
+    assert _run_module("explore", "--help").returncode == 0

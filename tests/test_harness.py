@@ -1,5 +1,6 @@
 """Schedulers: exhaustive exploration, replay, random scheduling, clients."""
 
+import hashlib
 import random
 import re
 
@@ -192,11 +193,7 @@ def test_step_records_digest_the_state_each_step_reached():
     """Each step record of a replay carries the digests of the state its
     step reached, though the replay digests each distinct part once."""
     prog = two_scan_programs()[1]
-    rng = random.Random(5)
-    state, schedule = initial_state(prog), []
-    while enabled := enabled_tids(prog, state):
-        schedule.append(rng.choice(enabled))
-        state = step_state(prog, state, schedule[-1])[0]
+    schedule = _seeded_schedule(prog, 5)
     state = initial_state(prog)
     steps = run_schedule(prog, schedule).steps
     assert len(steps) == len(schedule) > 30
@@ -236,6 +233,62 @@ def test_run_random_deterministic():
     # random runs are not merged into a state graph: steps, not states
     assert r1.states is None
     assert f"steps: {r1.edges}" in r1.render() and "states:" not in r1.render()
+
+
+# What the drive path (``run_random`` and ``run_schedule``) outputs: a
+# blake2b digest (16 bytes) of ``run_random(prog, seed, runs=20).render()``
+# per (program, seed), and of ``render_trace`` of the replay of the
+# complete schedule that ``_seeded_schedule`` draws per (program, seed).
+# A change in the stepping order, the chooser's draws or a record shows.
+RANDOM_RECORDS = {
+    ("e", 0): "f4842cc7fd54b183033f560d6fa4bf47",
+    ("e", 5): "9c4df0bd39c17f32072bb22001e085cd",
+    ("e", 42): "99e6e0cdc4daf4103a22e1c07b4c6211",
+    ("two-scan", 0): "06c3a65ddab6203a21321baaaa963190",
+    ("two-scan", 5): "2eaa9e26958daf018d1adb23848ab23b",
+    ("two-scan", 42): "2bff6944d4a90177cd6fe276ac50d360",
+    ("gen-x2-y2", 0): "7912b3372e5f3913c20f569d86ceed8a",
+    ("gen-x2-y2", 5): "0ea804c6e08a487c05088c86566aac03",
+    ("gen-x2-y2", 42): "a1ee6c55cef3756da92732cbf82b0ea4",
+}
+REPLAY_RECORDS = {
+    ("gen-x2-y2", 1): "c642af8a84e725338f956dead546b2e7",
+    ("gen-x2-y2", 2): "601b89c73a9a91ef467ed03f73f6a571",
+    ("gen-x2-y2", 3): "9ba414534746318feb7357547d9f6488",
+    ("fig1-two-scan", 1): "61df15f2b7e2d593d341c13cd6286888",
+    ("fig1-two-scan", 2): "7718405d677b0c22b0471dff6775cc78",
+    ("fig1-two-scan", 3): "aef1ab287faf3001fe00cb9369111490",
+}
+
+
+def _seeded_schedule(prog, seed):
+    """A complete schedule of ``prog``, each step's thread drawn by
+    ``random.Random(seed).choice`` from the enabled ones."""
+    rng = random.Random(seed)
+    state, schedule = initial_state(prog), []
+    while enabled := enabled_tids(prog, state):
+        schedule.append(rng.choice(enabled))
+        state = step_state(prog, state, schedule[-1])[0]
+    return schedule
+
+
+def test_drive_path_output_is_pinned():
+    progs = {p.name: p for p in [client_e(), *two_scan_programs(), *generated_programs()]}
+
+    def blake(text):
+        return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+    got = {
+        (name, seed): blake(run_random(progs[name], seed, runs=20).render())
+        for name, seed in RANDOM_RECORDS
+    }
+    assert got == RANDOM_RECORDS
+    got = {
+        (name, seed): blake(render_trace(run_schedule(prog, _seeded_schedule(prog, seed))))
+        for name, seed in REPLAY_RECORDS
+        for prog in [progs[name]]
+    }
+    assert got == REPLAY_RECORDS
 
 
 def test_run_random_labels_each_violation_with_its_run(monkeypatch):
@@ -330,16 +383,21 @@ def test_dead_local_merge_matches_full_keys(name, monkeypatch):
 
 def _walk_states():
     """Every state of 40 seeded random walks over each two-scan client,
-    with its program, walked as the schedulers walk: from the start of one
-    checker per program, stepping through its ``take``."""
+    with its program, its parts interned as the schedulers intern them:
+    by one checker per program, from whose start every walk steps."""
     rng = random.Random(5)
     for prog in two_scan_programs():
         checker = harness._Checker(prog)
+
+        def interned(state):
+            phys = checker._canon(state.phys, checker.phys, phys_key)
+            return evolve(state, phys=phys, aux=checker._canon(state.aux, checker.aux, aux_key))
+
         for _ in range(40):
-            state = checker.start()
+            state = interned(initial_state(prog))
             yield prog, state
             while enabled := enabled_tids(prog, state):
-                state = checker.take(state, state.index(rng.choice(enabled)))[0]
+                state = interned(step_state(prog, state, rng.choice(enabled))[0])
                 yield prog, state
 
 
@@ -1173,12 +1231,36 @@ def test_explore_steps_only_where_a_table_misses(monkeypatch):
     assert len(verdict_only) == 901 and set(verdict_only) == {"finalize", "relink"}
 
 
+def _count_states(monkeypatch):
+    """Every :class:`harness.State` built from now on, by its constructor
+    or by ``evolve`` in ``harness``."""
+    built = []
+    init, evolve = harness.State.__init__, harness.evolve
+
+    def constructed(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def evolved(obj, **changes):
+        if isinstance(obj, harness.State):
+            built.append(changes)
+        return evolve(obj, **changes)
+
+    monkeypatch.setattr(harness.State, "__init__", constructed)
+    monkeypatch.setattr(harness, "evolve", evolved)
+    return built
+
+
 def test_random_runs_step_once_per_step(monkeypatch):
     """run_random takes every step of every run afresh: random runs share
-    no half steps, so it calls ``apply_step`` once per step it reports."""
+    no half steps, so it calls ``apply_step`` once per step it reports.  It
+    carries a run as its parts, so it builds one state per run, the
+    initial state, and none per step."""
     taken = _count_steps(monkeypatch)
+    built = _count_states(monkeypatch)
     report = run_random(client_e(), seed=42, runs=50)
     assert len(_whole_steps(taken)) == report.edges
+    assert len(built) == report.schedules == 50
 
 
 def test_replay_steps_once_per_scheduled_step(monkeypatch):
