@@ -27,9 +27,12 @@ Every scheduler reaches its :class:`_Checker` through ``start``,
 ``on_state``, ``absorb``, ``finish`` and ``report``, interns the parts it
 makes with ``_canon`` and checks its edges with ``_check_edge``.
 
-A :class:`State` is the machine state only.  Every scheduler keeps the run
-that reached it as a trail, one item per step taken (``explore`` pops it
-on return), from which :meth:`_Checker.finish` folds the run's record.
+A :class:`State` is the machine state only, and a thread's entry in it
+is its frame: the frame of the call it runs, between calls its next
+call's at ``pc == 0``, and None once its calls are done.  Every scheduler
+keeps the run that reached it as a trail, one item per step taken
+(``explore`` pops it on return), from which :meth:`_Checker.finish`
+folds the run's record.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from .snapshot import (
     apply_step,
     aux_digest,
     aux_effect,
-    call_steps,
     effect_args,
     frame_effect,
     init,
@@ -115,32 +117,17 @@ class Program:
 
 
 @dataclass(frozen=True)
-class ThreadEntry:
-    """A thread's next call, its frame while that call is in flight, and
-    the step it takes next (None once its calls are done), which follows
-    from the other two."""
-
-    call_idx: int
-    frame: MethodFrame | None
-    step: Step | None
-
-    @property
-    def returned(self) -> bool:
-        """Whether the step that left the entry returned its call: a method
-        returns on the step before its lock release."""
-        return self.frame is not None and self.step.kind == "release"
-
-
-@dataclass(frozen=True)
 class State:
     """A machine state: the physical part, the auxiliary part and each
-    thread's entry.  It is records of primitives all the way down, and each
-    record's fields are its key (``phys_key``, ``aux_key``, ``entry_key``),
-    so two states are equal exactly when their keys are."""
+    thread's entry, its frame (between calls the next call's, before its
+    first step), or None once its calls are done.  It is records of
+    primitives all the way down, and each record's fields are its key
+    (``phys_key``, ``aux_key``, ``frame_key``), so two states are equal
+    exactly when their keys are."""
 
     phys: PhysState
     aux: AuxState
-    threads: tuple[tuple[Tid, ThreadEntry], ...]  # sorted by tid
+    threads: tuple[tuple[Tid, MethodFrame | None], ...]  # sorted by tid
 
     def index(self, tid: Tid) -> int:
         for i, (t, _) in enumerate(self.threads):
@@ -225,47 +212,34 @@ class ExplorationReport:
 def initial_state(prog: Program) -> State:
     """The state before ``prog``'s first step; ``Program`` checks ``prog``."""
     phys, aux = init(prog.init_x, prog.init_y)
-    tids = sorted(tid for tid, _ in prog.threads)
-    return State(phys, aux, tuple((tid, _between_calls(prog, tid, 0)) for tid in tids))
-
-
-def _between_calls(prog: Program, tid: Tid, call_idx: int) -> ThreadEntry:
-    """``tid``'s entry before its call ``call_idx``, or once its calls are
-    done."""
-    calls = prog.calls_of(tid)
-    step = call_steps(calls[call_idx])[0] if call_idx < len(calls) else None
-    return ThreadEntry(call_idx, None, step)
+    threads = sorted(prog.threads)  # by tid alone: the tids are unique
+    frames = ((tid, make_frame(tid, 0, calls[0]) if calls else None) for tid, calls in threads)
+    return State(phys, aux, tuple(frames))
 
 
 def enabled_tids(prog: Program, state: State) -> list[Tid]:
     """Threads with an enabled next step, in canonical (sorted) order."""
     phys = state.phys
-    return [tid for tid, e in state.threads if step_enabled(e.step, phys)]
+    return [tid for tid, frame in state.threads if step_enabled(frame, phys)]
 
 
-def _stepping_frame(prog: Program, tid: Tid, entry: ThreadEntry) -> MethodFrame:
-    """The frame that takes ``tid``'s next step from ``entry``: the entry's
-    own, or at the start of a call a new one (see ``make_frame``)."""
-    frame = entry.frame
-    return make_frame(tid, prog.calls_of(tid)[entry.call_idx]) if frame is None else frame
-
-
-def _entry_after(prog: Program, tid: Tid, call_idx: int, frame: MethodFrame) -> ThreadEntry:
-    """``tid``'s entry once a step of its call ``call_idx`` left ``frame``."""
-    steps = frame.steps
-    if frame.pc == len(steps):
-        return _between_calls(prog, tid, call_idx + 1)
-    return ThreadEntry(call_idx, frame, steps[frame.pc])
+def _entry_after(prog: Program, frame: MethodFrame) -> MethodFrame | None:
+    """The thread's frame once a step left ``frame``: the same frame, or at
+    the end of a call the next call's (None once its calls are done)."""
+    if frame.pc < len(frame.steps):
+        return frame
+    tid, nxt = frame.tid, frame.call_idx + 1
+    calls = prog.calls_of(tid)
+    return make_frame(tid, nxt, calls[nxt]) if nxt < len(calls) else None
 
 
 def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, MethodFrame]:
     """Apply tid's next atomic step, by ``apply_step``: the post-state and
     the frame that took the step."""
     i = state.index(tid)
-    entry = state.threads[i][1]
-    before = _stepping_frame(prog, tid, entry)
-    phys, aux, frame, _, _ = apply_step(entry.step, state.phys, state.aux, before)
-    after = (tid, _entry_after(prog, tid, entry.call_idx, frame))
+    before = state.threads[i][1]
+    phys, aux, frame, _, _ = apply_step(before.current_step(), state.phys, state.aux, before)
+    after = (tid, _entry_after(prog, frame))
     return State(phys, aux, state.threads[:i] + (after,) + state.threads[i + 1 :]), before
 
 
@@ -293,25 +267,23 @@ def _method_record(fr: MethodFrame, aux: AuxState, invocation: int, response: in
 
 # A frame's key: its fields as they are, the call flattened; primitives only.
 frame_key = operator.attrgetter(
-    "tid", "call.kind", "call.p", "call.v", "pc", "t", "vx", "vy", "ox", "oy",
+    "tid", "call_idx", "call.kind", "call.p", "call.v", "pc", "t", "vx", "vy", "ox", "oy",
     "witness_x", "witness_y", "result", "mask",
 )
 
 
-def entry_key(tid: Tid, entry: ThreadEntry) -> tuple:
-    """An entry's key, with its thread: a thread between calls has no frame
-    to name it.  The entry's step follows from the three, so the key leaves
-    it out."""
-    frame = entry.frame
-    return (tid, entry.call_idx, None if frame is None else frame_key(frame))
+def _returns(after: MethodFrame | None) -> bool:
+    """Whether the step that left a thread holding ``after`` returned its
+    call: a call returns on the step before its lock release."""
+    return after is not None and after.current_step().kind == "release"
 
 
-def _returned(before: MethodFrame, after: ThreadEntry):
+def _returned(before: MethodFrame, after: MethodFrame | None):
     """What the postcondition of the call that the step of ``before`` to
     ``after`` returned reads besides the auxiliary part (None where it
     returned none): the invocation mask and the frame the call returns
     with, which holds no local that the postcondition does not read."""
-    return (before.mask, after.frame) if after.returned else None
+    return (before.mask, after) if _returns(after) else None
 
 
 # The check of its own that the edge of a step of each kind adds, beside
@@ -412,12 +384,12 @@ class _Checker:
         self._state_checks: defaultdict[int, dict] = defaultdict(dict)
         self._transition_checks: defaultdict[int, dict] = defaultdict(dict)
 
-    def start(self) -> tuple[PhysState, AuxState, list[ThreadEntry]]:
+    def start(self) -> tuple[PhysState, AuxState, list[MethodFrame | None]]:
         """The parts of the program's initial state, the physical and
-        auxiliary part interned, and each thread's entry in tid order."""
+        auxiliary part interned, and each thread's frame in tid order."""
         state = initial_state(self.prog)
         phys = self._canon(state.phys, self.phys, phys_key)
-        return phys, self._canon(state.aux, self.aux, aux_key), [e for _, e in state.threads]
+        return phys, self._canon(state.aux, self.aux, aux_key), [f for _, f in state.threads]
 
     def _canon(self, part, parts: list, key):
         # Every part interned here descends from this checker's initial
@@ -478,7 +450,8 @@ class _Checker:
         found = checks.get(aid)
         if found is None:
             found = checks[aid] = self._check_state(self.phys[pid], aid)
-        self.absorb(found, idx)
+        if found:
+            self.absorb(found, idx)
 
     def _check_state(self, phys: PhysState, aid: int) -> tuple[Violation, ...]:
         """``check_all``'s verdict on ``phys`` and the auxiliary part of id
@@ -509,20 +482,21 @@ class _Checker:
     def finish(self, phys: PhysState, aux: AuxState, trail, steps=()) -> Trace:
         """Build the record of the completed run that ended in the parts
         ``phys`` and ``aux``, and check it with both oracle routes.  The
-        run is its ``trail``, one ``(thread index, entry before, entry
+        run is its ``trail``, one ``(thread index, frame before, frame
         after, auxiliary part after)`` per step, and the record is folded
-        from it: a call is invoked on the step whose entry before has no
-        frame, and returns on the step whose entry after has ``returned``.
+        from it: a call is invoked on the step whose frame before is at
+        ``pc == 0``, and returns where ``_returns`` holds of the frame
+        after.
         Oracle failures join the checker's violations; the record's own
         violation list is left empty."""
         prog, tids = self.prog, self.tids
         invocations: list[int | None] = [None] * len(tids)
         methods = []
         for idx, (i, before, after, aux_after) in enumerate(trail):
-            if before.frame is None:
+            if before.pc == 0:
                 invocations[i] = idx
-            if after.returned:
-                methods.append(_method_record(after.frame, aux_after, invocations[i], idx))
+            if _returns(after):
+                methods.append(_method_record(after, aux_after, invocations[i], idx))
         trace = Trace(
             program=prog,
             schedule=tuple(tids[i] for i, *_ in trail),
@@ -583,29 +557,31 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
 
     The walk steps through its own tables of half steps, by the ids of a
     state's parts: the checker's for the physical and auxiliary parts, and
-    its own for the thread entries, which key nothing else.  Where a table
-    misses, ``fill`` composes the half step from a part table per function
-    (the step's three effects and ``_Checker._check_edge``), each keyed by
-    exactly the arguments its function takes, parts by id, and calls a
-    function only where its own table misses.  A composed returning scan
-    adds no scan result: its result is in the verdict's key, so the check
-    that filed the verdict added it.  A step of a kind in ``_FILED_WHOLE``
-    has one outcome under every auxiliary part, so it is filed whole by
-    (entry id, phys id), and checked where it is filed to fail no edge
-    check (:class:`GuardViolationError` otherwise).  A successor's key is
+    its own for the threads' entries, which key nothing else: a frame by
+    ``frame_key``, and a thread whose calls are done by its tid.  Where a
+    table misses, ``fill`` composes the half step from a part table per
+    function (the step's three effects and ``_Checker._check_edge``), each
+    keyed by exactly the arguments its function takes, parts by id, and
+    calls a function only where its own table misses.  A composed
+    returning scan adds no scan result: its result is in the verdict's
+    key, so the check that filed the verdict added it.  A step of a kind in
+    ``_FILED_WHOLE`` has one outcome under every auxiliary part, so it is
+    filed whole by (entry id, phys id), and checked where it is filed to
+    fail no edge check (:class:`GuardViolationError` otherwise).  A successor's key is
     ``state_key`` of its ids, derived from its parent's key by swapping in
     the ids that a step can change (aux, phys and the stepping thread's
     entry); ``state_key`` itself makes only the first key and those where
     an id outgrows its digit.
     """
     checker = _Checker(prog)
-    phys0, aux0, entries0 = checker.start()
+    phys0, aux0, frames0 = checker.start()
     pid0, aid0 = _id(phys0), _id(aux0)
     checker.on_state(pid0, aid0, -1)
     phys, aux, tids = checker.phys, checker.aux, checker.tids
-    # one entry per id, numbered by ``entry_key`` in order of first sight
-    entries: list[ThreadEntry] = []
-    entry_ids: dict[tuple, int] = {}
+    # one entry per id, a thread's frame or None, numbered in order of first
+    # sight by ``frame_key``, a done thread by its tid
+    entries: list[MethodFrame | None] = []
+    entry_ids: dict[tuple | Tid, int] = {}
     # The physical half of a step, by entry id and phys id: the post phys id
     # and the table of the auxiliary halves of the steps that read the same
     # value (``observed``) under the entry; False where it has no step
@@ -640,10 +616,10 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     aux_shift, phys_shift = (n + 1) * _ID_BITS, n * _ID_BITS
     entry_shifts = [(n - 1 - i) * _ID_BITS for i in range(n)]
 
-    def number(tid: Tid, entry: ThreadEntry) -> int:
-        eid = entry_ids.setdefault(entry_key(tid, entry), len(entries))
+    def number(tid: Tid, frame: MethodFrame | None) -> int:
+        eid = entry_ids.setdefault(tid if frame is None else frame_key(frame), len(entries))
         if eid == len(entries):
-            entries.append(entry)
+            entries.append(frame)
         return eid
 
     def fill(pid: int, aid: int, eids: tuple[int, ...], i: int):
@@ -651,13 +627,12 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         ``aid``, ``eids`` and return its physical half, False where it is
         disabled."""
         eid, pre = eids[i], phys[pid]
-        entry = entries[eid]
-        step = entry.step
-        if not step_enabled(step, pre):
+        frame = entries[eid]
+        if not step_enabled(frame, pre):
             phys_steps[eid][pid] = False
             return False
-        tid, label = tids[i], step.label
-        frame = _stepping_frame(prog, tid, entry)
+        step = frame.current_step()
+        label = step.label
         value = observed(step, pre)
         phys_arg, aux_args = effect_args(step, frame, value)
         key = (label, phys_arg, pid)
@@ -678,8 +653,8 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         key = (eid, value, outputs)
         post_eid = frame_parts.get(key)
         if post_eid is None:
-            after = _entry_after(prog, tid, entry.call_idx, frame_effect(frame, value, outputs))
-            post_eid = frame_parts[key] = number(tid, after)
+            after = _entry_after(prog, frame_effect(frame, value, outputs))
+            post_eid = frame_parts[key] = number(tids[i], after)
         returned = _returned(frame, entries[post_eid])
         key = (label, value, outputs, returned, aid, post_aid)
         found = verdicts.get(key)
@@ -746,7 +721,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         visited[key] = total
         return total
 
-    eids0 = tuple(map(number, tids, entries0))
+    eids0 = tuple(map(number, tids, frames0))
     schedules = dfs(pid0, aid0, eids0, state_key(pid0, aid0, eids0))
     return checker.report("exhaustive", len(visited), edges, schedules, executions=executions)
 
@@ -758,19 +733,18 @@ def _drive(choose, checker: _Checker, steps: list[StepRecord] | None = None) -> 
     every state reached are appended to ``steps`` unless it is None.
     Returns the run's record, as :meth:`_Checker.finish` checks it."""
     prog, tids = checker.prog, checker.tids
-    phys, aux, entries = checker.start()
+    phys, aux, frames = checker.start()
     trail = []
     checker.on_state(_id(phys), _id(aux), -1)
     for idx in count():
-        tid = choose(idx, [t for t, e in zip(tids, entries) if step_enabled(e.step, phys)])
+        tid = choose(idx, [t for t, f in zip(tids, frames) if step_enabled(f, phys)])
         if tid is None:
             return checker.finish(phys, aux, trail, steps or ())
         i = tids.index(tid)
-        entry = entries[i]
-        step = entry.step
-        before = _stepping_frame(prog, tid, entry)
+        before = frames[i]
+        step = before.current_step()
         post_phys, post_aux, frame, value, outputs = apply_step(step, phys, aux, before)
-        after = entries[i] = _entry_after(prog, tid, entry.call_idx, frame)
+        after = frames[i] = _entry_after(prog, frame)
         if post_phys is not phys:
             post_phys = checker._canon(post_phys, checker.phys, phys_key)
         if post_aux is not aux:
@@ -782,7 +756,7 @@ def _drive(choose, checker: _Checker, steps: list[StepRecord] | None = None) -> 
         if steps is not None:
             digests = _digest(post_phys, phys_digest), _digest(post_aux, aux_digest)
             steps.append(StepRecord(idx, tid, step.label, *digests))
-        trail.append((i, entry, after, post_aux))
+        trail.append((i, before, after, post_aux))
         phys, aux = post_phys, post_aux
 
 

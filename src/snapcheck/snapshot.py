@@ -149,15 +149,13 @@ _STEPS = {
 }
 
 
-def call_steps(call: MethodCall) -> tuple[Step, ...]:
-    return _STEPS[call.p]
-
-
 @dataclass(frozen=True)
 class MethodFrame:
-    """One in-flight method call: program counter over its call's step list,
-    local registers, and the invocation mask its postcondition reads (see
-    :func:`invariants.capture_spec_snapshot`), which its acquire takes.
+    """A thread's method call ``call_idx``, ``call``: program counter over
+    its call's step list, local registers, and the invocation mask its
+    postcondition reads (see :func:`invariants.capture_spec_snapshot`),
+    which its acquire takes.  Between calls a thread holds its next call's
+    frame at ``pc == 0``.
 
     The step after which nothing reads a local sets it to None (see
     :func:`clear_dead`), so the fields as they are identify the frame.
@@ -165,6 +163,7 @@ class MethodFrame:
     by then the auxiliary state determines them."""
 
     tid: Tid
+    call_idx: int
     call: MethodCall
     mask: int | None
     pc: int = 0
@@ -185,10 +184,10 @@ class MethodFrame:
         return _STEPS[self.call.p][self.pc]
 
 
-def make_frame(tid: Tid, call: MethodCall) -> MethodFrame:
-    """The frame of ``tid``'s call ``call`` before its first step: its
-    acquire takes the invocation mask from the auxiliary part."""
-    return MethodFrame(tid, call, None)
+def make_frame(tid: Tid, call_idx: int, call: MethodCall) -> MethodFrame:
+    """The frame of ``tid``'s call ``call_idx``, ``call``, before its first
+    step: its acquire takes the invocation mask from the auxiliary part."""
+    return MethodFrame(tid, call_idx, call, None)
 
 
 def clear_dead(frame: MethodFrame, *names: str) -> MethodFrame:
@@ -197,10 +196,14 @@ def clear_dead(frame: MethodFrame, *names: str) -> MethodFrame:
     return evolve(frame, **dict.fromkeys(names))
 
 
-def step_enabled(step: Step | None, phys: PhysState) -> bool:
-    """Whether ``step`` can be taken from ``phys``: an acquire needs its
-    lock free, and a thread whose calls are done (no step) takes none."""
-    return step is not None and (step.kind != "acquire" or phys.holder(step.lock) is None)
+def step_enabled(frame: MethodFrame | None, phys: PhysState) -> bool:
+    """Whether ``frame``'s next step can be taken from ``phys``: an acquire
+    needs its lock free, and a thread whose calls are done (no frame) takes
+    none."""
+    if frame is None:
+        return False
+    step = frame.current_step()
+    return step.kind != "acquire" or phys.holder(step.lock) is None
 
 
 def effect_args(step: Step, frame: MethodFrame, value) -> tuple:

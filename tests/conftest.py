@@ -47,8 +47,9 @@ CHECKS: dict[str, int] = {
 }
 
 
-def entry(state, tid):
-    """The entry of thread ``tid`` in ``state``."""
+def frame_of(state, tid):
+    """The frame of thread ``tid`` in ``state``, None once its calls are
+    done."""
     return state.threads[state.index(tid)][1]
 
 

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from conftest import entry, one_field_changed, primitive, two_scan_programs
+from conftest import frame_of, one_field_changed, primitive, two_scan_programs
 from snapcheck import aux_ops, harness, invariants, snapshot
 from snapcheck.aux_model import (
     Color,
@@ -38,7 +38,6 @@ from snapcheck.harness import (
     client_e_prime,
     client_fig1,
     enabled_tids,
-    entry_key,
     explore,
     frame_key,
     generated_programs,
@@ -50,7 +49,7 @@ from snapcheck.harness import (
 )
 from snapcheck.invariants import Violation
 from snapcheck.oracle import MethodRecord
-from snapcheck.snapshot import MethodCall, aux_digest, call_steps, phys_digest, phys_key
+from snapcheck.snapshot import MethodCall, aux_digest, make_frame, phys_digest, phys_key
 from snapcheck.tracefile import render_trace
 
 
@@ -146,7 +145,7 @@ def _reference_methods(prog, schedule):
         state, before = step_state(prog, state, tid)
         if before.pc == 0:
             invoked[tid] = idx
-        fr = entry(state, tid).frame
+        fr = frame_of(state, tid)
         if fr is None or fr.pc != len(fr.steps) - 1:
             continue
         if fr.call.kind == "write":
@@ -383,8 +382,9 @@ def test_dead_local_merge_matches_full_keys(name, monkeypatch):
 
 def _walk_states():
     """Every state of 40 seeded random walks over each two-scan client,
-    with its program, its parts interned as the schedulers intern them:
-    by one checker per program, from whose start every walk steps."""
+    with its program and the frame that took the step to it (None for an
+    initial state), its parts interned as the schedulers intern them: by
+    one checker per program, from whose start every walk steps."""
     rng = random.Random(5)
     for prog in two_scan_programs():
         checker = harness._Checker(prog)
@@ -395,18 +395,19 @@ def _walk_states():
 
         for _ in range(40):
             state = interned(initial_state(prog))
-            yield prog, state
+            yield prog, state, None
             while enabled := enabled_tids(prog, state):
-                state = interned(step_state(prog, state, rng.choice(enabled))[0])
-                yield prog, state
+                state, before = step_state(prog, state, rng.choice(enabled))
+                state = interned(state)
+                yield prog, state, before
 
 
 def test_frame_key_is_primitive_and_complete():
     # A dataclass back in the frame key makes every state key several times
     # slower and fails no other test; a field left out of it merges
     # distinct states.
-    frames = [e.frame for _, state in _walk_states() for _, e in state.threads]
-    frames = [frame for frame in frames if frame is not None]
+    # the walks' frames, fresh ones between calls among them
+    frames = [f for _, state, _ in _walk_states() for _, f in state.threads if f is not None]
     groups = {}
     for frame in frames:
         key = frame_key(frame)
@@ -418,17 +419,28 @@ def test_frame_key_is_primitive_and_complete():
     for frame in set(frames):
         for variant in one_field_changed(frame):
             assert frame_key(variant) != frame_key(frame)
+    # the two scans of ``s: scan; scan`` start from frames that differ in
+    # their call index alone
+    assert evolve(make_frame("s", 0, MethodCall.scan()), call_idx=1) in frames
+    assert make_frame("s", 0, MethodCall.scan()) in frames
+
+
+def _entry_key(tid, frame):
+    """The key by which explore numbers what a thread holds: its frame's
+    ``frame_key``, or the tid of a thread whose calls are done."""
+    return tid if frame is None else frame_key(frame)
 
 
 def test_states_are_equal_exactly_when_their_keys_are():
     """A state is the machine state only: of the states of one checker's
     runs, two are equal exactly when their keys are, whatever paths
     reached them.  A key packs the ids the checker gave the physical and
-    auxiliary parts with ids of the entries numbered as explore numbers
-    them, by ``entry_key`` in order of first sight."""
+    auxiliary parts with ids of the threads' frames numbered as explore
+    numbers them, in order of first sight by ``frame_key``, a done thread
+    by its tid."""
     groups, numbers = {}, {}
-    for prog, state in _walk_states():
-        eids = tuple(numbers.setdefault(entry_key(*e), len(numbers)) for e in state.threads)
+    for prog, state, _ in _walk_states():
+        eids = tuple(numbers.setdefault(_entry_key(*e), len(numbers)) for e in state.threads)
         key = harness.state_key(memo(state.phys)["id"], memo(state.aux)["id"], eids)
         groups.setdefault((prog.name, key), []).append(state)
     assert all(state == group[0] for group in groups.values() for state in group)
@@ -439,22 +451,32 @@ def test_states_are_equal_exactly_when_their_keys_are():
 
 
 def test_derived_fields_follow_from_the_state():
-    """An entry's next step is its frame's, or between calls the first step
-    of the thread's next call; it returned its call exactly on the step
-    before the release."""
-    for prog, state in _walk_states():
-        for tid, entry in state.threads:
-            frame = entry.frame
-            if frame is not None:
-                assert entry.step == frame.current_step()
-                assert entry.returned == (frame.pc == len(frame.steps) - 1)
-                continue
+    """A thread holds no frame exactly when its calls are done, and else
+    the frame of its first call not yet done, which at ``pc == 0`` is that
+    call's fresh one; a step returned its call exactly where it left the
+    frame with only its release to take, the frame's last step."""
+    finished = returns = 0
+    for prog, state, before in _walk_states():
+        if before is None:
+            done = {tid: 0 for tid, _ in state.threads}
+        else:
+            after = frame_of(state, before.tid)
+            returned = harness._returned(before, after)
+            last_but_one = after is not None and after.pc == len(after.steps) - 1
+            assert (returned is not None) == last_but_one
+            assert returned is None or returned == (before.mask, after)
+            returns += last_but_one
+            done[before.tid] += before.current_step().kind == "release"
+        for tid, frame in state.threads:
             calls = prog.calls_of(tid)
-            if entry.call_idx < len(calls):
-                assert entry.step == call_steps(calls[entry.call_idx])[0]
-            else:
-                assert entry.step is None
-            assert not entry.returned
+            assert (frame is None) == (done[tid] == len(calls))
+            finished += frame is None
+            if frame is None:
+                continue
+            assert (frame.tid, frame.call_idx, frame.call) == (tid, done[tid], calls[done[tid]])
+            if frame.pc == 0:
+                assert frame == make_frame(tid, frame.call_idx, calls[frame.call_idx])
+    assert finished and returns
 
 
 def _force_violations(monkeypatch):
@@ -520,8 +542,7 @@ def _force_violations(monkeypatch):
 def _reference_edge_checks(pre, post, before):
     """Every check of the edge on which the frame ``before`` took its step,
     called directly, in the checker's order."""
-    after = entry(post, before.tid)
-    fr = after.frame
+    fr = frame_of(post, before.tid)
     step = before.current_step()
     reps = [invariants.check_transition(pre.aux, post.aux)]
     if step.kind == "register":
@@ -532,7 +553,9 @@ def _reference_edge_checks(pre, post, before):
         reps.append(invariants.check_read_lemma(step.ptr, value, post.aux))
     if step.kind == "relink":
         reps.append(invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y))
-    if after.returned:
+    # a call returns on the step that leaves only its release to take,
+    # the last of its steps
+    if fr is not None and fr.pc == len(fr.steps) - 1:
         call = before.call
         if call.kind == "write":
             reps.append(
@@ -685,21 +708,21 @@ def test_aux_blind_steps_read_no_aux_part(explored_steps):
     kinds = harness._FILED_WHOLE
     assert kinds == {"read-fwd", "release"}
     blind, seen, checkers = _Unread(), [], {}
-    for prog, tid, e, phys, aux in explored_steps:
-        if e.step.kind not in kinds:
+    for prog, tid, frame, phys, aux in explored_steps:
+        step = frame.current_step()
+        if step.kind not in kinds:
             continue
-        seen.append(e.step.kind)
-        frame = harness._stepping_frame(prog, tid, e)
-        post, aux2, *rest = snapshot.apply_step(e.step, phys, aux, frame)
-        hidden = snapshot.apply_step(e.step, phys, blind, frame)
+        seen.append(step.kind)
+        post, aux2, *rest = snapshot.apply_step(step, phys, aux, frame)
+        hidden = snapshot.apply_step(step, phys, blind, frame)
         assert aux2 is aux and hidden[1] is blind
         assert (hidden[0], *hidden[2:]) == (post, *rest)
         post_frame, value, outputs = rest
-        returned = harness._returned(frame, harness._entry_after(prog, tid, e.call_idx, post_frame))
+        returned = harness._returned(frame, harness._entry_after(prog, post_frame))
         checker = checkers.get(prog.name)
         if checker is None:
             checker = checkers[prog.name] = harness._Checker(prog)
-        assert checker._check_edge(blind, blind, e.step, value, outputs, returned) == ()
+        assert checker._check_edge(blind, blind, step, value, outputs, returned) == ()
     assert set(seen) == kinds
     assert len(seen) > 10_000
 
@@ -862,7 +885,7 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
     monkeypatch.setattr(harness, "_ID_BITS", 0)
     calls = _watch_state_key(monkeypatch)
     checkers = _record_checkers(monkeypatch)
-    entries = _watch_entries(monkeypatch)
+    entries = _watch_entries(monkeypatch, prog)
     levels = {"check_history": "history", "check_phases": "phase", "check_memory": "memory"}
     for name, level in levels.items():
         forced = [Violation(f"forced-{level}", "every state")]
@@ -875,7 +898,7 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
     for _, (pid, aid, eids) in calls:
         state = _state_of(checker, entries, pid, aid, eids)
         parts = [(phys_key(state.phys), pid), (aux_key(state.aux), aid)]
-        parts += [(entry_key(tid, e), eid) for (tid, e), eid in zip(state.threads, eids)]
+        parts += [(_entry_key(*e), eid) for e, eid in zip(state.threads, eids)]
         for key, i in parts:
             ids.setdefault(key, set()).add(i)
         seen += len(parts)
@@ -909,19 +932,25 @@ def _watch_state_key(monkeypatch):
     return calls
 
 
-def _watch_entries(monkeypatch):
-    """The entries, with their threads, that explore numbers from now on,
-    by id: it numbers them by ``harness.entry_key``, in order of first
-    sight."""
-    keyed, ids, entries = harness.entry_key, {}, []
+def _watch_entries(monkeypatch, prog):
+    """What each thread holds, with the thread, that the next explore of
+    ``prog`` numbers, by id: it numbers each thread's initial frame, then
+    each that ``harness._entry_after`` gives, by ``_entry_key`` in order
+    of first sight."""
+    after, ids, entries = harness._entry_after, {}, []
 
-    def watch(tid, entry):
-        key = keyed(tid, entry)
-        if ids.setdefault(key, len(entries)) == len(entries):
-            entries.append((tid, entry))
-        return key
+    def number(tid, frame):
+        if ids.setdefault(_entry_key(tid, frame), len(entries)) == len(entries):
+            entries.append((tid, frame))
 
-    monkeypatch.setattr(harness, "entry_key", watch)
+    def watch(prog, frame):
+        got = after(prog, frame)
+        number(frame.tid, got)
+        return got
+
+    for tid, frame in initial_state(prog).threads:
+        number(tid, frame)
+    monkeypatch.setattr(harness, "_entry_after", watch)
     return entries
 
 
@@ -936,10 +965,7 @@ def _full_key(state):
     return (
         phys_key(state.phys),
         aux_key(state.aux),
-        tuple(
-            (tid, e.call_idx, None if e.frame is None else frame_key(e.frame))
-            for tid, e in state.threads
-        ),
+        tuple((tid, None if f is None else frame_key(f)) for tid, f in state.threads),
     )
 
 
@@ -964,7 +990,7 @@ def test_state_key_is_injective(prog, id_bits, monkeypatch):
     monkeypatch.setattr(harness, "_ID_BITS", 0)
     calls = _watch_state_key(monkeypatch)
     checkers = _record_checkers(monkeypatch)
-    entries = _watch_entries(monkeypatch)
+    entries = _watch_entries(monkeypatch, prog)
     report = explore(prog)
     [checker] = checkers
     monkeypatch.setattr(harness, "_ID_BITS", width)
@@ -1056,15 +1082,15 @@ def _reference_frame(frame, aux):
 
 
 def _explored_steps(prog):
-    """Every distinct (thread, entry, phys, aux) from which explore of
+    """Every distinct (thread, frame, phys, aux) from which explore of
     ``prog`` steps: with 0-bit digits ``state_key`` sees the ids of every
-    state reached, and each thread's entry with the state's two parts
+    state reached, and each thread's frame with the state's two parts
     names a step, taken once per distinct triple of ids."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_ID_BITS", 0)
         calls = _watch_state_key(patch)
         checkers = _record_checkers(patch)
-        entries = _watch_entries(patch)
+        entries = _watch_entries(patch, prog)
         explore(prog)
     [checker] = checkers
     seen = set()
@@ -1072,16 +1098,16 @@ def _explored_steps(prog):
         for eid in eids:
             if (eid, pid, aid) not in seen:
                 seen.add((eid, pid, aid))
-                tid, e = entries[eid]
+                tid, frame = entries[eid]
                 phys = checker.phys[pid]
-                if e.step is not None and snapshot.step_enabled(e.step, phys):
-                    yield tid, e, phys, checker.aux[aid]
+                if snapshot.step_enabled(frame, phys):
+                    yield tid, frame, phys, checker.aux[aid]
 
 
 @pytest.fixture(scope="session")
 def explored_steps():
     """Every distinct step of the explores of e and the two-scan clients,
-    as (program, thread, entry, phys, aux)."""
+    as (program, thread, frame, phys, aux)."""
     progs = [client_e(), *two_scan_programs()]
     return [(prog, *step) for prog in progs for step in _explored_steps(prog)]
 
@@ -1092,10 +1118,10 @@ def test_apply_step_composes_the_reference(explored_steps, monkeypatch):
     that the one dispatch it replaced gave, on every step from every
     distinct (entry, phys, aux) of the explores of e and the two-scan
     clients, and on every step of 50 random runs of e."""
-    for prog, tid, e, phys, aux in explored_steps:
-        frame = harness._stepping_frame(prog, tid, e)
-        got = snapshot.apply_step(e.step, phys, aux, frame)[:3]
-        assert got == _reference_apply_step(e.step, phys, aux, _reference_frame(frame, aux))
+    for prog, tid, frame, phys, aux in explored_steps:
+        step = frame.current_step()
+        got = snapshot.apply_step(step, phys, aux, frame)[:3]
+        assert got == _reference_apply_step(step, phys, aux, _reference_frame(frame, aux))
     assert len(explored_steps) > 100_000
     log = _record_calls(monkeypatch, "apply_step")
     report = run_random(client_e(), seed=42, runs=50)

@@ -196,3 +196,50 @@ def test_every_parameter_default_is_used():
         if not any(_omits(call, name, position) for call in calls.get(fn.name, ()))
     ]
     assert not unused, "defaults that no call takes: " + ", ".join(unused)
+
+
+def _annotations(tree):
+    """The annotations of a module's functions, arguments and annotated
+    assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _reads(tree):
+    """The names a module reads: every name loaded, also inside a string
+    annotation (a name imported for type checking alone is read there)."""
+    names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
+    read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+    for annotation in _annotations(tree):
+        for const in ast.walk(annotation):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                parsed = ast.parse(const.value, mode="eval")
+                read |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return read
+
+
+def test_every_imported_name_is_read():
+    """Each name a module under ``src/snapcheck`` imports is read in that
+    module: an import alone is no use, and would count as one for the rule
+    of ``test_every_module_level_name_has_a_production_use``.  The
+    package's ``__init__.py`` imports to re-export."""
+    trees, _ = _sources()
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE or path.name == "__init__.py":
+            continue
+        read = _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append(f"{path.name}: {bound}")
+    assert not unread, "imported names that nothing reads: " + ", ".join(unread)

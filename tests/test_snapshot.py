@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import entry
+from conftest import frame_of
 from snapcheck.aux_model import Color, Ptr
 from snapcheck.errors import DisabledStepError, ValueDomainError
 from snapcheck.harness import (
@@ -20,7 +20,6 @@ from snapcheck.snapshot import (
     apply_step,
     aux_digest,
     init,
-    call_steps,
     make_frame,
 )
 
@@ -49,7 +48,7 @@ def test_init_value_domain():
 
 
 def test_step_lists():
-    labels = [s.label for s in call_steps(MethodCall.write(Ptr.X, 2))]
+    labels = [s.label for s in make_frame("a", 0, MethodCall.write(Ptr.X, 2)).steps]
     assert labels == [
         "acquire:wx",
         "register:x",
@@ -58,7 +57,7 @@ def test_step_lists():
         "finalize:x",
         "release:wx",
     ]
-    assert len(call_steps(MethodCall.scan())) == 11
+    assert len(make_frame("c", 0, MethodCall.scan()).steps) == 11
 
 
 def test_uncontended_write_takes_five_steps():
@@ -110,7 +109,7 @@ def test_read_steps_leave_aux_unchanged():
     state, frame = step_state(prog, state, "c")
     assert frame.current_step().label == "read:x"
     assert aux_digest(state.aux) == before
-    assert entry(state, "c").frame.vx == 5
+    assert frame_of(state, "c").vx == 5
 
 
 def test_blocked_acquire_is_disabled():
@@ -124,7 +123,7 @@ def test_blocked_acquire_is_disabled():
     state = initial_state(prog)
     state, _ = step_state(prog, state, "a")  # a holds wx
     assert enabled_tids(prog, state) == ["a"]
-    frame = make_frame("b", MethodCall.write(Ptr.X, 3))
+    frame = make_frame("b", 0, MethodCall.write(Ptr.X, 3))
     with pytest.raises(DisabledStepError):
         apply_step(frame.current_step(), state.phys, state.aux, frame)
 
