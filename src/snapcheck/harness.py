@@ -12,8 +12,9 @@ checks come in three parts, by what they read: the history part only the
 auxiliary history (events, colors, end times, ownership and the logical
 order, which the writer and scanner phase toggles leave as it is), the
 phase part the auxiliary part, and the memory part the physical and
-auxiliary parts.  So each part runs once per run on each distinct thing it
-reads: history, auxiliary part or (physical, auxiliary) pair.  ``explore``
+auxiliary parts, composed as ``check_all`` composes them.  So each part
+runs once per run on each distinct thing it reads, malformed or not:
+history, auxiliary part or (physical, auxiliary) pair.  ``explore``
 replays each distinct half step from its own tables wherever it recurs,
 walking the ids of a state's parts, and composes one that they miss from
 a table per function, keyed by that function's arguments, calling only
@@ -344,13 +345,13 @@ def _digest(part, digest) -> str:
 
 
 class _Checker:
-    """What the schedulers share, and only that: it starts each run
-    (:meth:`start`), interns the parts that a step makes (:meth:`_canon`),
-    checks states (:meth:`on_state`) and edges (:meth:`_check_edge`, on
-    every step of the drive loop and where ``explore``'s verdict table
-    misses), and accumulates their verdicts (violations, scan results, runs
-    the oracle checked).  At the end of each run it folds the run's record
-    from the scheduler's trail (:meth:`finish`); no other code derives one.
+    """What the schedulers share, and only that: it starts each run and
+    checks its first state (:meth:`start`), interns the parts a step makes
+    (:meth:`_canon`), checks states (:meth:`on_state`) and edges
+    (:meth:`_check_edge`, on every step of the drive loop and where
+    ``explore``'s verdict table misses) and keeps their verdicts
+    (violations, scan results, runs the oracle checked).  It folds each
+    run's record from its trail (:meth:`finish`), as no other code does.
 
     The checker hash-conses the parts its check tables key on: equal
     physical parts and equal auxiliary parts of its runs' states become one
@@ -359,10 +360,11 @@ class _Checker:
     part it interns is made by stepping from its own initial state.  The
     tables map keys to verdicts, each check's by what it reads:
     ``check_history``'s by the history's key (``history_key``),
-    ``check_phases``'s by aux id, ``check_memory``'s, with the two others',
-    by phys id and aux id, and ``check_transition``'s by aux id and post
-    aux id.  An edge that leaves the auxiliary part as it was passes
-    ``check_transition`` by reflexivity and is not looked up.
+    ``check_aux``'s by aux id, a state's (``check_aux``'s, with
+    ``check_memory``'s where it runs) by phys id and aux id, and
+    ``check_transition``'s by aux id and post aux id.  An edge that leaves
+    the auxiliary part as it was passes ``check_transition`` by reflexivity
+    and is not looked up.
     """
 
     def __init__(self, prog: Program):
@@ -380,16 +382,19 @@ class _Checker:
         self.phys: list[PhysState] = []
         self.aux: list[AuxState] = []
         self._history_checks: dict[tuple, tuple] = {}
-        self._phase_checks: dict[int, tuple | bool] = {}
+        self._aux_checks: dict[int, tuple[tuple, bool]] = {}
         self._state_checks: defaultdict[int, dict] = defaultdict(dict)
         self._transition_checks: defaultdict[int, dict] = defaultdict(dict)
 
     def start(self) -> tuple[PhysState, AuxState, list[MethodFrame | None]]:
         """The parts of the program's initial state, the physical and
-        auxiliary part interned, and each thread's frame in tid order."""
+        auxiliary part interned, and each thread's frame in tid order; the
+        state is checked, stamped -1."""
         state = initial_state(self.prog)
         phys = self._canon(state.phys, self.phys, phys_key)
-        return phys, self._canon(state.aux, self.aux, aux_key), [f for _, f in state.threads]
+        aux = self._canon(state.aux, self.aux, aux_key)
+        self.on_state(_id(phys), _id(aux), -1)
+        return phys, aux, [f for _, f in state.threads]
 
     def _canon(self, part, parts: list, key):
         # Every part interned here descends from this checker's initial
@@ -444,40 +449,26 @@ class _Checker:
 
     def on_state(self, pid: int, aid: int, idx: int) -> None:
         """Record the violations of the state whose physical and auxiliary
-        parts have the ids ``pid`` and ``aid``, stamped ``idx`` (-1
-        initially)."""
+        parts have the ids ``pid`` and ``aid``, stamped ``idx``: those of
+        ``check_aux``, and of ``check_memory`` where it lets that run."""
         checks = self._state_checks[pid]
         found = checks.get(aid)
         if found is None:
-            found = checks[aid] = self._check_state(self.phys[pid], aid)
+            aux = self.aux[aid]
+            verdict = self._aux_checks.get(aid)
+            if verdict is None:
+                key = history_key(aux)
+                history = self._history_checks.get(key)
+                if history is None:
+                    history = self._history_checks[key] = tuple(invariants.check_history(aux))
+                found, memory = invariants.check_aux(aux, history)
+                verdict = self._aux_checks[aid] = (tuple(found), memory)
+            found, memory = verdict
+            if memory:
+                found += tuple(invariants.check_memory(self.phys[pid], aux))
+            checks[aid] = found
         if found:
             self.absorb(found, idx)
-
-    def _check_state(self, phys: PhysState, aid: int) -> tuple[Violation, ...]:
-        """``check_all``'s verdict on ``phys`` and the auxiliary part of id
-        ``aid``, composed of its parts' verdicts: the history part's once
-        per history, the phase part's once per auxiliary part and the
-        memory part's, here, once per pair.  Where a ``wellformed`` clause
-        fails, ``check_all`` itself decides which checks run."""
-        aux = self.aux[aid]
-        found = self._phase_checks.get(aid)
-        if found is None:
-            found = self._phase_checks[aid] = self._check_aux(aux)
-        if found is False:
-            return tuple(invariants.check_all(phys, aux))
-        return found + tuple(invariants.check_memory(phys, aux))
-
-    def _check_aux(self, aux: AuxState) -> tuple[Violation, ...] | bool:
-        """The history and phase parts' verdicts on ``aux``, or False where
-        either reports a malformed state."""
-        key = history_key(aux)
-        history = self._history_checks.get(key)
-        if history is None:
-            history = self._history_checks[key] = tuple(invariants.check_history(aux))
-        if invariants.malformed(history):
-            return False
-        phases = tuple(invariants.check_phases(aux))
-        return False if invariants.malformed(phases) else history + phases
 
     def finish(self, phys: PhysState, aux: AuxState, trail, steps=()) -> Trace:
         """Build the record of the completed run that ended in the parts
@@ -576,7 +567,6 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     checker = _Checker(prog)
     phys0, aux0, frames0 = checker.start()
     pid0, aid0 = _id(phys0), _id(aux0)
-    checker.on_state(pid0, aid0, -1)
     phys, aux, tids = checker.phys, checker.aux, checker.tids
     # one entry per id, a thread's frame or None, numbered in order of first
     # sight by ``frame_key``, a done thread by its tid
@@ -735,7 +725,6 @@ def _drive(choose, checker: _Checker, steps: list[StepRecord] | None = None) -> 
     prog, tids = checker.prog, checker.tids
     phys, aux, frames = checker.start()
     trail = []
-    checker.on_state(_id(phys), _id(aux), -1)
     for idx in count():
         tid = choose(idx, [t for t, f in zip(tids, frames) if step_enabled(f, phys)])
         if tid is None:
@@ -882,14 +871,17 @@ def generated_programs() -> list[Program]:
 def parse_program(text: str, name: str = "custom") -> Program:
     """Parse a program file: one thread per line (``tid: write x 2; scan``),
     optional leading ``init <vx> <vy>`` line, ``#`` comments.  A file that
-    is no valid :class:`Program` raises :class:`TraceParseError`."""
-    init = Program(name, ())  # its initial values, checked on their line
+    is no valid :class:`Program`, or has an ``init`` line after its first
+    line, raises :class:`TraceParseError`."""
+    init = default = Program(name, ())  # its initial values, checked on their line
     threads: list[tuple[Tid, tuple[MethodCall, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("init") and ":" not in line:
+            if threads or init is not default:
+                raise TraceParseError(f"line {lineno}: 'init' may only be the first line")
             parts = line.split()
             if len(parts) != 3:
                 raise TraceParseError(f"line {lineno}: expected 'init <vx> <vy>'")

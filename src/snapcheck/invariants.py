@@ -514,17 +514,23 @@ def check_omega_properties(aux: AuxState) -> list[Violation]:
     return rep
 
 
-def check_all(phys: "PhysState", aux: AuxState) -> list[Violation]:
-    """Every state check on one state: the history part, then the phase
-    part, then the memory part.  A ``wellformed`` violation skips every
-    other state invariant (:func:`check_state`); order sanity and the chain
-    lemma run on every state."""
-    history = check_history(aux)
+def check_aux(aux: AuxState, history) -> tuple[list[Violation], bool]:
+    """The history part's verdict ``history`` on ``aux`` and the phase
+    part's, and whether the memory part runs: a ``wellformed`` violation
+    skips every other state invariant (:func:`check_state`) but order
+    sanity and the chain lemma, which run on every state."""
     if malformed(history):
-        writers = []
-        _check_writers(aux, writers)
-        return history + writers
+        rep = list(history)
+        _check_writers(aux, rep)
+        return rep, False
     phases = check_phases(aux)
     if malformed(phases):
-        return check_omega_properties(aux) + check_chain_lemma(aux) + phases
-    return history + phases + check_memory(phys, aux)
+        return check_omega_properties(aux) + check_chain_lemma(aux) + phases, False
+    return [*history, *phases], True
+
+
+def check_all(phys: "PhysState", aux: AuxState) -> list[Violation]:
+    """Every state check on one state: :func:`check_aux` on the history
+    part's verdict, then the memory part where it runs."""
+    rep, memory = check_aux(aux, check_history(aux))
+    return rep + check_memory(phys, aux) if memory else rep

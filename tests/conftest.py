@@ -133,15 +133,21 @@ def _explore_one(prog):
 @pytest.fixture(scope="session")
 def sweep_reports():
     """Exhaustive exploration of the bundled clients, every generated
-    program and the two-scan clients; shared across the whole run
-    (acceptance reuses it).  Client fig1 is client e under another name, so
-    it is explored once, as e.  Programs run in a small process pool,
-    biggest first (gen-x2-y2 ahead of fig1-two-scan, which ties it on
-    calls), so the wall time is bounded by the largest state graph.  The
-    workers are spawned, not forked: a worker forked from the pytest
-    process took about 10 million page faults and 79 s of system time on
-    gen-x2-y2, against 77 thousand and 0.3 s in a spawned one."""
+    program, the two-scan clients and a two-scan client whose writer of x
+    writes twice, the first swept program where two scans meet two writes
+    to one pointer; shared across the whole run (acceptance reuses it).
+    Client fig1 is client e under another name, so it is explored once, as
+    e.  Programs run in a small process pool, biggest first (gen-x2-y2
+    ahead of the five-call clients, which tie it on calls), so the wall
+    time is bounded by the largest state graph.  The workers are spawned,
+    not forked: a worker forked from the pytest process took about 10
+    million page faults and 79 s of system time on gen-x2-y2, against 77
+    thousand and 0.3 s in a spawned one."""
+    rewrite_two_scan = parse_program(
+        "a: write x 2; write x 3\nd: write y 1\ns: scan; scan\n", name="gen-x2-y1-two-scan"
+    )
     programs = [client_e(), client_e_prime()] + generated_programs() + two_scan_programs()
+    programs.append(rewrite_two_scan)
     programs.sort(key=lambda p: -sum(len(calls) for _, calls in p.threads))
     t0 = time.perf_counter()
     out = {}

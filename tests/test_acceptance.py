@@ -3,8 +3,8 @@ pass/fail line each.  Run with:
 
     pytest tests/test_acceptance.py -v -s
 
-The exhaustive sweep (shared session fixture) explores 13 programs: the
-bundled clients e and e-prime, all nine generated programs, and the two
+The exhaustive sweep (shared session fixture) explores 14 programs: the
+bundled clients e and e-prime, all nine generated programs, and the three
 clients whose scanning thread scans twice.  It is reused by criteria 2-7
 and by the golden-count check.  Each criterion counts the violation names
 that ``conftest.CHECKS`` maps to it.
@@ -81,10 +81,17 @@ SWEEP_GOLDEN = {
     "gen-x0-y0": (12, 11, 1, 1, {(5, 0)}),
     "two-scan": (46_930, 116_262, 170_607_959_160, 72, {(2, 0), (2, 1), (5, 0), (5, 1)}),
     "fig1-two-scan": (124_676, 310_869, 34_002_525_175_854, 126, PAPER_RESULT_SET),
+    "gen-x2-y1-two-scan": (
+        369_792,
+        950_976,
+        600_626_072_204_993,
+        315,
+        {(2, 0), (2, 1), (3, 0), (3, 1), (5, 0), (5, 1)},
+    ),
 }
 
 # Every swept program's kept run records: a blake2b digest (16 bytes) of
-# ``render_trace`` of each execution explore keeps, in order, 2,485 records
+# ``render_trace`` of each execution explore keeps, in order, 2,800 records
 # in all.  The records are schedules, invocation and response indices,
 # witnesses and final states, so a change to how a run's record is built
 # shows here.
@@ -102,6 +109,7 @@ SWEEP_RECORDS = {
     "gen-x0-y0": "e73c6528932aa8bb1dad57b54b916543",
     "two-scan": "e9d4fe979b2929e7c4cedc9e6bc0f8d4",
     "fig1-two-scan": "1bb937312659b41a4f1010c914d2f91f",
+    "gen-x2-y1-two-scan": "fd6e1217b55ef5e97e52d07e6ef9b173",
 }
 
 
@@ -183,7 +191,7 @@ def test_sweep_run_records(sweep_reports, capsys):
     wrong = {name: digest for name, digest in got.items() if SWEEP_RECORDS.get(name) != digest}
     records = sum(len(report.executions) for report, _ in reports.values())
     with capsys.disabled():
-        ok = not wrong and set(got) == set(SWEEP_RECORDS) and records == 2_485
+        ok = not wrong and set(got) == set(SWEEP_RECORDS) and records == 2_800
         _report(
             "sweep run-records",
             ok,

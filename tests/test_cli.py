@@ -120,6 +120,13 @@ def test_explore_bad_program_file(tmp_path, capsys):
     assert main(["explore", "--program", str(prog)]) == 4
 
 
+def test_explore_program_file_with_a_late_init_line(tmp_path, capsys):
+    prog = tmp_path / "late.prog"
+    prog.write_text("c: scan\ninit 2 1\n")
+    assert main(["explore", "--program", str(prog)]) == 4
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_replay_deterministic(tmp_path, sched_file, capsys):
     t1 = tmp_path / "a.trace"
     t2 = tmp_path / "b.trace"

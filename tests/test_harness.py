@@ -342,6 +342,10 @@ def test_parse_program_errors():
         parse_program("c: scan\na: write x 99")
     with pytest.raises(TraceParseError, match="line 1: value 9"):
         parse_program("init 9 0\nc: scan")
+    with pytest.raises(TraceParseError, match="line 3: 'init'"):
+        parse_program("init 5 0\na: write x 2\ninit 2 1\ns: scan\n")  # repeated
+    with pytest.raises(TraceParseError, match="line 4: 'init'"):
+        parse_program("# leading comment\n\nc: scan\ninit 2 1\n")  # after the threads
 
 
 def test_a_program_is_checked_where_it_is_made():
@@ -597,16 +601,15 @@ def _reference_violations(prog):
     return found
 
 
-def test_memoised_checks_match_unmemoised_reference(monkeypatch):
+def test_memoised_checks_match_unmemoised_reference(default_runs, monkeypatch):
     """explore checks each distinct (phys, aux) pair and aux transition
     once and replays the verdict elsewhere; with a forced violation on
     every state whose scanner is on and every edge that changes the aux
-    state, its violation list is the one a walk that checks everything
-    gives, step stamps included."""
+    state, its violation list (the forced run of e in ``default_runs``) is
+    the one a walk that checks everything gives, step stamps included."""
+    got = default_runs["forced"][0][2]
     _force_violations(monkeypatch)
     prog = client_e()
-    report = explore(prog)
-    got = [(v.name, v.detail, v.step) for v in report.violations]
     names = {name for name, _, _ in got}
     assert names == {"forced-state", "forced-edge"}
     assert got == _reference_violations(prog)
@@ -615,11 +618,14 @@ def test_memoised_checks_match_unmemoised_reference(monkeypatch):
 def test_malformed_states_get_check_alls_verdict(monkeypatch):
     """Where the history or phase part reports a ``wellformed`` violation,
     explore records check_all's verdict on the state, which skips every
-    other state invariant but order sanity and the chain lemma."""
+    other state invariant but order sanity and the chain lemma; the
+    history part still runs once per distinct history, malformed or not."""
     _force_violations(monkeypatch)
     check_history, check_phases = invariants.check_history, invariants.check_phases
+    histories = []
 
     def history(aux):
+        histories.append(history_key(aux))
         rep = check_history(aux)
         if aux.joint_mask and aux.kappa[-1] == Color.RED:
             rep.insert(0, Violation("wellformed", "bent history"))
@@ -635,6 +641,7 @@ def test_malformed_states_get_check_alls_verdict(monkeypatch):
     monkeypatch.setattr(invariants, "check_phases", phases)
     prog = client_e()
     got = [(v.name, v.detail, v.step) for v in explore(prog).violations]
+    assert len(histories) == len(set(histories)) == 174
     assert {"bent history", "bent phase"} <= {detail for _, detail, _ in got}
     assert got == _reference_violations(prog)
 

@@ -2,6 +2,7 @@
 production use, and every field and attribute of its classes a reader."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -243,3 +244,69 @@ def test_every_imported_name_is_read():
                     if bound not in read:
                         unread.append(f"{path.name}: {bound}")
     assert not unread, "imported names that nothing reads: " + ", ".join(unread)
+
+
+def _scopes():
+    """What a dotted reference may start from, each with the names it
+    holds: the package, each module under ``src/snapcheck`` by its name,
+    and each class there by its name, with its methods, fields and
+    attributes."""
+    trees, _ = _sources()
+    package, classes = {}, {}
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        module = package[path.stem] = {}
+        for name, node in _defined(tree):
+            module[name] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                members = classes.setdefault(node.name, {})
+                members.update((name, {}) for name, _ in _methods(ast.Module([node], [])))
+                members.update((attr, {}) for _, attr in _attributes(ast.Module([node], [])))
+                module[node.name] = members
+    return {"snapcheck": package, **package, **classes}
+
+
+def _resolves(reference, roots):
+    """Whether a dotted ``reference`` names something from ``roots``; an
+    undotted one may name anything defined at any depth."""
+    parts = reference.removeprefix("~").split(".")
+    if len(parts) == 1:
+        stack = list(roots.values())
+        while stack:
+            scope = stack.pop()
+            if parts[0] in scope:
+                return True
+            stack += scope.values()
+        return parts[0] in roots
+    scope = roots.get(parts[0])
+    for part in parts[1:]:
+        if scope is None:
+            return False
+        scope = scope.get(part)
+    return scope is not None
+
+
+def test_documented_names_exist():
+    """Each backticked dotted name in ``README.md`` (cut at its first
+    ``(``; a file of the repository is not a name) and each ``:func:``,
+    ``:meth:`` and ``:class:`` target in ``src/`` names something defined
+    under ``src/snapcheck``: prose that names a deleted or renamed
+    function sends its reader nowhere."""
+    roots = _scopes()
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    spans = (span.split("(")[0] for span in re.findall(r"`([^`\n]+)`", readme))
+    dotted = [
+        span
+        for span in spans
+        if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", span) and not (ROOT / span).exists()
+    ]
+    roles = [
+        target
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for target in re.findall(r":(?:func|meth|class):`([^`]+)`", path.read_text())
+    ]
+    assert len(dotted) > 10 and len(roles) > 10
+    unknown = sorted({ref for ref in dotted + roles if not _resolves(ref, roots)})
+    assert not unknown, "documented names that nothing defines: " + ", ".join(unknown)
