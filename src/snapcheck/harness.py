@@ -1,44 +1,37 @@
-"""Client programs and schedulers.
+"""Client programs and schedulers, which compose the steps that
+``snapshot`` defines and memoise them; no code here names a step kind.
 
 ``explore`` walks every reachable state of a program (depth-first over
 distinct states, so commuting interleavings are explored once), running the
 full invariant battery after every atomic step, the method postconditions at
 every return, and the brute-force oracle on one representative execution per
-distinct terminal state.  A step is three effects, each on one part and
-reading only its own arguments (``snapshot.phys_effect``, ``aux_effect``
-and ``frame_effect``), and the checks of its edge read only the two
-auxiliary parts and what ``_Checker._check_edge`` is handed.  The state
-checks come in three parts, by what they read: the history part only the
-auxiliary history (events, colors, end times, ownership and the logical
-order, which the writer and scanner phase toggles leave as it is), the
-phase part the auxiliary part, and the memory part the physical and
-auxiliary parts, composed as ``check_all`` composes them.  So each part
-runs once per run on each distinct thing it reads, malformed or not:
-history, auxiliary part or (physical, auxiliary) pair.  ``explore``
-replays each distinct half step from its own tables wherever it recurs,
-walking the ids of a state's parts, and composes one that they miss from
-a table per function, keyed by that function's arguments, calling only
-the functions whose tables miss.  ``run_schedule`` deterministically
-replays an explicit schedule into a full trace, and ``run_random`` drives
-seeded random executions; both run one loop whose chooser follows the
-schedule or draws from the seeded RNG, and take every step afresh through
-``apply_step``, the composition of the effects (one path repeats few half
-steps), carrying the run as its parts and entries, with no state object.
+distinct terminal state.  It replays each distinct half step from its own
+tables wherever it recurs, walking the ids of a state's parts, and composes
+one that they miss from a table per function (a step's three effects and
+its edge checks), keyed by that function's arguments, calling only the
+functions whose tables miss.  ``run_schedule`` deterministically replays an
+explicit schedule into a full trace, and ``run_random`` drives seeded
+random executions; both run one loop whose chooser follows the schedule or
+draws from the seeded RNG, and take every step afresh through
+``apply_step`` (one path repeats few half steps), carrying the run as its
+parts and frames, with no state object.
+
 Every scheduler reaches its :class:`_Checker` through ``start``,
 ``on_state``, ``absorb``, ``finish`` and ``report``, interns the parts it
-makes with ``_canon`` and checks its edges with ``_check_edge``.
+makes with ``_canon`` and checks its edges with ``_check_edge``.  The state
+checks run in three parts, by what they read (the auxiliary history, the
+auxiliary part, the physical and auxiliary parts), each once per run on
+each distinct thing it reads, malformed or not, composed as ``check_all``
+composes them.
 
-A :class:`State` is the machine state only, and a thread's entry in it
-is its frame: the frame of the call it runs, between calls its next
-call's at ``pc == 0``, and None once its calls are done.  Every scheduler
-keeps the run that reached it as a trail, one item per step taken
-(``explore`` pops it on return), from which :meth:`_Checker.finish`
-folds the run's record.
+A :class:`State` is the machine state only, and a thread's entry in it is
+its frame, None once its calls are done.  Every scheduler keeps the run
+that reached it as a trail, one item per step taken (``explore`` pops it
+on return), from which :meth:`_Checker.finish` folds the run's record.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -74,14 +67,13 @@ from .snapshot import (
     apply_step,
     aux_digest,
     aux_effect,
-    effect_args,
     frame_effect,
     init,
     make_frame,
-    observed,
     phys_digest,
     phys_effect,
     phys_key,
+    step_args,
     step_enabled,
 )
 
@@ -110,12 +102,6 @@ class Program:
         validate_value(self.init_x)
         validate_value(self.init_y)
 
-    def calls_of(self, tid: Tid) -> tuple[MethodCall, ...]:
-        for t, calls in self.threads:
-            if t == tid:
-                return calls
-        raise KeyError(tid)
-
 
 @dataclass(frozen=True)
 class State:
@@ -123,8 +109,8 @@ class State:
     thread's entry, its frame (between calls the next call's, before its
     first step), or None once its calls are done.  It is records of
     primitives all the way down, and each record's fields are its key
-    (``phys_key``, ``aux_key``, ``frame_key``), so two states are equal
-    exactly when their keys are."""
+    (``phys_key``, ``aux_key``, ``snapshot.frame_key``), so two states are
+    equal exactly when their keys are."""
 
     phys: PhysState
     aux: AuxState
@@ -214,7 +200,7 @@ def initial_state(prog: Program) -> State:
     """The state before ``prog``'s first step; ``Program`` checks ``prog``."""
     phys, aux = init(prog.init_x, prog.init_y)
     threads = sorted(prog.threads)  # by tid alone: the tids are unique
-    frames = ((tid, make_frame(tid, 0, calls[0]) if calls else None) for tid, calls in threads)
+    frames = ((tid, make_frame(tid, 0, calls) if calls else None) for tid, calls in threads)
     return State(phys, aux, tuple(frames))
 
 
@@ -224,24 +210,13 @@ def enabled_tids(prog: Program, state: State) -> list[Tid]:
     return [tid for tid, frame in state.threads if step_enabled(frame, phys)]
 
 
-def _entry_after(prog: Program, frame: MethodFrame) -> MethodFrame | None:
-    """The thread's frame once a step left ``frame``: the same frame, or at
-    the end of a call the next call's (None once its calls are done)."""
-    if frame.pc < len(frame.steps):
-        return frame
-    tid, nxt = frame.tid, frame.call_idx + 1
-    calls = prog.calls_of(tid)
-    return make_frame(tid, nxt, calls[nxt]) if nxt < len(calls) else None
-
-
 def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, MethodFrame]:
     """Apply tid's next atomic step, by ``apply_step``: the post-state and
     the frame that took the step."""
     i = state.index(tid)
     before = state.threads[i][1]
-    phys, aux, frame, _, _ = apply_step(before.current_step(), state.phys, state.aux, before)
-    after = (tid, _entry_after(prog, frame))
-    return State(phys, aux, state.threads[:i] + (after,) + state.threads[i + 1 :]), before
+    phys, aux, after, _, _ = apply_step(before.current_step(), state.phys, state.aux, before)
+    return State(phys, aux, state.threads[:i] + ((tid, after),) + state.threads[i + 1 :]), before
 
 
 def _witness(fr: MethodFrame, aux: AuxState) -> Timestamp:
@@ -266,41 +241,12 @@ def _method_record(fr: MethodFrame, aux: AuxState, invocation: int, response: in
     )
 
 
-# A frame's key: its fields as they are, the call flattened; primitives only.
-frame_key = operator.attrgetter(
-    "tid", "call_idx", "call.kind", "call.p", "call.v", "pc", "t", "vx", "vy", "ox", "oy",
-    "witness_x", "witness_y", "result", "mask",
-)
-
-
-def _returns(after: MethodFrame | None) -> bool:
-    """Whether the step that left a thread holding ``after`` returned its
-    call: a call returns on the step before its lock release."""
-    return after is not None and after.current_step().kind == "release"
-
-
 def _returned(before: MethodFrame, after: MethodFrame | None):
     """What the postcondition of the call that the step of ``before`` to
     ``after`` returned reads besides the auxiliary part (None where it
     returned none): the invocation mask and the frame the call returns
     with, which holds no local that the postcondition does not read."""
-    return (before.mask, after) if _returns(after) else None
-
-
-# The check of its own that the edge of a step of each kind adds, beside
-# the transition check and a returning call's postcondition, from the
-# step, the two auxiliary parts, the value read and the auxiliary outputs.
-_EDGE_CHECKS = {
-    "register": lambda step, pre, post, value, out: invariants.check_write_fresh(pre, *out),
-    "read": lambda step, pre, post, value, out: invariants.check_read_lemma(step.ptr, value, post),
-    "relink": lambda step, pre, post, value, out: invariants.check_relink_post(post, *out),
-}
-
-# The kinds of step whose half step is the same under every auxiliary
-# part: they have no auxiliary effect (``snapshot.AUX_BLIND``) and no
-# edge check of their own (a read's lemma reads the part).  ``explore``
-# files their half steps by entry and physical part alone.
-_FILED_WHOLE = snapshot.AUX_BLIND - _EDGE_CHECKS.keys()
+    return (before.mask, after) if snapshot.returns(after) else None
 
 
 # Bits of each id below the aux id in a packed key (see state_key).
@@ -427,9 +373,7 @@ class _Checker:
             if verdict is None:
                 verdict = transitions[post_aid] = tuple(invariants.check_transition(pre, post))
             found += verdict
-        own = _EDGE_CHECKS.get(step.kind)
-        if own is not None:
-            found += own(step, pre, post, value, outputs)
+        found += snapshot.edge_check(step, pre, post, value, outputs)
         if returned is not None:
             mask, fr = returned
             call = fr.call
@@ -476,8 +420,8 @@ class _Checker:
         run is its ``trail``, one ``(thread index, frame before, frame
         after, auxiliary part after)`` per step, and the record is folded
         from it: a call is invoked on the step whose frame before is at
-        ``pc == 0``, and returns where ``_returns`` holds of the frame
-        after.
+        ``pc == 0``, and returns where ``snapshot.returns`` holds of the
+        frame after.
         Oracle failures join the checker's violations; the record's own
         violation list is left empty."""
         prog, tids = self.prog, self.tids
@@ -486,7 +430,7 @@ class _Checker:
         for idx, (i, before, after, aux_after) in enumerate(trail):
             if before.pc == 0:
                 invocations[i] = idx
-            if _returns(after):
+            if snapshot.returns(after):
                 methods.append(_method_record(after, aux_after, invocations[i], idx))
         trace = Trace(
             program=prog,
@@ -549,34 +493,34 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     The walk steps through its own tables of half steps, by the ids of a
     state's parts: the checker's for the physical and auxiliary parts, and
     its own for the threads' entries, which key nothing else: a frame by
-    ``frame_key``, and a thread whose calls are done by its tid.  Where a
-    table misses, ``fill`` composes the half step from a part table per
-    function (the step's three effects and ``_Checker._check_edge``), each
-    keyed by exactly the arguments its function takes, parts by id, and
-    calls a function only where its own table misses.  A composed
-    returning scan adds no scan result: its result is in the verdict's
-    key, so the check that filed the verdict added it.  A step of a kind in
-    ``_FILED_WHOLE`` has one outcome under every auxiliary part, so it is
-    filed whole by (entry id, phys id), and checked where it is filed to
-    fail no edge check (:class:`GuardViolationError` otherwise).  A successor's key is
-    ``state_key`` of its ids, derived from its parent's key by swapping in
-    the ids that a step can change (aux, phys and the stepping thread's
-    entry); ``state_key`` itself makes only the first key and those where
-    an id outgrows its digit.
+    ``snapshot.frame_key``, and a thread whose calls are done by its tid.
+    Where a table misses, ``fill`` composes the half step from a part table
+    per function (the step's three effects and ``_Checker._check_edge``),
+    each keyed by exactly the arguments its function takes, parts by id,
+    and calls a function only where its own table misses.  A composed
+    returning scan adds no scan result: its result is in the verdict's key,
+    so the check that filed the verdict added it.  A step of a kind in
+    ``snapshot.AUX_BLIND`` has one outcome under every auxiliary part, so
+    it is filed whole by (entry id, phys id), and checked where it is filed
+    to fail no edge check (:class:`GuardViolationError` otherwise).  A
+    successor's key is ``state_key`` of its ids, derived from its parent's
+    key by swapping in the ids that a step can change (aux, phys and the
+    stepping thread's entry); ``state_key`` itself makes only the first key
+    and those where an id outgrows its digit.
     """
     checker = _Checker(prog)
     phys0, aux0, frames0 = checker.start()
     pid0, aid0 = _id(phys0), _id(aux0)
     phys, aux, tids = checker.phys, checker.aux, checker.tids
     # one entry per id, a thread's frame or None, numbered in order of first
-    # sight by ``frame_key``, a done thread by its tid
+    # sight by ``snapshot.frame_key``, a done thread by its tid
     entries: list[MethodFrame | None] = []
     entry_ids: dict[tuple | Tid, int] = {}
     # The physical half of a step, by entry id and phys id: the post phys id
     # and the table of the auxiliary halves of the steps that read the same
-    # value (``observed``) under the entry; False where it has no step
-    # enabled.  A step filed whole (``_FILED_WHOLE``) is whole here: the
-    # post phys id and the post entry id, an int where the others have
+    # value (``step_args``) under the entry; False where it has no step
+    # enabled.  A step filed whole (``snapshot.AUX_BLIND``) is whole here:
+    # the post phys id and the post entry id, an int where the others have
     # their table.
     phys_steps: defaultdict[int, dict] = defaultdict(dict)
     # Those tables, by (entry id, value read), each by aux id: the post aux
@@ -607,7 +551,8 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     entry_shifts = [(n - 1 - i) * _ID_BITS for i in range(n)]
 
     def number(tid: Tid, frame: MethodFrame | None) -> int:
-        eid = entry_ids.setdefault(tid if frame is None else frame_key(frame), len(entries))
+        key = tid if frame is None else snapshot.frame_key(frame)
+        eid = entry_ids.setdefault(key, len(entries))
         if eid == len(entries):
             entries.append(frame)
         return eid
@@ -623,14 +568,13 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             return False
         step = frame.current_step()
         label = step.label
-        value = observed(step, pre)
-        phys_arg, aux_args = effect_args(step, frame, value)
+        value, phys_arg, aux_args = step_args(step, frame, pre)
         key = (label, phys_arg, pid)
         post_pid = phys_parts.get(key)
         if post_pid is None:
             post = checker._canon(phys_effect(step, phys_arg, pre), phys, phys_key)
             post_pid = phys_parts[key] = _id(post)
-        whole = step.kind in _FILED_WHOLE
+        whole = step.kind in snapshot.AUX_BLIND
         if whole:
             post_aid, outputs = aid, ()
         else:
@@ -643,7 +587,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         key = (eid, value, outputs)
         post_eid = frame_parts.get(key)
         if post_eid is None:
-            after = _entry_after(prog, frame_effect(frame, value, outputs))
+            after = frame_effect(frame, value, outputs)
             post_eid = frame_parts[key] = number(tids[i], after)
         returned = _returned(frame, entries[post_eid])
         key = (label, value, outputs, returned, aid, post_aid)
@@ -722,7 +666,7 @@ def _drive(choose, checker: _Checker, steps: list[StepRecord] | None = None) -> 
     state and edge on the way goes through ``checker``, and the digests of
     every state reached are appended to ``steps`` unless it is None.
     Returns the run's record, as :meth:`_Checker.finish` checks it."""
-    prog, tids = checker.prog, checker.tids
+    tids = checker.tids
     phys, aux, frames = checker.start()
     trail = []
     for idx in count():
@@ -732,8 +676,8 @@ def _drive(choose, checker: _Checker, steps: list[StepRecord] | None = None) -> 
         i = tids.index(tid)
         before = frames[i]
         step = before.current_step()
-        post_phys, post_aux, frame, value, outputs = apply_step(step, phys, aux, before)
-        after = frames[i] = _entry_after(prog, frame)
+        post_phys, post_aux, after, value, outputs = apply_step(step, phys, aux, before)
+        frames[i] = after
         if post_phys is not phys:
             post_phys = checker._canon(post_phys, checker.phys, phys_key)
         if post_aux is not aux:
@@ -871,8 +815,9 @@ def generated_programs() -> list[Program]:
 def parse_program(text: str, name: str = "custom") -> Program:
     """Parse a program file: one thread per line (``tid: write x 2; scan``),
     optional leading ``init <vx> <vy>`` line, ``#`` comments.  A file that
-    is no valid :class:`Program`, or has an ``init`` line after its first
-    line, raises :class:`TraceParseError`."""
+    is no valid :class:`Program`, has an ``init`` line after its first line
+    or a thread id that holds a comma or whitespace, raises
+    :class:`TraceParseError`."""
     init = default = Program(name, ())  # its initial values, checked on their line
     threads: list[tuple[Tid, tuple[MethodCall, ...]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -891,8 +836,12 @@ def parse_program(text: str, name: str = "custom") -> Program:
                 raise TraceParseError(f"line {lineno}: {exc}") from exc
             continue
         tid, sep, rest = line.partition(":")
-        if not sep or not tid.strip():
+        tid = tid.strip()
+        if not sep or not tid:
             raise TraceParseError(f"line {lineno}: expected 'tid: call; call; ...'")
+        if "," in tid or len(tid.split()) > 1:
+            # a schedule file splits on these, so no schedule could name it
+            raise TraceParseError(f"line {lineno}: thread id {tid!r} holds a comma or whitespace")
         try:
             calls = tuple(
                 MethodCall.parse(part.strip())
@@ -901,7 +850,7 @@ def parse_program(text: str, name: str = "custom") -> Program:
             )
         except (ValueError, ValueDomainError) as exc:
             raise TraceParseError(f"line {lineno}: {exc}") from exc
-        threads.append((tid.strip(), calls))
+        threads.append((tid, calls))
     try:
         return Program(name, tuple(threads), init.init_x, init.init_y)
     except ValueError as exc:  # a thread declared twice

@@ -5,17 +5,24 @@ the pointer's forwarding cell; a scan sets the bit, clears both forwarding
 cells, reads both pointers, unsets the bit, then reads the forwarding cells
 and prefers forwarded values.  Each angle-bracket command of the algorithm is
 one :class:`Step`, a single indivisible state change; lock acquire/release
-are explicit schedulable steps of their own.  A step is three effects, each
-on one part and reading only its own arguments (:func:`effect_args`): the
-physical effect, the auxiliary effect, and the frame effect, which reads
-what the step read from memory and the outputs of the auxiliary effect.  So
-the physical half of a step is blind to the auxiliary part by its
-signature.  :func:`apply_step` is their composition.
+are explicit schedulable steps of their own.
+
+Every decision about what a step of each kind does is made here.  A step is
+three effects, each on one part and reading only its own arguments, which
+one dispatch gives (:func:`step_args`): the physical effect, the auxiliary
+effect, and the frame effect, which reads what the step read from memory
+and the outputs of the auxiliary effect, and at a release starts the
+thread's next call.  So the physical half of a step is blind to the
+auxiliary part by its signature.  :func:`apply_step` is their composition.
+Beside them sit each kind's edge check (:func:`edge_check`), the step that
+returns a call (:func:`returns`), the kinds whose half step no auxiliary
+part changes (``AUX_BLIND``) and a frame's key (``frame_key``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import pickle
 from dataclasses import dataclass
 
@@ -60,6 +67,19 @@ class PhysState:
 
     def with_holder(self, lock: str, tid: Tid | None) -> "PhysState":
         return evolve(self, **{"lock_" + lock: tid})
+
+
+def phys_key(phys: PhysState) -> tuple:
+    return (
+        phys.x,
+        phys.y,
+        phys.fx,
+        phys.fy,
+        phys.s_bit,
+        phys.lock_wx,
+        phys.lock_wy,
+        phys.lock_scan,
+    )
 
 
 @dataclass(frozen=True)
@@ -151,11 +171,12 @@ _STEPS = {
 
 @dataclass(frozen=True)
 class MethodFrame:
-    """A thread's method call ``call_idx``, ``call``: program counter over
-    its call's step list, local registers, and the invocation mask its
-    postcondition reads (see :func:`invariants.capture_spec_snapshot`),
-    which its acquire takes.  Between calls a thread holds its next call's
-    frame at ``pc == 0``.
+    """A thread's method call ``call_idx``, ``call``, with the calls the
+    thread makes after it (``later``): program counter over its call's step
+    list, local registers, and the invocation mask its postcondition reads
+    (see :func:`invariants.capture_spec_snapshot`), which its acquire
+    takes.  Between calls a thread holds its next call's frame at
+    ``pc == 0``, which its last release started.
 
     The step after which nothing reads a local sets it to None (see
     :func:`clear_dead`), so the fields as they are identify the frame.
@@ -165,6 +186,7 @@ class MethodFrame:
     tid: Tid
     call_idx: int
     call: MethodCall
+    later: tuple[MethodCall, ...]
     mask: int | None
     pc: int = 0
     t: Timestamp | None = None
@@ -176,18 +198,24 @@ class MethodFrame:
     witness_y: Timestamp | None = None
     result: tuple[Value, Value] | None = None
 
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return _STEPS[self.call.p]
-
     def current_step(self) -> Step:
         return _STEPS[self.call.p][self.pc]
 
 
-def make_frame(tid: Tid, call_idx: int, call: MethodCall) -> MethodFrame:
-    """The frame of ``tid``'s call ``call_idx``, ``call``, before its first
-    step: its acquire takes the invocation mask from the auxiliary part."""
-    return MethodFrame(tid, call_idx, call, None)
+# A frame's key: its fields as they are, the call flattened; primitives
+# only.  It leaves out ``later``, which the tid and the call index fix
+# within one program.
+frame_key = operator.attrgetter(
+    "tid", "call_idx", "call.kind", "call.p", "call.v", "pc", "t", "vx", "vy", "ox", "oy",
+    "witness_x", "witness_y", "result", "mask",
+)
+
+
+def make_frame(tid: Tid, call_idx: int, calls: tuple[MethodCall, ...]) -> MethodFrame:
+    """The frame of ``tid``'s call ``call_idx``, ``calls[0]``, before its
+    first step, with the calls after it, ``calls[1:]``: its acquire takes
+    the invocation mask from the auxiliary part."""
+    return MethodFrame(tid, call_idx, calls[0], calls[1:], None)
 
 
 def clear_dead(frame: MethodFrame, *names: str) -> MethodFrame:
@@ -206,31 +234,38 @@ def step_enabled(frame: MethodFrame | None, phys: PhysState) -> bool:
     return step.kind != "acquire" or phys.holder(step.lock) is None
 
 
-def effect_args(step: Step, frame: MethodFrame, value) -> tuple:
-    """The arguments of the physical and the auxiliary effect of ``step``,
-    ``frame``'s next, which read ``value`` from memory (:func:`observed`):
-    what each reads besides its part, per kind."""
+def step_args(step: Step, frame: MethodFrame, phys: PhysState) -> tuple:
+    """What ``step``, ``frame``'s next, reads besides the part each of its
+    effects acts on, per kind: the one value of physical memory it reads
+    into its thread (the scanner bit, a pointer or a forwarding cell; None
+    for a step that reads none), which the auxiliary effect and the frame
+    effect read in place of the physical part, then the argument of its
+    physical effect and that of its auxiliary effect."""
     kind = step.kind
     if kind == "acquire":
-        return frame.tid, (frame.tid, frame.call.kind)
+        return None, frame.tid, (frame.tid, frame.call.kind)
     if kind == "release":
-        return frame.tid, None
+        return None, frame.tid, None
     if kind == "register":
-        return frame.call.v, frame.call.v
+        return None, frame.call.v, frame.call.v
     if kind == "forward":
-        return frame.call.v, None
+        return None, frame.call.v, None
     if kind == "check":
-        return None, value
+        return phys.s_bit, None, phys.s_bit
     if kind == "finalize":
-        return None, frame.tid
+        return None, None, frame.tid
+    if kind == "read":
+        return (phys.x if step.ptr == Ptr.X else phys.y), None, None
+    if kind == "read-fwd":
+        return (phys.fx if step.ptr == Ptr.X else phys.fy), None, None
     if kind == "relink":
-        return None, scan_result(frame)
-    return None, None
+        return None, None, scan_result(frame)
+    return None, None, None
 
 
 def phys_effect(step: Step, arg, phys: PhysState) -> PhysState:
     """The physical action of ``step`` on ``phys``, ``arg`` being its
-    physical argument (:func:`effect_args`)."""
+    physical argument (:func:`step_args`)."""
     kind = step.kind
     if kind == "acquire":
         if phys.holder(step.lock) is not None:
@@ -250,7 +285,7 @@ def phys_effect(step: Step, arg, phys: PhysState) -> PhysState:
 
 
 # The auxiliary effect of each kind of step that has one, by kind: from
-# the step's pointer, its auxiliary argument (effect_args) and the
+# the step's pointer, its auxiliary argument (step_args) and the
 # auxiliary part, the post auxiliary part followed by the outputs that
 # the frame takes.
 _AUX_EFFECTS = {
@@ -265,14 +300,29 @@ _AUX_EFFECTS = {
     "relink": lambda p, result, aux: aux_ops.relink(*result, aux),
 }
 
-# The kinds of step that have no auxiliary effect: they neither read nor
-# write the auxiliary part, and hand the frame nothing from it.
-AUX_BLIND = frozenset(s.kind for steps in _STEPS.values() for s in steps) - _AUX_EFFECTS.keys()
+# The edge check of each kind of step that has one (see edge_check).  Each
+# looks its check up on ``invariants`` when it runs, where a wrapper may
+# have replaced it.
+_EDGE_CHECKS = {
+    "register": lambda step, pre, post, value, out: invariants.check_write_fresh(pre, *out),
+    "read": lambda step, pre, post, value, out: invariants.check_read_lemma(step.ptr, value, post),
+    "relink": lambda step, pre, post, value, out: invariants.check_relink_post(post, *out),
+}
+
+# The kinds of step whose half step is the same under every auxiliary part:
+# they have no auxiliary effect, so they neither read nor write the part
+# and hand the frame nothing from it, and no edge check of their own (a
+# read's lemma reads the part).
+AUX_BLIND = (
+    frozenset(s.kind for steps in _STEPS.values() for s in steps)
+    - _AUX_EFFECTS.keys()
+    - _EDGE_CHECKS.keys()
+)
 
 
 def aux_effect(step: Step, args, aux: AuxState) -> tuple[AuxState, tuple]:
     """The auxiliary transition of ``step`` on ``aux``, ``args`` being its
-    auxiliary argument (:func:`effect_args`): the post auxiliary part and
+    auxiliary argument (:func:`step_args`): the post auxiliary part and
     the outputs the frame takes from it, an acquire's invocation mask, a
     register's timestamp or a relink's two chosen events (``()`` for the
     other kinds)."""
@@ -283,12 +333,23 @@ def aux_effect(step: Step, args, aux: AuxState) -> tuple[AuxState, tuple]:
     return post[0], post[1:]
 
 
-def frame_effect(frame: MethodFrame, value, outputs: tuple) -> MethodFrame:
-    """``frame`` after its next step, which read ``value`` from memory and
-    took ``outputs`` from its auxiliary effect: the program counter
-    advances (past the forward step where a check read no scan), the
-    locals take what the step read or returned, and those that nothing
-    reads any more are cleared (:func:`clear_dead`)."""
+def edge_check(step: Step, pre: AuxState, post: AuxState, value, outputs: tuple):
+    """The violations of the check of its own that the edge of ``step``
+    from the auxiliary part ``pre`` to ``post`` adds, on which the step
+    read ``value`` and its auxiliary effect gave ``outputs``: a register's
+    freshness, a read's lemma and a relink's guarantee (``()`` for the
+    other kinds)."""
+    check = _EDGE_CHECKS.get(step.kind)
+    return () if check is None else check(step, pre, post, value, outputs)
+
+
+def frame_effect(frame: MethodFrame, value, outputs: tuple) -> MethodFrame | None:
+    """The thread's frame after ``frame``'s next step, which read ``value``
+    from memory and took ``outputs`` from its auxiliary effect: the program
+    counter advances (past the forward step where a check read no scan),
+    the locals take what the step read or returned, and those that nothing
+    reads any more are cleared (:func:`clear_dead`).  A release starts the
+    thread's next call, and leaves it no frame once its calls are done."""
     step = frame.current_step()
     kind = step.kind
     nxt = frame.pc + 1
@@ -312,16 +373,24 @@ def frame_effect(frame: MethodFrame, value, outputs: tuple) -> MethodFrame:
         t_x, t_y = outputs
         frame2 = evolve(frame, pc=nxt, witness_x=t_x, witness_y=t_y, result=scan_result(frame))
         return clear_dead(frame2, "vx", "vy", "ox", "oy", "mask")
+    if kind == "release":
+        later = frame.later
+        return make_frame(frame.tid, frame.call_idx + 1, later) if later else None
     return evolve(frame, pc=nxt)
+
+
+def returns(after: MethodFrame | None) -> bool:
+    """Whether the step that left its thread holding ``after`` returned its
+    call: a call returns on the step before its lock release."""
+    return after is not None and after.current_step().kind == "release"
 
 
 def apply_step(step: Step, phys: PhysState, aux: AuxState, frame: MethodFrame) -> tuple:
     """Execute one atomic step, ``frame``'s next, as the composition of its
-    three effects: the post physical part, auxiliary part and frame, with
-    the value the step read from memory and the outputs of its auxiliary
-    effect, which its edge's checks read."""
-    value = observed(step, phys)
-    phys_arg, aux_args = effect_args(step, frame, value)
+    three effects: the post physical part, auxiliary part and thread's
+    frame, with the value the step read from memory and the outputs of its
+    auxiliary effect, which its edge's checks read."""
+    value, phys_arg, aux_args = step_args(step, frame, phys)
     phys2 = phys_effect(step, phys_arg, phys)
     aux2, outputs = aux_effect(step, aux_args, aux)
     return phys2, aux2, frame_effect(frame, value, outputs), value, outputs
@@ -334,22 +403,6 @@ def scan_result(frame: MethodFrame) -> tuple[Value, Value]:
     rx = frame.ox if frame.ox is not None else frame.vx
     ry = frame.oy if frame.oy is not None else frame.vy
     return rx, ry
-
-
-def observed(step: Step, phys: PhysState):
-    """The one value of physical memory that ``step`` reads into its
-    thread (the scanner bit, a pointer or a forwarding cell), None for a
-    step that reads none.  Of a step's three effects, the auxiliary
-    effect (through :func:`effect_args`) and the frame effect read this
-    value, and neither reads the physical part."""
-    p = step.ptr
-    if step.kind == "check":
-        return phys.s_bit
-    if step.kind == "read":
-        return phys.x if p == Ptr.X else phys.y
-    if step.kind == "read-fwd":
-        return phys.fx if p == Ptr.X else phys.fy
-    return None
 
 
 def init(v_x: Value, v_y: Value) -> tuple[PhysState, AuxState]:
@@ -374,19 +427,6 @@ def init(v_x: Value, v_y: Value) -> tuple[PhysState, AuxState]:
         scanner=ScannerState(on=False, t_off=2, sx=False, sy=False),
     )
     return phys, aux
-
-
-def phys_key(phys: PhysState) -> tuple:
-    return (
-        phys.x,
-        phys.y,
-        phys.fx,
-        phys.fy,
-        phys.s_bit,
-        phys.lock_wx,
-        phys.lock_wy,
-        phys.lock_scan,
-    )
 
 
 def digest(key: tuple) -> str:

@@ -120,6 +120,17 @@ def test_explore_bad_program_file(tmp_path, capsys):
     assert main(["explore", "--program", str(prog)]) == 4
 
 
+@pytest.mark.parametrize("tid", ["a b", "a,b", "a\tb"])
+def test_explore_refuses_a_thread_id_no_schedule_can_name(tid, tmp_path, capsys):
+    """A schedule file splits on whitespace and commas, so a thread id
+    holding either could never be replayed: the program file is refused
+    (exit 4), naming the line, where explore used to explore it."""
+    prog = tmp_path / "split.prog"
+    prog.write_text(f"s: scan\n{tid}: write x 2\n")
+    assert main(["explore", "--program", str(prog)]) == 4
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_explore_program_file_with_a_late_init_line(tmp_path, capsys):
     prog = tmp_path / "late.prog"
     prog.write_text("c: scan\ninit 2 1\n")

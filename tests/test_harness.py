@@ -39,7 +39,6 @@ from snapcheck.harness import (
     client_fig1,
     enabled_tids,
     explore,
-    frame_key,
     generated_programs,
     initial_state,
     parse_program,
@@ -49,7 +48,14 @@ from snapcheck.harness import (
 )
 from snapcheck.invariants import Violation
 from snapcheck.oracle import MethodRecord
-from snapcheck.snapshot import MethodCall, aux_digest, make_frame, phys_digest, phys_key
+from snapcheck.snapshot import (
+    MethodCall,
+    aux_digest,
+    frame_key,
+    make_frame,
+    phys_digest,
+    phys_key,
+)
 from snapcheck.tracefile import render_trace
 
 
@@ -146,7 +152,7 @@ def _reference_methods(prog, schedule):
         if before.pc == 0:
             invoked[tid] = idx
         fr = frame_of(state, tid)
-        if fr is None or fr.pc != len(fr.steps) - 1:
+        if fr is None or fr.pc != len(snapshot._STEPS[fr.call.p]) - 1:
             continue
         if fr.call.kind == "write":
             records.append(MethodRecord(tid, fr.call, None, invoked[tid], idx, t=fr.t))
@@ -409,7 +415,8 @@ def _walk_states():
 def test_frame_key_is_primitive_and_complete():
     # A dataclass back in the frame key makes every state key several times
     # slower and fails no other test; a field left out of it merges
-    # distinct states.
+    # distinct states.  It leaves out the calls after the frame's own,
+    # which the tid and the call index fix within one program.
     # the walks' frames, fresh ones between calls among them
     frames = [f for _, state, _ in _walk_states() for _, f in state.threads if f is not None]
     groups = {}
@@ -422,11 +429,16 @@ def test_frame_key_is_primitive_and_complete():
     assert len(groups) == len(set(frames))
     for frame in set(frames):
         for variant in one_field_changed(frame):
-            assert frame_key(variant) != frame_key(frame)
-    # the two scans of ``s: scan; scan`` start from frames that differ in
-    # their call index alone
-    assert evolve(make_frame("s", 0, MethodCall.scan()), call_idx=1) in frames
-    assert make_frame("s", 0, MethodCall.scan()) in frames
+            if variant.later is frame.later:
+                assert frame_key(variant) != frame_key(frame)
+            else:
+                assert frame_key(variant) == frame_key(frame)
+    # the two scans of ``s: scan; scan`` start from frames whose keys differ
+    # in their call index alone
+    scan = MethodCall.scan()
+    first, second = make_frame("s", 0, (scan, scan)), make_frame("s", 1, (scan,))
+    assert first in frames and second in frames
+    assert frame_key(evolve(first, call_idx=1)) == frame_key(second)
 
 
 def _entry_key(tid, frame):
@@ -466,20 +478,25 @@ def test_derived_fields_follow_from_the_state():
         else:
             after = frame_of(state, before.tid)
             returned = harness._returned(before, after)
-            last_but_one = after is not None and after.pc == len(after.steps) - 1
+            last_but_one = after is not None and after.pc == len(snapshot._STEPS[after.call.p]) - 1
             assert (returned is not None) == last_but_one
             assert returned is None or returned == (before.mask, after)
             returns += last_but_one
             done[before.tid] += before.current_step().kind == "release"
         for tid, frame in state.threads:
-            calls = prog.calls_of(tid)
+            calls = dict(prog.threads)[tid]
             assert (frame is None) == (done[tid] == len(calls))
             finished += frame is None
             if frame is None:
                 continue
-            assert (frame.tid, frame.call_idx, frame.call) == (tid, done[tid], calls[done[tid]])
+            assert (frame.tid, frame.call_idx, frame.call, frame.later) == (
+                tid,
+                done[tid],
+                calls[done[tid]],
+                calls[done[tid] + 1 :],
+            )
             if frame.pc == 0:
-                assert frame == make_frame(tid, frame.call_idx, calls[frame.call_idx])
+                assert frame == make_frame(tid, frame.call_idx, calls[frame.call_idx :])
     assert finished and returns
 
 
@@ -559,7 +576,7 @@ def _reference_edge_checks(pre, post, before):
         reps.append(invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y))
     # a call returns on the step that leaves only its release to take,
     # the last of its steps
-    if fr is not None and fr.pc == len(fr.steps) - 1:
+    if fr is not None and fr.pc == len(snapshot._STEPS[fr.call.p]) - 1:
         call = before.call
         if call.kind == "write":
             reps.append(
@@ -704,34 +721,39 @@ def test_history_part_reads_only_the_history(monkeypatch):
 
 def test_aux_blind_steps_read_no_aux_part(explored_steps):
     """The kinds of step with no auxiliary effect are those the effect
-    table leaves out, and explore files whole those of them with no edge
-    check of their own.  Every step of such a kind from the explores of e
-    and the two-scan clients, once per distinct (entry, phys, aux), gives
-    with the auxiliary part made unreadable the same post physical part,
-    frame, value and outputs as with the part, hands the part back as it
-    was, and fails no edge check: so one outcome per (entry, physical
-    part) serves every auxiliary part."""
-    assert snapshot.AUX_BLIND == {"read", "read-fwd", "release"}
-    kinds = harness._FILED_WHOLE
+    table leaves out: read, read-fwd and release.  explore files whole
+    those of them with no edge check of their own, ``snapshot.AUX_BLIND``;
+    a read's lemma reads the auxiliary part.  Every step of such a kind
+    from the explores of e and the two-scan clients, once per distinct
+    (entry, phys, aux), gives with the auxiliary part made unreadable the
+    same post physical part, frame, value and outputs as with the part and
+    hands the part back as it was; one of a kind filed whole also fails no
+    edge check: so one outcome per (entry, physical part) serves every
+    auxiliary part."""
+    kinds = snapshot.AUX_BLIND
     assert kinds == {"read-fwd", "release"}
+    no_aux_effect = kinds | {"read"}
+    assert not no_aux_effect & snapshot._AUX_EFFECTS.keys()
     blind, seen, checkers = _Unread(), [], {}
     for prog, tid, frame, phys, aux in explored_steps:
         step = frame.current_step()
-        if step.kind not in kinds:
+        if step.kind not in no_aux_effect:
             continue
         seen.append(step.kind)
         post, aux2, *rest = snapshot.apply_step(step, phys, aux, frame)
         hidden = snapshot.apply_step(step, phys, blind, frame)
         assert aux2 is aux and hidden[1] is blind
         assert (hidden[0], *hidden[2:]) == (post, *rest)
+        if step.kind not in kinds:
+            continue
         post_frame, value, outputs = rest
-        returned = harness._returned(frame, harness._entry_after(prog, post_frame))
+        returned = harness._returned(frame, post_frame)
         checker = checkers.get(prog.name)
         if checker is None:
             checker = checkers[prog.name] = harness._Checker(prog)
         assert checker._check_edge(blind, blind, step, value, outputs, returned) == ()
-    assert set(seen) == kinds
-    assert len(seen) > 10_000
+    assert set(seen) == no_aux_effect
+    assert len([kind for kind in seen if kind in kinds]) > 10_000
 
 
 @pytest.fixture(scope="session")
@@ -765,12 +787,13 @@ def _widen_part_keys(monkeypatch):
     frame's key rides along in each effect's argument, in the outputs and
     in the returned call, so that a key that dropped one of them would
     still name the frame; the functions see their arguments as before."""
-    effect_args, returned = harness.effect_args, harness._returned
+    step_args, returned = harness.step_args, harness._returned
     aux_effect, frame_effect = harness.aux_effect, harness.frame_effect
     phys_effect, check_edge = harness.phys_effect, harness._Checker._check_edge
 
-    def widened_args(step, frame, value):
-        return tuple((frame_key(frame), args) for args in effect_args(step, frame, value))
+    def widened_args(step, frame, phys):
+        value, *args = step_args(step, frame, phys)
+        return (value, *((frame_key(frame), arg) for arg in args))
 
     def widened_aux_effect(step, args, aux):
         post, outputs = aux_effect(step, args[1], aux)
@@ -779,8 +802,8 @@ def _widen_part_keys(monkeypatch):
     def unwrapped_check_edge(self, pre, post, step, value, outputs, ret):
         return check_edge(self, pre, post, step, value, outputs[1], ret[1])
 
-    monkeypatch.setattr(harness, "_FILED_WHOLE", frozenset())
-    monkeypatch.setattr(harness, "effect_args", widened_args)
+    monkeypatch.setattr(snapshot, "AUX_BLIND", frozenset())
+    monkeypatch.setattr(harness, "step_args", widened_args)
     monkeypatch.setattr(harness, "phys_effect", lambda s, arg, phys: phys_effect(s, arg[1], phys))
     monkeypatch.setattr(harness, "aux_effect", widened_aux_effect)
     monkeypatch.setattr(harness, "frame_effect", lambda fr, v, out: frame_effect(fr, v, out[1]))
@@ -809,7 +832,7 @@ def test_a_step_filed_aux_blind_must_be_blind(monkeypatch):
     explore refuses one that does, naming its kind, rather than drop a
     violation."""
     _force_violations(monkeypatch)
-    monkeypatch.setattr(harness, "_FILED_WHOLE", harness._FILED_WHOLE | {"read"})
+    monkeypatch.setattr(snapshot, "AUX_BLIND", snapshot.AUX_BLIND | {"read"})
     with pytest.raises(GuardViolationError, match="a read step"):
         explore(client_e())
 
@@ -942,22 +965,22 @@ def _watch_state_key(monkeypatch):
 def _watch_entries(monkeypatch, prog):
     """What each thread holds, with the thread, that the next explore of
     ``prog`` numbers, by id: it numbers each thread's initial frame, then
-    each that ``harness._entry_after`` gives, by ``_entry_key`` in order
-    of first sight."""
-    after, ids, entries = harness._entry_after, {}, []
+    each that ``harness.frame_effect`` gives, a release's next frame or
+    None among them, by ``_entry_key`` in order of first sight."""
+    frame_effect, ids, entries = harness.frame_effect, {}, []
 
     def number(tid, frame):
         if ids.setdefault(_entry_key(tid, frame), len(entries)) == len(entries):
             entries.append((tid, frame))
 
-    def watch(prog, frame):
-        got = after(prog, frame)
+    def watch(frame, value, outputs):
+        got = frame_effect(frame, value, outputs)
         number(frame.tid, got)
         return got
 
     for tid, frame in initial_state(prog).threads:
         number(tid, frame)
-    monkeypatch.setattr(harness, "_entry_after", watch)
+    monkeypatch.setattr(harness, "frame_effect", watch)
     return entries
 
 
@@ -1014,7 +1037,9 @@ def test_state_key_is_injective(prog, id_bits, monkeypatch):
 def _reference_apply_step(step, phys, aux, frame):
     """``apply_step`` as one dispatch that returns the three parts
     together, as it was before it was split into its effects, for a frame
-    that holds its invocation mask from the start (``_reference_frame``)."""
+    that holds its invocation mask from the start (``_reference_frame``).
+    A release leaves its thread the fresh frame of its next call, or none
+    once its calls are done."""
     tid = frame.tid
     kind = step.kind
     p = step.ptr
@@ -1028,7 +1053,9 @@ def _reference_apply_step(step, phys, aux, frame):
     if kind == "release":
         if phys.holder(step.lock) != tid:
             raise GuardViolationError(f"{tid}: releasing lock {step.lock} it does not hold")
-        return phys.with_holder(step.lock, None), aux, evolve(frame, pc=nxt)
+        later = frame.later
+        after = make_frame(tid, frame.call_idx + 1, later) if later else None
+        return phys.with_holder(step.lock, None), aux, after
 
     if kind == "register":
         v = frame.call.v
@@ -1037,7 +1064,7 @@ def _reference_apply_step(step, phys, aux, frame):
         return phys2, aux2, evolve(frame, pc=nxt, t=t)
 
     if kind == "check":
-        b = snapshot.observed(step, phys)
+        b = phys.s_bit
         aux2 = aux_ops.check(p, b, aux)
         return phys, aux2, evolve(frame, pc=nxt if b else nxt + 1)
 
@@ -1062,10 +1089,10 @@ def _reference_apply_step(step, phys, aux, frame):
 
     if kind == "read":
         field = "vx" if p == Ptr.X else "vy"
-        return phys, aux, evolve(frame, pc=nxt, **{field: snapshot.observed(step, phys)})
+        return phys, aux, evolve(frame, pc=nxt, **{field: phys.x if p == Ptr.X else phys.y})
 
     if kind == "read-fwd":
-        value = snapshot.observed(step, phys)
+        value = phys.fx if p == Ptr.X else phys.fy
         if value is None:
             return phys, aux, evolve(frame, pc=nxt)
         frame2 = evolve(frame, pc=nxt, **{"ox" if p == Ptr.X else "oy": value})
@@ -1216,7 +1243,7 @@ def _whole_steps(log):
 
 def test_explore_steps_only_where_a_table_misses(monkeypatch):
     """On e, explore composes each of the 11,505 half steps its first
-    tables miss (one ``observed`` call each) from part tables, and calls
+    tables miss (one ``step_args`` call each) from part tables, and calls
     a function only where its own table misses: 1,168 physical effects,
     2,669 auxiliary effects and 327 frame effects, each once per distinct
     argument list, and 4,088 edge checks, 485 of them for steps it files
@@ -1226,14 +1253,14 @@ def test_explore_steps_only_where_a_table_misses(monkeypatch):
     miss took the step whole), folds its kept runs from the trail, and
     would take at least 132,390 steps if it stepped every edge."""
     effects = ("phys_effect", "aux_effect", "frame_effect")
-    log = _record_calls(monkeypatch, "observed", "apply_step", "step_state", *effects)
+    log = _record_calls(monkeypatch, "step_args", "apply_step", "step_state", *effects)
     report = explore(client_e())
     assert (report.edges, report.executions_checked) == (132_390, 120)
     calls = {}
     for name, args in log:
         calls.setdefault(name, []).append(args)
     assert {name: len(args) for name, args in calls.items()} == {
-        "observed": 11_505,
+        "step_args": 11_505,
         "phys_effect": 1_168,
         "aux_effect": 2_669,
         "frame_effect": 327,
@@ -1246,12 +1273,12 @@ def test_explore_steps_only_where_a_table_misses(monkeypatch):
         "frame_effect": set(calls["frame_effect"]),
     }
     assert all(len(distinct[name]) == len(calls[name]) for name in effects)
-    whole = [step for _, _, step, *_ in calls["_check_edge"] if step.kind in harness._FILED_WHOLE]
+    whole = [step for _, _, step, *_ in calls["_check_edge"] if step.kind in snapshot.AUX_BLIND]
     assert len(whole) == 485
-    # the calls of each half step follow its ``observed`` call
+    # the calls of each half step follow its ``step_args`` call
     fills = []
     for name, args in log:
-        if name == "observed":
+        if name == "step_args":
             fills.append([])
         else:
             fills[-1].append((name, args))
@@ -1259,7 +1286,7 @@ def test_explore_steps_only_where_a_table_misses(monkeypatch):
         fill[0][1][2].kind
         for fill in fills
         if [name for name, _ in fill] == ["_check_edge"]
-        and fill[0][1][2].kind not in harness._FILED_WHOLE
+        and fill[0][1][2].kind not in snapshot.AUX_BLIND
     ]
     assert len(verdict_only) == 901 and set(verdict_only) == {"finalize", "relink"}
 

@@ -5,6 +5,8 @@ import ast
 import re
 from pathlib import Path
 
+from snapcheck.snapshot import _STEPS
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "snapcheck"
 # names that a package carries by convention, with no caller of its own
@@ -310,3 +312,19 @@ def test_documented_names_exist():
     assert len(dotted) > 10 and len(roles) > 10
     unknown = sorted({ref for ref in dotted + roles if not _resolves(ref, roots)})
     assert not unknown, "documented names that nothing defines: " + ", ".join(unknown)
+
+
+def test_harness_names_no_step_kind():
+    """No string constant in ``harness.py`` is a step kind: what a step of
+    each kind does, reads, checks and returns is decided in ``snapshot``,
+    and the harness only composes the effects and memoises them."""
+    kinds = {step.kind for steps in _STEPS.values() for step in steps}
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    named = sorted(
+        {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in kinds
+        }
+    )
+    assert not named, "step kinds named in harness.py: " + ", ".join(named)

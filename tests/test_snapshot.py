@@ -3,11 +3,13 @@
 import pytest
 
 from conftest import frame_of
+from snapcheck import snapshot
 from snapcheck.aux_model import Color, Ptr
 from snapcheck.errors import DisabledStepError, ValueDomainError
 from snapcheck.harness import (
     FIG1_SCHEDULE,
     Program,
+    client_e_prime,
     client_fig1,
     enabled_tids,
     initial_state,
@@ -48,7 +50,7 @@ def test_init_value_domain():
 
 
 def test_step_lists():
-    labels = [s.label for s in make_frame("a", 0, MethodCall.write(Ptr.X, 2)).steps]
+    labels = [s.label for s in snapshot._STEPS[Ptr.X]]
     assert labels == [
         "acquire:wx",
         "register:x",
@@ -57,7 +59,7 @@ def test_step_lists():
         "finalize:x",
         "release:wx",
     ]
-    assert len(make_frame("c", 0, MethodCall.scan()).steps) == 11
+    assert len(snapshot._STEPS[None]) == 11
 
 
 def test_uncontended_write_takes_five_steps():
@@ -123,9 +125,24 @@ def test_blocked_acquire_is_disabled():
     state = initial_state(prog)
     state, _ = step_state(prog, state, "a")  # a holds wx
     assert enabled_tids(prog, state) == ["a"]
-    frame = make_frame("b", 0, MethodCall.write(Ptr.X, 3))
+    frame = make_frame("b", 0, (MethodCall.write(Ptr.X, 3),))
     with pytest.raises(DisabledStepError):
         apply_step(frame.current_step(), state.phys, state.aux, frame)
+
+
+def test_a_release_starts_the_next_call():
+    """On ``t: scan; write x 2`` the scan's release leaves the thread the
+    fresh frame of its call 1, the write, at ``pc == 0``, and the write's
+    release leaves it none: its calls are done."""
+    prog = client_e_prime()
+    [(_, (scan, write))] = prog.threads
+    state, afters = initial_state(prog), []
+    while enabled_tids(prog, state):
+        state, before = step_state(prog, state, "t")
+        if before.current_step().kind == "release":
+            afters.append((before.call, frame_of(state, "t")))
+    assert afters == [(scan, make_frame("t", 1, (write,))), (write, None)]
+    assert afters[0][1].pc == 0 and afters[0][1].later == ()
 
 
 def test_scan_prefers_forwarded_values():
