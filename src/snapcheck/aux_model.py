@@ -95,8 +95,10 @@ class AuxState:
     per-event tuples (``tau[t - 1]`` is None while t is unfinished).
     Ownership is three disjoint bitmasks over ``1..n`` (bit t = event t):
     init events, joint (in-progress) events, and one mask per thread that
-    finished events, as ``(tid, mask)`` pairs sorted by tid.  Every field
-    holds only primitives, so the state is its own canonical key."""
+    finished events, as ``(tid, mask)`` pairs sorted by tid.  The history
+    fields hold only primitives; ``wx``, ``wy`` and ``scanner`` are
+    :class:`WriterState` and :class:`ScannerState` records, which
+    :func:`aux_key` flattens into the state's canonical key of primitives."""
 
     ptr: tuple[str, ...]
     val: tuple[Value, ...]

@@ -47,12 +47,6 @@ CHECKS: dict[str, int] = {
 }
 
 
-def frame_of(state, tid):
-    """The frame of thread ``tid`` in ``state``, None once its calls are
-    done."""
-    return state.threads[state.index(tid)][1]
-
-
 def run_prefix(prog, schedule):
     """The state that a schedule prefix reaches, stepped with no checks."""
     state = initial_state(prog)
@@ -130,25 +124,29 @@ def _explore_one(prog):
     return prog.name, report, time.perf_counter() - t0
 
 
-@pytest.fixture(scope="session")
-def sweep_reports():
-    """Exhaustive exploration of the bundled clients, every generated
-    program, the two-scan clients and a two-scan client whose writer of x
-    writes twice, the first swept program where two scans meet two writes
-    to one pointer; shared across the whole run (acceptance reuses it).
-    Client fig1 is client e under another name, so it is explored once, as
-    e.  Programs run in a small process pool, biggest first (gen-x2-y2
-    ahead of the five-call clients, which tie it on calls), so the wall
-    time is bounded by the largest state graph.  The workers are spawned,
-    not forked: a worker forked from the pytest process took about 10
-    million page faults and 79 s of system time on gen-x2-y2, against 77
-    thousand and 0.3 s in a spawned one."""
+def swept_programs():
+    """The programs of the exhaustive sweep: the bundled clients, every
+    generated program, the two-scan clients and a two-scan client whose
+    writer of x writes twice, the first swept program where two scans meet
+    two writes to one pointer.  Client fig1 is client e under another
+    name, so it is swept once, as e."""
     rewrite_two_scan = parse_program(
         "a: write x 2; write x 3\nd: write y 1\ns: scan; scan\n", name="gen-x2-y1-two-scan"
     )
-    programs = [client_e(), client_e_prime()] + generated_programs() + two_scan_programs()
-    programs.append(rewrite_two_scan)
-    programs.sort(key=lambda p: -sum(len(calls) for _, calls in p.threads))
+    programs = [client_e(), client_e_prime(), *generated_programs(), *two_scan_programs()]
+    return programs + [rewrite_two_scan]
+
+
+@pytest.fixture(scope="session")
+def sweep_reports():
+    """Exhaustive exploration of the ``swept_programs``, shared across the
+    whole run (acceptance reuses it).  Programs run in a small process
+    pool, biggest first (gen-x2-y2 ahead of the five-call clients, which
+    tie it on calls), so the wall time is bounded by the largest state
+    graph.  The workers are spawned, not forked: a worker forked from the
+    pytest process took about 10 million page faults and 79 s of system
+    time on gen-x2-y2, against 77 thousand and 0.3 s in a spawned one."""
+    programs = sorted(swept_programs(), key=lambda p: -sum(len(calls) for _, calls in p.threads))
     t0 = time.perf_counter()
     out = {}
     workers = min(2, os.cpu_count() or 1)

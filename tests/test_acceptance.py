@@ -14,7 +14,8 @@ import hashlib
 import random
 import time
 
-from conftest import CHECKS, run_prefix
+from conftest import CHECKS, run_prefix, swept_programs
+from reference import sequential_results
 from snapcheck.aux_model import (
     AuxState,
     Color,
@@ -198,6 +199,15 @@ def test_sweep_run_records(sweep_reports, capsys):
             f"{records} kept records over {len(SWEEP_RECORDS)} programs; "
             f"mismatches: {wrong or 'none'}",
         )
+
+
+def test_swept_results_are_the_specifications():
+    """Every swept program's scan results are those of its interleavings
+    of whole calls, each call run alone: a linearizable object's runs give
+    no other result, and a correct one gives each.  A result missing shows
+    a branch explore lost; an extra one, a run no call order explains."""
+    got = {prog.name: sequential_results(prog) for prog in swept_programs()}
+    assert got == {name: golden[4] for name, golden in SWEEP_GOLDEN.items()}
 
 
 def test_default_budget_covers_the_sweep():

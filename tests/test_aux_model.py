@@ -16,13 +16,12 @@ from conftest import (
     primitive,
     run_prefix,
 )
+from reference import random_walk
 from snapcheck.aux_model import (
-    AuxState,
     Color,
     Ptr,
     aux_key,
     eval_at,
-    evolve,
     hist_p,
     last_gy,
     omega_down,
@@ -31,14 +30,7 @@ from snapcheck.aux_model import (
 )
 from snapcheck.aux_ops import register
 from snapcheck.errors import UninitializedPointerError, UnknownTimestampError
-from snapcheck.harness import (
-    FIG1_SCHEDULE,
-    client_fig1,
-    enabled_tids,
-    initial_state,
-    parse_program,
-    step_state,
-)
+from snapcheck.harness import FIG1_SCHEDULE, client_fig1, parse_program
 from snapcheck.snapshot import init
 
 
@@ -236,13 +228,7 @@ def test_aux_key_is_primitive_and_complete():
     # distinct states.
     prog = parse_program("a: write x 2\nd: write y 1\ns: scan; scan\n")
     rng = random.Random(5)
-    auxes = []
-    for _ in range(40):
-        state = initial_state(prog)
-        auxes.append(state.aux)
-        while enabled := enabled_tids(prog, state):
-            state = step_state(prog, state, rng.choice(enabled))[0]
-            auxes.append(state.aux)
+    auxes = [state.aux for _ in range(40) for state, _ in random_walk(prog, rng)]
     groups = {}
     for aux in auxes:
         key = aux_key(aux)

@@ -12,16 +12,14 @@ import pytest
 
 import snapcheck
 from conftest import two_scan_programs
+from reference import random_schedule
 from snapcheck.cli import main
 from snapcheck.harness import (
     FIG1_SCHEDULE,
     client_e,
     client_e_prime,
-    enabled_tids,
     generated_programs,
-    initial_state,
     run_schedule,
-    step_state,
 )
 from snapcheck.tracefile import render_trace
 
@@ -148,14 +146,6 @@ def test_replay_deterministic(tmp_path, sched_file, capsys):
     assert "scan -> (2,1)" in out
 
 
-def _random_schedule(prog, rng):
-    state, schedule = initial_state(prog), []
-    while enabled := enabled_tids(prog, state):
-        schedule.append(rng.choice(enabled))
-        state = step_state(prog, state, schedule[-1])[0]
-    return schedule
-
-
 def test_replay_stdout_trace_passes_check(tmp_path, sched_file, capsys):
     # without --out the trace alone goes to stdout; the summary to stderr
     assert main(["replay", "--client", "fig1", "--schedule", str(sched_file)]) == 0
@@ -169,7 +159,7 @@ def test_replay_stdout_trace_passes_check(tmp_path, sched_file, capsys):
     rng = random.Random(16)
     for prog in [client_e(), client_e_prime(), *generated_programs(), *two_scan_programs()]:
         for _ in range(5):
-            piped.write_text(render_trace(run_schedule(prog, _random_schedule(prog, rng))))
+            piped.write_text(render_trace(run_schedule(prog, random_schedule(prog, rng))))
             assert main(["check", "--trace", str(piped)]) == 0, prog.name
 
 

@@ -6,28 +6,17 @@ import re
 
 import pytest
 
-from conftest import frame_of, one_field_changed, primitive, two_scan_programs
-from snapcheck import aux_ops, harness, invariants, snapshot
-from snapcheck.aux_model import (
-    Color,
-    Ptr,
-    WriterPhase,
-    aux_key,
-    eval_at,
-    evolve,
-    history_key,
-    memo,
-    scanned_mask,
-    _ideal_masks,
-)
+import reference
+from conftest import one_field_changed, primitive, two_scan_programs
+from reference import entry_key, frame_of, full_key, random_schedule
+from snapcheck import harness, invariants, snapshot
+from snapcheck.aux_model import Color, Ptr, WriterPhase, aux_key, evolve, history_key, memo
 from snapcheck.cli import main
 from snapcheck.errors import (
     BudgetExceededError,
-    DisabledStepError,
     GuardViolationError,
     OracleSizeError,
     ScheduleError,
-    SnapshotModelError,
     TraceParseError,
     ValueDomainError,
 )
@@ -37,17 +26,14 @@ from snapcheck.harness import (
     client_e,
     client_e_prime,
     client_fig1,
-    enabled_tids,
     explore,
     generated_programs,
     initial_state,
     parse_program,
     run_random,
     run_schedule,
-    step_state,
 )
 from snapcheck.invariants import Violation
-from snapcheck.oracle import MethodRecord
 from snapcheck.snapshot import (
     MethodCall,
     aux_digest,
@@ -134,43 +120,10 @@ def test_exploration_soundness_replay(prog):
     assert len(report.executions) == report.executions_checked
     for ex in report.executions:
         trace = run_schedule(prog, ex.schedule)
-        assert trace.methods == ex.methods == _reference_methods(prog, ex.schedule)
+        assert trace.methods == ex.methods == reference.methods(prog, ex.schedule)
         assert (trace.phys_digest, trace.aux_digest) == (ex.phys_digest, ex.aux_digest)
         assert trace.steps[-1].phys_digest == ex.phys_digest
         assert trace.steps[-1].aux_digest == ex.aux_digest
-
-
-def _reference_methods(prog, schedule):
-    """The method records of the run ``schedule``, built from the frames of
-    its steps: a call is invoked at the index of its frame's first step and
-    responds at the step after which only its release is left, and a scan's
-    witness is the later of its two per-pointer events in sigma."""
-    state = initial_state(prog)
-    invoked, records = {}, []
-    for idx, tid in enumerate(schedule):
-        state, before = step_state(prog, state, tid)
-        if before.pc == 0:
-            invoked[tid] = idx
-        fr = frame_of(state, tid)
-        if fr is None or fr.pc != len(snapshot._STEPS[fr.call.p]) - 1:
-            continue
-        if fr.call.kind == "write":
-            records.append(MethodRecord(tid, fr.call, None, invoked[tid], idx, t=fr.t))
-            continue
-        witness = max(fr.witness_x, fr.witness_y, key=state.aux.sigma.index)
-        records.append(
-            MethodRecord(
-                tid,
-                fr.call,
-                fr.result,
-                invoked[tid],
-                idx,
-                witness=witness,
-                witness_x=fr.witness_x,
-                witness_y=fr.witness_y,
-            )
-        )
-    return tuple(records)
 
 
 def test_oracle_size_is_checked_before_the_first_step(monkeypatch, tmp_path, capsys):
@@ -198,12 +151,11 @@ def test_step_records_digest_the_state_each_step_reached():
     """Each step record of a replay carries the digests of the state its
     step reached, though the replay digests each distinct part once."""
     prog = two_scan_programs()[1]
-    schedule = _seeded_schedule(prog, 5)
-    state = initial_state(prog)
+    walk = list(reference.random_walk(prog, random.Random(5)))[1:]
+    schedule = [before.tid for _, before in walk]
     steps = run_schedule(prog, schedule).steps
     assert len(steps) == len(schedule) > 30
-    for record, tid in zip(steps, schedule):
-        state = step_state(prog, state, tid)[0]
+    for record, (state, _) in zip(steps, walk):
         assert record.phys_digest == snapshot.phys_digest(state.phys)
         assert record.aux_digest == snapshot.aux_digest(state.aux)
 
@@ -243,7 +195,8 @@ def test_run_random_deterministic():
 # What the drive path (``run_random`` and ``run_schedule``) outputs: a
 # blake2b digest (16 bytes) of ``run_random(prog, seed, runs=20).render()``
 # per (program, seed), and of ``render_trace`` of the replay of the
-# complete schedule that ``_seeded_schedule`` draws per (program, seed).
+# complete schedule that ``random_schedule`` draws with
+# ``random.Random(seed)`` per (program, seed).
 # A change in the stepping order, the chooser's draws or a record shows.
 RANDOM_RECORDS = {
     ("e", 0): "f4842cc7fd54b183033f560d6fa4bf47",
@@ -266,17 +219,6 @@ REPLAY_RECORDS = {
 }
 
 
-def _seeded_schedule(prog, seed):
-    """A complete schedule of ``prog``, each step's thread drawn by
-    ``random.Random(seed).choice`` from the enabled ones."""
-    rng = random.Random(seed)
-    state, schedule = initial_state(prog), []
-    while enabled := enabled_tids(prog, state):
-        schedule.append(rng.choice(enabled))
-        state = step_state(prog, state, schedule[-1])[0]
-    return schedule
-
-
 def test_drive_path_output_is_pinned():
     progs = {p.name: p for p in [client_e(), *two_scan_programs(), *generated_programs()]}
 
@@ -289,9 +231,10 @@ def test_drive_path_output_is_pinned():
     }
     assert got == RANDOM_RECORDS
     got = {
-        (name, seed): blake(render_trace(run_schedule(prog, _seeded_schedule(prog, seed))))
+        (name, seed): blake(render_trace(run_schedule(prog, schedule)))
         for name, seed in REPLAY_RECORDS
         for prog in [progs[name]]
+        for schedule in [random_schedule(prog, random.Random(seed))]
     }
     assert got == REPLAY_RECORDS
 
@@ -398,18 +341,11 @@ def _walk_states():
     rng = random.Random(5)
     for prog in two_scan_programs():
         checker = harness._Checker(prog)
-
-        def interned(state):
-            phys = checker._canon(state.phys, checker.phys, phys_key)
-            return evolve(state, phys=phys, aux=checker._canon(state.aux, checker.aux, aux_key))
-
         for _ in range(40):
-            state = interned(initial_state(prog))
-            yield prog, state, None
-            while enabled := enabled_tids(prog, state):
-                state, before = step_state(prog, state, rng.choice(enabled))
-                state = interned(state)
-                yield prog, state, before
+            for state, before in reference.random_walk(prog, rng):
+                phys = checker._canon(state.phys, checker.phys, phys_key)
+                aux = checker._canon(state.aux, checker.aux, aux_key)
+                yield prog, evolve(state, phys=phys, aux=aux), before
 
 
 def test_frame_key_is_primitive_and_complete():
@@ -441,12 +377,6 @@ def test_frame_key_is_primitive_and_complete():
     assert frame_key(evolve(first, call_idx=1)) == frame_key(second)
 
 
-def _entry_key(tid, frame):
-    """The key by which explore numbers what a thread holds: its frame's
-    ``frame_key``, or the tid of a thread whose calls are done."""
-    return tid if frame is None else frame_key(frame)
-
-
 def test_states_are_equal_exactly_when_their_keys_are():
     """A state is the machine state only: of the states of one checker's
     runs, two are equal exactly when their keys are, whatever paths
@@ -456,7 +386,7 @@ def test_states_are_equal_exactly_when_their_keys_are():
     by its tid."""
     groups, numbers = {}, {}
     for prog, state, _ in _walk_states():
-        eids = tuple(numbers.setdefault(_entry_key(*e), len(numbers)) for e in state.threads)
+        eids = tuple(numbers.setdefault(entry_key(*e), len(numbers)) for e in state.threads)
         key = harness.state_key(memo(state.phys)["id"], memo(state.aux)["id"], eids)
         groups.setdefault((prog.name, key), []).append(state)
     assert all(state == group[0] for group in groups.values() for state in group)
@@ -560,112 +490,11 @@ def _force_violations(monkeypatch):
     )
 
 
-def _reference_edge_checks(pre, post, before):
-    """Every check of the edge on which the frame ``before`` took its step,
-    called directly, in the checker's order."""
-    fr = frame_of(post, before.tid)
-    step = before.current_step()
-    reps = [invariants.check_transition(pre.aux, post.aux)]
-    if step.kind == "register":
-        reps.append(invariants.check_write_fresh(pre.aux, fr.t))
-    sc = post.aux.scanner
-    if step.kind == "read" and sc.on and sc.bit(step.ptr):
-        value = fr.vx if step.ptr == Ptr.X else fr.vy
-        reps.append(invariants.check_read_lemma(step.ptr, value, post.aux))
-    if step.kind == "relink":
-        reps.append(invariants.check_relink_post(post.aux, fr.witness_x, fr.witness_y))
-    # a call returns on the step that leaves only its release to take,
-    # the last of its steps
-    if fr is not None and fr.pc == len(snapshot._STEPS[fr.call.p]) - 1:
-        call = before.call
-        if call.kind == "write":
-            reps.append(
-                invariants.check_write_post(before.mask, post.aux, fr.t, fr.tid, call.p, call.v)
-            )
-        else:
-            # the witness is the later in sigma of the two per-pointer events
-            witness = max(fr.witness_x, fr.witness_y, key=post.aux.sigma.index)
-            reps.append(invariants.check_scan_post(before.mask, post.aux, fr.result, witness))
-    return reps
-
-
-def _reference_violations(prog):
-    """explore's depth-first walk, with no interning and no memo: every
-    state it reaches first (by its full key) is checked, and every edge, by
-    calling the checks directly."""
-    found = []
-
-    def absorb(rep, idx):
-        found.extend((v.name, v.detail, idx) for v in rep)
-
-    def dfs(state, depth):
-        for tid in enabled_tids(prog, state):
-            post, before = step_state(prog, state, tid)
-            key = _full_key(post)
-            new = key not in visited
-            if new:
-                visited.add(key)
-                absorb(invariants.check_all(post.phys, post.aux), depth)
-            for rep in _reference_edge_checks(state, post, before):
-                absorb(rep, depth)
-            if new:
-                dfs(post, depth + 1)
-
-    state0 = initial_state(prog)
-    visited = {_full_key(state0)}
-    absorb(invariants.check_all(state0.phys, state0.aux), -1)
-    dfs(state0, 0)
-    return found
-
-
-def test_memoised_checks_match_unmemoised_reference(default_runs, monkeypatch):
-    """explore checks each distinct (phys, aux) pair and aux transition
-    once and replays the verdict elsewhere; with a forced violation on
-    every state whose scanner is on and every edge that changes the aux
-    state, its violation list (the forced run of e in ``default_runs``) is
-    the one a walk that checks everything gives, step stamps included."""
-    got = default_runs["forced"][0][2]
-    _force_violations(monkeypatch)
-    prog = client_e()
-    names = {name for name, _, _ in got}
-    assert names == {"forced-state", "forced-edge"}
-    assert got == _reference_violations(prog)
-
-
-def test_malformed_states_get_check_alls_verdict(monkeypatch):
-    """Where the history or phase part reports a ``wellformed`` violation,
-    explore records check_all's verdict on the state, which skips every
-    other state invariant but order sanity and the chain lemma; the
-    history part still runs once per distinct history, malformed or not."""
-    _force_violations(monkeypatch)
-    check_history, check_phases = invariants.check_history, invariants.check_phases
-    histories = []
-
-    def history(aux):
-        histories.append(history_key(aux))
-        rep = check_history(aux)
-        if aux.joint_mask and aux.kappa[-1] == Color.RED:
-            rep.insert(0, Violation("wellformed", "bent history"))
-        return rep
-
-    def phases(aux):
-        rep = check_phases(aux)
-        if aux.scanner.on and aux.wx.phase != WriterPhase.OFF:
-            rep.insert(0, Violation("wellformed", "bent phase"))
-        return rep
-
-    monkeypatch.setattr(invariants, "check_history", history)
-    monkeypatch.setattr(invariants, "check_phases", phases)
-    prog = client_e()
-    got = [(v.name, v.detail, v.step) for v in explore(prog).violations]
-    assert len(histories) == len(set(histories)) == 174
-    assert {"bent history", "bent phase"} <= {detail for _, detail, _ in got}
-    assert got == _reference_violations(prog)
-
-
-def _count_state_checks(monkeypatch):
-    """The arguments of every call of each part of the state checks from
-    now on, by part."""
+def test_state_checks_run_once_per_part_they_read(monkeypatch):
+    """On e, explore runs the history part once per distinct history, the
+    phase part once per auxiliary part and the memory part once per
+    (phys, aux) pair: 174, 1,003 and 6,205 calls, against 6,205 runs of
+    the whole battery when every part was keyed by the pair."""
     calls = {}
     for name in ("check_history", "check_phases", "check_memory"):
         check, calls[name] = getattr(invariants, name), []
@@ -675,15 +504,6 @@ def _count_state_checks(monkeypatch):
             return check(*args)
 
         monkeypatch.setattr(invariants, name, counted)
-    return calls
-
-
-def test_state_checks_run_once_per_part_they_read(monkeypatch):
-    """On e, explore runs the history part once per distinct history, the
-    phase part once per auxiliary part and the memory part once per
-    (phys, aux) pair: 174, 1,003 and 6,205 calls, against 6,205 runs of
-    the whole battery when every part was keyed by the pair."""
-    calls = _count_state_checks(monkeypatch)
     checkers = _record_checkers(monkeypatch)
     assert explore(client_e()).ok
     [checker] = checkers
@@ -760,13 +580,13 @@ def test_aux_blind_steps_read_no_aux_part(explored_steps):
 def default_runs():
     """explore's reports, kept records and violation lists on e, the
     two-scan clients and a thread that first writes the value its pointer
-    holds, on the default path: plain, and with a violation forced at
-    every level of the state and edge checks.  Tests that explore these
-    programs another way compare against them."""
+    holds, on the default path with a violation forced at every level of
+    the state and edge checks.  Forcing changes no step, so the reports
+    and records are the plain path's.  Tests that explore these programs
+    another way compare against them."""
     with pytest.MonkeyPatch.context() as patch:
-        plain = _runs()
         _force_violations(patch)
-        return {"plain": plain, "forced": _runs()}
+        return _runs()
 
 
 def _runs():
@@ -811,20 +631,21 @@ def _widen_part_keys(monkeypatch):
     monkeypatch.setattr(harness._Checker, "_check_edge", unwrapped_check_edge)
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["plain", "forced"])
-def test_part_tables_change_no_verdict(forced, default_runs, monkeypatch):
+@pytest.mark.parametrize("force", [_force_violations], ids=["forced"])
+def test_part_tables_change_no_verdict(force, default_runs, monkeypatch):
     """Keying each part of a step by its function's own arguments, and
     filing read-fwd and release steps whole by (entry, phys), gives what
     keying each part by the entry as well and taking every step once per
     auxiliary part gives: the same reports, kept records and violation
-    lists, step stamps included.  An argument list that left out what its
-    function reads would hand one entry's part to another."""
-    if forced:
-        _force_violations(monkeypatch)
-    narrow = default_runs["forced" if forced else "plain"]
-    assert all(violations for *_, violations in narrow) == forced
+    lists, step stamps included, with a violation forced at every level
+    of the checks (and no other violation).  An argument list that left
+    out what its function reads would hand one entry's part to another."""
+    force(monkeypatch)
+    assert all(violations for *_, violations in default_runs)
+    names = {name for *_, violations in default_runs for name, _, _ in violations}
+    assert names == {"forced-state", "forced-edge"}
     _widen_part_keys(monkeypatch)
-    assert _runs() == narrow
+    assert _runs() == default_runs
 
 
 def test_a_step_filed_aux_blind_must_be_blind(monkeypatch):
@@ -837,10 +658,13 @@ def test_a_step_filed_aux_blind_must_be_blind(monkeypatch):
         explore(client_e())
 
 
-def _explored_edge_checks(monkeypatch, progs):
-    """The arguments of every ``check_transition`` call whose two histories
-    are equal, and of every ``check_scan_post`` call, that explore makes on
-    ``progs``, each distinct call once."""
+def test_the_edge_checks_shortcuts_skip_nothing(monkeypatch):
+    """On e and the two-scan clients, every ``check_transition`` call that
+    returns early on equal histories finds nothing when the whole check
+    runs, and ``check_scan_post``, reading one pass of prefix evaluations,
+    gives on every returning scan, its result as returned and bent, the
+    verdict of replaying each candidate with ``eval_at``.  Each distinct
+    call that explore makes is checked once."""
     check_transition, check_scan_post = invariants.check_transition, invariants.check_scan_post
     equal, scans = {}, {}
 
@@ -856,51 +680,19 @@ def _explored_edge_checks(monkeypatch, progs):
     with monkeypatch.context() as patched:
         patched.setattr(invariants, "check_transition", transition)
         patched.setattr(invariants, "check_scan_post", scan_post)
-        for prog in progs:
+        for prog in [client_e(), *two_scan_programs()]:
             assert explore(prog).ok
-    return list(equal.values()), list(scans.values())
-
-
-def _scan_post_by_replay(mask, ret, r, witness):
-    """``check_scan_post`` with each candidate replayed by ``eval_at``, a
-    timestamp before which a pointer has no write disqualified."""
-    scanned, masks = scanned_mask(ret), _ideal_masks(ret)
-
-    def qualifies(t):
-        if not (scanned >> t) & 1 or mask & ~masks[t]:
-            return False
-        try:
-            return eval_at(t, ret.sigma, ret) == r
-        except SnapshotModelError:
-            return False
-
-    good = [t for t in ret.sigma if qualifies(t)]
-    rep = []
-    if not good:
-        rep.append(Violation("scan-post", f"no witness timestamp validates the snapshot {r}"))
-    if witness not in good:
-        rep.append(Violation("scan-post", f"constructive witness {witness} does not qualify"))
-    return rep
-
-
-def test_the_edge_checks_shortcuts_skip_nothing(monkeypatch):
-    """On e and the two-scan clients, every ``check_transition`` call that
-    returns early on equal histories finds nothing when the whole check
-    runs, and ``check_scan_post``, reading one pass of prefix evaluations,
-    gives on every returning scan, its result as returned and bent, the
-    verdict of replaying each candidate with ``eval_at``."""
-    equal, scans = _explored_edge_checks(monkeypatch, [client_e(), *two_scan_programs()])
     assert len(equal) > 1_000
     assert len(scans) > 1_000
     # a fresh object equals no other, so no history passes as unchanged
     monkeypatch.setattr(invariants, "history_key", lambda aux: object())
-    for pre, post in equal:
+    for pre, post in equal.values():
         assert invariants.check_transition(pre, post) == []
     bent = 0
-    for mask, ret, (x, y), witness in scans:
+    for mask, ret, (x, y), witness in scans.values():
         for r in {(x, y), (x + 1, y), (x, y + 1), (y, x)}:
             got = invariants.check_scan_post(mask, ret, r, witness)
-            assert got == _scan_post_by_replay(mask, ret, r, witness)
+            assert got == reference.scan_post_by_replay(mask, ret, r, witness)
             bent += bool(got)
     assert bent > 0
 
@@ -912,23 +704,17 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
     key from its parent's and ``state_key`` sees every edge's ids."""
     prog = next(p for p in generated_programs() if p.name == "gen-x1-y1")
     assert explore(prog).ok
-    monkeypatch.setattr(harness, "_ID_BITS", 0)
-    calls = _watch_state_key(monkeypatch)
-    checkers = _record_checkers(monkeypatch)
-    entries = _watch_entries(monkeypatch, prog)
     levels = {"check_history": "history", "check_phases": "phase", "check_memory": "memory"}
     for name, level in levels.items():
         forced = [Violation(f"forced-{level}", "every state")]
         monkeypatch.setattr(invariants, name, lambda *parts, forced=forced: list(forced))
-    report = explore(prog)
+    report, states = _explored_states(prog)
     names = ["forced-history", "forced-phase", "forced-memory"]
     assert [v.name for v in report.violations] == names * report.states
-    [checker] = checkers
     ids, seen = {}, 0
-    for _, (pid, aid, eids) in calls:
-        state = _state_of(checker, entries, pid, aid, eids)
+    for (pid, aid, eids), state in states:
         parts = [(phys_key(state.phys), pid), (aux_key(state.aux), aid)]
-        parts += [(_entry_key(*e), eid) for e, eid in zip(state.threads, eids)]
+        parts += [(entry_key(*e), eid) for e, eid in zip(state.threads, eids)]
         for key, i in parts:
             ids.setdefault(key, set()).add(i)
         seen += len(parts)
@@ -962,15 +748,20 @@ def _watch_state_key(monkeypatch):
     return calls
 
 
-def _watch_entries(monkeypatch, prog):
-    """What each thread holds, with the thread, that the next explore of
-    ``prog`` numbers, by id: it numbers each thread's initial frame, then
-    each that ``harness.frame_effect`` gives, a release's next frame or
-    None among them, by ``_entry_key`` in order of first sight."""
-    frame_effect, ids, entries = harness.frame_effect, {}, []
+def _explored_states(prog):
+    """explore's report on ``prog``, and an iterator over the ids ``(pid,
+    aid, eids)`` and the state of each distinct state it keys, in order of
+    first keying.
+    With 0-bit digits no id but 0 fits one, so explore derives no key from
+    its parent's and ``state_key`` sees the ids of every edge's successor.
+    A state's parts are those its checker gave the ids, and its threads'
+    entries those explore numbered: each thread's initial frame, then each
+    that ``harness.frame_effect`` gives, a release's next frame or None
+    among them, by ``entry_key`` in order of first sight."""
+    frame_effect, numbers, entries = harness.frame_effect, {}, []
 
     def number(tid, frame):
-        if ids.setdefault(_entry_key(tid, frame), len(entries)) == len(entries):
+        if numbers.setdefault(entry_key(tid, frame), len(entries)) == len(entries):
             entries.append((tid, frame))
 
     def watch(frame, value, outputs):
@@ -980,23 +771,19 @@ def _watch_entries(monkeypatch, prog):
 
     for tid, frame in initial_state(prog).threads:
         number(tid, frame)
-    monkeypatch.setattr(harness, "frame_effect", watch)
-    return entries
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_ID_BITS", 0)
+        patch.setattr(harness, "frame_effect", watch)
+        calls = _watch_state_key(patch)
+        checkers = _record_checkers(patch)
+        report = explore(prog)
+    [checker] = checkers
 
+    def state(pid, aid, eids):
+        threads = tuple(map(entries.__getitem__, eids))
+        return harness.State(checker.phys[pid], checker.aux[aid], threads)
 
-def _state_of(checker, entries, pid, aid, eids):
-    """The state whose parts have the ids ``pid`` and ``aid`` in
-    ``checker`` and the ids ``eids`` in ``entries``."""
-    threads = tuple(entries[e] for e in eids)
-    return harness.State(checker.phys[pid], checker.aux[aid], threads)
-
-
-def _full_key(state):
-    return (
-        phys_key(state.phys),
-        aux_key(state.aux),
-        tuple((tid, None if f is None else frame_key(f)) for tid, f in state.threads),
-    )
+    return report, ((ids, state(*ids)) for ids in dict.fromkeys(ids for _, ids in calls))
 
 
 @pytest.mark.parametrize(
@@ -1016,134 +803,33 @@ def test_state_key_is_injective(prog, id_bits, monkeypatch):
     the ids of every edge's successor; each is keyed again at the width
     under test (explore's keys at each width are those of
     ``test_derived_keys_are_state_keys``)."""
-    key_of, width = harness.state_key, (harness._ID_BITS if id_bits is None else id_bits)
-    monkeypatch.setattr(harness, "_ID_BITS", 0)
-    calls = _watch_state_key(monkeypatch)
-    checkers = _record_checkers(monkeypatch)
-    entries = _watch_entries(monkeypatch, prog)
-    report = explore(prog)
-    [checker] = checkers
-    monkeypatch.setattr(harness, "_ID_BITS", width)
+    report, states = _explored_states(prog)
+    if id_bits is not None:
+        monkeypatch.setattr(harness, "_ID_BITS", id_bits)
     full_keys = {}
-    for _, ids in calls:
-        full_key = _full_key(_state_of(checker, entries, *ids))
-        full_keys.setdefault(key_of(*ids), set()).add(full_key)
+    for ids, state in states:
+        full_keys.setdefault(harness.state_key(*ids), set()).add(full_key(state))
     assert all(len(group) == 1 for group in full_keys.values())
     assert len(set().union(*full_keys.values())) == len(full_keys) == report.states
     kinds = {type(key) for key in full_keys}
     assert kinds == ({int} if id_bits is None else {int, tuple})
 
 
-def _reference_apply_step(step, phys, aux, frame):
-    """``apply_step`` as one dispatch that returns the three parts
-    together, as it was before it was split into its effects, for a frame
-    that holds its invocation mask from the start (``_reference_frame``).
-    A release leaves its thread the fresh frame of its next call, or none
-    once its calls are done."""
-    tid = frame.tid
-    kind = step.kind
-    p = step.ptr
-    nxt = frame.pc + 1
-
-    if kind == "acquire":
-        if phys.holder(step.lock) is not None:
-            raise DisabledStepError(f"{tid}: lock {step.lock} held by {phys.holder(step.lock)}")
-        return phys.with_holder(step.lock, tid), aux, evolve(frame, pc=nxt)
-
-    if kind == "release":
-        if phys.holder(step.lock) != tid:
-            raise GuardViolationError(f"{tid}: releasing lock {step.lock} it does not hold")
-        later = frame.later
-        after = make_frame(tid, frame.call_idx + 1, later) if later else None
-        return phys.with_holder(step.lock, None), aux, after
-
-    if kind == "register":
-        v = frame.call.v
-        phys2 = evolve(phys, **{p: v})
-        aux2, t = aux_ops.register(p, v, aux)
-        return phys2, aux2, evolve(frame, pc=nxt, t=t)
-
-    if kind == "check":
-        b = phys.s_bit
-        aux2 = aux_ops.check(p, b, aux)
-        return phys, aux2, evolve(frame, pc=nxt if b else nxt + 1)
-
-    if kind == "forward":
-        v = frame.call.v
-        phys2 = evolve(phys, **{"fx" if p == Ptr.X else "fy": v})
-        return phys2, aux_ops.forward(p, aux), evolve(frame, pc=nxt)
-
-    if kind == "finalize":
-        aux2 = aux_ops.finalize(tid, p, aux)
-        return phys, aux2, snapshot.clear_dead(evolve(frame, pc=nxt), "mask")
-
-    if kind == "set-on":
-        return evolve(phys, s_bit=True), aux_ops.set_scanner(True, aux), evolve(frame, pc=nxt)
-
-    if kind == "set-off":
-        return evolve(phys, s_bit=False), aux_ops.set_scanner(False, aux), evolve(frame, pc=nxt)
-
-    if kind == "clear":
-        phys2 = evolve(phys, **{"fx" if p == Ptr.X else "fy": None})
-        return phys2, aux_ops.clear(p, aux), evolve(frame, pc=nxt)
-
-    if kind == "read":
-        field = "vx" if p == Ptr.X else "vy"
-        return phys, aux, evolve(frame, pc=nxt, **{field: phys.x if p == Ptr.X else phys.y})
-
-    if kind == "read-fwd":
-        value = phys.fx if p == Ptr.X else phys.fy
-        if value is None:
-            return phys, aux, evolve(frame, pc=nxt)
-        frame2 = evolve(frame, pc=nxt, **{"ox" if p == Ptr.X else "oy": value})
-        return phys, aux, snapshot.clear_dead(frame2, "vx" if p == Ptr.X else "vy")
-
-    if kind == "relink":
-        rx, ry = snapshot.scan_result(frame)
-        aux2, t_x, t_y = aux_ops.relink(rx, ry, aux)
-        frame2 = evolve(frame, pc=nxt, witness_x=t_x, witness_y=t_y, result=(rx, ry))
-        return phys, aux2, snapshot.clear_dead(frame2, "vx", "vy", "ox", "oy", "mask")
-
-    raise GuardViolationError(f"unknown step kind {kind!r}")
-
-
-def _reference_frame(frame, aux):
-    """``frame`` as the reference takes it: a call's frame before its
-    first step already holds the invocation mask taken from ``aux``."""
-    if frame.pc:
-        return frame
-    return evolve(frame, mask=invariants.capture_spec_snapshot(aux, frame.tid, frame.call.kind))
-
-
-def _explored_steps(prog):
-    """Every distinct (thread, frame, phys, aux) from which explore of
-    ``prog`` steps: with 0-bit digits ``state_key`` sees the ids of every
-    state reached, and each thread's frame with the state's two parts
-    names a step, taken once per distinct triple of ids."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_ID_BITS", 0)
-        calls = _watch_state_key(patch)
-        checkers = _record_checkers(patch)
-        entries = _watch_entries(patch, prog)
-        explore(prog)
-    [checker] = checkers
-    seen = set()
-    for _, (pid, aid, eids) in calls:
-        for eid in eids:
-            if (eid, pid, aid) not in seen:
-                seen.add((eid, pid, aid))
-                tid, frame = entries[eid]
-                phys = checker.phys[pid]
-                if snapshot.step_enabled(frame, phys):
-                    yield tid, frame, phys, checker.aux[aid]
-
-
 @pytest.fixture(scope="session")
 def explored_steps():
     """Every distinct step of the explores of e and the two-scan clients,
-    as (program, thread, frame, phys, aux)."""
-    progs = [client_e(), *two_scan_programs()]
-    return [(prog, *step) for prog in progs for step in _explored_steps(prog)]
+    as (program, thread, frame, phys, aux): each thread's frame with a
+    state's two parts names a step, taken once per distinct triple of ids."""
+    steps = []
+    for prog in [client_e(), *two_scan_programs()]:
+        seen = set()
+        for (pid, aid, eids), state in _explored_states(prog)[1]:
+            for eid, (tid, frame) in zip(eids, state.threads):
+                if (eid, pid, aid) not in seen:
+                    seen.add((eid, pid, aid))
+                    if snapshot.step_enabled(frame, state.phys):
+                        steps.append((prog, tid, frame, state.phys, state.aux))
+    return steps
 
 
 def test_apply_step_composes_the_reference(explored_steps, monkeypatch):
@@ -1155,28 +841,15 @@ def test_apply_step_composes_the_reference(explored_steps, monkeypatch):
     for prog, tid, frame, phys, aux in explored_steps:
         step = frame.current_step()
         got = snapshot.apply_step(step, phys, aux, frame)[:3]
-        assert got == _reference_apply_step(step, phys, aux, _reference_frame(frame, aux))
+        assert got == reference.apply_step(step, phys, aux, reference.masked_frame(frame, aux))
     assert len(explored_steps) > 100_000
     log = _record_calls(monkeypatch, "apply_step")
     report = run_random(client_e(), seed=42, runs=50)
-    steps = [args for name, args in log if name == "apply_step"]
+    steps = _whole_steps(log)
     assert len(steps) == report.edges
     for step, phys, aux, frame in steps:
         got = snapshot.apply_step(step, phys, aux, frame)[:3]
-        assert got == _reference_apply_step(step, phys, aux, _reference_frame(frame, aux))
-
-
-def _record_states(monkeypatch):
-    """The ids and stamp, ``(pid, aid, idx)``, of every ``on_state`` call
-    the checkers make from now on, in order."""
-    seen, on_state = [], harness._Checker.on_state
-
-    def record(self, pid, aid, idx):
-        seen.append((pid, aid, idx))
-        on_state(self, pid, aid, idx)
-
-    monkeypatch.setattr(harness._Checker, "on_state", record)
-    return seen
+        assert got == reference.apply_step(step, phys, aux, reference.masked_frame(frame, aux))
 
 
 @pytest.mark.parametrize(
@@ -1192,7 +865,14 @@ def test_derived_keys_are_state_keys(prog, monkeypatch):
     ``state_key``'s would file a state twice or two states as one, yet the
     walk is the same at every width: the same states checked in the same
     order, and the same report and kept records."""
-    states = _record_states(monkeypatch)
+    # the ids and stamp of every ``on_state`` call, in order
+    states, on_state = [], harness._Checker.on_state
+
+    def record(self, pid, aid, idx):
+        states.append((pid, aid, idx))
+        on_state(self, pid, aid, idx)
+
+    monkeypatch.setattr(harness._Checker, "on_state", record)
     calls = _watch_state_key(monkeypatch)
     runs, made, kinds = [], [], []
     for bits in (0, 2, harness._ID_BITS):
@@ -1329,3 +1009,56 @@ def test_replay_steps_once_per_scheduled_step(monkeypatch):
     taken = _count_steps(monkeypatch)
     run_schedule(client_fig1(), FIG1_SCHEDULE)
     assert len(_whole_steps(taken)) == len(FIG1_SCHEDULE) == 28
+
+
+@pytest.fixture(scope="session")
+def e_graph():
+    """The reference walk of e (``reference.graph``), stepped on whole
+    states once per session; the differentials evaluate their checks over
+    it.  They come last in this module: the graph's 360,000 objects slow
+    every later full garbage collection."""
+    return reference.graph(client_e())
+
+
+def test_memoised_checks_match_unmemoised_reference(default_runs, e_graph, monkeypatch):
+    """explore checks each distinct (phys, aux) pair and aux transition
+    once and replays the verdict elsewhere; with a forced violation on
+    every state whose scanner is on and every edge that changes the aux
+    state, its violation list (the forced run of e in ``default_runs``) is
+    the one the reference walk that checks everything gives, step stamps
+    included."""
+    got = default_runs[0][2]
+    _force_violations(monkeypatch)
+    names = {name for name, _, _ in got}
+    assert names == {"forced-state", "forced-edge"}
+    assert got == reference.violations(e_graph)
+
+
+def test_malformed_states_get_check_alls_verdict(e_graph, monkeypatch):
+    """Where the history or phase part reports a ``wellformed`` violation,
+    explore records check_all's verdict on the state, which skips every
+    other state invariant but order sanity and the chain lemma; the
+    history part still runs once per distinct history, malformed or not."""
+    _force_violations(monkeypatch)
+    check_history, check_phases = invariants.check_history, invariants.check_phases
+    histories = []
+
+    def history(aux):
+        histories.append(history_key(aux))
+        rep = check_history(aux)
+        if aux.joint_mask and aux.kappa[-1] == Color.RED:
+            rep.insert(0, Violation("wellformed", "bent history"))
+        return rep
+
+    def phases(aux):
+        rep = check_phases(aux)
+        if aux.scanner.on and aux.wx.phase != WriterPhase.OFF:
+            rep.insert(0, Violation("wellformed", "bent phase"))
+        return rep
+
+    monkeypatch.setattr(invariants, "check_history", history)
+    monkeypatch.setattr(invariants, "check_phases", phases)
+    got = [(v.name, v.detail, v.step) for v in explore(client_e()).violations]
+    assert len(histories) == len(set(histories)) == 174
+    assert {"bent history", "bent phase"} <= {detail for _, detail, _ in got}
+    assert got == reference.violations(e_graph)

@@ -12,10 +12,10 @@ from conftest import (
     TS_X5,
     TS_Y0,
     TS_Y1,
-    frame_of,
     hand_built_fig2a,
     run_prefix,
 )
+from reference import frame_of
 from snapcheck.aux_model import (
     Color,
     Ptr,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import frame_of
+from reference import frame_of
 from snapcheck import snapshot
 from snapcheck.aux_model import Color, Ptr
 from snapcheck.errors import DisabledStepError, ValueDomainError
