@@ -134,11 +134,12 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trace:
-    """The record of one completed run of ``program``, as trace files carry
-    it and the oracle reads it, folded from the run's trail by
-    :meth:`_Checker.finish`.  The records ``explore`` keeps have no steps
-    and no violations: explore checks each distinct state once, however
-    many runs pass through it, so its violations live on the report."""
+    """The record of one run of ``program`` to where no thread can step,
+    as trace files carry it and the oracle reads it, folded from the run's
+    trail by :meth:`_Checker.finish`.  The records ``explore`` keeps have
+    no steps and no violations: explore checks each distinct state once,
+    however many runs pass through it, so its violations live on the
+    report."""
 
     program: Program
     schedule: tuple[Tid, ...]
@@ -414,10 +415,13 @@ class _Checker:
         if found:
             self.absorb(found, idx)
 
-    def finish(self, phys: PhysState, aux: AuxState, trail, steps=()) -> Trace:
-        """Build the record of the completed run that ended in the parts
-        ``phys`` and ``aux``, and check it with both oracle routes.  The
-        run is its ``trail``, one ``(thread index, frame before, frame
+    def finish(self, phys: PhysState, aux: AuxState, frames, trail, steps=()) -> Trace:
+        """Build the record of the run that ended in the parts ``phys`` and
+        ``aux``, where no thread can step, and check it with both oracle
+        routes if it completed every call: a thread that still holds a
+        frame (``frames``, in tid order) is stuck, and the run is a
+        ``deadlock`` violation instead, which the oracle does not check.
+        The run is its ``trail``, one ``(thread index, frame before, frame
         after, auxiliary part after)`` per step, and the record is folded
         from it: a call is invoked on the step whose frame before is at
         ``pc == 0``, and returns where ``snapshot.returns`` holds of the
@@ -444,8 +448,13 @@ class _Checker:
             aux_digest=_digest(aux, aux_digest),
             violations=(),
         )
-        self.executions_checked += 1
         idx = len(trail)
+        stuck = [tid for tid, frame in zip(tids, frames) if frame is not None]
+        if stuck:
+            detail = f"no thread can step, with calls left in {', '.join(stuck)}"
+            self.violations.append(Violation("deadlock", detail, idx))
+            return trace
+        self.executions_checked += 1
         if not oracle.validate_witness(trace):
             self.violations.append(
                 Violation("oracle-witness", f"witness order rejected for {trace.schedule}", idx)
@@ -487,8 +496,10 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     of maximal interleavings, computed over the state graph.  One run record
     is kept per distinct terminal state, for the path that first reached
     it.  Raises :class:`BudgetExceededError` when more than ``max_states``
-    distinct states are reached, and :class:`OracleSizeError` before the
-    first step when the program has too many calls for the oracle.
+    distinct states are reached, :class:`OracleSizeError` before the first
+    step when the program has too many calls for the oracle, and
+    :class:`GuardViolationError` where a step returns to a state on the
+    path that reached it, whose interleavings no count can hold.
 
     The walk steps through its own tables of half steps, by the ids of a
     state's parts: the checker's for the physical and auxiliary parts, and
@@ -647,10 +658,14 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
                 trail.append((i, entries[eid], entries[post_eid], aux[post_aid]))
                 total += dfs(post_pid, post_aid, eids[:i] + (post_eid,) + eids[i + 1 :], pkey)
                 trail.pop()
-            else:
+            elif known:
                 total += known
-        if edges == first:  # no thread can step: the run is complete
-            executions.append(checker.finish(phys[pid], aux[aid], trail))
+            else:  # a done state counts at least 1, so this one is on the path
+                label = entries[eid].current_step().label
+                raise GuardViolationError(f"a {label} step of {tids[i]} loops back on its path")
+        if edges == first:  # no thread can step: the run ends
+            frames = [entries[e] for e in eids]
+            executions.append(checker.finish(phys[pid], aux[aid], frames, trail))
             total = 1
         visited[key] = total
         return total
@@ -672,7 +687,7 @@ def _drive(choose, checker: _Checker, steps: list[StepRecord] | None = None) -> 
     for idx in count():
         tid = choose(idx, [t for t, f in zip(tids, frames) if step_enabled(f, phys)])
         if tid is None:
-            return checker.finish(phys, aux, trail, steps or ())
+            return checker.finish(phys, aux, frames, trail, steps or ())
         i = tids.index(tid)
         before = frames[i]
         step = before.current_step()

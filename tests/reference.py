@@ -5,8 +5,10 @@ whole states, full keys, and the check battery called directly.
 walks it, and ``violations`` replays the checks over the walk; the
 differentials that patch the checks evaluate them over one recorded graph
 instead of stepping the program again.  ``random_walk`` is the one seeded
-walk of the tests, and ``sequential_results`` the scan results of a
-program's interleavings of whole calls, computed with no algorithm."""
+walk of the tests, ``sequential_results`` the scan results of a
+program's interleavings of whole calls, computed with no algorithm, and
+``erased_runs`` the schedule count and scan results of the algorithm run
+with no auxiliary state."""
 
 from dataclasses import dataclass
 from functools import cache
@@ -315,3 +317,87 @@ def sequential_results(prog):
         return frozenset(found)
 
     return results((0,) * len(threads), (prog.init_x, prog.init_y))
+
+
+# The steps of each call of the uninstrumented algorithm, one atomic
+# command each.  A write's forward runs only where its check read the
+# scanner bit set, and its finalize and a scan's relink change no memory.
+_WRITE = ("acquire", "store", "check", "forward", "finalize", "release")
+_SCAN = (
+    "acquire", "set-on", "clear-x", "clear-y", "read-x", "read-y", "set-off",
+    "read-fx", "read-fy", "relink", "release",
+)
+# Memory slots: the pointers, the forwarding cells, the scanner bit, then
+# the holders of the three locks (x writer, y writer, scanner).
+_X, _Y, _FX, _FY, _S = range(5)
+_LOCK = {"x": 5, "y": 6, None: 7}
+# A thread is its call index, pc and locals vx, vy, ox, oy; these are the
+# pc and locals of a call before its first step.
+_FRESH = (0, None, None, None, None)
+
+
+def erased_runs(prog):
+    """The number of maximal interleavings of ``prog`` and its scan
+    results, run by Jayanti's algorithm on memory and each thread's locals
+    alone: no auxiliary state, no interning and no state keys, and nothing
+    of the checker's but ``Program`` and ``MethodCall``.  The count is
+    memoised on the memory and the threads.  Auxiliary code that steered
+    the physical run (Owicki and Gries's erasure condition) would change
+    the count or the results that ``explore`` reports."""
+    programs = [calls for _, calls in prog.threads]
+
+    @cache
+    def walk(memory, threads):
+        schedules, results = 0, set()
+        for i, (idx, pc, *regs) in enumerate(threads):
+            if idx == len(programs[i]):
+                continue
+            taken = _erased_step(programs[i][idx], i, pc, list(memory), regs)
+            if taken is None:
+                continue
+            memory2, pc2, regs2, result = taken
+            own = (idx + 1, *_FRESH) if pc2 is None else (idx, pc2, *regs2)
+            count, found = walk(memory2, threads[:i] + (own,) + threads[i + 1 :])
+            schedules += count
+            results |= found
+            if result:
+                results.add(result)
+        return schedules or 1, frozenset(results)
+
+    memory = (prog.init_x, prog.init_y, None, None, False, None, None, None)
+    return walk(memory, ((0, *_FRESH),) * len(programs))
+
+
+def _erased_step(call, i, pc, memory, regs):
+    """Thread ``i``'s step at ``pc`` of ``call`` on ``memory`` (a list it
+    changes) with the locals ``regs``: the memory, the thread's next pc
+    (None once it released its lock) and locals after it, and the result a
+    relink returns; None where its lock is held."""
+    lock = _LOCK[call.p]
+    vx, vy, ox, oy = regs
+    result = None
+    step = (_WRITE if call.kind == "write" else _SCAN)[pc]
+    if step == "acquire":
+        if memory[lock] is not None:
+            return None
+        memory[lock] = i
+    elif step == "release":
+        memory[lock] = None
+        return tuple(memory), None, None, None
+    elif step == "store":
+        memory[_X if call.p == "x" else _Y] = call.v
+    elif step == "check" and not memory[_S]:
+        pc += 1  # no scan to forward to
+    elif step == "forward":
+        memory[_FX if call.p == "x" else _FY] = call.v
+    elif step in ("set-on", "set-off"):
+        memory[_S] = step == "set-on"
+    elif step in ("clear-x", "clear-y"):
+        memory[_FX if step == "clear-x" else _FY] = None
+    elif step in ("read-x", "read-y"):
+        vx, vy = (memory[_X], vy) if step == "read-x" else (vx, memory[_Y])
+    elif step in ("read-fx", "read-fy"):
+        ox, oy = (memory[_FX], oy) if step == "read-fx" else (ox, memory[_FY])
+    elif step == "relink":
+        result = (vx if ox is None else ox, vy if oy is None else oy)
+    return tuple(memory), pc + 1, (vx, vy, ox, oy), result

@@ -15,7 +15,7 @@ import random
 import time
 
 from conftest import CHECKS, run_prefix, swept_programs
-from reference import sequential_results
+from reference import erased_runs, sequential_results
 from snapcheck.aux_model import (
     AuxState,
     Color,
@@ -208,6 +208,16 @@ def test_swept_results_are_the_specifications():
     a branch explore lost; an extra one, a run no call order explains."""
     got = {prog.name: sequential_results(prog) for prog in swept_programs()}
     assert got == {name: golden[4] for name, golden in SWEEP_GOLDEN.items()}
+
+
+def test_uninstrumented_runs_are_the_swept_ones():
+    """Jayanti's algorithm run on memory and locals alone, with no
+    auxiliary state, gives every swept program the schedule count and the
+    scan results that ``explore`` gives it: the auxiliary code steers no
+    physical step (Owicki and Gries's erasure condition), and the counts
+    are not the instrumented explorer's word alone."""
+    got = {prog.name: erased_runs(prog) for prog in swept_programs()}
+    assert got == {name: (golden[2], golden[4]) for name, golden in SWEEP_GOLDEN.items()}
 
 
 def test_default_budget_covers_the_sweep():

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+from dataclasses import dataclass
 
 import pytest
 
@@ -93,6 +94,46 @@ def test_explore_budget():
         explore(client_e(), max_states=50)
 
 
+def test_a_run_stuck_with_calls_left_is_a_deadlock(monkeypatch):
+    """A run that ends where no thread can step while a thread still has a
+    call is a ``deadlock`` violation naming that thread, and no completed
+    run for the oracle to check, in every scheduler: here a release of the
+    x-writer lock leaves it held, so one writer of x waits forever."""
+    phys_effect = snapshot.phys_effect
+
+    def kept_lock(step, arg, phys):
+        return phys if step.label == "release:wx" else phys_effect(step, arg, phys)
+
+    monkeypatch.setattr(snapshot, "phys_effect", kept_lock)
+    monkeypatch.setattr(harness, "phys_effect", kept_lock)
+    report = explore(client_e())
+    details = {v.detail for v in report.violations if v.name == "deadlock"}
+    assert details == {f"no thread can step, with calls left in {tid}" for tid in "lr"}
+    assert len(report.violations) == len(report.executions) == 18
+    assert report.executions_checked == 0
+    sampled = run_random(client_e(), seed=1, runs=5)
+    assert [v.name for v in sampled.violations] == ["deadlock"] * 5
+    assert sampled.executions_checked == 0
+    [violation] = run_schedule(client_e(), report.executions[0].schedule).violations
+    assert "deadlock" in violation
+
+
+def test_a_step_that_loops_is_refused(monkeypatch):
+    """explore counts a state's schedules once its successors are done, so
+    a step back to a state on the path that reached it would add none;
+    explore refuses it rather than report too few schedules.  Here a
+    read-fwd step leaves its frame, and so the state, as it was."""
+    frame_effect = harness.frame_effect
+
+    def stays(frame, value, outputs):
+        kind = frame.current_step().kind
+        return frame if kind == "read-fwd" else frame_effect(frame, value, outputs)
+
+    monkeypatch.setattr(harness, "frame_effect", stays)
+    with pytest.raises(GuardViolationError, match="a read-fwd:x step of c loops"):
+        explore(client_e())
+
+
 WXY_SCAN = Program(
     "wxy-scan",
     (
@@ -108,14 +149,14 @@ WXY_SCAN = Program(
     + two_scan_programs(),
     ids=lambda p: p.name,
 )
-def test_exploration_soundness_replay(prog):
+def test_exploration_soundness_replay(prog, default_runs):
     """Every run record explore keeps, method records included, is the one
     a fresh replay of its schedule builds, and the one built straight from
     the frames of the steps: the records explore folds from its trail at
     its terminal states survive merging and backtracking, also where a
     thread's second call sets its invocation index again (the two-scan
-    clients)."""
-    report = explore(prog)
+    clients, whose records are those of their recorded explores)."""
+    report = default_runs[prog.name].report if prog.name in default_runs else explore(prog)
     assert report.executions
     assert len(report.executions) == report.executions_checked
     for ex in report.executions:
@@ -490,23 +531,13 @@ def _force_violations(monkeypatch):
     )
 
 
-def test_state_checks_run_once_per_part_they_read(monkeypatch):
+def test_state_checks_run_once_per_part_they_read(default_runs):
     """On e, explore runs the history part once per distinct history, the
     phase part once per auxiliary part and the memory part once per
     (phys, aux) pair: 174, 1,003 and 6,205 calls, against 6,205 runs of
     the whole battery when every part was keyed by the pair."""
-    calls = {}
-    for name in ("check_history", "check_phases", "check_memory"):
-        check, calls[name] = getattr(invariants, name), []
-
-        def counted(*args, check=check, seen=calls[name]):
-            seen.append(args)
-            return check(*args)
-
-        monkeypatch.setattr(invariants, name, counted)
-    checkers = _record_checkers(monkeypatch)
-    assert explore(client_e()).ok
-    [checker] = checkers
+    run = default_runs["e"]
+    calls, checker = _calls(run.log), run.checker
     histories = [history_key(aux) for (aux,) in calls["check_history"]]
     phases = [id(aux) for (aux,) in calls["check_phases"]]
     pairs = [(id(phys), id(aux)) for phys, aux in calls["check_memory"]]
@@ -524,14 +555,12 @@ class _Unread:
         raise AssertionError(f"read .{name}")
 
 
-def test_history_part_reads_only_the_history(monkeypatch):
+def test_history_part_reads_only_the_history(default_runs):
     """The history part's verdict on every aux part of a two-scan explore
     is the same with the writer and scanner records made unreadable: it
     reads only the history, so one verdict per history serves every aux
     part that shares it."""
-    checkers = _record_checkers(monkeypatch)
-    explore(two_scan_programs()[0])
-    [checker] = checkers
+    checker = default_runs["two-scan"].checker
     blind = _Unread()
     assert len(checker.aux) > 1_000
     for aux in checker.aux:
@@ -578,25 +607,24 @@ def test_aux_blind_steps_read_no_aux_part(explored_steps):
 
 @pytest.fixture(scope="session")
 def default_runs():
-    """explore's reports, kept records and violation lists on e, the
+    """The one recorded explore (``_explored_states``) of each of e, the
     two-scan clients and a thread that first writes the value its pointer
-    holds, on the default path with a violation forced at every level of
-    the state and edge checks.  Forcing changes no step, so the reports
-    and records are the plain path's.  Tests that explore these programs
-    another way compare against them."""
-    with pytest.MonkeyPatch.context() as patch:
-        _force_violations(patch)
-        return _runs()
-
-
-def _runs():
+    holds, by program name, with a violation forced at every level of the
+    state and edge checks, each check logged outside its forcing wrapper.
+    Neither the 0-bit digits nor forcing change a step, so the reports,
+    records and states are the default path's.  Tests read these
+    programs' explores here, or compare other ways of exploring them."""
     # a's two registers of x start from equal physical parts
     rewrite = parse_program("init 2 0\na: write x 2; write x 3\ns: scan\n", name="rewrite")
-    reports = [explore(prog) for prog in [client_e(), *two_scan_programs(), rewrite]]
-    return [
-        (r.render(), r.executions, [(v.name, v.detail, v.step) for v in r.violations])
-        for r in reports
-    ]
+    with pytest.MonkeyPatch.context() as patch:
+        _force_violations(patch)
+        return {p.name: _explored_states(p) for p in [client_e(), *two_scan_programs(), rewrite]}
+
+
+def _outcome(report):
+    """A report's render, kept records and violation list."""
+    violations = [(v.name, v.detail, v.step) for v in report.violations]
+    return report.render(), report.executions, violations
 
 
 def _widen_part_keys(monkeypatch):
@@ -641,11 +669,13 @@ def test_part_tables_change_no_verdict(force, default_runs, monkeypatch):
     of the checks (and no other violation).  An argument list that left
     out what its function reads would hand one entry's part to another."""
     force(monkeypatch)
-    assert all(violations for *_, violations in default_runs)
-    names = {name for *_, violations in default_runs for name, _, _ in violations}
+    outcomes = {name: _outcome(run.report) for name, run in default_runs.items()}
+    assert all(violations for *_, violations in outcomes.values())
+    names = {name for *_, violations in outcomes.values() for name, _, _ in violations}
     assert names == {"forced-state", "forced-edge"}
     _widen_part_keys(monkeypatch)
-    assert _runs() == default_runs
+    widened = {name: _outcome(explore(run.checker.prog)) for name, run in default_runs.items()}
+    assert widened == outcomes
 
 
 def test_a_step_filed_aux_blind_must_be_blind(monkeypatch):
@@ -658,30 +688,21 @@ def test_a_step_filed_aux_blind_must_be_blind(monkeypatch):
         explore(client_e())
 
 
-def test_the_edge_checks_shortcuts_skip_nothing(monkeypatch):
+def test_the_edge_checks_shortcuts_skip_nothing(default_runs, monkeypatch):
     """On e and the two-scan clients, every ``check_transition`` call that
     returns early on equal histories finds nothing when the whole check
     runs, and ``check_scan_post``, reading one pass of prefix evaluations,
     gives on every returning scan, its result as returned and bent, the
     verdict of replaying each candidate with ``eval_at``.  Each distinct
     call that explore makes is checked once."""
-    check_transition, check_scan_post = invariants.check_transition, invariants.check_scan_post
     equal, scans = {}, {}
-
-    def transition(pre, post):
-        if history_key(pre) == history_key(post):
-            equal[id(pre), id(post)] = pre, post
-        return check_transition(pre, post)
-
-    def scan_post(mask, ret, r, witness):
-        scans[mask, id(ret), r, witness] = mask, ret, r, witness
-        return check_scan_post(mask, ret, r, witness)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(invariants, "check_transition", transition)
-        patched.setattr(invariants, "check_scan_post", scan_post)
-        for prog in [client_e(), *two_scan_programs()]:
-            assert explore(prog).ok
+    for name in ("e", "two-scan", "fig1-two-scan"):
+        calls = _calls(default_runs[name].log)
+        for pre, post in calls["check_transition"]:
+            if history_key(pre) == history_key(post):
+                equal[id(pre), id(post)] = pre, post
+        for mask, ret, r, witness in calls["check_scan_post"]:
+            scans[mask, id(ret), r, witness] = mask, ret, r, witness
     assert len(equal) > 1_000
     assert len(scans) > 1_000
     # a fresh object equals no other, so no history passes as unchanged
@@ -708,11 +729,11 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
     for name, level in levels.items():
         forced = [Violation(f"forced-{level}", "every state")]
         monkeypatch.setattr(invariants, name, lambda *parts, forced=forced: list(forced))
-    report, states = _explored_states(prog)
+    run = _explored_states(prog)
     names = ["forced-history", "forced-phase", "forced-memory"]
-    assert [v.name for v in report.violations] == names * report.states
+    assert [v.name for v in run.report.violations] == names * run.report.states
     ids, seen = {}, 0
-    for (pid, aid, eids), state in states:
+    for (pid, aid, eids), state in run.states():
         parts = [(phys_key(state.phys), pid), (aux_key(state.aux), aid)]
         parts += [(entry_key(*e), eid) for e, eid in zip(state.threads, eids)]
         for key, i in parts:
@@ -720,19 +741,6 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
         seen += len(parts)
     assert all(len(group) == 1 for group in ids.values())
     assert seen > 2 * len(ids)
-
-
-def _record_checkers(monkeypatch):
-    """The checkers the schedulers make from now on, in order."""
-    made = []
-
-    class Recorded(harness._Checker):
-        def __init__(self, prog):
-            super().__init__(prog)
-            made.append(self)
-
-    monkeypatch.setattr(harness, "_Checker", Recorded)
-    return made
 
 
 def _watch_state_key(monkeypatch):
@@ -748,17 +756,49 @@ def _watch_state_key(monkeypatch):
     return calls
 
 
+@dataclass(frozen=True)
+class _Run:
+    """One recorded explore: its report and checker, the ids ``(pid, aid,
+    eids)`` of each distinct state it keys, in order of first keying, the
+    thread entries the entry ids number, and its ``_record_calls`` log."""
+
+    report: harness.ExplorationReport
+    checker: harness._Checker
+    ids: list
+    entries: list
+    log: list
+
+    def states(self):
+        """The ids and the state of each distinct state, in order."""
+        phys, aux = self.checker.phys, self.checker.aux
+        for pid, aid, eids in self.ids:
+            threads = tuple(map(self.entries.__getitem__, eids))
+            yield (pid, aid, eids), harness.State(phys[pid], aux[aid], threads)
+
+
+def _calls(log):
+    """The arguments of each logged call, by function name."""
+    calls = {}
+    for name, args in log:
+        calls.setdefault(name, []).append(args)
+    return calls
+
+
 def _explored_states(prog):
-    """explore's report on ``prog``, and an iterator over the ids ``(pid,
-    aid, eids)`` and the state of each distinct state it keys, in order of
-    first keying.
+    """The recorded explore of ``prog`` (a ``_Run``), which logs the
+    functions that ``harness`` calls by name and the state and edge checks.
     With 0-bit digits no id but 0 fits one, so explore derives no key from
     its parent's and ``state_key`` sees the ids of every edge's successor.
     A state's parts are those its checker gave the ids, and its threads'
     entries those explore numbered: each thread's initial frame, then each
     that ``harness.frame_effect`` gives, a release's next frame or None
     among them, by ``entry_key`` in order of first sight."""
-    frame_effect, numbers, entries = harness.frame_effect, {}, []
+    frame_effect, numbers, entries, checkers = harness.frame_effect, {}, [], []
+
+    class Recorded(harness._Checker):
+        def __init__(self, prog):
+            super().__init__(prog)
+            checkers.append(self)
 
     def number(tid, frame):
         if numbers.setdefault(entry_key(tid, frame), len(entries)) == len(entries):
@@ -774,16 +814,14 @@ def _explored_states(prog):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_ID_BITS", 0)
         patch.setattr(harness, "frame_effect", watch)
+        patch.setattr(harness, "_Checker", Recorded)
         calls = _watch_state_key(patch)
-        checkers = _record_checkers(patch)
+        names = "step_args apply_step step_state phys_effect aux_effect frame_effect"
+        checks = "check_history check_phases check_memory check_transition check_scan_post"
+        log = _record_calls(patch, *names.split(), checks=checks.split())
         report = explore(prog)
     [checker] = checkers
-
-    def state(pid, aid, eids):
-        threads = tuple(map(entries.__getitem__, eids))
-        return harness.State(checker.phys[pid], checker.aux[aid], threads)
-
-    return report, ((ids, state(*ids)) for ids in dict.fromkeys(ids for _, ids in calls))
+    return _Run(report, checker, list(dict.fromkeys(ids for _, ids in calls)), entries, log)
 
 
 @pytest.mark.parametrize(
@@ -796,39 +834,41 @@ def _explored_states(prog):
     ],
     ids=["gen-x1-y1", "two-scan", "gen-x1-y1-overflow"],
 )
-def test_state_key_is_injective(prog, id_bits, monkeypatch):
+def test_state_key_is_injective(prog, id_bits, default_runs, monkeypatch):
     """The keys explore files its states under, ``state_key`` of their
     ids, are equal exactly when the states' full keys are.  With 0-bit
     digits explore derives no key from its parent's, so ``state_key`` sees
     the ids of every edge's successor; each is keyed again at the width
     under test (explore's keys at each width are those of
     ``test_derived_keys_are_state_keys``)."""
-    report, states = _explored_states(prog)
+    run = default_runs.get(prog.name) or _explored_states(prog)
     if id_bits is not None:
         monkeypatch.setattr(harness, "_ID_BITS", id_bits)
     full_keys = {}
-    for ids, state in states:
+    for ids, state in run.states():
         full_keys.setdefault(harness.state_key(*ids), set()).add(full_key(state))
     assert all(len(group) == 1 for group in full_keys.values())
-    assert len(set().union(*full_keys.values())) == len(full_keys) == report.states
+    assert len(set().union(*full_keys.values())) == len(full_keys) == run.report.states
     kinds = {type(key) for key in full_keys}
     assert kinds == ({int} if id_bits is None else {int, tuple})
 
 
 @pytest.fixture(scope="session")
-def explored_steps():
-    """Every distinct step of the explores of e and the two-scan clients,
-    as (program, thread, frame, phys, aux): each thread's frame with a
-    state's two parts names a step, taken once per distinct triple of ids."""
+def explored_steps(default_runs):
+    """Every distinct step of the recorded explores of e and the two-scan
+    clients, as (program, thread, frame, phys, aux): each thread's frame
+    with a state's two parts names a step, once per distinct triple of ids."""
     steps = []
-    for prog in [client_e(), *two_scan_programs()]:
-        seen = set()
-        for (pid, aid, eids), state in _explored_states(prog)[1]:
-            for eid, (tid, frame) in zip(eids, state.threads):
+    for name in ("e", "two-scan", "fig1-two-scan"):
+        run, seen = default_runs[name], set()
+        phys, aux = run.checker.phys, run.checker.aux
+        for pid, aid, eids in run.ids:
+            for eid in eids:
                 if (eid, pid, aid) not in seen:
                     seen.add((eid, pid, aid))
-                    if snapshot.step_enabled(frame, state.phys):
-                        steps.append((prog, tid, frame, state.phys, state.aux))
+                    tid, frame = run.entries[eid]
+                    if snapshot.step_enabled(frame, phys[pid]):
+                        steps.append((run.checker.prog, tid, frame, phys[pid], aux[aid]))
     return steps
 
 
@@ -890,15 +930,15 @@ def test_derived_keys_are_state_keys(prog, monkeypatch):
     assert kinds == [{tuple}, {int, tuple}, {int}]
 
 
-def _record_calls(monkeypatch, *names):
+def _record_calls(monkeypatch, *names, checks=()):
     """Every call from now on of each function ``names`` that ``harness``
-    calls by that name, and of ``_Checker._check_edge``, as (name,
-    arguments), in order."""
+    calls by that name, of ``_Checker._check_edge`` and of each check
+    ``checks`` on ``invariants``, as (name, arguments), in order."""
     log = []
-    for name in names:
-        fn = getattr(harness, name)
+    for module, name in [(harness, name) for name in names] + [(invariants, c) for c in checks]:
+        fn = getattr(module, name)
         monkeypatch.setattr(
-            harness, name, lambda *args, fn=fn, name=name: log.append((name, args)) or fn(*args)
+            module, name, lambda *args, fn=fn, name=name: log.append((name, args)) or fn(*args)
         )
     check_edge = harness._Checker._check_edge
 
@@ -921,7 +961,7 @@ def _whole_steps(log):
     return [args for name, args in log if name == "apply_step"]
 
 
-def test_explore_steps_only_where_a_table_misses(monkeypatch):
+def test_explore_steps_only_where_a_table_misses(default_runs):
     """On e, explore composes each of the 11,505 half steps its first
     tables miss (one ``step_args`` call each) from part tables, and calls
     a function only where its own table misses: 1,168 physical effects,
@@ -933,12 +973,10 @@ def test_explore_steps_only_where_a_table_misses(monkeypatch):
     miss took the step whole), folds its kept runs from the trail, and
     would take at least 132,390 steps if it stepped every edge."""
     effects = ("phys_effect", "aux_effect", "frame_effect")
-    log = _record_calls(monkeypatch, "step_args", "apply_step", "step_state", *effects)
-    report = explore(client_e())
-    assert (report.edges, report.executions_checked) == (132_390, 120)
-    calls = {}
-    for name, args in log:
-        calls.setdefault(name, []).append(args)
+    run = default_runs["e"]
+    assert (run.report.edges, run.report.executions_checked) == (132_390, 120)
+    log = [(name, args) for name, args in run.log if not name.startswith("check_")]
+    calls = _calls(log)
     assert {name: len(args) for name, args in calls.items()} == {
         "step_args": 11_505,
         "phys_effect": 1_168,
@@ -1027,7 +1065,7 @@ def test_memoised_checks_match_unmemoised_reference(default_runs, e_graph, monke
     state, its violation list (the forced run of e in ``default_runs``) is
     the one the reference walk that checks everything gives, step stamps
     included."""
-    got = default_runs[0][2]
+    got = _outcome(default_runs["e"].report)[2]
     _force_violations(monkeypatch)
     names = {name for name, _, _ in got}
     assert names == {"forced-state", "forced-edge"}
