@@ -18,11 +18,12 @@ parts and frames, with no state object.
 
 Every scheduler reaches its :class:`_Checker` through ``start``,
 ``on_state``, ``absorb``, ``finish`` and ``report``, interns the parts it
-makes with ``_canon`` and checks its edges with ``_check_edge``.  The state
-checks run in three parts, by what they read (the auxiliary history, the
-auxiliary part, the physical and auxiliary parts), each once per run on
-each distinct thing it reads, malformed or not, composed as ``check_all``
-composes them.
+makes with ``_canon`` and checks each edge with ``snapshot.edge_check``,
+which runs every check of an edge, the postcondition of the call a step
+returns among them.  The state checks run in three parts, by what they
+read (the auxiliary history, the auxiliary part, the physical and
+auxiliary parts), each once per run on each distinct thing it reads,
+malformed or not, composed as ``check_all`` composes them.
 
 A :class:`State` is the machine state only, and a thread's entry in it is
 its frame, None once its calls are done.  Every scheduler keeps the run
@@ -63,10 +64,10 @@ from .snapshot import (
     MethodCall,
     MethodFrame,
     PhysState,
-    Step,
     apply_step,
     aux_digest,
     aux_effect,
+    edge_check,
     frame_effect,
     init,
     make_frame,
@@ -216,38 +217,22 @@ def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, MethodFram
     the frame that took the step."""
     i = state.index(tid)
     before = state.threads[i][1]
-    phys, aux, after, _, _ = apply_step(before.current_step(), state.phys, state.aux, before)
+    phys, aux, after, *_ = apply_step(before.current_step(), state.phys, state.aux, before)
     return State(phys, aux, state.threads[:i] + ((tid, after),) + state.threads[i + 1 :]), before
 
 
-def _witness(fr: MethodFrame, aux: AuxState) -> Timestamp:
-    """A returning scan's witness: the later in sigma of its two
-    per-pointer events."""
-    wx, wy = fr.witness_x, fr.witness_y
-    return wx if aux.sigma.index(wx) >= aux.sigma.index(wy) else wy
-
-
 def _method_record(fr: MethodFrame, aux: AuxState, invocation: int, response: int) -> MethodRecord:
-    if fr.call.kind == "write":
-        return MethodRecord(fr.tid, fr.call, None, invocation, response, t=fr.t)
     return MethodRecord(
         fr.tid,
         fr.call,
         fr.result,
         invocation,
         response,
-        witness=_witness(fr, aux),
+        t=fr.t,
+        witness=snapshot.witness(aux, fr.witness_x, fr.witness_y),
         witness_x=fr.witness_x,
         witness_y=fr.witness_y,
     )
-
-
-def _returned(before: MethodFrame, after: MethodFrame | None):
-    """What the postcondition of the call that the step of ``before`` to
-    ``after`` returned reads besides the auxiliary part (None where it
-    returned none): the invocation mask and the frame the call returns
-    with, which holds no local that the postcondition does not read."""
-    return (before.mask, after) if snapshot.returns(after) else None
 
 
 # Bits of each id below the aux id in a packed key (see state_key).
@@ -294,9 +279,8 @@ def _digest(part, digest) -> str:
 class _Checker:
     """What the schedulers share, and only that: it starts each run and
     checks its first state (:meth:`start`), interns the parts a step makes
-    (:meth:`_canon`), checks states (:meth:`on_state`) and edges
-    (:meth:`_check_edge`, on every step of the drive loop and where
-    ``explore``'s verdict table misses) and keeps their verdicts
+    (:meth:`_canon`), checks states (:meth:`on_state`), records the
+    violations of states and edges (:meth:`absorb`) and keeps the verdicts
     (violations, scan results, runs the oracle checked).  It folds each
     run's record from its trail (:meth:`finish`), as no other code does.
 
@@ -307,11 +291,10 @@ class _Checker:
     part it interns is made by stepping from its own initial state.  The
     tables map keys to verdicts, each check's by what it reads:
     ``check_history``'s by the history's key (``history_key``),
-    ``check_aux``'s by aux id, a state's (``check_aux``'s, with
-    ``check_memory``'s where it runs) by phys id and aux id, and
-    ``check_transition``'s by aux id and post aux id.  An edge that leaves
-    the auxiliary part as it was passes ``check_transition`` by reflexivity
-    and is not looked up.
+    ``check_aux``'s by aux id, and a state's (``check_aux``'s, with
+    ``check_memory``'s where it runs) by phys id and aux id.  An edge's
+    checks are ``snapshot.edge_check``'s, which ``explore`` memoises in its
+    own verdict table and the drive loop runs on every step.
     """
 
     def __init__(self, prog: Program):
@@ -331,7 +314,6 @@ class _Checker:
         self._history_checks: dict[tuple, tuple] = {}
         self._aux_checks: dict[int, tuple[tuple, bool]] = {}
         self._state_checks: defaultdict[int, dict] = defaultdict(dict)
-        self._transition_checks: defaultdict[int, dict] = defaultdict(dict)
 
     def start(self) -> tuple[PhysState, AuxState, list[MethodFrame | None]]:
         """The parts of the program's initial state, the physical and
@@ -356,35 +338,6 @@ class _Checker:
             m["id"] = len(parts)
             parts.append(part)
         return canon
-
-    def _check_edge(
-        self, pre: AuxState, post: AuxState, step: Step, value, outputs: tuple, returned
-    ) -> tuple[Violation, ...]:
-        """The violations, in order, of every check of the edge of ``step``
-        from the auxiliary part ``pre`` to ``post``, on which the step read
-        ``value`` and its auxiliary effect gave ``outputs``, and which
-        returned the call ``returned`` names (see ``_returned``); no check
-        reads a physical part.  A returning scan also adds its result to
-        the scan results."""
-        found = []
-        if pre is not post:  # an unchanged part passes by reflexivity
-            transitions = self._transition_checks[_id(pre)]
-            post_aid = _id(post)
-            verdict = transitions.get(post_aid)
-            if verdict is None:
-                verdict = transitions[post_aid] = tuple(invariants.check_transition(pre, post))
-            found += verdict
-        found += snapshot.edge_check(step, pre, post, value, outputs)
-        if returned is not None:
-            mask, fr = returned
-            call = fr.call
-            if call.kind == "write":
-                found += invariants.check_write_post(mask, post, fr.t, fr.tid, call.p, call.v)
-            else:
-                self.scan_results.add(fr.result)
-                found += invariants.check_scan_post(mask, post, fr.result, _witness(fr, post))
-        # the tables keep verdicts as tuples: an empty one takes no memory
-        return tuple(found)
 
     def absorb(self, violations, idx: int) -> None:
         """Record copies of ``violations`` stamped with step ``idx``, so
@@ -425,7 +378,7 @@ class _Checker:
         after, auxiliary part after)`` per step, and the record is folded
         from it: a call is invoked on the step whose frame before is at
         ``pc == 0``, and returns where ``snapshot.returns`` holds of the
-        frame after.
+        frame after, a scan with its result, which joins the scan results.
         Oracle failures join the checker's violations; the record's own
         violation list is left empty."""
         prog, tids = self.prog, self.tids
@@ -436,6 +389,7 @@ class _Checker:
                 invocations[i] = idx
             if snapshot.returns(after):
                 methods.append(_method_record(after, aux_after, invocations[i], idx))
+        self.scan_results.update(m.result for m in methods if m.result is not None)
         trace = Trace(
             program=prog,
             schedule=tuple(tids[i] for i, *_ in trail),
@@ -506,18 +460,18 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     its own for the threads' entries, which key nothing else: a frame by
     ``snapshot.frame_key``, and a thread whose calls are done by its tid.
     Where a table misses, ``fill`` composes the half step from a part table
-    per function (the step's three effects and ``_Checker._check_edge``),
+    per function (the step's three effects and ``snapshot.edge_check``),
     each keyed by exactly the arguments its function takes, parts by id,
-    and calls a function only where its own table misses.  A composed
-    returning scan adds no scan result: its result is in the verdict's key,
-    so the check that filed the verdict added it.  A step of a kind in
-    ``snapshot.AUX_BLIND`` has one outcome under every auxiliary part, so
-    it is filed whole by (entry id, phys id), and checked where it is filed
-    to fail no edge check (:class:`GuardViolationError` otherwise).  A
-    successor's key is ``state_key`` of its ids, derived from its parent's
-    key by swapping in the ids that a step can change (aux, phys and the
-    stepping thread's entry); ``state_key`` itself makes only the first key
-    and those where an id outgrows its digit.
+    and calls a function only where its own table misses.  Every reachable
+    frame is an entry, so the scan results are those of the entries.  A
+    step of a kind in ``snapshot.AUX_BLIND`` has one outcome under every
+    auxiliary part, so it is filed whole by (entry id, phys id), and
+    checked where it is filed to fail no edge check
+    (:class:`GuardViolationError` otherwise).  A successor's key is
+    ``state_key`` of its ids, derived from its parent's key by swapping in
+    the ids that a step can change (aux, phys and the stepping thread's
+    entry); ``state_key`` itself makes only the first key and those where
+    an id outgrows its digit.
     """
     checker = _Checker(prog)
     phys0, aux0, frames0 = checker.start()
@@ -542,8 +496,8 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     # function's arguments: (label, argument, phys id) gives the post phys
     # id, (label, argument, aux id) the post aux id and the outputs,
     # (entry id, value, outputs) the post entry id, and (label, value,
-    # outputs, returned, aux id, post aux id) the edge's violations.  A
-    # label names its step and fixes the types of the rest.
+    # outputs, check argument, aux id, post aux id) the edge's violations.
+    # A label names its step and fixes the types of the rest.
     phys_parts: dict[tuple, int] = {}
     aux_parts: dict[tuple, tuple] = {}
     frame_parts: dict[tuple, int] = {}
@@ -579,7 +533,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             return False
         step = frame.current_step()
         label = step.label
-        value, phys_arg, aux_args = step_args(step, frame, pre)
+        value, phys_arg, aux_args, check_arg = step_args(step, frame, pre)
         key = (label, phys_arg, pid)
         post_pid = phys_parts.get(key)
         if post_pid is None:
@@ -600,12 +554,12 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         if post_eid is None:
             after = frame_effect(frame, value, outputs)
             post_eid = frame_parts[key] = number(tids[i], after)
-        returned = _returned(frame, entries[post_eid])
-        key = (label, value, outputs, returned, aid, post_aid)
+        key = (label, value, outputs, check_arg, aid, post_aid)
         found = verdicts.get(key)
         if found is None:
-            found = checker._check_edge(aux[aid], aux[post_aid], step, value, outputs, returned)
-            verdicts[key] = found
+            found = verdicts[key] = edge_check(
+                step, aux[aid], aux[post_aid], value, outputs, check_arg
+            )
         if whole:
             if found:
                 raise GuardViolationError(f"a {step.kind} step filed whole failed an edge check")
@@ -672,6 +626,8 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
 
     eids0 = tuple(map(number, tids, frames0))
     schedules = dfs(pid0, aid0, eids0, state_key(pid0, aid0, eids0))
+    # every reachable frame is an entry, each returned scan's among them
+    checker.scan_results.update(f.result for f in entries if f and f.result is not None)
     return checker.report("exhaustive", len(visited), edges, schedules, executions=executions)
 
 
@@ -680,25 +636,30 @@ def _drive(choose, checker: _Checker, steps: list[StepRecord] | None = None) -> 
     enabled)`` names the thread that takes step idx, or None to stop; every
     state and edge on the way goes through ``checker``, and the digests of
     every state reached are appended to ``steps`` unless it is None.
-    Returns the run's record, as :meth:`_Checker.finish` checks it."""
+    Returns the run's record, as :meth:`_Checker.finish` checks it; a run
+    longer than its calls' ``snapshot.step_count`` (a step that loops)
+    raises :class:`GuardViolationError`."""
     tids = checker.tids
+    limit = sum(snapshot.step_count(call) for _, calls in checker.prog.threads for call in calls)
     phys, aux, frames = checker.start()
     trail = []
     for idx in count():
         tid = choose(idx, [t for t, f in zip(tids, frames) if step_enabled(f, phys)])
         if tid is None:
             return checker.finish(phys, aux, frames, trail, steps or ())
+        if idx == limit:
+            raise GuardViolationError(f"a run of {checker.prog.name} takes more than {limit} steps")
         i = tids.index(tid)
         before = frames[i]
         step = before.current_step()
-        post_phys, post_aux, after, value, outputs = apply_step(step, phys, aux, before)
+        post_phys, post_aux, after, value, outputs, check_arg = apply_step(step, phys, aux, before)
         frames[i] = after
         if post_phys is not phys:
             post_phys = checker._canon(post_phys, checker.phys, phys_key)
         if post_aux is not aux:
             post_aux = checker._canon(post_aux, checker.aux, aux_key)
         checker.on_state(_id(post_phys), _id(post_aux), idx)
-        found = checker._check_edge(aux, post_aux, step, value, outputs, _returned(before, after))
+        found = edge_check(step, aux, post_aux, value, outputs, check_arg)
         if found:
             checker.absorb(found, idx)
         if steps is not None:

@@ -14,9 +14,10 @@ effect, and the frame effect, which reads what the step read from memory
 and the outputs of the auxiliary effect, and at a release starts the
 thread's next call.  So the physical half of a step is blind to the
 auxiliary part by its signature.  :func:`apply_step` is their composition.
-Beside them sit each kind's edge check (:func:`edge_check`), the step that
-returns a call (:func:`returns`), the kinds whose half step no auxiliary
-part changes (``AUX_BLIND``) and a frame's key (``frame_key``).
+Beside them sit every check of an edge (:func:`edge_check`), a returned
+call's postcondition among them (:func:`returns`), the kinds whose half
+step no auxiliary part changes (``AUX_BLIND``) and a frame's key
+(``frame_key``).
 """
 
 from __future__ import annotations
@@ -240,27 +241,30 @@ def step_args(step: Step, frame: MethodFrame, phys: PhysState) -> tuple:
     into its thread (the scanner bit, a pointer or a forwarding cell; None
     for a step that reads none), which the auxiliary effect and the frame
     effect read in place of the physical part, then the argument of its
-    physical effect and that of its auxiliary effect."""
+    physical effect, that of its auxiliary effect and what its edge check
+    reads of the frame: a returned call's invocation mask with the write's
+    event, thread and value or the scan's result."""
     kind = step.kind
     if kind == "acquire":
-        return None, frame.tid, (frame.tid, frame.call.kind)
+        return None, frame.tid, (frame.tid, frame.call.kind), None
     if kind == "release":
-        return None, frame.tid, None
+        return None, frame.tid, None, None
     if kind == "register":
-        return None, frame.call.v, frame.call.v
+        return None, frame.call.v, frame.call.v, None
     if kind == "forward":
-        return None, frame.call.v, None
+        return None, frame.call.v, None, None
     if kind == "check":
-        return phys.s_bit, None, phys.s_bit
+        return phys.s_bit, None, phys.s_bit, None
     if kind == "finalize":
-        return None, None, frame.tid
+        return None, None, frame.tid, (frame.mask, frame.t, frame.tid, frame.call.v)
     if kind == "read":
-        return (phys.x if step.ptr == Ptr.X else phys.y), None, None
+        return (phys.x if step.ptr == Ptr.X else phys.y), None, None, None
     if kind == "read-fwd":
-        return (phys.fx if step.ptr == Ptr.X else phys.fy), None, None
+        return (phys.fx if step.ptr == Ptr.X else phys.fy), None, None, None
     if kind == "relink":
-        return None, None, scan_result(frame)
-    return None, None, None
+        result = scan_result(frame)
+        return None, None, result, (frame.mask, result)
+    return None, None, None, None
 
 
 def phys_effect(step: Step, arg, phys: PhysState) -> PhysState:
@@ -300,13 +304,27 @@ _AUX_EFFECTS = {
     "relink": lambda p, result, aux: aux_ops.relink(*result, aux),
 }
 
-# The edge check of each kind of step that has one (see edge_check).  Each
-# looks its check up on ``invariants`` when it runs, where a wrapper may
-# have replaced it.
+
+def _finalize_checks(step, pre, post, value, out, arg):
+    mask, t, tid, v = arg
+    return invariants.check_write_post(mask, post, t, tid, step.ptr, v)
+
+
+def _relink_checks(step, pre, post, value, out, arg):
+    mask, result = arg
+    found = invariants.check_relink_post(post, *out)
+    return found + invariants.check_scan_post(mask, post, result, witness(post, *out))
+
+
+# The edge check of each kind of step that has one of its own (see
+# edge_check), a returned call's postcondition among them.  Each looks its
+# check up on ``invariants`` when it runs, where a wrapper may have
+# replaced it.
 _EDGE_CHECKS = {
-    "register": lambda step, pre, post, value, out: invariants.check_write_fresh(pre, *out),
-    "read": lambda step, pre, post, value, out: invariants.check_read_lemma(step.ptr, value, post),
-    "relink": lambda step, pre, post, value, out: invariants.check_relink_post(post, *out),
+    "register": lambda step, pre, post, v, out, arg: invariants.check_write_fresh(pre, *out),
+    "read": lambda step, pre, post, v, out, arg: invariants.check_read_lemma(step.ptr, v, post),
+    "finalize": _finalize_checks,
+    "relink": _relink_checks,
 }
 
 # The kinds of step whose half step is the same under every auxiliary part:
@@ -333,14 +351,20 @@ def aux_effect(step: Step, args, aux: AuxState) -> tuple[AuxState, tuple]:
     return post[0], post[1:]
 
 
-def edge_check(step: Step, pre: AuxState, post: AuxState, value, outputs: tuple):
-    """The violations of the check of its own that the edge of ``step``
-    from the auxiliary part ``pre`` to ``post`` adds, on which the step
-    read ``value`` and its auxiliary effect gave ``outputs``: a register's
-    freshness, a read's lemma and a relink's guarantee (``()`` for the
-    other kinds)."""
+def edge_check(step: Step, pre: AuxState, post: AuxState, value, outputs: tuple, arg) -> tuple:
+    """The violations, in order, of every check of the edge of ``step``
+    from the auxiliary part ``pre`` to ``post``, on which the step read
+    ``value``, its auxiliary effect gave ``outputs`` and its check reads
+    ``arg`` (:func:`step_args`): the transition's monotonicity, then a
+    register's freshness, a read's lemma, a finalize's write postcondition
+    or a relink's guarantee and scan postcondition.  No check reads a
+    physical part."""
+    # interned parts: an unchanged one is ``pre`` and passes by reflexivity
+    found = invariants.check_transition(pre, post) if pre is not post else []
     check = _EDGE_CHECKS.get(step.kind)
-    return () if check is None else check(step, pre, post, value, outputs)
+    if check is not None:
+        found += check(step, pre, post, value, outputs, arg)
+    return tuple(found)  # tables keep verdicts: an empty tuple takes no memory
 
 
 def frame_effect(frame: MethodFrame, value, outputs: tuple) -> MethodFrame | None:
@@ -381,19 +405,32 @@ def frame_effect(frame: MethodFrame, value, outputs: tuple) -> MethodFrame | Non
 
 def returns(after: MethodFrame | None) -> bool:
     """Whether the step that left its thread holding ``after`` returned its
-    call: a call returns on the step before its lock release."""
+    call: a call returns on the step before its lock release, whose edge
+    check holds the call's postcondition."""
     return after is not None and after.current_step().kind == "release"
+
+
+def witness(aux: AuxState, t_x: Timestamp | None, t_y: Timestamp | None) -> Timestamp | None:
+    """A returned scan's witness: of its two chosen events, the later in
+    ``aux``'s sigma (None for a write, which chose none)."""
+    return None if t_x is None else max(t_x, t_y, key=aux.sigma.index)
+
+
+def step_count(call: MethodCall) -> int:
+    """The most steps ``call`` takes: the length of its step list."""
+    return len(_STEPS[call.p])
 
 
 def apply_step(step: Step, phys: PhysState, aux: AuxState, frame: MethodFrame) -> tuple:
     """Execute one atomic step, ``frame``'s next, as the composition of its
     three effects: the post physical part, auxiliary part and thread's
-    frame, with the value the step read from memory and the outputs of its
-    auxiliary effect, which its edge's checks read."""
-    value, phys_arg, aux_args = step_args(step, frame, phys)
+    frame, with the value the step read from memory, the outputs of its
+    auxiliary effect and its check argument, which :func:`edge_check`
+    reads."""
+    value, phys_arg, aux_args, check_arg = step_args(step, frame, phys)
     phys2 = phys_effect(step, phys_arg, phys)
     aux2, outputs = aux_effect(step, aux_args, aux)
-    return phys2, aux2, frame_effect(frame, value, outputs), value, outputs
+    return phys2, aux2, frame_effect(frame, value, outputs), value, outputs, check_arg
 
 
 def scan_result(frame: MethodFrame) -> tuple[Value, Value]:

@@ -121,8 +121,10 @@ def test_a_run_stuck_with_calls_left_is_a_deadlock(monkeypatch):
 def test_a_step_that_loops_is_refused(monkeypatch):
     """explore counts a state's schedules once its successors are done, so
     a step back to a state on the path that reached it would add none;
-    explore refuses it rather than report too few schedules.  Here a
-    read-fwd step leaves its frame, and so the state, as it was."""
+    explore refuses it rather than report too few schedules.  The drive
+    loop refuses a run longer than its calls' step lists, which a step that
+    loops would never end, and a schedule that long.  Here a read-fwd step
+    leaves its frame, and so the state, as it was."""
     frame_effect = harness.frame_effect
 
     def stays(frame, value, outputs):
@@ -130,8 +132,14 @@ def test_a_step_that_loops_is_refused(monkeypatch):
         return frame if kind == "read-fwd" else frame_effect(frame, value, outputs)
 
     monkeypatch.setattr(harness, "frame_effect", stays)
+    monkeypatch.setattr(snapshot, "frame_effect", stays)
     with pytest.raises(GuardViolationError, match="a read-fwd:x step of c loops"):
         explore(client_e())
+    # l's two writes, c's scan and r's write: 6 + 6 + 11 + 6 steps
+    with pytest.raises(GuardViolationError, match="a run of e takes more than 29 steps"):
+        run_random(client_e(), seed=1, runs=1)
+    with pytest.raises(GuardViolationError, match="a run of e takes more than 29 steps"):
+        run_schedule(client_e(), ("c",) * 30)
 
 
 WXY_SCAN = Program(
@@ -440,18 +448,20 @@ def test_states_are_equal_exactly_when_their_keys_are():
 def test_derived_fields_follow_from_the_state():
     """A thread holds no frame exactly when its calls are done, and else
     the frame of its first call not yet done, which at ``pc == 0`` is that
-    call's fresh one; a step returned its call exactly where it left the
-    frame with only its release to take, the frame's last step."""
+    call's fresh one; a step returned its call (``snapshot.returns``)
+    exactly where it left the frame with only its release to take, the
+    frame's last step, and only there hands its edge check an argument,
+    which starts with the call's invocation mask."""
     finished = returns = 0
     for prog, state, before in _walk_states():
         if before is None:
             done = {tid: 0 for tid, _ in state.threads}
         else:
             after = frame_of(state, before.tid)
-            returned = harness._returned(before, after)
+            arg = snapshot.step_args(before.current_step(), before, state.phys)[3]
             last_but_one = after is not None and after.pc == len(snapshot._STEPS[after.call.p]) - 1
-            assert (returned is not None) == last_but_one
-            assert returned is None or returned == (before.mask, after)
+            assert snapshot.returns(after) == last_but_one == (arg is not None)
+            assert arg is None or arg[0] == before.mask
             returns += last_but_one
             done[before.tid] += before.current_step().kind == "release"
         for tid, frame in state.threads:
@@ -583,8 +593,8 @@ def test_aux_blind_steps_read_no_aux_part(explored_steps):
     assert kinds == {"read-fwd", "release"}
     no_aux_effect = kinds | {"read"}
     assert not no_aux_effect & snapshot._AUX_EFFECTS.keys()
-    blind, seen, checkers = _Unread(), [], {}
-    for prog, tid, frame, phys, aux in explored_steps:
+    blind, seen = _Unread(), []
+    for _, _, frame, phys, aux in explored_steps:
         step = frame.current_step()
         if step.kind not in no_aux_effect:
             continue
@@ -595,12 +605,8 @@ def test_aux_blind_steps_read_no_aux_part(explored_steps):
         assert (hidden[0], *hidden[2:]) == (post, *rest)
         if step.kind not in kinds:
             continue
-        post_frame, value, outputs = rest
-        returned = harness._returned(frame, post_frame)
-        checker = checkers.get(prog.name)
-        if checker is None:
-            checker = checkers[prog.name] = harness._Checker(prog)
-        assert checker._check_edge(blind, blind, step, value, outputs, returned) == ()
+        _, value, outputs, arg = rest
+        assert snapshot.edge_check(step, blind, blind, value, outputs, arg) == ()
     assert set(seen) == no_aux_effect
     assert len([kind for kind in seen if kind in kinds]) > 10_000
 
@@ -622,9 +628,11 @@ def default_runs():
 
 
 def _outcome(report):
-    """A report's render, kept records and violation list."""
+    """A report's render, kept records and violation list, as ``(name,
+    detail, step)`` tuples.  The render leaves out the violation lines and
+    count, which the list determines."""
     violations = [(v.name, v.detail, v.step) for v in report.violations]
-    return report.render(), report.executions, violations
+    return evolve(report, violations=[]).render(), report.executions, violations
 
 
 def _widen_part_keys(monkeypatch):
@@ -633,11 +641,11 @@ def _widen_part_keys(monkeypatch):
     then shared only by the steps of one entry, as a half step is, and a
     read-fwd or release step is taken once per auxiliary part.  The
     frame's key rides along in each effect's argument, in the outputs and
-    in the returned call, so that a key that dropped one of them would
+    in the check argument, so that a key that dropped one of them would
     still name the frame; the functions see their arguments as before."""
-    step_args, returned = harness.step_args, harness._returned
-    aux_effect, frame_effect = harness.aux_effect, harness.frame_effect
-    phys_effect, check_edge = harness.phys_effect, harness._Checker._check_edge
+    step_args, aux_effect = harness.step_args, harness.aux_effect
+    phys_effect, frame_effect = harness.phys_effect, harness.frame_effect
+    edge_check = harness.edge_check
 
     def widened_args(step, frame, phys):
         value, *args = step_args(step, frame, phys)
@@ -647,16 +655,15 @@ def _widen_part_keys(monkeypatch):
         post, outputs = aux_effect(step, args[1], aux)
         return post, (args[0], outputs)
 
-    def unwrapped_check_edge(self, pre, post, step, value, outputs, ret):
-        return check_edge(self, pre, post, step, value, outputs[1], ret[1])
+    def unwrapped_edge_check(step, pre, post, value, outputs, arg):
+        return edge_check(step, pre, post, value, outputs[1], arg[1])
 
     monkeypatch.setattr(snapshot, "AUX_BLIND", frozenset())
     monkeypatch.setattr(harness, "step_args", widened_args)
     monkeypatch.setattr(harness, "phys_effect", lambda s, arg, phys: phys_effect(s, arg[1], phys))
     monkeypatch.setattr(harness, "aux_effect", widened_aux_effect)
     monkeypatch.setattr(harness, "frame_effect", lambda fr, v, out: frame_effect(fr, v, out[1]))
-    monkeypatch.setattr(harness, "_returned", lambda fr, after: (frame_key(fr), returned(fr, after)))
-    monkeypatch.setattr(harness._Checker, "_check_edge", unwrapped_check_edge)
+    monkeypatch.setattr(harness, "edge_check", unwrapped_edge_check)
 
 
 @pytest.mark.parametrize("force", [_force_violations], ids=["forced"])
@@ -669,7 +676,7 @@ def test_part_tables_change_no_verdict(force, default_runs, monkeypatch):
     of the checks (and no other violation).  An argument list that left
     out what its function reads would hand one entry's part to another."""
     force(monkeypatch)
-    outcomes = {name: _outcome(run.report) for name, run in default_runs.items()}
+    outcomes = {name: run.outcome() for name, run in default_runs.items()}
     assert all(violations for *_, violations in outcomes.values())
     names = {name for *_, violations in outcomes.values() for name, _, _ in violations}
     assert names == {"forced-state", "forced-edge"}
@@ -731,7 +738,7 @@ def test_check_memo_is_scoped_to_one_run(monkeypatch):
         monkeypatch.setattr(invariants, name, lambda *parts, forced=forced: list(forced))
     run = _explored_states(prog)
     names = ["forced-history", "forced-phase", "forced-memory"]
-    assert [v.name for v in run.report.violations] == names * run.report.states
+    assert [name for name, _, _ in run.violations] == names * run.report.states
     ids, seen = {}, 0
     for (pid, aid, eids), state in run.states():
         parts = [(phys_key(state.phys), pid), (aux_key(state.aux), aid)]
@@ -758,15 +765,26 @@ def _watch_state_key(monkeypatch):
 
 @dataclass(frozen=True)
 class _Run:
-    """One recorded explore: its report and checker, the ids ``(pid, aid,
-    eids)`` of each distinct state it keys, in order of first keying, the
-    thread entries the entry ids number, and its ``_record_calls`` log."""
+    """One recorded explore: its report and checker, its violations as
+    ``(name, detail, step)`` tuples, the ids ``(pid, aid, eids)`` of each
+    distinct state it keys, in order of first keying, the thread entries
+    the entry ids number, and its ``_record_calls`` log.  The report's
+    violation list, which is the checker's too, is emptied: a forced run
+    holds hundreds of thousands of ``Violation`` objects, which every later
+    full garbage collection would walk, and the collector untracks a tuple
+    of primitives."""
 
     report: harness.ExplorationReport
     checker: harness._Checker
+    violations: list
     ids: list
     entries: list
     log: list
+
+    def outcome(self):
+        """``_outcome`` of the report with its violations as recorded."""
+        render, executions, _ = _outcome(self.report)
+        return render, executions, self.violations
 
     def states(self):
         """The ids and the state of each distinct state, in order."""
@@ -821,7 +839,10 @@ def _explored_states(prog):
         log = _record_calls(patch, *names.split(), checks=checks.split())
         report = explore(prog)
     [checker] = checkers
-    return _Run(report, checker, list(dict.fromkeys(ids for _, ids in calls)), entries, log)
+    violations = _outcome(report)[2]
+    report.violations.clear()
+    ids = list(dict.fromkeys(ids for _, ids in calls))
+    return _Run(report, checker, violations, ids, entries, log)
 
 
 @pytest.mark.parametrize(
@@ -932,21 +953,15 @@ def test_derived_keys_are_state_keys(prog, monkeypatch):
 
 def _record_calls(monkeypatch, *names, checks=()):
     """Every call from now on of each function ``names`` that ``harness``
-    calls by that name, of ``_Checker._check_edge`` and of each check
+    calls by that name, of ``harness.edge_check`` and of each check
     ``checks`` on ``invariants``, as (name, arguments), in order."""
     log = []
-    for module, name in [(harness, name) for name in names] + [(invariants, c) for c in checks]:
+    calls = [(harness, name) for name in (*names, "edge_check")]
+    for module, name in calls + [(invariants, c) for c in checks]:
         fn = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *args, fn=fn, name=name: log.append((name, args)) or fn(*args)
         )
-    check_edge = harness._Checker._check_edge
-
-    def checked(self, *args):
-        log.append(("_check_edge", args))
-        return check_edge(self, *args)
-
-    monkeypatch.setattr(harness._Checker, "_check_edge", checked)
     return log
 
 
@@ -982,7 +997,7 @@ def test_explore_steps_only_where_a_table_misses(default_runs):
         "phys_effect": 1_168,
         "aux_effect": 2_669,
         "frame_effect": 327,
-        "_check_edge": 4_088,
+        "edge_check": 4_088,
     }
     # each effect runs once per distinct argument list, parts by identity
     distinct = {
@@ -991,7 +1006,7 @@ def test_explore_steps_only_where_a_table_misses(default_runs):
         "frame_effect": set(calls["frame_effect"]),
     }
     assert all(len(distinct[name]) == len(calls[name]) for name in effects)
-    whole = [step for _, _, step, *_ in calls["_check_edge"] if step.kind in snapshot.AUX_BLIND]
+    whole = [step for step, *_ in calls["edge_check"] if step.kind in snapshot.AUX_BLIND]
     assert len(whole) == 485
     # the calls of each half step follow its ``step_args`` call
     fills = []
@@ -1001,10 +1016,10 @@ def test_explore_steps_only_where_a_table_misses(default_runs):
         else:
             fills[-1].append((name, args))
     verdict_only = [
-        fill[0][1][2].kind
+        fill[0][1][0].kind
         for fill in fills
-        if [name for name, _ in fill] == ["_check_edge"]
-        and fill[0][1][2].kind not in snapshot.AUX_BLIND
+        if [name for name, _ in fill] == ["edge_check"]
+        and fill[0][1][0].kind not in snapshot.AUX_BLIND
     ]
     assert len(verdict_only) == 901 and set(verdict_only) == {"finalize", "relink"}
 
@@ -1065,7 +1080,7 @@ def test_memoised_checks_match_unmemoised_reference(default_runs, e_graph, monke
     state, its violation list (the forced run of e in ``default_runs``) is
     the one the reference walk that checks everything gives, step stamps
     included."""
-    got = _outcome(default_runs["e"].report)[2]
+    got = default_runs["e"].violations
     _force_violations(monkeypatch)
     names = {name for name, _, _ in got}
     assert names == {"forced-state", "forced-edge"}

@@ -158,3 +158,42 @@ def test_uncontended_scan_returns_init():
     scan = trace.methods[0]
     assert scan.result == (5, 0)
     assert scan.witness == 2
+
+
+def test_edge_check_runs_every_check_of_an_edge():
+    """``edge_check`` runs every check of an edge, the postcondition of the
+    call a step returns among them: every edge of the fig1 interleaving
+    passes, and one bent input per checked kind fires its check.  A
+    forward step taken backwards unscans an event (the transition's
+    monotonicity), a register handed an old event is not fresh, a read handed another value
+    breaks the read lemma, a finalize whose mask names its own event is not
+    above it, and a relink handed a result that no candidate replays has no
+    witness."""
+    prog, edges = client_fig1(), {}
+    state = initial_state(prog)
+    for tid in FIG1_SCHEDULE:
+        frame = frame_of(state, tid)
+        step = frame.current_step()
+        _, post, _, value, outputs, arg = apply_step(step, state.phys, state.aux, frame)
+        edge = (step, state.aux, post, value, outputs, arg)
+        assert snapshot.edge_check(*edge) == ()
+        edges.setdefault(step.kind, edge)
+        state, _ = step_state(prog, state, tid)
+    step, pre, post, value, outputs, arg = edges["forward"]
+    bent = {"transition": (step, post, pre, value, outputs, arg)}
+    step, pre, post, value, outputs, arg = edges["register"]
+    bent["register"] = (step, pre, post, value, (1,), arg)
+    step, pre, post, value, outputs, arg = edges["read"]
+    bent["read"] = (step, pre, post, value + 1, outputs, arg)
+    step, pre, post, value, outputs, (mask, t, tid, v) = edges["finalize"]
+    bent["finalize"] = (step, pre, post, value, outputs, (mask | 1 << t, t, tid, v))
+    step, pre, post, value, outputs, (mask, (x, y)) = edges["relink"]
+    bent["relink"] = (step, pre, post, value, outputs, (mask, (x + 1, y)))
+    fired = {kind: [v.name for v in snapshot.edge_check(*edge)] for kind, edge in bent.items()}
+    assert fired == {
+        "transition": ["scanned-mono"],
+        "register": ["write-post"],
+        "read": ["read-value"],
+        "finalize": ["write-post"],
+        "relink": ["scan-post", "scan-post"],
+    }
