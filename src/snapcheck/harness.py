@@ -6,13 +6,15 @@ distinct states, so commuting interleavings are explored once), running the
 full invariant battery after every atomic step, the method postconditions at
 every return, and the brute-force oracle on one representative execution per
 distinct terminal state.  It replays each distinct half step from its own
-tables wherever it recurs, walking the ids of a state's parts, and composes
-one that they miss from a table per function (a step's three effects and
-its edge checks), keyed by that function's arguments, calling only the
-functions whose tables miss.  ``run_schedule`` deterministically replays an
-explicit schedule into a full trace, and ``run_random`` drives seeded
-random executions; both run one loop whose chooser follows the schedule or
-draws from the seeded RNG, and take every step afresh through
+tables wherever it recurs, walking the ids of a state's parts.  Every step
+is filed one way, a physical half by entry and physical part and an
+auxiliary half by auxiliary part, and a half that the tables miss, only
+that half, is composed from a table per function (a step's three effects
+and its edge checks), keyed by that function's arguments, calling only
+the functions whose tables miss.  ``run_schedule`` deterministically
+replays an explicit schedule into a full trace, and ``run_random`` drives
+seeded random executions; both run one loop whose chooser follows the
+schedule or draws from the seeded RNG, and take every step afresh through
 ``apply_step`` (one path repeats few half steps), carrying the run as its
 parts and frames, with no state object.
 
@@ -459,19 +461,18 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     state's parts: the checker's for the physical and auxiliary parts, and
     its own for the threads' entries, which key nothing else: a frame by
     ``snapshot.frame_key``, and a thread whose calls are done by its tid.
-    Where a table misses, ``fill`` composes the half step from a part table
-    per function (the step's three effects and ``snapshot.edge_check``),
-    each keyed by exactly the arguments its function takes, parts by id,
-    and calls a function only where its own table misses.  Every reachable
-    frame is an entry, so the scan results are those of the entries.  A
-    step of a kind in ``snapshot.AUX_BLIND`` has one outcome under every
-    auxiliary part, so it is filed whole by (entry id, phys id), and
-    checked where it is filed to fail no edge check
-    (:class:`GuardViolationError` otherwise).  A successor's key is
-    ``state_key`` of its ids, derived from its parent's key by swapping in
-    the ids that a step can change (aux, phys and the stepping thread's
-    entry); ``state_key`` itself makes only the first key and those where
-    an id outgrows its digit.
+    Where a table misses, its own half is composed from a part table per
+    function (the step's three effects and ``snapshot.edge_check``), each
+    keyed by exactly the arguments its function takes, parts by id, and a
+    function is called only where its own table misses: a physical miss
+    reads the step's arguments and takes its physical effect, an auxiliary
+    miss starts from what the physical half read and takes the auxiliary
+    and frame effects and the edge check.  Every reachable frame is an
+    entry, so the scan results are those of the entries.  A successor's
+    key is ``state_key`` of its ids, derived from its parent's key by
+    swapping in the ids that a step can change (aux, phys and the stepping
+    thread's entry); ``state_key`` itself makes only the first key and
+    those where an id outgrows its digit.
     """
     checker = _Checker(prog)
     phys0, aux0, frames0 = checker.start()
@@ -481,17 +482,19 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     # sight by ``snapshot.frame_key``, a done thread by its tid
     entries: list[MethodFrame | None] = []
     entry_ids: dict[tuple | Tid, int] = {}
-    # The physical half of a step, by entry id and phys id: the post phys id
-    # and the table of the auxiliary halves of the steps that read the same
-    # value (``step_args``) under the entry; False where it has no step
-    # enabled.  A step filed whole (``snapshot.AUX_BLIND``) is whole here:
-    # the post phys id and the post entry id, an int where the others have
-    # their table.
+    # The physical half of a step, by entry id and phys id: the post phys
+    # id and the two items that the steps reading the same value
+    # (``step_args``) under the entry share; False where it has no step
+    # enabled.
     phys_steps: defaultdict[int, dict] = defaultdict(dict)
-    # Those tables, by (entry id, value read), each by aux id: the post aux
-    # id, the post entry id and the edge's violations.  An entry fixes the
-    # type of what it reads, so the check step's bool never meets an int.
-    aux_steps: defaultdict[tuple, dict] = defaultdict(dict)
+    # Those two items, by (entry id, value read): the table of the
+    # auxiliary halves, by aux id, each the post aux id, the post entry id
+    # and the edge's violations; and what the step read, which an
+    # auxiliary miss starts from: the step, entry id, value, auxiliary
+    # argument and check argument (an entry and the value fix the other
+    # two).  An entry fixes the type of what it reads, so the check step's
+    # bool never meets an int.
+    aux_steps: dict[tuple, tuple[dict, tuple]] = {}
     # The part tables, where a miss above is composed, each keyed by its
     # function's arguments: (label, argument, phys id) gives the post phys
     # id, (label, argument, aux id) the post aux id and the outputs,
@@ -503,6 +506,9 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     frame_parts: dict[tuple, int] = {}
     verdicts: dict[tuple, tuple] = {}
     visited: dict[int | tuple, int] = {}
+    # the visited table's totals, one int object per value: a total past 256
+    # is an object of its own, and a large program's states share few totals
+    totals: dict[int, int] = {}
     trail: list[tuple] = []
     executions: list[Trace] = []
     edges = 0
@@ -522,53 +528,51 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             entries.append(frame)
         return eid
 
-    def fill(pid: int, aid: int, eids: tuple[int, ...], i: int):
-        """File the step of thread ``i`` from the state of ids ``pid``,
-        ``aid``, ``eids`` and return its physical half, False where it is
-        disabled."""
-        eid, pre = eids[i], phys[pid]
-        frame = entries[eid]
+    def fill_phys(pid: int, eid: int):
+        """File the physical half of the step from entry ``eid`` and phys
+        id ``pid`` and return it, False where the step is disabled."""
+        pre, frame = phys[pid], entries[eid]
         if not step_enabled(frame, pre):
             phys_steps[eid][pid] = False
             return False
         step = frame.current_step()
-        label = step.label
         value, phys_arg, aux_args, check_arg = step_args(step, frame, pre)
-        key = (label, phys_arg, pid)
+        key = (step.label, phys_arg, pid)
         post_pid = phys_parts.get(key)
         if post_pid is None:
             post = checker._canon(phys_effect(step, phys_arg, pre), phys, phys_key)
             post_pid = phys_parts[key] = _id(post)
-        whole = step.kind in snapshot.AUX_BLIND
-        if whole:
-            post_aid, outputs = aid, ()
-        else:
-            key = (label, aux_args, aid)
-            transition = aux_parts.get(key)
-            if transition is None:
-                post, outputs = aux_effect(step, aux_args, aux[aid])
-                transition = aux_parts[key] = (_id(checker._canon(post, aux, aux_key)), outputs)
-            post_aid, outputs = transition
+        key = (eid, value)
+        shared = aux_steps.get(key)
+        if shared is None:
+            shared = aux_steps[key] = ({}, (step, eid, value, aux_args, check_arg))
+        phys_steps[eid][pid] = phys_half = (post_pid, *shared)
+        return phys_half
+
+    def fill_aux(halves: dict, aid: int, read: tuple) -> tuple:
+        """File in ``halves`` the auxiliary half, from aux id ``aid``, of the
+        step whose physical half read ``read`` and return it."""
+        step, eid, value, aux_args, check_arg = read
+        label = step.label
+        key = (label, aux_args, aid)
+        transition = aux_parts.get(key)
+        if transition is None:
+            post, outputs = aux_effect(step, aux_args, aux[aid])
+            transition = aux_parts[key] = (_id(checker._canon(post, aux, aux_key)), outputs)
+        post_aid, outputs = transition
         key = (eid, value, outputs)
         post_eid = frame_parts.get(key)
         if post_eid is None:
-            after = frame_effect(frame, value, outputs)
-            post_eid = frame_parts[key] = number(tids[i], after)
+            frame = entries[eid]
+            post_eid = frame_parts[key] = number(frame.tid, frame_effect(frame, value, outputs))
         key = (label, value, outputs, check_arg, aid, post_aid)
         found = verdicts.get(key)
         if found is None:
             found = verdicts[key] = edge_check(
                 step, aux[aid], aux[post_aid], value, outputs, check_arg
             )
-        if whole:
-            if found:
-                raise GuardViolationError(f"a {step.kind} step filed whole failed an edge check")
-            phys_steps[eid][pid] = phys_half = (post_pid, post_eid)
-            return phys_half
-        halves = aux_steps[eid, value]
-        halves[aid] = (post_aid, post_eid, found)
-        phys_steps[eid][pid] = phys_half = (post_pid, halves)
-        return phys_half
+        halves[aid] = aux_half = (post_aid, post_eid, found)
+        return aux_half
 
     def dfs(pid: int, aid: int, eids: tuple[int, ...], key: int | tuple) -> int:
         nonlocal edges
@@ -581,18 +585,14 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         for i, eid in enumerate(eids):
             phys_half = phys_steps[eid].get(pid)
             if phys_half is None:
-                phys_half = fill(pid, aid, eids, i)
+                phys_half = fill_phys(pid, eid)
             if phys_half is False:
                 continue
-            post_pid, halves = phys_half
-            if halves.__class__ is int:  # aux-blind: the aux id carries through
-                post_aid, post_eid, found = aid, halves, ()
-            else:
-                aux_half = halves.get(aid)
-                if aux_half is None:
-                    fill(pid, aid, eids, i)
-                    aux_half = halves[aid]
-                post_aid, post_eid, found = aux_half
+            post_pid, halves, read = phys_half
+            aux_half = halves.get(aid)
+            if aux_half is None:
+                aux_half = fill_aux(halves, aid, read)
+            post_aid, post_eid, found = aux_half
             edges += 1
             if key.__class__ is int and post_pid < limit and post_eid < limit:
                 pkey = (
@@ -621,7 +621,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             frames = [entries[e] for e in eids]
             executions.append(checker.finish(phys[pid], aux[aid], frames, trail))
             total = 1
-        visited[key] = total
+        visited[key] = total = totals.setdefault(total, total)
         return total
 
     eids0 = tuple(map(number, tids, frames0))

@@ -111,18 +111,20 @@ def linearizable(ops):
 def witness_order(trace):
     """The constructed order: final sigma projected onto the completed
     writes, with every scan inserted right after its witness timestamp.
-    Returns None when the trace's methods and sigma do not line up."""
+    Returns None unless it places each operation exactly once: a
+    timestamp that sigma repeats places nothing again."""
     ops = ops_from_trace(trace)
     writes = {op.t: op for op in ops if op.call.kind == "write"}
-    scans = [op for op in ops if op.call.kind == "scan"]
+    scans: dict[Timestamp, list[MethodRecord]] = {}
+    for op in ops:
+        if op.call.kind == "scan":
+            scans.setdefault(op.witness, []).append(op)
     seq = []
     for ts in trace.final_sigma:
-        w = writes.get(ts)
+        w = writes.pop(ts, None)
         if w is not None:
             seq.append(w)
-        for s in scans:
-            if s.witness == ts:
-                seq.append(s)
+        seq += scans.pop(ts, ())
     if len(seq) != len(ops):
         return None
     return seq

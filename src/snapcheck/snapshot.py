@@ -15,8 +15,7 @@ and the outputs of the auxiliary effect, and at a release starts the
 thread's next call.  So the physical half of a step is blind to the
 auxiliary part by its signature.  :func:`apply_step` is their composition.
 Beside them sit every check of an edge (:func:`edge_check`), a returned
-call's postcondition among them (:func:`returns`), the kinds whose half
-step no auxiliary part changes (``AUX_BLIND``) and a frame's key
+call's postcondition among them (:func:`returns`), and a frame's key
 (``frame_key``).
 """
 
@@ -326,17 +325,6 @@ _EDGE_CHECKS = {
     "finalize": _finalize_checks,
     "relink": _relink_checks,
 }
-
-# The kinds of step whose half step is the same under every auxiliary part:
-# they have no auxiliary effect, so they neither read nor write the part
-# and hand the frame nothing from it, and no edge check of their own (a
-# read's lemma reads the part).
-AUX_BLIND = (
-    frozenset(s.kind for steps in _STEPS.values() for s in steps)
-    - _AUX_EFFECTS.keys()
-    - _EDGE_CHECKS.keys()
-)
-
 
 def aux_effect(step: Step, args, aux: AuxState) -> tuple[AuxState, tuple]:
     """The auxiliary transition of ``step`` on ``aux``, ``args`` being its

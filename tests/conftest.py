@@ -2,7 +2,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -16,6 +16,7 @@ from snapcheck.harness import (
     generated_programs,
     initial_state,
     parse_program,
+    run_schedule,
     step_state,
 )
 
@@ -105,6 +106,15 @@ def one_field_changed(obj):
                 yield evolve(obj, **{f.name: evolve(value, **{g.name: object()})})
         else:
             yield evolve(obj, **{f.name: object()})
+
+
+def repeated_sigma_trace():
+    """``a: write x 2`` replayed, with a final sigma that repeats the
+    write's event 3 in place of the initial write of y (event 2)."""
+    # five steps: with no scan running, the write skips its forward step
+    trace = run_schedule(parse_program("a: write x 2\n"), ["a"] * 5)
+    assert trace.final_sigma == (1, 2, 3)
+    return replace(trace, final_sigma=(1, 3, 3))
 
 
 def two_scan_programs():

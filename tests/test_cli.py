@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import snapcheck
-from conftest import two_scan_programs
+from conftest import repeated_sigma_trace, two_scan_programs
 from reference import random_schedule
 from snapcheck.cli import main
 from snapcheck.harness import (
@@ -215,6 +215,16 @@ def test_check_mutated_fields(tmp_path, capsys, mutant):
             if rec["kind"] == "method" and rec["op"] == "scan":
                 codes[key] = code
     assert codes["result"] == 4
+
+
+def test_check_repeated_sigma_timestamp(tmp_path, capsys):
+    """A footer sigma that repeats a write's timestamp fails the witness
+    route (the write placed once, the initial write of y not at all)
+    before any replay."""
+    forged = tmp_path / "repeated.trace"
+    forged.write_text(render_trace(repeated_sigma_trace()))
+    assert main(["check", "--trace", str(forged)]) == 1
+    assert "witness: FAIL" in capsys.readouterr().out.splitlines()
 
 
 def test_check_empty_trace(tmp_path, capsys):

@@ -578,39 +578,6 @@ def test_history_part_reads_only_the_history(default_runs):
         assert invariants.check_history(hidden) == invariants.check_history(aux)
 
 
-def test_aux_blind_steps_read_no_aux_part(explored_steps):
-    """The kinds of step with no auxiliary effect are those the effect
-    table leaves out: read, read-fwd and release.  explore files whole
-    those of them with no edge check of their own, ``snapshot.AUX_BLIND``;
-    a read's lemma reads the auxiliary part.  Every step of such a kind
-    from the explores of e and the two-scan clients, once per distinct
-    (entry, phys, aux), gives with the auxiliary part made unreadable the
-    same post physical part, frame, value and outputs as with the part and
-    hands the part back as it was; one of a kind filed whole also fails no
-    edge check: so one outcome per (entry, physical part) serves every
-    auxiliary part."""
-    kinds = snapshot.AUX_BLIND
-    assert kinds == {"read-fwd", "release"}
-    no_aux_effect = kinds | {"read"}
-    assert not no_aux_effect & snapshot._AUX_EFFECTS.keys()
-    blind, seen = _Unread(), []
-    for _, _, frame, phys, aux in explored_steps:
-        step = frame.current_step()
-        if step.kind not in no_aux_effect:
-            continue
-        seen.append(step.kind)
-        post, aux2, *rest = snapshot.apply_step(step, phys, aux, frame)
-        hidden = snapshot.apply_step(step, phys, blind, frame)
-        assert aux2 is aux and hidden[1] is blind
-        assert (hidden[0], *hidden[2:]) == (post, *rest)
-        if step.kind not in kinds:
-            continue
-        _, value, outputs, arg = rest
-        assert snapshot.edge_check(step, blind, blind, value, outputs, arg) == ()
-    assert set(seen) == no_aux_effect
-    assert len([kind for kind in seen if kind in kinds]) > 10_000
-
-
 @pytest.fixture(scope="session")
 def default_runs():
     """The one recorded explore (``_explored_states``) of each of e, the
@@ -637,12 +604,11 @@ def _outcome(report):
 
 def _widen_part_keys(monkeypatch):
     """Key explore's part tables by the frame that steps as well as by
-    their own arguments, and file no step whole: each part of a step is
-    then shared only by the steps of one entry, as a half step is, and a
-    read-fwd or release step is taken once per auxiliary part.  The
-    frame's key rides along in each effect's argument, in the outputs and
-    in the check argument, so that a key that dropped one of them would
-    still name the frame; the functions see their arguments as before."""
+    their own arguments: each part of a step is then shared only by the
+    steps of one entry, as a half step is.  The frame's key rides along in
+    each effect's argument, in the outputs and in the check argument, so
+    that a key that dropped one of them would still name the frame; the
+    functions see their arguments as before."""
     step_args, aux_effect = harness.step_args, harness.aux_effect
     phys_effect, frame_effect = harness.phys_effect, harness.frame_effect
     edge_check = harness.edge_check
@@ -658,7 +624,6 @@ def _widen_part_keys(monkeypatch):
     def unwrapped_edge_check(step, pre, post, value, outputs, arg):
         return edge_check(step, pre, post, value, outputs[1], arg[1])
 
-    monkeypatch.setattr(snapshot, "AUX_BLIND", frozenset())
     monkeypatch.setattr(harness, "step_args", widened_args)
     monkeypatch.setattr(harness, "phys_effect", lambda s, arg, phys: phys_effect(s, arg[1], phys))
     monkeypatch.setattr(harness, "aux_effect", widened_aux_effect)
@@ -668,13 +633,12 @@ def _widen_part_keys(monkeypatch):
 
 @pytest.mark.parametrize("force", [_force_violations], ids=["forced"])
 def test_part_tables_change_no_verdict(force, default_runs, monkeypatch):
-    """Keying each part of a step by its function's own arguments, and
-    filing read-fwd and release steps whole by (entry, phys), gives what
-    keying each part by the entry as well and taking every step once per
-    auxiliary part gives: the same reports, kept records and violation
-    lists, step stamps included, with a violation forced at every level
-    of the checks (and no other violation).  An argument list that left
-    out what its function reads would hand one entry's part to another."""
+    """Keying each part of a step by its function's own arguments gives
+    what keying each part by the entry as well gives: the same reports,
+    kept records and violation lists, step stamps included, with a
+    violation forced at every level of the checks (and no other
+    violation).  An argument list that left out what its function reads
+    would hand one entry's part to another."""
     force(monkeypatch)
     outcomes = {name: run.outcome() for name, run in default_runs.items()}
     assert all(violations for *_, violations in outcomes.values())
@@ -683,16 +647,6 @@ def test_part_tables_change_no_verdict(force, default_runs, monkeypatch):
     _widen_part_keys(monkeypatch)
     widened = {name: _outcome(explore(run.checker.prog)) for name, run in default_runs.items()}
     assert widened == outcomes
-
-
-def test_a_step_filed_aux_blind_must_be_blind(monkeypatch):
-    """A step filed by (entry, phys) alone must fail no edge check;
-    explore refuses one that does, naming its kind, rather than drop a
-    violation."""
-    _force_violations(monkeypatch)
-    monkeypatch.setattr(snapshot, "AUX_BLIND", snapshot.AUX_BLIND | {"read"})
-    with pytest.raises(GuardViolationError, match="a read step"):
-        explore(client_e())
 
 
 def test_the_edge_checks_shortcuts_skip_nothing(default_runs, monkeypatch):
@@ -977,27 +931,33 @@ def _whole_steps(log):
 
 
 def test_explore_steps_only_where_a_table_misses(default_runs):
-    """On e, explore composes each of the 11,505 half steps its first
-    tables miss (one ``step_args`` call each) from part tables, and calls
-    a function only where its own table misses: 1,168 physical effects,
-    2,669 auxiliary effects and 327 frame effects, each once per distinct
-    argument list, and 4,088 edge checks, 485 of them for steps it files
-    whole.  Of the half steps, 901 (returning relinks and finalizes) miss
-    the verdict table alone and call no effect.  It takes no whole step
-    (``apply_step`` or ``step_state``; 4,813 ``step_state`` calls when a
-    miss took the step whole), folds its kept runs from the trail, and
-    would take at least 132,390 steps if it stepped every edge."""
+    """On e, explore files each step as a physical half by (entry, phys)
+    and an auxiliary half by aux part, and composes a half only where its
+    own table misses.  A physical miss reads the step's arguments (one
+    ``step_args`` call each, once per distinct enabled (entry, phys) pair:
+    4,789; it was 11,505 when an auxiliary miss took the physical half
+    again) and takes the physical effect; an auxiliary miss starts from
+    what the physical half read.  Each function runs only where its own
+    table misses: 1,168 physical effects, 4,306 auxiliary effects and 327
+    frame effects, each once per distinct argument list, and 5,656 edge
+    checks.  At least 1,310 auxiliary halves (returning relinks and
+    finalizes, and read-fwds) miss the verdict table alone and call no
+    effect: no effect call comes between their edge check and the call
+    before it.  It takes no whole step (``apply_step`` or ``step_state``;
+    4,813 ``step_state`` calls when a miss took the step whole), folds its
+    kept runs from the trail, and would take at least 132,390 steps if it
+    stepped every edge."""
     effects = ("phys_effect", "aux_effect", "frame_effect")
     run = default_runs["e"]
     assert (run.report.edges, run.report.executions_checked) == (132_390, 120)
     log = [(name, args) for name, args in run.log if not name.startswith("check_")]
     calls = _calls(log)
     assert {name: len(args) for name, args in calls.items()} == {
-        "step_args": 11_505,
+        "step_args": 4_789,
         "phys_effect": 1_168,
-        "aux_effect": 2_669,
+        "aux_effect": 4_306,
         "frame_effect": 327,
-        "edge_check": 4_088,
+        "edge_check": 5_656,
     }
     # each effect runs once per distinct argument list, parts by identity
     distinct = {
@@ -1006,22 +966,24 @@ def test_explore_steps_only_where_a_table_misses(default_runs):
         "frame_effect": set(calls["frame_effect"]),
     }
     assert all(len(distinct[name]) == len(calls[name]) for name in effects)
-    whole = [step for step, *_ in calls["edge_check"] if step.kind in snapshot.AUX_BLIND]
-    assert len(whole) == 485
-    # the calls of each half step follow its ``step_args`` call
-    fills = []
-    for name, args in log:
-        if name == "step_args":
-            fills.append([])
-        else:
-            fills[-1].append((name, args))
+    # ``step_args`` runs once per distinct enabled (entry, phys) pair
+    phys = run.checker.phys
+    pairs = {
+        (eid, pid)
+        for pid, _, eids in run.ids
+        for eid in eids
+        if snapshot.step_enabled(run.entries[eid][1], phys[pid])
+    }
+    read = {(id(frame), id(part)) for _, frame, part in calls["step_args"]}
+    assert len(read) == len(pairs) == len(calls["step_args"])
+    # an auxiliary half's calls come in a row, its effects before its check
     verdict_only = [
-        fill[0][1][0].kind
-        for fill in fills
-        if [name for name, _ in fill] == ["edge_check"]
-        and fill[0][1][0].kind not in snapshot.AUX_BLIND
+        args[0].kind
+        for (before, _), (name, args) in zip([("", ())] + log, log)
+        if name == "edge_check" and before not in ("aux_effect", "frame_effect")
     ]
-    assert len(verdict_only) == 901 and set(verdict_only) == {"finalize", "relink"}
+    assert len(verdict_only) == 1_310
+    assert set(verdict_only) == {"finalize", "read-fwd", "relink"}
 
 
 def _count_states(monkeypatch):

@@ -5,6 +5,7 @@ import ast
 import re
 from pathlib import Path
 
+from snapcheck import snapshot
 from snapcheck.snapshot import _STEPS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -329,3 +330,25 @@ def test_harness_names_no_step_kind():
         }
     )
     assert not named, "step or call kinds named in harness.py: " + ", ".join(named)
+
+
+def test_harness_reads_only_callables_from_snapshot():
+    """Every name that ``harness.py`` reads from ``snapshot``, imported or
+    as an attribute of the module, is callable: a function, a class or
+    ``frame_key``'s attrgetter.  So no set of step kinds, or other datum
+    of ``snapshot``'s, steers the harness; it only calls what ``snapshot``
+    decides."""
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "snapshot":
+            read.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "snapshot"
+        ):
+            read.add(node.attr)
+    assert len(read) > 10 and "frame_key" in read
+    data = sorted(name for name in read if not callable(getattr(snapshot, name)))
+    assert not data, "harness.py reads data from snapshot: " + ", ".join(data)

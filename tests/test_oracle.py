@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import repeated_sigma_trace
 from snapcheck.errors import OracleSizeError
 from snapcheck.harness import FIG1_SCHEDULE, client_fig1, run_schedule
 from snapcheck.snapshot import MethodCall
@@ -128,4 +129,13 @@ def test_validate_witness_rejects_bad_result():
         for m in trace.methods
     )
     forged = replace(trace, methods=methods)
+    assert not validate_witness(forged)
+
+
+def test_validate_witness_places_each_operation_once():
+    """A sigma that repeats a write's timestamp places that write once:
+    the order then misses the initial write of y, so it does not line up
+    with the methods, though it holds as many operations as they."""
+    forged = repeated_sigma_trace()
+    assert witness_order(forged) is None
     assert not validate_witness(forged)
