@@ -39,6 +39,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from . import invariants, oracle, snapshot
 from .aux_model import (
@@ -126,8 +127,11 @@ class State:
         raise KeyError(tid)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One step of a run as its trace file's step record carries it: the
+    step's index in the run, its thread and label, and the digests of the
+    physical and auxiliary parts after it."""
+
     index: int
     tid: Tid
     label: str

@@ -11,6 +11,7 @@ real-time precedence and replays correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .aux_model import Ptr, Tid, Timestamp, Value
 from .errors import OracleSizeError
@@ -36,9 +37,11 @@ class MethodRecord:
     witness_y: Timestamp | None = None
 
 
+@cache
 def init_ops(init_x: Value, init_y: Value) -> tuple[MethodRecord, MethodRecord]:
     """The initializing writes, as methods of thread ``init`` with negative
-    indices so that they precede everything."""
+    indices so that they precede everything: two immutable records, made
+    once per pair of initial values."""
     return (
         MethodRecord("init", MethodCall.write(Ptr.X, init_x), None, -4, -3, t=1),
         MethodRecord("init", MethodCall.write(Ptr.Y, init_y), None, -2, -1, t=2),

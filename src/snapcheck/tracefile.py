@@ -8,6 +8,7 @@ digests, and violation list.  ``parse_trace(render_trace(t)) == t``.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import TraceParseError, ValueDomainError
 from .harness import Program, StepRecord, Trace
@@ -15,12 +16,42 @@ from .oracle import MethodRecord
 from .snapshot import MethodCall
 
 
-# One encoder for every record: ``json.dumps`` with an argument builds a
-# fresh encoder on each call.
+# The encoder of the header and the footer: ``json.dumps`` with an argument
+# builds a fresh encoder on each call.
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 
+def _step_line(s: StepRecord) -> str:
+    """A step record, written from its key-sorted layout as the encoder
+    writes it: strings by ``encode_basestring_ascii`` and ints by
+    ``int.__repr__``, which is what the encoder calls on them."""
+    return (
+        f'{{"aux": {_quote(s.aux_digest)}, "i": {s.index!r}, "kind": "step",'
+        f' "label": {_quote(s.label)}, "phys": {_quote(s.phys_digest)},'
+        f' "tid": {_quote(s.tid)}}}'
+    )
+
+
+def _stamp(t: int | None) -> str:
+    return "null" if t is None else repr(t)
+
+
+def _method_line(m: MethodRecord) -> str:
+    """A method record, written as :func:`_step_line` writes a step."""
+    pair = "null" if m.result is None else f"[{m.result[0]!r}, {m.result[1]!r}]"
+    return (
+        f'{{"inv": {m.invocation!r}, "kind": "method", "op": {_quote(m.call.render())},'
+        f' "resp": {m.response!r}, "result": {pair}, "t": {_stamp(m.t)},'
+        f' "tid": {_quote(m.tid)}, "witness": {_stamp(m.witness)},'
+        f' "wx": {_stamp(m.witness_x)}, "wy": {_stamp(m.witness_y)}}}'
+    )
+
+
 def render_trace(trace: Trace) -> str:
+    """The trace file of ``trace``: every record byte for byte as
+    ``json.dumps(record, sort_keys=True)`` writes it, one a line.  Step
+    and method records are written from their fixed layouts; the header
+    and the footer go through ``_ENCODER``."""
     prog = trace.program
     header = {
         "kind": "header",
@@ -29,32 +60,6 @@ def render_trace(trace: Trace) -> str:
         "init": [prog.init_x, prog.init_y],
         "schedule": list(trace.schedule),
     }
-    steps = (
-        {
-            "kind": "step",
-            "i": s.index,
-            "tid": s.tid,
-            "label": s.label,
-            "phys": s.phys_digest,
-            "aux": s.aux_digest,
-        }
-        for s in trace.steps
-    )
-    methods = (
-        {
-            "kind": "method",
-            "tid": m.tid,
-            "op": m.call.render(),
-            "result": list(m.result) if m.result is not None else None,
-            "inv": m.invocation,
-            "resp": m.response,
-            "t": m.t,
-            "witness": m.witness,
-            "wx": m.witness_x,
-            "wy": m.witness_y,
-        }
-        for m in trace.methods
-    )
     footer = {
         "kind": "footer",
         "sigma": list(trace.final_sigma),
@@ -64,8 +69,15 @@ def render_trace(trace: Trace) -> str:
         "aux": trace.aux_digest,
         "violations": list(trace.violations),
     }
-    records = (header, *steps, *methods, footer)
-    return "".join(_ENCODER.encode(record) + "\n" for record in records)
+    return "\n".join(
+        [
+            _ENCODER.encode(header),
+            *map(_step_line, trace.steps),
+            *map(_method_line, trace.methods),
+            _ENCODER.encode(footer),
+            "",
+        ]
+    )
 
 
 def _int(value, what: str) -> int:
@@ -105,6 +117,8 @@ def _method(rec: dict) -> MethodRecord:
         result = _ints(result, "scan result")
         if len(result) != 2:
             raise ValueError(f"scan result must be a pair, not {list(result)}")
+    elif result is not None:
+        raise ValueError(f"{call.kind} result must be null, not {result!r}")
     return MethodRecord(
         tid=_str(rec["tid"], "tid"),
         call=call,
@@ -123,10 +137,11 @@ def parse_trace(text: str) -> Trace:
     the empty record; any other file starts with its header, whose name,
     threads and initial values make the record's :class:`Program`, and
     ends with its footer.  Values, indices and timestamps must be integers,
-    a scan's result a pair of them and every timestamp one of the footer's
-    events; names, labels and digests must be strings, a schedule and a
-    violation list lists of them, and every call a method call.  What makes
-    a program or a call valid, :class:`Program` and :class:`MethodCall`
+    a scan's result a pair of them, a write's result null and every
+    timestamp one of the footer's events, each of which sigma names once;
+    names, labels and digests must be strings, a schedule and a violation
+    list lists of them, and every call a method call.  What makes a
+    program or a call valid, :class:`Program` and :class:`MethodCall`
     check as they are made.  ``snapcheck check`` replays the header's
     program to judge the other records."""
     program = Program("", ())
@@ -158,8 +173,15 @@ def parse_trace(text: str) -> Trace:
                 program = Program(_str(rec["program"], "program"), threads, init_x, init_y)
                 schedule = _strs(rec["schedule"], "schedule")
             elif kind == "step":
-                strs = (_str(rec[k], k) for k in ("tid", "label", "phys", "aux"))
-                steps.append(StepRecord(_int(rec["i"], "i"), *strs))
+                steps.append(
+                    StepRecord(
+                        _int(rec["i"], "i"),
+                        _str(rec["tid"], "tid"),
+                        _str(rec["label"], "label"),
+                        _str(rec["phys"], "phys"),
+                        _str(rec["aux"], "aux"),
+                    )
+                )
             elif kind == "method":
                 methods.append(_method(rec))
             elif kind == "footer":
@@ -169,6 +191,9 @@ def parse_trace(text: str) -> Trace:
                 n = len(final_sigma)
                 for t in final_sigma:
                     _timestamp(t, n, "sigma entry")
+                if len(set(final_sigma)) < n:
+                    repeated = next(t for t in final_sigma if final_sigma.count(t) > 1)
+                    raise ValueError(f"sigma repeats timestamp {repeated}")
                 for t, _ in final_kappa:
                     _timestamp(_int(t, "kappa timestamp"), n, "kappa timestamp")
                 for m in methods:  # the footer is the last record

@@ -218,13 +218,34 @@ def test_check_mutated_fields(tmp_path, capsys, mutant):
 
 
 def test_check_repeated_sigma_timestamp(tmp_path, capsys):
-    """A footer sigma that repeats a write's timestamp fails the witness
-    route (the write placed once, the initial write of y not at all)
-    before any replay."""
+    """A footer sigma that repeats a write's timestamp is a malformed
+    file: check exits 4, naming the repeated timestamp, before any
+    oracle runs."""
     forged = tmp_path / "repeated.trace"
     forged.write_text(render_trace(repeated_sigma_trace()))
-    assert main(["check", "--trace", str(forged)]) == 1
-    assert "witness: FAIL" in capsys.readouterr().out.splitlines()
+    assert main(["check", "--trace", str(forged)]) == 4
+    captured = capsys.readouterr()
+    assert "sigma repeats timestamp 3" in captured.err
+    assert "witness:" not in captured.out
+
+
+def test_check_witness_order_fails(tmp_path, capsys):
+    """The demo trace with its scan's witness moved to event 1, the
+    initial write of x: the file parses, and the scan, placed before the
+    writes it read, fails the witness route (exit 1) before any replay,
+    while some order still linearizes the run."""
+    out_file = tmp_path / "demo.trace"
+    main(["demo-fig1", "--out", str(out_file)])
+    capsys.readouterr()
+    lines = out_file.read_text().splitlines()
+    for i, line in enumerate(lines):
+        rec = json.loads(line)
+        if rec["kind"] == "method" and rec["op"] == "scan":
+            lines[i] = json.dumps(dict(rec, witness=1), sort_keys=True)
+    out_file.write_text("\n".join(lines) + "\n")
+    assert main(["check", "--trace", str(out_file)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "witness: FAIL" in out and "linearizable: ok" in out
 
 
 def test_check_empty_trace(tmp_path, capsys):

@@ -90,21 +90,24 @@ def test_every_module_level_name_has_a_production_use():
     assert not unused, "names without a production use: " + ", ".join(unused)
 
 
-def _is_dataclass(node):
-    """Whether a class definition is decorated with ``dataclass``."""
+def _has_fields(node):
+    """Whether a class definition declares its fields by annotation: it is
+    decorated with ``dataclass`` or subclasses ``NamedTuple``."""
     return any(
-        "dataclass" in {n for sub in ast.walk(d) for n in _mentions(sub, False)}
-        for d in node.decorator_list
+        name in {n for sub in ast.walk(d) for n in _mentions(sub, False)}
+        for name, nodes in (("dataclass", node.decorator_list), ("NamedTuple", node.bases))
+        for d in nodes
     )
 
 
 def _attributes(tree):
     """The attributes a module's classes keep, with their classes: each
-    dataclass field, and each attribute a method assigns on ``self``."""
+    field of a dataclass or a ``NamedTuple``, and each attribute a method
+    assigns on ``self``."""
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
-        if _is_dataclass(node):
+        if _has_fields(node):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                     yield node.name, item.target.id
@@ -118,13 +121,9 @@ def _attributes(tree):
                 yield node.name, sub.attr
 
 
-def test_every_field_and_attribute_is_read():
-    """Each dataclass field, and each attribute assigned on ``self``, of a
-    class under ``src/snapcheck`` is read: loaded as an attribute in
-    ``src/`` or ``perfbench/``, or named by a string in ``perfbench/``.
-    State that is computed but never read costs its upkeep for nothing.
-    The fields of the classes the package exports are the API's."""
-    trees, exported = _sources()
+def _unread(trees, exported):
+    """The fields and attributes of the classes under ``src/snapcheck``
+    that nothing in ``trees`` reads, as ``module: Class.name``."""
     read = set()
     for path, tree in trees.items():
         for node in ast.walk(tree):
@@ -132,14 +131,50 @@ def test_every_field_and_attribute_is_read():
                 read.add(node.attr)
             elif path.parent.name == "perfbench" and isinstance(node, ast.Constant):
                 read.add(node.value)
-    unread = {
+    return {
         f"{path.name}: {cls}.{name}"
         for path, tree in trees.items()
         if path.parent == PACKAGE
         for cls, name in _attributes(tree)
         if cls not in exported and name not in read
     }
+
+
+def test_every_field_and_attribute_is_read():
+    """Each field of a dataclass or a ``NamedTuple``, and each attribute
+    assigned on ``self``, of a class under ``src/snapcheck`` is read:
+    loaded as an attribute in ``src/`` or ``perfbench/``, or named by a
+    string in ``perfbench/``.  State that is computed but never read costs
+    its upkeep for nothing.  The fields of the classes the package exports
+    are the API's."""
+    unread = _unread(*_sources())
     assert not unread, "state that nothing reads: " + ", ".join(sorted(unread))
+
+
+def test_unread_fields_fail_the_rule():
+    """The rule sees a field that nothing reads, of a ``NamedTuple`` as of
+    a dataclass, and no field that something reads."""
+    trees, exported = _sources()
+    module = """
+from dataclasses import dataclass
+from typing import NamedTuple
+
+class Record(NamedTuple):
+    read_field: int
+    unread_tuple_field: int
+
+@dataclass(frozen=True)
+class Frozen:
+    unread_class_field: int
+
+def use(r):
+    return r.read_field
+"""
+    trees[PACKAGE / "_probe.py"] = ast.parse(module)
+    unread = _unread(trees, exported)
+    assert "_probe.py: Record.unread_tuple_field" in unread
+    assert "_probe.py: Frozen.unread_class_field" in unread
+    assert not any("read_field" in entry for entry in unread)
 
 
 def _defaulted(tree):

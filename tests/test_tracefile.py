@@ -1,9 +1,13 @@
 """Trace file round-tripping."""
 
 import json
+import random
+from itertools import combinations, product
 
 import pytest
 
+from conftest import repeated_sigma_trace, two_scan_programs
+from reference import random_schedule
 from snapcheck import tracefile
 from snapcheck.cli import main
 from snapcheck.errors import TraceParseError
@@ -13,10 +17,12 @@ from snapcheck.harness import (
     client_fig1,
     explore,
     generated_programs,
+    parse_program,
     run_schedule,
 )
 from snapcheck.oracle import validate_witness
 from snapcheck.tracefile import parse_trace, render_trace
+from test_harness import REPLAY_RECORDS
 
 
 def _check_exit(tmp_path, text):
@@ -30,7 +36,15 @@ def test_roundtrip_fig1():
     assert parse_trace(render_trace(trace)) == trace
 
 
-def test_roundtrip_explore_records(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def e_records():
+    """The 120 records that ``explore`` keeps of e."""
+    kept = explore(client_e()).executions
+    assert len(kept) == 120
+    return kept
+
+
+def test_roundtrip_explore_records(tmp_path, capsys, e_records):
     prog = next(p for p in generated_programs() if p.name == "gen-x1-y0")
     report = explore(prog)
     assert report.executions
@@ -38,9 +52,7 @@ def test_roundtrip_explore_records(tmp_path, capsys):
         assert ex.steps == () and ex.violations == ()
         assert parse_trace(render_trace(ex)) == ex
     # check replays each kept record of e, which has no step records
-    kept = explore(client_e()).executions
-    assert len(kept) == 120
-    for ex in kept:
+    for ex in e_records:
         assert _check_exit(tmp_path, render_trace(ex)) == 0, ex.schedule
 
 
@@ -50,19 +62,113 @@ def test_roundtrip_is_stable_text():
     assert render_trace(parse_trace(text)) == text
 
 
-def test_records_encode_as_json_dumps_does(monkeypatch):
-    """render_trace encodes every record with one shared encoder, and
-    writes the demo trace byte for byte as ``json.dumps(record,
-    sort_keys=True)`` on each record does."""
+def _escaped_run():
+    """A run of a program whose name and thread id need JSON escaping: a
+    thread id may hold quotes, backslashes and non-ASCII characters."""
+    prog = parse_program('é"\\: write x 2\ns: scan\n', name='naïve "p"')
+    assert [tid for tid, _ in prog.threads] == ['é"\\', "s"]
+    return run_schedule(prog, random_schedule(prog, random.Random(1)))
+
+
+def test_records_encode_as_json_dumps_does(e_records):
+    """render_trace writes every record of a corpus byte for byte as
+    ``json.dumps(record, sort_keys=True)`` writes it, and parses each
+    file back to its run: the seeded replays of ``REPLAY_RECORDS``, the
+    records ``explore`` keeps of e and a run whose thread id needs JSON
+    escaping."""
+    progs = {p.name: p for p in [*two_scan_programs(), *generated_programs()]}
+    corpus = [
+        run_schedule(prog, random_schedule(prog, random.Random(seed)))
+        for name, seed in REPLAY_RECORDS
+        for prog in [progs[name]]
+    ]
+    corpus += [*e_records, _escaped_run()]
+    assert sum(len(t.steps) for t in corpus) > 100 and sum(len(t.methods) for t in corpus) > 500
+    for trace in corpus:
+        text = render_trace(trace)
+        for line in text.splitlines():
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+        assert parse_trace(text) == trace
+
+
+def test_escaped_ids_replay(tmp_path, capsys):
+    """check replays the run whose thread id needs JSON escaping."""
+    text = render_trace(_escaped_run())
+    assert '"tid": "\\u00e9\\"\\\\"' in text
+    assert _check_exit(tmp_path, text) == 0
+
+
+def test_step_and_method_records_bypass_the_encoder(monkeypatch):
+    """Step and method records are written from their fixed layouts: of
+    the demo trace, only the header and the footer reach ``_ENCODER``."""
     trace = run_schedule(client_fig1(), FIG1_SCHEDULE)
     text = render_trace(trace)
+    encoder, encoded = tracefile._ENCODER, []
 
-    class Dumps:
+    class Counting:
         def encode(self, record):
-            return json.dumps(record, sort_keys=True)
+            encoded.append(record["kind"])
+            return encoder.encode(record)
 
-    monkeypatch.setattr(tracefile, "_ENCODER", Dumps())
+    monkeypatch.setattr(tracefile, "_ENCODER", Counting())
     assert render_trace(trace) == text
+    assert encoded == ["header", "footer"]
+
+
+_STEP_ORDER = ("i", "tid", "label", "phys", "aux")
+_MISSING = object()
+_WRONG = {
+    "i": [True, None, "0"],
+    "tid": [7, None],
+    "label": [7, None],
+    "phys": [7, None],
+    "aux": [7, ["a"]],
+}
+
+
+def _step_corruptions():
+    """Every single-field and two-field corruption of a step record, as a
+    dict from field to value: each field missing or of a wrong type."""
+    options = {k: [_MISSING, *_WRONG[k]] for k in _STEP_ORDER}
+    for n in (1, 2):
+        for keys in combinations(_STEP_ORDER, n):
+            for values in product(*(options[k] for k in keys)):
+                yield dict(zip(keys, values))
+
+
+def test_step_record_messages():
+    """A corrupted step record is refused with the message of its first
+    corrupted field in the order i, tid, label, phys, aux, presence
+    checked before type: ``"i": true`` with ``tid`` missing names i."""
+    header, step = render_trace(run_schedule(client_fig1(), FIG1_SCHEDULE)).splitlines()[:2]
+    cases = 0
+    for corruption in _step_corruptions():
+        rec = json.loads(step)
+        for key, value in corruption.items():
+            if value is _MISSING:
+                del rec[key]
+            else:
+                rec[key] = value
+        first = next(k for k in _STEP_ORDER if k in corruption)
+        value = corruption[first]
+        kind = "an integer" if first == "i" else "a string"
+        want = f"{first} must be {kind}, not {value!r}"
+        if value is _MISSING:
+            want = f"missing field '{first}'"
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace(f"{header}\n{json.dumps(rec)}\n")
+        assert str(exc.value) == f"line 2: {want}", corruption
+        cases += 1
+    assert cases == 16 + 102  # single-field and two-field corruptions
+
+
+def test_parse_rejects_a_repeated_sigma_timestamp():
+    """A footer sigma that names an event twice is no logical order: the
+    parse names the repeated timestamp."""
+    text = render_trace(repeated_sigma_trace())
+    footer = len(text.splitlines())
+    with pytest.raises(TraceParseError, match=f"^line {footer}: sigma repeats timestamp 3$"):
+        parse_trace(text)
 
 
 def test_parse_empty():
@@ -137,13 +243,16 @@ def _bend(kind, key, value):
         ("header", "threads", [["l", ["not a call"]], *FIG1_THREADS[1:]]),
         ("header", "threads", [["l", ["write x 99", "write y 1"]], *FIG1_THREADS[1:]]),
         ("header", "threads", [*FIG1_THREADS, FIG1_THREADS[0]]),  # l declared twice
+        ("method", "result", "ab"),  # a write returns nothing
+        ("method", "result", [2, 1]),
     ],
 )
 def test_parse_rejects_wrongly_typed_fields(tmp_path, capsys, kind, key, value):
     """A string where a list of strings belongs, a non-string name, label
     or digest, an initial or written value outside the value range, a
-    header call that is no method call and a thread declared twice are
-    parse errors, and ``snapcheck check`` exits 4 on them."""
+    write's result that is not null, a header call that is no method call
+    and a thread declared twice are parse errors, and ``snapcheck check``
+    exits 4 on them."""
     text = _bend(kind, key, value)
     with pytest.raises(TraceParseError):
         parse_trace(text)
