@@ -36,6 +36,7 @@ on return), from which :meth:`_Checker.finish` folds the run's record.
 from __future__ import annotations
 
 import random
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
@@ -63,22 +64,16 @@ from .errors import (
 )
 from .invariants import Violation
 from .oracle import MethodRecord
+# the classes, and the functions perfbench times as harness attributes; the
+# rest are read off ``snapshot``, one binding for explore and the drive loop
 from .snapshot import (
     MethodCall,
     MethodFrame,
     PhysState,
     apply_step,
     aux_digest,
-    aux_effect,
-    edge_check,
-    frame_effect,
-    init,
     make_frame,
     phys_digest,
-    phys_effect,
-    phys_key,
-    step_args,
-    step_enabled,
 )
 
 DEFAULT_MAX_STATES = 4_000_000
@@ -91,7 +86,8 @@ class Program:
 
     Two threads may target the same pointer; the per-pointer writer locks
     serialize them at run time (the single-writer discipline is dynamic,
-    not syntactic).
+    not syntactic).  Each tid is interned, so that the digest of a key
+    that holds it (``snapshot.digest``) reads its value alone.
     """
 
     name: str
@@ -100,7 +96,9 @@ class Program:
     init_y: Value = 0
 
     def __post_init__(self):
-        tids = [tid for tid, _ in self.threads]
+        threads = tuple((sys.intern(tid), calls) for tid, calls in self.threads)
+        object.__setattr__(self, "threads", threads)
+        tids = [tid for tid, _ in threads]
         if len(set(tids)) != len(tids):
             raise ValueError(f"program {self.name} declares a thread twice: {tids}")
         validate_value(self.init_x)
@@ -206,7 +204,7 @@ class ExplorationReport:
 
 def initial_state(prog: Program) -> State:
     """The state before ``prog``'s first step; ``Program`` checks ``prog``."""
-    phys, aux = init(prog.init_x, prog.init_y)
+    phys, aux = snapshot.init(prog.init_x, prog.init_y)
     threads = sorted(prog.threads)  # by tid alone: the tids are unique
     frames = ((tid, make_frame(tid, 0, calls) if calls else None) for tid, calls in threads)
     return State(phys, aux, tuple(frames))
@@ -215,7 +213,7 @@ def initial_state(prog: Program) -> State:
 def enabled_tids(prog: Program, state: State) -> list[Tid]:
     """Threads with an enabled next step, in canonical (sorted) order."""
     phys = state.phys
-    return [tid for tid, frame in state.threads if step_enabled(frame, phys)]
+    return [tid for tid, frame in state.threads if snapshot.step_enabled(frame, phys)]
 
 
 def step_state(prog: Program, state: State, tid: Tid) -> tuple[State, MethodFrame]:
@@ -326,7 +324,7 @@ class _Checker:
         auxiliary part interned, and each thread's frame in tid order; the
         state is checked, stamped -1."""
         state = initial_state(self.prog)
-        phys = self._canon(state.phys, self.phys, phys_key)
+        phys = self._canon(state.phys, self.phys, snapshot.phys_key)
         aux = self._canon(state.aux, self.aux, aux_key)
         self.on_state(_id(phys), _id(aux), -1)
         return phys, aux, [f for _, f in state.threads]
@@ -536,16 +534,16 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         """File the physical half of the step from entry ``eid`` and phys
         id ``pid`` and return it, False where the step is disabled."""
         pre, frame = phys[pid], entries[eid]
-        if not step_enabled(frame, pre):
+        if not snapshot.step_enabled(frame, pre):
             phys_steps[eid][pid] = False
             return False
         step = frame.current_step()
-        value, phys_arg, aux_args, check_arg = step_args(step, frame, pre)
+        value, phys_arg, aux_args, check_arg = snapshot.step_args(step, frame, pre)
         key = (step.label, phys_arg, pid)
         post_pid = phys_parts.get(key)
         if post_pid is None:
-            post = checker._canon(phys_effect(step, phys_arg, pre), phys, phys_key)
-            post_pid = phys_parts[key] = _id(post)
+            post = snapshot.phys_effect(step, phys_arg, pre)
+            post_pid = phys_parts[key] = _id(checker._canon(post, phys, snapshot.phys_key))
         key = (eid, value)
         shared = aux_steps.get(key)
         if shared is None:
@@ -561,18 +559,19 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         key = (label, aux_args, aid)
         transition = aux_parts.get(key)
         if transition is None:
-            post, outputs = aux_effect(step, aux_args, aux[aid])
+            post, outputs = snapshot.aux_effect(step, aux_args, aux[aid])
             transition = aux_parts[key] = (_id(checker._canon(post, aux, aux_key)), outputs)
         post_aid, outputs = transition
         key = (eid, value, outputs)
         post_eid = frame_parts.get(key)
         if post_eid is None:
             frame = entries[eid]
-            post_eid = frame_parts[key] = number(frame.tid, frame_effect(frame, value, outputs))
+            after = snapshot.frame_effect(frame, value, outputs)
+            post_eid = frame_parts[key] = number(frame.tid, after)
         key = (label, value, outputs, check_arg, aid, post_aid)
         found = verdicts.get(key)
         if found is None:
-            found = verdicts[key] = edge_check(
+            found = verdicts[key] = snapshot.edge_check(
                 step, aux[aid], aux[post_aid], value, outputs, check_arg
             )
         halves[aid] = aux_half = (post_aid, post_eid, found)
@@ -648,7 +647,7 @@ def _drive(choose, checker: _Checker, steps: list[StepRecord] | None = None) -> 
     phys, aux, frames = checker.start()
     trail = []
     for idx in count():
-        tid = choose(idx, [t for t, f in zip(tids, frames) if step_enabled(f, phys)])
+        tid = choose(idx, [t for t, f in zip(tids, frames) if snapshot.step_enabled(f, phys)])
         if tid is None:
             return checker.finish(phys, aux, frames, trail, steps or ())
         if idx == limit:
@@ -659,11 +658,11 @@ def _drive(choose, checker: _Checker, steps: list[StepRecord] | None = None) -> 
         post_phys, post_aux, after, value, outputs, check_arg = apply_step(step, phys, aux, before)
         frames[i] = after
         if post_phys is not phys:
-            post_phys = checker._canon(post_phys, checker.phys, phys_key)
+            post_phys = checker._canon(post_phys, checker.phys, snapshot.phys_key)
         if post_aux is not aux:
             post_aux = checker._canon(post_aux, checker.aux, aux_key)
         checker.on_state(_id(post_phys), _id(post_aux), idx)
-        found = edge_check(step, aux, post_aux, value, outputs, check_arg)
+        found = snapshot.edge_check(step, aux, post_aux, value, outputs, check_arg)
         if found:
             checker.absorb(found, idx)
         if steps is not None:
@@ -804,10 +803,10 @@ def parse_program(text: str, name: str = "custom") -> Program:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("init") and ":" not in line:
+        parts = line.split()
+        if parts[0] == "init" and ":" not in line:
             if threads or init is not default:
                 raise TraceParseError(f"line {lineno}: 'init' may only be the first line")
-            parts = line.split()
             if len(parts) != 3:
                 raise TraceParseError(f"line {lineno}: expected 'init <vx> <vy>'")
             try:

@@ -84,7 +84,8 @@ def phys_key(phys: PhysState) -> tuple:
 
 @dataclass(frozen=True)
 class MethodCall:
-    """A client's call; a write's value is in the value range."""
+    """A client's call: a write of a value in the value range to pointer
+    x or y, or a scan, which takes neither."""
 
     kind: str  # "write" | "scan"
     p: str | None = None
@@ -92,7 +93,13 @@ class MethodCall:
 
     def __post_init__(self):
         if self.kind == "write":
+            if self.p not in (Ptr.X, Ptr.Y):
+                raise ValueError(f"a write's pointer is x or y, not {self.p!r}")
             validate_value(self.v)
+        elif self.kind != "scan":
+            raise ValueError(f"a call is a write or a scan, not {self.kind!r}")
+        elif (self.p, self.v) != (None, None):
+            raise ValueError(f"a scan takes no pointer and no value, not {self.p!r}, {self.v!r}")
 
     def render(self) -> str:
         if self.kind == "scan":
@@ -460,7 +467,9 @@ def digest(key: tuple) -> str:
 
     Pickle shares repeated objects within one dump, so two equal keys hash
     alike only when they are built alike: keys are built from primitives by
-    the same code in the same order.
+    the same code in the same order, and their strings are interned (the
+    pointers and phases are literals, and :class:`~snapcheck.harness.Program`
+    interns its tids).
     """
     return hashlib.blake2b(pickle.dumps(key, protocol=5), digest_size=8).hexdigest()
 

@@ -13,6 +13,7 @@ that ``conftest.CHECKS`` maps to it.
 import hashlib
 import random
 import time
+from itertools import combinations, product
 
 from conftest import CHECKS, run_prefix, swept_programs
 from reference import erased_runs, sequential_results
@@ -28,9 +29,10 @@ from snapcheck.aux_model import (
     omega_leq,
     yellow_of,
 )
-from snapcheck.aux_ops import INSPECT_NO, InspectDecision, inspect, push
+from snapcheck.aux_ops import INSPECT_NO, InspectDecision, inspect, push, relink
 from snapcheck.cli import main
 from snapcheck.harness import DEFAULT_MAX_STATES, client_e_prime
+from snapcheck.invariants import check_relink_post
 from snapcheck.tracefile import render_trace
 
 PAPER_RESULT_SET = frozenset({(5, 0), (2, 0), (3, 0), (2, 1), (3, 1)})
@@ -294,6 +296,31 @@ def test_criterion_5_oracle_agreement(sweep_reports, capsys):
 # criterion 6: appendix property suite
 
 
+def _push_case_failures(sigma, pi, pj):
+    """The clauses that ``push`` breaks on ``sigma`` with i and j at the
+    positions ``pi < pj``: the three monotonicity clauses, per pair of
+    events in order, and being a permutation."""
+    failures = 0
+    i, j = sigma[pi], sigma[pj]
+    out = push(i, j, sigma)
+    pos = {t: k for k, t in enumerate(sigma)}
+    pos2 = {t: k for k, t in enumerate(out)}
+    for a in sigma:
+        for b in sigma:
+            if not pos[a] < pos[b]:
+                continue
+            # the three monotonicity clauses
+            if pos[a] < pos[i] and not pos2[a] < pos2[b]:
+                failures += 1
+            if pos[j] < pos[b] and not pos2[a] < pos2[b]:
+                failures += 1
+            if a != i and not pos2[a] < pos2[b]:
+                failures += 1
+    if sorted(out) != sorted(sigma):
+        failures += 1
+    return failures
+
+
 def _push_mono_cases(n_cases):
     rng = random.Random(0xC0FFEE)
     failures = 0
@@ -301,24 +328,48 @@ def _push_mono_cases(n_cases):
         n = rng.randrange(2, 11)
         sigma = tuple(rng.sample(range(1, 64), n))
         pi, pj = sorted(rng.sample(range(n), 2))
-        i, j = sigma[pi], sigma[pj]
-        out = push(i, j, sigma)
-        pos = {t: k for k, t in enumerate(sigma)}
-        pos2 = {t: k for k, t in enumerate(out)}
-        for a in sigma:
-            for b in sigma:
-                if not pos[a] < pos[b]:
-                    continue
-                # the three monotonicity clauses
-                if pos[a] < pos[i] and not pos2[a] < pos2[b]:
-                    failures += 1
-                if pos[j] < pos[b] and not pos2[a] < pos2[b]:
-                    failures += 1
-                if a != i and not pos2[a] < pos2[b]:
-                    failures += 1
-        if sorted(out) != sorted(sigma):
-            failures += 1
+        failures += _push_case_failures(sigma, pi, pj)
     return failures
+
+
+def _writes_before_reds(ptrs, red_suffix):
+    """Each pointer's events before the last ``red_suffix`` ones, of the
+    events ``1..n`` whose pointers are ``ptrs``."""
+    pre = range(1, len(ptrs) + 1 - red_suffix)
+    return {p: [t for t in pre if ptrs[t - 1] == p] for p in (Ptr.X, Ptr.Y)}
+
+
+def _relink_precondition_state(ptrs, red_suffix, yellow):
+    """The state relink's precondition admits whose events ``1..n`` write
+    to ``ptrs`` in that order: scanner off with both bits set, the last
+    ``red_suffix`` events red, and each pointer's earlier events green
+    but the last, which is yellow for a pointer in ``yellow``."""
+    n = len(ptrs)
+    kappa = [Color.RED] * n
+    for p, pre_mine in _writes_before_reds(ptrs, red_suffix).items():
+        for t in pre_mine:
+            kappa[t - 1] = Color.GREEN
+        if p in yellow:
+            kappa[pre_mine[-1] - 1] = Color.YELLOW
+    return AuxState(
+        ptr=tuple(ptrs),
+        val=tuple(t % 8 for t in range(1, n + 1)),
+        kappa=tuple(kappa),
+        tau=(n,) * n,
+        init_mask=(1 << (n + 1)) - 2,
+        joint_mask=0,
+        self_masks=(),
+        sigma=tuple(range(1, n + 1)),
+        wx=WRITER_OFF,
+        wy=WRITER_OFF,
+        scanner=ScannerState(on=False, t_off=n, sx=True, sy=True),
+    )
+
+
+def _relink_choices(p, aux):
+    """The events of ``p`` a scan may have chosen: its last green, and its
+    yellow where it has one."""
+    return [t for t in (last_green(p, aux), yellow_of(p, aux)) if t]
 
 
 def _random_relink_precondition_state(rng):
@@ -329,32 +380,31 @@ def _random_relink_precondition_state(rng):
         ptrs = [Ptr.X, Ptr.Y] + [rng.choice((Ptr.X, Ptr.Y)) for _ in range(n - 2)]
         rng.shuffle(ptrs)
         red_suffix = rng.randrange(0, n - 1)
-        pre = list(range(1, n + 1 - red_suffix))
-        if {ptrs[t - 1] for t in pre} != {Ptr.X, Ptr.Y}:
+        mine = _writes_before_reds(ptrs, red_suffix)
+        if not all(mine.values()):
             continue  # every pointer needs a pre-suffix (non-red) write
-        kappa = [Color.RED] * n
-        for p in (Ptr.X, Ptr.Y):
-            pre_mine = [t for t in pre if ptrs[t - 1] == p]
-            for t in pre_mine:
-                kappa[t - 1] = Color.GREEN
-            if len(pre_mine) >= 2 and rng.random() < 0.6:
-                kappa[pre_mine[-1] - 1] = Color.YELLOW
-        aux = AuxState(
-            ptr=tuple(ptrs),
-            val=tuple(t % 8 for t in range(1, n + 1)),
-            kappa=tuple(kappa),
-            tau=(n,) * n,
-            init_mask=(1 << (n + 1)) - 2,
-            joint_mask=0,
-            self_masks=(),
-            sigma=tuple(range(1, n + 1)),
-            wx=WRITER_OFF,
-            wy=WRITER_OFF,
-            scanner=ScannerState(on=False, t_off=n, sx=True, sy=True),
-        )
-        t_x = rng.choice([t for t in (last_green(Ptr.X, aux), yellow_of(Ptr.X, aux)) if t])
-        t_y = rng.choice([t for t in (last_green(Ptr.Y, aux), yellow_of(Ptr.Y, aux)) if t])
+        yellow = {p for p, pre_mine in mine.items() if len(pre_mine) >= 2 and rng.random() < 0.6}
+        aux = _relink_precondition_state(ptrs, red_suffix, yellow)
+        t_x = rng.choice(_relink_choices(Ptr.X, aux))
+        t_y = rng.choice(_relink_choices(Ptr.Y, aux))
         return aux, t_x, t_y
+
+
+def _every_relink_precondition_case(max_events):
+    """Every case ``_random_relink_precondition_state`` can draw with up to
+    ``max_events`` events, each once: a state and the two chosen events."""
+    for n in range(2, max_events + 1):
+        for ptrs in product((Ptr.X, Ptr.Y), repeat=n):
+            for red_suffix in range(n - 1):
+                mine = _writes_before_reds(ptrs, red_suffix)
+                if not all(mine.values()):
+                    continue
+                options = [((), (p,)) if len(ts) >= 2 else ((),) for p, ts in mine.items()]
+                for yellow_x, yellow_y in product(*options):
+                    aux = _relink_precondition_state(ptrs, red_suffix, yellow_x + yellow_y)
+                    for t_x in _relink_choices(Ptr.X, aux):
+                        for t_y in _relink_choices(Ptr.Y, aux):
+                            yield aux, t_x, t_y
 
 
 def _expected_by_case_analysis(t_x, t_y, aux):
@@ -373,19 +423,27 @@ def _expected_by_case_analysis(t_x, t_y, aux):
     return InspectDecision(p, between[0])  # case 3
 
 
+def _inspect_fails(aux, t_x, t_y):
+    """Whether ``inspect`` departs from the case analysis on one case, or
+    names a target that is not yellow."""
+    assert last_gy(Ptr.X, t_x, aux) and last_gy(Ptr.Y, t_y, aux)
+    got = inspect(t_x, t_y, aux)
+    if got != _expected_by_case_analysis(t_x, t_y, aux):
+        return True
+    return got.ptr is not None and aux.kappa[got.target - 1] != Color.YELLOW
+
+
+def _relink_fails(aux, t_x, t_y):
+    """Whether ``relink``, given the values of ``t_x`` and ``t_y`` (each
+    event's value is its own), chooses other events or breaks its main
+    property (``check_relink_post``) on one case."""
+    post, got_x, got_y = relink(aux.val[t_x - 1], aux.val[t_y - 1], aux)
+    return (got_x, got_y) != (t_x, t_y) or bool(check_relink_post(post, got_x, got_y))
+
+
 def _inspect_cases(n_cases):
     rng = random.Random(0xBEEF)
-    failures = 0
-    for _ in range(n_cases):
-        aux, t_x, t_y = _random_relink_precondition_state(rng)
-        assert last_gy(Ptr.X, t_x, aux) and last_gy(Ptr.Y, t_y, aux)
-        got = inspect(t_x, t_y, aux)
-        want = _expected_by_case_analysis(t_x, t_y, aux)
-        if got != want:
-            failures += 1
-        elif got.ptr is not None and aux.kappa[got.target - 1] != Color.YELLOW:
-            failures += 1
-    return failures
+    return sum(_inspect_fails(*_random_relink_precondition_state(rng)) for _ in range(n_cases))
 
 
 def test_criterion_6_appendix_properties(sweep_reports, capsys):
@@ -406,6 +464,41 @@ def test_criterion_6_appendix_properties(sweep_reports, capsys):
             f"analysis 10^3 states ({inspect_failures} failures), relink main "
             f"property at every relink ({len(relink_bad)} failures), "
             f"{elapsed:.1f}s < 30s",
+        )
+
+
+def test_criterion_6_small_scope_exhaustive(capsys):
+    """Criterion 6's two generators made exhaustive: every relink
+    precondition case that ``_random_relink_precondition_state`` can draw
+    with up to 6 events, for ``inspect``'s case analysis and relink's main
+    property, and every ``push`` case of a sigma of 2 to 10 events.
+    ``push`` reads only positions, so the (i before j) position pairs of
+    ``1..n`` stand for every sigma of n events up to relabeling."""
+    t0 = time.perf_counter()
+    cases = list(_every_relink_precondition_case(6))
+    inspect_failures = sum(_inspect_fails(*case) for case in cases)
+    relink_failures = sum(_relink_fails(*case) for case in cases)
+    pairs = [
+        (tuple(range(1, n + 1)), pi, pj)
+        for n in range(2, 11)
+        for pi, pj in combinations(range(n), 2)
+    ]
+    push_failures = sum(_push_case_failures(*pair) for pair in pairs)
+    elapsed = time.perf_counter() - t0
+    with capsys.disabled():
+        ok = (
+            (len(cases), len(pairs)) == (1_994, 165)
+            and inspect_failures == relink_failures == push_failures == 0
+            and elapsed < 2.0
+        )
+        _report(
+            "criterion-6 small-scope",
+            ok,
+            f"inspect case analysis on all {len(cases)} relink-precondition cases "
+            f"of up to 6 events ({inspect_failures} failures), relink main property "
+            f"on the same ({relink_failures} failures), push-mono on all "
+            f"{len(pairs)} (i before j) pairs of 2-10 events ({push_failures} "
+            f"failures), {elapsed:.2f}s < 2s",
         )
 
 

@@ -13,14 +13,20 @@ import pytest
 import snapcheck
 from conftest import repeated_sigma_trace, two_scan_programs
 from reference import random_schedule
+from snapcheck import aux_ops, oracle
+from snapcheck.aux_model import Ptr
 from snapcheck.cli import main
 from snapcheck.harness import (
     FIG1_SCHEDULE,
+    Program,
     client_e,
     client_e_prime,
+    explore,
     generated_programs,
+    parse_program,
     run_schedule,
 )
+from snapcheck.snapshot import MethodCall
 from snapcheck.tracefile import render_trace
 
 
@@ -187,7 +193,11 @@ def test_check_fault_injected_trace(tmp_path, capsys):
             rec["result"] = [5, 1]
             lines[i] = json.dumps(rec, sort_keys=True)
     out_file.write_text("\n".join(lines) + "\n")
-    assert main(["check", "--trace", str(out_file)]) == 1
+    # the replay returns (2, 1), so the file is refused before any oracle
+    assert main(["check", "--trace", str(out_file)]) == 4
+    captured = capsys.readouterr()
+    assert "methods differ from its replay" in captured.err
+    assert "witness:" not in captured.out
 
 
 @pytest.mark.parametrize("mutant", [None, "junk", 99], ids=["null", "string", "int"])
@@ -231,9 +241,10 @@ def test_check_repeated_sigma_timestamp(tmp_path, capsys):
 
 def test_check_witness_order_fails(tmp_path, capsys):
     """The demo trace with its scan's witness moved to event 1, the
-    initial write of x: the file parses, and the scan, placed before the
-    writes it read, fails the witness route (exit 1) before any replay,
-    while some order still linearizes the run."""
+    initial write of x: the file parses, but the replay's scan chose
+    another witness, so check refuses the file (exit 4) before either
+    oracle route runs.  ``test_check_a_run_whose_witness_fails`` reaches
+    the witness route's failure with a run the program makes."""
     out_file = tmp_path / "demo.trace"
     main(["demo-fig1", "--out", str(out_file)])
     capsys.readouterr()
@@ -243,9 +254,46 @@ def test_check_witness_order_fails(tmp_path, capsys):
         if rec["kind"] == "method" and rec["op"] == "scan":
             lines[i] = json.dumps(dict(rec, witness=1), sort_keys=True)
     out_file.write_text("\n".join(lines) + "\n")
+    assert main(["check", "--trace", str(out_file)]) == 4
+    captured = capsys.readouterr()
+    assert "error: the file's methods differ from its replay" in captured.err
+    assert "witness:" not in captured.out
+
+
+def test_check_a_run_whose_witness_fails(tmp_path, capsys, monkeypatch):
+    """A relink that never pushes the missed write past the other
+    pointer's event: on 8 of e's 120 kept runs the witness order fails
+    while some order still linearizes the history.  Such a run, replayed
+    and written out, is its own replay under the same mutant, so check
+    reaches both oracle routes, prints ``witness: FAIL`` and
+    ``linearizable: ok``, and exits 1."""
+    monkeypatch.setattr(aux_ops, "push", lambda i, j, sigma: sigma)
+    runs = explore(client_e()).executions
+    failed = [ex for ex in runs if not oracle.validate_witness(ex)]
+    assert (len(runs), len(failed)) == (120, 8)
+    assert all(oracle.linearizable(oracle.ops_from_trace(ex)) for ex in runs)
+    out_file = tmp_path / "unpushed.trace"
+    out_file.write_text(render_trace(run_schedule(client_e(), failed[0].schedule)))
     assert main(["check", "--trace", str(out_file)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert "witness: FAIL" in out and "linearizable: ok" in out
+    assert out == ["witness: FAIL", "linearizable: ok"]
+
+
+def test_check_a_thread_named_as_a_writer_phase(tmp_path, capsys):
+    """A thread whose id equals a string that a state's key holds
+    elsewhere, the writer phase ``off``: the program built in code and the
+    one parsed from text give equal step records, digests included, and
+    the replayed trace passes check.  A digest pickles its key, which
+    writes a repeated object once, so it read which string object the tid
+    was, not only its value."""
+    built = Program("p", (("off", (MethodCall.write(Ptr.X, 2),)), ("s", (MethodCall.scan(),))))
+    parsed = parse_program("off: write x 2\ns: scan\n", name="p")
+    schedule = ["off"] * 5 + ["s"] * 11
+    trace = run_schedule(built, schedule)
+    assert trace.steps == run_schedule(parsed, schedule).steps
+    path = tmp_path / "off.trace"
+    path.write_text(render_trace(trace))
+    assert main(["check", "--trace", str(path)]) == 0
 
 
 def test_check_empty_trace(tmp_path, capsys):

@@ -105,7 +105,6 @@ def test_a_run_stuck_with_calls_left_is_a_deadlock(monkeypatch):
         return phys if step.label == "release:wx" else phys_effect(step, arg, phys)
 
     monkeypatch.setattr(snapshot, "phys_effect", kept_lock)
-    monkeypatch.setattr(harness, "phys_effect", kept_lock)
     report = explore(client_e())
     details = {v.detail for v in report.violations if v.name == "deadlock"}
     assert details == {f"no thread can step, with calls left in {tid}" for tid in "lr"}
@@ -125,13 +124,12 @@ def test_a_step_that_loops_is_refused(monkeypatch):
     loop refuses a run longer than its calls' step lists, which a step that
     loops would never end, and a schedule that long.  Here a read-fwd step
     leaves its frame, and so the state, as it was."""
-    frame_effect = harness.frame_effect
+    frame_effect = snapshot.frame_effect
 
     def stays(frame, value, outputs):
         kind = frame.current_step().kind
         return frame if kind == "read-fwd" else frame_effect(frame, value, outputs)
 
-    monkeypatch.setattr(harness, "frame_effect", stays)
     monkeypatch.setattr(snapshot, "frame_effect", stays)
     with pytest.raises(GuardViolationError, match="a read-fwd:x step of c loops"):
         explore(client_e())
@@ -140,6 +138,29 @@ def test_a_step_that_loops_is_refused(monkeypatch):
         run_random(client_e(), seed=1, runs=1)
     with pytest.raises(GuardViolationError, match="a run of e takes more than 29 steps"):
         run_schedule(client_e(), ("c",) * 30)
+
+
+def test_a_scan_that_ignores_forwarded_values_is_refused(monkeypatch):
+    """The scanner miss of the paper's Fig. 1 made real: a scan whose
+    read-fwd steps drop the forwarded value returns the pair it read from
+    the pointers, which no last green or yellow event of x wrote once a
+    later write of x has landed.  Patched once, on ``snapshot``, it is what
+    every scheduler runs, and relink's guard refuses it in each."""
+    frame_effect = snapshot.frame_effect
+
+    def ignores_forwarded(frame, value, outputs):
+        if frame.current_step().kind == "read-fwd":
+            value = None
+        return frame_effect(frame, value, outputs)
+
+    monkeypatch.setattr(snapshot, "frame_effect", ignores_forwarded)
+    refused = "relink: no last-green-or-yellow x-event with value 5"
+    with pytest.raises(GuardViolationError, match=refused):
+        explore(client_e())
+    with pytest.raises(GuardViolationError, match=refused):
+        run_random(client_e(), seed=1, runs=50)
+    with pytest.raises(GuardViolationError, match=refused):
+        run_schedule(client_fig1(), FIG1_SCHEDULE)
 
 
 WXY_SCAN = Program(
@@ -344,6 +365,10 @@ def test_parse_program_errors():
         parse_program("init 5 0\na: write x 2\ninit 2 1\ns: scan\n")  # repeated
     with pytest.raises(TraceParseError, match="line 4: 'init'"):
         parse_program("# leading comment\n\nc: scan\ninit 2 1\n")  # after the threads
+    # a word that only starts with ``init`` is no init line
+    for line in ("initial 3 4", "init7 1 2"):
+        with pytest.raises(TraceParseError, match="line 1: expected 'tid: call"):
+            parse_program(f"{line}\nc: scan\n")
 
 
 def test_a_program_is_checked_where_it_is_made():
@@ -355,6 +380,13 @@ def test_a_program_is_checked_where_it_is_made():
         MethodCall.parse("write x 99")
     with pytest.raises(ValueDomainError):
         Program("big", (("c", (MethodCall.scan(),)),), init_x=99)
+    # a call is a write to x or y, or a scan with neither pointer nor value
+    with pytest.raises(ValueError, match="a write's pointer is x or y, not 'z'"):
+        MethodCall.write("z", 2)
+    with pytest.raises(ValueError, match="a scan takes no pointer and no value"):
+        MethodCall("scan", Ptr.X, 3)
+    with pytest.raises(ValueError, match="a call is a write or a scan, not 'read'"):
+        MethodCall("read")
 
 
 def test_a_bool_is_no_value():
@@ -609,9 +641,9 @@ def _widen_part_keys(monkeypatch):
     each effect's argument, in the outputs and in the check argument, so
     that a key that dropped one of them would still name the frame; the
     functions see their arguments as before."""
-    step_args, aux_effect = harness.step_args, harness.aux_effect
-    phys_effect, frame_effect = harness.phys_effect, harness.frame_effect
-    edge_check = harness.edge_check
+    step_args, aux_effect = snapshot.step_args, snapshot.aux_effect
+    phys_effect, frame_effect = snapshot.phys_effect, snapshot.frame_effect
+    edge_check = snapshot.edge_check
 
     def widened_args(step, frame, phys):
         value, *args = step_args(step, frame, phys)
@@ -624,11 +656,11 @@ def _widen_part_keys(monkeypatch):
     def unwrapped_edge_check(step, pre, post, value, outputs, arg):
         return edge_check(step, pre, post, value, outputs[1], arg[1])
 
-    monkeypatch.setattr(harness, "step_args", widened_args)
-    monkeypatch.setattr(harness, "phys_effect", lambda s, arg, phys: phys_effect(s, arg[1], phys))
-    monkeypatch.setattr(harness, "aux_effect", widened_aux_effect)
-    monkeypatch.setattr(harness, "frame_effect", lambda fr, v, out: frame_effect(fr, v, out[1]))
-    monkeypatch.setattr(harness, "edge_check", unwrapped_edge_check)
+    monkeypatch.setattr(snapshot, "step_args", widened_args)
+    monkeypatch.setattr(snapshot, "phys_effect", lambda s, arg, phys: phys_effect(s, arg[1], phys))
+    monkeypatch.setattr(snapshot, "aux_effect", widened_aux_effect)
+    monkeypatch.setattr(snapshot, "frame_effect", lambda fr, v, out: frame_effect(fr, v, out[1]))
+    monkeypatch.setattr(snapshot, "edge_check", unwrapped_edge_check)
 
 
 @pytest.mark.parametrize("force", [_force_violations], ids=["forced"])
@@ -758,14 +790,14 @@ def _calls(log):
 
 def _explored_states(prog):
     """The recorded explore of ``prog`` (a ``_Run``), which logs the
-    functions that ``harness`` calls by name and the state and edge checks.
+    functions that ``harness`` calls and the state and edge checks.
     With 0-bit digits no id but 0 fits one, so explore derives no key from
     its parent's and ``state_key`` sees the ids of every edge's successor.
     A state's parts are those its checker gave the ids, and its threads'
     entries those explore numbered: each thread's initial frame, then each
-    that ``harness.frame_effect`` gives, a release's next frame or None
+    that ``snapshot.frame_effect`` gives, a release's next frame or None
     among them, by ``entry_key`` in order of first sight."""
-    frame_effect, numbers, entries, checkers = harness.frame_effect, {}, [], []
+    frame_effect, numbers, entries, checkers = snapshot.frame_effect, {}, [], []
 
     class Recorded(harness._Checker):
         def __init__(self, prog):
@@ -785,7 +817,7 @@ def _explored_states(prog):
         number(tid, frame)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_ID_BITS", 0)
-        patch.setattr(harness, "frame_effect", watch)
+        patch.setattr(snapshot, "frame_effect", watch)
         patch.setattr(harness, "_Checker", Recorded)
         calls = _watch_state_key(patch)
         names = "step_args apply_step step_state phys_effect aux_effect frame_effect"
@@ -907,10 +939,12 @@ def test_derived_keys_are_state_keys(prog, monkeypatch):
 
 def _record_calls(monkeypatch, *names, checks=()):
     """Every call from now on of each function ``names`` that ``harness``
-    calls by that name, of ``harness.edge_check`` and of each check
-    ``checks`` on ``invariants``, as (name, arguments), in order."""
+    calls, of ``snapshot.edge_check`` and of each check ``checks`` on
+    ``invariants``, as (name, arguments), in order.  Each function is
+    patched on the module that ``harness`` reads it from: its own globals
+    for what it defines or imports by name, else ``snapshot``."""
     log = []
-    calls = [(harness, name) for name in (*names, "edge_check")]
+    calls = [(harness if hasattr(harness, n) else snapshot, n) for n in (*names, "edge_check")]
     for module, name in calls + [(invariants, c) for c in checks]:
         fn = getattr(module, name)
         monkeypatch.setattr(

@@ -387,3 +387,41 @@ def test_harness_reads_only_callables_from_snapshot():
     assert len(read) > 10 and "frame_key" in read
     data = sorted(name for name in read if not callable(getattr(snapshot, name)))
     assert not data, "harness.py reads data from snapshot: " + ", ".join(data)
+
+
+def _timed_layers():
+    """``perfbench/tracing.py``'s ``LAYERS``, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    [value] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and _mentions(node.target, False) == ["LAYERS"]
+    ]
+    return ast.literal_eval(value)
+
+
+def test_harness_imports_from_snapshot_only_what_perfbench_times():
+    """``harness.py`` imports from ``snapshot`` by name only classes and
+    the functions that ``perfbench/tracing.py`` times as harness
+    attributes, each one a layer of ``snapshot``'s; it reads every other
+    function of ``snapshot`` off the module when it runs.  So one binding
+    of each step function is what ``explore``, the drive loop and
+    ``step_state`` all call, and a mutant of the algorithm patched once on
+    ``snapshot`` is the one every scheduler runs."""
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "snapshot"
+        for alias in node.names
+    }
+    functions = {name for name in imported if not isinstance(getattr(snapshot, name), type)}
+    timed = {
+        attr
+        for module, attr, layer in _timed_layers()
+        if module == "harness" and layer.startswith("snapshot.")
+    }
+    assert timed == {"apply_step", "make_frame", "phys_digest", "aux_digest"}
+    assert functions == timed, "functions harness.py imports from snapshot: " + ", ".join(
+        sorted(functions)
+    )
