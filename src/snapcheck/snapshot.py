@@ -21,9 +21,9 @@ call's postcondition among them (:func:`returns`), and a frame's key
 
 from __future__ import annotations
 
-import hashlib
 import operator
 import pickle
+from _blake2 import blake2b  # is hashlib.blake2b; hashlib would map libcrypto too
 from dataclasses import dataclass
 
 from . import aux_ops, invariants
@@ -471,7 +471,7 @@ def digest(key: tuple) -> str:
     pointers and phases are literals, and :class:`~snapcheck.harness.Program`
     interns its tids).
     """
-    return hashlib.blake2b(pickle.dumps(key, protocol=5), digest_size=8).hexdigest()
+    return blake2b(pickle.dumps(key, protocol=5), digest_size=8).hexdigest()
 
 
 def phys_digest(phys: PhysState) -> str:

@@ -20,6 +20,10 @@ from .snapshot import MethodCall
 # builds a fresh encoder on each call.
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
+# One record's decoder: the C scanner's entry, with none of ``json.loads``'
+# wrapper frames and whitespace matches around it (a parsed line is stripped).
+_decode = json.JSONDecoder().raw_decode
+
 
 def _step_line(s: StepRecord) -> str:
     """A step record, written from its key-sorted layout as the encoder
@@ -161,7 +165,9 @@ def parse_trace(text: str) -> Trace:
         if footer:
             raise TraceParseError(f"line {lineno}: record after the footer")
         try:
-            rec = json.loads(line)
+            rec, end = _decode(line)
+            if end < len(line):
+                raise TraceParseError(f"line {lineno}: data after the record at column {end + 1}")
             kind = rec["kind"]
             if (kind == "header") == header:
                 raise TraceParseError(f"line {lineno}: {'a second' if header else 'no'} header")

@@ -362,3 +362,31 @@ def test_module_entry_point(tmp_path, sched_file):
     assert _run_module("explore").returncode == 5
     assert _run_module("explore", "--client", "e", "--max-states", "-3").returncode == 5
     assert _run_module("explore", "--help").returncode == 0
+
+
+# A check process's work: the demo written and checked, a random run and an
+# explore, then the names of every module loaded, on the last line.
+_FOOTPRINT = """
+import sys
+from snapcheck.cli import main
+from snapcheck.harness import client_e, client_e_prime, explore, run_random
+assert main(["demo-fig1", "--out", sys.argv[1]]) == 0
+assert main(["check", "--trace", sys.argv[1]]) == 0
+run_random(client_e(), seed=1, runs=5)
+explore(client_e_prime())
+print(*sys.modules)
+"""
+
+
+def test_a_check_process_loads_no_openssl(tmp_path):
+    """No module under ``src`` imports ``hashlib``, whose ``_hashlib``
+    maps OpenSSL's libcrypto into the process: ``snapshot`` takes
+    ``blake2b`` from ``_blake2``.  Run in a fresh process under
+    ``-S``, so that no site package loads ``hashlib`` first."""
+    env = dict(os.environ, PYTHONPATH=str(Path(snapcheck.__file__).parents[1]))
+    argv = [sys.executable, "-S", "-c", _FOOTPRINT, str(tmp_path / "demo.trace")]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.splitlines()[-1].split()
+    assert "snapcheck.snapshot" in loaded and "_blake2" in loaded
+    assert "_hashlib" not in loaded

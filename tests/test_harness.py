@@ -1,6 +1,8 @@
 """Schedulers: exhaustive exploration, replay, random scheduling, clients."""
 
+import _blake2
 import hashlib
+import pickle
 import random
 import re
 from dataclasses import dataclass
@@ -228,6 +230,20 @@ def test_step_records_digest_the_state_each_step_reached():
     for record, (state, _) in zip(steps, walk):
         assert record.phys_digest == snapshot.phys_digest(state.phys)
         assert record.aux_digest == snapshot.aux_digest(state.aux)
+
+
+def test_digest_is_hashlibs_blake2b(default_runs):
+    """``snapshot.digest`` takes ``blake2b`` from ``_blake2``, which is the
+    object ``hashlib.blake2b`` is, so every digest is what ``hashlib``
+    would give: checked on the key of every physical and auxiliary part
+    that e's explore interned."""
+    assert hashlib.blake2b is _blake2.blake2b
+    checker = default_runs["e"].checker
+    keys = [*map(phys_key, checker.phys), *map(aux_key, checker.aux)]
+    assert len(keys) > 1000
+    for key in keys:
+        want = hashlib.blake2b(pickle.dumps(key, protocol=5), digest_size=8).hexdigest()
+        assert snapshot.digest(key) == want
 
 
 def test_run_schedule_determinism():

@@ -204,6 +204,21 @@ def test_parse_rejects_garbage():
         parse_trace(text + lines[1])
 
 
+@pytest.mark.parametrize("tail", [" x", "{}", " 1", "]", ' "kind"', "/"])
+def test_parse_refuses_data_after_a_record(tail):
+    """Each line holds one record and nothing else, as ``json.loads``
+    requires of a document: data after any record of the file is refused,
+    while blank space around it is not."""
+    trace = run_schedule(client_fig1(), FIG1_SCHEDULE)
+    lines = render_trace(trace).splitlines()
+    padded = "\n".join(f" \t{line} \r" for line in lines)
+    assert parse_trace(padded) == trace
+    for i, line in enumerate(lines):
+        bent = [*lines[:i], line + tail, *lines[i + 1 :]]
+        with pytest.raises(TraceParseError, match=f"line {i + 1}: data after the record"):
+            parse_trace("\n".join(bent))
+
+
 def test_one_record_per_line():
     trace = run_schedule(client_fig1(), FIG1_SCHEDULE)
     lines = render_trace(trace).strip().split("\n")
