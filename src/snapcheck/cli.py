@@ -113,7 +113,8 @@ def _cmd_demo_fig1(args) -> int:
 def _cmd_check(args) -> int:
     # a non-empty file that is not its replay is malformed (exit 4), whatever
     # the oracles would say: only a run that the program makes reaches them
-    text = Path(args.trace).read_text()
+    with open(args.trace, encoding="utf-8", newline="") as file:  # the lines as written
+        text = file.read()
     trace = tracefile.parse_trace(text)
     if text.strip():  # the empty file has nothing to replay
         try:

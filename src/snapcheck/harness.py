@@ -10,7 +10,7 @@ tables wherever it recurs, walking the ids of a state's parts.  Every step
 is filed one way, a physical half by entry and physical part and an
 auxiliary half by auxiliary part, and a half that the tables miss, only
 that half, is composed from a table per function (a step's three effects
-and its edge checks), keyed by that function's arguments, calling only
+and its edge checks), keyed by what that function reads, calling only
 the functions whose tables miss.  ``run_schedule`` deterministically
 replays an explicit schedule into a full trace, and ``run_random`` drives
 seeded random executions; both run one loop whose chooser follows the
@@ -23,8 +23,8 @@ Every scheduler reaches its :class:`_Checker` through ``start``,
 makes with ``_canon`` and checks each edge with ``snapshot.edge_check``,
 which runs every check of an edge, the postcondition of the call a step
 returns among them.  The state checks run in three parts, by what they
-read (the auxiliary history, the auxiliary part, the physical and
-auxiliary parts), each once per run on each distinct thing it reads,
+read (the auxiliary history, the auxiliary part, the physical cells with
+the auxiliary view), each once per run on each distinct thing it reads,
 malformed or not, composed as ``check_all`` composes them.
 
 A :class:`State` is the machine state only, and a thread's entry in it is
@@ -51,7 +51,6 @@ from .aux_model import (
     Value,
     aux_key,
     evolve,
-    history_key,
     memo,
     validate_value,
 )
@@ -292,13 +291,17 @@ class _Checker:
     physical parts and equal auxiliary parts of its runs' states become one
     canonical object each, numbered per kind in order of first sight (the
     id, kept in the object's memo; the kind's list maps it back).  Every
-    part it interns is made by stepping from its own initial state.  The
-    tables map keys to verdicts, each check's by what it reads:
-    ``check_history``'s by the history's key (``history_key``),
-    ``check_aux``'s by aux id, and a state's (``check_aux``'s, with
-    ``check_memory``'s where it runs) by phys id and aux id.  An edge's
-    checks are ``snapshot.edge_check``'s, which ``explore`` memoises in its
-    own verdict table and the drive loop runs on every step.
+    part it interns is made by stepping from its own initial state.  Each
+    new auxiliary part's history and view (``invariants.view_key``) are
+    numbered too, in order of first sight; ``histories`` and ``views``
+    map an aux id to them.  The tables map keys to verdicts, each check's
+    by what it reads: ``check_history``'s by history id, ``check_aux``'s
+    by aux id, ``check_memory``'s by the physical part's cells
+    (``invariants.cells_key``) and the view id, and a state's
+    (``check_aux``'s, with ``check_memory``'s where it runs) by phys id and
+    aux id.  An edge's checks are ``snapshot.edge_check``'s, which
+    ``explore`` memoises in its own verdict table, by the two parts' view
+    ids, and the drive loop runs on every step.
     """
 
     def __init__(self, prog: Program):
@@ -315,8 +318,13 @@ class _Checker:
         self._canonical: dict[tuple, object] = {}
         self.phys: list[PhysState] = []
         self.aux: list[AuxState] = []
-        self._history_checks: dict[tuple, tuple] = {}
+        self.histories: list[int] = []
+        self.views: list[int] = []
+        self._history_ids: dict[tuple, int] = {}
+        self._view_ids: dict[tuple, int] = {}
+        self._history_checks: dict[int, tuple] = {}
         self._aux_checks: dict[int, tuple[tuple, bool]] = {}
+        self._memory_checks: dict[tuple, tuple] = {}
         self._state_checks: defaultdict[int, dict] = defaultdict(dict)
 
     def start(self) -> tuple[PhysState, AuxState, list[MethodFrame | None]]:
@@ -341,6 +349,12 @@ class _Checker:
             canon = self._canonical[k] = part
             m["id"] = len(parts)
             parts.append(part)
+            if parts is self.aux:
+                # the view holds the history's key, so history_key runs once
+                view = invariants.view_key(part)
+                history = self._history_ids.setdefault(view[0], len(self._history_ids))
+                self.histories.append(history)
+                self.views.append(self._view_ids.setdefault(view, len(self._view_ids)))
         return canon
 
     def absorb(self, violations, idx: int) -> None:
@@ -359,15 +373,21 @@ class _Checker:
             aux = self.aux[aid]
             verdict = self._aux_checks.get(aid)
             if verdict is None:
-                key = history_key(aux)
-                history = self._history_checks.get(key)
+                hid = self.histories[aid]
+                history = self._history_checks.get(hid)
                 if history is None:
-                    history = self._history_checks[key] = tuple(invariants.check_history(aux))
+                    history = self._history_checks[hid] = tuple(invariants.check_history(aux))
                 found, memory = invariants.check_aux(aux, history)
                 verdict = self._aux_checks[aid] = (tuple(found), memory)
             found, memory = verdict
             if memory:
-                found += tuple(invariants.check_memory(self.phys[pid], aux))
+                phys = self.phys[pid]
+                key = (invariants.cells_key(phys), self.views[aid])
+                memory_found = self._memory_checks.get(key)
+                if memory_found is None:
+                    memory_found = tuple(invariants.check_memory(phys, aux))
+                    self._memory_checks[key] = memory_found
+                found += memory_found
             checks[aid] = found
         if found:
             self.absorb(found, idx)
@@ -465,8 +485,11 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     ``snapshot.frame_key``, and a thread whose calls are done by its tid.
     Where a table misses, its own half is composed from a part table per
     function (the step's three effects and ``snapshot.edge_check``), each
-    keyed by exactly the arguments its function takes, parts by id, and a
-    function is called only where its own table misses: a physical miss
+    keyed by exactly what its function reads: the effects' parts by id,
+    and the edge check's two auxiliary parts by view id (the checker's
+    numbering of ``invariants.view_key``), so parts that differ only in
+    writer phases or ``t_off`` share its verdict.  A function is called
+    only where its own table misses: a physical miss
     reads the step's arguments and takes its physical effect, an auxiliary
     miss starts from what the physical half read and takes the auxiliary
     and frame effects and the edge check.  Every reachable frame is an
@@ -479,7 +502,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     checker = _Checker(prog)
     phys0, aux0, frames0 = checker.start()
     pid0, aid0 = _id(phys0), _id(aux0)
-    phys, aux, tids = checker.phys, checker.aux, checker.tids
+    phys, aux, views, tids = checker.phys, checker.aux, checker.views, checker.tids
     # one entry per id, a thread's frame or None, numbered in order of first
     # sight by ``snapshot.frame_key``, a done thread by its tid
     entries: list[MethodFrame | None] = []
@@ -497,12 +520,13 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     # two).  An entry fixes the type of what it reads, so the check step's
     # bool never meets an int.
     aux_steps: dict[tuple, tuple[dict, tuple]] = {}
-    # The part tables, where a miss above is composed, each keyed by its
-    # function's arguments: (label, argument, phys id) gives the post phys
+    # The part tables, where a miss above is composed, each keyed by what
+    # its function reads: (label, argument, phys id) gives the post phys
     # id, (label, argument, aux id) the post aux id and the outputs,
     # (entry id, value, outputs) the post entry id, and (label, value,
-    # outputs, check argument, aux id, post aux id) the edge's violations.
-    # A label names its step and fixes the types of the rest.
+    # outputs, check argument, view id, post view id) the edge's
+    # violations, as the edge checks read only the two parts' views.  A
+    # label names its step and fixes the types of the rest.
     phys_parts: dict[tuple, int] = {}
     aux_parts: dict[tuple, tuple] = {}
     frame_parts: dict[tuple, int] = {}
@@ -568,7 +592,7 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             frame = entries[eid]
             after = snapshot.frame_effect(frame, value, outputs)
             post_eid = frame_parts[key] = number(frame.tid, after)
-        key = (label, value, outputs, check_arg, aid, post_aid)
+        key = (label, value, outputs, check_arg, views[aid], views[post_aid])
         found = verdicts.get(key)
         if found is None:
             found = verdicts[key] = snapshot.edge_check(

@@ -225,6 +225,21 @@ def _check_first_forwarding(aux: AuxState, rep: list[Violation]) -> None:
             ))
 
 
+def view_key(aux: AuxState) -> tuple:
+    """What the edge checks and the memory part read of an auxiliary part:
+    its history's key (:func:`history_key`) and the scanner's ``on``,
+    ``sx`` and ``sy``.  Parts that differ only in writer phases or
+    ``t_off`` have one view, and one verdict of each of those checks."""
+    sc = aux.scanner
+    return history_key(aux), sc.on, sc.sx, sc.sy
+
+
+def cells_key(phys: "PhysState") -> tuple:
+    """What the memory part reads of a physical part: the two pointers and
+    the two forwarding cells, not the locks or the scanner bit."""
+    return phys.x, phys.y, phys.fx, phys.fy
+
+
 def malformed(verdict) -> bool:
     """Whether a part's verdict reports a ``wellformed`` violation, which
     each part puts first: it skips every other state invariant."""
@@ -260,7 +275,8 @@ def check_phases(aux: AuxState) -> list[Violation]:
 
 def check_memory(phys: "PhysState", aux: AuxState) -> list[Violation]:
     """The memory part, on a well-formed state: last write and forwarded
-    values, the invariants that read physical memory."""
+    values, the invariants that read physical memory.  It reads only the
+    cells (:func:`cells_key`) and the view (:func:`view_key`)."""
     rep = []
     _check_last_write(phys, aux, rep)
     _check_forwarded(phys, aux, rep)

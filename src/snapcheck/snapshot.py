@@ -353,7 +353,9 @@ def edge_check(step: Step, pre: AuxState, post: AuxState, value, outputs: tuple,
     ``arg`` (:func:`step_args`): the transition's monotonicity, then a
     register's freshness, a read's lemma, a finalize's write postcondition
     or a relink's guarantee and scan postcondition.  No check reads a
-    physical part."""
+    physical part, and of ``pre`` and ``post`` each reads only the view
+    (``invariants.view_key``), so ``explore`` keys its verdict table by
+    the two parts' view ids with the other arguments."""
     # interned parts: an unchanged one is ``pre`` and passes by reflexivity
     found = invariants.check_transition(pre, post) if pre is not post else []
     check = _EDGE_CHECKS.get(step.kind)

@@ -137,17 +137,19 @@ def _method(rec: dict) -> MethodRecord:
 
 
 def parse_trace(text: str) -> Trace:
-    """The run record a trace file holds.  A file with no record at all is
-    the empty record; any other file starts with its header, whose name,
-    threads and initial values make the record's :class:`Program`, and
-    ends with its footer.  Values, indices and timestamps must be integers,
-    a scan's result a pair of them, a write's result null and every
-    timestamp one of the footer's events, each of which sigma names once;
-    names, labels and digests must be strings, a schedule and a violation
-    list lists of them, and every call a method call.  What makes a
-    program or a call valid, :class:`Program` and :class:`MethodCall`
-    check as they are made.  ``snapcheck check`` replays the header's
-    program to judge the other records."""
+    """The run record a trace file holds, one record per line, where only
+    a line feed ends a line (a carriage return before it is blank space
+    around the record).  A file with no record at all is the empty record;
+    any other file starts with its header, whose name, threads and initial
+    values make the record's :class:`Program`, and ends with its footer.
+    Values, indices and timestamps must be integers, a scan's result a
+    pair of them, a write's result null and every timestamp one of the
+    footer's events, each of which sigma names once; names, labels and
+    digests must be strings, a schedule and a violation list lists of
+    them, and every call a method call.  What makes a program or a call
+    valid, :class:`Program` and :class:`MethodCall` check as they are
+    made.  ``snapcheck check`` replays the header's program to judge the
+    other records."""
     program = Program("", ())
     schedule: tuple = ()
     steps: list[StepRecord] = []
@@ -158,7 +160,8 @@ def parse_trace(text: str) -> Trace:
     phys_digest = aux_digest = ""
     violations: tuple = ()
     header = footer = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # not splitlines: JSON allows U+0085, U+2028 and U+2029 raw in a string
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

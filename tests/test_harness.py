@@ -42,7 +42,6 @@ from snapcheck.snapshot import (
     aux_digest,
     frame_key,
     make_frame,
-    phys_digest,
     phys_key,
 )
 from snapcheck.tracefile import render_trace
@@ -529,21 +528,32 @@ def test_derived_fields_follow_from_the_state():
     assert finished and returns
 
 
+def _history_digest(aux):
+    return snapshot.digest(history_key(aux))
+
+
+def _view_digest(aux):
+    sc = aux.scanner
+    return snapshot.digest((history_key(aux), sc.on, sc.sx, sc.sy))
+
+
 def _force_violations(monkeypatch):
-    """Add a violation at each keyed level of the state checks, naming
-    exactly what that level reads: the history on every history with a
-    write in flight, the auxiliary part on every one whose scanner is on,
-    and both parts on every state whose scanner bit is set.  Add one naming
-    both aux states on every edge that changes the aux state, and one
-    naming its inputs on every call of each other edge check.  A verdict
-    replayed for the wrong history, auxiliary part, pair or edge shows."""
+    """Add a violation at each keyed level of the checks, naming exactly
+    what that level reads: the history on every history with a write in
+    flight, the auxiliary part on every one whose scanner is on, and the
+    physical cells and the auxiliary view on every such state where the
+    memory part runs.  Add one naming both histories on every edge that
+    changes the history, and one naming its inputs on every call of each
+    other edge check, the history of each auxiliary part it takes (with
+    the scanner's bits for the read lemma).  A verdict replayed for the
+    wrong history, auxiliary part, cells and view, or edge shows."""
     check_history, check_phases = invariants.check_history, invariants.check_phases
     check_memory, check_transition = invariants.check_memory, invariants.check_transition
 
     def forced_history(aux):
         rep = check_history(aux)
         if aux.joint_mask:
-            rep.append(Violation("forced-state", snapshot.digest(history_key(aux))))
+            rep.append(Violation("forced-state", _history_digest(aux)))
         return rep
 
     def forced_phases(aux):
@@ -554,14 +564,16 @@ def _force_violations(monkeypatch):
 
     def forced_memory(phys, aux):
         rep = check_memory(phys, aux)
-        if phys.s_bit:
-            rep.append(Violation("forced-state", f"{phys_digest(phys)} {aux_digest(aux)}"))
+        if aux.scanner.on:
+            cells = phys.x, phys.y, phys.fx, phys.fy
+            rep.append(Violation("forced-state", f"{cells} {_view_digest(aux)}"))
         return rep
 
     def forced_transition(pre, post):
         rep = check_transition(pre, post)
-        if pre != post:
-            rep.append(Violation("forced-edge", f"{aux_digest(pre)} -> {aux_digest(post)}"))
+        if history_key(pre) != history_key(post):
+            detail = f"{_history_digest(pre)} -> {_history_digest(post)}"
+            rep.append(Violation("forced-edge", detail))
         return rep
 
     def forced(name, describe):
@@ -576,41 +588,51 @@ def _force_violations(monkeypatch):
     monkeypatch.setattr(invariants, "check_phases", forced_phases)
     monkeypatch.setattr(invariants, "check_memory", forced_memory)
     monkeypatch.setattr(invariants, "check_transition", forced_transition)
-    forced("check_write_fresh", lambda pre, t: f"{aux_digest(pre)} t={t}")
-    forced("check_read_lemma", lambda p, value, aux: f"{p}={value} {aux_digest(aux)}")
-    forced("check_relink_post", lambda aux, t_x, t_y: f"{aux_digest(aux)} {t_x} {t_y}")
+    forced("check_write_fresh", lambda pre, t: f"{_history_digest(pre)} t={t}")
+    forced("check_read_lemma", lambda p, value, aux: f"{p}={value} {_view_digest(aux)}")
+    forced("check_relink_post", lambda aux, t_x, t_y: f"{_history_digest(aux)} {t_x} {t_y}")
     forced(
         "check_write_post",
-        lambda mask, ret, t, tid, p, v: f"{mask} {aux_digest(ret)} {t} {tid} {p}={v}",
+        lambda mask, ret, t, tid, p, v: f"{mask} {_history_digest(ret)} {t} {tid} {p}={v}",
     )
     forced(
         "check_scan_post",
-        lambda mask, ret, r, witness: f"{mask} {aux_digest(ret)} {r} {witness}",
+        lambda mask, ret, r, witness: f"{mask} {_history_digest(ret)} {r} {witness}",
     )
 
 
 def test_state_checks_run_once_per_part_they_read(default_runs):
     """On e, explore runs the history part once per distinct history, the
     phase part once per auxiliary part and the memory part once per
-    (phys, aux) pair: 174, 1,003 and 6,205 calls, against 6,205 runs of
-    the whole battery when every part was keyed by the pair."""
+    distinct physical cells and auxiliary view: 174, 1,003 and 1,203
+    calls, against 6,205 runs of the whole battery, and later of the
+    memory part, while they were keyed by the (phys, aux) pair."""
     run = default_runs["e"]
     calls, checker = _calls(run.log), run.checker
     histories = [history_key(aux) for (aux,) in calls["check_history"]]
     phases = [id(aux) for (aux,) in calls["check_phases"]]
-    pairs = [(id(phys), id(aux)) for phys, aux in calls["check_memory"]]
-    assert (len(histories), len(phases), len(pairs)) == (174, 1_003, 6_205)
+    memory = [
+        (invariants.cells_key(phys), invariants.view_key(aux))
+        for phys, aux in calls["check_memory"]
+    ]
+    assert (len(histories), len(phases), len(memory)) == (174, 1_003, 1_203)
     assert len(set(histories)) == len(histories)
     assert set(histories) == {history_key(aux) for aux in checker.aux}
     assert len(set(phases)) == len(phases) == len(checker.aux)
-    assert len(set(pairs)) == len(pairs)
+    assert len(set(memory)) == len(memory)
 
 
 class _Unread:
-    """A value that fails on any attribute read."""
+    """A value that fails on any attribute read, comparison, hash or truth
+    test."""
 
     def __getattribute__(self, name):
         raise AssertionError(f"read .{name}")
+
+    def _used(self, *args):
+        raise AssertionError("used an unread value")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __hash__ = __bool__ = _used
 
 
 def test_history_part_reads_only_the_history(default_runs):
@@ -624,6 +646,57 @@ def test_history_part_reads_only_the_history(default_runs):
     for aux in checker.aux:
         hidden = evolve(aux, wx=blind, wy=blind, scanner=blind)
         assert invariants.check_history(hidden) == invariants.check_history(aux)
+
+
+def _view_only(aux):
+    """``aux`` with all but its view unreadable (``invariants.view_key``):
+    the writer records and the scanner's ``t_off``."""
+    blind = _Unread()
+    return evolve(aux, wx=blind, wy=blind, scanner=evolve(aux.scanner, t_off=blind))
+
+
+def _keyed_reads(runs):
+    """Run every ``edge_check`` and ``check_memory`` call logged in
+    ``runs`` again, on parts whose fields outside the check's key are
+    unreadable (``_Unread``), and assert the verdict of each is the one on
+    the whole parts: the edge checks' key holds the two auxiliary parts'
+    views, and the memory part's the physical cells
+    (``invariants.cells_key``) and the view.  Returns the number of calls
+    of each."""
+    blind = _Unread()
+    edges = memory = 0
+    for run in runs:
+        calls = _calls(run.log)
+        hidden = {id(aux): _view_only(aux) for aux in run.checker.aux}
+        for step, pre, post, *args in calls["edge_check"]:
+            got = snapshot.edge_check(step, hidden[id(pre)], hidden[id(post)], *args)
+            assert got == snapshot.edge_check(step, pre, post, *args)
+            edges += 1
+        for phys, aux in calls["check_memory"]:
+            cells = evolve(phys, s_bit=blind, lock_wx=blind, lock_wy=blind, lock_scan=blind)
+            got = invariants.check_memory(cells, hidden[id(aux)])
+            assert got == invariants.check_memory(phys, aux)
+            memory += 1
+    return edges, memory
+
+
+def test_edge_and_memory_checks_read_only_their_keys(default_runs, monkeypatch):
+    """Every distinct edge check and memory part that explore runs on e
+    and the two-scan clients gives the same verdict with the writer
+    records, the scanner's ``t_off``, the locks and the scanner bit made
+    unreadable, so one verdict per key serves every edge and state that
+    shares it.  A check that read a writer record would fail the test."""
+    runs = [default_runs[name] for name in ("e", "two-scan", "fig1-two-scan")]
+    edges, memory = _keyed_reads(runs)
+    assert edges > 9_000 and memory > 4_000
+    check_transition = invariants.check_transition
+
+    def reads_writer(pre, post):
+        return check_transition(pre, post) if pre.wx.phase else []
+
+    monkeypatch.setattr(invariants, "check_transition", reads_writer)
+    with pytest.raises(AssertionError, match=r"read \.phase"):
+        _keyed_reads(runs[:1])
 
 
 @pytest.fixture(scope="session")
@@ -703,7 +776,8 @@ def test_the_edge_checks_shortcuts_skip_nothing(default_runs, monkeypatch):
     runs, and ``check_scan_post``, reading one pass of prefix evaluations,
     gives on every returning scan, its result as returned and bent, the
     verdict of replaying each candidate with ``eval_at``.  Each distinct
-    call that explore makes is checked once."""
+    call that explore makes is checked once, a scan postcondition once per
+    distinct mask, history, result and witness: 479 of them."""
     equal, scans = {}, {}
     for name in ("e", "two-scan", "fig1-two-scan"):
         calls = _calls(default_runs[name].log)
@@ -711,9 +785,9 @@ def test_the_edge_checks_shortcuts_skip_nothing(default_runs, monkeypatch):
             if history_key(pre) == history_key(post):
                 equal[id(pre), id(post)] = pre, post
         for mask, ret, r, witness in calls["check_scan_post"]:
-            scans[mask, id(ret), r, witness] = mask, ret, r, witness
+            scans[mask, history_key(ret), r, witness] = mask, ret, r, witness
     assert len(equal) > 1_000
-    assert len(scans) > 1_000
+    assert len(scans) == 479
     # a fresh object equals no other, so no history passes as unchanged
     monkeypatch.setattr(invariants, "history_key", lambda aux: object())
     for pre, post in equal.values():
@@ -989,11 +1063,13 @@ def test_explore_steps_only_where_a_table_misses(default_runs):
     again) and takes the physical effect; an auxiliary miss starts from
     what the physical half read.  Each function runs only where its own
     table misses: 1,168 physical effects, 4,306 auxiliary effects and 327
-    frame effects, each once per distinct argument list, and 5,656 edge
-    checks.  At least 1,310 auxiliary halves (returning relinks and
-    finalizes, and read-fwds) miss the verdict table alone and call no
-    effect: no effect call comes between their edge check and the call
-    before it.  It takes no whole step (``apply_step`` or ``step_state``;
+    frame effects, each once per distinct argument list, and 2,929 edge
+    checks, one per distinct step, value, outputs, check argument and
+    two auxiliary views (5,656 when the parts were keyed by aux id), with
+    1,676 ``check_transition`` calls (3,183).  At least 569
+    auxiliary halves (returning relinks and finalizes, and read-fwds) miss
+    the verdict table alone and call no effect: no effect call comes
+    between their edge check and the call before it.  It takes no whole step (``apply_step`` or ``step_state``;
     4,813 ``step_state`` calls when a miss took the step whole), folds its
     kept runs from the trail, and would take at least 132,390 steps if it
     stepped every edge."""
@@ -1007,8 +1083,15 @@ def test_explore_steps_only_where_a_table_misses(default_runs):
         "phys_effect": 1_168,
         "aux_effect": 4_306,
         "frame_effect": 327,
-        "edge_check": 5_656,
+        "edge_check": 2_929,
     }
+    assert len(_calls(run.log)["check_transition"]) == 1_676
+    views = run.checker.views
+    checked = {
+        (step.label, value, outputs, arg, views[memo(pre)["id"]], views[memo(post)["id"]])
+        for step, pre, post, value, outputs, arg in calls["edge_check"]
+    }
+    assert len(checked) == len(calls["edge_check"])
     # each effect runs once per distinct argument list, parts by identity
     distinct = {
         "phys_effect": {(step.label, arg, id(part)) for step, arg, part in calls["phys_effect"]},
@@ -1032,7 +1115,7 @@ def test_explore_steps_only_where_a_table_misses(default_runs):
         for (before, _), (name, args) in zip([("", ())] + log, log)
         if name == "edge_check" and before not in ("aux_effect", "frame_effect")
     ]
-    assert len(verdict_only) == 1_310
+    assert len(verdict_only) == 569
     assert set(verdict_only) == {"finalize", "read-fwd", "relink"}
 
 
@@ -1086,12 +1169,13 @@ def e_graph():
 
 
 def test_memoised_checks_match_unmemoised_reference(default_runs, e_graph, monkeypatch):
-    """explore checks each distinct (phys, aux) pair and aux transition
-    once and replays the verdict elsewhere; with a forced violation on
-    every state whose scanner is on and every edge that changes the aux
-    state, its violation list (the forced run of e in ``default_runs``) is
-    the one the reference walk that checks everything gives, step stamps
-    included."""
+    """explore checks each distinct history, auxiliary part, cells and
+    view, and edge between two views once and replays the verdict
+    elsewhere; with a violation forced at every level, naming what that
+    level reads, on every state whose scanner is on and every edge that
+    changes the history, its violation list (the forced run of e in
+    ``default_runs``) is the one the reference walk that checks everything
+    gives, step stamps included."""
     got = default_runs["e"].violations
     _force_violations(monkeypatch)
     names = {name for name, _, _ in got}

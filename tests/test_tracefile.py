@@ -9,6 +9,7 @@ import pytest
 from conftest import repeated_sigma_trace, two_scan_programs
 from reference import random_schedule
 from snapcheck import tracefile
+from snapcheck.aux_model import evolve
 from snapcheck.cli import main
 from snapcheck.errors import TraceParseError
 from snapcheck.harness import (
@@ -27,7 +28,7 @@ from test_harness import REPLAY_RECORDS
 
 def _check_exit(tmp_path, text):
     bent = tmp_path / "bent.trace"
-    bent.write_text(text)
+    bent.write_text(text, encoding="utf-8", newline="")
     return main(["check", "--trace", str(bent)])
 
 
@@ -217,6 +218,28 @@ def test_parse_refuses_data_after_a_record(tail):
         bent = [*lines[:i], line + tail, *lines[i + 1 :]]
         with pytest.raises(TraceParseError, match=f"line {i + 1}: data after the record"):
             parse_trace("\n".join(bent))
+
+
+def test_only_a_newline_ends_a_line(tmp_path, capsys):
+    """A record's line ends at ``"\n"`` alone: a header written with
+    ``ensure_ascii=False`` whose program name holds a raw U+2028, which
+    JSON allows inside a string, parses and ``check`` accepts it.  CRLF
+    line ends still parse; bare ``"\r"`` ones leave one line of several
+    records, which is refused (exit 4)."""
+    trace = run_schedule(evolve(client_fig1(), name="a\u2028b"), FIG1_SCHEDULE)
+    header, *lines = render_trace(trace).splitlines(keepends=True)
+    assert "\u2028" not in header  # the renderer escapes it
+    raw = json.dumps(json.loads(header), ensure_ascii=False) + "\n"
+    assert "\u2028" in raw
+    text = raw + "".join(lines)
+    assert parse_trace(text) == trace
+    assert _check_exit(tmp_path, text) == 0
+    assert parse_trace(text.replace("\n", "\r\n")) == trace
+    assert _check_exit(tmp_path, text.replace("\n", "\r\n")) == 0
+    with pytest.raises(TraceParseError, match="line 1: data after the record"):
+        parse_trace(text.replace("\n", "\r"))
+    assert _check_exit(tmp_path, text.replace("\n", "\r")) == 4
+    assert "error: line 1: data after the record" in capsys.readouterr().err
 
 
 def test_one_record_per_line():
