@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import aux_model
 from .aux_model import (
     AuxState,
     Color,
@@ -22,14 +23,6 @@ from .aux_model import (
     WRITER_OFF,
     WriterPhase,
     WriterState,
-    evolve,
-    hist_p,
-    last_gy,
-    last_green,
-    self_mask,
-    yellow_of,
-    _positions,
-    _require_known,
 )
 from .errors import GuardViolationError, SnapshotModelError
 
@@ -51,7 +44,7 @@ def _writer_field(p: str) -> str:
 
 
 def _with_writer(aux: AuxState, p: str, w: WriterState) -> AuxState:
-    return evolve(aux, **{_writer_field(p): w})
+    return aux_model.evolve(aux, **{_writer_field(p): w})
 
 
 def _set(values: tuple, ts, value) -> tuple:
@@ -73,7 +66,7 @@ def register(p: str, v: Value, aux: AuxState) -> tuple[AuxState, Timestamp]:
         raise GuardViolationError(f"register: writer for {p} is {w.phase}")
     t = aux.max_ts() + 1
     color = Color.YELLOW if aux.scanner.on and aux.scanner.bit(p) else Color.RED
-    aux2 = evolve(
+    aux2 = aux_model.evolve(
         aux,
         ptr=aux.ptr + (p,),
         val=aux.val + (v,),
@@ -102,7 +95,7 @@ def forward(p: str, aux: AuxState) -> AuxState:
         raise GuardViolationError(f"forward: writer for {p} is {w.phase}")
     aux2 = _with_writer(aux, p, WriterState(WriterPhase.DONE, w.t, w.v))
     if aux.scanner.on and aux.scanner.bit(p):
-        aux2 = evolve(aux2, kappa=_set(aux.kappa, (w.t,), Color.GREEN))
+        aux2 = aux_model.evolve(aux2, kappa=_set(aux.kappa, (w.t,), Color.GREEN))
     return aux2
 
 
@@ -122,11 +115,11 @@ def finalize(tid: Tid, p: str, aux: AuxState) -> AuxState:
         raise GuardViolationError(f"finalize: event {t} not joint-owned {p}={w.v}")
     bit = 1 << t
     others = [(owner, mask) for owner, mask in aux.self_masks if owner != tid]
-    aux2 = evolve(
+    aux2 = aux_model.evolve(
         aux,
         tau=_set(aux.tau, (t,), aux.max_ts()),
         joint_mask=aux.joint_mask & ~bit,
-        self_masks=tuple(sorted(others + [(tid, self_mask(aux, tid) | bit)])),
+        self_masks=tuple(sorted(others + [(tid, aux_model.self_mask(aux, tid) | bit)])),
     )
     return _with_writer(aux2, p, WRITER_OFF)
 
@@ -143,7 +136,7 @@ def set_scanner(b: bool, aux: AuxState) -> AuxState:
         if not sc.on or not (sc.sx and sc.sy):
             raise GuardViolationError("set(false): scanner off or bits unset")
         sc2 = ScannerState(on=False, t_off=aux.max_ts(), sx=True, sy=True)
-    return evolve(aux, scanner=sc2)
+    return aux_model.evolve(aux, scanner=sc2)
 
 
 def clear(p: str, aux: AuxState) -> AuxState:
@@ -152,20 +145,20 @@ def clear(p: str, aux: AuxState) -> AuxState:
     sc = aux.scanner
     if not sc.on or sc.bit(p):
         raise GuardViolationError(f"clear({p}): scanner off or bit already set")
-    kappa = _set(aux.kappa, hist_p(p, aux), Color.GREEN)
+    kappa = _set(aux.kappa, aux_model.hist_p(p, aux), Color.GREEN)
     field = "sx" if p == Ptr.X else "sy"
-    return evolve(aux, kappa=kappa, scanner=evolve(sc, **{field: True}))
+    return aux_model.evolve(aux, kappa=kappa, scanner=aux_model.evolve(sc, **{field: True}))
 
 
 def _require_relink_pre(t_x: Timestamp, t_y: Timestamp, aux: AuxState) -> None:
     sc = aux.scanner
     if sc.on or not (sc.sx and sc.sy):
         raise GuardViolationError("relink/inspect: scanner must be off with both bits set")
-    _require_known(aux, t_x, t_y)
+    aux_model._require_known(aux, t_x, t_y)
     if aux.ptr[t_x - 1] != Ptr.X or aux.ptr[t_y - 1] != Ptr.Y:
         raise GuardViolationError("relink/inspect: arguments write the wrong pointers")
     for p, t in ((Ptr.X, t_x), (Ptr.Y, t_y)):
-        if not last_gy(p, t, aux):
+        if not aux_model.last_gy(p, t, aux):
             raise GuardViolationError(f"relink/inspect: {t} is not last-green-or-yellow of {p}")
 
 
@@ -177,14 +170,14 @@ def inspect(t_x: Timestamp, t_y: Timestamp, aux: AuxState) -> InspectDecision:
     must be pushed past the later event); No otherwise.
     """
     _require_relink_pre(t_x, t_y, aux)
-    pos = _positions(aux.sigma)
+    pos = aux_model._positions(aux.sigma)
 
     def offending(p: str, tp: Timestamp, tq: Timestamp) -> Timestamp | None:
         if not pos[tp] < pos[tq]:
             return None
-        if tp != last_green(p, aux):
+        if tp != aux_model.last_green(p, aux):
             return None
-        z = yellow_of(p, aux)
+        z = aux_model.yellow_of(p, aux)
         if z is None or not pos[z] < pos[tq]:
             return None
         return z
@@ -226,7 +219,8 @@ def relink(r_x: Value, r_y: Value, aux: AuxState) -> tuple[AuxState, Timestamp, 
         raise GuardViolationError("relink: scanner must be off with both bits set")
 
     def chosen(p: str, value: Value) -> Timestamp:
-        cands = [t for t in hist_p(p, aux) if aux.val[t - 1] == value and last_gy(p, t, aux)]
+        seq = aux_model.hist_p(p, aux)
+        cands = [t for t in seq if aux.val[t - 1] == value and aux_model.last_gy(p, t, aux)]
         if not cands:
             raise GuardViolationError(f"relink: no last-green-or-yellow {p}-event with value {value}")
         return cands[-1]
@@ -240,7 +234,7 @@ def relink(r_x: Value, r_y: Value, aux: AuxState) -> tuple[AuxState, Timestamp, 
         sigma = push(d.target, t_x, aux.sigma)
     else:
         sigma = aux.sigma
-    aux2 = evolve(
+    aux2 = aux_model.evolve(
         aux,
         sigma=sigma,
         kappa=_set(aux.kappa, (t_x, t_y), Color.GREEN),

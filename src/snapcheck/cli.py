@@ -11,7 +11,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from . import oracle, tracefile
+from . import harness, oracle, tracefile
 from .errors import (
     BudgetExceededError,
     OracleSizeError,
@@ -19,17 +19,7 @@ from .errors import (
     SnapshotModelError,
     TraceParseError,
 )
-from .harness import (
-    DEFAULT_MAX_STATES,
-    FIG1_SCHEDULE,
-    Program,
-    client_e,
-    client_e_prime,
-    client_fig1,
-    explore,
-    parse_program,
-    run_schedule,
-)
+from .harness import DEFAULT_MAX_STATES, FIG1_SCHEDULE, Program
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -38,14 +28,23 @@ EXIT_SCHEDULE = 3
 EXIT_PARSE = 4
 EXIT_USAGE = 5
 
-CLIENTS = {"e": client_e, "e-prime": client_e_prime, "fig1": client_fig1}
+CLIENTS = {"e": harness.client_e, "e-prime": harness.client_e_prime, "fig1": harness.client_fig1}
+
+
+def _read(path: str) -> str:
+    """The file at ``path`` as UTF-8, its line ends as written; a byte that
+    is not UTF-8 is a parse error naming the file and the byte's offset."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{path}: byte {exc.start} is not UTF-8") from exc
 
 
 def _program_from_args(args) -> Program:
     if args.client is not None:
         return CLIENTS[args.client]()
-    text = Path(args.program).read_text()
-    return parse_program(text, name=Path(args.program).stem)
+    return harness.parse_program(_read(args.program), name=Path(args.program).stem)
 
 
 def parse_schedule(text: str) -> tuple[str, ...]:
@@ -58,15 +57,15 @@ def parse_schedule(text: str) -> tuple[str, ...]:
 
 def _cmd_explore(args) -> int:
     prog = _program_from_args(args)
-    report = explore(prog, max_states=args.max_states)
+    report = harness.explore(prog, max_states=args.max_states)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def _cmd_replay(args) -> int:
     prog = _program_from_args(args)
-    schedule = parse_schedule(Path(args.schedule).read_text())
-    trace = run_schedule(prog, schedule)
+    schedule = parse_schedule(_read(args.schedule))
+    trace = harness.run_schedule(prog, schedule)
     rendered = tracefile.render_trace(trace)
     summary = sys.stdout
     if args.out:
@@ -84,8 +83,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_demo_fig1(args) -> int:
-    prog = client_fig1()
-    trace = run_schedule(prog, FIG1_SCHEDULE)
+    prog = harness.client_fig1()
+    trace = harness.run_schedule(prog, FIG1_SCHEDULE)
     scan = next(m for m in trace.methods if m.call.kind == "scan")
     print(f"({scan.result[0]},{scan.result[1]})")
     print("sigma: " + " ".join(str(v) for v in trace.final_sigma_values))
@@ -113,12 +112,11 @@ def _cmd_demo_fig1(args) -> int:
 def _cmd_check(args) -> int:
     # a non-empty file that is not its replay is malformed (exit 4), whatever
     # the oracles would say: only a run that the program makes reaches them
-    with open(args.trace, encoding="utf-8", newline="") as file:  # the lines as written
-        text = file.read()
+    text = _read(args.trace)
     trace = tracefile.parse_trace(text)
     if text.strip():  # the empty file has nothing to replay
         try:
-            want = run_schedule(trace.program, trace.schedule)
+            want = harness.run_schedule(trace.program, trace.schedule)
         except ScheduleError as exc:
             raise TraceParseError(f"the header's schedule does not replay: {exc}") from exc
         want = replace(want, steps=want.steps if trace.steps else ())  # explore's have none

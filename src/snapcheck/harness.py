@@ -42,18 +42,9 @@ from dataclasses import dataclass
 from itertools import count
 from typing import NamedTuple
 
-from . import invariants, oracle, snapshot
-from .aux_model import (
-    AuxState,
-    Ptr,
-    Tid,
-    Timestamp,
-    Value,
-    aux_key,
-    evolve,
-    memo,
-    validate_value,
-)
+from . import aux_model, invariants, oracle, snapshot
+# the classes, and aux_key, which perfbench times as a harness attribute
+from .aux_model import AuxState, Ptr, Tid, Timestamp, Value, aux_key
 from .errors import (
     BudgetExceededError,
     GuardViolationError,
@@ -100,8 +91,8 @@ class Program:
         tids = [tid for tid, _ in threads]
         if len(set(tids)) != len(tids):
             raise ValueError(f"program {self.name} declares a thread twice: {tids}")
-        validate_value(self.init_x)
-        validate_value(self.init_y)
+        aux_model.validate_value(self.init_x)
+        aux_model.validate_value(self.init_y)
 
 
 @dataclass(frozen=True)
@@ -340,7 +331,7 @@ class _Checker:
     def _canon(self, part, parts: list, key):
         # Every part interned here descends from this checker's initial
         # state, and evolve drops the memo, so an id in a memo is its own.
-        m = memo(part)
+        m = aux_model.memo(part)
         if "id" in m:
             return part
         k = key(part)
@@ -723,7 +714,7 @@ def run_schedule(prog: Program, schedule) -> Trace:
     """
     checker = _Checker(prog)
     trace = _drive(_follow(tuple(schedule)), checker, [])
-    return evolve(trace, violations=tuple(v.render() for v in checker.violations))
+    return aux_model.evolve(trace, violations=tuple(v.render() for v in checker.violations))
 
 
 def run_random(prog: Program, seed: int, runs: int) -> ExplorationReport:
@@ -760,7 +751,7 @@ def client_fig1() -> Program:
 
 
 def client_e() -> Program:
-    return evolve(client_fig1(), name="e")
+    return aux_model.evolve(client_fig1(), name="e")
 
 
 def client_e_prime() -> Program:

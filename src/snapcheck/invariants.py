@@ -13,25 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .aux_model import (
-    AuxState,
-    Color,
-    Ptr,
-    Timestamp,
-    Tid,
-    Value,
-    WriterPhase,
-    bits,
-    hist_p,
-    history_key,
-    last_green,
-    other_mask,
-    scanned_mask,
-    self_mask,
-    yellow_of,
-    _ideal_masks,
-    _positions,
-)
+from . import aux_model
+from .aux_model import AuxState, Color, Ptr, Timestamp, Tid, Value, WriterPhase
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .snapshot import PhysState
@@ -42,7 +25,7 @@ def capture_spec_snapshot(aux: AuxState, tid: Tid, kind: str) -> int:
     invocation: for a write, the caller's environment history and the
     already-scanned set; for a scan, the global history domain."""
     if kind == "write":
-        return other_mask(aux, tid) | scanned_mask(aux)
+        return aux_model.other_mask(aux, tid) | aux_model.scanned_mask(aux)
     return (1 << (aux.max_ts() + 1)) - 2
 
 
@@ -70,7 +53,7 @@ def _check_wellformed(aux: AuxState, rep: list[Violation]) -> None:
     # disjoint masks covering dom exactly: their sum and their union are dom
     full = (1 << (n + 1)) - 2
     total = aux.init_mask + aux.joint_mask + sum(mask for _, mask in aux.self_masks)
-    if total != full or other_mask(aux, None) | aux.joint_mask != full:
+    if total != full or aux_model.other_mask(aux, None) | aux.joint_mask != full:
         rep.append(Violation("wellformed", "ownership masks do not partition dom hist"))
 
 
@@ -85,7 +68,7 @@ def _check_writers(aux: AuxState, rep: list[Violation]) -> None:
 
 def _check_overlap(aux: AuxState, rep: list[Violation]) -> None:
     # non-overlapping events are never logically reordered
-    pos = _positions(aux.sigma)
+    pos = aux_model._positions(aux.sigma)
     for t1, end in enumerate(aux.tau, 1):
         if end is None:
             continue
@@ -100,7 +83,7 @@ def _check_overlap(aux: AuxState, rep: list[Violation]) -> None:
 def _check_colors(aux: AuxState, rep: list[Violation]) -> None:
     # per pointer: non-empty green prefix, at most one yellow, then reds
     for p in (Ptr.X, Ptr.Y):
-        seq = hist_p(p, aux)
+        seq = aux_model.hist_p(p, aux)
         colors = [aux.kappa[t - 1] for t in seq]
         i = 0
         while i < len(colors) and colors[i] == Color.GREEN:
@@ -119,7 +102,7 @@ def _check_colors(aux: AuxState, rep: list[Violation]) -> None:
 
 def _check_last_write(phys: "PhysState", aux: AuxState, rep: list[Violation]) -> None:
     for p, actual in ((Ptr.X, phys.x), (Ptr.Y, phys.y)):
-        seq = hist_p(p, aux)
+        seq = aux_model.hist_p(p, aux)
         if not seq:
             rep.append(Violation("last-write", f"{p} has no writes at all"))
             continue
@@ -148,18 +131,18 @@ def _check_joint_history(aux: AuxState, rep: list[Violation]) -> None:
                     f"active writer for {p} ({w.phase} t={w.t} v={w.v}) "
                     "has no matching joint event",
                 ))
-    for t in bits(aux.joint_mask):
+    for t in aux_model.bits(aux.joint_mask):
         if t not in active:
             rep.append(Violation("joint-history", f"joint event {t} has no active writer"))
 
 
 def _check_terminated(aux: AuxState, rep: list[Violation]) -> None:
     ended = [t for t, end in enumerate(aux.tau, 1) if end is not None]
-    finished = other_mask(aux, None)
+    finished = aux_model.other_mask(aux, None)
     if sum(1 << t for t in ended) != finished:
         rep.append(Violation(
             "terminated-events",
-            f"dom tau {ended} != self+other events {list(bits(finished))}",
+            f"dom tau {ended} != self+other events {list(aux_model.bits(finished))}",
         ))
     top = aux.max_ts()
     for a, end in enumerate(aux.tau, 1):
@@ -179,7 +162,7 @@ def _check_forwarded(phys: "PhysState", aux: AuxState, rep: list[Violation]) -> 
             continue
         if not any(
             t is not None and aux.val[t - 1] == fwd
-            for t in (last_green(p, aux), yellow_of(p, aux))
+            for t in (aux_model.last_green(p, aux), aux_model.yellow_of(p, aux))
         ):
             rep.append(Violation(
                 "forwarded-values",
@@ -231,7 +214,7 @@ def view_key(aux: AuxState) -> tuple:
     ``sx`` and ``sy``.  Parts that differ only in writer phases or
     ``t_off`` have one view, and one verdict of each of those checks."""
     sc = aux.scanner
-    return history_key(aux), sc.on, sc.sx, sc.sy
+    return aux_model.history_key(aux), sc.on, sc.sx, sc.sy
 
 
 def cells_key(phys: "PhysState") -> tuple:
@@ -307,7 +290,7 @@ def check_transition(pre: AuxState, post: AuxState) -> list[Violation]:
     transition that leaves the history as it was (:func:`history_key`),
     changing only writer or scanner phases, passes by reflexivity."""
     rep = []
-    if history_key(pre) == history_key(post):
+    if aux_model.history_key(pre) == aux_model.history_key(post):
         return rep
     n, m = pre.max_ts(), post.max_ts()
     for t in range(1, n + 1):
@@ -315,29 +298,29 @@ def check_transition(pre: AuxState, post: AuxState) -> list[Violation]:
             rep.append(Violation("hist-mono", f"event {t} lost or rewritten"))
             return rep
     for tid, mask in pre.self_masks:
-        if mask & ~self_mask(post, tid):
+        if mask & ~aux_model.self_mask(post, tid):
             rep.append(Violation("hist-mono", f"self history of {tid} shrank"))
     tids = {tid for tid, _ in pre.self_masks} | {tid for tid, _ in post.self_masks}
     for tid in tids:
-        if other_mask(pre, tid) & ~other_mask(post, tid):
+        if aux_model.other_mask(pre, tid) & ~aux_model.other_mask(post, tid):
             rep.append(Violation("hist-mono", f"other history of {tid} shrank"))
     # the environment of a thread with no finished events: every finished event
-    if other_mask(pre, None) & ~other_mask(post, None):
+    if aux_model.other_mask(pre, None) & ~aux_model.other_mask(post, None):
         rep.append(Violation(
             "hist-mono",
             "other history of a thread without finished events shrank",
         ))
-    pre_masks = _ideal_masks(pre)
-    post_masks = _ideal_masks(post)
+    pre_masks = aux_model._ideal_masks(pre)
+    post_masks = aux_model._ideal_masks(post)
     for t, mask in pre_masks.items():
         if mask & ~post_masks[t]:
             rep.append(Violation("omega-mono", f"stable-order pairs below {t} lost"))
-    pre_sc = scanned_mask(pre)
-    if pre_sc & ~scanned_mask(post):
+    pre_sc = aux_model.scanned_mask(pre)
+    if pre_sc & ~aux_model.scanned_mask(post):
         rep.append(Violation("scanned-mono", "scanned shrank"))
     else:
         pre_evals, post_evals = _evals(pre), _evals(post)
-        for s in bits(pre_sc):
+        for s in aux_model.bits(pre_sc):
             if pre_masks[s] != post_masks[s]:
                 rep.append(Violation(
                     "scanned-ideal",
@@ -398,10 +381,10 @@ def check_write_post(
     if not 1 <= t <= ret.max_ts() or ret.ptr[t - 1] != p or ret.val[t - 1] != v:
         rep.append(Violation("write-post", f"no event {t} -> ({p},{v}) in the return state"))
         return rep
-    if not (self_mask(ret, tid) >> t) & 1:
+    if not (aux_model.self_mask(ret, tid) >> t) & 1:
         rep.append(Violation("write-post", f"event {t} not owned by {tid} at return"))
-    strictly_below = _ideal_masks(ret)[t] & ~(1 << t)
-    for s in bits(mask & ~strictly_below):
+    strictly_below = aux_model._ideal_masks(ret)[t] & ~(1 << t)
+    for s in aux_model.bits(mask & ~strictly_below):
         rep.append(Violation(
             "write-post",
             f"pre-invocation event {s} is not strictly below the write {t}",
@@ -419,8 +402,8 @@ def check_scan_post(
     dominates the whole invocation-time history (the invocation mask), and
     is scanned.  The constructive witness must itself qualify."""
     rep = []
-    ret_scanned = scanned_mask(ret)
-    masks = _ideal_masks(ret)
+    ret_scanned = aux_model.scanned_mask(ret)
+    masks = aux_model._ideal_masks(ret)
     evals = _evals(ret)
     good = [
         t
@@ -442,7 +425,7 @@ def check_chain_lemma(aux: AuxState) -> list[Violation]:
     """Every all-green sigma-prefix is exactly the stable-order ideal of its
     last element."""
     rep = []
-    masks = _ideal_masks(aux)
+    masks = aux_model._ideal_masks(aux)
     prefix_mask = 0
     for t in aux.sigma:
         if aux.kappa[t - 1] != Color.GREEN:
@@ -464,7 +447,8 @@ def check_read_lemma(p: str, value: Value, aux: AuxState) -> list[Violation]:
     sc = aux.scanner
     if not (sc.on and sc.bit(p)):
         return rep
-    allowed = {aux.val[t - 1] for t in (last_green(p, aux), yellow_of(p, aux)) if t is not None}
+    ends = (aux_model.last_green(p, aux), aux_model.yellow_of(p, aux))
+    allowed = {aux.val[t - 1] for t in ends if t is not None}
     if value not in allowed:
         rep.append(Violation(
             "read-value",
@@ -480,9 +464,9 @@ def check_relink_post(
     its pointer, and everything up to the later of the two is green."""
     rep = []
     for p, t in ((Ptr.X, t_x), (Ptr.Y, t_y)):
-        if last_green(p, aux) != t:
+        if aux_model.last_green(p, aux) != t:
             rep.append(Violation("relink-post", f"{t} is not the last green of {p} after relink"))
-    pos = _positions(aux.sigma)
+    pos = aux_model._positions(aux.sigma)
     top = t_x if pos[t_x] >= pos[t_y] else t_y
     for s in aux.sigma[: pos[top] + 1]:
         if aux.kappa[s - 1] != Color.GREEN:
@@ -499,7 +483,7 @@ def check_omega_properties(aux: AuxState) -> list[Violation]:
     closed under it."""
     rep = []
     dom = aux.sigma
-    masks = _ideal_masks(aux)
+    masks = aux_model._ideal_masks(aux)
     for t in dom:
         if not (masks[t] >> t) & 1:
             rep.append(Violation("omega-reflexive", f"{t} not related to itself"))
@@ -518,8 +502,8 @@ def check_omega_properties(aux: AuxState) -> list[Violation]:
                 "omega-transitive",
                 f"elements below {t}'s predecessors are not all below {t}",
             ))
-    sc_mask = scanned_mask(aux)
-    sc = list(bits(sc_mask))
+    sc_mask = aux_model.scanned_mask(aux)
+    sc = list(aux_model.bits(sc_mask))
     for a in sc:
         for b in sc:
             if not ((masks[b] >> a) & 1 or (masks[a] >> b) & 1):

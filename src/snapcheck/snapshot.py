@@ -26,7 +26,7 @@ import pickle
 from _blake2 import blake2b  # is hashlib.blake2b; hashlib would map libcrypto too
 from dataclasses import dataclass
 
-from . import aux_ops, invariants
+from . import aux_model, aux_ops, invariants
 from .aux_model import (
     AuxState,
     Color,
@@ -36,9 +36,6 @@ from .aux_model import (
     Timestamp,
     Value,
     WRITER_OFF,
-    aux_key,
-    evolve,
-    validate_value,
 )
 from .errors import DisabledStepError, GuardViolationError
 
@@ -66,7 +63,7 @@ class PhysState:
         return getattr(self, "lock_" + lock)
 
     def with_holder(self, lock: str, tid: Tid | None) -> "PhysState":
-        return evolve(self, **{"lock_" + lock: tid})
+        return aux_model.evolve(self, **{"lock_" + lock: tid})
 
 
 def phys_key(phys: PhysState) -> tuple:
@@ -95,7 +92,7 @@ class MethodCall:
         if self.kind == "write":
             if self.p not in (Ptr.X, Ptr.Y):
                 raise ValueError(f"a write's pointer is x or y, not {self.p!r}")
-            validate_value(self.v)
+            aux_model.validate_value(self.v)
         elif self.kind != "scan":
             raise ValueError(f"a call is a write or a scan, not {self.kind!r}")
         elif (self.p, self.v) != (None, None):
@@ -228,7 +225,7 @@ def make_frame(tid: Tid, call_idx: int, calls: tuple[MethodCall, ...]) -> Method
 def clear_dead(frame: MethodFrame, *names: str) -> MethodFrame:
     """``frame`` with the locals ``names`` set to None, at the step after
     which no step or check reads them, so that they split no states."""
-    return evolve(frame, **dict.fromkeys(names))
+    return aux_model.evolve(frame, **dict.fromkeys(names))
 
 
 def step_enabled(frame: MethodFrame | None, phys: PhysState) -> bool:
@@ -286,11 +283,11 @@ def phys_effect(step: Step, arg, phys: PhysState) -> PhysState:
             raise GuardViolationError(f"{arg}: releasing lock {step.lock} it does not hold")
         return phys.with_holder(step.lock, None)
     if kind == "register":
-        return evolve(phys, **{step.ptr: arg})
+        return aux_model.evolve(phys, **{step.ptr: arg})
     if kind in ("forward", "clear"):  # a clear's argument is None
-        return evolve(phys, **{"fx" if step.ptr == Ptr.X else "fy": arg})
+        return aux_model.evolve(phys, **{"fx" if step.ptr == Ptr.X else "fy": arg})
     if kind in ("set-on", "set-off"):
-        return evolve(phys, s_bit=kind == "set-on")
+        return aux_model.evolve(phys, s_bit=kind == "set-on")
     return phys
 
 
@@ -375,29 +372,30 @@ def frame_effect(frame: MethodFrame, value, outputs: tuple) -> MethodFrame | Non
     kind = step.kind
     nxt = frame.pc + 1
     if kind == "acquire":
-        return evolve(frame, pc=nxt, mask=outputs[0])
+        return aux_model.evolve(frame, pc=nxt, mask=outputs[0])
     if kind == "register":
-        return evolve(frame, pc=nxt, t=outputs[0])
+        return aux_model.evolve(frame, pc=nxt, t=outputs[0])
     if kind == "check":
         # skip the forward step entirely when no scan was in progress
-        return evolve(frame, pc=nxt if value else nxt + 1)
+        return aux_model.evolve(frame, pc=nxt if value else nxt + 1)
     if kind == "finalize":
-        return clear_dead(evolve(frame, pc=nxt), "mask")
+        return clear_dead(aux_model.evolve(frame, pc=nxt), "mask")
     if kind == "read":
-        return evolve(frame, pc=nxt, **{"vx" if step.ptr == Ptr.X else "vy": value})
+        return aux_model.evolve(frame, pc=nxt, **{"vx" if step.ptr == Ptr.X else "vy": value})
     if kind == "read-fwd" and value is not None:
         # a forwarded value supersedes the pointer read
         x = step.ptr == Ptr.X
-        frame2 = evolve(frame, pc=nxt, **{"ox" if x else "oy": value})
+        frame2 = aux_model.evolve(frame, pc=nxt, **{"ox" if x else "oy": value})
         return clear_dead(frame2, "vx" if x else "vy")
     if kind == "relink":
         t_x, t_y = outputs
-        frame2 = evolve(frame, pc=nxt, witness_x=t_x, witness_y=t_y, result=scan_result(frame))
+        result = scan_result(frame)
+        frame2 = aux_model.evolve(frame, pc=nxt, witness_x=t_x, witness_y=t_y, result=result)
         return clear_dead(frame2, "vx", "vy", "ox", "oy", "mask")
     if kind == "release":
         later = frame.later
         return make_frame(frame.tid, frame.call_idx + 1, later) if later else None
-    return evolve(frame, pc=nxt)
+    return aux_model.evolve(frame, pc=nxt)
 
 
 def returns(after: MethodFrame | None) -> bool:
@@ -444,8 +442,8 @@ def init(v_x: Value, v_y: Value) -> tuple[PhysState, AuxState]:
     events 1 and 2, forwarding cells empty, all locks free.  The package
     exports it, so it checks its values itself: a caller need not come
     through a :class:`~snapcheck.harness.Program`, which checks its own."""
-    validate_value(v_x)
-    validate_value(v_y)
+    aux_model.validate_value(v_x)
+    aux_model.validate_value(v_y)
     phys = PhysState(x=v_x, y=v_y, fx=None, fy=None, s_bit=False)
     aux = AuxState(
         ptr=(Ptr.X, Ptr.Y),
@@ -483,4 +481,4 @@ def phys_digest(phys: PhysState) -> str:
 
 def aux_digest(aux: AuxState) -> str:
     """Digest of the auxiliary state, for trace files."""
-    return digest(aux_key(aux))
+    return digest(aux_model.aux_key(aux))

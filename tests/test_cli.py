@@ -328,6 +328,27 @@ def test_check_missing_file(tmp_path, capsys):
     assert main(["check", "--trace", str(tmp_path / "nope.trace")]) == 4
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("check", "--trace", b"\xff\xfe{}\n"),
+        ("explore", "--program", b"a: write x 2\nb: scan \xff\n"),
+        ("replay", "--schedule", b"a\n\xffb\n"),
+    ],
+    ids=["check", "explore", "replay"],
+)
+def test_a_file_that_is_not_utf8_is_a_parse_error(command, flag, text, tmp_path, capsys):
+    """Every file a command reads is UTF-8 whatever the locale: a byte
+    that does not decode is exit 4 with a one-line message naming the
+    file and the byte's offset, where the decode error escaped."""
+    path = tmp_path / "bad.bin"
+    path.write_bytes(text)
+    client = ["--client", "e"] if command == "replay" else []
+    assert main([command, *client, flag, str(path)]) == 4
+    offset = text.index(b"\xff")
+    assert capsys.readouterr().err == f"error: {path}: byte {offset} is not UTF-8\n"
+
+
 def test_explore_value_out_of_domain(tmp_path, capsys):
     prog = tmp_path / "big.prog"
     prog.write_text("a: write x 99\n")

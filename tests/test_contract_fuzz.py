@@ -1,6 +1,7 @@
 """A seeded fuzz of the input contract.  Structural mutants of the demo
 trace go through ``check``, and mutated program and schedule files through
-``explore`` and ``replay``.  Every run must end in one of its command's exit
+``explore`` and ``replay``; so do byte mutants of each, which hold a byte
+that is not UTF-8.  Every run must end in one of its command's exit
 codes with no exception escaping ``main``.  A trace that ``check`` accepts
 must parse back to itself through ``render_trace``, and one that it finds
 in violation must be its own replay, since ``check`` replays a file before
@@ -18,6 +19,7 @@ from snapcheck.tracefile import parse_trace, render_trace
 SEED = 32
 TRACE_MUTANTS = 1000
 PROGRAM_MUTANTS = 200
+BYTE_MUTANTS = 100  # of each file: trace, program and schedule
 
 # Each command's exit codes, as the README's contract gives them.
 CHECK_EXITS = {0, 1, 2, 4}
@@ -27,6 +29,11 @@ REPLAY_EXITS = {0, 1, 2, 3, 4}
 # JSON values that a trace mutant puts in place of a field.
 VALUES = (0, 1, 3, 8, -1, 2**70, True, False, None, "", "l", "scan", "write x 2", "zz")
 VALUES += ([], [1], [1, 2], ["l", "c"], [[1, "red"]], {}, {"kind": "step"})
+
+# Bytes that no UTF-8 text holds in an ASCII context: a lone continuation
+# byte, a lead byte without its continuation, bytes no sequence starts with,
+# and an encoded surrogate.
+BAD_BYTES = (b"\x80", b"\xbf", b"\xc3", b"\xc0", b"\xf5", b"\xfe", b"\xff", b"\xed\xa0\x80")
 
 # Tokens that a program or schedule mutant puts in place of another.
 TOKENS = ("write", "scan", "x", "y", "z", "init", "0", "7", "8", "-1", "2.5")
@@ -171,3 +178,48 @@ def test_fuzzed_programs_and_schedules_keep_the_contract(tmp_path, capsys):
         replayed.append(code)
     assert {0, 2, 4} <= set(explored), sorted(set(explored))
     assert {0, 3, 4} <= set(replayed), sorted(set(replayed))
+
+
+def _byte_mutant(data: bytes, rng) -> bytes:
+    """``data`` with one of ``BAD_BYTES`` put in place of, or before, the
+    byte at a seeded position."""
+    i = rng.randrange(len(data))
+    return data[:i] + rng.choice(BAD_BYTES) + data[i + rng.randrange(2) :]
+
+
+def test_byte_mutants_keep_the_contract(tmp_path, capsys):
+    """Each file holding a byte that is not UTF-8 is a parse error, never
+    an escaped decode error: demo-trace mutants through ``check``, program
+    mutants through ``explore`` and ``replay``, and schedule mutants
+    through ``replay`` of their program."""
+    demo = tmp_path / "demo.trace"
+    assert _exit(["demo-fig1", "--out", str(demo)], capsys, "demo") == 0
+    base = client_e_prime()
+    rng = random.Random(SEED)
+    files = {
+        "trace": demo.read_bytes(),
+        "prog": ("\n".join(_program_lines(base)) + "\n").encode(),
+        "sched": ("\n".join(random_schedule(base, rng)) + "\n").encode(),
+    }
+    for name, data in files.items():
+        (tmp_path / f"base.{name}").write_bytes(data)
+    prog, sched = str(tmp_path / "base.prog"), str(tmp_path / "base.sched")
+    runs = {
+        "trace": [(["check", "--trace"], CHECK_EXITS)],
+        "prog": [
+            (["explore", "--max-states", "5000", "--program"], EXPLORE_EXITS),
+            (["replay", "--schedule", sched, "--program"], REPLAY_EXITS),
+        ],
+        "sched": [(["replay", "--program", prog, "--schedule"], REPLAY_EXITS)],
+    }
+    codes = []
+    for name, data in files.items():
+        path = tmp_path / f"mutant.{name}"
+        for _ in range(BYTE_MUTANTS):
+            mutant = _byte_mutant(data, rng)
+            path.write_bytes(mutant)
+            for argv, exits in runs[name]:
+                code = _exit([*argv, str(path)], capsys, mutant)
+                assert code in exits, (code, mutant)
+                codes.append(code)
+    assert codes == [4] * 4 * BYTE_MUTANTS

@@ -12,7 +12,7 @@ import pytest
 import reference
 from conftest import one_field_changed, primitive, two_scan_programs
 from reference import entry_key, frame_of, full_key, random_schedule
-from snapcheck import harness, invariants, snapshot
+from snapcheck import aux_model, harness, invariants, snapshot
 from snapcheck.aux_model import Color, Ptr, WriterPhase, aux_key, evolve, history_key, memo
 from snapcheck.cli import main
 from snapcheck.errors import (
@@ -162,6 +162,32 @@ def test_a_scan_that_ignores_forwarded_values_is_refused(monkeypatch):
         run_random(client_e(), seed=1, runs=50)
     with pytest.raises(GuardViolationError, match=refused):
         run_schedule(client_fig1(), FIG1_SCHEDULE)
+
+
+def test_a_stable_order_without_real_time_is_refused(monkeypatch):
+    """A stable order that drops its real-time clause: s is below t only
+    when s = t or s is green and sigma orders it before t, never for having
+    ended before t began.  Patched once, on ``aux_model._ideal_masks``, it
+    is what every check and transition reads, and the first layer that
+    fires is write's postcondition, checked on the finalize edge: an event
+    that ended before the write began is no longer strictly below it."""
+
+    def green_prefix_order(aux):
+        cache = aux_model.memo(aux)
+        masks = cache.get("green-prefix masks")
+        if masks is None:
+            masks = cache["green-prefix masks"] = {}
+            green_before = 0
+            for t in aux.sigma:
+                masks[t] = (1 << t) | green_before
+                if aux.kappa[t - 1] == Color.GREEN:
+                    green_before |= 1 << t
+        return masks
+
+    monkeypatch.setattr(aux_model, "_ideal_masks", green_prefix_order)
+    names = {v.name for v in explore(client_e()).violations}
+    assert names == {"write-post"}
+    assert {v.name for v in run_random(client_e(), seed=1, runs=300).violations} == names
 
 
 WXY_SCAN = Program(
@@ -789,7 +815,7 @@ def test_the_edge_checks_shortcuts_skip_nothing(default_runs, monkeypatch):
     assert len(equal) > 1_000
     assert len(scans) == 479
     # a fresh object equals no other, so no history passes as unchanged
-    monkeypatch.setattr(invariants, "history_key", lambda aux: object())
+    monkeypatch.setattr(aux_model, "history_key", lambda aux: object())
     for pre, post in equal.values():
         assert invariants.check_transition(pre, post) == []
     bent = 0
@@ -1121,9 +1147,9 @@ def test_explore_steps_only_where_a_table_misses(default_runs):
 
 def _count_states(monkeypatch):
     """Every :class:`harness.State` built from now on, by its constructor
-    or by ``evolve`` in ``harness``."""
+    or by ``aux_model.evolve``."""
     built = []
-    init, evolve = harness.State.__init__, harness.evolve
+    init, evolve = harness.State.__init__, aux_model.evolve
 
     def constructed(self, *args, **kwargs):
         built.append(args)
@@ -1135,7 +1161,7 @@ def _count_states(monkeypatch):
         return evolve(obj, **changes)
 
     monkeypatch.setattr(harness.State, "__init__", constructed)
-    monkeypatch.setattr(harness, "evolve", evolved)
+    monkeypatch.setattr(aux_model, "evolve", evolved)
     return built
 
 

@@ -2,6 +2,7 @@
 production use, and every field and attribute of its classes a reader."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -121,22 +122,114 @@ def _attributes(tree):
                 yield node.name, sub.attr
 
 
+def _named(annotation):
+    """The names an annotation mentions, also inside a string."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parsed = ast.parse(node.value, mode="eval")
+            names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def _returns(trees):
+    """The classes each function or method name is annotated to return."""
+    returns = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                returns.setdefault(node.name, set()).update(_named(node.returns))
+    return returns
+
+
+def _classes(node, typed, returns):
+    """The classes an expression may be: a name's, as ``typed`` holds it;
+    or a call's, the class it constructs or the classes its function is
+    annotated to return."""
+    if isinstance(node, ast.Name):
+        return typed.get(node.id, set())
+    if isinstance(node, ast.Call):
+        name = _mentions(node.func, False)
+        return {*name, *returns.get(name[0], ())} if name else set()
+    return set()
+
+
+def _typed(scope, typed, returns):
+    """``typed`` with the names a function or module scope binds: each
+    annotated argument or assignment by its annotation, and each name
+    assigned a call by :func:`_classes`."""
+    typed = dict(typed)
+    args = getattr(scope, "args", None)
+    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs] if args else ():
+        if arg.annotation:
+            typed[arg.arg] = _named(arg.annotation)
+    nodes = list(scope.body)
+    for node in nodes:  # the scope's own, not a nested function's or class's
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            nodes += ast.iter_child_nodes(node)
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            typed[node.target.id] = _named(node.annotation)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    typed[target.id] = _classes(node.value, typed, returns)
+    return typed
+
+
+def _typed_reads(tree, returns):
+    """Each attribute a module loads, with the classes its object may be:
+    ``self`` in a method is the method's class, a name is what
+    :func:`_typed` says in its scope or an enclosing one, a call is what
+    :func:`_classes` says; anything else is no class."""
+    reads = []
+
+    def visit(node, cls, typed):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                visit(item, node.name, typed)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            typed = _typed(node, typed, returns)
+            if cls is not None:
+                typed["self"] = {cls}
+            cls = None
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, _classes(node.value, typed, returns)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, typed)
+
+    visit(tree, None, _typed(tree, {}, returns))
+    return reads
+
+
 def _unread(trees, exported):
     """The fields and attributes of the classes under ``src/snapcheck``
-    that nothing in ``trees`` reads, as ``module: Class.name``."""
-    read = set()
+    that nothing in ``trees`` reads, as ``module: Class.name``.  A name
+    that one class declares is read by any load of it; a name that more
+    than one declares is read for a class only by a load whose object
+    :func:`_typed_reads` finds to be of that class."""
+    declared, read = {}, {}
     for path, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-            elif path.parent.name == "perfbench" and isinstance(node, ast.Constant):
-                read.add(node.value)
+        if path.parent == PACKAGE:
+            for cls, name in _attributes(tree):
+                declared.setdefault(name, set()).add(cls)
+    returns = _returns(trees)
+    for path, tree in trees.items():
+        for name, classes in _typed_reads(tree, returns):
+            read.setdefault(name, set()).update(classes or {None})
+        if path.parent.name == "perfbench":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant):
+                    read.setdefault(node.value, set()).add(None)
     return {
         f"{path.name}: {cls}.{name}"
         for path, tree in trees.items()
         if path.parent == PACKAGE
         for cls, name in _attributes(tree)
-        if cls not in exported and name not in read
+        if cls not in exported
+        and not (name in read and (len(declared[name]) == 1 or cls in read[name]))
     }
 
 
@@ -144,16 +237,21 @@ def test_every_field_and_attribute_is_read():
     """Each field of a dataclass or a ``NamedTuple``, and each attribute
     assigned on ``self``, of a class under ``src/snapcheck`` is read:
     loaded as an attribute in ``src/`` or ``perfbench/``, or named by a
-    string in ``perfbench/``.  State that is computed but never read costs
-    its upkeep for nothing.  The fields of the classes the package exports
-    are the API's."""
+    string in ``perfbench/``.  Where classes share a field name, a load
+    counts for a class only through ``self`` in its methods, or through a
+    name annotated with it or bound to a call that builds or returns it,
+    so another class's reads keep no field alive.  State that is computed
+    but never read costs its upkeep for nothing.  The fields of the
+    classes the package exports are the API's."""
     unread = _unread(*_sources())
     assert not unread, "state that nothing reads: " + ", ".join(sorted(unread))
 
 
 def test_unread_fields_fail_the_rule():
     """The rule sees a field that nothing reads, of a ``NamedTuple`` as of
-    a dataclass, and no field that something reads."""
+    a dataclass, and no field that something reads.  Of classes that share
+    a field name, it sees the one whose field is read only through names
+    of unknown class, or through ``self`` in another class."""
     trees, exported = _sources()
     module = """
 from dataclasses import dataclass
@@ -167,14 +265,35 @@ class Record(NamedTuple):
 class Frozen:
     unread_class_field: int
 
-def use(r):
-    return r.read_field
+@dataclass
+class Annotated:
+    shared: int
+
+@dataclass
+class Built:
+    shared: int
+
+@dataclass
+class Owned:
+    shared: int
+
+    def get(self):
+        return self.shared
+
+@dataclass
+class Unread:
+    shared: int
+
+def use(r, a: Annotated, u):
+    b = Built(1)
+    return r.read_field, a.shared, b.shared, u.shared
 """
     trees[PACKAGE / "_probe.py"] = ast.parse(module)
     unread = _unread(trees, exported)
     assert "_probe.py: Record.unread_tuple_field" in unread
     assert "_probe.py: Frozen.unread_class_field" in unread
     assert not any("read_field" in entry for entry in unread)
+    assert {entry for entry in unread if "shared" in entry} == {"_probe.py: Unread.shared"}
 
 
 def _defaulted(tree):
@@ -255,10 +374,7 @@ def _reads(tree):
     names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)]
     read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
     for annotation in _annotations(tree):
-        for const in ast.walk(annotation):
-            if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                parsed = ast.parse(const.value, mode="eval")
-                read |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+        read |= _named(annotation)
     return read
 
 
@@ -400,28 +516,50 @@ def _timed_layers():
     return ast.literal_eval(value)
 
 
-def test_harness_imports_from_snapshot_only_what_perfbench_times():
-    """``harness.py`` imports from ``snapshot`` by name only classes and
-    the functions that ``perfbench/tracing.py`` times as harness
-    attributes, each one a layer of ``snapshot``'s; it reads every other
-    function of ``snapshot`` off the module when it runs.  So one binding
-    of each step function is what ``explore``, the drive loop and
-    ``step_state`` all call, and a mutant of the algorithm patched once on
-    ``snapshot`` is the one every scheduler runs."""
-    tree = ast.parse((PACKAGE / "harness.py").read_text())
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "snapshot"
-        for alias in node.names
+def _bound_functions(trees):
+    """The functions of sibling modules that each module under
+    ``src/snapcheck`` but ``__init__.py`` imports by name, as
+    ``module: sibling.name``; a class, a constant or a type alias is no
+    function."""
+    bound = set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE or path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                sibling = importlib.import_module(f"snapcheck.{node.module}")
+                for alias in node.names:
+                    value = getattr(sibling, alias.name)
+                    if callable(value) and not isinstance(value, type):
+                        bound.add(f"{path.stem}: {node.module}.{alias.name}")
+    return bound
+
+
+def test_modules_call_sibling_functions_through_the_module():
+    """No module under ``src/snapcheck`` binds a sibling's function by
+    name: it calls ``aux_model.hist_p(p, aux)``, not ``hist_p(p, aux)``.
+    So one binding of each function is what every caller runs, and a
+    mutant patched once on its module (of the stable order on
+    ``aux_model``, of a step on ``snapshot``) is the one every check,
+    transition and scheduler sees.  The exceptions are the functions that
+    ``perfbench/tracing.py`` times as harness attributes, which it finds
+    only there."""
+    trees, _ = _sources()
+    timed = {attr: layer for module, attr, layer in _timed_layers() if module == "harness"}
+    steps = {attr for attr, layer in timed.items() if layer.startswith("snapshot.")}
+    assert steps == {"apply_step", "make_frame", "phys_digest", "aux_digest"}
+    bound = _bound_functions(trees)
+    exempt = {e for e in bound if e.startswith("harness: ") and e.split(".")[-1] in timed}
+    assert exempt == {f"harness: snapshot.{a}" for a in steps} | {"harness: aux_model.aux_key"}
+    assert bound == exempt, "functions bound by name: " + ", ".join(sorted(bound - exempt))
+
+
+def test_a_function_bound_by_name_fails_the_rule():
+    """The rule sees a sibling's function imported by name, and no class
+    or constant imported beside it."""
+    trees, _ = _sources()
+    module = "from .aux_model import WRITER_OFF, AuxState, hist_p\n"
+    trees[PACKAGE / "_probe.py"] = ast.parse(module)
+    assert {e for e in _bound_functions(trees) if e.startswith("_probe")} == {
+        "_probe: aux_model.hist_p"
     }
-    functions = {name for name in imported if not isinstance(getattr(snapshot, name), type)}
-    timed = {
-        attr
-        for module, attr, layer in _timed_layers()
-        if module == "harness" and layer.startswith("snapshot.")
-    }
-    assert timed == {"apply_step", "make_frame", "phys_digest", "aux_digest"}
-    assert functions == timed, "functions harness.py imports from snapshot: " + ", ".join(
-        sorted(functions)
-    )
