@@ -156,17 +156,20 @@ def bits(mask: int):
         mask ^= low
 
 
-def _positions(sigma: tuple[Timestamp, ...]) -> dict[Timestamp, int]:
+def positions(sigma: tuple[Timestamp, ...]) -> dict[Timestamp, int]:
+    """Each timestamp's index in ``sigma``."""
     return {t: i for i, t in enumerate(sigma)}
 
 
-def _require_known(aux: AuxState, *ts: Timestamp) -> None:
+def require_known(aux: AuxState, *ts: Timestamp) -> None:
+    """Raise :class:`UnknownTimestampError` unless each of ``ts`` is an
+    event of ``aux``'s history."""
     for t in ts:
         if not 1 <= t <= len(aux.ptr):
             raise UnknownTimestampError(f"timestamp {t} not in history")
 
 
-def _ideal_masks(aux: AuxState) -> dict[Timestamp, int]:
+def ideal_masks(aux: AuxState) -> dict[Timestamp, int]:
     """Stable-order ideal of every timestamp as an integer bitmask (bit s
     set iff s is at or below t), computed once per state.
 
@@ -204,7 +207,7 @@ def scanned_mask(aux: AuxState) -> int:
     cache = memo(aux)
     m = cache.get("scanned_mask")
     if m is None:
-        masks = _ideal_masks(aux)
+        masks = ideal_masks(aux)
         m = prefix = 0
         for t in aux.sigma:
             if aux.kappa[t - 1] != Color.GREEN:
@@ -236,15 +239,15 @@ def other_mask(aux: AuxState, tid: Tid | None) -> int:
 
 def omega_leq(t1: Timestamp, t2: Timestamp, aux: AuxState) -> bool:
     """Stable-order test: t1 is (and will remain) logically at or before t2
-    (see :func:`_ideal_masks`)."""
-    _require_known(aux, t1, t2)
-    return bool((_ideal_masks(aux)[t2] >> t1) & 1)
+    (see :func:`ideal_masks`)."""
+    require_known(aux, t1, t2)
+    return bool((ideal_masks(aux)[t2] >> t1) & 1)
 
 
 def omega_down(t: Timestamp, aux: AuxState, strict: bool = False) -> frozenset[Timestamp]:
     """The stable-order ideal of t: every s with s at-or-below t (strict drops t)."""
-    _require_known(aux, t)
-    mask = _ideal_masks(aux)[t]
+    require_known(aux, t)
+    mask = ideal_masks(aux)[t]
     if strict:
         mask &= ~(1 << t)
     return _members(mask, aux)
@@ -257,7 +260,7 @@ def scanned(aux: AuxState) -> frozenset[Timestamp]:
 
 def eval_at(t: Timestamp, sigma: tuple[Timestamp, ...], aux: AuxState) -> tuple[Value, Value]:
     """Replay aux's writes in sigma order up to and including t; return (x, y)."""
-    _require_known(aux, t)
+    require_known(aux, t)
     x: Value | None = None
     y: Value | None = None
     for s in sigma:
@@ -312,7 +315,7 @@ def yellow_of(p: str, aux: AuxState) -> Timestamp | None:
 
 def last_gy(p: str, t: Timestamp, aux: AuxState) -> bool:
     """True iff t is p's sigma-last green write, or p's yellow write."""
-    _require_known(aux, t)
+    require_known(aux, t)
     if t == last_green(p, aux):
         return True
     return aux.kappa[t - 1] == Color.YELLOW and aux.ptr[t - 1] == p

@@ -154,7 +154,7 @@ def _require_relink_pre(t_x: Timestamp, t_y: Timestamp, aux: AuxState) -> None:
     sc = aux.scanner
     if sc.on or not (sc.sx and sc.sy):
         raise GuardViolationError("relink/inspect: scanner must be off with both bits set")
-    aux_model._require_known(aux, t_x, t_y)
+    aux_model.require_known(aux, t_x, t_y)
     if aux.ptr[t_x - 1] != Ptr.X or aux.ptr[t_y - 1] != Ptr.Y:
         raise GuardViolationError("relink/inspect: arguments write the wrong pointers")
     for p, t in ((Ptr.X, t_x), (Ptr.Y, t_y)):
@@ -170,7 +170,7 @@ def inspect(t_x: Timestamp, t_y: Timestamp, aux: AuxState) -> InspectDecision:
     must be pushed past the later event); No otherwise.
     """
     _require_relink_pre(t_x, t_y, aux)
-    pos = aux_model._positions(aux.sigma)
+    pos = aux_model.positions(aux.sigma)
 
     def offending(p: str, tp: Timestamp, tq: Timestamp) -> Timestamp | None:
         if not pos[tp] < pos[tq]:

@@ -242,7 +242,8 @@ def state_key(pid: int, aid: int, eids: tuple[int, ...]):
     int equals a tuple).  An int of up to 60 bits takes 32 bytes, against
     80 for a tuple of five small ints, and the visited set holds one key
     per state.  ``explore`` derives an int key from its parent's where it
-    can, equal to this one bit for bit."""
+    can, XOR the deltas that the step's two halves filed, equal to this one
+    bit for bit."""
     key = aid
     for i in (pid, *eids):
         if i >> _ID_BITS:
@@ -484,11 +485,16 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     reads the step's arguments and takes its physical effect, an auxiliary
     miss starts from what the physical half read and takes the auxiliary
     and frame effects and the edge check.  Every reachable frame is an
-    entry, so the scan results are those of the entries.  A successor's
-    key is ``state_key`` of its ids, derived from its parent's key by
-    swapping in the ids that a step can change (aux, phys and the stepping
-    thread's entry); ``state_key`` itself makes only the first key and
-    those where an id outgrows its digit.
+    entry, so the scan results are those of the entries.  The walk holds
+    the threads' entry ids in one list, which a step changes in place and
+    restores when its successor's walk returns.  A successor's key is
+    ``state_key`` of its ids, derived from its parent's key by swapping in
+    the ids that a step can change: each half files, with its post ids, a
+    delta that swaps its own digits (the physical half the phys id's, the
+    auxiliary half the aux id's and the stepping thread's entry id's), and
+    the successor's key is the parent's XOR the two deltas.  ``state_key``
+    itself makes only the first key and those where an id outgrows its
+    digit, where a half files None for its delta.
     """
     checker = _Checker(prog)
     phys0, aux0, frames0 = checker.start()
@@ -499,17 +505,17 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     entries: list[MethodFrame | None] = []
     entry_ids: dict[tuple | Tid, int] = {}
     # The physical half of a step, by entry id and phys id: the post phys
-    # id and the two items that the steps reading the same value
-    # (``step_args``) under the entry share; False where it has no step
-    # enabled.
+    # id, the two items that the steps reading the same value
+    # (``step_args``) under the entry share, and the key delta of the phys
+    # id; False where it has no step enabled.
     phys_steps: defaultdict[int, dict] = defaultdict(dict)
     # Those two items, by (entry id, value read): the table of the
-    # auxiliary halves, by aux id, each the post aux id, the post entry id
-    # and the edge's violations; and what the step read, which an
-    # auxiliary miss starts from: the step, entry id, value, auxiliary
-    # argument and check argument (an entry and the value fix the other
-    # two).  An entry fixes the type of what it reads, so the check step's
-    # bool never meets an int.
+    # auxiliary halves, by aux id, each the post aux id, the post entry
+    # id, the edge's violations and the key delta of the aux and entry
+    # ids; and what the step read, which an auxiliary miss starts from:
+    # the step, entry id, value, auxiliary argument and check argument (an
+    # entry and the value fix the other two).  An entry fixes the type of
+    # what it reads, so the check step's bool never meets an int.
     aux_steps: dict[tuple, tuple[dict, tuple]] = {}
     # The part tables, where a miss above is composed, each keyed by what
     # its function reads: (label, argument, phys id) gives the post phys
@@ -530,19 +536,27 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
     executions: list[Trace] = []
     edges = 0
     # state_key's digits: a successor of a parent keyed by an int, whose new
-    # ids fit their digits, has the parent's key with three digits swapped.
-    # Swapped by XOR: CPython sizes a sum for a carry and keeps that size, so
-    # a key made by addition would take 8 bytes more in the visited set.
+    # ids fit their digits, has the parent's key with three digits swapped,
+    # so each half files its own swap, a delta to XOR into the key, None
+    # where its post id outgrows its digit.  Swapped by XOR: CPython sizes a
+    # sum for a carry and keeps that size, so a key made by addition would
+    # take 8 bytes more in the visited set.
     limit = 1 << _ID_BITS
     n = len(tids)
     aux_shift, phys_shift = (n + 1) * _ID_BITS, n * _ID_BITS
-    entry_shifts = [(n - 1 - i) * _ID_BITS for i in range(n)]
+    # an entry belongs to one thread, so it has one digit: its shift
+    thread_shifts = {tid: (n - 1 - i) * _ID_BITS for i, tid in enumerate(tids)}
+    shifts: list[int] = []
+    # the deltas, one int object per value, as the totals: the halves of a
+    # program share few deltas (on e, 2,999 among 19,508 halves)
+    deltas: dict[int | None, int | None] = {}
 
     def number(tid: Tid, frame: MethodFrame | None) -> int:
         key = tid if frame is None else snapshot.frame_key(frame)
         eid = entry_ids.setdefault(key, len(entries))
         if eid == len(entries):
             entries.append(frame)
+            shifts.append(thread_shifts[tid])
         return eid
 
     def fill_phys(pid: int, eid: int):
@@ -563,7 +577,9 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
         shared = aux_steps.get(key)
         if shared is None:
             shared = aux_steps[key] = ({}, (step, eid, value, aux_args, check_arg))
-        phys_steps[eid][pid] = phys_half = (post_pid, *shared)
+        delta = (post_pid ^ pid) << phys_shift if post_pid < limit else None
+        delta = deltas.setdefault(delta, delta)
+        phys_steps[eid][pid] = phys_half = (post_pid, *shared, delta)
         return phys_half
 
     def fill_aux(halves: dict, aid: int, read: tuple) -> tuple:
@@ -589,38 +605,38 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
             found = verdicts[key] = snapshot.edge_check(
                 step, aux[aid], aux[post_aid], value, outputs, check_arg
             )
-        halves[aid] = aux_half = (post_aid, post_eid, found)
+        delta = None
+        if post_eid < limit:
+            delta = ((post_aid ^ aid) << aux_shift) ^ ((post_eid ^ eid) << shifts[eid])
+        delta = deltas.setdefault(delta, delta)
+        halves[aid] = aux_half = (post_aid, post_eid, found, delta)
         return aux_half
 
-    def dfs(pid: int, aid: int, eids: tuple[int, ...], key: int | tuple) -> int:
+    def dfs(pid: int, aid: int, eids: list[int], key: int | tuple) -> int:
         nonlocal edges
         if len(visited) >= max_states:
             raise BudgetExceededError(f"state budget {max_states} exceeded")
         visited[key] = 0
-        total = 0
+        total = stepped = 0
         idx = len(trail)
-        first = edges
         for i, eid in enumerate(eids):
             phys_half = phys_steps[eid].get(pid)
             if phys_half is None:
                 phys_half = fill_phys(pid, eid)
             if phys_half is False:
                 continue
-            post_pid, halves, read = phys_half
+            post_pid, halves, read, phys_delta = phys_half
             aux_half = halves.get(aid)
             if aux_half is None:
                 aux_half = fill_aux(halves, aid, read)
-            post_aid, post_eid, found = aux_half
-            edges += 1
-            if key.__class__ is int and post_pid < limit and post_eid < limit:
-                pkey = (
-                    key
-                    ^ ((post_aid ^ aid) << aux_shift)
-                    ^ ((post_pid ^ pid) << phys_shift)
-                    ^ ((post_eid ^ eid) << entry_shifts[i])
-                )
-            else:
-                pkey = state_key(post_pid, post_aid, eids[:i] + (post_eid,) + eids[i + 1 :])
+            post_aid, post_eid, found, aux_delta = aux_half
+            stepped += 1
+            # eids is the successor's entry ids until it is restored below
+            eids[i] = post_eid
+            try:
+                pkey = key ^ phys_delta ^ aux_delta
+            except TypeError:  # a tuple key, or a post id past its digit
+                pkey = state_key(post_pid, post_aid, tuple(eids))
             known = visited.get(pkey)
             if known is None:
                 checker.on_state(post_pid, post_aid, idx)
@@ -628,22 +644,29 @@ def explore(prog: Program, max_states: int = DEFAULT_MAX_STATES) -> ExplorationR
                 checker.absorb(found, idx)
             if known is None:
                 trail.append((i, entries[eid], entries[post_eid], aux[post_aid]))
-                total += dfs(post_pid, post_aid, eids[:i] + (post_eid,) + eids[i + 1 :], pkey)
+                total += dfs(post_pid, post_aid, eids, pkey)
                 trail.pop()
             elif known:
                 total += known
             else:  # a done state counts at least 1, so this one is on the path
                 label = entries[eid].current_step().label
                 raise GuardViolationError(f"a {label} step of {tids[i]} loops back on its path")
-        if edges == first:  # no thread can step: the run ends
+            eids[i] = eid
+        edges += stepped
+        if not stepped:  # no thread can step: the run ends
             frames = [entries[e] for e in eids]
             executions.append(checker.finish(phys[pid], aux[aid], frames, trail))
             total = 1
         visited[key] = total = totals.setdefault(total, total)
         return total
 
-    eids0 = tuple(map(number, tids, frames0))
-    schedules = dfs(pid0, aid0, eids0, state_key(pid0, aid0, eids0))
+    eids0 = list(map(number, tids, frames0))
+    try:
+        schedules = dfs(pid0, aid0, eids0, state_key(pid0, aid0, tuple(eids0)))
+    finally:
+        # dfs calls itself through this cell; emptied, the walk's tables are
+        # freed with this frame, not left to the cyclic collector
+        del dfs
     # every reachable frame is an entry, each returned scan's among them
     checker.scan_results.update(f.result for f in entries if f and f.result is not None)
     return checker.report("exhaustive", len(visited), edges, schedules, executions=executions)

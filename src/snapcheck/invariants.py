@@ -68,7 +68,7 @@ def _check_writers(aux: AuxState, rep: list[Violation]) -> None:
 
 def _check_overlap(aux: AuxState, rep: list[Violation]) -> None:
     # non-overlapping events are never logically reordered
-    pos = aux_model._positions(aux.sigma)
+    pos = aux_model.positions(aux.sigma)
     for t1, end in enumerate(aux.tau, 1):
         if end is None:
             continue
@@ -310,8 +310,8 @@ def check_transition(pre: AuxState, post: AuxState) -> list[Violation]:
             "hist-mono",
             "other history of a thread without finished events shrank",
         ))
-    pre_masks = aux_model._ideal_masks(pre)
-    post_masks = aux_model._ideal_masks(post)
+    pre_masks = aux_model.ideal_masks(pre)
+    post_masks = aux_model.ideal_masks(post)
     for t, mask in pre_masks.items():
         if mask & ~post_masks[t]:
             rep.append(Violation("omega-mono", f"stable-order pairs below {t} lost"))
@@ -383,7 +383,7 @@ def check_write_post(
         return rep
     if not (aux_model.self_mask(ret, tid) >> t) & 1:
         rep.append(Violation("write-post", f"event {t} not owned by {tid} at return"))
-    strictly_below = aux_model._ideal_masks(ret)[t] & ~(1 << t)
+    strictly_below = aux_model.ideal_masks(ret)[t] & ~(1 << t)
     for s in aux_model.bits(mask & ~strictly_below):
         rep.append(Violation(
             "write-post",
@@ -403,7 +403,7 @@ def check_scan_post(
     is scanned.  The constructive witness must itself qualify."""
     rep = []
     ret_scanned = aux_model.scanned_mask(ret)
-    masks = aux_model._ideal_masks(ret)
+    masks = aux_model.ideal_masks(ret)
     evals = _evals(ret)
     good = [
         t
@@ -425,7 +425,7 @@ def check_chain_lemma(aux: AuxState) -> list[Violation]:
     """Every all-green sigma-prefix is exactly the stable-order ideal of its
     last element."""
     rep = []
-    masks = aux_model._ideal_masks(aux)
+    masks = aux_model.ideal_masks(aux)
     prefix_mask = 0
     for t in aux.sigma:
         if aux.kappa[t - 1] != Color.GREEN:
@@ -466,7 +466,7 @@ def check_relink_post(
     for p, t in ((Ptr.X, t_x), (Ptr.Y, t_y)):
         if aux_model.last_green(p, aux) != t:
             rep.append(Violation("relink-post", f"{t} is not the last green of {p} after relink"))
-    pos = aux_model._positions(aux.sigma)
+    pos = aux_model.positions(aux.sigma)
     top = t_x if pos[t_x] >= pos[t_y] else t_y
     for s in aux.sigma[: pos[top] + 1]:
         if aux.kappa[s - 1] != Color.GREEN:
@@ -483,7 +483,7 @@ def check_omega_properties(aux: AuxState) -> list[Violation]:
     closed under it."""
     rep = []
     dom = aux.sigma
-    masks = aux_model._ideal_masks(aux)
+    masks = aux_model.ideal_masks(aux)
     for t in dom:
         if not (masks[t] >> t) & 1:
             rep.append(Violation("omega-reflexive", f"{t} not related to itself"))

@@ -106,9 +106,11 @@ def linearizable(ops):
             used[i] = False
         return False
 
-    if extend():
-        return tuple(ops[i] for i in chosen)
-    return None
+    try:
+        found = extend()
+    finally:
+        del extend  # it calls itself through this cell: emptied, it leaves no cycle
+    return tuple(ops[i] for i in chosen) if found else None
 
 
 def witness_order(trace):

@@ -20,8 +20,8 @@ from snapcheck.aux_model import (
     aux_key,
     eval_at,
     evolve,
+    ideal_masks,
     scanned_mask,
-    _ideal_masks,
 )
 from snapcheck.errors import DisabledStepError, GuardViolationError, SnapshotModelError
 from snapcheck.harness import State, enabled_tids, initial_state, step_state
@@ -194,7 +194,7 @@ def methods(prog, schedule):
 def scan_post_by_replay(mask, ret, r, witness):
     """``check_scan_post`` with each candidate replayed by ``eval_at``, a
     timestamp before which a pointer has no write disqualified."""
-    scanned, masks = scanned_mask(ret), _ideal_masks(ret)
+    scanned, masks = scanned_mask(ret), ideal_masks(ret)
 
     def qualifies(t):
         if not (scanned >> t) & 1 or mask & ~masks[t]:

@@ -1,6 +1,7 @@
 """Schedulers: exhaustive exploration, replay, random scheduling, clients."""
 
 import _blake2
+import gc
 import hashlib
 import pickle
 import random
@@ -12,7 +13,7 @@ import pytest
 import reference
 from conftest import one_field_changed, primitive, two_scan_programs
 from reference import entry_key, frame_of, full_key, random_schedule
-from snapcheck import aux_model, harness, invariants, snapshot
+from snapcheck import aux_model, harness, invariants, oracle, snapshot
 from snapcheck.aux_model import Color, Ptr, WriterPhase, aux_key, evolve, history_key, memo
 from snapcheck.cli import main
 from snapcheck.errors import (
@@ -75,6 +76,37 @@ def test_explore_e_prime_is_sequential():
     assert report.schedules == 1
     assert report.scan_results == frozenset({(5, 0)})
     assert report.ok
+
+
+_FIG1_OPS = oracle.ops_from_trace(run_schedule(client_fig1(), FIG1_SCHEDULE))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: explore(next(p for p in generated_programs() if p.name == "gen-x1-y1")),
+        lambda: run_schedule(client_fig1(), FIG1_SCHEDULE),
+        lambda: run_random(client_e(), seed=1, runs=5),
+        lambda: oracle.linearizable(_FIG1_OPS),
+    ],
+    ids=["explore", "run_schedule", "run_random", "linearizable"],
+)
+def test_calls_leave_no_cyclic_garbage(call):
+    """What a scheduler or the oracle's search makes is freed by reference
+    counting alone when it returns: with the cyclic collector off, the call
+    leaves nothing for it to collect.  A function that calls itself
+    through its closure cell holds its frame's tables in a cycle (explore's
+    visited and half-step tables, and its checker) until the collector
+    runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_client_structures():
@@ -167,7 +199,7 @@ def test_a_scan_that_ignores_forwarded_values_is_refused(monkeypatch):
 def test_a_stable_order_without_real_time_is_refused(monkeypatch):
     """A stable order that drops its real-time clause: s is below t only
     when s = t or s is green and sigma orders it before t, never for having
-    ended before t began.  Patched once, on ``aux_model._ideal_masks``, it
+    ended before t began.  Patched once, on ``aux_model.ideal_masks``, it
     is what every check and transition reads, and the first layer that
     fires is write's postcondition, checked on the finalize edge: an event
     that ended before the write began is no longer strictly below it."""
@@ -184,7 +216,7 @@ def test_a_stable_order_without_real_time_is_refused(monkeypatch):
                     green_before |= 1 << t
         return masks
 
-    monkeypatch.setattr(aux_model, "_ideal_masks", green_prefix_order)
+    monkeypatch.setattr(aux_model, "ideal_masks", green_prefix_order)
     names = {v.name for v in explore(client_e()).violations}
     assert names == {"write-post"}
     assert {v.name for v in run_random(client_e(), seed=1, runs=300).violations} == names
